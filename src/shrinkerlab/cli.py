@@ -647,7 +647,7 @@ def cmd_verify_prop41(cfg, outdir, jobs=1) -> RunReport:
         regroup_worst = max(
             regroup_worst, abs(gb.grouped_total - gb.direct_total) / scale
         )
-        min_margin = min(min_margin, ineq.master_margin(s))
+        min_margin = min(min_margin, gb.master_margin)
     report.checks.append(
         check_le("regroup_max", regroup_worst, 0.0, cfg["tol_regroup"])
     )

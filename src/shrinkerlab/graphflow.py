@@ -279,7 +279,10 @@ def relax_flow(u0: GridField, cfg: SolverConfig = SolverConfig()):
     since the largest eigenvalue of g^ij is at most one (g >= identity).
     Stops when sup |residual| drops below the threshold or max_steps is hit;
     blow-up beyond cfg.blowup raises DivergenceError with the trace attached.
+    A non-finite initial field raises ValueError before any step.
     """
+    if not np.all(np.isfinite(u0.values)):
+        raise ValueError("initial field holds non-finite values")
     h = float(np.min(u0.spacing))
     dt = cfg.dt if cfg.dt is not None else cfg.cfl * h * h / (2.0 * u0.n)
     box = interior(u0, cfg.order)
@@ -467,6 +470,8 @@ def field_to_csv(field: GridField) -> str:
 
 
 def field_from_csv(text: str) -> GridField:
+    """Inverse of field_to_csv; a missing, duplicate, out-of-range or
+    non-finite entry raises ValueError instead of being filled in."""
     lines = text.strip().split("\n")
     if lines[0] != "n,m,L,res,boundary":
         raise ValueError("unrecognized field file header")
@@ -481,11 +486,27 @@ def field_from_csv(text: str) -> GridField:
         b = np.array(flat[m * n :])
         cursor += 1
     cursor += 1  # column header
+    rows = lines[cursor:]
+    if len(rows) != math.prod(shape):
+        raise ValueError(
+            f"field file has {len(rows)} node rows, the {res_s} grid needs "
+            f"{math.prod(shape)}"
+        )
     values = np.zeros(shape + (m,))
-    for line in lines[cursor:]:
+    seen = np.zeros(shape, dtype=bool)
+    for line in rows:
         toks = line.split(",")
+        if len(toks) != 2 * n + m:
+            raise ValueError(f"node row {line!r} does not have {2 * n + m} columns")
         idx = tuple(int(t) for t in toks[:n])
+        if not all(0 <= i < s for i, s in zip(idx, shape)):
+            raise ValueError(f"node index {idx} outside the {res_s} grid")
+        if seen[idx]:
+            raise ValueError(f"duplicate node index {idx}")
+        seen[idx] = True
         values[idx] = [float(t) for t in toks[2 * n :]]
+    if not all(np.all(np.isfinite(x)) for x in (L, values, A, b) if x is not None):
+        raise ValueError("field file holds non-finite values")
     return GridField(L=L, values=values, boundary=boundary, A=A, b=b)
 
 

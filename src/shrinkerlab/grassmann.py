@@ -18,7 +18,6 @@ direction alpha; the forms below are valid only in the adapted frame that
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -180,31 +179,25 @@ def jordan_spectrum(P: OrientedFrame, Q: OrientedFrame) -> JordanSpectrum:
 
 def _partner_normals(E, F, mu_all, n, m, p):
     # partner of row j: unit vector in span(e_j, f_j) normal to the plane,
-    # signed so that rotating toward it opens the angle
-    amb = n + m
-    normals = np.zeros((m, amb))
-    have = np.zeros(m, dtype=bool)
-    for j in range(p):
-        s2 = 1.0 - mu_all[j] ** 2
-        if s2 > _PARTNER_TOL**2:
-            nu = (mu_all[j] * E[j] - F[j]) / math.sqrt(s2)
-            normals[j] = nu / np.linalg.norm(nu)
-            have[j] = True
-    if np.all(have):
-        return normals
-    # deterministic completion inside the plane's orthogonal complement
-    comp = np.linalg.qr(E.T, mode="complete")[0][:, n:].T
-    chosen = [normals[j] for j in range(m) if have[j]]
-    for j in range(m):
-        if have[j]:
-            continue
-        resid = comp.copy()
-        for nu in chosen:
-            resid -= np.outer(resid @ nu, nu)
-        norms = np.linalg.norm(resid, axis=1)
+    # signed so that rotating toward it opens the angle; rows without one are
+    # completed deterministically inside the plane's orthogonal complement.
+    # Each row is orthogonalized twice against the plane and the rows fixed
+    # before it: a partner at a small angle is a difference of nearly equal
+    # vectors, off orthogonality by up to 1e-10 as computed, and two passes
+    # bring every row back to rounding level.
+    partners = [j for j in range(p) if 1.0 - mu_all[j] ** 2 > _PARTNER_TOL**2]
+    rest = [j for j in range(m) if j not in partners]
+    comp = np.linalg.qr(E.T, mode="complete")[0][:, n:].T if rest else None
+    normals = np.zeros((m, n + m))
+    fixed = E
+    for j in partners + rest:
+        cand = (mu_all[j] * E[j] - F[j])[None] if j in partners else comp
+        for _ in range(2):
+            cand = cand - (cand @ fixed.T) @ fixed
+        norms = np.linalg.norm(cand, axis=1)
         k = int(np.argmax(norms))
-        normals[j] = resid[k] / norms[k]
-        chosen.append(normals[j])
+        normals[j] = cand[k] / norms[k]
+        fixed = np.vstack([fixed, normals[j]])
     return normals
 
 

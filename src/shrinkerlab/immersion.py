@@ -67,38 +67,10 @@ class ParametricImmersion:
         """Wrap a position-only map; jets come from 4th-order differences."""
         chart = np.asarray(chart, dtype=float).reshape(n, 2)
         step = (chart[:, 1] - chart[:, 0]) * 1e-3
-
-        def jet(param):
-            x = np.asarray(func(param), dtype=float)
-            amb = x.size
-            dX = np.zeros((n, amb))
-            ddX = np.zeros((n, n, amb))
-            for k in range(n):
-                h = step[k]
-                for off, c in _D4:
-                    q = np.array(param, dtype=float)
-                    q[k] += off * h
-                    dX[k] += c * np.asarray(func(q), dtype=float)
-                dX[k] /= h
-                acc = np.zeros(amb)
-                for off, c in _D4_2:
-                    q = np.array(param, dtype=float)
-                    q[k] += off * h
-                    acc += c * np.asarray(func(q), dtype=float)
-                ddX[k, k] = acc / h**2
-            for k in range(n):
-                for l in range(k + 1, n):
-                    acc = np.zeros(amb)
-                    for ok, ck in _D4:
-                        for ol, cl in _D4:
-                            q = np.array(param, dtype=float)
-                            q[k] += ok * step[k]
-                            q[l] += ol * step[l]
-                            acc += ck * cl * np.asarray(func(q), dtype=float)
-                    ddX[k, l] = ddX[l, k] = acc / (step[k] * step[l])
-            return x, dX, ddX
-
-        return cls(n, m, chart, jet, fd_step=step, label=label)
+        return cls(
+            n, m, chart, lambda param: _fd_jets(func, param, step),
+            fd_step=step, label=label,
+        )
 
     def contains(self, param, slack=1e-12):
         p = np.asarray(param, dtype=float)
@@ -254,19 +226,11 @@ def weighted_tension(imm: ParametricImmersion, param) -> np.ndarray:
     """
     p = np.asarray(param, dtype=float)
     x, dX, ddX = imm.jet(p)
-    _, _, S, _, _ = _metric_data(dX, ddX)
-    pf = point_frame(imm, p)
-    amb = x.size
-    dV = np.zeros((imm.n, amb))
-    for k in range(imm.n):
-        h = imm.fd_step[k]
-        for off, c in _D4:
-            q = p.copy()
-            q[k] += off * h
-            if not imm.contains(q):
-                raise ChartError("difference stencil leaves the chart")
-            dV[k] += c * _shrinker_field(imm, q)
-        dV[k] /= h
+    _, _, S = _whiten(dX)
+    pf = _frame_from_jets(x, dX, ddX, imm.n, S)
+    _, dV, _ = _fd_jets(
+        lambda q: _shrinker_field(imm, q), p, imm.fd_step, second=False
+    )
     along_frame = S @ dV  # row j: derivative along frame row j
     return pf.normal @ along_frame.T  # (alpha, j)
 
@@ -287,38 +251,46 @@ def drift_laplacian(imm: ParametricImmersion, param, f) -> float:
     return lap - drift
 
 
+def _fd_jets(func, center, steps, second=True):
+    """(value, first, second) jets of func at center by 4th-order differences.
+
+    func may return a scalar or an array; first[k] and second[k, l] are its
+    partial derivatives along parameters k and l.  The centre is evaluated
+    once.  With second=False only the first-derivative stencil runs and the
+    value and second jet come back as None.
+    """
+    c = np.asarray(center, dtype=float)
+    steps = np.asarray(steps, dtype=float)
+    n = c.size
+
+    def at(*offsets):  # func at c shifted by off * steps[k] along each (k, off)
+        q = c.copy()
+        for k, off in offsets:
+            q[k] += off * steps[k]
+        return np.asarray(func(q), dtype=float)
+
+    first = np.stack(
+        [sum(w * at((k, off)) for off, w in _D4) / steps[k] for k in range(n)]
+    )
+    if not second:
+        return None, first, None
+    value = at()
+    jets2 = np.zeros((n,) + first.shape)
+    for k in range(n):
+        jets2[k, k] = sum(
+            w * (value if off == 0 else at((k, off))) for off, w in _D4_2
+        ) / steps[k] ** 2
+        for l in range(k + 1, n):
+            jets2[k, l] = jets2[l, k] = sum(
+                wk * wl * at((k, ok), (l, ol)) for ok, wk in _D4 for ol, wl in _D4
+            ) / (steps[k] * steps[l])
+    return value, first, jets2
+
+
 def fd_scalar_jets(func, center, steps):
     """(value, grad, hess) of a black-box scalar by 4th-order differences."""
-    c = np.asarray(center, dtype=float)
-    n = c.size
-    steps = np.asarray(steps, dtype=float)
-    value = float(func(c))
-    grad = np.zeros(n)
-    hess = np.zeros((n, n))
-    for k in range(n):
-        h = steps[k]
-        for off, w in _D4:
-            q = c.copy()
-            q[k] += off * h
-            grad[k] += w * func(q)
-        grad[k] /= h
-        acc = 0.0
-        for off, w in _D4_2:
-            q = c.copy()
-            q[k] += off * h
-            acc += w * func(q)
-        hess[k, k] = acc / h**2
-    for k in range(n):
-        for l in range(k + 1, n):
-            acc = 0.0
-            for ok, wk in _D4:
-                for ol, wl in _D4:
-                    q = c.copy()
-                    q[k] += ok * steps[k]
-                    q[l] += ol * steps[l]
-                    acc += wk * wl * func(q)
-            hess[k, l] = hess[l, k] = acc / (steps[k] * steps[l])
-    return value, grad, hess
+    value, grad, hess = _fd_jets(func, center, steps)
+    return float(value), grad, hess
 
 
 # ---------------------------------------------------------------------------
@@ -633,53 +605,14 @@ def unit_weight(mesh: WeightedPatchMesh) -> WeightField:
     )
 
 
-def _map_jets(map_fn, center, steps):
-    n = center.size
-    y0 = np.asarray(map_fn(center), dtype=float)
-    dy = np.zeros((n, y0.size))
-    ddy = np.zeros((n, n, y0.size))
-    for k in range(n):
-        h = steps[k]
-        for off, w in _D4:
-            q = center.copy()
-            q[k] += off * h
-            dy[k] += w * np.asarray(map_fn(q), dtype=float)
-        dy[k] /= h
-        acc = np.zeros(y0.size)
-        for off, w in _D4_2:
-            q = center.copy()
-            q[k] += off * h
-            acc += w * np.asarray(map_fn(q), dtype=float)
-        ddy[k, k] = acc / h**2
-    for k in range(n):
-        for l in range(k + 1, n):
-            acc = np.zeros(y0.size)
-            for ok, wk in _D4:
-                for ol, wl in _D4:
-                    q = center.copy()
-                    q[k] += ok * steps[k]
-                    q[l] += ol * steps[l]
-                    acc += wk * wl * np.asarray(map_fn(q), dtype=float)
-            ddy[k, l] = ddy[l, k] = acc / (steps[k] * steps[l])
-    return y0, dy, ddy
-
-
 def weighted_energy(mesh: WeightedPatchMesh, map_fn, weight: WeightField) -> float:
     """Integral of (1/2)|d map|^2 w over the mesh (map valued in R^k)."""
     imm = mesh.immersion
     total = 0.0
     for idx in range(mesh.node_count):
         p = mesh.params[idx]
-        _, dX, ddX = imm.jet(p)
-        _, _, S, _, _ = _metric_data(dX, ddX)
-        dy = np.zeros((imm.n, np.asarray(map_fn(p)).size))
-        for k in range(imm.n):
-            h = imm.fd_step[k]
-            for off, w in _D4:
-                q = p.copy()
-                q[k] += off * h
-                dy[k] += w * np.asarray(map_fn(q), dtype=float)
-            dy[k] /= h
+        _, _, S = _whiten(imm.jet(p)[1])
+        _, dy, _ = _fd_jets(map_fn, p, imm.fd_step, second=False)
         push = S @ dy  # rows: map differential along frame rows
         total += 0.5 * float(np.sum(push * push)) * weight.values[idx] * mesh.weights[idx]
     return total
@@ -696,7 +629,7 @@ def sphere_map_tension(imm: ParametricImmersion, param, map_fn, grad_log_w):
     p = np.asarray(param, dtype=float)
     _, dX, ddX = imm.jet(p)
     _, _, S, ginv, gamma = _metric_data(dX, ddX)
-    y, dy, ddy = _map_jets(map_fn, p, imm.fd_step)
+    y, dy, ddy = _fd_jets(map_fn, p, imm.fd_step)
     lap = np.einsum(
         "ij,ija->a", ginv, ddy - np.einsum("ijk,ka->ija", gamma, dy)
     )

@@ -307,22 +307,35 @@ class GroupSample:
         }
 
 
-def second_form_sq(s: GroupSample):
-    return float(np.sum(s.h * s.h))
+def _master_kernel(lam, h, c1=C1):
+    """(total, |B|^2, v) for one sample or a batch, in the input dtype.
+
+    lam has shape (..., p) and h (..., m, n, n) over the same leading axes.
+    total = |B|^2 + sum_{i,j,k} lam_j lam_k h_{k,ij} h_{j,ik}
+    + c1 sum_i (sum_j lam_j h_{j,ij})^2, where the j = k part of the middle
+    sum is the diagonal square term sum lam_j^2 h_{j,ij}^2 and the rest the
+    cross terms.
+    """
+    p = lam.shape[-1]
+    hq = h[..., :p, :, :p]  # h_{k,ij} with j, k <= p
+    d = np.einsum("...jij->...ij", hq)  # d[i, j] = h_{j,ij}
+    b2 = np.sum(h * h, axis=(-3, -2, -1))
+    coupled = np.einsum("...j,...k,...kij,...jik->...", lam, lam, hq, hq)
+    sums = np.einsum("...ij,...j->...i", d, lam)
+    total = b2 + coupled + c1 * np.sum(sums * sums, axis=-1)
+    v = np.exp(0.5 * np.sum(np.log1p(lam * lam), axis=-1))
+    return total, b2, v
+
+
+def _margins(lam, h, c1):
+    """(margin, total, v) from one kernel call; margin = total - (3 - v)|B|^2 / 2."""
+    total, b2, v = _master_kernel(lam, h, c1)
+    return total - 0.5 * (3.0 - v) * b2, total, v
 
 
 def direct_total(s: GroupSample, c1=C1):
     """|B|^2 + sum lam_j^2 h_{j,ij}^2 + cross terms + c1 sum_i (sum_j lam_j h_{j,ij})^2."""
-    p = s.p
-    hp = s.h[:p]
-    d = hp[np.arange(p), :, np.arange(p)].T  # d[i, j] = h_{j, i j}
-    diag = float(np.sum(s.lam**2 * d * d))
-    hq = hp[:, :, :p]
-    P = np.einsum("kij,jik->ijk", hq, hq)  # h_{k,ij} h_{j,ik}
-    lamlam = np.outer(s.lam, s.lam)
-    cross = float(np.sum(lamlam * P)) - float(np.sum(np.diag(lamlam) * np.einsum("ijj->ij", P)))
-    sums = d @ s.lam
-    return second_form_sq(s) + diag + cross + c1 * float(np.sum(sums * sums))
+    return float(_master_kernel(s.lam, s.h, c1)[0])
 
 
 def leftover_term(s: GroupSample):
@@ -409,10 +422,11 @@ class GroupBreakdown:
     IV: dict
     grouped_total: float
     direct_total: float
+    master_margin: float
 
 
 def group_terms(s: GroupSample, c1=C1) -> GroupBreakdown:
-    """All group values plus the two routes to the total."""
+    """All group values, the two routes to the total, and the master margin."""
     p, n = s.p, s.n
     I = {i: I_term(s, i, c1) for i in range(p, n)}
     II = {
@@ -429,6 +443,7 @@ def group_terms(s: GroupSample, c1=C1) -> GroupBreakdown:
     }
     IV = {i: IV_term(s, i, c1) for i in range(p)}
     left = leftover_term(s)
+    margin, total, _ = _margins(s.lam, s.h, c1)
     return GroupBreakdown(
         leftover=left,
         I=I,
@@ -440,7 +455,8 @@ def group_terms(s: GroupSample, c1=C1) -> GroupBreakdown:
         + sum(II.values())
         + sum(III.values())
         + sum(IV.values()),
-        direct_total=direct_total(s, c1),
+        direct_total=float(total),
+        master_margin=float(margin),
     )
 
 
@@ -512,7 +528,7 @@ def group_bounds_check(s: GroupSample, tol=MARGIN_TOL) -> GroupMargins:
 
 def master_margin(s: GroupSample, c1=C1):
     """direct quadratic-form total minus (3 - v)|B|^2 / 2."""
-    return direct_total(s, c1) - 0.5 * (3.0 - s.v) * second_form_sq(s)
+    return float(_margins(s.lam, s.h, c1)[0])
 
 
 def master_inequality_check(s: GroupSample, c1=C1, tol=MARGIN_TOL):
@@ -531,42 +547,15 @@ def counterexample_dump(s: GroupSample, values: dict) -> dict:
 
 
 def batched_master_margins(lam, h, c1=C1):
-    """Vectorized master margins for a batch: lam (B, p), h (B, m, n, n)."""
-    lam = np.asarray(lam, dtype=float)
-    h = np.asarray(h, dtype=float)
-    p = lam.shape[1]
-    b2 = np.sum(h * h, axis=(1, 2, 3))
-    v = np.exp(0.5 * np.sum(np.log1p(lam * lam), axis=1))
-    hp = h[:, :p]
-    d = hp[:, np.arange(p), :, np.arange(p)].transpose(1, 2, 0)  # (B, n, p)
-    diag = np.einsum("bj,bij,bij->b", lam * lam, d, d)
-    hq = hp[:, :, :, :p]
-    P = np.einsum("bkij,bjik->bijk", hq, hq)
-    cross = np.einsum("bj,bk,bijk->b", lam, lam, P) - np.einsum(
-        "bj,bj,bijj->b", lam, lam, P
-    )
-    sums = np.einsum("bij,bj->bi", d, lam)
-    total = b2 + diag + cross + c1 * np.sum(sums * sums, axis=1)
-    return total - 0.5 * (3.0 - v) * b2, v
+    """Vectorized master margins and slope values: lam (B, p), h (B, m, n, n)."""
+    margin, _, v = _margins(np.asarray(lam, dtype=float), np.asarray(h, dtype=float), c1)
+    return margin, v
 
 
 def longdouble_master_margin(s: GroupSample, c1=C1):
     """Extended-precision recheck used before reporting any violation."""
-    lam = s.lam.astype(np.longdouble)
-    h = s.h.astype(np.longdouble)
-    p = s.p
-    b2 = np.sum(h * h)
-    v = np.exp(0.5 * np.sum(np.log1p(lam * lam)))
-    hp = h[:p]
-    d = hp[np.arange(p), :, np.arange(p)].T
-    diag = np.sum(lam**2 * d * d)
-    hq = hp[:, :, :p]
-    P = np.einsum("kij,jik->ijk", hq, hq)
-    lamlam = np.outer(lam, lam)
-    cross = np.sum(lamlam * P) - np.sum(np.diag(lamlam) * np.einsum("ijj->ij", P))
-    sums = d @ lam
-    total = b2 + diag + cross + np.longdouble(c1) * np.sum(sums * sums)
-    return float(total - 0.5 * (3.0 - v) * b2)
+    ld = np.longdouble
+    return float(_margins(s.lam.astype(ld), s.h.astype(ld), c1)[0])
 
 
 # ---------------------------------------------------------------------------

@@ -95,7 +95,7 @@ def test_c03_master_inequality_bulk():
             p = min(n, m)
             lam = _batched_subcritical(rng, batch, p)
             h = _sym(rng.standard_normal((batch, m, n, n)))
-            margins = ineq.batched_master_margins(lam, h)
+            margins, _ = ineq.batched_master_margins(lam, h)
             worst = min(worst, float(np.min(margins)))
             total += batch
 

@@ -309,3 +309,12 @@ def test_seed_flag_overrides_config_seed(tmp_path):
     assert (out_a / "target_residuals.csv").read_text() != (
         out_b / "target_residuals.csv"
     ).read_text()
+
+
+def test_target_probes_near_zero_angle_keep_orthonormal_normals():
+    # chunk 1 of seed 0, probe 70: n = m = 3 with principal cosines
+    # [1, 0.994, 0.975]; the partner normals used to miss orthonormality
+    # by 1.1e-10 and the geodesic check raised
+    rows = cli._target_chunk((np.random.SeedSequence(0).spawn(8)[1], 71, 1e-4, 1.0))
+    assert len(rows) == 71 * 7
+    assert max(residual for _, residual in rows) <= 1e-5

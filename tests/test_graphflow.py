@@ -367,6 +367,65 @@ def test_field_csv_round_trip():
         gf.field_from_csv("bogus\n1,2,3")
 
 
+
+def _csv_lines():
+    f = gf.GridField.from_function(
+        lambda x: [np.sin(x[0]) + 0.3 * x[1]], L=2.5, resolution=(5, 6), m=1
+    )
+    return gf.field_to_csv(f).strip().split("\n")
+
+
+def _from_lines(lines):
+    return gf.field_from_csv("\n".join(lines) + "\n")
+
+
+def test_field_csv_rejects_wrong_row_count():
+    lines = _csv_lines()
+    with pytest.raises(ValueError, match="node rows"):
+        _from_lines(lines[:-1])
+    with pytest.raises(ValueError, match="node rows"):
+        _from_lines(lines + [lines[-1]])
+
+
+def test_field_csv_rejects_duplicate_index():
+    lines = _csv_lines()
+    with pytest.raises(ValueError, match="duplicate"):
+        _from_lines(lines[:-1] + [lines[-2]])
+
+
+def test_field_csv_rejects_out_of_range_index():
+    lines = _csv_lines()
+    for bad in ("5,0", "-1,0"):
+        toks = lines[-1].split(",")
+        row = ",".join(bad.split(",") + toks[2:])
+        with pytest.raises(ValueError, match="outside"):
+            _from_lines(lines[:-1] + [row])
+
+
+def test_field_csv_rejects_short_row():
+    lines = _csv_lines()
+    with pytest.raises(ValueError, match="columns"):
+        _from_lines(lines[:-1] + [lines[-1].rsplit(",", 1)[0]])
+
+
+def test_field_csv_rejects_non_finite_value():
+    lines = _csv_lines()
+    for token in ("nan", "inf"):
+        row = lines[-1].rsplit(",", 1)[0] + "," + token
+        with pytest.raises(ValueError, match="non-finite"):
+            _from_lines(lines[:-1] + [row])
+        meta = lines[1].split(",")
+        meta[2] = token
+        with pytest.raises(ValueError, match="non-finite"):
+            _from_lines(lines[:1] + [",".join(meta)] + lines[2:])
+
+
+def test_relax_rejects_non_finite_field():
+    values = np.zeros((9, 9, 1))
+    values[4, 4, 0] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        gf.relax_flow(gf.GridField(L=1.0, values=values))
+
 def test_trace_csv_and_svg():
     f = gf.GridField.from_function(
         lambda x: [0.2 * _poly_window(x)], L=1.0, resolution=(17, 17), m=1,

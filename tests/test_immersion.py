@@ -119,6 +119,79 @@ def test_degenerate_metric_raises():
         im.point_frame(imm, np.array([0.0]))
 
 
+
+# quartic monomials (a, b) -> coefficient of x^a y^b, one dict per output
+_QUARTICS = (
+    {(0, 0): 1.0, (1, 0): 2.0, (0, 1): -1.0, (2, 0): 0.5, (1, 1): 0.3,
+     (0, 2): -0.7, (3, 0): 0.2, (2, 1): -0.1, (1, 3): 0.4, (4, 0): 0.25,
+     (2, 2): -0.15, (0, 4): 0.05},
+    {(0, 2): 0.5, (1, 3): 1.0, (4, 0): -2.0, (3, 1): 0.6, (1, 0): -0.3},
+)
+
+
+def _poly_jets(coeffs, x):
+    def power_derivative(a, k, t):  # k-th derivative of t^a
+        return math.perm(a, k) * t ** (a - k) if k <= a else 0.0
+
+    def deriv(ka, kb):
+        return sum(
+            c * power_derivative(a, ka, x[0]) * power_derivative(b, kb, x[1])
+            for (a, b), c in coeffs.items()
+        )
+
+    grad = np.array([deriv(1, 0), deriv(0, 1)])
+    hess = np.array([[deriv(2, 0), deriv(1, 1)], [deriv(1, 1), deriv(0, 2)]])
+    return deriv(0, 0), grad, hess
+
+
+def test_fd_jets_exact_on_quartics():
+    # the 4th-order stencils, the mixed-partial product among them, are exact
+    # on quartics; steps are coarse so that rounding stays far below the tol
+    x = np.array([0.7, -0.4])
+    steps = np.array([0.1, 0.05])
+
+    def scalar(q):
+        return _poly_jets(_QUARTICS[0], q)[0]
+
+    val, grad, hess = im._fd_jets(scalar, x, steps)
+    exact = _poly_jets(_QUARTICS[0], x)
+    assert np.shape(val) == () and grad.shape == (2,) and hess.shape == (2, 2)
+    assert float(val) == exact[0]
+    assert np.max(np.abs(grad - exact[1])) <= 1e-11
+    assert np.max(np.abs(hess - exact[2])) <= 1e-9
+
+    def vector(q):
+        return np.array([_poly_jets(c, q)[0] for c in _QUARTICS])
+
+    val, jac, jets2 = im._fd_jets(vector, x, steps)
+    assert val.shape == (2,) and jac.shape == (2, 2) and jets2.shape == (2, 2, 2)
+    for a, c in enumerate(_QUARTICS):
+        exact = _poly_jets(c, x)
+        assert val[a] == exact[0]
+        assert np.max(np.abs(jac[:, a] - exact[1])) <= 1e-11
+        assert np.max(np.abs(jets2[:, :, a] - exact[2])) <= 1e-9
+
+
+def test_fd_jets_first_order_call_matches_full_call():
+    calls = []
+
+    def vector(q):
+        calls.append(q.copy())
+        return np.array([np.sin(q[0]) * q[1], np.exp(q[0] - q[1]), q[0] * q[1] ** 2])
+
+    x = np.array([0.3, 1.2])
+    steps = np.array([1e-3, 2e-3])
+    _, first_full, _ = im._fd_jets(vector, x, steps)
+    full_calls = len(calls)
+    calls.clear()
+    value, first, jets2 = im._fd_jets(vector, x, steps, second=False)
+    assert value is None and jets2 is None
+    assert np.array_equal(first, first_full)
+    # first-derivative stencil only: 4 points per parameter, no centre
+    assert len(calls) == 8
+    # full call: the centre once, 4 + 4 per axis, 16 mixed points per pair
+    assert full_calls == 1 + 2 * 8 + 16
+
 CATALOG_SHRINKERS = [
     "plane:n=1,m=1",
     "plane:n=2,m=1",

@@ -303,6 +303,35 @@ def test_longdouble_recheck_consistent():
         assert a == pytest.approx(b, rel=1e-10, abs=1e-10)
 
 
+
+def test_master_kernel_single_sample_and_batch_of_one_agree():
+    rng = np.random.default_rng(15)
+    for _ in range(20):
+        s = _random_sample(rng)
+        single = ineq._master_kernel(s.lam, s.h)
+        batch = ineq._master_kernel(s.lam[None], s.h[None])
+        for a, b in zip(single, batch):
+            assert np.shape(a) == () and np.shape(b) == (1,)
+            assert float(b[0]) == pytest.approx(float(a), rel=1e-14, abs=1e-14)
+        margins, v = ineq.batched_master_margins(s.lam[None], s.h[None])
+        assert margins[0] == pytest.approx(ineq.master_margin(s), rel=1e-14, abs=1e-14)
+        assert v[0] == pytest.approx(s.v, rel=1e-14)
+        gb = ineq.group_terms(s)
+        assert gb.master_margin == ineq.master_margin(s)
+        assert gb.direct_total == ineq.direct_total(s)
+
+
+def test_master_kernel_keeps_dtype_and_longdouble_agrees():
+    rng = np.random.default_rng(16)
+    lam = np.abs(rng.normal(size=(32, 3))) * 0.4
+    h = rng.normal(size=(32, 4, 5, 5))
+    h = 0.5 * (h + np.swapaxes(h, -1, -2))
+    ld = np.longdouble
+    wide = ineq._master_kernel(lam.astype(ld), h.astype(ld))
+    for a, b in zip(ineq._master_kernel(lam, h), wide):
+        assert a.dtype == np.float64 and b.dtype == ld
+        assert np.max(np.abs(a - b.astype(float))) <= 1e-10 * max(1.0, np.max(np.abs(a)))
+
 def test_adversarial_search_finds_no_violation():
     report = ineq.adversarial_margin_search(seed=5, restarts=300, iters=30)
     assert report.passed

@@ -133,56 +133,111 @@ def interior(field: GridField, order=2):
     return tuple(slice(g, s - g) for s in field.shape)
 
 
+def _along(v, axis, k, g):
+    """v shifted by k nodes along `axis`, without its g outermost nodes there."""
+    idx = [slice(None)] * v.ndim
+    idx[axis] = slice(g + k, v.shape[axis] - g + k)
+    return v[tuple(idx)]
+
+
 def _d1(v, axis, h, order):
+    """Central first difference along `axis` at the nodes where it fits."""
+    s = lambda k: _along(v, axis, k, _margin(order))
     if order == 2:
-        return (np.roll(v, -1, axis) - np.roll(v, 1, axis)) / (2.0 * h)
-    return (
-        -np.roll(v, -2, axis)
-        + 8.0 * np.roll(v, -1, axis)
-        - 8.0 * np.roll(v, 1, axis)
-        + np.roll(v, 2, axis)
-    ) / (12.0 * h)
+        return (s(1) - s(-1)) / (2.0 * h)
+    return (-s(2) + 8.0 * s(1) - 8.0 * s(-1) + s(-2)) / (12.0 * h)
 
 
 def _d2(v, axis, h, order):
+    """Central second difference along `axis` at the nodes where it fits."""
+    s = lambda k: _along(v, axis, k, _margin(order))
     if order == 2:
-        return (np.roll(v, -1, axis) - 2.0 * v + np.roll(v, 1, axis)) / (h * h)
-    return (
-        -np.roll(v, -2, axis)
-        + 16.0 * np.roll(v, -1, axis)
-        - 30.0 * v
-        + 16.0 * np.roll(v, 1, axis)
-        - np.roll(v, 2, axis)
-    ) / (12.0 * h * h)
+        return (s(1) - 2.0 * s(0) + s(-1)) / (h * h)
+    return (-s(2) + 16.0 * s(1) - 30.0 * s(0) + 16.0 * s(-1) - s(-2)) / (12.0 * h * h)
 
 
-def field_jets(field: GridField, order=2):
-    """du (*shape, n, m) and ddu (*shape, n, n, m); valid on the interior."""
+def _interior_jets(field: GridField, order):
+    """du (n, *interior, m) and ddu (n, n, *interior, m), component axes first.
+
+    Each difference runs on the values trimmed to the interior on every axis
+    it does not differentiate along, so no node off the interior is computed.
+    """
     v = field.values
     h = field.spacing
     n = field.n
-    du = np.stack([_d1(v, k, h[k], order) for k in range(n)], axis=-2)
-    ddu = np.zeros(field.shape + (n, n, field.m))
-    firsts = [du[..., k, :] for k in range(n)]
+    g = _margin(order)
+
+    def trimmed(*keep):
+        return v[tuple(
+            slice(None) if k in keep else slice(g, s - g)
+            for k, s in enumerate(field.shape)
+        )]
+
+    du = np.stack([_d1(trimmed(k), k, h[k], order) for k in range(n)])
+    ddu = np.empty((n, n) + du.shape[1:])
     for k in range(n):
-        ddu[..., k, k, :] = _d2(v, k, h[k], order)
+        ddu[k, k] = _d2(trimmed(k), k, h[k], order)
         for l in range(k + 1, n):
-            mixed = _d1(firsts[k], l, h[l], order)
-            ddu[..., k, l, :] = mixed
-            ddu[..., l, k, :] = mixed
+            mixed = _d1(_d1(trimmed(k, l), k, h[k], order), l, h[l], order)
+            ddu[k, l] = mixed
+            ddu[l, k] = mixed
     return du, ddu
 
 
-def _interior_geometry(field, order):
+def field_jets(field: GridField, order=2):
+    """du (*shape, n, m) and ddu (*shape, n, n, m); zero off the interior."""
     box = interior(field, order)
-    du, ddu = field_jets(field, order)
-    du = du[box]
-    ddu = ddu[box]
+    du_i, ddu_i = _interior_jets(field, order)
+    n, m = field.n, field.m
+    du = np.zeros(field.shape + (n, m))
+    ddu = np.zeros(field.shape + (n, n, m))
+    du[box] = np.moveaxis(du_i, 0, -2)
+    ddu[box] = np.moveaxis(ddu_i, (0, 1), (-3, -2))
+    return du, ddu
+
+
+def _spd_inverse(g):
+    """Inverse of g (n, n, *nodes), symmetric with eigenvalues >= 1 at each node.
+
+    Gauss-Jordan elimination vectorized over the nodes: every pivot is a
+    Schur complement of a matrix >= identity, so it is >= 1 and no pivoting
+    is needed.
+    """
+    n = g.shape[0]
+    a = g.copy()
+    inv = np.zeros_like(g)
+    for k in range(n):
+        inv[k, k] = 1.0
+    for k in range(n):
+        p = 1.0 / a[k, k]
+        a[k] *= p
+        inv[k] *= p
+        for i in range(n):
+            if i != k:
+                f = a[i, k].copy()
+                a[i] -= f * a[k]
+                inv[i] -= f * inv[k]
+    return inv
+
+
+def _interior_geometry(field, order):
+    """Interior data with component axes first: X (n, *interior), u, du, ddu,
+    the graph metric g = I + du du^T and its inverse (n, n, *interior)."""
+    box = interior(field, order)
+    du, ddu = _interior_jets(field, order)
     u = field.values[box]
-    X = field.coords()[box]
-    g = np.einsum("...im,...jm->...ij", du, du) + np.eye(field.n)
-    ginv = np.linalg.inv(g)
-    return box, X, u, du, ddu, g, ginv
+    X = np.array(np.meshgrid(
+        *[field.axis_coords(k)[box[k]] for k in range(field.n)], indexing="ij"
+    ))
+    g = np.einsum("i...a,j...a->ij...", du, du)
+    for k in range(field.n):
+        g[k, k] += 1.0
+    return box, X, u, du, ddu, g, _spd_inverse(g)
+
+
+def _per_node(g):
+    """(n, n, *nodes) -> (*nodes, n, n), for per-node linear algebra."""
+    return np.moveaxis(g, (0, 1), (-2, -1))
 
 
 def system_residual(field: GridField, order=2, parts=False):
@@ -192,8 +247,8 @@ def system_residual(field: GridField, order=2, parts=False):
     drift = (x . Du - u)/2; with parts=True the two pieces come back too.
     """
     _, X, u, du, ddu, _, ginv = _interior_geometry(field, order)
-    elliptic = np.einsum("...ij,...ijm->...m", ginv, ddu)
-    drift = 0.5 * (np.einsum("...i,...im->...m", X, du) - u)
+    elliptic = np.einsum("ij...,ij...m->...m", ginv, ddu)
+    drift = 0.5 * (np.einsum("i...,i...m->...m", X, du) - u)
     res = elliptic - drift
     if parts:
         return res, elliptic, drift
@@ -202,17 +257,16 @@ def system_residual(field: GridField, order=2, parts=False):
 
 def slope_field(field: GridField, order=2):
     """sqrt(det g) at interior nodes; equals the graph's volume distortion."""
-    _, _, _, du, _, g, _ = _interior_geometry(field, order)
-    det = np.linalg.det(g)
-    return np.sqrt(det)
+    _, _, _, _, _, g, _ = _interior_geometry(field, order)
+    return np.sqrt(np.linalg.det(_per_node(g)))
 
 
 def second_form_sq_field(field: GridField, order=2):
     """|B|^2 at interior nodes from the graph representation."""
     _, _, _, du, ddu, _, ginv = _interior_geometry(field, order)
-    w = np.einsum("...pm,...ijm->...pij", du, ddu)
-    full = np.einsum("...ik,...jl,...ijm,...klm->...", ginv, ginv, ddu, ddu)
-    tang = np.einsum("...ik,...jl,...pij,...pq,...qkl->...", ginv, ginv, w, ginv, w)
+    w = np.einsum("p...m,ij...m->pij...", du, ddu)
+    full = np.einsum("ik...,jl...,ij...m,kl...m->...", ginv, ginv, ddu, ddu)
+    tang = np.einsum("ik...,jl...,pij...,pq...,qkl...->...", ginv, ginv, w, ginv, w)
     return full - tang
 
 
@@ -342,6 +396,7 @@ def gauss_image_report(field: GridField, reference: Optional[OrientedFrame] = No
     hemisphere hypotheses are flagged.
     """
     _, _, _, du, _, g, _ = _interior_geometry(field, order)
+    du, g = np.moveaxis(du, 0, -2), _per_node(g)
     sl = np.sqrt(np.linalg.det(g))
     max_v = float(np.max(sl))
     if reference is None:

@@ -97,6 +97,38 @@ def test_scaling_regression_through_parts():
     assert np.max(np.abs(res_scaled - (elliptic / lam - lam * drift))) <= 1e-14
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_spd_inverse_matches_lapack(n):
+    rng = np.random.default_rng(n)
+    J = 3.0 * rng.standard_normal((n, 2, 7, 5))
+    g = np.einsum("i...a,j...a->ij...", J, J)
+    for k in range(n):
+        g[k, k] += 1.0
+    per_node = np.moveaxis(g, (0, 1), (-2, -1))
+    inv = np.moveaxis(gf._spd_inverse(g), (0, 1), (-2, -1))
+    assert np.max(np.abs(inv - np.linalg.inv(per_node))) <= 1e-12
+
+
+@pytest.mark.parametrize("order", [2, 4])
+def test_residual_matches_per_node_formula_in_three_dimensions(order):
+    # n = 3 runs every mixed partial; the reference inverts g node by node
+    rng = np.random.default_rng(order)
+    f = gf.GridField(L=1.2, values=0.3 * rng.standard_normal((9, 10, 11, 2)))
+    box = gf.interior(f, order)
+    du, ddu = gf.field_jets(f, order)
+    du, ddu = du[box], ddu[box]
+    ginv = np.linalg.inv(np.einsum("...im,...jm->...ij", du, du) + np.eye(3))
+    elliptic = np.einsum("...ij,...ijm->...m", ginv, ddu)
+    drift = 0.5 * (np.einsum("...i,...im->...m", f.coords()[box], du) - f.values[box])
+    res = gf.system_residual(f, order)
+    assert res.shape == (9 - order, 10 - order, 11 - order, 2)
+    assert np.max(np.abs(res - (elliptic - drift))) <= 1e-12 * np.max(np.abs(elliptic))
+    # off the interior the jets are zero, not wrapped-around differences
+    outside = np.ones(f.shape, dtype=bool)
+    outside[box] = False
+    assert not np.any(gf.field_jets(f, order)[1][outside])
+
+
 # ---------------------------------------------------------------------------
 # slope and curvature vs the frame layer
 

@@ -53,6 +53,10 @@ class GridField:
         self.values = np.asarray(self.values, dtype=float)
         if self.values.ndim < 2:
             raise ValueError("values must have shape (*resolution, m)")
+        # before the comparisons below, which are all False for NaN
+        if not all(np.all(np.isfinite(x)) for x in (self.L, self.values, self.A, self.b)
+                   if x is not None):
+            raise ValueError("field holds non-finite values")
         if self.L <= 0:
             raise ValueError("box half-width must be positive")
         if any(s < 5 for s in self.shape):
@@ -197,18 +201,21 @@ def field_jets(field: GridField, order=2):
 
 
 def _spd_inverse(g):
-    """Inverse of g (n, n, *nodes), symmetric with eigenvalues >= 1 at each node.
+    """Inverse and determinant of g (n, n, *nodes), symmetric with
+    eigenvalues >= 1 at each node.
 
     Gauss-Jordan elimination vectorized over the nodes: every pivot is a
     Schur complement of a matrix >= identity, so it is >= 1 and no pivoting
-    is needed.
+    is needed.  The determinant is the product of the pivots.
     """
     n = g.shape[0]
     a = g.copy()
     inv = np.zeros_like(g)
+    det = np.ones(g.shape[2:])
     for k in range(n):
         inv[k, k] = 1.0
     for k in range(n):
+        det *= a[k, k]
         p = 1.0 / a[k, k]
         a[k] *= p
         inv[k] *= p
@@ -217,27 +224,60 @@ def _spd_inverse(g):
                 f = a[i, k].copy()
                 a[i] -= f * a[k]
                 inv[i] -= f * inv[k]
-    return inv
+    return inv, det
 
 
-def _interior_geometry(field, order):
-    """Interior data with component axes first: X (n, *interior), u, du, ddu,
-    the graph metric g = I + du du^T and its inverse (n, n, *interior)."""
-    box = interior(field, order)
-    du, ddu = _interior_jets(field, order)
-    u = field.values[box]
-    X = np.array(np.meshgrid(
-        *[field.axis_coords(k)[box[k]] for k in range(field.n)], indexing="ij"
-    ))
-    g = np.einsum("i...a,j...a->ij...", du, du)
-    for k in range(field.n):
-        g[k, k] += 1.0
-    return box, X, u, du, ddu, g, _spd_inverse(g)
+@dataclass(frozen=True)
+class _Geometry:
+    """Interior geometry of one field state, component axes first.
 
+    X is the open grid of interior axis coordinates (n arrays that broadcast
+    against the interior), u (*interior, m), du (n, *interior, m),
+    ddu (n, n, *interior, m), the graph metric g = I + du du^T and its
+    inverse ginv (n, n, *interior), and det g (*interior).
+    """
 
-def _per_node(g):
-    """(n, n, *nodes) -> (*nodes, n, n), for per-node linear algebra."""
-    return np.moveaxis(g, (0, 1), (-2, -1))
+    X: tuple
+    u: np.ndarray
+    du: np.ndarray
+    ddu: np.ndarray
+    g: np.ndarray
+    ginv: np.ndarray
+    det: np.ndarray
+
+    @classmethod
+    def of(cls, field: GridField, order):
+        box = interior(field, order)
+        du, ddu = _interior_jets(field, order)
+        X = np.meshgrid(
+            *[field.axis_coords(k)[box[k]] for k in range(field.n)],
+            indexing="ij", sparse=True,
+        )
+        g = np.einsum("i...a,j...a->ij...", du, du)
+        for k in range(field.n):
+            g[k, k] += 1.0
+        return cls(X, field.values[box], du, ddu, g, *_spd_inverse(g))
+
+    def residual(self, parts=False):
+        elliptic = np.einsum("ij...,ij...m->...m", self.ginv, self.ddu)
+        drift = 0.5 * (sum(x[..., None] * d for x, d in zip(self.X, self.du)) - self.u)
+        res = elliptic - drift
+        if parts:
+            return res, elliptic, drift
+        return res
+
+    def slope(self):
+        return np.sqrt(self.det)
+
+    def second_form_sq(self):
+        """|B|^2 = tr(Q H_a Q H_a) - Q_pq tr(Q W_p Q W_q) with Q = g^-1,
+        H_a = ddu^a and W_p = du_p . ddu, by pairwise contractions."""
+        Q = self.ginv
+        QH = np.einsum("ik...,kj...m->ij...m", Q, self.ddu)
+        QW = np.einsum("p...m,ij...m->pij...", self.du, QH)  # Q W_p = du_p . Q H
+        full = np.einsum("ij...m,ji...m->...", QH, QH)
+        tang = np.einsum("pq...,pq...->...", Q, np.einsum("pij...,qji...->pq...", QW, QW))
+        return full - tang
 
 
 def system_residual(field: GridField, order=2, parts=False):
@@ -246,28 +286,17 @@ def system_residual(field: GridField, order=2, parts=False):
     Returns elliptic - drift with elliptic = g^ij u_ij and
     drift = (x . Du - u)/2; with parts=True the two pieces come back too.
     """
-    _, X, u, du, ddu, _, ginv = _interior_geometry(field, order)
-    elliptic = np.einsum("ij...,ij...m->...m", ginv, ddu)
-    drift = 0.5 * (np.einsum("i...,i...m->...m", X, du) - u)
-    res = elliptic - drift
-    if parts:
-        return res, elliptic, drift
-    return res
+    return _Geometry.of(field, order).residual(parts)
 
 
 def slope_field(field: GridField, order=2):
     """sqrt(det g) at interior nodes; equals the graph's volume distortion."""
-    _, _, _, _, _, g, _ = _interior_geometry(field, order)
-    return np.sqrt(np.linalg.det(_per_node(g)))
+    return _Geometry.of(field, order).slope()
 
 
 def second_form_sq_field(field: GridField, order=2):
     """|B|^2 at interior nodes from the graph representation."""
-    _, _, _, du, ddu, _, ginv = _interior_geometry(field, order)
-    w = np.einsum("p...m,ij...m->pij...", du, ddu)
-    full = np.einsum("ik...,jl...,ij...m,kl...m->...", ginv, ginv, ddu, ddu)
-    tang = np.einsum("ik...,jl...,pij...,pq...,qkl...->...", ginv, ginv, w, ginv, w)
-    return full - tang
+    return _Geometry.of(field, order).second_form_sq()
 
 
 @dataclass(frozen=True)
@@ -301,28 +330,19 @@ class FlowTrace:
     sup_residual: list = dc_field(default_factory=list)
     sup_b2: list = dc_field(default_factory=list)
     min_w: list = dc_field(default_factory=list)
-    min_pole_ip: list = dc_field(default_factory=list)  # m = 1 only, else nan
     converged: bool = False
 
     def record(self, step, time, field, order):
         if self.times and time <= self.times[-1]:
             raise ValueError("trace times must be strictly increasing")
-        res = system_residual(field, order)
-        sl = slope_field(field, order)
+        geo = _Geometry.of(field, order)
+        sl = geo.slope()
         self.steps.append(step)
         self.times.append(time)
         self.sup_slope.append(float(np.max(sl)))
-        self.sup_residual.append(float(np.max(np.abs(res))))
-        self.sup_b2.append(float(np.max(second_form_sq_field(field, order))))
+        self.sup_residual.append(float(np.max(np.abs(geo.residual()))))
+        self.sup_b2.append(float(np.max(geo.second_form_sq())))
         self.min_w.append(float(np.min(1.0 / sl)))
-        if field.m == 1:
-            du, _ = field_jets(field, order)
-            box = interior(field, order)
-            du1 = du[box][..., 0]
-            vert = 1.0 / np.sqrt(1.0 + np.sum(du1 * du1, axis=-1))
-            self.min_pole_ip.append(float(np.min(vert)))
-        else:
-            self.min_pole_ip.append(float("nan"))
 
 
 def relax_flow(u0: GridField, cfg: SolverConfig = SolverConfig()):
@@ -335,8 +355,6 @@ def relax_flow(u0: GridField, cfg: SolverConfig = SolverConfig()):
     blow-up beyond cfg.blowup raises DivergenceError with the trace attached.
     A non-finite initial field raises ValueError before any step.
     """
-    if not np.all(np.isfinite(u0.values)):
-        raise ValueError("initial field holds non-finite values")
     h = float(np.min(u0.spacing))
     dt = cfg.dt if cfg.dt is not None else cfg.cfl * h * h / (2.0 * u0.n)
     box = interior(u0, cfg.order)
@@ -395,31 +413,24 @@ def gauss_image_report(field: GridField, reference: Optional[OrientedFrame] = No
     normals are classified through the sphere-region machinery and the
     hemisphere hypotheses are flagged.
     """
-    _, _, _, du, _, g, _ = _interior_geometry(field, order)
-    du, g = np.moveaxis(du, 0, -2), _per_node(g)
-    sl = np.sqrt(np.linalg.det(g))
+    geo = _Geometry.of(field, order)
+    sl = geo.slope()
     max_v = float(np.max(sl))
     if reference is None:
         min_w = float(np.min(1.0 / sl))
     else:
+        # w = det(dX ref^T) / sqrt(det g) with dX = [I | du] at each node
         ref = reference.vectors
         n = field.n
-        L = np.linalg.cholesky(g)
-        flat_du = du.reshape(-1, n, field.m)
-        flat_L = L.reshape(-1, n, n)
-        dX = np.concatenate(
-            [np.broadcast_to(np.eye(n), flat_du.shape[:1] + (n, n)), flat_du], axis=2
-        )
-        rows = np.linalg.solve(flat_L, dX)
-        w_all = np.linalg.det(np.einsum("qia,ja->qij", rows, ref))
-        min_w = float(np.min(w_all))
+        proj = np.einsum("i...a,ja->...ij", geo.du, ref[:, n:]) + ref[:, :n].T
+        min_w = float(np.min(np.linalg.det(proj) / sl))
     min_ip = None
     counts = None
     open_h = None
     closed_h = None
     if field.m == 1 and pole is not None:
         pole = np.asarray(pole, dtype=float)
-        flat_du = du.reshape(-1, field.n)
+        flat_du = geo.du.reshape(field.n, -1).T
         denom = np.sqrt(1.0 + np.sum(flat_du * flat_du, axis=1))
         normals = np.concatenate(
             [-flat_du, np.ones((flat_du.shape[0], 1))], axis=1
@@ -560,8 +571,6 @@ def field_from_csv(text: str) -> GridField:
             raise ValueError(f"duplicate node index {idx}")
         seen[idx] = True
         values[idx] = [float(t) for t in toks[2 * n :]]
-    if not all(np.all(np.isfinite(x)) for x in (L, values, A, b) if x is not None):
-        raise ValueError("field file holds non-finite values")
     return GridField(L=L, values=values, boundary=boundary, A=A, b=b)
 
 

@@ -396,23 +396,6 @@ def IV_term(s: GroupSample, i, c1=C1):
     return float(total + c1 * float(row @ la) ** 2)
 
 
-def grouped_total(s: GroupSample, c1=C1):
-    p, n = s.p, s.n
-    total = leftover_term(s)
-    for i in range(p, n):
-        total += I_term(s, i, c1)
-        for j in range(p):
-            for k in range(j + 1, p):
-                total += II_term(s, i, j, k)
-    for i in range(p):
-        for j in range(i + 1, p):
-            for k in range(j + 1, p):
-                total += III_term(s, i, j, k)
-    for i in range(p):
-        total += IV_term(s, i, c1)
-    return total
-
-
 @dataclass(frozen=True)
 class GroupBreakdown:
     leftover: float

@@ -105,8 +105,11 @@ def test_spd_inverse_matches_lapack(n):
     for k in range(n):
         g[k, k] += 1.0
     per_node = np.moveaxis(g, (0, 1), (-2, -1))
-    inv = np.moveaxis(gf._spd_inverse(g), (0, 1), (-2, -1))
+    inv, det = gf._spd_inverse(g)
+    inv = np.moveaxis(inv, (0, 1), (-2, -1))
     assert np.max(np.abs(inv - np.linalg.inv(per_node))) <= 1e-12
+    lapack_det = np.linalg.det(per_node)
+    assert np.max(np.abs(det - lapack_det) / lapack_det) <= 1e-12
 
 
 @pytest.mark.parametrize("order", [2, 4])
@@ -288,6 +291,18 @@ def test_relax_divergence_attaches_trace():
     assert all(t1 > t0 for t0, t1 in zip(trace.times, trace.times[1:]))
 
 
+@pytest.mark.parametrize("m", [1, 2])
+def test_trace_sample_evaluates_the_jets_once(m, monkeypatch):
+    calls = []
+    jets = gf._interior_jets
+    monkeypatch.setattr(gf, "_interior_jets", lambda *a: calls.append(a) or jets(*a))
+    f = gf.GridField.from_function(
+        lambda x: [0.3 * _poly_window(x)] * m, L=1.0, resolution=(9, 9), m=m
+    )
+    gf.FlowTrace().record(0, 0.0, f, 2)
+    assert len(calls) == 1
+
+
 def test_trace_times_must_increase():
     f = gf.GridField.from_function(lambda x: [0.0], L=1.0, resolution=(9, 9), m=1)
     trace = gf.FlowTrace()
@@ -340,6 +355,17 @@ def test_report_reference_route_matches_reciprocal_slope():
     P0 = gr.OrientedFrame(np.hstack([np.eye(2), np.zeros((2, 2))]))
     assert gf.gauss_image_report(f, order=4).min_w == pytest.approx(
         gf.gauss_image_report(f, reference=P0, order=4).min_w, abs=1e-13
+    )
+    # a tilted reference against the frame layer's w-product, node by node
+    tilt = gr.OrientedFrame(np.linalg.qr(
+        np.random.default_rng(7).standard_normal((4, 2)))[0].T)
+    imm = gf.field_immersion(f, order=4)
+    frame_w = min(
+        gr.w_product(gr.OrientedFrame(im.point_frame(imm, x).tangent), tilt)
+        for x in gf.interior_nodes(f, order=4)
+    )
+    assert gf.gauss_image_report(f, reference=tilt, order=4).min_w == pytest.approx(
+        frame_w, abs=1e-12
     )
 
 
@@ -474,6 +500,23 @@ def test_trace_csv_and_svg():
     svg = gf.trace_svg(trace)
     assert svg.startswith("<svg") and svg.endswith("</svg>")
     assert svg.count("<polyline") == 2
+
+
+def test_gridfield_rejects_non_finite_data():
+    inner = np.zeros((9, 9, 1))
+    inner[4, 4, 0] = np.nan
+    rim = np.zeros((9, 9, 1))
+    rim[0, 3, 0] = np.nan
+    bad = [
+        dict(L=1.0, values=inner),
+        dict(L=1.0, values=rim, boundary="affine", A=np.zeros((1, 2)), b=np.zeros(1)),
+        dict(L=np.nan, values=np.zeros((9, 9, 1))),
+        dict(L=1.0, values=np.zeros((9, 9, 1)), boundary="affine",
+             A=np.array([[np.inf, 0.0]]), b=np.zeros(1)),
+    ]
+    for kwargs in bad:
+        with pytest.raises(ValueError, match="non-finite"):
+            gf.GridField(**kwargs)
 
 
 def test_gridfield_validation():

@@ -16,8 +16,10 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Optional, Sequence
+from collections import namedtuple
+from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -43,23 +45,24 @@ class ParametricImmersion:
     """Chart-based immersion supplying position, first and second jets.
 
     The evaluator returns (X, dX, ddX) with dX[k] the derivative of X along
-    parameter k and ddX[k][l] the second derivative.  fd_step is the stencil
-    step (per parameter) used by every derived finite-difference layer.
+    parameter k and ddX[k][l] the second derivative.  A vectorized evaluator
+    takes parameters with leading axes (..., n) and returns jets over the
+    same axes; otherwise batches stack one call per point.  fd_step is the
+    stencil step (per parameter) used by every derived finite-difference
+    layer.
     """
 
-    def __init__(self, n, m, chart, jet, fd_step=None, label="custom"):
+    def __init__(self, n, m, chart, jet, fd_step=None, label="custom",
+                 vectorized=False):
         self.n = int(n)
         self.m = int(m)
         self.chart = np.asarray(chart, dtype=float).reshape(self.n, 2)
         if np.any(self.chart[:, 1] <= self.chart[:, 0]):
             raise ValueError("chart box must have positive extent")
         self._jet = jet
+        self._vectorized = vectorized
         span = self.chart[:, 1] - self.chart[:, 0]
-        self.fd_step = (
-            np.asarray(fd_step, dtype=float)
-            if fd_step is not None
-            else span * 1e-3
-        )
+        self.fd_step = span * 1e-3 if fd_step is None else np.asarray(fd_step, float)
         self.label = label
 
     @classmethod
@@ -67,17 +70,15 @@ class ParametricImmersion:
         """Wrap a position-only map; jets come from 4th-order differences."""
         chart = np.asarray(chart, dtype=float).reshape(n, 2)
         step = (chart[:, 1] - chart[:, 0]) * 1e-3
-        return cls(
-            n, m, chart, lambda param: _fd_jets(func, param, step),
-            fd_step=step, label=label,
-        )
+        return cls(n, m, chart, lambda q: _fd_jets(func, q, step), step, label)
+
+    def _inside(self, p, slack=1e-12):
+        # per point over leading axes: every coordinate within the chart box
+        lo, hi = self.chart.T
+        return ((p >= lo - slack) & (p <= hi + slack)).all(axis=-1)
 
     def contains(self, param, slack=1e-12):
-        p = np.asarray(param, dtype=float)
-        return bool(
-            np.all(p >= self.chart[:, 0] - slack)
-            and np.all(p <= self.chart[:, 1] + slack)
-        )
+        return bool(self._inside(np.asarray(param, dtype=float), slack).all())
 
     def jet(self, param):
         p = np.asarray(param, dtype=float)
@@ -86,11 +87,38 @@ class ParametricImmersion:
         if not self.contains(p):
             raise ChartError(f"parameter {p} outside the chart")
         x, dX, ddX = self._jet(p)
-        return (
-            np.asarray(x, dtype=float),
-            np.asarray(dX, dtype=float),
-            np.asarray(ddX, dtype=float),
-        )
+        return np.asarray(x, dtype=float), np.asarray(dX, dtype=float), np.asarray(ddX, dtype=float)
+
+    def jets(self, params):
+        """Jets at (B, n) parameters: (B, amb), (B, n, amb) and (B, n, n, amb)."""
+        p = np.asarray(params, dtype=float)
+        if p.ndim != 2 or p.shape[1] != self.n:
+            raise ValueError("parameter dimension mismatch")
+        inside = self._inside(p)
+        if not inside.all():
+            raise ChartError(f"parameter {p[np.argmin(inside)]} outside the chart")
+        if self._vectorized:
+            jets = self._jet(p)
+        else:  # one call per point, stacked
+            jets = (np.stack(a) for a in zip(*map(self._jet, p)))
+        return tuple(np.asarray(a, dtype=float) for a in jets)
+
+
+def _check_frames(f):
+    """Require an orthonormal frame, symmetric h, mean = trace h and
+    rho = exp(-|X|^2/4) of f: one point, or a batch over leading axes."""
+    frame = np.concatenate([f.tangent, f.normal], axis=-2)
+    gram = frame @ frame.swapaxes(-1, -2)
+    if np.abs(gram - np.eye(gram.shape[-1])).max() > _FRAME_TOL:
+        raise ValueError("tangent and normal rows are not orthonormal")
+    if np.abs(f.h - f.h.swapaxes(-1, -2)).max() > 1e-9:
+        raise ValueError("second fundamental form must be symmetric")
+    if np.abs(f.h.trace(axis1=-2, axis2=-1) - f.mean).max() > 1e-9:
+        raise ValueError("mean curvature must be the trace of h")
+    # expected <= 1, so the bound 1e-12 * max(1, expected) is 1e-12
+    expected = np.exp(-np.einsum("...a,...a->...", f.position, f.position) / 4.0)
+    if np.abs(f.rho - expected).max() > 1e-12:
+        raise ValueError("weight must equal exp(-|X|^2/4)")
 
 
 @dataclass(frozen=True, eq=False)
@@ -105,18 +133,7 @@ class PointFrame:
     rho: float
 
     def __post_init__(self):
-        frame = np.vstack([self.tangent, self.normal])
-        amb = self.position.size
-        if np.max(np.abs(frame @ frame.T - np.eye(amb))) > _FRAME_TOL:
-            raise ValueError("tangent and normal rows are not orthonormal")
-        if np.max(np.abs(self.h - np.swapaxes(self.h, 1, 2))) > 1e-9:
-            raise ValueError("second fundamental form must be symmetric")
-        tr = np.trace(self.h, axis1=1, axis2=2)
-        if np.max(np.abs(tr - self.mean)) > 1e-9:
-            raise ValueError("mean curvature must be the trace of h")
-        expected = math.exp(-float(self.position @ self.position) / 4.0)
-        if abs(self.rho - expected) > 1e-12 * max(1.0, expected):
-            raise ValueError("weight must equal exp(-|X|^2/4)")
+        _check_frames(self)
 
     @property
     def n(self):
@@ -137,50 +154,75 @@ class PointFrame:
         return float(np.sum(self.h * self.h))
 
 
-def _whiten(dX):
-    n = dX.shape[0]
-    g = dX @ dX.T
+# frame data over leading axes; L is the Cholesky factor of the induced
+# metric and S = L^-1 maps parameter derivatives to frame rows
+_Frames = namedtuple("_Frames", "L S position tangent normal h mean rho")
+
+
+def _degenerate_metric(g, params):
+    # the error naming the first point whose metric has no Cholesky factor
+    n = g.shape[-1]
+    for gi, pi in zip(g.reshape(-1, n, n), np.reshape(params, (-1, n))):
+        try:
+            np.linalg.cholesky(gi)
+        except np.linalg.LinAlgError:
+            cond = f"condition estimate {np.linalg.cond(gi):.3e}"
+            return ValueError(f"degenerate induced metric at parameter {pi} ({cond})")
+    return ValueError("degenerate induced metric")
+
+
+def _frame_kernel(x, dX, ddX, params) -> _Frames:
+    """Frames, curvature and Gaussian weight from jets over leading axes.
+
+    x (..., amb), dX (..., n, amb) and ddX (..., n, n, amb) are the jets at
+    params (..., n); with no leading axis this is one point.  The tangent
+    rows whiten dX by the Cholesky factor of g = dX dX^T, the normals
+    complete a QR basis, and h[alpha, i, j] is ddX paired with the normals
+    in frame coordinates.
+    """
+    n = dX.shape[-2]
+    dXt = dX.swapaxes(-1, -2)
+    g = dX @ dXt
     try:
         L = np.linalg.cholesky(g)
     except np.linalg.LinAlgError:
-        raise ValueError(
-            "degenerate induced metric "
-            f"(condition estimate {np.linalg.cond(g):.3e})"
-        ) from None
-    S = np.linalg.solve(L, np.eye(n))  # rows map param derivatives to frames
-    return g, L, S
+        raise _degenerate_metric(g, params) from None
+    S = np.linalg.inv(L)
+    tangent = S @ dX
+    normal = np.linalg.qr(dXt, mode="complete")[0][..., n:].swapaxes(-1, -2)
+    b = np.einsum("...ija,...ka->...kij", ddX, normal)  # in the param basis
+    h = np.einsum("...pi,...kij,...qj->...kpq", S, b, S)
+    h = 0.5 * (h + h.swapaxes(-1, -2))
+    mean = h.trace(axis1=-2, axis2=-1)
+    rho = np.exp(-(x[..., None, :] @ x[..., :, None])[..., 0, 0] / 4.0)
+    return _Frames(L, S, x, tangent, normal, h, mean, rho)
 
 
-def _metric_data(dX, ddX):
-    g, L, S = _whiten(dX)
+def _metric_data(S, dX, ddX):
+    """Inverse metric and Christoffel symbols gamma[i, j, k] from S and the jets."""
     ginv = S.T @ S
     # dg[k, i, j] = d g_ij / d param_k, assembled from the second jets
     dg = np.einsum("kia,ja->kij", ddX, dX)
     dg = dg + np.swapaxes(dg, 1, 2)
     combo = dg + dg.transpose(1, 0, 2) - dg.transpose(1, 2, 0)
     gamma = 0.5 * np.einsum("kl,ijl->ijk", ginv, combo)
-    return g, L, S, ginv, gamma
+    return ginv, gamma
 
 
-def _frame_from_jets(x, dX, ddX, n, S):
-    tangent = S @ dX
-    q = np.linalg.qr(dX.T, mode="complete")[0]
-    normal = q[:, n:].T
-    b = np.einsum("ija,ka->kij", ddX, normal)  # b[alpha, i, j] in param basis
-    h = np.einsum("pi,kij,qj->kpq", S, b, S)
-    h = 0.5 * (h + np.swapaxes(h, 1, 2))
-    mean = np.trace(h, axis1=1, axis2=2)
-    rho = math.exp(-float(x @ x) / 4.0)
-    return PointFrame(
-        position=x, tangent=tangent, normal=normal, h=h, mean=mean, rho=rho
-    )
+def _point(imm, param):
+    # the kernel at one parameter point: (jets, frames)
+    p = np.asarray(param, dtype=float)
+    jets = imm.jet(p)
+    return jets, _frame_kernel(*jets, p)
 
 
 def point_frame(imm: ParametricImmersion, param) -> PointFrame:
     """Frames, curvature, and Gaussian weight of an immersion at one point."""
-    x, dX, ddX = imm.jet(param)
-    _, _, S = _whiten(dX)
-    return _frame_from_jets(x, dX, ddX, imm.n, S)
+    f = _point(imm, param)[1]
+    return PointFrame(
+        position=f.position, tangent=f.tangent, normal=f.normal, h=f.h,
+        mean=f.mean, rho=float(f.rho),
+    )
 
 
 def shrinker_residual(pf: PointFrame) -> np.ndarray:
@@ -202,11 +244,8 @@ def gauss_pushforward(imm: ParametricImmersion, param):
     """
     pf = point_frame(imm, param)
     frame = OrientedFrame(pf.tangent)
-    out = []
-    for i in range(pf.n):
-        om = pf.h[:, i, :].T  # (j, alpha)
-        out.append(TangentCoeffs(omega=om, frame=frame))
-    return out
+    # omega[j, alpha] along frame row i
+    return [TangentCoeffs(omega=pf.h[:, i, :].T, frame=frame) for i in range(pf.n)]
 
 
 def _shrinker_field(imm, param):
@@ -225,14 +264,13 @@ def weighted_tension(imm: ParametricImmersion, param) -> np.ndarray:
     self-shrinkers.
     """
     p = np.asarray(param, dtype=float)
-    x, dX, ddX = imm.jet(p)
-    _, _, S = _whiten(dX)
-    pf = _frame_from_jets(x, dX, ddX, imm.n, S)
+    f = _point(imm, p)[1]
+    _check_frames(f)
     _, dV, _ = _fd_jets(
         lambda q: _shrinker_field(imm, q), p, imm.fd_step, second=False
     )
-    along_frame = S @ dV  # row j: derivative along frame row j
-    return pf.normal @ along_frame.T  # (alpha, j)
+    along_frame = f.S @ dV  # row j: derivative along frame row j
+    return f.normal @ along_frame.T  # (alpha, j)
 
 
 def drift_laplacian(imm: ParametricImmersion, param, f) -> float:
@@ -241,11 +279,9 @@ def drift_laplacian(imm: ParametricImmersion, param, f) -> float:
     f(param) must return (value, gradient, hessian) with respect to the
     chart parameters.
     """
-    x, dX, ddX = imm.jet(param)
-    _, _, _, ginv, gamma = _metric_data(dX, ddX)
-    _, df, ddf = f(np.asarray(param, dtype=float))
-    df = np.asarray(df, dtype=float)
-    ddf = np.asarray(ddf, dtype=float)
+    (x, dX, ddX), fr = _point(imm, param)
+    ginv, gamma = _metric_data(fr.S, dX, ddX)
+    df, ddf = (np.asarray(a, dtype=float) for a in f(np.asarray(param, float))[1:])
     lap = float(np.sum(ginv * (ddf - np.einsum("ijk,k->ij", gamma, df))))
     drift = 0.5 * float(df @ ginv @ (dX @ x))
     return lap - drift
@@ -297,9 +333,10 @@ def fd_scalar_jets(func, center, steps):
 # target functions for composition checks
 
 
-def _orientation_sign(pf: PointFrame) -> float:
-    # sign making (tangent rows, normal) positively oriented; hypersurfaces only
-    return float(np.sign(np.linalg.det(np.vstack([pf.tangent, pf.normal]))))
+def _orientation_sign(pf):
+    # sign making (tangent rows, normal) positively oriented; hypersurfaces
+    # only; one per node when given a mesh
+    return np.sign(np.linalg.det(np.concatenate([pf.tangent, pf.normal], axis=-2)))
 
 
 def oriented_normal(pf: PointFrame) -> np.ndarray:
@@ -322,11 +359,8 @@ class _HypersurfaceTarget:
 
     def hess_sum(self, pf):
         y, s = self._point(pf)
-        total = 0.0
-        for i in range(pf.n):
-            u = -s * pf.h[0, i, :] @ pf.tangent  # image of frame row i
-            total += self._hess(y, u)
-        return total
+        # -s h[0, i] @ tangent is the image of frame row i
+        return sum(self._hess(y, -s * pf.h[0, i, :] @ pf.tangent) for i in range(pf.n))
 
     def tension_term(self, pf, T):
         y, s = self._point(pf)
@@ -387,11 +421,9 @@ class _OverlapTarget:
 
     def hess_sum(self, pf):
         spec = self._spec(pf)
-        total = 0.0
-        for i in range(pf.n):
-            Z = self._coeffs(spec, pf.h[:, i, :].T, pf)
-            total += self._hess(spec, Z)
-        return total
+        return sum(
+            self._hess(spec, self._coeffs(spec, pf.h[:, i, :].T, pf)) for i in range(pf.n)
+        )
 
     def tension_term(self, pf, T):
         spec = self._spec(pf)
@@ -435,10 +467,7 @@ def composition_check(imm: ParametricImmersion, param, target) -> float:
     p = np.asarray(param, dtype=float)
     pf = point_frame(imm, p)
 
-    def scal(q):
-        return target.scalar(point_frame(imm, q))
-
-    jets = fd_scalar_jets(scal, p, imm.fd_step)
+    jets = fd_scalar_jets(lambda q: target.scalar(point_frame(imm, q)), p, imm.fd_step)
     lhs = drift_laplacian(imm, p, lambda _q: jets)
     T = weighted_tension(imm, p)
     rhs = target.hess_sum(pf) + target.tension_term(pf, T)
@@ -451,57 +480,61 @@ def composition_check(imm: ParametricImmersion, param, target) -> float:
 
 @dataclass(frozen=True, eq=False)
 class WeightedPatchMesh:
-    """Midpoint quadrature nodes with per-node frames and area weights.
+    """Midpoint quadrature nodes with per-node frame arrays and area weights.
 
-    weights hold the unweighted area element (cell volume times sqrt det g);
-    the Gaussian factor enters through each frame's rho.
+    Row i of every array belongs to node params[i]; the arrays are those of
+    PointFrame stacked over the nodes, plus whitening (S = L^-1, mapping
+    parameter derivatives to frame rows).  weights hold the unweighted area
+    element (cell volume times sqrt det g); the Gaussian factor enters
+    through rho.
     """
 
     immersion: ParametricImmersion
     params: np.ndarray
     weights: np.ndarray
-    frames: tuple
+    positions: np.ndarray
+    tangent: np.ndarray
+    normal: np.ndarray
+    h: np.ndarray
+    mean: np.ndarray
+    rho: np.ndarray
+    whitening: np.ndarray
     closed: bool = False
 
     def __post_init__(self):
         if np.any(self.weights <= 0.0):
             raise ValueError("quadrature weights must be positive")
-        if len(self.frames) != self.params.shape[0]:
+        arrays = (self.weights, self.positions, self.tangent, self.normal, self.h,
+                  self.mean, self.rho, self.whitening)
+        if any(len(a) != self.node_count for a in arrays):
             raise ValueError("frame count must match node count")
 
     @property
     def node_count(self):
         return self.params.shape[0]
 
+    @cached_property
+    def frames(self):
+        """One PointFrame per node, built on first access."""
+        cols = self.positions, self.tangent, self.normal, self.h, self.mean
+        return tuple(map(PointFrame, *cols, self.rho.tolist()))
+
 
 def patch_mesh(imm: ParametricImmersion, shape, bounds=None, closed=False):
     """Tensor-product midpoint mesh over the chart (or a sub-box)."""
     shape = tuple(int(s) for s in shape)
-    if len(shape) != imm.n:
-        raise ValueError("need one resolution per parameter")
+    if len(shape) != imm.n or min(shape) < 1:
+        raise ValueError("need one positive resolution per parameter")
     box = imm.chart if bounds is None else np.asarray(bounds, dtype=float)
-    axes = []
-    cell = 1.0
-    for k, cnt in enumerate(shape):
-        lo, hi = box[k]
-        step = (hi - lo) / cnt
-        axes.append(lo + step * (np.arange(cnt) + 0.5))
-        cell *= step
-    grids = np.meshgrid(*axes, indexing="ij")
-    params = np.stack([g.ravel() for g in grids], axis=1)
-    frames = []
-    weights = np.zeros(params.shape[0])
-    for idx in range(params.shape[0]):
-        x, dX, ddX = imm.jet(params[idx])
-        _, L, S = _whiten(dX)
-        weights[idx] = cell * float(np.prod(np.diagonal(L)))
-        frames.append(_frame_from_jets(x, dX, ddX, imm.n, S))
+    steps = [(hi - lo) / cnt for (lo, hi), cnt in zip(box, shape)]
+    axes = [lo + st * (np.arange(c) + 0.5) for (lo, _), st, c in zip(box, steps, shape)]
+    params = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=1)
+    f = _frame_kernel(*imm.jets(params), params)
+    _check_frames(f)
+    weights = math.prod(steps) * np.prod(np.diagonal(f.L, axis1=-2, axis2=-1), axis=-1)
     return WeightedPatchMesh(
-        immersion=imm,
-        params=params,
-        weights=weights,
-        frames=tuple(frames),
-        closed=closed,
+        imm, params, weights, f.position, f.tangent, f.normal, f.h, f.mean, f.rho,
+        whitening=f.S, closed=closed,
     )
 
 
@@ -520,8 +553,7 @@ class ScalarFieldOnPatch:
 
     @classmethod
     def from_function(cls, mesh, func):
-        vals = np.array([func(pf) for pf in mesh.frames], dtype=float)
-        return cls(values=vals)
+        return cls(values=np.array([func(pf) for pf in mesh.frames], dtype=float))
 
 
 def weighted_integral(mesh: WeightedPatchMesh, f) -> float:
@@ -529,21 +561,17 @@ def weighted_integral(mesh: WeightedPatchMesh, f) -> float:
     vals = f.values if isinstance(f, ScalarFieldOnPatch) else np.asarray(f, float)
     if vals.shape != (mesh.node_count,):
         raise ValueError("field node count does not match the mesh")
-    rho = np.array([pf.rho for pf in mesh.frames])
-    return float(np.sum(vals * rho * mesh.weights))
+    return float(np.sum(vals * mesh.rho * mesh.weights))
 
 
 def height_field(mesh: WeightedPatchMesh, a) -> ScalarFieldOnPatch:
     """Samples of 1 - <normal map, a> with its ambient tangential gradient."""
     a = np.asarray(a, dtype=float)
-    vals = np.zeros(mesh.node_count)
-    grads = np.zeros((mesh.node_count, a.size))
-    for idx, pf in enumerate(mesh.frames):
-        s = _orientation_sign(pf)
-        nu = s * pf.normal[0]
-        vals[idx] = 1.0 - float(nu @ a)
-        coeffs = s * (pf.h[0] @ (pf.tangent @ a))  # e_j(f) per frame row
-        grads[idx] = coeffs @ pf.tangent
+    sign = _orientation_sign(mesh)
+    nu = sign[:, None, None] * mesh.normal[:, :1]  # (B, 1, amb)
+    vals = 1.0 - (nu @ a[:, None])[:, 0, 0]
+    coeffs = sign[:, None] * (mesh.h[:, 0] @ (mesh.tangent @ a)[..., None])[..., 0]
+    grads = (coeffs[:, None, :] @ mesh.tangent)[:, 0]  # e_j(f) per frame row
     return ScalarFieldOnPatch(values=vals, gradients=grads)
 
 
@@ -568,7 +596,7 @@ def stability_identity_check(mesh: WeightedPatchMesh, a=None, field=None):
         field = height_field(mesh, a)
     if field.gradients is None:
         raise ValueError("field gradients are required")
-    b2 = np.array([pf.second_form_sq for pf in mesh.frames])
+    b2 = np.sum(mesh.h * mesh.h, axis=(-3, -2, -1))
     f = field.values
     lhs = weighted_integral(mesh, f * (1.0 - f) * b2)
     grad_sq = np.sum(field.gradients * field.gradients, axis=1)
@@ -590,30 +618,21 @@ class WeightField:
 
 def gaussian_weight(mesh: WeightedPatchMesh) -> WeightField:
     """The shrinker weight rho with grad log rho = -(tangential X)/2."""
-    vals = np.array([pf.rho for pf in mesh.frames])
-    grads = np.zeros((mesh.node_count, mesh.frames[0].position.size))
-    for idx, pf in enumerate(mesh.frames):
-        xt = (pf.tangent @ pf.position) @ pf.tangent
-        grads[idx] = -0.5 * xt
-    return WeightField(values=vals, grad_log=grads)
+    xt = (mesh.tangent @ mesh.positions[..., None]).swapaxes(-1, -2) @ mesh.tangent
+    return WeightField(values=mesh.rho, grad_log=-0.5 * xt[:, 0])
 
 
 def unit_weight(mesh: WeightedPatchMesh) -> WeightField:
-    return WeightField(
-        values=np.ones(mesh.node_count),
-        grad_log=np.zeros((mesh.node_count, mesh.frames[0].position.size)),
-    )
+    return WeightField(np.ones(mesh.node_count), np.zeros(mesh.positions.shape))
 
 
 def weighted_energy(mesh: WeightedPatchMesh, map_fn, weight: WeightField) -> float:
     """Integral of (1/2)|d map|^2 w over the mesh (map valued in R^k)."""
-    imm = mesh.immersion
+    step = mesh.immersion.fd_step
     total = 0.0
     for idx in range(mesh.node_count):
-        p = mesh.params[idx]
-        _, _, S = _whiten(imm.jet(p)[1])
-        _, dy, _ = _fd_jets(map_fn, p, imm.fd_step, second=False)
-        push = S @ dy  # rows: map differential along frame rows
+        _, dy, _ = _fd_jets(map_fn, mesh.params[idx], step, second=False)
+        push = mesh.whitening[idx] @ dy  # rows: map differential along frame rows
         total += 0.5 * float(np.sum(push * push)) * weight.values[idx] * mesh.weights[idx]
     return total
 
@@ -627,19 +646,16 @@ class FirstVariationReport(NamedTuple):
 def sphere_map_tension(imm: ParametricImmersion, param, map_fn, grad_log_w):
     """Weighted tension of a unit-sphere-valued map at one point (ambient)."""
     p = np.asarray(param, dtype=float)
-    _, dX, ddX = imm.jet(p)
-    _, _, S, ginv, gamma = _metric_data(dX, ddX)
+    (_, dX, ddX), fr = _point(imm, p)
+    ginv, gamma = _metric_data(fr.S, dX, ddX)
     y, dy, ddy = _fd_jets(map_fn, p, imm.fd_step)
     lap = np.einsum(
         "ij,ija->a", ginv, ddy - np.einsum("ijk,ka->ija", gamma, dy)
     )
-    push = S @ dy
+    push = fr.S @ dy
     energy_density = float(np.sum(push * push))
-    tension = lap + energy_density * y
     # weight term: push the tangential gradient of log w through the map
-    coeffs = (S @ dX) @ grad_log_w
-    tension = tension + coeffs @ push
-    return tension
+    return lap + energy_density * y + (fr.tangent @ grad_log_w) @ push
 
 
 def first_variation_check(
@@ -658,17 +674,18 @@ def first_variation_check(
     """
     imm = mesh.immersion
     w = weight_of(mesh) if callable(weight_of) else weight_of
-    f0 = family(0.0)
-    fp = family(dt)
-    fm = family(-dt)
-    e_p = weighted_energy(mesh, fp, w)
-    e_m = weighted_energy(mesh, fm, w)
+    f0, fp, fm = family(0.0), family(dt), family(-dt)
+    e_p, e_m = weighted_energy(mesh, fp, w), weighted_energy(mesh, fm, w)
     derivative = (e_p - e_m) / (2.0 * dt)
+
+    def rate(q):  # d/dt of the map at q
+        return (np.asarray(fp(q), float) - np.asarray(fm(q), float)) / (2.0 * dt)
+
     total = 0.0
     amp = 0.0
     for idx in range(mesh.node_count):
         p = mesh.params[idx]
-        vdot = (np.asarray(fp(p), float) - np.asarray(fm(p), float)) / (2.0 * dt)
+        vdot = rate(p)
         amp = max(amp, float(np.max(np.abs(vdot))))
         tau = sphere_map_tension(imm, p, f0, w.grad_log[idx])
         total += -float(vdot @ tau) * w.values[idx] * mesh.weights[idx]
@@ -676,14 +693,9 @@ def first_variation_check(
         edge = 0.0
         for k in range(imm.n):
             for side in (0, 1):
-                q = np.array(
-                    [0.5 * (imm.chart[j, 0] + imm.chart[j, 1]) for j in range(imm.n)]
-                )
+                q = np.array([0.5 * (lo + hi) for lo, hi in imm.chart])
                 q[k] = imm.chart[k, side]
-                vdot = (np.asarray(fp(q), float) - np.asarray(fm(q), float)) / (
-                    2.0 * dt
-                )
-                edge = max(edge, float(np.max(np.abs(vdot))))
+                edge = max(edge, float(np.max(np.abs(rate(q)))))
         if edge > 1e-8 * max(amp, 1e-30):
             warnings.warn(
                 "variation is not compactly supported; boundary terms dropped",
@@ -699,40 +711,36 @@ def first_variation_check(
 
 
 def _unit_sphere_jets(angles):
-    # embedding of the unit n-sphere by iterated polar angles; returns the
-    # position with first and second derivatives in the angles
+    """Unit n-sphere by iterated polar angles over leading axes (..., n).
+
+    X_c = sin t_0 ... sin t_{c-1} cos t_c (no cosine factor for c = n);
+    returns X (..., n+1) with its first (..., n, n+1) and second
+    (..., n, n, n+1) derivatives in the angles.  Products run in index order.
+    """
     t = np.asarray(angles, dtype=float)
-    n = t.size
-    sin = np.sin(t)
-    cos = np.cos(t)
-    amb = n + 1
-    x = np.zeros(amb)
-    dx = np.zeros((n, amb))
-    ddx = np.zeros((n, n, amb))
-    for c in range(amb):
-        # factors over angles: sin for j < c, cos at j = c (if c < n)
-        active = list(range(min(c, n)))
-        factors = np.ones(n)
-        dfac = np.zeros(n)
-        for j in active:
-            factors[j] = sin[j]
-            dfac[j] = cos[j]
-        if c < n:
-            factors[c] = cos[c]
-            dfac[c] = -sin[c]
-            active = active + [c]
-        x[c] = float(np.prod(factors))
-        for a in active:
-            rest = np.prod(np.delete(factors, a))
-            dx[a, c] = dfac[a] * rest
-            ddx[a, a, c] = -factors[a] * rest
-            for b in active:
-                if b <= a:
-                    continue
-                rest2 = np.prod(np.delete(factors, [a, b]))
-                val = dfac[a] * dfac[b] * rest2
-                ddx[a, b, c] = val
-                ddx[b, a, c] = val
+    lead, n = t.shape[:-1], t.shape[-1]
+    sin, cos = np.sin(t), np.cos(t)
+    sin = [sin[..., j] for j in range(n)]
+    cos = [cos[..., j] for j in range(n)]
+    x = np.zeros(lead + (n + 1,))
+    dx = np.zeros(lead + (n, n + 1))
+    ddx = np.zeros(lead + (n, n, n + 1))
+    for c in range(n + 1):
+        # factors of X_c and their derivatives, indexed by angle
+        fac = sin[:c] + cos[c:c + 1]
+        dfac = cos[:c] + [-v for v in sin[c:c + 1]]
+        idx = range(len(fac))
+
+        def prod(*skip):
+            return math.prod((fac[j] for j in idx if j not in skip), start=1.0)
+
+        x[..., c] = prod()
+        for a in idx:
+            rest = prod(a)
+            dx[..., a, c] = dfac[a] * rest
+            ddx[..., a, a, c] = -fac[a] * rest
+            for b in idx[a + 1:]:
+                ddx[..., a, b, c] = ddx[..., b, a, c] = dfac[a] * dfac[b] * prod(a, b)
     return x, dx, ddx
 
 
@@ -746,7 +754,7 @@ def _sphere_immersion(n, R, c1=0.0):
         return center + R * x, R * dx, R * ddx
 
     return ParametricImmersion(
-        n, 1, chart, jet, label=f"sphere:n={n},R={R:g},c1={c1:g}"
+        n, 1, chart, jet, label=f"sphere:n={n},R={R:g},c1={c1:g}", vectorized=True
     )
 
 
@@ -754,38 +762,39 @@ def _plane_immersion(n, m):
     chart = [(-3.0, 3.0)] * n
 
     def jet(param):
-        amb = n + m
-        x = np.zeros(amb)
-        x[:n] = param
-        dX = np.zeros((n, amb))
-        dX[:, :n] = np.eye(n)
-        return x, dX, np.zeros((n, n, amb))
+        lead = param.shape[:-1]
+        x = np.zeros(lead + (n + m,))
+        x[..., :n] = param
+        dX = np.zeros(lead + (n, n + m))
+        dX[..., :n] = np.eye(n)
+        return x, dX, np.zeros(lead + (n, n, n + m))
 
-    return ParametricImmersion(n, m, chart, jet, label=f"plane:n={n},m={m}")
+    return ParametricImmersion(
+        n, m, chart, jet, label=f"plane:n={n},m={m}", vectorized=True
+    )
 
 
 def _cylinder_immersion(k, n):
     # S^k(sqrt(2k)) x R^{n-k} in R^{n+1}
     R = math.sqrt(2.0 * k)
-    chart = [(0.0, math.pi)] * (k - 1) + [(-math.pi, math.pi)] + [(-3.0, 3.0)] * (
-        n - k
-    )
+    chart = [(0.0, math.pi)] * (k - 1) + [(-math.pi, math.pi)] + [(-3.0, 3.0)] * (n - k)
 
     def jet(param):
-        param = np.asarray(param, dtype=float)
-        xs, dxs, ddxs = _unit_sphere_jets(param[:k])
-        amb = n + 1
-        x = np.zeros(amb)
-        x[: k + 1] = R * xs
-        x[k + 1 :] = param[k:]
-        dX = np.zeros((n, amb))
-        dX[:k, : k + 1] = R * dxs
-        dX[k:, k + 1 :] = np.eye(n - k)
-        ddX = np.zeros((n, n, amb))
-        ddX[:k, :k, : k + 1] = R * ddxs
+        xs, dxs, ddxs = _unit_sphere_jets(param[..., :k])
+        lead = param.shape[:-1]
+        x = np.zeros(lead + (n + 1,))
+        x[..., : k + 1] = R * xs
+        x[..., k + 1 :] = param[..., k:]
+        dX = np.zeros(lead + (n, n + 1))
+        dX[..., :k, : k + 1] = R * dxs
+        dX[..., k:, k + 1 :] = np.eye(n - k)
+        ddX = np.zeros(lead + (n, n, n + 1))
+        ddX[..., :k, :k, : k + 1] = R * ddxs
         return x, dX, ddX
 
-    return ParametricImmersion(n, 1, chart, jet, label=f"cylinder:k={k},n={n}")
+    return ParametricImmersion(
+        n, 1, chart, jet, label=f"cylinder:k={k},n={n}", vectorized=True
+    )
 
 
 def graph_immersion(u, n, m, chart, jets=None, label="graph"):
@@ -798,20 +807,12 @@ def graph_immersion(u, n, m, chart, jets=None, label="graph"):
     if jets is not None:
 
         def jet(param):
-            val, du, ddu = jets(np.asarray(param, dtype=float))
-            val = np.atleast_1d(np.asarray(val, dtype=float))
-            du = np.asarray(du, dtype=float).reshape(n, m)
-            ddu = np.asarray(ddu, dtype=float).reshape(n, n, m)
-            amb = n + m
-            x = np.zeros(amb)
-            x[:n] = param
-            x[n:] = val
-            dX = np.zeros((n, amb))
-            dX[:, :n] = np.eye(n)
-            dX[:, n:] = du
-            ddX = np.zeros((n, n, amb))
-            ddX[:, :, n:] = ddu
-            return x, dX, ddX
+            val, du, ddu = jets(param)
+            return (
+                np.concatenate([param, np.reshape(val, m)]),
+                np.hstack([np.eye(n), np.reshape(du, (n, m))]),
+                np.concatenate([np.zeros((n, n, n)), np.reshape(ddu, (n, n, m))], -1),
+            )
 
         return ParametricImmersion(n, m, chart, jet, label=label)
 
@@ -887,6 +888,5 @@ def probe_rows(imm: ParametricImmersion, params):
 def probes_to_csv(imm: ParametricImmersion, params) -> str:
     header, rows = probe_rows(imm, params)
     lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(f"{val:.17g}" for val in row))
+    lines += [",".join(f"{val:.17g}" for val in row) for row in rows]
     return "\n".join(lines) + "\n"

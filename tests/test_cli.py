@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from shrinkerlab import cli
+from shrinkerlab import cli, graphflow
 
 
 @pytest.fixture(autouse=True)
@@ -201,6 +201,22 @@ def test_flow_graph_bump_run_artifacts(tmp_path):
     svg = (out / "flow_trace.svg").read_text()
     assert svg.lstrip().startswith("<svg")
     assert (out / "flow_final.csv").exists()
+
+
+@pytest.mark.parametrize("order", [2, 4])
+def test_flow_graph_final_b2_is_the_final_field_curvature(tmp_path, order):
+    # the check is the trace's last sample; it must be |B|^2 of the final field
+    cfg = _write_cfg(
+        tmp_path,
+        {"resolution": 17, "amplitude": 0.2, "max_steps": 30_000, "order": order},
+    )
+    out = tmp_path / "out"
+    # the pass/fail status is not under test: order 4 stops away from affine here
+    cli.main(["flow-graph", "--config", cfg, "--out", str(out), "--seed", "2"])
+    report = _load_report(str(out), "flow-graph")
+    b2 = next(c["value"] for c in report["checks"] if c["name"] == "final_b2")
+    final = graphflow.field_from_csv((out / "flow_final.csv").read_text())
+    assert b2 == float(np.max(graphflow.second_form_sq_field(final, order)))
 
 
 def test_flow_graph_affine_start_converges_in_zero_steps(tmp_path):

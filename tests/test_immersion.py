@@ -119,6 +119,134 @@ def test_degenerate_metric_raises():
         im.point_frame(imm, np.array([0.0]))
 
 
+def _pinched():
+    # X(u, v) = (u^3, v, u v): dX has rank one at the origin and only there
+    def jet(q):
+        u, v = q
+        ddX = np.zeros((2, 2, 3))
+        ddX[0, 0, 0] = 6.0 * u
+        ddX[0, 1, 2] = ddX[1, 0, 2] = 1.0
+        return (
+            np.array([u**3, v, u * v]),
+            np.array([[3.0 * u * u, 0.0, v], [0.0, 1.0, u]]),
+            ddX,
+        )
+
+    return im.ParametricImmersion(2, 1, [(-1.5, 1.5), (-1.5, 1.5)], jet)
+
+
+def test_degenerate_metric_at_one_chart_point():
+    imm = _pinched()
+    with pytest.raises(ValueError, match="degenerate induced metric"):
+        im.point_frame(imm, np.zeros(2))
+    im.point_frame(imm, np.array([0.0, 0.5]))  # regular off the origin
+    # the 3 x 3 midpoint mesh has its centre node on the origin
+    with pytest.raises(
+        ValueError, match=r"degenerate induced metric at parameter \[0\. 0\.\]"
+    ):
+        im.patch_mesh(imm, (3, 3))
+    assert im.patch_mesh(imm, (2, 2)).node_count == 4
+
+
+def test_batched_jets_check_the_chart_and_shape():
+    imm = im.catalog_immersion("plane:n=2,m=1")
+    params = np.array([[0.0, 0.0], [1.0, 3.5], [4.0, 0.0]])
+    with pytest.raises(im.ChartError, match=r"parameter \[1\.  3\.5\] outside"):
+        imm.jets(params)
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        imm.jets(np.zeros(2))
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        imm.jets(np.zeros((4, 3)))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_unit_sphere_jets_batch_equals_rows(n):
+    t = np.random.default_rng(n).uniform(-3.0, 3.0, (9, n))
+    batch = im._unit_sphere_jets(t)
+    for i in range(len(t)):
+        for b, row in zip(batch, im._unit_sphere_jets(t[i])):
+            assert np.array_equal(b[i], row)
+    # the closed form against differences of the position
+    x, dx, ddx = im._unit_sphere_jets(t[0])
+    assert abs(np.linalg.norm(x) - 1.0) <= 1e-15
+    _, fd1, fd2 = im._fd_jets(lambda q: im._unit_sphere_jets(q)[0], t[0], [1e-3] * n)
+    assert np.max(np.abs(fd1 - dx)) <= 1e-11
+    assert np.max(np.abs(fd2 - ddx)) <= 1e-8
+
+
+_MESH_CASES = (
+    ("sphere:n=2,R=2", (6, 8)),
+    ("sphere:n=3,R=2", (3, 4, 5)),
+    ("sphere:n=2,R=1,c1=0.5", (5, 7)),
+    ("cylinder:k=1,n=2", (8, 5)),
+    ("plane:n=2,m=2", (4, 3)),
+    ("graph", (5, 4)),  # user jets: one call per node, stacked
+    ("graph-fd", (3, 3)),  # position-only map: difference jets per node
+)
+
+
+@pytest.mark.parametrize("name,shape", _MESH_CASES)
+def test_mesh_arrays_match_point_frames(name, shape):
+    if name == "graph":
+        imm = _graph_m2()
+    elif name == "graph-fd":
+        imm = im.graph_immersion(lambda x: 0.3 * x[0] * x[1] ** 2, 2, 1, [(-1, 1)] * 2)
+    else:
+        imm = im.catalog_immersion(name)
+    mesh = im.patch_mesh(imm, shape)
+    cell = math.prod((hi - lo) / c for (lo, hi), c in zip(imm.chart, shape))
+    batch = imm.jets(mesh.params)
+    # batched jets, kernel and checks give the bits of the one-point path
+    for i, p in enumerate(mesh.params):
+        jets = imm.jet(p)
+        for b, row in zip(batch, jets):
+            assert np.array_equal(b[i], row)
+        f = im._frame_kernel(*jets, p)
+        assert np.array_equal(mesh.whitening[i], f.S)
+        assert mesh.weights[i] == cell * np.prod(np.diagonal(f.L))
+        pf = im.point_frame(imm, p)
+        got = (mesh.positions[i], mesh.tangent[i], mesh.normal[i], mesh.h[i],
+               mesh.mean[i], mesh.rho[i])
+        want = (pf.position, pf.tangent, pf.normal, pf.h, pf.mean, pf.rho)
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
+        lazy = mesh.frames[i]
+        for field in ("position", "tangent", "normal", "h", "mean", "rho"):
+            assert np.array_equal(getattr(lazy, field), getattr(pf, field))
+    assert len(mesh.frames) == mesh.node_count
+
+
+def test_patch_mesh_needs_positive_resolutions():
+    plane = im.catalog_immersion("plane:n=2,m=1")
+    for shape in ((0, 3), (4,), (2, 2, 2)):
+        with pytest.raises(ValueError, match="one positive resolution per parameter"):
+            im.patch_mesh(plane, shape)
+
+
+def test_mesh_quadrature_reads_arrays_only():
+    mesh = im.sphere_mesh(R=2.0, shape=(8, 16))
+    a = np.array([0.0, 0.6, 0.8])
+    rep = im.stability_identity_check(mesh, a)
+    gauss = im.gaussian_weight(mesh)
+    im.unit_weight(mesh)
+    im.weighted_integral(mesh, np.ones(mesh.node_count))
+    assert "frames" not in vars(mesh)  # PointFrames are built only on request
+    # per-node loops over the frames as the reference
+    field = im.height_field(mesh, a)
+    for i, pf in enumerate(mesh.frames):
+        s = im._orientation_sign(pf)
+        assert field.values[i] == 1.0 - float(s * pf.normal[0] @ a)
+        coeffs = s * (pf.h[0] @ (pf.tangent @ a))
+        assert np.array_equal(field.gradients[i], coeffs @ pf.tangent)
+        xt = (pf.tangent @ pf.position) @ pf.tangent
+        assert np.array_equal(gauss.grad_log[i], -0.5 * xt)
+        assert gauss.values[i] == pf.rho
+    b2 = np.array([pf.second_form_sq for pf in mesh.frames])
+    f = field.values
+    lhs = float(np.sum(f * (1.0 - f) * b2 * gauss.values * mesh.weights))
+    assert rep.lhs == lhs
+
+
 
 # quartic monomials (a, b) -> coefficient of x^a y^b, one dict per output
 _QUARTICS = (

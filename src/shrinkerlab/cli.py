@@ -546,8 +546,8 @@ def _composition_worst(name, seed_seq, count):
         if abs(grassmann.w_product(OrientedFrame(pf.tangent), ref)) < 0.3:
             continue
         kept += 1
-        for _, target in targets:
-            worst = max(worst, abs(immersion.composition_check(imm, p, target)))
+        for residual in immersion.composition_checks(imm, p, [t for _, t in targets]):
+            worst = max(worst, abs(residual))
     if kept < count:
         raise RuntimeError(
             f"only {kept}/{count} admissible composition probes on {name}"

@@ -216,13 +216,22 @@ def _point(imm, param):
     return jets, _frame_kernel(*jets, p)
 
 
+def _stencil_frames(imm, points):
+    # jets and checked frames at the stencil points: one kernel call
+    jets = imm.jets(points)
+    f = _frame_kernel(*jets, points)
+    _check_frames(f)
+    return jets, f
+
+
+def _as_point_frame(f):
+    # PointFrame of kernel output with no batch axis
+    return PointFrame(f.position, f.tangent, f.normal, f.h, f.mean, float(f.rho))
+
+
 def point_frame(imm: ParametricImmersion, param) -> PointFrame:
     """Frames, curvature, and Gaussian weight of an immersion at one point."""
-    f = _point(imm, param)[1]
-    return PointFrame(
-        position=f.position, tangent=f.tangent, normal=f.normal, h=f.h,
-        mean=f.mean, rho=float(f.rho),
-    )
+    return _as_point_frame(_point(imm, param)[1])
 
 
 def shrinker_residual(pf: PointFrame) -> np.ndarray:
@@ -248,12 +257,18 @@ def gauss_pushforward(imm: ParametricImmersion, param):
     return [TangentCoeffs(omega=pf.h[:, i, :].T, frame=frame) for i in range(pf.n)]
 
 
-def _shrinker_field(imm, param):
-    # ambient vector H + X_normal/2, independent of the frame choice
-    pf = point_frame(imm, param)
-    hvec = pf.mean @ pf.normal
-    xnorm = pf.position - (pf.tangent @ pf.position) @ pf.tangent
-    return hvec + 0.5 * xnorm
+def _tension(f, first):
+    """T[alpha, j] from frames at the centre (row 0) and, in rows 1 to 4n, at
+    the axis points of the first-order stencil whose combine is first."""
+    # the ambient field H + X_normal/2, independent of the frame choice
+    V = np.stack([
+        f.mean[i] @ f.normal[i]
+        + 0.5 * (f.position[i] - (f.tangent[i] @ f.position[i]) @ f.tangent[i])
+        for i in range(1, 1 + 4 * f.S.shape[-1])
+    ])
+    _, dV, _ = first(V)
+    along_frame = f.S[0] @ dV  # row j: derivative along frame row j
+    return f.normal[0] @ along_frame.T  # (alpha, j)
 
 
 def weighted_tension(imm: ParametricImmersion, param) -> np.ndarray:
@@ -261,16 +276,20 @@ def weighted_tension(imm: ParametricImmersion, param) -> np.ndarray:
 
     Differentiates the ambient field H + X_normal/2 along each frame row and
     projects onto the normal directions at the center point.  Vanishes on
-    self-shrinkers.
+    self-shrinkers.  One frame-kernel call covers the centre and its
+    first-order stencil.
     """
     p = np.asarray(param, dtype=float)
-    f = _point(imm, p)[1]
-    _check_frames(f)
-    _, dV, _ = _fd_jets(
-        lambda q: _shrinker_field(imm, q), p, imm.fd_step, second=False
-    )
-    along_frame = f.S @ dV  # row j: derivative along frame row j
-    return f.normal @ along_frame.T  # (alpha, j)
+    points, first = _stencil(p, imm.fd_step, second=False)
+    return _tension(_stencil_frames(imm, np.concatenate([p[None], points]))[1], first)
+
+
+def _drift_laplacian(x, dX, ddX, S, df, ddf):
+    # the operator at one point from its jets, whitening S and the jets of f
+    ginv, gamma = _metric_data(S, dX, ddX)
+    lap = float(np.sum(ginv * (ddf - np.einsum("ijk,k->ij", gamma, df))))
+    drift = 0.5 * float(df @ ginv @ (dX @ x))
+    return lap - drift
 
 
 def drift_laplacian(imm: ParametricImmersion, param, f) -> float:
@@ -280,53 +299,68 @@ def drift_laplacian(imm: ParametricImmersion, param, f) -> float:
     chart parameters.
     """
     (x, dX, ddX), fr = _point(imm, param)
-    ginv, gamma = _metric_data(fr.S, dX, ddX)
     df, ddf = (np.asarray(a, dtype=float) for a in f(np.asarray(param, float))[1:])
-    lap = float(np.sum(ginv * (ddf - np.einsum("ijk,k->ij", gamma, df))))
-    drift = 0.5 * float(df @ ginv @ (dX @ x))
-    return lap - drift
+    return _drift_laplacian(x, dX, ddX, fr.S, df, ddf)
+
+
+def _stencil(center, steps, second=True):
+    """The 4th-order difference stencil at center, each point listed once.
+
+    Returns (points, combine).  points (S, n) holds the 4 points of each
+    parameter axis, axis by axis in the offset order of _D4; with
+    second=True the centre comes first (so the axis points are rows 1 to 4n)
+    and the 16 mixed points of each axis pair k < l come last.
+    combine(values) takes func's values at the points, stacked along the
+    first axis, and returns the (value, first, second) jets of _fd_jets.
+    """
+    c = np.asarray(center, dtype=float)
+    steps = np.asarray(steps, dtype=float)
+    n = c.size
+    # a point is its shift from c: pairs (k, off) moving it off * steps[k]
+    shifts = [((k, off),) for k in range(n) for off, _ in _D4]
+    if second:
+        shifts = [()] + shifts + [((k, ok), (l, ol)) for k in range(n)
+                                  for l in range(k + 1, n) for ok, _ in _D4 for ol, _ in _D4]
+    row = {shift: i for i, shift in enumerate(shifts)}
+    points = np.repeat(c[None], len(shifts), axis=0)
+    for q, shift in zip(points, shifts):
+        for k, off in shift:
+            q[k] += off * steps[k]
+
+    def combine(values):
+        def at(*shift):  # func at c shifted by off * steps[k] along each (k, off)
+            return values[row[shift]]
+
+        first = np.stack(
+            [sum(w * at((k, off)) for off, w in _D4) / steps[k] for k in range(n)]
+        )
+        if not second:
+            return None, first, None
+        value = at()
+        jets2 = np.zeros((n,) + first.shape)
+        for k in range(n):
+            jets2[k, k] = sum(
+                w * (value if off == 0 else at((k, off))) for off, w in _D4_2
+            ) / steps[k] ** 2
+            for l in range(k + 1, n):
+                jets2[k, l] = jets2[l, k] = sum(
+                    wk * wl * at((k, ok), (l, ol)) for ok, wk in _D4 for ol, wl in _D4
+                ) / (steps[k] * steps[l])
+        return value, first, jets2
+
+    return points, combine
 
 
 def _fd_jets(func, center, steps, second=True):
     """(value, first, second) jets of func at center by 4th-order differences.
 
     func may return a scalar or an array; first[k] and second[k, l] are its
-    partial derivatives along parameters k and l.  The centre is evaluated
-    once.  With second=False only the first-derivative stencil runs and the
-    value and second jet come back as None.
+    partial derivatives along parameters k and l.  Each stencil point is
+    evaluated once.  With second=False only the first-derivative stencil
+    runs and the value and second jet come back as None.
     """
-    c = np.asarray(center, dtype=float)
-    steps = np.asarray(steps, dtype=float)
-    n = c.size
-
-    def at(*offsets):  # func at c shifted by off * steps[k] along each (k, off)
-        q = c.copy()
-        for k, off in offsets:
-            q[k] += off * steps[k]
-        return np.asarray(func(q), dtype=float)
-
-    first = np.stack(
-        [sum(w * at((k, off)) for off, w in _D4) / steps[k] for k in range(n)]
-    )
-    if not second:
-        return None, first, None
-    value = at()
-    jets2 = np.zeros((n,) + first.shape)
-    for k in range(n):
-        jets2[k, k] = sum(
-            w * (value if off == 0 else at((k, off))) for off, w in _D4_2
-        ) / steps[k] ** 2
-        for l in range(k + 1, n):
-            jets2[k, l] = jets2[l, k] = sum(
-                wk * wl * at((k, ok), (l, ol)) for ok, wk in _D4 for ol, wl in _D4
-            ) / (steps[k] * steps[l])
-    return value, first, jets2
-
-
-def fd_scalar_jets(func, center, steps):
-    """(value, grad, hess) of a black-box scalar by 4th-order differences."""
-    value, grad, hess = _fd_jets(func, center, steps)
-    return float(value), grad, hess
+    points, combine = _stencil(center, steps, second)
+    return combine(np.stack([np.asarray(func(q), dtype=float) for q in points]))
 
 
 # ---------------------------------------------------------------------------
@@ -457,21 +491,34 @@ class LogVTarget(_OverlapTarget):
         return grassmann.dlogv_form(spec, Z)
 
 
-def composition_check(imm: ParametricImmersion, param, target) -> float:
-    """Residual of the chain rule for target functions of the plane map.
+def composition_checks(imm: ParametricImmersion, param, targets) -> list:
+    """Residuals of the chain rule for target functions of the plane map.
 
-    Computes L(F o gamma) by differences of the composed scalar and
-    subtracts the closed-form Hessian sum over the plane-map images plus the
-    pairing of dF with the weighted tension.  Near zero on any immersion.
+    For each target F, computes L(F o gamma) by differences of the composed
+    scalar and subtracts the closed-form Hessian sum over the plane-map
+    images plus the pairing of dF with the weighted tension.  Near zero on
+    any immersion.  One frame-kernel call covers the whole second-order
+    stencil for every target: its centre row gives the metric data and the
+    PointFrame, its axis rows the tension.
     """
     p = np.asarray(param, dtype=float)
-    pf = point_frame(imm, p)
+    points, combine = _stencil(p, imm.fd_step)
+    (x, dX, ddX), f = _stencil_frames(imm, points)
+    # rows 1 to 4n hold the first-order stencil, in its own order
+    T = _tension(f, _stencil(p, imm.fd_step, second=False)[1])
+    rows = [_Frames(*row) for row in zip(*f)]  # checked above, as a batch
+    pf = _as_point_frame(rows[0])
+    out = []
+    for target in targets:
+        _, grad, hess = combine(np.array([target.scalar(r) for r in rows]))
+        lhs = _drift_laplacian(x[0], dX[0], ddX[0], f.S[0], grad, hess)
+        out.append(lhs - (target.hess_sum(pf) + target.tension_term(pf, T)))
+    return out
 
-    jets = fd_scalar_jets(lambda q: target.scalar(point_frame(imm, q)), p, imm.fd_step)
-    lhs = drift_laplacian(imm, p, lambda _q: jets)
-    T = weighted_tension(imm, p)
-    rhs = target.hess_sum(pf) + target.tension_term(pf, T)
-    return lhs - rhs
+
+def composition_check(imm: ParametricImmersion, param, target) -> float:
+    """Residual of the chain rule for one target; see composition_checks."""
+    return composition_checks(imm, param, [target])[0]
 
 
 # ---------------------------------------------------------------------------

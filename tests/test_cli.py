@@ -136,6 +136,16 @@ def test_worker_count_does_not_change_artifacts(tmp_path):
         pooled / "target_residuals.csv"
     ).read_bytes()
 
+    cfg = _write_cfg(
+        tmp_path, {"probes": 8, "chunks": 2, "composition_probes": 2}, "shr.json"
+    )
+    for out, jobs in ((serial, "1"), (pooled, "2")):
+        cli.main(
+            ["verify-shrinkers", "--config", cfg, "--out", str(out), "--jobs", jobs]
+        )
+    for artifact in ("shrinker_residuals.csv", "report_verify-shrinkers.json"):
+        assert (serial / artifact).read_bytes() == (pooled / artifact).read_bytes()
+
 
 def test_verify_shrinkers_catalog_and_control(tmp_path):
     cfg = _write_cfg(

@@ -6,7 +6,7 @@ import pytest
 
 from shrinkerlab import immersion as im
 from shrinkerlab import sphere
-from shrinkerlab.grassmann import OrientedFrame
+from shrinkerlab.grassmann import OrientedFrame, w_product
 
 
 def _graph_jets_m1(x):
@@ -317,8 +317,56 @@ def test_fd_jets_first_order_call_matches_full_call():
     assert np.array_equal(first, first_full)
     # first-derivative stencil only: 4 points per parameter, no centre
     assert len(calls) == 8
-    # full call: the centre once, 4 + 4 per axis, 16 mixed points per pair
-    assert full_calls == 1 + 2 * 8 + 16
+    # full call: each point once: the centre, 4 per axis, 16 mixed per pair
+    assert full_calls == 1 + 8 + 16
+
+
+def _ref_fd_jets(func, c, steps, second=True):
+    # the stencil written point by point: one func call per use of a point
+    n = c.size
+
+    def at(*offsets):
+        q = c.copy()
+        for k, off in offsets:
+            q[k] += off * steps[k]
+        return np.asarray(func(q), dtype=float)
+
+    first = np.stack(
+        [sum(w * at((k, off)) for off, w in im._D4) / steps[k] for k in range(n)]
+    )
+    if not second:
+        return None, first, None
+    value = at()
+    jets2 = np.zeros((n,) + first.shape)
+    for k in range(n):
+        jets2[k, k] = sum(
+            w * (value if off == 0 else at((k, off))) for off, w in im._D4_2
+        ) / steps[k] ** 2
+        for l in range(k + 1, n):
+            jets2[k, l] = jets2[l, k] = sum(
+                wk * wl * at((k, ok), (l, ol)) for ok, wk in im._D4 for ol, wl in im._D4
+            ) / (steps[k] * steps[l])
+    return value, first, jets2
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_fd_jets_equal_pointwise_reference(n):
+    rng = np.random.default_rng(n)
+    x = rng.uniform(-1.0, 1.0, n)
+    steps = np.array([1e-3, 2e-3, 3e-3][:n])
+
+    def scalar(q):
+        return float(np.sin(q.sum()) * np.prod(q))
+
+    def vector(q):
+        return np.array([np.exp(q[0] - q[-1]), q @ q, np.cos(q[0]) * q[-1]])
+
+    for func in (scalar, vector):
+        for second in (True, False):
+            got = im._fd_jets(func, x, steps, second)
+            for g, w in zip(got, _ref_fd_jets(func, x, steps, second)):
+                assert (g is None and w is None) or np.array_equal(g, w)
+
 
 CATALOG_SHRINKERS = [
     "plane:n=1,m=1",
@@ -454,6 +502,139 @@ def test_weighted_tension_stencil_guard():
     imm = im.catalog_immersion("sphere:n=2,R=2")
     with pytest.raises(im.ChartError):
         im.weighted_tension(imm, np.array([1e-4, 0.0]))
+
+
+def _ref_tension(imm, p):
+    # one point_frame per stencil point, differencing H + X_normal/2
+    def field(q):
+        pf = im.point_frame(imm, q)
+        xnorm = pf.position - (pf.tangent @ pf.position) @ pf.tangent
+        return pf.mean @ pf.normal + 0.5 * xnorm
+
+    S = im._frame_kernel(*imm.jet(p), p).S
+    dV = _ref_fd_jets(field, p, imm.fd_step, second=False)[1]
+    return im.point_frame(imm, p).normal @ (S @ dV).T
+
+
+def _ref_composition(imm, p, target):
+    pf = im.point_frame(imm, p)
+    jets = _ref_fd_jets(
+        lambda q: target.scalar(im.point_frame(imm, q)), p, imm.fd_step
+    )
+    lhs = im.drift_laplacian(imm, p, lambda _q: jets)
+    T = _ref_tension(imm, p)
+    return lhs - (target.hess_sum(pf) + target.tension_term(pf, T))
+
+
+def _stencil_case(name):
+    if name == "graph":  # user jets: the jets batch stacks one call per point
+        return _graph_m1()
+    if name == "positions":  # position-only map: difference jets per point
+        return im.ParametricImmersion.from_positions(
+            lambda x: np.array([x[0], x[1], 0.3 * x[0] * x[1] ** 2 + 0.2 * np.sin(x[0])]),
+            2, 1, [(-1, 1)] * 2,
+        )
+    return im.catalog_immersion(name)
+
+
+def _composition_targets(imm):
+    # reference: the tangent plane at the chart centre, tilted a little
+    amb = imm.n + imm.m
+    center = im.point_frame(imm, imm.chart.mean(axis=1)).tangent
+    tilt = np.random.default_rng(amb).uniform(-0.2, 0.2, (imm.n, amb))
+    ref = OrientedFrame(np.linalg.qr((center + tilt).T)[0].T)
+    targets = [im.VTarget(ref), im.LogVTarget(ref)]
+    if imm.m == 1:
+        targets.insert(0, im.HeightTarget(np.eye(amb)[-1]))
+    return ref, targets
+
+
+_STENCIL_CASES = (
+    "sphere:n=2,R=2",
+    "sphere:n=2,R=1,c1=0.5",
+    "cylinder:k=1,n=2",
+    "plane:n=2,m=2",
+    "graph",
+    "positions",
+)
+
+
+@pytest.mark.parametrize("name", _STENCIL_CASES)
+def test_batched_stencils_equal_pointwise_reference(name):
+    imm = _stencil_case(name)
+    ref, targets = _composition_targets(imm)
+    rng = np.random.default_rng(11)
+    draws = [_interior_probe(rng, imm) for _ in range(20)]
+    # the overlap targets lose conditioning as the planes turn perpendicular
+    probes = [p for p in draws
+              if abs(w_product(OrientedFrame(im.point_frame(imm, p).tangent), ref)) >= 0.3]
+    assert len(probes) >= 3
+    for p in probes[:3]:
+        assert np.array_equal(im.weighted_tension(imm, p), _ref_tension(imm, p))
+        got = im.composition_checks(imm, p, targets)
+        assert len(got) == len(targets)
+        for g, target in zip(got, targets):
+            want = _ref_composition(imm, p, target)
+            assert g == want
+            assert im.composition_check(imm, p, target) == want
+
+
+def test_one_kernel_call_per_stencil(monkeypatch):
+    imm = im.catalog_immersion("sphere:n=2,R=2")
+    _, targets = _composition_targets(imm)
+    assert len(targets) == 3
+    p = np.array([1.2, 0.4])
+    calls = {"kernel": 0, "point_frame": 0}
+    kernel, point_frame = im._frame_kernel, im.point_frame
+
+    def counting_kernel(*args):
+        calls["kernel"] += 1
+        return kernel(*args)
+
+    def counting_point_frame(*args):
+        calls["point_frame"] += 1
+        return point_frame(*args)
+
+    monkeypatch.setattr(im, "_frame_kernel", counting_kernel)
+    monkeypatch.setattr(im, "point_frame", counting_point_frame)
+    im.weighted_tension(imm, p)
+    assert calls == {"kernel": 1, "point_frame": 0}
+    im.composition_checks(imm, p, targets)
+    assert calls == {"kernel": 2, "point_frame": 0}
+
+
+def test_stencil_frames_are_checked(monkeypatch):
+    # a frame corrupted at the last stencil point fails the batch check
+    kernel = im._frame_kernel
+
+    def corrupting_kernel(*args):
+        f = kernel(*args)
+        mean = f.mean.copy()
+        mean[-1] += 1.0
+        return f._replace(mean=mean)
+
+    monkeypatch.setattr(im, "_frame_kernel", corrupting_kernel)
+    imm = im.catalog_immersion("sphere:n=2,R=2")
+    p = np.array([1.2, 0.4])
+    with pytest.raises(ValueError, match="mean curvature must be the trace of h"):
+        im.weighted_tension(imm, p)
+    with pytest.raises(ValueError, match="mean curvature must be the trace of h"):
+        im.composition_check(imm, p, im.HeightTarget(np.eye(3)[2]))
+
+
+def test_composition_check_stencil_guard():
+    # the centre is inside the chart, the stencil's -2 step along t_0 is not
+    imm = im.catalog_immersion("sphere:n=2,R=2")
+    evaluated = []
+
+    class Recording(im.HeightTarget):
+        def scalar(self, pf):
+            evaluated.append("scalar")
+            return super().scalar(pf)
+
+    with pytest.raises(im.ChartError, match=r"parameter \[-0\.0061"):
+        im.composition_check(imm, np.array([1e-4, 0.0]), Recording(np.eye(3)[2]))
+    assert evaluated == []
 
 
 def test_drift_laplacian_flat_examples():

@@ -13,6 +13,10 @@ which pins the subcritical slope threshold v < 3.  The scalar side —
 F, F1, F2 on the constraint set Omega and the polynomials H1, H2 — is swept
 numerically to certify sup F <= -1/16, the source of the constant.
 
+Each group and its bound are written once, as monomials in a table built
+and cached per (n, m) shape (`_group_table`): `group_terms` reads the group
+values from it and `group_bounds_check` the values minus the bounds.
+
 Everything here is plain finite-dimensional algebra: samples are points in
 (lambda, h) space, sweeps are grids, and the optimizer is a batched greedy
 perturbation search with an extended-precision recheck of any candidate
@@ -21,10 +25,11 @@ violation.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field as dc_field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -279,6 +284,8 @@ class GroupSample:
             raise ValueError("angle values must be nonnegative")
         if h.shape != (self.m, self.n, self.n):
             raise ValueError(f"h must have shape {(self.m, self.n, self.n)}")
+        if not (np.all(np.isfinite(lam)) and np.all(np.isfinite(h))):
+            raise ValueError("angle values and h must be finite")
         if np.max(np.abs(h - np.swapaxes(h, 1, 2))) > 1e-12:
             raise ValueError("h must be symmetric in its last two indices")
         if not math.isfinite(self.v):
@@ -338,62 +345,98 @@ def direct_total(s: GroupSample, c1=C1):
     return float(_master_kernel(s.lam, s.h, c1)[0])
 
 
-def leftover_term(s: GroupSample):
-    """Squares not captured by any group: all of alpha > p, plus the
-    alpha <= p block with both tangent indices beyond p."""
-    p = s.p
-    total = float(np.sum(s.h[p:] ** 2))
-    total += float(np.sum(s.h[:p, p:, p:] ** 2))
-    return total
+class _GroupTable(NamedTuple):
+    keys: tuple  # (I keys, II keys, III keys, IV keys)
+    index: np.ndarray  # rows group, la, lb, ha, hb; one column per value monomial
+    const: np.ndarray
+    bound_index: np.ndarray  # rows group, x; one column per bound square
+    bound_coef: np.ndarray  # rows c0, cv
 
 
-def I_term(s: GroupSample, i, c1=C1):
-    if not s.p <= i < s.n:
-        raise IndexError("group I needs a tangent index beyond p")
-    p = s.p
-    row = s.h[np.arange(p), i, np.arange(p)]  # h_{j, i j}
-    return float(
-        np.sum((2.0 + s.lam**2) * row * row) + c1 * float(row @ s.lam) ** 2
-    )
+@functools.lru_cache(maxsize=None)
+def _group_table(n, m) -> _GroupTable:
+    """Groups I-IV and the leftover square of one (n, m) shape, built once.
+
+    A value monomial adds const lam1[la] lam1[lb] h[ha] h[hb] to its group,
+    where lam1 is lam padded with a 1 at index p = min(n, m) and h is
+    flattened; a bound square adds (c0 + cv (3 - v)) h[x]^2.  Groups are
+    numbered in key order I, II, III, IV; the leftover, with no bound, is
+    last.  Indices are 0-based and h[a, i, j] = h_{a,ij}.
+    """
+    p = min(n, m)
+    vals, bnds = [], []
+
+    def at(a, i, j):
+        return (a * n + i) * n + j
+
+    def square(g, c, x, cv=None):
+        vals.append((g, p, p, x, x, c))
+        if cv is not None:
+            bnds.append((g, x, 0.0, cv))
+
+    def row(g, i):  # sum_j (2 + lam_j^2 - [j = i]) h_{j,ij}^2 + C1 (sum_j lam_j h_{j,ij})^2
+        for j in range(p):
+            r = at(j, i, j)
+            square(g, 1.0 if j == i else 2.0, r)
+            vals.append((g, j, j, r, r, 1.0))
+            vals.extend((g, j, k, r, at(k, i, k), C1) for k in range(p))
+
+    keys_I = tuple(range(p, n))
+    keys_II = tuple((i, j, k) for i in keys_I for j in range(p) for k in range(j + 1, p))
+    keys_III = tuple((i, j, k) for i in range(p) for j in range(i + 1, p)
+                     for k in range(j + 1, p))
+    keys_IV = tuple(range(p))
+    first = np.cumsum([0, len(keys_I), len(keys_II), len(keys_III), len(keys_IV)])
+    # I_i = row(i) >= 2 sum_j h_{j,ij}^2
+    for g, i in enumerate(keys_I, first[0]):
+        row(g, i)
+        bnds.extend((g, at(j, i, j), 2.0, 0.0) for j in range(p))
+    # II_ijk = 2a^2 + 2b^2 + 2 lam_j lam_k ab >= (3 - v)(a^2 + b^2), a = h_{k,ij}, b = h_{j,ik}
+    for g, (i, j, k) in enumerate(keys_II, first[1]):
+        a, b = at(k, i, j), at(j, i, k)
+        square(g, 2.0, a, 1.0)
+        square(g, 2.0, b, 1.0)
+        vals.append((g, j, k, a, b, 2.0))
+    # III_ijk = 2(a^2 + b^2 + c^2) + 2(lam_i lam_j ab + lam_j lam_k bc + lam_k lam_i ca)
+    # >= (3 - v)(a^2 + b^2 + c^2), a = h_{i,jk}, b = h_{j,ki}, c = h_{k,ij}
+    for g, (i, j, k) in enumerate(keys_III, first[2]):
+        a, b, c = at(i, j, k), at(j, k, i), at(k, i, j)
+        for x in (a, b, c):
+            square(g, 2.0, x, 1.0)
+        vals.extend([(g, i, j, a, b, 2.0), (g, j, k, b, c, 2.0), (g, k, i, c, a, 2.0)])
+    # IV_i = row(i) + sum_{j != i} (h_{i,jj}^2 + 2 lam_i lam_j h_{i,jj} h_{j,ij})
+    # >= (3 - v)/2 [h_{i,ii}^2 + sum_{j != i} (h_{i,jj}^2 + 2 h_{j,ij}^2)]
+    for g, i in enumerate(keys_IV, first[3]):
+        row(g, i)
+        bnds.append((g, at(i, i, i), 0.0, 0.5))
+        for j in [j for j in range(p) if j != i]:
+            r, q = at(j, i, j), at(i, j, j)
+            square(g, 1.0, q, 0.5)
+            vals.append((g, i, j, q, r, 2.0))
+            bnds.append((g, r, 0.0, 1.0))
+    # leftover = sum of h_{a,ij}^2 over a >= p, or over a < p with i, j >= p
+    for a, i, j in np.ndindex(m, n, n):
+        if a >= p or min(i, j) >= p:
+            square(first[4], 1.0, at(a, i, j))
+    vcols, bcols = np.array(vals).T, np.array(bnds).T
+    return _GroupTable((keys_I, keys_II, keys_III, keys_IV), vcols[:5].astype(np.intp),
+                       vcols[5], bcols[:2].astype(np.intp), bcols[2:])
 
 
-def II_term(s: GroupSample, i, j, k):
-    if not (s.p <= i < s.n and 0 <= j < k < s.p):
-        raise IndexError("group II needs i > p and j < k <= p")
-    a = s.h[k, i, j]
-    b = s.h[j, i, k]
-    return float(2.0 * a * a + 2.0 * b * b + 2.0 * s.lam[j] * s.lam[k] * a * b)
+def _group_values(s: GroupSample):
+    """(table, values): each group's value in key order, the leftover last."""
+    t = _group_table(s.n, s.m)
+    lam1 = np.concatenate((s.lam, [1.0]))
+    h = s.h.ravel()
+    g, la, lb, ha, hb = t.index
+    w = t.const * lam1[la] * lam1[lb] * h[ha] * h[hb]
+    return t, np.bincount(g, w, minlength=sum(map(len, t.keys)) + 1)
 
 
-def III_term(s: GroupSample, i, j, k):
-    if not 0 <= i < j < k < s.p:
-        raise IndexError("group III needs three distinct indices within p")
-    la = s.lam
-    a = s.h[i, j, k]
-    b = s.h[j, k, i]
-    c = s.h[k, i, j]
-    return float(
-        2.0 * (a * a + b * b + c * c)
-        + 2.0 * (la[i] * la[j] * a * b + la[j] * la[k] * b * c + la[k] * la[i] * c * a)
-    )
-
-
-def IV_term(s: GroupSample, i, c1=C1):
-    if not 0 <= i < s.p:
-        raise IndexError("group IV needs a tangent index within p")
-    p = s.p
-    la = s.lam
-    total = (1.0 + la[i] ** 2) * s.h[i, i, i] ** 2
-    for j in range(p):
-        if j == i:
-            continue
-        total += (
-            (2.0 + la[j] ** 2) * s.h[j, i, j] ** 2
-            + s.h[i, j, j] ** 2
-            + 2.0 * la[i] * la[j] * s.h[i, j, j] * s.h[j, i, j]
-        )
-    row = s.h[np.arange(p), i, np.arange(p)]
-    return float(total + c1 * float(row @ la) ** 2)
+def _by_group(t: _GroupTable, x):
+    """Split per-group numbers into the I, II, III and IV dicts."""
+    x = iter(x.tolist())  # zip draws a key first, so each dict takes only its own
+    return [dict(zip(keys, x)) for keys in t.keys]
 
 
 @dataclass(frozen=True)
@@ -408,36 +451,18 @@ class GroupBreakdown:
     master_margin: float
 
 
-def group_terms(s: GroupSample, c1=C1) -> GroupBreakdown:
+def group_terms(s: GroupSample) -> GroupBreakdown:
     """All group values, the two routes to the total, and the master margin."""
-    p, n = s.p, s.n
-    I = {i: I_term(s, i, c1) for i in range(p, n)}
-    II = {
-        (i, j, k): II_term(s, i, j, k)
-        for i in range(p, n)
-        for j in range(p)
-        for k in range(j + 1, p)
-    }
-    III = {
-        (i, j, k): III_term(s, i, j, k)
-        for i in range(p)
-        for j in range(i + 1, p)
-        for k in range(j + 1, p)
-    }
-    IV = {i: IV_term(s, i, c1) for i in range(p)}
-    left = leftover_term(s)
-    margin, total, _ = _margins(s.lam, s.h, c1)
+    t, vals = _group_values(s)
+    I, II, III, IV = _by_group(t, vals)
+    margin, total, _ = _margins(s.lam, s.h, C1)
     return GroupBreakdown(
-        leftover=left,
+        leftover=float(vals[-1]),
         I=I,
         II=II,
         III=III,
         IV=IV,
-        grouped_total=left
-        + sum(I.values())
-        + sum(II.values())
-        + sum(III.values())
-        + sum(IV.values()),
+        grouped_total=float(vals.sum()),
         direct_total=float(total),
         master_margin=float(margin),
     )
@@ -463,39 +488,12 @@ class GroupMargins:
 def group_bounds_check(s: GroupSample, tol=MARGIN_TOL) -> GroupMargins:
     if not s.subcritical:
         raise ValueError("group bounds require a subcritical sample (v < 3)")
-    p, n, v = s.p, s.n, s.v
-    mI = {}
-    for i in range(p, n):
-        row = s.h[np.arange(p), i, np.arange(p)]
-        mI[i] = I_term(s, i) - 2.0 * float(np.sum(row * row))
-    mII = {}
-    for i in range(p, n):
-        for j in range(p):
-            for k in range(j + 1, p):
-                a, b = s.h[k, i, j], s.h[j, i, k]
-                mII[(i, j, k)] = II_term(s, i, j, k) - (3.0 - v) * (a * a + b * b)
-    mIII = {}
-    for i in range(p):
-        for j in range(i + 1, p):
-            for k in range(j + 1, p):
-                a, b, c = s.h[i, j, k], s.h[j, k, i], s.h[k, i, j]
-                mIII[(i, j, k)] = III_term(s, i, j, k) - (3.0 - v) * (
-                    a * a + b * b + c * c
-                )
-    mIV = {}
-    for i in range(p):
-        base = s.h[i, i, i] ** 2
-        for j in range(p):
-            if j != i:
-                base += s.h[i, j, j] ** 2 + 2.0 * s.h[j, i, j] ** 2
-        mIV[i] = IV_term(s, i) - 0.5 * (3.0 - v) * base
-    worst = min(
-        [math.inf]
-        + list(mI.values())
-        + list(mII.values())
-        + list(mIII.values())
-        + list(mIV.values())
-    )
+    t, vals = _group_values(s)
+    (g, x), (c0, cv) = t.bound_index, t.bound_coef
+    squares = (c0 + cv * (3.0 - s.v)) * s.h.ravel()[x] ** 2
+    margins = vals[:-1] - np.bincount(g, squares, minlength=len(vals) - 1)
+    worst = float(margins.min())
+    mI, mII, mIII, mIV = _by_group(t, margins)
     counter = None
     if worst < -tol:
         counter = counterexample_dump(s, {
@@ -556,8 +554,7 @@ def _subcritical_lambdas(rng, p, v_target=None):
     return np.sqrt(np.expm1(shares))
 
 
-def random_group_sample(rng, n, m, pattern="dense", v_target=None,
-                        scale=1.0) -> GroupSample:
+def random_group_sample(rng, n, m, pattern="dense", v_target=None) -> GroupSample:
     """Draw a subcritical sample; patterns stress individual group bounds.
 
     dense: full normal h.  diag: only the h_{j,ij} entries the square terms
@@ -601,7 +598,7 @@ def random_group_sample(rng, n, m, pattern="dense", v_target=None,
             h[a, i, j] += val
             if i != j:
                 h[a, j, i] += val
-    return GroupSample(n=n, m=m, lam=lam, h=h * scale)
+    return GroupSample(n=n, m=m, lam=lam, h=h)
 
 
 V_SCHEDULE = tuple(3.0 - 10.0**-k for k in range(1, 7))

@@ -169,6 +169,13 @@ def test_group_sample_validation():
     bad[0, 0, 1] = 1.0
     with pytest.raises(ValueError, match="symmetric"):
         GroupSample(n=3, m=2, lam=np.zeros(2), h=bad)
+    for bad_value in (math.nan, math.inf, -math.inf):
+        bad = np.zeros((2, 3, 3))
+        bad[0, 0, 0] = bad_value
+        with pytest.raises(ValueError, match="finite"):
+            GroupSample(n=3, m=2, lam=np.zeros(2), h=bad)
+        with pytest.raises(ValueError, match="finite"):
+            GroupSample(n=3, m=2, lam=np.array([0.5, abs(bad_value)]), h=np.zeros((2, 3, 3)))
     s = GroupSample(n=2, m=2, lam=np.array([1.0, 1.0]), h=np.zeros((2, 2, 2)))
     assert s.v == pytest.approx(2.0, rel=1e-14)
     assert s.subcritical
@@ -186,31 +193,90 @@ def test_groups_vanish_without_curvature():
     assert all(val == 0.0 for val in gb.IV.values())
 
 
-def test_group_presence_follows_index_ranges():
-    rng = np.random.default_rng(4)
-    # p = n: no tangent index beyond p, so groups I and II are absent
-    square = _random_sample(rng, n=3, m=5, pattern="dense")
-    gb = ineq.group_terms(square)
-    assert gb.I == {} and gb.II == {}
-    assert len(gb.III) == 1 and len(gb.IV) == 3
-    # p <= 2: no fully-distinct triple inside p, so group III is absent
-    thin = _random_sample(rng, n=5, m=2, pattern="dense")
-    gb2 = ineq.group_terms(thin)
-    assert gb2.III == {}
-    assert len(gb2.I) == 3
+SHAPES = [(n, m) for n in range(1, 6) for m in range(1, 6)]
 
 
-def test_group_index_guards():
-    rng = np.random.default_rng(9)
-    s = _random_sample(rng, n=4, m=3, pattern="dense")
-    with pytest.raises(IndexError):
-        ineq.I_term(s, 1)
-    with pytest.raises(IndexError):
-        ineq.II_term(s, 1, 0, 1)
-    with pytest.raises(IndexError):
-        ineq.III_term(s, 0, 0, 1)
-    with pytest.raises(IndexError):
-        ineq.IV_term(s, 3)
+@pytest.mark.parametrize("n,m", SHAPES)
+def test_group_key_sets_follow_index_ranges(n, m):
+    p = min(n, m)
+    s = _random_sample(np.random.default_rng(4), n=n, m=m, pattern="dense")
+    gb = ineq.group_terms(s)
+    gm = ineq.group_bounds_check(s)
+    assert len(gb.I) == n - p
+    assert len(gb.II) == (n - p) * math.comb(p, 2)
+    assert len(gb.III) == math.comb(p, 3)
+    assert len(gb.IV) == p
+    assert all(p <= i < n for i in gb.I)
+    assert all(p <= i < n and 0 <= j < k < p for i, j, k in gb.II)
+    assert all(0 <= i < j < k < p for i, j, k in gb.III)
+    assert list(gb.IV) == list(range(p))
+    for name in ("I", "II", "III", "IV"):
+        assert list(getattr(gm, name)) == list(getattr(gb, name))
+
+
+def _reference_groups(s):
+    """Group values and bound margins evaluated pointwise, one loop per group."""
+    p, n, la, h, v = s.p, s.n, s.lam, s.h, s.v
+    diag = np.arange(p)
+    vals = {"I": {}, "II": {}, "III": {}, "IV": {}}
+    margins = {"I": {}, "II": {}, "III": {}, "IV": {}}
+    for i in range(p, n):
+        row = h[diag, i, diag]  # h_{j,ij}
+        vals["I"][i] = np.sum((2.0 + la**2) * row * row) + ineq.C1 * (row @ la) ** 2
+        margins["I"][i] = vals["I"][i] - 2.0 * np.sum(row * row)
+    for i in range(p, n):
+        for j in range(p):
+            for k in range(j + 1, p):
+                a, b = h[k, i, j], h[j, i, k]
+                val = 2.0 * a * a + 2.0 * b * b + 2.0 * la[j] * la[k] * a * b
+                vals["II"][(i, j, k)] = val
+                margins["II"][(i, j, k)] = val - (3.0 - v) * (a * a + b * b)
+    for i in range(p):
+        for j in range(i + 1, p):
+            for k in range(j + 1, p):
+                a, b, c = h[i, j, k], h[j, k, i], h[k, i, j]
+                val = 2.0 * (a * a + b * b + c * c) + 2.0 * (
+                    la[i] * la[j] * a * b + la[j] * la[k] * b * c + la[k] * la[i] * c * a
+                )
+                vals["III"][(i, j, k)] = val
+                margins["III"][(i, j, k)] = val - (3.0 - v) * (a * a + b * b + c * c)
+    for i in range(p):
+        val = (1.0 + la[i] ** 2) * h[i, i, i] ** 2
+        base = h[i, i, i] ** 2
+        for j in range(p):
+            if j != i:
+                val += (
+                    (2.0 + la[j] ** 2) * h[j, i, j] ** 2
+                    + h[i, j, j] ** 2
+                    + 2.0 * la[i] * la[j] * h[i, j, j] * h[j, i, j]
+                )
+                base += h[i, j, j] ** 2 + 2.0 * h[j, i, j] ** 2
+        val += ineq.C1 * (h[diag, i, diag] @ la) ** 2
+        vals["IV"][i] = val
+        margins["IV"][i] = val - 0.5 * (3.0 - v) * base
+    leftover = np.sum(h[p:] ** 2) + np.sum(h[:p, p:, p:] ** 2)
+    return vals, margins, leftover
+
+
+@pytest.mark.parametrize("n,m", SHAPES)
+def test_group_table_matches_pointwise_reference(n, m):
+    rng = np.random.default_rng(100 + 10 * n + m)
+    for pattern in ineq._PATTERNS:
+        for _ in range(4):
+            s = ineq.random_group_sample(rng, n, m, pattern=pattern)
+            vals, margins, leftover = _reference_groups(s)
+            gb = ineq.group_terms(s)
+            gm = ineq.group_bounds_check(s)
+            assert abs(gb.leftover - leftover) <= 1e-13 * max(1.0, leftover)
+            for name in ("I", "II", "III", "IV"):
+                assert list(getattr(gb, name)) == list(vals[name])
+                assert list(getattr(gm, name)) == list(margins[name])
+                for key, ref in vals[name].items():
+                    tol = 1e-13 * max(1.0, abs(ref))
+                    assert abs(getattr(gb, name)[key] - ref) <= tol
+                    assert abs(getattr(gm, name)[key] - margins[name][key]) <= tol
+            worst = min(min(d.values(), default=math.inf) for d in margins.values())
+            assert gm.min_margin == pytest.approx(worst, rel=1e-13, abs=1e-13)
 
 
 def test_regrouping_identity_random():

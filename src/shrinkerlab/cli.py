@@ -391,13 +391,12 @@ def _grassmann_probe(rng, step):
     om /= np.linalg.norm(om)
     Z = TangentCoeffs(om, spec.tangent_frame)
 
-    def v_at(t):
-        frame = grassmann.geodesic_from_velocity(
-            spec.tangent_frame, spec.normal_frame, om, t
-        )
-        return grassmann.v_value(grassmann.jordan_spectrum(frame, base))
-
-    vp, v0, vm = v_at(step), v_at(0.0), v_at(-step)
+    # v at t = +step, 0, -step from one overlap_values call
+    frames = np.stack([
+        grassmann.geodesic_from_velocity(spec.tangent_frame, spec.normal_frame, om, t).vectors
+        for t in (step, 0.0, -step)
+    ])
+    vp, v0, vm = grassmann.v_values(grassmann.overlap_values(frames, base)).tolist()
     cv = grassmann.hess_v_form(spec, Z)
     res_v = abs((vp - 2.0 * v0 + vm) / step**2 - cv) / max(1.0, abs(cv))
     lp, l0, lm = math.log(vp), math.log(v0), math.log(vm)

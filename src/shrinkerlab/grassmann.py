@@ -14,6 +14,11 @@ provides the rotation geodesics used to cross-check those forms by finite
 differences.  Derivative coefficients pair tangent row j with normal
 direction alpha; the forms below are valid only in the adapted frame that
 ``jordan_spectrum`` returns, where the overlap matrix is diagonal.
+
+Callers that need only v read ``overlap_values``, the angle cosines of a
+stack of planes against one reference from one batched SVD, and
+``v_values``, the product of their reciprocals; ``jordan_spectrum`` takes
+its cosines from the same helper, so both routes give the same digits.
 """
 
 from __future__ import annotations
@@ -118,16 +123,48 @@ class TangentCoeffs:
         object.__setattr__(self, "omega", om)
 
 
-def _check_pair(P: OrientedFrame, Q: OrientedFrame) -> None:
-    if P.vectors.shape != Q.vectors.shape:
+def _check_pair(rows, Q: OrientedFrame) -> None:
+    # rows: one plane's rows, or a stack of them over leading axes
+    if rows.shape[-2:] != Q.vectors.shape:
         raise ValueError("frames have mismatched plane or ambient dimension")
 
 
 def w_product(P: OrientedFrame, Q: OrientedFrame) -> float:
     """Overlap determinant det <e_i, f_j> of two oriented planes, in [-1, 1]."""
-    _check_pair(P, Q)
+    _check_pair(P.vectors, Q)
     det = float(np.linalg.det(P.vectors @ Q.vectors.T))
     return min(1.0, max(-1.0, det))
+
+
+def _overlap_svd(rows, Q: OrientedFrame):
+    """Full SVD of the overlap matrices rows Q^T over leading axes.
+
+    Returns (U^T, mu_all, Vt, p): the singular values clipped to [0, 1] and
+    every factor reordered so that the p = min(n, m) smallest, the
+    angle-carrying cosines, come first (the rest are overlap directions
+    shared by both planes).
+    """
+    n = rows.shape[-2]
+    p = min(n, Q.m)
+    U, sing, Vt = np.linalg.svd(rows @ Q.vectors.T)
+    perm = list(range(n - p, n)) + list(range(n - p))
+    Ut = U.swapaxes(-1, -2)
+    return Ut[..., perm, :], np.clip(sing, 0.0, 1.0)[..., perm], Vt[..., perm, :], p
+
+
+def overlap_values(P, Q: OrientedFrame) -> np.ndarray:
+    """Principal-angle cosines of planes P against Q, over leading axes.
+
+    P (..., n, amb) holds orthonormal plane rows shaped like Q's.  Returns
+    the p = min(n, m) angle cosines, shape (..., p), equal to the ``mu``
+    that ``jordan_spectrum`` stores for each plane.
+    """
+    P = np.asarray(P, dtype=float)
+    _check_pair(P, Q)
+    if np.abs(P @ P.swapaxes(-1, -2) - np.eye(Q.n)).max() > _ORTHO_TOL:
+        raise ValueError("rows are not orthonormal")
+    _, mu_all, _, p = _overlap_svd(P, Q)
+    return mu_all[..., :p]
 
 
 def jordan_spectrum(P: OrientedFrame, Q: OrientedFrame) -> JordanSpectrum:
@@ -140,17 +177,9 @@ def jordan_spectrum(P: OrientedFrame, Q: OrientedFrame) -> JordanSpectrum:
     jointly, which keeps the diagonalized overlap nonnegative and leaves
     every derivative form unchanged), and the frame keeps P's orientation.
     """
-    _check_pair(P, Q)
+    _check_pair(P.vectors, Q)
     n, m = P.n, P.m
-    p = min(n, m)
-    W = P.vectors @ Q.vectors.T
-    U, sing, Vt = np.linalg.svd(W)
-    mu_all = np.clip(sing, 0.0, 1.0)
-    # angle-carrying pairs (smallest overlaps) first
-    perm = list(range(n - p, n)) + list(range(n - p))
-    R = U.T[perm]
-    S = Vt[perm]
-    mu_all = mu_all[perm]
+    R, mu_all, S, p = _overlap_svd(P.vectors, Q)
     E = R @ P.vectors
     F = S @ Q.vectors
     for j in range(n):
@@ -201,11 +230,17 @@ def _partner_normals(E, F, mu_all, n, m, p):
     return normals
 
 
+def v_values(mu) -> np.ndarray:
+    """prod 1/mu_i over the last axis: v from angle cosines (..., p)."""
+    mu = np.asarray(mu, dtype=float)
+    if np.any(mu <= 0.0):
+        raise ChartDomainError("a principal angle is pi/2, so v is unbounded")
+    return np.prod(1.0 / mu, axis=-1)
+
+
 def v_value(spec: JordanSpectrum) -> float:
     """prod sqrt(1 + lam_i^2) = prod 1/mu_i, the reciprocal unsigned overlap."""
-    if np.any(spec.mu <= 0.0):
-        raise ChartDomainError("a principal angle is pi/2, so v is unbounded")
-    return float(np.prod(1.0 / spec.mu))
+    return float(v_values(spec.mu))
 
 
 def _form_coeffs(spec: JordanSpectrum, Z: TangentCoeffs) -> np.ndarray:

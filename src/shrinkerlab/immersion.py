@@ -380,7 +380,19 @@ def oriented_normal(pf: PointFrame) -> np.ndarray:
     return _orientation_sign(pf) * pf.normal[0]
 
 
-class _HypersurfaceTarget:
+class _Target:
+    """A scalar F composed with the plane map, read by composition_checks."""
+
+    def scalars(self, frames):
+        """F at every row of frames, kernel output over one leading axis."""
+        return np.array([self.scalar(_Frames(*row)) for row in zip(*frames)])
+
+    def centre_sum(self, pf, T):
+        """hess_sum(pf) + tension_term(pf, T), the chain rule's centre terms."""
+        return self.hess_sum(pf) + self.tension_term(pf, T)
+
+
+class _HypersurfaceTarget(_Target):
     """Scalar on the unit sphere composed with the oriented normal map."""
 
     def _point(self, pf):
@@ -440,11 +452,22 @@ class ThetaTarget(_HypersurfaceTarget):
         return self._dr_dt(y, u)[2]
 
 
-class _OverlapTarget:
-    """Reciprocal-overlap functions of the tangent plane against a reference."""
+class _OverlapTarget(_Target):
+    """Reciprocal-overlap functions of the tangent plane against a reference.
+
+    scalars reads v for a whole stencil from one overlap_values call; the
+    centre terms share one spectrum per probe through centre_sum.
+    """
 
     def __init__(self, reference: OrientedFrame):
         self.reference = reference
+
+    def _v(self, frames):
+        # v at every row: tangent rows (..., n, amb)
+        return grassmann.v_values(grassmann.overlap_values(frames.tangent, self.reference))
+
+    def scalar(self, pf):
+        return float(self.scalars(pf))
 
     def _spec(self, pf):
         return grassmann.jordan_spectrum(OrientedFrame(pf.tangent), self.reference)
@@ -453,23 +476,30 @@ class _OverlapTarget:
     def _coeffs(spec, om, pf):
         return grassmann.express_in_adapted_frame(spec, om, pf.tangent, pf.normal)
 
-    def hess_sum(self, pf):
-        spec = self._spec(pf)
+    def _hess_sum(self, spec, pf):
         return sum(
             self._hess(spec, self._coeffs(spec, pf.h[:, i, :].T, pf)) for i in range(pf.n)
         )
 
+    def _tension_term(self, spec, pf, T):
+        return self._d(spec, self._coeffs(spec, T.T, pf))
+
+    def hess_sum(self, pf):
+        return self._hess_sum(self._spec(pf), pf)
+
     def tension_term(self, pf, T):
+        return self._tension_term(self._spec(pf), pf, T)
+
+    def centre_sum(self, pf, T):
         spec = self._spec(pf)
-        Z = self._coeffs(spec, T.T, pf)
-        return self._d(spec, Z)
+        return self._hess_sum(spec, pf) + self._tension_term(spec, pf, T)
 
 
 class VTarget(_OverlapTarget):
     """F = v, the product of principal-angle secants against the reference."""
 
-    def scalar(self, pf):
-        return grassmann.v_value(self._spec(pf))
+    def scalars(self, frames):
+        return self._v(frames)
 
     def _hess(self, spec, Z):
         return grassmann.hess_v_form(spec, Z)
@@ -481,8 +511,10 @@ class VTarget(_OverlapTarget):
 class LogVTarget(_OverlapTarget):
     """F = log v against the reference plane."""
 
-    def scalar(self, pf):
-        return math.log(grassmann.v_value(self._spec(pf)))
+    def scalars(self, frames):
+        # math.log per value, the digits of the scalar route
+        v = self._v(frames)
+        return np.reshape([math.log(x) for x in v.flat], v.shape)
 
     def _hess(self, spec, Z):
         return grassmann.hess_logv_form(spec, Z)
@@ -499,20 +531,20 @@ def composition_checks(imm: ParametricImmersion, param, targets) -> list:
     images plus the pairing of dF with the weighted tension.  Near zero on
     any immersion.  One frame-kernel call covers the whole second-order
     stencil for every target: its centre row gives the metric data and the
-    PointFrame, its axis rows the tension.
+    PointFrame, its axis rows the tension, and each target reads its values
+    at every row in one scalars call.
     """
     p = np.asarray(param, dtype=float)
     points, combine = _stencil(p, imm.fd_step)
     (x, dX, ddX), f = _stencil_frames(imm, points)
     # rows 1 to 4n hold the first-order stencil, in its own order
     T = _tension(f, _stencil(p, imm.fd_step, second=False)[1])
-    rows = [_Frames(*row) for row in zip(*f)]  # checked above, as a batch
-    pf = _as_point_frame(rows[0])
+    pf = _as_point_frame(_Frames(*(a[0] for a in f)))  # checked above, as a batch
     out = []
     for target in targets:
-        _, grad, hess = combine(np.array([target.scalar(r) for r in rows]))
+        _, grad, hess = combine(target.scalars(f))
         lhs = _drift_laplacian(x[0], dX[0], ddX[0], f.S[0], grad, hess)
-        out.append(lhs - (target.hess_sum(pf) + target.tension_term(pf, T)))
+        out.append(lhs - target.centre_sum(pf, T))
     return out
 
 

@@ -265,13 +265,14 @@ class GroupSample:
 
     lam holds the p = min(n, m) nonnegative angle tangents; h is the
     (m, n, n) coefficient array, symmetric in its last two indices.  The
-    slope value v is derived as prod sqrt(1 + lam_j^2).
+    slope value v = prod sqrt(1 + lam_j^2) is computed once, at construction.
     """
 
     n: int
     m: int
     lam: np.ndarray
     h: np.ndarray
+    v: float = dc_field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         lam = np.asarray(self.lam, dtype=float)
@@ -288,16 +289,14 @@ class GroupSample:
             raise ValueError("angle values and h must be finite")
         if np.max(np.abs(h - np.swapaxes(h, 1, 2))) > 1e-12:
             raise ValueError("h must be symmetric in its last two indices")
-        if not math.isfinite(self.v):
+        v = float(np.exp(0.5 * np.sum(np.log1p(lam * lam))))
+        if not math.isfinite(v):
             raise ValueError("slope value is not finite")
+        object.__setattr__(self, "v", v)
 
     @property
     def p(self):
         return min(self.n, self.m)
-
-    @property
-    def v(self):
-        return float(np.exp(0.5 * np.sum(np.log1p(self.lam * self.lam))))
 
     @property
     def subcritical(self):

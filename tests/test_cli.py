@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from shrinkerlab import cli, graphflow
+from shrinkerlab import cli, graphflow, grassmann
 
 
 @pytest.fixture(autouse=True)
@@ -344,3 +344,18 @@ def test_target_probes_near_zero_angle_keep_orthonormal_normals():
     rows = cli._target_chunk((np.random.SeedSequence(0).spawn(8)[1], 71, 1e-4, 1.0))
     assert len(rows) == 71 * 7
     assert max(residual for _, residual in rows) <= 1e-5
+
+
+def test_grassmann_probe_takes_one_spectrum(monkeypatch):
+    # the three geodesic frames share one overlap_values call
+    calls = []
+    spectrum = grassmann.jordan_spectrum
+
+    def counting_spectrum(*args):
+        calls.append(1)
+        return spectrum(*args)
+
+    monkeypatch.setattr(grassmann, "jordan_spectrum", counting_spectrum)
+    residuals = cli._grassmann_probe(np.random.default_rng(3), 1e-4)
+    assert len(calls) == 1
+    assert max(residuals) <= 1e-5

@@ -15,7 +15,9 @@ from shrinkerlab.grassmann import (
     hess_logv_form,
     hess_v_form,
     jordan_spectrum,
+    overlap_values,
     v_value,
+    v_values,
     w_product,
 )
 
@@ -188,6 +190,55 @@ def test_orthogonal_planes_poison_v_operations():
         hess_v_form(spec, Z)
     with pytest.raises(ChartDomainError):
         hess_logv_form(spec, Z)
+
+
+def _plane_stack(rng, shape, n, amb):
+    # orthonormal plane rows over leading axes
+    return np.linalg.qr(rng.standard_normal(shape + (amb, n)))[0].swapaxes(-1, -2)
+
+
+@pytest.mark.parametrize("shape", [(), (5,), (2, 3)])
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_overlap_values_equal_per_frame_spectra(shape, n, m):
+    rng = np.random.default_rng(10 * n + m)
+    Q = _random_frame(rng, n, n + m)
+    P = _plane_stack(rng, shape, n, n + m)
+    specs = [jordan_spectrum(OrientedFrame(r), Q) for r in P.reshape(-1, n, n + m)]
+    mu = overlap_values(P, Q)
+    assert mu.shape == shape + (min(n, m),)
+    assert np.array_equal(mu, np.reshape([s.mu for s in specs], mu.shape))
+    v = v_values(mu)
+    assert v.shape == shape
+    assert np.array_equal(v, np.reshape([v_value(s) for s in specs], shape))
+
+
+def test_v_values_reject_a_perpendicular_row_of_a_batch():
+    Q = OrientedFrame(np.eye(4)[:2])
+    c, s = math.cos(0.3), math.sin(0.3)
+    tilted = np.array([[c, 0.0, s, 0.0], [0.0, 1.0, 0.0, 0.0]])
+    P = np.stack([np.eye(4)[:2], tilted, np.eye(4)[2:]])  # the last is perpendicular
+    mu = overlap_values(P, Q)
+    assert np.allclose(v_values(mu[:2]), [1.0, 1.0 / c], rtol=1e-14)
+    with pytest.raises(ChartDomainError):
+        v_values(mu)
+    with pytest.raises(ChartDomainError):
+        v_values(mu[2])
+
+
+def test_overlap_values_reject_bad_rows():
+    Q = OrientedFrame(np.eye(4)[:2])
+    P = np.stack([np.eye(4)[:2], np.eye(4)[1:3]])
+    skewed = P.copy()
+    skewed[1, 0, 2] = 1e-6  # plane 1: row 0 leans 1e-6 toward row 1
+    with pytest.raises(ValueError, match="not orthonormal"):
+        overlap_values(skewed, Q)
+    with pytest.raises(ValueError, match="mismatched"):
+        overlap_values(np.stack([np.eye(5)[:2]] * 2), Q)
+    with pytest.raises(ValueError, match="mismatched"):
+        overlap_values(np.eye(4)[:3], Q)
+    with pytest.raises(ValueError, match="mismatched"):
+        overlap_values(np.eye(4)[0], Q)
 
 
 def test_geodesic_identity_cases():

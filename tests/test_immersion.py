@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+from shrinkerlab import grassmann
 from shrinkerlab import immersion as im
 from shrinkerlab import sphere
 from shrinkerlab.grassmann import OrientedFrame, w_product
@@ -601,6 +602,38 @@ def test_one_kernel_call_per_stencil(monkeypatch):
     assert calls == {"kernel": 1, "point_frame": 0}
     im.composition_checks(imm, p, targets)
     assert calls == {"kernel": 2, "point_frame": 0}
+
+
+def test_two_spectra_per_composition_probe(monkeypatch):
+    # the overlap targets read the stencil rows through overlap_values and
+    # take one centre spectrum each, shared by their two centre terms
+    imm = im.catalog_immersion("sphere:n=2,R=2")
+    _, targets = _composition_targets(imm)
+    assert [type(t) for t in targets] == [im.HeightTarget, im.VTarget, im.LogVTarget]
+    calls = []
+    spectrum = grassmann.jordan_spectrum
+
+    def counting_spectrum(*args):
+        calls.append(1)
+        return spectrum(*args)
+
+    monkeypatch.setattr(grassmann, "jordan_spectrum", counting_spectrum)
+    im.composition_checks(imm, np.array([1.2, 0.4]), targets)
+    assert len(calls) == 2
+
+
+def test_overlap_scalars_equal_the_per_row_scalar():
+    imm = im.catalog_immersion("sphere:n=2,R=2")
+    ref, _ = _composition_targets(imm)
+    points, _ = im._stencil(np.array([1.2, 0.4]), imm.fd_step)
+    _, f = im._stencil_frames(imm, points)
+    pfs = [im._as_point_frame(im._Frames(*row)) for row in zip(*f)]
+    v = im.VTarget(ref).scalars(f)
+    logv = im.LogVTarget(ref).scalars(f)
+    assert v.shape == logv.shape == (len(points),)
+    assert v.tolist() == [im.VTarget(ref).scalar(pf) for pf in pfs]
+    assert logv.tolist() == [math.log(x) for x in v.tolist()]
+    assert logv.tolist() == [im.LogVTarget(ref).scalar(pf) for pf in pfs]
 
 
 def test_stencil_frames_are_checked(monkeypatch):

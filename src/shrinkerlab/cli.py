@@ -190,18 +190,43 @@ DEFAULTS = {
     },
 }
 
-_POSITIVE_KEYS = ("fd_step", "threshold", "control_floor", "box")
-_COUNT_KEYS = (
-    "probes", "chunks", "composition_probes", "v_count", "rt_resolution",
-    "samples", "restarts", "iters", "n", "m", "max_steps", "sample_interval",
-)
+# the range of each value type in load_config, and the keys whose range differs
+_TYPE_RANGES = {
+    bool: (lambda x: True, "true or false"),
+    int: (lambda x: x >= 1, "a positive integer"),
+    float: (lambda x: x > 0.0, "a positive finite number"),
+    str: (lambda x: True, "a string"),
+    list: (lambda x: all(isinstance(s, str) for s in x), "a list of names"),
+}
+_KEY_RANGES = {
+    "seed": (lambda x: x >= 0, "a nonnegative integer"),
+    "order": (lambda x: x in (2, 4), "2 or 4"),
+    "resolution": (lambda x: x >= 5, "an integer of at least 5"),
+    "amplitude": (lambda x: x >= 0.0, "a nonnegative finite number"),
+    "v_hi": (lambda x: 1.0 < x < 3.0, "a number in (1, 3): the bound degenerates at "
+             "v = 3 and samples at or above it are outside the domain"),
+}
+
+
+def _typed(key, val, default):
+    """val with the type of the key's default (an int taken as a float where
+    the default is one), or ConfigError if the type or the range is wrong."""
+    kind = type(default)
+    if kind is float and type(val) is int and abs(val) < 1e308:  # float() takes it
+        val = float(val)
+    accept, expected = _KEY_RANGES.get(key) or _TYPE_RANGES[kind]
+    if type(val) is not kind or (kind is float and not math.isfinite(val)) or not accept(val):
+        raise ConfigError(f"config key {key!r} must be {expected}, got {val!r}")
+    return val
 
 
 def load_config(subcommand, path=None, seed=None, tolerance_scale=1.0):
     """Merge defaults, file payload, and flag overrides into one dict.
 
-    Unknown keys are rejected, every tolerance must be positive, and the
-    sweep ceiling must stay inside the v < 3 domain.
+    Unknown keys are rejected, and every value must have the type of its
+    default and lie in its key's range: counts positive, tolerances and
+    other numbers positive and finite, the sweep ceiling inside the v < 3
+    domain.
     """
     if subcommand not in DEFAULTS:
         raise ConfigError(f"unknown subcommand {subcommand!r}")
@@ -213,7 +238,7 @@ def load_config(subcommand, path=None, seed=None, tolerance_scale=1.0):
                 payload = json.load(fh)
         except OSError as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # bad JSON, bad UTF-8 or an over-long integer
             raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
         if not isinstance(payload, dict):
             raise ConfigError("config payload must be a JSON object")
@@ -228,53 +253,16 @@ def load_config(subcommand, path=None, seed=None, tolerance_scale=1.0):
             cfg[key] = val
     if seed is not None:
         cfg["seed"] = seed
-    if not isinstance(cfg["seed"], int) or cfg["seed"] < 0:
-        raise ConfigError("seed must be a nonnegative integer")
     try:
         tolerance_scale = float(tolerance_scale)
     except (TypeError, ValueError) as exc:
         raise ConfigError("tolerance scale must be a number") from exc
     if not tolerance_scale > 0.0 or not math.isfinite(tolerance_scale):
         raise ConfigError("tolerance scale must be positive and finite")
-    for key in list(cfg):
+    for key, default in DEFAULTS[subcommand].items():
+        cfg[key] = _typed(key, cfg[key], default)
         if key.startswith("tol_"):
-            val = cfg[key]
-            if not isinstance(val, (int, float)) or not val > 0:
-                raise ConfigError(f"tolerance {key!r} must be positive")
-            cfg[key] = float(val) * tolerance_scale
-        elif key in _POSITIVE_KEYS:
-            val = cfg[key]
-            if not isinstance(val, (int, float)) or not val > 0:
-                raise ConfigError(f"config key {key!r} must be positive")
-            cfg[key] = float(val)
-        elif key in _COUNT_KEYS:
-            val = cfg[key]
-            if not isinstance(val, int) or isinstance(val, bool) or val < 1:
-                raise ConfigError(f"config key {key!r} must be a positive integer")
-    if subcommand == "verify-prop41":
-        v_hi = cfg["v_hi"]
-        if not isinstance(v_hi, (int, float)) or not 1.0 < v_hi < 3.0:
-            raise ConfigError(
-                "v_hi must lie in (1, 3): the bound degenerates at v = 3 "
-                "and samples at or above it are outside the domain"
-            )
-        cfg["v_hi"] = float(v_hi)
-    if subcommand == "flow-graph":
-        if cfg["order"] not in (2, 4):
-            raise ConfigError("order must be 2 or 4")
-        if cfg["resolution"] < 5 or not isinstance(cfg["resolution"], int):
-            raise ConfigError("resolution must be an integer of at least 5")
-        amp = cfg["amplitude"]
-        if not isinstance(amp, (int, float)) or amp < 0:
-            raise ConfigError("amplitude must be nonnegative")
-        cfg["amplitude"] = float(amp)
-    if subcommand == "verify-shrinkers":
-        for key in ("surfaces", "control_surfaces"):
-            names = cfg[key]
-            if not isinstance(names, list) or not all(
-                isinstance(s, str) for s in names
-            ):
-                raise ConfigError(f"config key {key!r} must be a list of names")
+            cfg[key] *= tolerance_scale
     return cfg
 
 
@@ -375,10 +363,10 @@ def _normal_complement(P):
     return q[:, P.n:].T
 
 
-def _frame_in_chart(rng, base, max_angle=1.1):
+def _frame_in_chart(rng, base):
     om = rng.standard_normal((base.n, base.m))
     top = max(float(np.linalg.svd(om)[1][0]), 1e-12)
-    om *= max_angle * rng.uniform(0.1, 1.0) / top
+    om *= 1.1 * rng.uniform(0.1, 1.0) / top
     return grassmann.geodesic_from_velocity(base, _normal_complement(base), om, 1.0)
 
 
@@ -491,9 +479,9 @@ def cmd_verify_targets(cfg, outdir, jobs=1) -> RunReport:
 # verify-shrinkers: catalog residuals, weighted tension, composition identity
 
 
-def _chart_probes(imm, rng, count, margin=0.12):
-    lo = imm.chart[:, 0] + margin * (imm.chart[:, 1] - imm.chart[:, 0])
-    hi = imm.chart[:, 1] - margin * (imm.chart[:, 1] - imm.chart[:, 0])
+def _chart_probes(imm, rng, count):
+    lo = imm.chart[:, 0] + 0.12 * (imm.chart[:, 1] - imm.chart[:, 0])
+    hi = imm.chart[:, 1] - 0.12 * (imm.chart[:, 1] - imm.chart[:, 0])
     return rng.uniform(lo, hi, size=(count, imm.chart.shape[0]))
 
 
@@ -815,7 +803,7 @@ def cmd_report(cfg, outdir, jobs=1) -> RunReport:
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 payload = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:
             warnings.append(f"skipping {base}: {exc}")
             continue
         if not isinstance(payload, dict) or payload.get("schema") != REPORT_SCHEMA:

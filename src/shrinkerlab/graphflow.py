@@ -303,8 +303,7 @@ def second_form_sq_field(field: GridField, order=2):
 class SolverConfig:
     """Explicit-relaxation policy: stepping, stopping, telemetry cadence."""
 
-    dt: Optional[float] = None  # None: CFL-scaled cfl * h^2 / (2 n)
-    cfl: float = 0.45
+    dt: Optional[float] = None  # None: CFL-scaled 0.45 h^2 / (2 n)
     max_steps: int = 200_000
     threshold: float = 1e-8
     order: int = 2
@@ -316,7 +315,7 @@ class SolverConfig:
             raise ValueError("time step must be positive")
         if self.threshold <= 0:
             raise ValueError("convergence threshold must be positive")
-        if self.cfl <= 0 or self.max_steps <= 0 or self.sample_interval <= 0:
+        if self.max_steps <= 0 or self.sample_interval <= 0:
             raise ValueError("solver parameters must be positive")
 
 
@@ -349,14 +348,14 @@ def relax_flow(u0: GridField, cfg: SolverConfig = SolverConfig()):
     """Explicit parabolic relaxation toward the graphic shrinker system.
 
     Interior nodes move by the residual; boundary samples never change.  The
-    default step is cfl * h^2 / (2 n), which satisfies the stability bound
+    default step is 0.45 h^2 / (2 n), which satisfies the stability bound
     since the largest eigenvalue of g^ij is at most one (g >= identity).
     Stops when sup |residual| drops below the threshold or max_steps is hit;
     blow-up beyond cfg.blowup raises DivergenceError with the trace attached.
     A non-finite initial field raises ValueError before any step.
     """
     h = float(np.min(u0.spacing))
-    dt = cfg.dt if cfg.dt is not None else cfg.cfl * h * h / (2.0 * u0.n)
+    dt = cfg.dt if cfg.dt is not None else 0.45 * h * h / (2.0 * u0.n)
     box = interior(u0, cfg.order)
     current = GridField(
         L=u0.L, values=u0.values.copy(), boundary=u0.boundary, A=u0.A, b=u0.b
@@ -367,10 +366,7 @@ def relax_flow(u0: GridField, cfg: SolverConfig = SolverConfig()):
     while step < cfg.max_steps:
         res = system_residual(current, cfg.order)
         if float(np.max(np.abs(res))) < cfg.threshold:
-            if trace.steps[-1] != step:
-                trace.record(step, step * dt, current, cfg.order)
-            trace.converged = True
-            return current, trace
+            break
         current.values[box] += dt * res
         step += 1
         sup_val = float(np.max(np.abs(current.values)))
@@ -584,26 +580,21 @@ def trace_to_csv(trace: FlowTrace) -> str:
     return "\n".join(out) + "\n"
 
 
-_SVG_COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd")
+_SVG_COLORS = ("#1f77b4", "#d62728")  # one per series of trace_svg
 
 
-def trace_svg(trace: FlowTrace, channels=("sup_residual", "sup_slope"),
-              log_channels=("sup_residual", "sup_b2"), size=(640, 360)) -> str:
-    """Hand-rolled SVG line plot of trace channels against time."""
-    width, height = size
+def trace_svg(trace: FlowTrace) -> str:
+    """Hand-rolled SVG line plot of log10 sup_residual and sup_slope against time."""
+    width, height = 640, 360
     pad = 48.0
     t = np.asarray(trace.times, dtype=float)
     if t.size < 2:
         t = np.array([0.0, 1.0] if t.size == 0 else [t[0], t[0] + 1.0])
-    series = []
-    for name in channels:
-        y = np.asarray(getattr(trace, name), dtype=float)
-        if name in log_channels:
-            y = np.log10(np.maximum(np.abs(y), 1e-300))
-            label = f"log10 {name}"
-        else:
-            label = name
-        series.append((label, y))
+    residual = np.abs(np.asarray(trace.sup_residual, dtype=float))
+    series = [
+        ("log10 sup_residual", np.log10(np.maximum(residual, 1e-300))),
+        ("sup_slope", np.asarray(trace.sup_slope, dtype=float)),
+    ]
     ymin = min(float(np.min(y)) for _, y in series)
     ymax = max(float(np.max(y)) for _, y in series)
     if ymax - ymin < 1e-12:
@@ -629,7 +620,7 @@ def trace_svg(trace: FlowTrace, channels=("sup_residual", "sup_slope"),
         'font-size="12">time</text>',
     ]
     for pos, (label, y) in enumerate(series):
-        color = _SVG_COLORS[pos % len(_SVG_COLORS)]
+        color = _SVG_COLORS[pos]
         n_pts = min(len(t), len(y))
         pts = " ".join(
             f"{sx(t[i]):.2f},{sy(y[i]):.2f}" for i in range(n_pts)

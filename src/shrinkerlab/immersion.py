@@ -72,13 +72,13 @@ class ParametricImmersion:
         step = (chart[:, 1] - chart[:, 0]) * 1e-3
         return cls(n, m, chart, lambda q: _fd_jets(func, q, step), step, label)
 
-    def _inside(self, p, slack=1e-12):
+    def _inside(self, p):
         # per point over leading axes: every coordinate within the chart box
         lo, hi = self.chart.T
-        return ((p >= lo - slack) & (p <= hi + slack)).all(axis=-1)
+        return ((p >= lo - 1e-12) & (p <= hi + 1e-12)).all(axis=-1)
 
-    def contains(self, param, slack=1e-12):
-        return bool(self._inside(np.asarray(param, dtype=float), slack).all())
+    def contains(self, param):
+        return bool(self._inside(np.asarray(param, dtype=float)).all())
 
     def jet(self, param):
         p = np.asarray(param, dtype=float)
@@ -599,14 +599,13 @@ class WeightedPatchMesh:
         return tuple(map(PointFrame, *cols, self.rho.tolist()))
 
 
-def patch_mesh(imm: ParametricImmersion, shape, bounds=None, closed=False):
-    """Tensor-product midpoint mesh over the chart (or a sub-box)."""
+def patch_mesh(imm: ParametricImmersion, shape, closed=False):
+    """Tensor-product midpoint mesh over the chart."""
     shape = tuple(int(s) for s in shape)
     if len(shape) != imm.n or min(shape) < 1:
         raise ValueError("need one positive resolution per parameter")
-    box = imm.chart if bounds is None else np.asarray(bounds, dtype=float)
-    steps = [(hi - lo) / cnt for (lo, hi), cnt in zip(box, shape)]
-    axes = [lo + st * (np.arange(c) + 0.5) for (lo, _), st, c in zip(box, steps, shape)]
+    steps = [(hi - lo) / cnt for (lo, hi), cnt in zip(imm.chart, shape)]
+    axes = [lo + st * (np.arange(c) + 0.5) for (lo, _), st, c in zip(imm.chart, steps, shape)]
     params = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=1)
     f = _frame_kernel(*imm.jets(params), params)
     _check_frames(f)
@@ -617,9 +616,9 @@ def patch_mesh(imm: ParametricImmersion, shape, bounds=None, closed=False):
     )
 
 
-def sphere_mesh(R, shape, n=2, c1=0.0):
-    """Closed lat-long mesh of the round n-sphere of radius R."""
-    imm = catalog_immersion(f"sphere:n={n},R={R},c1={c1}")
+def sphere_mesh(R, shape):
+    """Closed lat-long mesh of the centred round 2-sphere of radius R."""
+    imm = catalog_immersion(f"sphere:n=2,R={R},c1=0.0")
     return patch_mesh(imm, shape, closed=True)
 
 
@@ -737,20 +736,15 @@ def sphere_map_tension(imm: ParametricImmersion, param, map_fn, grad_log_w):
     return lap + energy_density * y + (fr.tangent @ grad_log_w) @ push
 
 
-def first_variation_check(
-    mesh: WeightedPatchMesh,
-    family,
-    weight_of,
-    dt=1e-3,
-    boundary_probe=True,
-) -> FirstVariationReport:
+def first_variation_check(mesh: WeightedPatchMesh, family, weight_of) -> FirstVariationReport:
     """Compare d/dt of the weighted energy with the tension pairing.
 
     family(t) returns the map at time t; weight_of(mesh) builds the weight
-    field.  The pairing side is -int <d/dt map, tension> w.  A variation
-    reaching the patch boundary triggers a warning since boundary terms are
-    dropped.
+    field.  The pairing side is -int <d/dt map, tension> w, with d/dt a
+    central difference of step 1e-3.  A variation reaching the boundary of
+    an open patch triggers a warning since boundary terms are dropped.
     """
+    dt = 1e-3
     imm = mesh.immersion
     w = weight_of(mesh) if callable(weight_of) else weight_of
     f0, fp, fm = family(0.0), family(dt), family(-dt)
@@ -768,7 +762,7 @@ def first_variation_check(
         amp = max(amp, float(np.max(np.abs(vdot))))
         tau = sphere_map_tension(imm, p, f0, w.grad_log[idx])
         total += -float(vdot @ tau) * w.values[idx] * mesh.weights[idx]
-    if boundary_probe and not mesh.closed:
+    if not mesh.closed:
         edge = 0.0
         for k in range(imm.n):
             for side in (0, 1):
@@ -876,7 +870,7 @@ def _cylinder_immersion(k, n):
     )
 
 
-def graph_immersion(u, n, m, chart, jets=None, label="graph"):
+def graph_immersion(u, n, m, chart, jets=None):
     """Immersion x -> (x, u(x)) of a height map with m components.
 
     jets, if given, must return (u, du, ddu) with du[k] the k-th partial of
@@ -893,7 +887,7 @@ def graph_immersion(u, n, m, chart, jets=None, label="graph"):
                 np.concatenate([np.zeros((n, n, n)), np.reshape(ddu, (n, n, m))], -1),
             )
 
-        return ParametricImmersion(n, m, chart, jet, label=label)
+        return ParametricImmersion(n, m, chart, jet, label="graph")
 
     def position(param):
         x = np.zeros(n + m)
@@ -901,7 +895,7 @@ def graph_immersion(u, n, m, chart, jets=None, label="graph"):
         x[n:] = np.atleast_1d(np.asarray(u(param), dtype=float))
         return x
 
-    return ParametricImmersion.from_positions(position, n, m, chart, label=label)
+    return ParametricImmersion.from_positions(position, n, m, chart, label="graph")
 
 
 def _parse_args(text):

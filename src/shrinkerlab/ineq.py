@@ -50,7 +50,7 @@ class PoleError(ZeroDivisionError):
 # scalar side: Omega, F, F1, F2, H1, H2
 
 
-def omega_membership(v, r, t, tol=1e-12):
+def omega_membership(v, r, t):
     """Check (v, r, t) against the three Omega constraints.
 
     Returns (member, reason); the reason names the first violated
@@ -59,11 +59,11 @@ def omega_membership(v, r, t, tol=1e-12):
     if not 1.0 < v < 3.0:
         return False, "v outside (1,3)"
     tau = 0.5 * (v - 1.0)
-    if abs((1.0 + r) * (1.0 + t) - v * v) > tol * v * v:
+    if abs((1.0 + r) * (1.0 + t) - v * v) > 1e-12 * v * v:
         return False, "(1+r)(1+t) = v^2 fails"
     if r <= tau:
         return False, "r <= tau: t-bound undefined (tau^{-1} r <= 1)"
-    if t < 2.0 * tau / (r / tau - 1.0) - tol:
+    if t < 2.0 * tau / (r / tau - 1.0) - 1e-12:
         return False, "t below its lower bound"
     return True, "member"
 
@@ -224,7 +224,7 @@ def sup_F_sweep(v_count=10_000, rt_resolution=10_000, v_lo=None, v_hi=None,
     )
 
 
-def near_equality_probe(v, half_width=0.2, count=401):
+def near_equality_probe(v):
     """Grid check of the three-angle product bound near its tight point.
 
     With x = lam_i^2 at the distinguished value tau (2 tau + 3) and the two
@@ -234,7 +234,7 @@ def near_equality_probe(v, half_width=0.2, count=401):
     """
     tau = 0.5 * (v - 1.0)
     x_star = tau * (2.0 * tau + 3.0)
-    x = np.linspace(x_star - half_width, x_star + half_width, count)
+    x = np.linspace(x_star - 0.2, x_star + 0.2, 401)
     x = x[x > tau + 1e-9]
     if x_star > tau:
         x = np.unique(np.concatenate([x, [x_star]]))
@@ -289,7 +289,7 @@ class GroupSample:
             raise ValueError("angle values and h must be finite")
         if np.max(np.abs(h - np.swapaxes(h, 1, 2))) > 1e-12:
             raise ValueError("h must be symmetric in its last two indices")
-        v = float(np.exp(0.5 * np.sum(np.log1p(lam * lam))))
+        v = float(_slope(lam))
         if not math.isfinite(v):
             raise ValueError("slope value is not finite")
         object.__setattr__(self, "v", v)
@@ -313,12 +313,17 @@ class GroupSample:
         }
 
 
-def _master_kernel(lam, h, c1=C1):
+def _slope(lam):
+    """v = prod sqrt(1 + lam_j^2) over the last axis, as exp(sum log1p(lam^2) / 2)."""
+    return np.exp(0.5 * np.sum(np.log1p(lam * lam), axis=-1))
+
+
+def _master_kernel(lam, h):
     """(total, |B|^2, v) for one sample or a batch, in the input dtype.
 
     lam has shape (..., p) and h (..., m, n, n) over the same leading axes.
     total = |B|^2 + sum_{i,j,k} lam_j lam_k h_{k,ij} h_{j,ik}
-    + c1 sum_i (sum_j lam_j h_{j,ij})^2, where the j = k part of the middle
+    + C1 sum_i (sum_j lam_j h_{j,ij})^2, where the j = k part of the middle
     sum is the diagonal square term sum lam_j^2 h_{j,ij}^2 and the rest the
     cross terms.
     """
@@ -328,20 +333,19 @@ def _master_kernel(lam, h, c1=C1):
     b2 = np.sum(h * h, axis=(-3, -2, -1))
     coupled = np.einsum("...j,...k,...kij,...jik->...", lam, lam, hq, hq)
     sums = np.einsum("...ij,...j->...i", d, lam)
-    total = b2 + coupled + c1 * np.sum(sums * sums, axis=-1)
-    v = np.exp(0.5 * np.sum(np.log1p(lam * lam), axis=-1))
-    return total, b2, v
+    total = b2 + coupled + C1 * np.sum(sums * sums, axis=-1)
+    return total, b2, _slope(lam)
 
 
-def _margins(lam, h, c1):
+def _margins(lam, h):
     """(margin, total, v) from one kernel call; margin = total - (3 - v)|B|^2 / 2."""
-    total, b2, v = _master_kernel(lam, h, c1)
+    total, b2, v = _master_kernel(lam, h)
     return total - 0.5 * (3.0 - v) * b2, total, v
 
 
-def direct_total(s: GroupSample, c1=C1):
-    """|B|^2 + sum lam_j^2 h_{j,ij}^2 + cross terms + c1 sum_i (sum_j lam_j h_{j,ij})^2."""
-    return float(_master_kernel(s.lam, s.h, c1)[0])
+def direct_total(s: GroupSample):
+    """|B|^2 + sum lam_j^2 h_{j,ij}^2 + cross terms + C1 sum_i (sum_j lam_j h_{j,ij})^2."""
+    return float(_master_kernel(s.lam, s.h)[0])
 
 
 class _GroupTable(NamedTuple):
@@ -454,7 +458,7 @@ def group_terms(s: GroupSample) -> GroupBreakdown:
     """All group values, the two routes to the total, and the master margin."""
     t, vals = _group_values(s)
     I, II, III, IV = _by_group(t, vals)
-    margin, total, _ = _margins(s.lam, s.h, C1)
+    margin, total, _ = _margins(s.lam, s.h)
     return GroupBreakdown(
         leftover=float(vals[-1]),
         I=I,
@@ -484,7 +488,7 @@ class GroupMargins:
     counterexample: Optional[dict]
 
 
-def group_bounds_check(s: GroupSample, tol=MARGIN_TOL) -> GroupMargins:
+def group_bounds_check(s: GroupSample) -> GroupMargins:
     if not s.subcritical:
         raise ValueError("group bounds require a subcritical sample (v < 3)")
     t, vals = _group_values(s)
@@ -494,7 +498,7 @@ def group_bounds_check(s: GroupSample, tol=MARGIN_TOL) -> GroupMargins:
     worst = float(margins.min())
     mI, mII, mIII, mIV = _by_group(t, margins)
     counter = None
-    if worst < -tol:
+    if worst < -MARGIN_TOL:
         counter = counterexample_dump(s, {
             "group_margins": {
                 "I": {str(k): val for k, val in mI.items()},
@@ -506,15 +510,15 @@ def group_bounds_check(s: GroupSample, tol=MARGIN_TOL) -> GroupMargins:
     return GroupMargins(mI, mII, mIII, mIV, worst, counter)
 
 
-def master_margin(s: GroupSample, c1=C1):
+def master_margin(s: GroupSample):
     """direct quadratic-form total minus (3 - v)|B|^2 / 2."""
-    return float(_margins(s.lam, s.h, c1)[0])
+    return float(_margins(s.lam, s.h)[0])
 
 
-def master_inequality_check(s: GroupSample, c1=C1, tol=MARGIN_TOL):
-    margin = master_margin(s, c1)
+def master_inequality_check(s: GroupSample):
+    margin = master_margin(s)
     record = None
-    if margin < -tol:
+    if margin < -MARGIN_TOL:
         record = counterexample_dump(s, {"master_margin": margin})
     return margin, record
 
@@ -526,16 +530,16 @@ def counterexample_dump(s: GroupSample, values: dict) -> dict:
     return out
 
 
-def batched_master_margins(lam, h, c1=C1):
+def batched_master_margins(lam, h):
     """Vectorized master margins and slope values: lam (B, p), h (B, m, n, n)."""
-    margin, _, v = _margins(np.asarray(lam, dtype=float), np.asarray(h, dtype=float), c1)
+    margin, _, v = _margins(np.asarray(lam, dtype=float), np.asarray(h, dtype=float))
     return margin, v
 
 
-def longdouble_master_margin(s: GroupSample, c1=C1):
+def longdouble_master_margin(s: GroupSample):
     """Extended-precision recheck used before reporting any violation."""
     ld = np.longdouble
-    return float(_margins(s.lam.astype(ld), s.h.astype(ld), c1)[0])
+    return float(_margins(s.lam.astype(ld), s.h.astype(ld))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -616,8 +620,7 @@ class SearchReport:
         return self.worst_margin >= -MARGIN_TOL and not self.violations
 
 
-def adversarial_margin_search(seed=0, restarts=10_000, iters=60,
-                              max_dim=5, max_p=4, c1=C1) -> SearchReport:
+def adversarial_margin_search(seed=0, restarts=10_000, iters=60) -> SearchReport:
     """Batched greedy descent on the master margin from random restarts.
 
     All restarts for one (n, m) shape advance together: each iteration
@@ -628,12 +631,7 @@ def adversarial_margin_search(seed=0, restarts=10_000, iters=60,
     the v -> 3 boundary where the bound degenerates.
     """
     rng = np.random.default_rng(seed)
-    shapes = [
-        (n, m)
-        for n in range(1, max_dim + 1)
-        for m in range(1, max_dim + 1)
-        if min(n, m) <= max_p
-    ]
+    shapes = [(n, m) for n in range(1, 6) for m in range(1, 6) if min(n, m) <= 4]
     per_shape = max(1, restarts // len(shapes))
     worst = math.inf
     worst_sample = None
@@ -652,13 +650,13 @@ def adversarial_margin_search(seed=0, restarts=10_000, iters=60,
         lam = np.sqrt(np.expm1(shares))
         raw = rng.normal(size=(B, m, n, n))
         h = 0.5 * (raw + np.swapaxes(raw, 2, 3))
-        margins, _ = batched_master_margins(lam, h, c1)
+        margins, _ = batched_master_margins(lam, h)
         evaluations += B
         step = 0.5
         for _ in range(iters):
             lam_c = np.abs(lam + step * rng.normal(size=lam.shape))
             # keep the batch subcritical: rescale any candidate that crossed
-            vs = np.exp(0.5 * np.sum(np.log1p(lam_c * lam_c), axis=1))
+            vs = _slope(lam_c)
             hot = vs >= 3.0 - 1e-9
             if np.any(hot):
                 factor = np.sqrt(
@@ -670,7 +668,7 @@ def adversarial_margin_search(seed=0, restarts=10_000, iters=60,
                 lam_c[hot] = np.where(lam_c[hot] > 0, factor, 0.0)
             raw = rng.normal(size=h.shape)
             h_c = h + step * 0.5 * (raw + np.swapaxes(raw, 2, 3))
-            m_c, _ = batched_master_margins(lam_c, h_c, c1)
+            m_c, _ = batched_master_margins(lam_c, h_c)
             evaluations += B
             better = m_c < margins
             lam = np.where(better[:, None], lam_c, lam)
@@ -684,7 +682,7 @@ def adversarial_margin_search(seed=0, restarts=10_000, iters=60,
         flagged = np.nonzero(margins < -MARGIN_TOL)[0]
         for idx in flagged:
             cand = GroupSample(n=n, m=m, lam=lam[idx], h=h[idx])
-            refined = longdouble_master_margin(cand, c1)
+            refined = longdouble_master_margin(cand)
             if refined < -MARGIN_TOL:
                 violations.append(
                     counterexample_dump(cand, {"master_margin": refined})
@@ -702,21 +700,21 @@ def adversarial_margin_search(seed=0, restarts=10_000, iters=60,
 # the v^{C1} transform
 
 
-def h_transform_identity(logv_val, L_logv, grad_logv_sq, b2=None, v=None, c1=C1):
-    """Chain-rule values for h = exp(c1 log v).
+def h_transform_identity(logv_val, L_logv, grad_logv_sq, b2=None, v=None):
+    """Chain-rule values for h = exp(C1 log v).
 
-    Returns (Lh, bound) with Lh = c1 h (L log v + c1 |grad log v|^2); bound
-    is c1 h (3 - v) |B|^2 / 2 when b2 and v are supplied, else None.  The
-    first-derivative route c1 h L + c1^2 h G must agree to rounding.
+    Returns (Lh, bound) with Lh = C1 h (L log v + C1 |grad log v|^2); bound
+    is C1 h (3 - v) |B|^2 / 2 when b2 and v are supplied, else None.  The
+    first-derivative route C1 h L + C1^2 h G must agree to rounding.
     """
-    hval = math.exp(c1 * logv_val)
-    lh = c1 * hval * (L_logv + c1 * grad_logv_sq)
-    via_chain = c1 * hval * L_logv + (c1 * c1 * hval) * grad_logv_sq
+    hval = math.exp(C1 * logv_val)
+    lh = C1 * hval * (L_logv + C1 * grad_logv_sq)
+    via_chain = C1 * hval * L_logv + (C1 * C1 * hval) * grad_logv_sq
     if abs(lh - via_chain) > 1e-12 * max(1.0, abs(lh)):
         raise ArithmeticError("chain-rule routes disagree beyond rounding")
     bound = None
     if b2 is not None and v is not None:
-        bound = 0.5 * c1 * hval * (3.0 - v) * b2
+        bound = 0.5 * C1 * hval * (3.0 - v) * b2
     return lh, bound
 
 

@@ -32,7 +32,7 @@ __all__ = [
     "tangent_frame",
 ]
 
-#: default tolerance for classifying points near a region boundary
+#: tolerance for classifying points near a region boundary
 REGION_TOL = 1e-9
 
 _UNIT_TOL = 1e-12
@@ -142,11 +142,9 @@ def longitude_coords(x: np.ndarray, tol: float = REGION_TOL) -> LongitudeCoords:
     return LongitudeCoords(r, math.atan2(x2, x1))
 
 
-def longitude_differentials(
-    x: np.ndarray, basis: np.ndarray, tol: float = REGION_TOL
-) -> tuple[np.ndarray, np.ndarray]:
+def longitude_differentials(x: np.ndarray, basis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Coefficient vectors of dr and dtheta at x in the given frame."""
-    r, _ = longitude_coords(x, tol=tol)
+    r, _ = longitude_coords(x)
     basis = _check_tangent_frame(_check_unit(x, "x"), basis)
     # ambient differentials of r = |(x1,x2)| and theta = atan2(x2,x1),
     # restricted to tangent vectors
@@ -159,40 +157,36 @@ def longitude_differentials(
     return basis @ grad_r, basis @ grad_t
 
 
-def hess_r_theta(
-    x: np.ndarray, basis: np.ndarray, tol: float = REGION_TOL
-) -> tuple[SymBilinearForm, SymBilinearForm]:
+def hess_r_theta(x: np.ndarray, basis: np.ndarray) -> tuple[SymBilinearForm, SymBilinearForm]:
     """Exact Hessians of r and theta at x, in the given frame.
 
     Hess r = -r g_s + r dtheta (x) dtheta
     Hess theta = -(dr (x) dtheta + dtheta (x) dr) / r
     """
-    r, _ = longitude_coords(x, tol=tol)
-    dr, dt = longitude_differentials(x, basis, tol=tol)
+    r, _ = longitude_coords(x)
+    dr, dt = longitude_differentials(x, basis)
     n = dr.size
     hr = -r * np.eye(n) + r * np.outer(dt, dt)
     ht = -(np.outer(dr, dt) + np.outer(dt, dr)) / r
     return SymBilinearForm(hr), SymBilinearForm(ht)
 
 
-def region_membership(
-    x: np.ndarray, a: np.ndarray, tol: float = REGION_TOL
-) -> RegionClass:
+def region_membership(x: np.ndarray, a: np.ndarray) -> RegionClass:
     """Classify x relative to the hemisphere at pole a and the slit chart.
 
-    OPEN_HEMI iff <x,a> > tol; CLOSED_HEMI_BOUNDARY iff |<x,a>| <= tol.
-    Otherwise V_REGION if x avoids the canonical deleted half-equator
-    {x2 = 0, x1 <= 0} (within tol), else OUTSIDE.
+    OPEN_HEMI iff <x,a> > REGION_TOL; CLOSED_HEMI_BOUNDARY iff
+    |<x,a>| <= REGION_TOL.  Otherwise V_REGION if x avoids the canonical
+    deleted half-equator {x2 = 0, x1 <= 0} (within REGION_TOL), else OUTSIDE.
     """
     x = _check_unit(x, "x")
     a = _check_unit(a, "a")
     ip = float(x @ a)
-    if ip > tol:
+    if ip > REGION_TOL:
         return RegionClass.OPEN_HEMI
-    if abs(ip) <= tol:
+    if abs(ip) <= REGION_TOL:
         return RegionClass.CLOSED_HEMI_BOUNDARY
     try:
-        longitude_coords(x, tol=tol)
+        longitude_coords(x)
     except RegionError:
         return RegionClass.OUTSIDE
     return RegionClass.V_REGION

@@ -58,6 +58,42 @@ def test_sweep_ceiling_at_or_above_three_rejected(tmp_path):
     assert cli.main(["verify-prop41", "--config", cfg, "--out", str(tmp_path)]) == 2
 
 
+@pytest.mark.parametrize("subcommand, payload", [
+    ("flow-graph", {"resolution": "abc"}),
+    ("verify-targets", {"residual_csv": 5}),
+    ("flow-graph", {"trace_csv": None}),
+    ("verify-targets", {"flip_hess_height_sign": "no"}),
+    ("flow-graph", {"order": 4.0}),
+])
+def test_wrong_typed_config_value_rejected(tmp_path, capsys, subcommand, payload):
+    cfg = _write_cfg(tmp_path, payload)
+    out = tmp_path / "out"
+    assert cli.main([subcommand, "--config", cfg, "--out", str(out)]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not (out / f"report_{subcommand}.json").exists()
+
+
+@pytest.mark.parametrize("raw", [
+    b'\xff\xfe{"probes": 4}',
+    b'{"probes": ' + b"1" * 5000 + b"}",  # beyond Python's integer parsing limit
+], ids=["not-utf8", "long-integer"])
+def test_unreadable_config_file_rejected(tmp_path, capsys, raw):
+    path = tmp_path / "cfg.json"
+    path.write_bytes(raw)
+    out = tmp_path / "out"
+    assert cli.main(["verify-targets", "--config", str(path), "--out", str(out)]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_report_skips_a_report_that_is_not_utf8(tmp_path, capsys):
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "report_verify-targets.json").write_bytes(b"\xff\xfe")
+    assert cli.main(["report", "--out", str(out)]) == 0
+    assert "skipping report_verify-targets.json" in capsys.readouterr().err
+
+
 def test_verify_targets_small_run_passes(tmp_path):
     cfg = _write_cfg(tmp_path, {"probes": 16, "chunks": 2})
     out = tmp_path / "out"

@@ -14,10 +14,11 @@ with the immersion layer through jets evaluated at grid nodes.
 
 from __future__ import annotations
 
+import functools
 import io
 import math
 from dataclasses import dataclass, field as dc_field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -137,54 +138,93 @@ def interior(field: GridField, order=2):
     return tuple(slice(g, s - g) for s in field.shape)
 
 
-def _along(v, axis, k, g):
-    """v shifted by k nodes along `axis`, without its g outermost nodes there."""
-    idx = [slice(None)] * v.ndim
-    idx[axis] = slice(g + k, v.shape[axis] - g + k)
-    return v[tuple(idx)]
+# Central differences: (shift, weight) terms in summation order, and the
+# factor c of the divisor, c h for first and c h h for second differences.
+_D1 = {2: (((1, 1.0), (-1, -1.0)), 2.0),
+       4: (((2, -1.0), (1, 8.0), (-1, -8.0), (-2, 1.0)), 12.0)}
+_D2 = {2: (((1, 1.0), (0, -2.0), (-1, 1.0)), 1.0),
+       4: (((2, -1.0), (1, 16.0), (0, -30.0), (-1, 16.0), (-2, -1.0)), 12.0)}
 
 
-def _d1(v, axis, h, order):
-    """Central first difference along `axis` at the nodes where it fits."""
-    s = lambda k: _along(v, axis, k, _margin(order))
-    if order == 2:
-        return (s(1) - s(-1)) / (2.0 * h)
-    return (-s(2) + 8.0 * s(1) - 8.0 * s(-1) + s(-2)) / (12.0 * h)
+class _Plan(NamedTuple):
+    """What a geometry pass needs from the grid alone.
+
+    box selects the interior; X is the open grid of interior coordinates
+    (n read-only arrays with a trailing component axis, broadcasting against
+    (*interior, m)).  Each difference is (terms, divisor) with terms the
+    (weight, slices) pairs of _apply: d1[k] and d2[k] run along axis k on
+    the field values, and mixed holds (k, l, inner, outer) for k < l, the
+    first difference along k on values kept whole along l, then along l.
+    """
+
+    box: tuple
+    X: tuple
+    d1: tuple
+    d2: tuple
+    mixed: tuple
 
 
-def _d2(v, axis, h, order):
-    """Central second difference along `axis` at the nodes where it fits."""
-    s = lambda k: _along(v, axis, k, _margin(order))
-    if order == 2:
-        return (s(1) - 2.0 * s(0) + s(-1)) / (h * h)
-    return (-s(2) + 16.0 * s(1) - 30.0 * s(0) + 16.0 * s(-1) - s(-2)) / (12.0 * h * h)
+@functools.lru_cache(maxsize=8)
+def _plan(shape, L, order):
+    g = _margin(order)
+    n = len(shape)
+    box = tuple(slice(g, s - g) for s in shape)
+    h = [2.0 * L / (s - 1) for s in shape]
+
+    def diff(table, k, rest):
+        # along axis k; rest slices every other axis of the input
+        weights, c = table[order]
+        div = c * h[k] if table is _D1 else c * h[k] * h[k]
+        terms = tuple(
+            (w, tuple(slice(g + s, shape[k] - g + s) if j == k else rest[j]
+                      for j in range(n)))
+            for s, w in weights
+        )
+        return terms, div
+
+    mixed = tuple(
+        (k, l, diff(_D1, k, box[:l] + (slice(None),) + box[l + 1:]),
+         diff(_D1, l, (slice(None),) * n))
+        for k in range(n) for l in range(k + 1, n)
+    )
+    axes = [np.linspace(-L, L, s)[b] for s, b in zip(shape, box)]
+    X = tuple(x[..., None] for x in np.meshgrid(*axes, indexing="ij", sparse=True))
+    for x in X:
+        x.setflags(write=False)
+    return _Plan(box, X, tuple(diff(_D1, k, box) for k in range(n)),
+                 tuple(diff(_D2, k, box) for k in range(n)), mixed)
+
+
+def _apply(v, terms, div):
+    """Sum of weight * v[slices] over terms, in their order, over div.
+
+    The first weight is +-1; the first sum allocates the result and every
+    later step writes into it.
+    """
+    (w, idx), *rest = terms
+    acc, out = (v[idx] if w > 0 else -v[idx]), None
+    for w, idx in rest:
+        t = v[idx] if abs(w) == 1.0 else abs(w) * v[idx]
+        acc = out = (np.add if w > 0 else np.subtract)(acc, t, out=out)
+    return np.divide(acc, div, out=acc)
 
 
 def _interior_jets(field: GridField, order):
-    """du (n, *interior, m) and ddu (n, n, *interior, m), component axes first.
+    """du[k] and ddu[k][l] (*interior, m), ddu[l][k] the same array.
 
-    Each difference runs on the values trimmed to the interior on every axis
-    it does not differentiate along, so no node off the interior is computed.
+    The plan's differences run on the values trimmed to the interior on
+    every axis they do not differentiate along, so no node off the interior
+    is computed.
     """
+    plan = _plan(field.shape, field.L, order)
     v = field.values
-    h = field.spacing
-    n = field.n
-    g = _margin(order)
-
-    def trimmed(*keep):
-        return v[tuple(
-            slice(None) if k in keep else slice(g, s - g)
-            for k, s in enumerate(field.shape)
-        )]
-
-    du = np.stack([_d1(trimmed(k), k, h[k], order) for k in range(n)])
-    ddu = np.empty((n, n) + du.shape[1:])
-    for k in range(n):
-        ddu[k, k] = _d2(trimmed(k), k, h[k], order)
-        for l in range(k + 1, n):
-            mixed = _d1(_d1(trimmed(k, l), k, h[k], order), l, h[l], order)
-            ddu[k, l] = mixed
-            ddu[l, k] = mixed
+    n = len(plan.d1)
+    du = [_apply(v, *d) for d in plan.d1]
+    ddu = [[None] * n for _ in range(n)]
+    for k, d in enumerate(plan.d2):
+        ddu[k][k] = _apply(v, *d)
+    for k, l, inner, outer in plan.mixed:
+        ddu[k][l] = ddu[l][k] = _apply(_apply(v, *inner), *outer)
     return du, ddu
 
 
@@ -195,72 +235,87 @@ def field_jets(field: GridField, order=2):
     n, m = field.n, field.m
     du = np.zeros(field.shape + (n, m))
     ddu = np.zeros(field.shape + (n, n, m))
-    du[box] = np.moveaxis(du_i, 0, -2)
-    ddu[box] = np.moveaxis(ddu_i, (0, 1), (-3, -2))
+    du[box] = np.moveaxis(np.array(du_i), 0, -2)
+    ddu[box] = np.moveaxis(np.array(ddu_i), (0, 1), (-3, -2))
     return du, ddu
 
 
 def _spd_inverse(g):
-    """Inverse and determinant of g (n, n, *nodes), symmetric with
-    eigenvalues >= 1 at each node.
+    """Inverse and determinant of g, symmetric with eigenvalues >= 1 at each
+    node and read as g[i][j] over the nodes; the inverse is nested lists.
 
     Gauss-Jordan elimination vectorized over the nodes: every pivot is a
     Schur complement of a matrix >= identity, so it is >= 1 and no pivoting
-    is needed.  The determinant is the product of the pivots.
+    is needed.  The determinant is the product of the pivots.  Step k only
+    touches live entries: columns > k of the reduced matrix (the others are
+    never read again) and columns <= k of the inverse (the others still
+    hold the identity).
     """
-    n = g.shape[0]
-    a = g.copy()
-    inv = np.zeros_like(g)
-    det = np.ones(g.shape[2:])
+    n = len(g)
+    a = [list(row) for row in g]
+    inv = [[float(i == j) for j in range(n)] for i in range(n)]
+    det = np.ones(np.shape(g[0][0]))
     for k in range(n):
-        inv[k, k] = 1.0
-    for k in range(n):
-        det *= a[k, k]
-        p = 1.0 / a[k, k]
-        a[k] *= p
-        inv[k] *= p
+        det *= a[k][k]
+        p = 1.0 / a[k][k]
+        for j in range(k + 1, n):
+            a[k][j] = a[k][j] * p
+        for j in range(k + 1):
+            inv[k][j] = inv[k][j] * p
         for i in range(n):
             if i != k:
-                f = a[i, k].copy()
-                a[i] -= f * a[k]
-                inv[i] -= f * inv[k]
+                f = a[i][k]
+                for j in range(k + 1, n):
+                    t = f * a[k][j]
+                    a[i][j] = np.subtract(a[i][j], t, out=t)
+                for j in range(k + 1):
+                    t = f * inv[k][j]
+                    inv[i][j] = np.subtract(inv[i][j], t, out=t)
     return inv, det
 
 
 @dataclass(frozen=True)
 class _Geometry:
-    """Interior geometry of one field state, component axes first.
+    """Interior geometry of one field state, entry by entry (n <= 3).
 
-    X is the open grid of interior axis coordinates (n arrays that broadcast
-    against the interior), u (*interior, m), du (n, *interior, m),
-    ddu (n, n, *interior, m), the graph metric g = I + du du^T and its
-    inverse ginv (n, n, *interior), and det g (*interior).
+    X is the plan's open grid of interior coordinates, u (*interior, m),
+    du[i] and ddu[i][j] (*interior, m), ginv[i][j] the inverse of the graph
+    metric g = I + du du^T and det g, both (*interior).
     """
 
     X: tuple
     u: np.ndarray
-    du: np.ndarray
-    ddu: np.ndarray
-    g: np.ndarray
-    ginv: np.ndarray
+    du: list
+    ddu: list
+    ginv: list
     det: np.ndarray
 
     @classmethod
     def of(cls, field: GridField, order):
-        box = interior(field, order)
+        plan = _plan(field.shape, field.L, order)
         du, ddu = _interior_jets(field, order)
-        X = np.meshgrid(
-            *[field.axis_coords(k)[box[k]] for k in range(field.n)],
-            indexing="ij", sparse=True,
-        )
-        g = np.einsum("i...a,j...a->ij...", du, du)
-        for k in range(field.n):
-            g[k, k] += 1.0
-        return cls(X, field.values[box], du, ddu, g, *_spd_inverse(g))
+        n = len(du)
+        g = [[None] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                g[i][j] = g[j][i] = np.einsum("...a,...a->...", du[i], du[j])
+            g[i][i] += 1.0
+        return cls(plan.X, field.values[plan.box], du, ddu, *_spd_inverse(g))
 
     def residual(self, parts=False):
-        elliptic = np.einsum("ij...,ij...m->...m", self.ginv, self.ddu)
-        drift = 0.5 * (sum(x[..., None] * d for x, d in zip(self.X, self.du)) - self.u)
+        # sums from 0, the elliptic one over (i, j) in row-major order as
+        # einsum contracts; each writes into its own result, since on large
+        # grids every fresh array costs page faults
+        n = len(self.du)
+        elliptic = np.zeros_like(self.u)
+        for i in range(n):
+            for j in range(n):
+                elliptic += self.ginv[i][j][..., None] * self.ddu[i][j]
+        drift = np.zeros_like(self.u)
+        for x, d in zip(self.X, self.du):
+            drift += x * d
+        drift -= self.u
+        drift *= 0.5
         res = elliptic - drift
         if parts:
             return res, elliptic, drift
@@ -272,9 +327,9 @@ class _Geometry:
     def second_form_sq(self):
         """|B|^2 = tr(Q H_a Q H_a) - Q_pq tr(Q W_p Q W_q) with Q = g^-1,
         H_a = ddu^a and W_p = du_p . ddu, by pairwise contractions."""
-        Q = self.ginv
-        QH = np.einsum("ik...,kj...m->ij...m", Q, self.ddu)
-        QW = np.einsum("p...m,ij...m->pij...", self.du, QH)  # Q W_p = du_p . Q H
+        Q = np.array(self.ginv)
+        QH = np.einsum("ik...,kj...m->ij...m", Q, np.array(self.ddu))
+        QW = np.einsum("p...m,ij...m->pij...", np.array(self.du), QH)  # Q W_p = du_p . Q H
         full = np.einsum("ij...m,ji...m->...", QH, QH)
         tang = np.einsum("pq...,pq...->...", Q, np.einsum("pij...,qji...->pq...", QW, QW))
         return full - tang
@@ -311,12 +366,17 @@ class SolverConfig:
     blowup: float = 1e6
 
     def __post_init__(self):
+        # before the comparisons below, which are all False for NaN
+        reals = (self.threshold, self.blowup) + (() if self.dt is None else (self.dt,))
+        if not all(map(math.isfinite, reals)):
+            raise ValueError("solver parameters must be finite")
         if self.dt is not None and self.dt <= 0:
             raise ValueError("time step must be positive")
         if self.threshold <= 0:
             raise ValueError("convergence threshold must be positive")
-        if self.max_steps <= 0 or self.sample_interval <= 0:
+        if self.max_steps <= 0 or self.sample_interval <= 0 or self.blowup <= 0:
             raise ValueError("solver parameters must be positive")
+        _margin(self.order)
 
 
 @dataclass
@@ -418,7 +478,7 @@ def gauss_image_report(field: GridField, reference: Optional[OrientedFrame] = No
         # w = det(dX ref^T) / sqrt(det g) with dX = [I | du] at each node
         ref = reference.vectors
         n = field.n
-        proj = np.einsum("i...a,ja->...ij", geo.du, ref[:, n:]) + ref[:, :n].T
+        proj = np.einsum("i...a,ja->...ij", np.array(geo.du), ref[:, n:]) + ref[:, :n].T
         min_w = float(np.min(np.linalg.det(proj) / sl))
     min_ip = None
     counts = None
@@ -426,7 +486,7 @@ def gauss_image_report(field: GridField, reference: Optional[OrientedFrame] = No
     closed_h = None
     if field.m == 1 and pole is not None:
         pole = np.asarray(pole, dtype=float)
-        flat_du = geo.du.reshape(field.n, -1).T
+        flat_du = np.array(geo.du).reshape(field.n, -1).T
         denom = np.sqrt(1.0 + np.sum(flat_du * flat_du, axis=1))
         normals = np.concatenate(
             [-flat_du, np.ones((flat_du.shape[0], 1))], axis=1

@@ -383,11 +383,15 @@ def oriented_normal(pf: PointFrame) -> np.ndarray:
 class _Target:
     """A scalar F composed with the plane map, read by composition_checks."""
 
-    def scalars(self, frames):
-        """F at every row of frames, kernel output over one leading axis."""
+    def scalars(self, frames, shared):
+        """F at every row of frames, kernel output over one leading axis.
+
+        shared is a dict that the targets of one composition_checks call
+        fill with what they have in common.
+        """
         return np.array([self.scalar(_Frames(*row)) for row in zip(*frames)])
 
-    def centre_sum(self, pf, T):
+    def centre_sum(self, pf, T, shared):
         """hess_sum(pf) + tension_term(pf, T), the chain rule's centre terms."""
         return self.hess_sum(pf) + self.tension_term(pf, T)
 
@@ -456,15 +460,25 @@ class _OverlapTarget(_Target):
     """Reciprocal-overlap functions of the tangent plane against a reference.
 
     scalars reads v for a whole stencil from one overlap_values call; the
-    centre terms share one spectrum per probe through centre_sum.
+    centre terms share one spectrum per probe through centre_sum.  Targets
+    on the same reference share both through the dict of composition_checks.
     """
 
     def __init__(self, reference: OrientedFrame):
         self.reference = reference
 
-    def _v(self, frames):
-        # v at every row: tangent rows (..., n, amb)
-        return grassmann.v_values(grassmann.overlap_values(frames.tangent, self.reference))
+    def _shared(self, shared, name, compute):
+        """compute(), once per name and reference in the shared dict."""
+        key = (name, id(self.reference))
+        if key not in shared:
+            shared[key] = compute()
+        return shared[key]
+
+    def scalars(self, frames, shared=None):
+        def v():  # at every row: tangent rows (..., n, amb)
+            return grassmann.v_values(grassmann.overlap_values(frames.tangent, self.reference))
+
+        return self._of_v(v() if shared is None else self._shared(shared, "v", v))
 
     def scalar(self, pf):
         return float(self.scalars(pf))
@@ -490,16 +504,17 @@ class _OverlapTarget(_Target):
     def tension_term(self, pf, T):
         return self._tension_term(self._spec(pf), pf, T)
 
-    def centre_sum(self, pf, T):
-        spec = self._spec(pf)
+    def centre_sum(self, pf, T, shared):
+        spec = self._shared(shared, "spec", lambda: self._spec(pf))
         return self._hess_sum(spec, pf) + self._tension_term(spec, pf, T)
 
 
 class VTarget(_OverlapTarget):
     """F = v, the product of principal-angle secants against the reference."""
 
-    def scalars(self, frames):
-        return self._v(frames)
+    @staticmethod
+    def _of_v(v):
+        return v
 
     def _hess(self, spec, Z):
         return grassmann.hess_v_form(spec, Z)
@@ -511,9 +526,9 @@ class VTarget(_OverlapTarget):
 class LogVTarget(_OverlapTarget):
     """F = log v against the reference plane."""
 
-    def scalars(self, frames):
+    @staticmethod
+    def _of_v(v):
         # math.log per value, the digits of the scalar route
-        v = self._v(frames)
         return np.reshape([math.log(x) for x in v.flat], v.shape)
 
     def _hess(self, spec, Z):
@@ -532,7 +547,8 @@ def composition_checks(imm: ParametricImmersion, param, targets) -> list:
     any immersion.  One frame-kernel call covers the whole second-order
     stencil for every target: its centre row gives the metric data and the
     PointFrame, its axis rows the tension, and each target reads its values
-    at every row in one scalars call.
+    at every row in one scalars call.  Targets on one reference share its
+    v values and its centre spectrum.
     """
     p = np.asarray(param, dtype=float)
     points, combine = _stencil(p, imm.fd_step)
@@ -541,10 +557,11 @@ def composition_checks(imm: ParametricImmersion, param, targets) -> list:
     T = _tension(f, _stencil(p, imm.fd_step, second=False)[1])
     pf = _as_point_frame(_Frames(*(a[0] for a in f)))  # checked above, as a batch
     out = []
+    shared = {}
     for target in targets:
-        _, grad, hess = combine(target.scalars(f))
+        _, grad, hess = combine(target.scalars(f, shared))
         lhs = _drift_laplacian(x[0], dX[0], ddX[0], f.S[0], grad, hess)
-        out.append(lhs - target.centre_sum(pf, T))
+        out.append(lhs - target.centre_sum(pf, T, shared))
     return out
 
 

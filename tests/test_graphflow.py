@@ -132,6 +132,120 @@ def test_residual_matches_per_node_formula_in_three_dimensions(order):
     assert not np.any(gf.field_jets(f, order)[1][outside])
 
 
+# The stacked kernel that the stencil plan and the per-entry geometry pass
+# replaced, kept as the bit-for-bit reference: (n, ...) and (n, n, ...)
+# arrays, einsum contractions and a full Gauss-Jordan pass.
+
+
+def _ref_along(v, axis, k, g):
+    idx = [slice(None)] * v.ndim
+    idx[axis] = slice(g + k, v.shape[axis] - g + k)
+    return v[tuple(idx)]
+
+
+def _ref_d1(v, axis, h, order):
+    s = lambda k: _ref_along(v, axis, k, order // 2)
+    if order == 2:
+        return (s(1) - s(-1)) / (2.0 * h)
+    return (-s(2) + 8.0 * s(1) - 8.0 * s(-1) + s(-2)) / (12.0 * h)
+
+
+def _ref_d2(v, axis, h, order):
+    s = lambda k: _ref_along(v, axis, k, order // 2)
+    if order == 2:
+        return (s(1) - 2.0 * s(0) + s(-1)) / (h * h)
+    return (-s(2) + 16.0 * s(1) - 30.0 * s(0) + 16.0 * s(-1) - s(-2)) / (12.0 * h * h)
+
+
+def _ref_jets(field, order):
+    v, h, n, g = field.values, field.spacing, field.n, order // 2
+
+    def trimmed(*keep):
+        return v[tuple(slice(None) if k in keep else slice(g, s - g)
+                       for k, s in enumerate(field.shape))]
+
+    du = np.stack([_ref_d1(trimmed(k), k, h[k], order) for k in range(n)])
+    ddu = np.empty((n, n) + du.shape[1:])
+    for k in range(n):
+        ddu[k, k] = _ref_d2(trimmed(k), k, h[k], order)
+        for l in range(k + 1, n):
+            ddu[k, l] = ddu[l, k] = _ref_d1(_ref_d1(trimmed(k, l), k, h[k], order),
+                                            l, h[l], order)
+    return du, ddu
+
+
+def _ref_inverse(g):
+    n = g.shape[0]
+    a = g.copy()
+    inv = np.zeros_like(g)
+    det = np.ones(g.shape[2:])
+    for k in range(n):
+        inv[k, k] = 1.0
+    for k in range(n):
+        det *= a[k, k]
+        p = 1.0 / a[k, k]
+        a[k] *= p
+        inv[k] *= p
+        for i in range(n):
+            if i != k:
+                f = a[i, k].copy()
+                a[i] -= f * a[k]
+                inv[i] -= f * inv[k]
+    return inv, det
+
+
+def _ref_geometry(field, order):
+    box = gf.interior(field, order)
+    du, ddu = _ref_jets(field, order)
+    X = np.meshgrid(*[field.axis_coords(k)[box[k]] for k in range(field.n)],
+                    indexing="ij", sparse=True)
+    g = np.einsum("i...a,j...a->ij...", du, du)
+    for k in range(field.n):
+        g[k, k] += 1.0
+    Q, det = _ref_inverse(g)
+    elliptic = np.einsum("ij...,ij...m->...m", Q, ddu)
+    drift = 0.5 * (sum(x[..., None] * d for x, d in zip(X, du)) - field.values[box])
+    QH = np.einsum("ik...,kj...m->ij...m", Q, ddu)
+    QW = np.einsum("p...m,ij...m->pij...", du, QH)
+    b2 = np.einsum("ij...m,ji...m->...", QH, QH) - np.einsum(
+        "pq...,pq...->...", Q, np.einsum("pij...,qji...->pq...", QW, QW))
+    du_full = np.zeros(field.shape + (field.n, field.m))
+    ddu_full = np.zeros(field.shape + (field.n, field.n, field.m))
+    du_full[box] = np.moveaxis(du, 0, -2)
+    ddu_full[box] = np.moveaxis(ddu, (0, 1), (-3, -2))
+    return (elliptic - drift, elliptic, drift), np.sqrt(det), b2, (du_full, ddu_full)
+
+
+_REF_SHAPES = {1: (15,), 2: (11, 13), 3: (7, 8, 9)}
+
+
+@pytest.mark.parametrize("boundary", ["affine", "frozen"])
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("order", [2, 4])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_geometry_pass_is_bit_identical_to_the_stacked_kernel(n, order, m, boundary):
+    shape = _REF_SHAPES[n]
+    rng = np.random.default_rng(100 * n + 10 * order + m)
+    values = 0.4 * rng.standard_normal(shape + (m,))
+    extra = {}
+    if boundary == "affine":
+        A, b = rng.standard_normal((m, n)), rng.standard_normal(m)
+        X = np.stack(np.meshgrid(*[np.linspace(-1.3, 1.3, s) for s in shape],
+                                 indexing="ij"), axis=-1)
+        rim = np.ones(shape, dtype=bool)
+        rim[tuple(slice(1, -1) for _ in shape)] = False
+        values[rim] = (X @ A.T + b)[rim]
+        extra = dict(A=A, b=b)
+    f = gf.GridField(L=1.3, values=values, boundary=boundary, **extra)
+    parts, slope, b2, jets = _ref_geometry(f, order)
+    got = gf.system_residual(f, order, parts=True)
+    assert all(np.array_equal(x, y) for x, y in zip(got, parts))
+    assert np.array_equal(gf.system_residual(f, order), parts[0])
+    assert np.array_equal(gf.slope_field(f, order), slope)
+    assert np.array_equal(gf.second_form_sq_field(f, order), b2)
+    assert all(np.array_equal(x, y) for x, y in zip(gf.field_jets(f, order), jets))
+
+
 # ---------------------------------------------------------------------------
 # slope and curvature vs the frame layer
 
@@ -301,6 +415,19 @@ def test_trace_sample_evaluates_the_jets_once(m, monkeypatch):
     )
     gf.FlowTrace().record(0, 0.0, f, 2)
     assert len(calls) == 1
+
+
+def test_one_stencil_plan_per_relaxation_run():
+    f = gf.GridField.from_function(
+        lambda x: [0.3 * _poly_window(x)], L=1.0, resolution=(17, 17), m=1,
+        boundary="affine", A=np.zeros((1, 2)), b=np.zeros(1),
+    )
+    gf._plan.cache_clear()
+    _, trace = gf.relax_flow(f, gf.SolverConfig(max_steps=400, sample_interval=50))
+    assert trace.steps[-1] == 400
+    info = gf._plan.cache_info()
+    assert info.misses == 1
+    assert info.hits >= 2 * 400
 
 
 def test_trace_times_must_increase():
@@ -517,6 +644,15 @@ def test_gridfield_rejects_non_finite_data():
     for kwargs in bad:
         with pytest.raises(ValueError, match="non-finite"):
             gf.GridField(**kwargs)
+
+
+@pytest.mark.parametrize("kwargs", [
+    dict(threshold=float("nan")), dict(threshold=float("inf")), dict(dt=float("nan")),
+    dict(dt=float("inf")), dict(blowup=float("nan")), dict(blowup=-1.0), dict(order=3),
+])
+def test_solver_config_rejects_non_finite_and_out_of_range_values(kwargs):
+    with pytest.raises(ValueError):
+        gf.SolverConfig(**kwargs)
 
 
 def test_gridfield_validation():

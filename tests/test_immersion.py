@@ -604,22 +604,37 @@ def test_one_kernel_call_per_stencil(monkeypatch):
     assert calls == {"kernel": 2, "point_frame": 0}
 
 
-def test_two_spectra_per_composition_probe(monkeypatch):
-    # the overlap targets read the stencil rows through overlap_values and
-    # take one centre spectrum each, shared by their two centre terms
+def _count_calls(monkeypatch, module, name):
+    calls = []
+    func = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *a: calls.append(1) or func(*a))
+    return calls
+
+
+def test_one_spectrum_per_reference_per_composition_probe(monkeypatch):
+    # the v and log v targets share one reference, so one centre spectrum
+    # serves the centre terms of both
     imm = im.catalog_immersion("sphere:n=2,R=2")
     _, targets = _composition_targets(imm)
     assert [type(t) for t in targets] == [im.HeightTarget, im.VTarget, im.LogVTarget]
-    calls = []
-    spectrum = grassmann.jordan_spectrum
-
-    def counting_spectrum(*args):
-        calls.append(1)
-        return spectrum(*args)
-
-    monkeypatch.setattr(grassmann, "jordan_spectrum", counting_spectrum)
+    calls = _count_calls(monkeypatch, grassmann, "jordan_spectrum")
     im.composition_checks(imm, np.array([1.2, 0.4]), targets)
-    assert len(calls) == 2
+    assert len(calls) == 1
+
+
+def test_one_overlap_call_per_reference_per_composition_probe(monkeypatch):
+    # one overlap_values call on the stencil rows gives v to both targets;
+    # a second reference gets its own
+    imm = im.catalog_immersion("sphere:n=2,R=2")
+    ref, targets = _composition_targets(imm)
+    p = np.array([1.2, 0.4])
+    calls = _count_calls(monkeypatch, grassmann, "overlap_values")
+    im.composition_checks(imm, p, targets)
+    assert len(calls) == 1
+    other = OrientedFrame(ref.vectors.copy())
+    got = im.composition_checks(imm, p, targets + [im.VTarget(other)])
+    assert len(calls) == 3
+    assert got[-1] == got[1]
 
 
 def test_overlap_scalars_equal_the_per_row_scalar():

@@ -18,7 +18,7 @@ import multiprocessing
 import os
 import sys
 import time
-from dataclasses import dataclass, field as dc_field
+from dataclasses import asdict, dataclass, field as dc_field
 from importlib import metadata as _metadata
 
 import numpy as np
@@ -54,16 +54,6 @@ class CheckRecord:
     margin: float
     tolerance: float
     kind: str  # "mandatory" or "observation"
-
-    def as_dict(self):
-        return {
-            "name": self.name,
-            "value": self.value,
-            "bound": self.bound,
-            "margin": self.margin,
-            "tolerance": self.tolerance,
-            "kind": self.kind,
-        }
 
 
 def check_le(name, value, bound, tolerance, kind="mandatory"):
@@ -102,7 +92,7 @@ class RunReport:
             "schema": REPORT_SCHEMA,
             "subcommand": self.subcommand,
             "status": self.status,
-            "checks": [c.as_dict() for c in self.checks],
+            "checks": [asdict(c) for c in self.checks],
             "artifacts": sorted(self.artifacts),
             "provenance": {
                 "seed": self.seed,
@@ -110,6 +100,12 @@ class RunReport:
                 "timestamp": run_timestamp(),
             },
         }
+
+    def write_artifact(self, outdir, name, text):
+        """Write text to the file name in outdir and list it as an artifact."""
+        with open(os.path.join(outdir, name), "w", encoding="utf-8") as fh:
+            fh.write(text)
+        self.artifacts.append(name)
 
 
 def run_timestamp() -> str:
@@ -190,13 +186,26 @@ DEFAULTS = {
     },
 }
 
+
+def _catalog_name(name):
+    """Whether immersion.catalog_immersion builds a surface from name."""
+    if not isinstance(name, str):
+        return False
+    try:
+        immersion.catalog_immersion(name)
+    except (ValueError, ArithmeticError, LookupError):  # how malformed names fail
+        return False
+    return True
+
+
 # the range of each value type in load_config, and the keys whose range differs
 _TYPE_RANGES = {
     bool: (lambda x: True, "true or false"),
     int: (lambda x: x >= 1, "a positive integer"),
     float: (lambda x: x > 0.0, "a positive finite number"),
     str: (lambda x: True, "a string"),
-    list: (lambda x: all(isinstance(s, str) for s in x), "a list of names"),
+    list: (lambda x: bool(x) and all(map(_catalog_name, x)),
+           "a nonempty list of catalog surface names"),
 }
 _KEY_RANGES = {
     "seed": (lambda x: x >= 0, "a nonnegative integer"),
@@ -226,7 +235,7 @@ def load_config(subcommand, path=None, seed=None, tolerance_scale=1.0):
     Unknown keys are rejected, and every value must have the type of its
     default and lie in its key's range: counts positive, tolerances and
     other numbers positive and finite, the sweep ceiling inside the v < 3
-    domain.
+    domain, surface lists nonempty and made of names the catalog builds.
     """
     if subcommand not in DEFAULTS:
         raise ConfigError(f"unknown subcommand {subcommand!r}")
@@ -286,6 +295,16 @@ def _chunk_counts(total, chunks):
     return [base + (1 if k < extra else 0) for k in range(chunks)]
 
 
+def _second_difference(fp, f0, fm, step):
+    """Central second difference from the values at +step, 0 and -step."""
+    return (fp - 2.0 * f0 + fm) / step**2
+
+
+def _relative_defect(approx, closed):
+    """|approx - closed| / max(1, |closed|)."""
+    return abs(approx - closed) / max(1.0, abs(closed))
+
+
 def _unit(rng, dim=3):
     while True:
         x = rng.standard_normal(dim)
@@ -322,11 +341,10 @@ def _height_probe(rng, step, sign):
         y = sphere.great_circle(x, w, t)
         return sphere.height_value(y / np.linalg.norm(y), a)
 
-    d2 = (f(step) - 2.0 * f(0.0) + f(-step)) / step**2
+    d2 = _second_difference(f(step), f(0.0), f(-step), step)
     # the closed form is the Hessian of the pole coordinate <., a>; the
     # height 1 - <., a> carries the opposite sign
-    closed = -sign * sphere.hess_height(x, a, basis)(c, c)
-    return abs(d2 - closed) / max(1.0, abs(closed))
+    return _relative_defect(d2, -sign * sphere.hess_height(x, a, basis)(c, c))
 
 
 def _longitude_probe(rng, step):
@@ -348,9 +366,8 @@ def _longitude_probe(rng, step):
     (r0, t0), (rp, tp), (rm, tm) = coords(0.0), coords(step), coords(-step)
     hr, ht = sphere.hess_r_theta(x, basis)
     cr, ct = hr(c, c), ht(c, c)
-    res_r = abs((rp - 2.0 * r0 + rm) / step**2 - cr) / max(1.0, abs(cr))
-    res_t = abs((tp - 2.0 * t0 + tm) / step**2 - ct) / max(1.0, abs(ct))
-    return res_r, res_t
+    return (_relative_defect(_second_difference(rp, r0, rm, step), cr),
+            _relative_defect(_second_difference(tp, t0, tm, step), ct))
 
 
 def _random_frame(rng, n, amb):
@@ -385,14 +402,13 @@ def _grassmann_probe(rng, step):
         for t in (step, 0.0, -step)
     ])
     vp, v0, vm = grassmann.v_values(grassmann.overlap_values(frames, base)).tolist()
-    cv = grassmann.hess_v_form(spec, Z)
-    res_v = abs((vp - 2.0 * v0 + vm) / step**2 - cv) / max(1.0, abs(cv))
     lp, l0, lm = math.log(vp), math.log(v0), math.log(vm)
-    cl = grassmann.hess_logv_form(spec, Z)
-    cd = grassmann.dlogv_form(spec, Z)
-    res_l = abs((lp - 2.0 * l0 + lm) / step**2 - cl) / max(1.0, abs(cl))
-    res_d = abs((lp - lm) / (2.0 * step) - cd) / max(1.0, abs(cd))
-    return res_v, res_l, res_d
+    return (
+        _relative_defect(_second_difference(vp, v0, vm, step), grassmann.hess_v_form(spec, Z)),
+        _relative_defect(_second_difference(lp, l0, lm, step),
+                         grassmann.hess_logv_form(spec, Z)),
+        _relative_defect((lp - lm) / (2.0 * step), grassmann.dlogv_form(spec, Z)),
+    )
 
 
 def _reduction_probe(rng, step):
@@ -419,9 +435,8 @@ def _reduction_probe(rng, step):
         n_t = np.cross(frame.vectors[0], frame.vectors[1])
         return 1.0 / abs(float(n_t @ nu0))
 
-    fd = (sec_along(step) - 2.0 * sec_along(0.0) + sec_along(-step)) / step**2
-    cv = grassmann.hess_v_form(spec, Z)
-    return max(res, abs(fd - cv) / max(1.0, abs(cv)))
+    fd = _second_difference(sec_along(step), sec_along(0.0), sec_along(-step), step)
+    return max(res, _relative_defect(fd, grassmann.hess_v_form(spec, Z)))
 
 
 def _target_chunk(args):
@@ -468,10 +483,7 @@ def cmd_verify_targets(cfg, outdir, jobs=1) -> RunReport:
         report.checks.append(
             check_le(family, worst[family], 0.0, cfg["tol_hessian"])
         )
-    csv_path = os.path.join(outdir, cfg["residual_csv"])
-    with open(csv_path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
-    report.artifacts.append(cfg["residual_csv"])
+    report.write_artifact(outdir, cfg["residual_csv"], "\n".join(lines) + "\n")
     return report
 
 
@@ -595,10 +607,7 @@ def cmd_verify_shrinkers(cfg, outdir, jobs=1) -> RunReport:
         check_le("composition_max", comp_worst, 0.0, cfg["tol_composition"])
     )
 
-    csv_path = os.path.join(outdir, cfg["residual_csv"])
-    with open(csv_path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
-    report.artifacts.append(cfg["residual_csv"])
+    report.write_artifact(outdir, cfg["residual_csv"], "\n".join(lines) + "\n")
     return report
 
 
@@ -666,11 +675,9 @@ def cmd_verify_prop41(cfg, outdir, jobs=1) -> RunReport:
         check_le("search_violations", len(search.violations), 0.0, 0.0)
     )
 
-    cert_path = os.path.join(outdir, cfg["certificate"])
-    with open(cert_path, "w", encoding="utf-8") as fh:
-        fh.write(ineq.sweep_certificate_json(sweep, seed=cfg["seed"]))
-        fh.write("\n")
-    report.artifacts.append(cfg["certificate"])
+    report.write_artifact(
+        outdir, cfg["certificate"], ineq.sweep_certificate_json(sweep, seed=cfg["seed"]) + "\n"
+    )
     return report
 
 
@@ -774,16 +781,10 @@ def cmd_flow_graph(cfg, outdir, jobs=1) -> RunReport:
             )
         )
 
-    with open(os.path.join(outdir, cfg["trace_csv"]), "w", encoding="utf-8") as fh:
-        fh.write(graphflow.trace_to_csv(trace))
-    report.artifacts.append(cfg["trace_csv"])
-    with open(os.path.join(outdir, cfg["trace_svg"]), "w", encoding="utf-8") as fh:
-        fh.write(graphflow.trace_svg(trace))
-    report.artifacts.append(cfg["trace_svg"])
+    report.write_artifact(outdir, cfg["trace_csv"], graphflow.trace_to_csv(trace))
+    report.write_artifact(outdir, cfg["trace_svg"], graphflow.trace_svg(trace))
     if final is not None:
-        with open(os.path.join(outdir, cfg["field_csv"]), "w", encoding="utf-8") as fh:
-            fh.write(graphflow.field_to_csv(final))
-        report.artifacts.append(cfg["field_csv"])
+        report.write_artifact(outdir, cfg["field_csv"], graphflow.field_to_csv(final))
     return report
 
 
@@ -824,10 +825,10 @@ def cmd_report(cfg, outdir, jobs=1) -> RunReport:
             {"file": base, "report": payload} for _, base, payload in runs
         ],
     }
+    report = RunReport("report", cfg["seed"])
     bundle_name = cfg["bundle"]
     stem = os.path.splitext(bundle_name)[0]
-    with open(os.path.join(outdir, bundle_name), "w", encoding="utf-8") as fh:
-        fh.write(dump_json(bundle))
+    report.write_artifact(outdir, bundle_name, dump_json(bundle))
 
     lines = ["file,subcommand,status,check,value,bound,margin,tolerance,kind"]
     for _, base, payload in runs:
@@ -847,20 +848,16 @@ def cmd_report(cfg, outdir, jobs=1) -> RunReport:
                     ]
                 )
             )
-    with open(os.path.join(outdir, stem + ".csv"), "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
-    with open(os.path.join(outdir, stem + ".svg"), "w", encoding="utf-8") as fh:
-        fh.write(_bundle_svg(runs))
+    report.write_artifact(outdir, stem + ".csv", "\n".join(lines) + "\n")
+    report.write_artifact(outdir, stem + ".svg", _bundle_svg(runs))
 
     for warning in warnings:
         print(f"warning: {warning}", file=sys.stderr)
 
-    report = RunReport("report", cfg["seed"])
     report.checks.append(check_le("merged_failures", failures, 0.0, 0.0))
     report.checks.append(
         check_ge("runs_merged", len(runs), 0.0, 0.0, kind="observation")
     )
-    report.artifacts.extend([bundle_name, stem + ".csv", stem + ".svg"])
     return report
 
 

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import sphere
 from .grassmann import OrientedFrame
-from .immersion import ChartError, ParametricImmersion
+from .immersion import _D1, _D2, ChartError, ParametricImmersion, _graph_jets
 
 
 class DivergenceError(RuntimeError):
@@ -92,11 +92,10 @@ class GridField:
         return np.array([2.0 * self.L / (s - 1) for s in self.shape])
 
     def axis_coords(self, k):
-        return np.linspace(-self.L, self.L, self.shape[k])
+        return _axes(self.L, self.shape)[k]
 
     def coords(self):
-        grids = np.meshgrid(*[self.axis_coords(k) for k in range(self.n)], indexing="ij")
-        return np.stack(grids, axis=-1)
+        return _coords(self.L, self.shape)
 
     def affine_values(self):
         if self.A is None or self.b is None:
@@ -106,13 +105,20 @@ class GridField:
     @classmethod
     def from_function(cls, func, L, resolution, m, boundary="frozen", A=None, b=None):
         resolution = tuple(int(s) for s in resolution)
-        axes = [np.linspace(-L, L, s) for s in resolution]
-        grids = np.meshgrid(*axes, indexing="ij")
-        X = np.stack(grids, axis=-1)
-        flat = X.reshape(-1, len(resolution))
+        flat = _coords(L, resolution).reshape(-1, len(resolution))
         vals = np.array([np.atleast_1d(func(x)) for x in flat], dtype=float)
         vals = vals.reshape(*resolution, m)
         return cls(L=L, values=vals, boundary=boundary, A=A, b=b)
+
+
+def _axes(L, shape):
+    """Node coordinates along each axis of the uniform grid of [-L, L]^n."""
+    return [np.linspace(-L, L, s) for s in shape]
+
+
+def _coords(L, shape):
+    """Node coordinates of the grid, shape (*shape, n)."""
+    return np.stack(np.meshgrid(*_axes(L, shape), indexing="ij"), axis=-1)
 
 
 def _perimeter_mask(shape):
@@ -136,14 +142,6 @@ def interior(field: GridField, order=2):
     """Slices selecting the nodes where all order-wide stencils fit."""
     g = _margin(order)
     return tuple(slice(g, s - g) for s in field.shape)
-
-
-# Central differences: (shift, weight) terms in summation order, and the
-# factor c of the divisor, c h for first and c h h for second differences.
-_D1 = {2: (((1, 1.0), (-1, -1.0)), 2.0),
-       4: (((2, -1.0), (1, 8.0), (-1, -8.0), (-2, 1.0)), 12.0)}
-_D2 = {2: (((1, 1.0), (0, -2.0), (-1, 1.0)), 1.0),
-       4: (((2, -1.0), (1, 16.0), (0, -30.0), (-1, 16.0), (-2, -1.0)), 12.0)}
 
 
 class _Plan(NamedTuple):
@@ -187,7 +185,7 @@ def _plan(shape, L, order):
          diff(_D1, l, (slice(None),) * n))
         for k in range(n) for l in range(k + 1, n)
     )
-    axes = [np.linspace(-L, L, s)[b] for s, b in zip(shape, box)]
+    axes = [a[b] for a, b in zip(_axes(L, shape), box)]
     X = tuple(x[..., None] for x in np.meshgrid(*axes, indexing="ij", sparse=True))
     for x in X:
         x.setflags(write=False)
@@ -539,16 +537,7 @@ def field_immersion(field: GridField, order=4) -> ParametricImmersion:
                 raise ChartError("grid node too close to the boundary")
             idx.append(i)
         idx = tuple(idx)
-        amb = n + m
-        x = np.zeros(amb)
-        x[:n] = param
-        x[n:] = field.values[idx]
-        dX = np.zeros((n, amb))
-        dX[:, :n] = np.eye(n)
-        dX[:, n:] = du[idx]
-        ddX = np.zeros((n, n, amb))
-        ddX[:, :, n:] = ddu[idx]
-        return x, dX, ddX
+        return _graph_jets(param, field.values[idx], du[idx], ddu[idx])
 
     return ParametricImmersion(
         n, m, np.stack([lo, hi], axis=1), jet, fd_step=h, label="graph:field"
@@ -557,10 +546,7 @@ def field_immersion(field: GridField, order=4) -> ParametricImmersion:
 
 def interior_nodes(field: GridField, order=4):
     """Coordinates of the nodes where field_immersion accepts parameters."""
-    g = _margin(order)
-    axes = [field.axis_coords(k)[g : field.shape[k] - g] for k in range(field.n)]
-    grids = np.meshgrid(*axes, indexing="ij")
-    return np.stack([gr.ravel() for gr in grids], axis=1)
+    return field.coords()[interior(field, order)].reshape(-1, field.n)
 
 
 # ---------------------------------------------------------------------------

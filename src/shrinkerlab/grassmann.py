@@ -292,30 +292,6 @@ def _check_normals(P: OrientedFrame, N: np.ndarray) -> None:
         raise ValueError("directions are not normal to the plane")
 
 
-def grassmann_geodesic(
-    P: OrientedFrame, normals, angles, t: float
-) -> OrientedFrame:
-    """Rotate row j of P toward normal direction j with speed angles[j].
-
-    Row j becomes cos(a_j t) e_j + sin(a_j t) nu_j; rows beyond the supplied
-    directions ride along unchanged.  With orthonormal directions normal to
-    P this is a unit-speed family of orthonormal frames for every t.
-    """
-    N = _matrix(normals)
-    a = np.asarray(angles, dtype=float)
-    k = N.shape[0]
-    if a.shape != (k,):
-        raise ValueError("need one angle per normal direction")
-    if k > P.n:
-        raise ValueError("more directions than frame rows")
-    _check_normals(P, N)
-    rows = np.array(P.vectors, copy=True)
-    c = np.cos(a * t)[:, None]
-    s = np.sin(a * t)[:, None]
-    rows[:k] = c * rows[:k] + s * N
-    return OrientedFrame(rows)
-
-
 def geodesic_from_velocity(
     P: OrientedFrame, normals, omega, t: float
 ) -> OrientedFrame:
@@ -334,9 +310,15 @@ def geodesic_from_velocity(
     if om.shape != (P.n, P.m):
         raise ValueError("coefficient shape does not match the frame")
     A, s, Bt = np.linalg.svd(om)
+    k = s.size
+    if np.linalg.det(A) < 0.0:
+        # the rows A^T P must keep P's orientation; flip A's last column,
+        # and its partner row of Bt if it has one, so that omega = A S Bt
+        A[:, -1] = -A[:, -1]
+        if P.n <= k:
+            Bt[P.n - 1] = -Bt[P.n - 1]
     rows = A.T @ P.vectors
     turned = Bt @ N
-    k = s.size
     c = np.cos(s * t)[:, None]
     sn = np.sin(s * t)[:, None]
     rows[:k] = c * rows[:k] + sn * turned[:k]

@@ -27,10 +27,16 @@ from . import grassmann, sphere
 from .grassmann import OrientedFrame, TangentCoeffs
 
 _FRAME_TOL = 1e-10
-# 4th-order first-derivative stencil, offset -> coefficient (divide by step)
-_D4 = ((-2, 1.0 / 12.0), (-1, -2.0 / 3.0), (1, 2.0 / 3.0), (2, -1.0 / 12.0))
-# 4th-order second-derivative stencil (divide by step^2)
-_D4_2 = ((-2, -1.0 / 12.0), (-1, 4.0 / 3.0), (0, -5.0 / 2.0), (1, 4.0 / 3.0), (2, -1.0 / 12.0))
+# Central differences of orders 2 and 4: (shift, weight) terms in summation
+# order, and the factor c of the divisor, c h for first and c h h for second
+# differences.
+_D1 = {2: (((1, 1.0), (-1, -1.0)), 2.0),
+       4: (((2, -1.0), (1, 8.0), (-1, -8.0), (-2, 1.0)), 12.0)}
+_D2 = {2: (((1, 1.0), (0, -2.0), (-1, 1.0)), 1.0),
+       4: (((2, -1.0), (1, 16.0), (0, -30.0), (-1, 16.0), (-2, -1.0)), 12.0)}
+# the 4th-order rows as (shift, coefficient) in shift order -2 .. 2, to be
+# divided by step (_D4) or step^2 (_D4_2)
+_D4, _D4_2 = (tuple((s, w / c) for s, w in reversed(terms)) for terms, c in (_D1[4], _D2[4]))
 
 
 class ChartError(ValueError):
@@ -209,6 +215,13 @@ def _metric_data(S, dX, ddX):
     return ginv, gamma
 
 
+def _laplace_beltrami(ginv, gamma, df, ddf):
+    """g^ij (f_ij - gamma^k_ij f_k) from the jets df (n, ...) and ddf (n, n, ...)
+    of f, a scalar or a value with trailing axes."""
+    term = ddf - np.einsum("ijk,k...->ij...", gamma, df)
+    return np.sum(ginv.reshape(ginv.shape + (1,) * (term.ndim - 2)) * term, axis=(0, 1))
+
+
 def _point(imm, param):
     # the kernel at one parameter point: (jets, frames)
     p = np.asarray(param, dtype=float)
@@ -287,7 +300,7 @@ def weighted_tension(imm: ParametricImmersion, param) -> np.ndarray:
 def _drift_laplacian(x, dX, ddX, S, df, ddf):
     # the operator at one point from its jets, whitening S and the jets of f
     ginv, gamma = _metric_data(S, dX, ddX)
-    lap = float(np.sum(ginv * (ddf - np.einsum("ijk,k->ij", gamma, df))))
+    lap = float(_laplace_beltrami(ginv, gamma, df, ddf))
     drift = 0.5 * float(df @ ginv @ (dX @ x))
     return lap - drift
 
@@ -646,10 +659,6 @@ class ScalarFieldOnPatch:
     values: np.ndarray
     gradients: Optional[np.ndarray] = None
 
-    @classmethod
-    def from_function(cls, mesh, func):
-        return cls(values=np.array([func(pf) for pf in mesh.frames], dtype=float))
-
 
 def weighted_integral(mesh: WeightedPatchMesh, f) -> float:
     """Quadrature of f against the Gaussian-weighted area measure."""
@@ -744,9 +753,7 @@ def sphere_map_tension(imm: ParametricImmersion, param, map_fn, grad_log_w):
     (_, dX, ddX), fr = _point(imm, p)
     ginv, gamma = _metric_data(fr.S, dX, ddX)
     y, dy, ddy = _fd_jets(map_fn, p, imm.fd_step)
-    lap = np.einsum(
-        "ij,ija->a", ginv, ddy - np.einsum("ijk,ka->ija", gamma, dy)
-    )
+    lap = _laplace_beltrami(ginv, gamma, dy, ddy)
     push = fr.S @ dy
     energy_density = float(np.sum(push * push))
     # weight term: push the tangential gradient of log w through the map
@@ -887,6 +894,21 @@ def _cylinder_immersion(k, n):
     )
 
 
+def _graph_jets(param, u, du, ddu):
+    """Jets x = (param, u), dX = [I | du] and ddX = [0 | ddu] of a graph at one
+    point, from the heights u (m,) and their jets du (n, m), ddu (n, n, m)."""
+    n, m = np.shape(du)
+    x = np.zeros(n + m)
+    x[:n] = param
+    x[n:] = u
+    dX = np.zeros((n, n + m))
+    dX[:, :n] = np.eye(n)
+    dX[:, n:] = du
+    ddX = np.zeros((n, n, n + m))
+    ddX[:, :, n:] = ddu
+    return x, dX, ddX
+
+
 def graph_immersion(u, n, m, chart, jets=None):
     """Immersion x -> (x, u(x)) of a height map with m components.
 
@@ -898,11 +920,8 @@ def graph_immersion(u, n, m, chart, jets=None):
 
         def jet(param):
             val, du, ddu = jets(param)
-            return (
-                np.concatenate([param, np.reshape(val, m)]),
-                np.hstack([np.eye(n), np.reshape(du, (n, m))]),
-                np.concatenate([np.zeros((n, n, n)), np.reshape(ddu, (n, n, m))], -1),
-            )
+            return _graph_jets(param, np.reshape(val, m), np.reshape(du, (n, m)),
+                               np.reshape(ddu, (n, n, m)))
 
         return ParametricImmersion(n, m, chart, jet, label="graph")
 
@@ -954,29 +973,3 @@ def catalog_immersion(name: str) -> ParametricImmersion:
     if args:
         raise ValueError(f"unused catalog arguments {sorted(args)}")
     return imm
-
-
-def probe_rows(imm: ParametricImmersion, params):
-    """CSV-ready rows (param, X, |B|^2, residual norm, rho) at given probes."""
-    header = (
-        [f"param{k}" for k in range(imm.n)]
-        + [f"x{c}" for c in range(imm.n + imm.m)]
-        + ["b2", "residual", "rho"]
-    )
-    rows = []
-    for p in params:
-        pf = point_frame(imm, p)
-        res = float(np.linalg.norm(shrinker_residual(pf)))
-        rows.append(
-            list(np.asarray(p, dtype=float))
-            + list(pf.position)
-            + [pf.second_form_sq, res, pf.rho]
-        )
-    return header, rows
-
-
-def probes_to_csv(imm: ParametricImmersion, params) -> str:
-    header, rows = probe_rows(imm, params)
-    lines = [",".join(header)]
-    lines += [",".join(f"{val:.17g}" for val in row) for row in rows]
-    return "\n".join(lines) + "\n"

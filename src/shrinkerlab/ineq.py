@@ -50,6 +50,20 @@ class PoleError(ZeroDivisionError):
 # scalar side: Omega, F, F1, F2, H1, H2
 
 
+def _pole_denominator(tau, r, t):
+    """D = 2 tau + t - r t / tau, the second denominator of F.
+
+    With r > tau the t-bound t >= 2 tau / (r / tau - 1) is exactly D <= 0,
+    and D = 0 is F's pole.
+    """
+    return 2.0 * tau + t - r * t / tau
+
+
+def _F(tau, r, t, denom):
+    # F(r, t) = r/(tau + r) + t/D, with D = _pole_denominator(tau, r, t)
+    return r / (tau + r) + t / denom
+
+
 def omega_membership(v, r, t):
     """Check (v, r, t) against the three Omega constraints.
 
@@ -63,7 +77,7 @@ def omega_membership(v, r, t):
         return False, "(1+r)(1+t) = v^2 fails"
     if r <= tau:
         return False, "r <= tau: t-bound undefined (tau^{-1} r <= 1)"
-    if t < 2.0 * tau / (r / tau - 1.0) - 1e-12:
+    if _pole_denominator(tau, r, t) > 0.0:
         return False, "t below its lower bound"
     return True, "member"
 
@@ -125,12 +139,12 @@ def F_value(pt: OmegaPoint) -> FBundle:
     satisfies F = F2 / (F1 (F2 - F1)) to rounding.
     """
     tau = pt.tau
-    denom = 2.0 * tau + pt.t - pt.r * pt.t / tau
+    denom = _pole_denominator(tau, pt.r, pt.t)
     if denom == 0.0:
         raise PoleError("2 tau + t - r t / tau = 0")
     theta = pt.r / (pt.v - 1.0)
     return FBundle(
-        F=pt.r / (tau + pt.r) + pt.t / denom,
+        F=_F(tau, pt.r, pt.t, denom),
         F1=F1_value(pt.r, tau),
         F2=F2_value(pt.r, pt.t, tau),
         theta=theta,
@@ -154,7 +168,7 @@ class SweepReport:
     samples: int
     empty_slices: int
     margin: float  # -1/16 - worst_value; nonnegative means PASS
-    worst_per_v: Optional[np.ndarray] = None
+    worst_per_v: np.ndarray  # per v-slice, -inf on an empty slice
 
     @property
     def passed(self):
@@ -169,13 +183,13 @@ class SweepReport:
         }
 
 
-def sup_F_sweep(v_count=10_000, rt_resolution=10_000, v_lo=None, v_hi=None,
-                keep_per_v=False) -> SweepReport:
+def sup_F_sweep(v_count=10_000, rt_resolution=10_000, v_lo=None, v_hi=None) -> SweepReport:
     """Maximize F over a grid of Omega and compare against -1/16.
 
     Each v-slice is parameterized by r in (tau, v^2 - 1] with t forced onto
-    the hyperbola (1+r)(1+t) = v^2; samples failing the t lower bound are
-    dropped, and a slice losing every sample is counted, not fatal.
+    the hyperbola (1+r)(1+t) = v^2; samples failing the t lower bound, and
+    any on F's pole, are dropped, and a slice losing every sample is
+    counted, not fatal.
     """
     v_lo = 1.0 + 1e-6 if v_lo is None else v_lo
     v_hi = 3.0 - 1e-6 if v_hi is None else v_hi
@@ -185,24 +199,22 @@ def sup_F_sweep(v_count=10_000, rt_resolution=10_000, v_lo=None, v_hi=None,
     arg = (math.nan, math.nan, math.nan)
     samples = 0
     empty = 0
-    per_v = np.full(v_count, -np.inf) if keep_per_v else None
+    per_v = np.full(v_count, -np.inf)
     for iv, v in enumerate(v_grid):
         tau = 0.5 * (v - 1.0)
         r = tau + (v * v - 1.0 - tau) * frac
         t = (v * v - 1.0 - r) / (1.0 + r)
+        denom = _pole_denominator(tau, r, t)
+        member = denom < 0.0  # D <= 0, off the pole D = 0
         with np.errstate(divide="ignore", invalid="ignore"):
-            member = t >= 2.0 * tau / (r / tau - 1.0) - 1e-15
-            denom = 2.0 * tau + t - r * t / tau
-            member &= denom != 0.0
-            F = r / (tau + r) + t / denom
+            F = _F(tau, r, t, denom)
         if not np.any(member):
             empty += 1
             continue
         vals = F[member]
         samples += int(vals.size)
         k = int(np.argmax(vals))
-        if per_v is not None:
-            per_v[iv] = vals[k]
+        per_v[iv] = vals[k]
         if vals[k] > worst:
             worst = float(vals[k])
             rm = r[member]

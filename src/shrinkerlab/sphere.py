@@ -68,10 +68,6 @@ class SymBilinearForm:
             raise ValueError("form entries must be symmetric to 1e-12")
         object.__setattr__(self, "entries", m)
 
-    @property
-    def dimension(self) -> int:
-        return self.entries.shape[0]
-
     def __call__(self, u: np.ndarray, w: np.ndarray) -> float:
         """Contract with coefficient vectors of the same frame."""
         return float(np.asarray(u) @ self.entries @ np.asarray(w))

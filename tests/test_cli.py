@@ -64,6 +64,10 @@ def test_sweep_ceiling_at_or_above_three_rejected(tmp_path):
     ("flow-graph", {"trace_csv": None}),
     ("verify-targets", {"flip_hess_height_sign": "no"}),
     ("flow-graph", {"order": 4.0}),
+    # surface lists: nonempty, of names the catalog builds; these used to
+    # PASS over no probes and to raise from the catalog (exit 1)
+    ("verify-shrinkers", {"surfaces": [], "control_surfaces": []}),
+    ("verify-shrinkers", {"surfaces": ["torus:n=2"]}),
 ])
 def test_wrong_typed_config_value_rejected(tmp_path, capsys, subcommand, payload):
     cfg = _write_cfg(tmp_path, payload)

@@ -11,7 +11,6 @@ from shrinkerlab.grassmann import (
     dlogv_form,
     express_in_adapted_frame,
     geodesic_from_velocity,
-    grassmann_geodesic,
     hess_logv_form,
     hess_v_form,
     jordan_spectrum,
@@ -244,30 +243,37 @@ def test_overlap_values_reject_bad_rows():
 def test_geodesic_identity_cases():
     rng = np.random.default_rng(7)
     P = _random_frame(rng, 2, 5)
-    N = _complement(P)[:2]
-    out = grassmann_geodesic(P, N, [0.4, 1.1], 0.0)
-    assert np.allclose(out.vectors, P.vectors, atol=1e-15)
-    out = grassmann_geodesic(P, N, [0.0, 0.0], 3.7)
-    assert np.allclose(out.vectors, P.vectors, atol=1e-15)
+    N = _complement(P)
+    om = np.array([[0.4, 0.0, 0.0], [0.0, 1.1, 0.0]])
+    assert w_product(geodesic_from_velocity(P, N, om, 0.0), P) == pytest.approx(1.0, abs=1e-14)
+    out = geodesic_from_velocity(P, N, np.zeros((2, 3)), 3.7)
+    assert w_product(out, P) == pytest.approx(1.0, abs=1e-14)
+    # at t = 0 any velocity leaves P in place, orientation included
+    for _ in range(200):
+        n, m = int(rng.integers(1, 4)), int(rng.integers(1, 4))
+        P = _random_frame(rng, n, n + m)
+        out = geodesic_from_velocity(P, _complement(P), rng.standard_normal((n, m)), 0.0)
+        assert w_product(out, P) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_geodesic_rejects_bad_directions():
     P = OrientedFrame(np.eye(4)[:2])
-    with pytest.raises(ValueError):
-        grassmann_geodesic(P, np.array([[1.0, 0.0, 0.0, 0.0]]), [0.5], 1.0)
-    with pytest.raises(ValueError):
-        grassmann_geodesic(
-            P, np.array([[0.0, 0.0, 1.0, 1.0]]), [0.5], 1.0
-        )
+    om = np.full((2, 2), 0.5)
+    with pytest.raises(ValueError, match="not normal"):
+        geodesic_from_velocity(P, np.eye(4)[[0, 3]], om, 1.0)
+    with pytest.raises(ValueError, match="not orthonormal"):
+        geodesic_from_velocity(P, np.array([[0.0, 0.0, 1.0, 1.0], [0.0, 0.0, 0.0, 1.0]]),
+                               om, 1.0)
+    with pytest.raises(ValueError, match="full orthonormal basis"):
+        geodesic_from_velocity(P, np.eye(4)[2:3], om, 1.0)
 
 
 def test_line_geodesic_is_a_great_circle():
-    rng = np.random.default_rng(8)
     e = np.array([1.0, 0.0, 0.0])
     nu = np.array([0.0, 1.0, 0.0])
     P = OrientedFrame(e[None, :])
     for t in (0.0, 0.3, 1.0, 2.2):
-        out = grassmann_geodesic(P, nu[None, :], [1.0], t)
+        out = geodesic_from_velocity(P, np.eye(3)[1:], [[1.0, 0.0]], t)
         assert np.allclose(out.vectors[0], sphere.great_circle(e, nu, t), atol=1e-14)
 
 

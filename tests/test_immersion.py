@@ -952,16 +952,3 @@ def test_catalog_string_parsing():
         im.catalog_immersion("plane:n=2,m=1,R=4")
     with pytest.raises(ValueError, match="malformed"):
         im.catalog_immersion("plane:n2")
-
-
-def test_probe_csv_export():
-    imm = im.catalog_immersion("sphere:n=2,R=2")
-    params = [np.array([1.0, 0.5]), np.array([2.0, -1.0])]
-    text = im.probes_to_csv(imm, params)
-    lines = text.strip().split("\n")
-    assert lines[0] == "param0,param1,x0,x1,x2,b2,residual,rho"
-    assert len(lines) == 3
-    first = [float(tok) for tok in lines[1].split(",")]
-    assert abs(first[5] - 0.5) <= 1e-10  # |B|^2 on the radius-2 sphere
-    assert abs(first[6]) <= 1e-10
-    assert abs(first[7] - math.exp(-1.0)) <= 1e-12

@@ -32,6 +32,10 @@ def test_omega_membership_examples():
     assert not ok and "t-bound undefined" in reason
     ok, reason = ineq.omega_membership(2.0, 0.6, _hyperbola_t(2.0, 0.6))
     assert not ok and "lower bound" in reason
+    # 8.3e-14 below the t-bound, past F's pole (F would read 3.0e6); the
+    # bound used to be checked with 1e-12 of slack, which admitted it
+    ok, reason = ineq.omega_membership(1.000001, 1.5000006666025336e-06, 4.999995833221254e-07)
+    assert not ok and "lower bound" in reason
     ok, reason = ineq.omega_membership(3.5, 1.5, 0.6)
     assert not ok and "(1,3)" in reason
     ok, reason = ineq.omega_membership(2.0, 1.5, 0.7)
@@ -129,7 +133,7 @@ def test_scalar_bounds_on_sampled_domain():
 
 
 def test_sup_F_sweep_bound_and_refinement():
-    rep = ineq.sup_F_sweep(v_count=400, rt_resolution=1500, keep_per_v=True)
+    rep = ineq.sup_F_sweep(v_count=400, rt_resolution=1500)
     assert rep.passed
     assert rep.worst_value <= -1.0 / 16.0 + 1e-9
     assert rep.samples >= 100_000

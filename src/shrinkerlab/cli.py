@@ -500,14 +500,11 @@ def _chart_probes(imm, rng, count):
 def _surface_chunk(args):
     name, seed_seq, count = args
     imm = immersion.catalog_immersion(name)
-    rng = np.random.default_rng(seed_seq)
-    rows = []
-    for p in _chart_probes(imm, rng, count):
-        pf = immersion.point_frame(imm, p)
-        res = float(np.max(np.abs(immersion.shrinker_residual(pf))))
-        ten = float(np.max(np.abs(immersion.weighted_tension(imm, p))))
-        rows.append((res, ten))
-    return rows
+    p = _chart_probes(imm, np.random.default_rng(seed_seq), count)
+    pf = immersion.point_frame(imm, p)
+    res = np.max(np.abs(immersion.shrinker_residual(pf)), axis=-1)
+    ten = np.max(np.abs(immersion.weighted_tension(imm, p)), axis=(-2, -1))
+    return list(zip(res.tolist(), ten.tolist()))
 
 
 def _composition_targets(imm):

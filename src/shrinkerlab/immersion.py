@@ -10,15 +10,16 @@ quadrature over patch meshes, the closed-surface stability identity, and a
 first-variation check for weighted map energies.  A small catalog of exact
 surfaces (planes, round spheres, shrinking cylinders, graphs) supplies
 analytic jets; user surfaces fall back to high-order finite differences.
+Frames are one record, PointFrame, over leading axes: point_frame and
+weighted_tension take parameters (..., n) with one kernel call per batch, and
+a patch mesh carries the PointFrame batch of its nodes.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from collections import namedtuple
 from dataclasses import dataclass
-from functools import cached_property
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -78,29 +79,17 @@ class ParametricImmersion:
         step = (chart[:, 1] - chart[:, 0]) * 1e-3
         return cls(n, m, chart, lambda q: _fd_jets(func, q, step), step, label)
 
-    def _inside(self, p):
-        # per point over leading axes: every coordinate within the chart box
-        lo, hi = self.chart.T
-        return ((p >= lo - 1e-12) & (p <= hi + 1e-12)).all(axis=-1)
-
-    def contains(self, param):
-        return bool(self._inside(np.asarray(param, dtype=float)).all())
-
     def jet(self, param):
-        p = np.asarray(param, dtype=float)
-        if p.shape != (self.n,):
-            raise ValueError("parameter dimension mismatch")
-        if not self.contains(p):
-            raise ChartError(f"parameter {p} outside the chart")
-        x, dX, ddX = self._jet(p)
-        return np.asarray(x, dtype=float), np.asarray(dX, dtype=float), np.asarray(ddX, dtype=float)
+        """Jets at one parameter point: jets of a batch of one."""
+        return tuple(a[0] for a in self.jets(np.asarray(param, dtype=float)[None]))
 
     def jets(self, params):
         """Jets at (B, n) parameters: (B, amb), (B, n, amb) and (B, n, n, amb)."""
         p = np.asarray(params, dtype=float)
         if p.ndim != 2 or p.shape[1] != self.n:
             raise ValueError("parameter dimension mismatch")
-        inside = self._inside(p)
+        lo, hi = self.chart.T
+        inside = ((p >= lo - 1e-12) & (p <= hi + 1e-12)).all(axis=-1)
         if not inside.all():
             raise ChartError(f"parameter {p[np.argmin(inside)]} outside the chart")
         if self._vectorized:
@@ -110,59 +99,62 @@ class ParametricImmersion:
         return tuple(np.asarray(a, dtype=float) for a in jets)
 
 
-def _check_frames(f):
-    """Require an orthonormal frame, symmetric h, mean = trace h and
-    rho = exp(-|X|^2/4) of f: one point, or a batch over leading axes."""
-    frame = np.concatenate([f.tangent, f.normal], axis=-2)
-    gram = frame @ frame.swapaxes(-1, -2)
-    if np.abs(gram - np.eye(gram.shape[-1])).max() > _FRAME_TOL:
-        raise ValueError("tangent and normal rows are not orthonormal")
-    if np.abs(f.h - f.h.swapaxes(-1, -2)).max() > 1e-9:
-        raise ValueError("second fundamental form must be symmetric")
-    if np.abs(f.h.trace(axis1=-2, axis2=-1) - f.mean).max() > 1e-9:
-        raise ValueError("mean curvature must be the trace of h")
-    # expected <= 1, so the bound 1e-12 * max(1, expected) is 1e-12
-    expected = np.exp(-np.einsum("...a,...a->...", f.position, f.position) / 4.0)
-    if np.abs(f.rho - expected).max() > 1e-12:
-        raise ValueError("weight must equal exp(-|X|^2/4)")
-
-
 @dataclass(frozen=True, eq=False)
 class PointFrame:
-    """Pointwise geometric data of an immersion in orthonormal frames."""
+    """Geometric data of an immersion in orthonormal frames at points over
+    leading axes: one point has none, a batch (probes, a stencil, the nodes
+    of a mesh) stacks every field over the same leading axes.
 
-    position: np.ndarray
-    tangent: np.ndarray  # n rows
-    normal: np.ndarray  # m rows
-    h: np.ndarray  # h[alpha, i, j], second fundamental form
+    S = L^-1, with L the Cholesky factor of the induced metric, maps
+    parameter derivatives to frame rows; frames from the frame kernel carry
+    it, frames built by hand may leave it out.  Construction checks the
+    frame: orthonormal rows, symmetric h, mean = trace h and
+    rho = exp(-|X|^2/4).
+    """
+
+    position: np.ndarray  # (..., amb)
+    tangent: np.ndarray  # (..., n, amb)
+    normal: np.ndarray  # (..., m, amb)
+    h: np.ndarray  # h[..., alpha, i, j], second fundamental form
     mean: np.ndarray  # H_alpha = trace h_alpha
-    rho: float
+    rho: np.ndarray  # (...)
+    S: Optional[np.ndarray] = None  # (..., n, n)
 
     def __post_init__(self):
-        _check_frames(self)
+        frame = np.concatenate([self.tangent, self.normal], axis=-2)
+        gram = frame @ frame.swapaxes(-1, -2)
+        if np.abs(gram - np.eye(gram.shape[-1])).max() > _FRAME_TOL:
+            raise ValueError("tangent and normal rows are not orthonormal")
+        if np.abs(self.h - self.h.swapaxes(-1, -2)).max() > 1e-9:
+            raise ValueError("second fundamental form must be symmetric")
+        if np.abs(self.h.trace(axis1=-2, axis2=-1) - self.mean).max() > 1e-9:
+            raise ValueError("mean curvature must be the trace of h")
+        # expected <= 1, so the bound 1e-12 * max(1, expected) is 1e-12
+        expected = np.exp(-np.einsum("...a,...a->...", self.position, self.position) / 4.0)
+        if np.abs(self.rho - expected).max() > 1e-12:
+            raise ValueError("weight must equal exp(-|X|^2/4)")
+
+    def __getitem__(self, index):
+        """The frames at index of the leading axes."""
+        return PointFrame(**{k: None if a is None else a[index] for k, a in vars(self).items()})
 
     @property
     def n(self):
-        return self.tangent.shape[0]
+        return self.tangent.shape[-2]
 
     @property
     def m(self):
-        return self.normal.shape[0]
+        return self.normal.shape[-2]
 
     @property
     def x_normal(self):
         """Components <X, nu_alpha> of the normal part of the position."""
-        return self.normal @ self.position
+        return (self.normal @ self.position[..., None])[..., 0]
 
     @property
     def second_form_sq(self):
         """|B|^2, the squared norm of the second fundamental form."""
-        return float(np.sum(self.h * self.h))
-
-
-# frame data over leading axes; L is the Cholesky factor of the induced
-# metric and S = L^-1 maps parameter derivatives to frame rows
-_Frames = namedtuple("_Frames", "L S position tangent normal h mean rho")
+        return np.sum(self.h * self.h, axis=(-3, -2, -1))
 
 
 def _degenerate_metric(g, params):
@@ -177,14 +169,15 @@ def _degenerate_metric(g, params):
     return ValueError("degenerate induced metric")
 
 
-def _frame_kernel(x, dX, ddX, params) -> _Frames:
+def _frame_kernel(x, dX, ddX, params):
     """Frames, curvature and Gaussian weight from jets over leading axes.
 
     x (..., amb), dX (..., n, amb) and ddX (..., n, n, amb) are the jets at
-    params (..., n); with no leading axis this is one point.  The tangent
-    rows whiten dX by the Cholesky factor of g = dX dX^T, the normals
-    complete a QR basis, and h[alpha, i, j] is ddX paired with the normals
-    in frame coordinates.
+    params (..., n).  The tangent rows whiten dX by the Cholesky factor L of
+    g = dX dX^T, the normals complete a QR basis, and h[alpha, i, j] is ddX
+    paired with the normals in frame coordinates.  Returns L and the
+    PointFrame fields, unchecked: callers build the record once the jets
+    are no longer needed.
     """
     n = dX.shape[-2]
     dXt = dX.swapaxes(-1, -2)
@@ -201,50 +194,55 @@ def _frame_kernel(x, dX, ddX, params) -> _Frames:
     h = 0.5 * (h + h.swapaxes(-1, -2))
     mean = h.trace(axis1=-2, axis2=-1)
     rho = np.exp(-(x[..., None, :] @ x[..., :, None])[..., 0, 0] / 4.0)
-    return _Frames(L, S, x, tangent, normal, h, mean, rho)
+    return L, dict(position=x, tangent=tangent, normal=normal, h=h, mean=mean, rho=rho, S=S)
+
+
+def _params(imm, params):
+    p = np.asarray(params, dtype=float)
+    if p.ndim == 0 or p.shape[-1] != imm.n:
+        raise ValueError("parameter dimension mismatch")
+    return p
+
+
+def _frames(imm, params):
+    """Jets at params (..., n), flattened to one batch axis, and the checked
+    PointFrame there over the leading axes, from one kernel call."""
+    p = _params(imm, params)
+    flat = p.reshape(-1, imm.n)
+    jets = imm.jets(flat)
+    f = _frame_kernel(*jets, flat)[1]
+    lead = p.shape[:-1]
+    # [()] turns the 0-d rho of one point into a scalar
+    return jets, PointFrame(**{k: a.reshape(lead + a.shape[1:])[()] for k, a in f.items()})
 
 
 def _metric_data(S, dX, ddX):
-    """Inverse metric and Christoffel symbols gamma[i, j, k] from S and the jets."""
-    ginv = S.T @ S
-    # dg[k, i, j] = d g_ij / d param_k, assembled from the second jets
-    dg = np.einsum("kia,ja->kij", ddX, dX)
-    dg = dg + np.swapaxes(dg, 1, 2)
-    combo = dg + dg.transpose(1, 0, 2) - dg.transpose(1, 2, 0)
-    gamma = 0.5 * np.einsum("kl,ijl->ijk", ginv, combo)
+    """Inverse metric and Christoffel symbols gamma[..., i, j, k] from S and
+    the jets, over leading axes."""
+    ginv = S.swapaxes(-1, -2) @ S
+    # dg[..., k, i, j] = d g_ij / d param_k, assembled from the second jets
+    dg = np.einsum("...kia,...ja->...kij", ddX, dX)
+    dg = dg + dg.swapaxes(-1, -2)
+    combo = dg + dg.swapaxes(-3, -2) - np.moveaxis(dg, -3, -1)
+    gamma = 0.5 * np.einsum("...kl,...ijl->...ijk", ginv, combo)
     return ginv, gamma
 
 
 def _laplace_beltrami(ginv, gamma, df, ddf):
-    """g^ij (f_ij - gamma^k_ij f_k) from the jets df (n, ...) and ddf (n, n, ...)
-    of f, a scalar or a value with trailing axes."""
-    term = ddf - np.einsum("ijk,k...->ij...", gamma, df)
-    return np.sum(ginv.reshape(ginv.shape + (1,) * (term.ndim - 2)) * term, axis=(0, 1))
+    """g^ij (f_ij - gamma^k_ij f_k) over leading axes, from the jets
+    df (..., n) and ddf (..., n, n) of f; a vector-valued f takes its
+    components on a leading axis."""
+    term = ddf - np.einsum("...ijk,...k->...ij", gamma, df)
+    return np.sum(ginv * term, axis=(-2, -1))
 
 
-def _point(imm, param):
-    # the kernel at one parameter point: (jets, frames)
-    p = np.asarray(param, dtype=float)
-    jets = imm.jet(p)
-    return jets, _frame_kernel(*jets, p)
+def point_frame(imm: ParametricImmersion, params) -> PointFrame:
+    """Frames, curvature, and Gaussian weight at parameters (..., n).
 
-
-def _stencil_frames(imm, points):
-    # jets and checked frames at the stencil points: one kernel call
-    jets = imm.jets(points)
-    f = _frame_kernel(*jets, points)
-    _check_frames(f)
-    return jets, f
-
-
-def _as_point_frame(f):
-    # PointFrame of kernel output with no batch axis
-    return PointFrame(f.position, f.tangent, f.normal, f.h, f.mean, float(f.rho))
-
-
-def point_frame(imm: ParametricImmersion, param) -> PointFrame:
-    """Frames, curvature, and Gaussian weight of an immersion at one point."""
-    return _as_point_frame(_point(imm, param)[1])
+    One kernel call covers every point; one point (shape (n,)) gives a
+    PointFrame with no leading axis.
+    """
+    return _frames(imm, params)[1]
 
 
 def shrinker_residual(pf: PointFrame) -> np.ndarray:
@@ -271,30 +269,32 @@ def gauss_pushforward(imm: ParametricImmersion, param):
 
 
 def _tension(f, first):
-    """T[alpha, j] from frames at the centre (row 0) and, in rows 1 to 4n, at
-    the axis points of the first-order stencil whose combine is first."""
+    """T[..., alpha, j] from frames with the stencil on their first axis: the
+    centres in row 0 and, in rows 1 to 4n, the axis points of the
+    first-order stencils whose combine is first."""
+    rows = slice(1, 1 + 4 * f.S.shape[-1])
+    x, tangent, normal, mean = f.position[rows], f.tangent[rows], f.normal[rows], f.mean[rows]
     # the ambient field H + X_normal/2, independent of the frame choice
-    V = np.stack([
-        f.mean[i] @ f.normal[i]
-        + 0.5 * (f.position[i] - (f.tangent[i] @ f.position[i]) @ f.tangent[i])
-        for i in range(1, 1 + 4 * f.S.shape[-1])
-    ])
+    xt = (tangent @ x[..., None])[..., 0]
+    V = (mean[..., None, :] @ normal)[..., 0, :] + 0.5 * (x - (xt[..., None, :] @ tangent)[..., 0, :])
     _, dV, _ = first(V)
-    along_frame = f.S[0] @ dV  # row j: derivative along frame row j
-    return f.normal[0] @ along_frame.T  # (alpha, j)
+    # row j: derivative along frame row j
+    along_frame = f.S[0] @ np.ascontiguousarray(np.moveaxis(dV, 0, -2))
+    return f.normal[0] @ along_frame.swapaxes(-1, -2)  # (..., alpha, j)
 
 
-def weighted_tension(imm: ParametricImmersion, param) -> np.ndarray:
-    """Coefficients T[alpha, j] of the weighted tension of the plane map.
+def weighted_tension(imm: ParametricImmersion, params) -> np.ndarray:
+    """Coefficients T[..., alpha, j] of the weighted tension of the plane map
+    at parameters (..., n).
 
     Differentiates the ambient field H + X_normal/2 along each frame row and
     projects onto the normal directions at the center point.  Vanishes on
-    self-shrinkers.  One frame-kernel call covers the centre and its
+    self-shrinkers.  One frame-kernel call covers every centre and its
     first-order stencil.
     """
-    p = np.asarray(param, dtype=float)
+    p = _params(imm, params)
     points, first = _stencil(p, imm.fd_step, second=False)
-    return _tension(_stencil_frames(imm, np.concatenate([p[None], points]))[1], first)
+    return _tension(_frames(imm, np.concatenate([p[None], points]))[1], first)
 
 
 def _drift_laplacian(x, dX, ddX, S, df, ddf):
@@ -311,24 +311,25 @@ def drift_laplacian(imm: ParametricImmersion, param, f) -> float:
     f(param) must return (value, gradient, hessian) with respect to the
     chart parameters.
     """
-    (x, dX, ddX), fr = _point(imm, param)
+    jets, fr = _frames(imm, param)
     df, ddf = (np.asarray(a, dtype=float) for a in f(np.asarray(param, float))[1:])
-    return _drift_laplacian(x, dX, ddX, fr.S, df, ddf)
+    return _drift_laplacian(*(a[0] for a in jets), fr.S, df, ddf)
 
 
 def _stencil(center, steps, second=True):
-    """The 4th-order difference stencil at center, each point listed once.
+    """The 4th-order difference stencils at centers (..., n), each point
+    listed once.
 
-    Returns (points, combine).  points (S, n) holds the 4 points of each
-    parameter axis, axis by axis in the offset order of _D4; with
-    second=True the centre comes first (so the axis points are rows 1 to 4n)
-    and the 16 mixed points of each axis pair k < l come last.
+    Returns (points, combine).  points (S, ..., n) holds, per centre, the 4
+    points of each parameter axis, axis by axis in the offset order of _D4;
+    with second=True the centre comes first (so the axis points are rows 1
+    to 4n) and the 16 mixed points of each axis pair k < l come last.
     combine(values) takes func's values at the points, stacked along the
     first axis, and returns the (value, first, second) jets of _fd_jets.
     """
     c = np.asarray(center, dtype=float)
     steps = np.asarray(steps, dtype=float)
-    n = c.size
+    n = c.shape[-1]
     # a point is its shift from c: pairs (k, off) moving it off * steps[k]
     shifts = [((k, off),) for k in range(n) for off, _ in _D4]
     if second:
@@ -338,7 +339,7 @@ def _stencil(center, steps, second=True):
     points = np.repeat(c[None], len(shifts), axis=0)
     for q, shift in zip(points, shifts):
         for k, off in shift:
-            q[k] += off * steps[k]
+            q[..., k] += off * steps[k]
 
     def combine(values):
         def at(*shift):  # func at c shifted by off * steps[k] along each (k, off)
@@ -365,15 +366,23 @@ def _stencil(center, steps, second=True):
 
 
 def _fd_jets(func, center, steps, second=True):
-    """(value, first, second) jets of func at center by 4th-order differences.
+    """(value, first, second) jets of func at centers (..., n) by 4th-order
+    differences.
 
-    func may return a scalar or an array; first[k] and second[k, l] are its
-    partial derivatives along parameters k and l.  Each stencil point is
-    evaluated once.  With second=False only the first-derivative stencil
-    runs and the value and second jet come back as None.
+    func takes one point and may return a scalar or an array; first[k] and
+    second[k, l] are its partial derivatives along parameters k and l, over
+    the leading axes of center.  Each stencil point is evaluated once.  With
+    second=False only the first-derivative stencil runs and the value and
+    second jet come back as None.
     """
     points, combine = _stencil(center, steps, second)
-    return combine(np.stack([np.asarray(func(q), dtype=float) for q in points]))
+    return combine(_evaluate(func, points))
+
+
+def _evaluate(func, points):
+    """func at every point of points (..., n), stacked over the leading axes."""
+    vals = np.stack([np.asarray(func(q), dtype=float) for q in points.reshape(-1, points.shape[-1])])
+    return vals.reshape(points.shape[:-1] + vals.shape[1:])
 
 
 # ---------------------------------------------------------------------------
@@ -381,8 +390,8 @@ def _fd_jets(func, center, steps, second=True):
 
 
 def _orientation_sign(pf):
-    # sign making (tangent rows, normal) positively oriented; hypersurfaces
-    # only; one per node when given a mesh
+    # sign making (tangent rows, normal) positively oriented, over the
+    # leading axes; hypersurfaces only
     return np.sign(np.linalg.det(np.concatenate([pf.tangent, pf.normal], axis=-2)))
 
 
@@ -390,19 +399,16 @@ def oriented_normal(pf: PointFrame) -> np.ndarray:
     """Unit normal of a hypersurface, oriented to follow the chart."""
     if pf.m != 1:
         raise ValueError("oriented normal needs codimension one")
-    return _orientation_sign(pf) * pf.normal[0]
+    return _orientation_sign(pf)[..., None] * pf.normal[..., 0, :]
 
 
 class _Target:
-    """A scalar F composed with the plane map, read by composition_checks."""
+    """A scalar F composed with the plane map, read by composition_checks.
 
-    def scalars(self, frames, shared):
-        """F at every row of frames, kernel output over one leading axis.
-
-        shared is a dict that the targets of one composition_checks call
-        fill with what they have in common.
-        """
-        return np.array([self.scalar(_Frames(*row)) for row in zip(*frames)])
+    scalars(frames, shared) gives F at every point of a PointFrame with one
+    leading axis; shared is a dict that the targets of one
+    composition_checks call fill with what they have in common.
+    """
 
     def centre_sum(self, pf, T, shared):
         """hess_sum(pf) + tension_term(pf, T), the chain rule's centre terms."""
@@ -414,11 +420,13 @@ class _HypersurfaceTarget(_Target):
 
     def _point(self, pf):
         s = _orientation_sign(pf)
-        return s * pf.normal[0], s
+        return s[..., None] * pf.normal[..., 0, :], s
+
+    def scalars(self, frames, shared=None):
+        return np.array([self._value(y) for y in self._point(frames)[0]])
 
     def scalar(self, pf):
-        y, _ = self._point(pf)
-        return self._value(y)
+        return self._value(self._point(pf)[0])
 
     def hess_sum(self, pf):
         y, s = self._point(pf)
@@ -563,12 +571,12 @@ def composition_checks(imm: ParametricImmersion, param, targets) -> list:
     at every row in one scalars call.  Targets on one reference share its
     v values and its centre spectrum.
     """
-    p = np.asarray(param, dtype=float)
+    p = _params(imm, param)
     points, combine = _stencil(p, imm.fd_step)
-    (x, dX, ddX), f = _stencil_frames(imm, points)
+    (x, dX, ddX), f = _frames(imm, points)
     # rows 1 to 4n hold the first-order stencil, in its own order
     T = _tension(f, _stencil(p, imm.fd_step, second=False)[1])
-    pf = _as_point_frame(_Frames(*(a[0] for a in f)))  # checked above, as a batch
+    pf = f[0]
     out = []
     shared = {}
     for target in targets:
@@ -589,44 +597,29 @@ def composition_check(imm: ParametricImmersion, param, target) -> float:
 
 @dataclass(frozen=True, eq=False)
 class WeightedPatchMesh:
-    """Midpoint quadrature nodes with per-node frame arrays and area weights.
+    """Midpoint quadrature nodes with their frames and area weights.
 
-    Row i of every array belongs to node params[i]; the arrays are those of
-    PointFrame stacked over the nodes, plus whitening (S = L^-1, mapping
-    parameter derivatives to frame rows).  weights hold the unweighted area
-    element (cell volume times sqrt det g); the Gaussian factor enters
-    through rho.
+    frames is the PointFrame batch over the nodes: row i of each of its
+    fields, and of weights, belongs to node params[i].  weights hold the
+    unweighted area element (cell volume times sqrt det g); the Gaussian
+    factor enters through frames.rho.
     """
 
     immersion: ParametricImmersion
     params: np.ndarray
     weights: np.ndarray
-    positions: np.ndarray
-    tangent: np.ndarray
-    normal: np.ndarray
-    h: np.ndarray
-    mean: np.ndarray
-    rho: np.ndarray
-    whitening: np.ndarray
+    frames: PointFrame
     closed: bool = False
 
     def __post_init__(self):
         if np.any(self.weights <= 0.0):
             raise ValueError("quadrature weights must be positive")
-        arrays = (self.weights, self.positions, self.tangent, self.normal, self.h,
-                  self.mean, self.rho, self.whitening)
-        if any(len(a) != self.node_count for a in arrays):
+        if not self.weights.shape == self.frames.rho.shape == (self.node_count,):
             raise ValueError("frame count must match node count")
 
     @property
     def node_count(self):
         return self.params.shape[0]
-
-    @cached_property
-    def frames(self):
-        """One PointFrame per node, built on first access."""
-        cols = self.positions, self.tangent, self.normal, self.h, self.mean
-        return tuple(map(PointFrame, *cols, self.rho.tolist()))
 
 
 def patch_mesh(imm: ParametricImmersion, shape, closed=False):
@@ -637,13 +630,10 @@ def patch_mesh(imm: ParametricImmersion, shape, closed=False):
     steps = [(hi - lo) / cnt for (lo, hi), cnt in zip(imm.chart, shape)]
     axes = [lo + st * (np.arange(c) + 0.5) for (lo, _), st, c in zip(imm.chart, steps, shape)]
     params = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=1)
-    f = _frame_kernel(*imm.jets(params), params)
-    _check_frames(f)
-    weights = math.prod(steps) * np.prod(np.diagonal(f.L, axis1=-2, axis2=-1), axis=-1)
-    return WeightedPatchMesh(
-        imm, params, weights, f.position, f.tangent, f.normal, f.h, f.mean, f.rho,
-        whitening=f.S, closed=closed,
-    )
+    # the jets die with this call, before the frame check
+    L, f = _frame_kernel(*imm.jets(params), params)
+    weights = math.prod(steps) * np.prod(np.diagonal(L, axis1=-2, axis2=-1), axis=-1)
+    return WeightedPatchMesh(imm, params, weights, PointFrame(**f), closed=closed)
 
 
 def sphere_mesh(R, shape):
@@ -665,17 +655,18 @@ def weighted_integral(mesh: WeightedPatchMesh, f) -> float:
     vals = f.values if isinstance(f, ScalarFieldOnPatch) else np.asarray(f, float)
     if vals.shape != (mesh.node_count,):
         raise ValueError("field node count does not match the mesh")
-    return float(np.sum(vals * mesh.rho * mesh.weights))
+    return float(np.sum(vals * mesh.frames.rho * mesh.weights))
 
 
 def height_field(mesh: WeightedPatchMesh, a) -> ScalarFieldOnPatch:
     """Samples of 1 - <normal map, a> with its ambient tangential gradient."""
     a = np.asarray(a, dtype=float)
-    sign = _orientation_sign(mesh)
-    nu = sign[:, None, None] * mesh.normal[:, :1]  # (B, 1, amb)
+    f = mesh.frames
+    sign = _orientation_sign(f)
+    nu = sign[:, None, None] * f.normal[:, :1]  # (B, 1, amb)
     vals = 1.0 - (nu @ a[:, None])[:, 0, 0]
-    coeffs = sign[:, None] * (mesh.h[:, 0] @ (mesh.tangent @ a)[..., None])[..., 0]
-    grads = (coeffs[:, None, :] @ mesh.tangent)[:, 0]  # e_j(f) per frame row
+    coeffs = sign[:, None] * (f.h[:, 0] @ (f.tangent @ a)[..., None])[..., 0]
+    grads = (coeffs[:, None, :] @ f.tangent)[:, 0]  # e_j(f) per frame row
     return ScalarFieldOnPatch(values=vals, gradients=grads)
 
 
@@ -700,9 +691,8 @@ def stability_identity_check(mesh: WeightedPatchMesh, a=None, field=None):
         field = height_field(mesh, a)
     if field.gradients is None:
         raise ValueError("field gradients are required")
-    b2 = np.sum(mesh.h * mesh.h, axis=(-3, -2, -1))
     f = field.values
-    lhs = weighted_integral(mesh, f * (1.0 - f) * b2)
+    lhs = weighted_integral(mesh, f * (1.0 - f) * mesh.frames.second_form_sq)
     grad_sq = np.sum(field.gradients * field.gradients, axis=1)
     rhs = -weighted_integral(mesh, grad_sq)
     return StabilityReport(lhs=lhs, rhs=rhs, residual=lhs - rhs)
@@ -722,23 +712,21 @@ class WeightField:
 
 def gaussian_weight(mesh: WeightedPatchMesh) -> WeightField:
     """The shrinker weight rho with grad log rho = -(tangential X)/2."""
-    xt = (mesh.tangent @ mesh.positions[..., None]).swapaxes(-1, -2) @ mesh.tangent
-    return WeightField(values=mesh.rho, grad_log=-0.5 * xt[:, 0])
+    f = mesh.frames
+    xt = (f.tangent @ f.position[..., None]).swapaxes(-1, -2) @ f.tangent
+    return WeightField(values=f.rho, grad_log=-0.5 * xt[:, 0])
 
 
 def unit_weight(mesh: WeightedPatchMesh) -> WeightField:
-    return WeightField(np.ones(mesh.node_count), np.zeros(mesh.positions.shape))
+    return WeightField(np.ones(mesh.node_count), np.zeros(mesh.frames.position.shape))
 
 
 def weighted_energy(mesh: WeightedPatchMesh, map_fn, weight: WeightField) -> float:
     """Integral of (1/2)|d map|^2 w over the mesh (map valued in R^k)."""
-    step = mesh.immersion.fd_step
-    total = 0.0
-    for idx in range(mesh.node_count):
-        _, dy, _ = _fd_jets(map_fn, mesh.params[idx], step, second=False)
-        push = mesh.whitening[idx] @ dy  # rows: map differential along frame rows
-        total += 0.5 * float(np.sum(push * push)) * weight.values[idx] * mesh.weights[idx]
-    return total
+    _, dy, _ = _fd_jets(map_fn, mesh.params, mesh.immersion.fd_step, second=False)
+    push = mesh.frames.S @ dy.swapaxes(0, 1)  # rows: map differential along frame rows
+    density = 0.5 * np.sum(push * push, axis=(-2, -1))
+    return float(np.sum(density * weight.values * mesh.weights))
 
 
 class FirstVariationReport(NamedTuple):
@@ -747,17 +735,20 @@ class FirstVariationReport(NamedTuple):
     residual: float
 
 
-def sphere_map_tension(imm: ParametricImmersion, param, map_fn, grad_log_w):
-    """Weighted tension of a unit-sphere-valued map at one point (ambient)."""
-    p = np.asarray(param, dtype=float)
-    (_, dX, ddX), fr = _point(imm, p)
-    ginv, gamma = _metric_data(fr.S, dX, ddX)
-    y, dy, ddy = _fd_jets(map_fn, p, imm.fd_step)
-    lap = _laplace_beltrami(ginv, gamma, dy, ddy)
-    push = fr.S @ dy
-    energy_density = float(np.sum(push * push))
+def sphere_map_tension(mesh: WeightedPatchMesh, map_fn, grad_log_w):
+    """Weighted tension (N, k) of a unit-sphere-valued map at the mesh nodes
+    (ambient), with grad_log_w (N, amb) the tangential gradients of log w."""
+    imm, f = mesh.immersion, mesh.frames
+    _, dX, ddX = imm.jets(mesh.params)
+    ginv, gamma = _metric_data(f.S, dX, ddX)
+    y, dy, ddy = _fd_jets(map_fn, mesh.params, imm.fd_step)
+    # the map's components on a leading axis: (k, N, n) and (k, N, n, n)
+    lap = _laplace_beltrami(ginv, gamma, dy.transpose(2, 1, 0), ddy.transpose(3, 2, 0, 1)).T
+    push = f.S @ dy.swapaxes(0, 1)  # (N, n, k)
+    energy_density = np.sum(push * push, axis=(-2, -1))
     # weight term: push the tangential gradient of log w through the map
-    return lap + energy_density * y + (fr.tangent @ grad_log_w) @ push
+    drift = ((f.tangent @ grad_log_w[..., None]).swapaxes(-1, -2) @ push)[:, 0]
+    return lap + energy_density[:, None] * y + drift
 
 
 def first_variation_check(mesh: WeightedPatchMesh, family, weight_of) -> FirstVariationReport:
@@ -775,25 +766,17 @@ def first_variation_check(mesh: WeightedPatchMesh, family, weight_of) -> FirstVa
     e_p, e_m = weighted_energy(mesh, fp, w), weighted_energy(mesh, fm, w)
     derivative = (e_p - e_m) / (2.0 * dt)
 
-    def rate(q):  # d/dt of the map at q
-        return (np.asarray(fp(q), float) - np.asarray(fm(q), float)) / (2.0 * dt)
+    def rate(q):  # d/dt of the map at the points q (..., n)
+        return (_evaluate(fp, q) - _evaluate(fm, q)) / (2.0 * dt)
 
-    total = 0.0
-    amp = 0.0
-    for idx in range(mesh.node_count):
-        p = mesh.params[idx]
-        vdot = rate(p)
-        amp = max(amp, float(np.max(np.abs(vdot))))
-        tau = sphere_map_tension(imm, p, f0, w.grad_log[idx])
-        total += -float(vdot @ tau) * w.values[idx] * mesh.weights[idx]
+    vdot = rate(mesh.params)
+    tau = sphere_map_tension(mesh, f0, w.grad_log)
+    total = -float(np.sum(np.sum(vdot * tau, axis=-1) * w.values * mesh.weights))
     if not mesh.closed:
-        edge = 0.0
-        for k in range(imm.n):
-            for side in (0, 1):
-                q = np.array([0.5 * (lo + hi) for lo, hi in imm.chart])
-                q[k] = imm.chart[k, side]
-                edge = max(edge, float(np.max(np.abs(rate(q)))))
-        if edge > 1e-8 * max(amp, 1e-30):
+        # the midpoints of the faces of the chart box
+        faces = np.repeat(0.5 * imm.chart.sum(axis=1)[None], 2 * imm.n, axis=0)
+        faces[np.arange(2 * imm.n), np.repeat(np.arange(imm.n), 2)] = imm.chart.ravel()
+        if np.max(np.abs(rate(faces))) > 1e-8 * max(float(np.max(np.abs(vdot))), 1e-30):
             warnings.warn(
                 "variation is not compactly supported; boundary terms dropped",
                 stacklevel=2,
@@ -950,24 +933,37 @@ def catalog_immersion(name: str) -> ParametricImmersion:
 
     Known kinds: plane:n=..,m=..; sphere:n=..,R=..[,c1=..] (c1 shifts the
     center along the first axis); cylinder:k=..,n=.. (round factor of radius
-    sqrt(2k)).
+    sqrt(2k)).  Dimensions must be positive integers, with k <= n, R
+    positive and finite, and c1 finite.
     """
     kind, _, rest = name.partition(":")
     args = _parse_args(rest)
 
-    def take(key, default=None):
+    def take(key, default=None, valid=math.isfinite, need="a finite number"):
         if key in args:
-            return args.pop(key)
-        if default is None:
+            val = args.pop(key)
+        elif default is None:
             raise ValueError(f"catalog {kind!r} needs argument {key!r}")
-        return default
+        else:
+            val = default
+        if not valid(val):
+            raise ValueError(f"catalog {kind!r} needs {need} {key!r}, got {val!r}")
+        return val
+
+    def dim(key):
+        return int(take(key, valid=lambda x: 1 <= x < math.inf and x == int(x),
+                        need="a positive integer"))
 
     if kind == "plane":
-        imm = _plane_immersion(int(take("n")), int(take("m")))
+        imm = _plane_immersion(dim("n"), dim("m"))
     elif kind == "sphere":
-        imm = _sphere_immersion(int(take("n")), take("R"), take("c1", 0.0))
+        R = take("R", valid=lambda x: 0.0 < x < math.inf, need="a positive finite number")
+        imm = _sphere_immersion(dim("n"), R, take("c1", 0.0))
     elif kind == "cylinder":
-        imm = _cylinder_immersion(int(take("k")), int(take("n")))
+        k, n = dim("k"), dim("n")
+        if k > n:
+            raise ValueError(f"catalog {kind!r} needs k <= n, got k={k}, n={n}")
+        imm = _cylinder_immersion(k, n)
     else:
         raise ValueError(f"unknown catalog kind {kind!r}")
     if args:

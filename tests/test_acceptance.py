@@ -454,17 +454,20 @@ def test_c10_graph_rigidity_experiment():
     )
     assert slope0 <= 2.5
     assert elapsed <= 300.0
-    # the affine state is a linearly unstable equilibrium on this box
-    # (measured growth rate ~ +0.46), so the relaxation is repelled from
-    # the prescribed target; the assertions state the contract and record
-    # the measured outcome
+    # the affine state is a linearly unstable equilibrium on this box: the
+    # flow linearized there, G : D^2 phi - (x . D phi - phi)/2 with
+    # G = (I + A^T A)^-1, Dirichlet data and centred differences, has top
+    # eigenvalue +0.4739 (+0.4626 for the isotropic G = I), so the
+    # relaxation is repelled from the prescribed target; the assertions
+    # state the contract and record the measured outcome
     assert converged and final_res < 1e-8
     assert deviation <= 1e-6
 
 
 def test_c10_stable_box_companion():
     # the same experiment on a box where the affine state is linearly
-    # stable (measured decay rate ~ -1.2) shows the advertised behavior
+    # stable (top eigenvalue -1.0336 of the linearization at the affine
+    # state, -1.2299 for the isotropic G = I) shows the advertised behavior
     field = _rigidity_bump_field(L=1.5, res=65, amp=0.25)
     slope0 = float(np.max(graphflow.slope_field(field)))
     solver = graphflow.SolverConfig(

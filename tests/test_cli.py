@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from shrinkerlab import cli, graphflow, grassmann
+from shrinkerlab import cli, graphflow, grassmann, immersion
 
 
 @pytest.fixture(autouse=True)
@@ -75,6 +75,20 @@ def test_wrong_typed_config_value_rejected(tmp_path, capsys, subcommand, payload
     assert cli.main([subcommand, "--config", cfg, "--out", str(out)]) == 2
     assert "config error" in capsys.readouterr().err
     assert not (out / f"report_{subcommand}.json").exists()
+
+
+@pytest.mark.parametrize("surface", [
+    "plane:n=0,m=1", "plane:n=1.5,m=1", "plane:n=1,m=0", "sphere:n=2,R=0",
+    "sphere:n=2,R=-2", "sphere:n=2,R=nan", "sphere:n=2,R=2,c1=inf", "cylinder:k=3,n=2",
+])
+def test_degenerate_catalog_surface_rejected(tmp_path, capsys, surface):
+    # non-integral or nonpositive dimensions, k > n, and radii or centres
+    # that are not finite (or not positive) are configuration errors
+    cfg = _write_cfg(tmp_path, {"surfaces": [surface]})
+    out = tmp_path / "out"
+    assert cli.main(["verify-shrinkers", "--config", cfg, "--out", str(out)]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not (out / "report_verify-shrinkers.json").exists()
 
 
 @pytest.mark.parametrize("raw", [
@@ -399,3 +413,14 @@ def test_grassmann_probe_takes_one_spectrum(monkeypatch):
     residuals = cli._grassmann_probe(np.random.default_rng(3), 1e-4)
     assert len(calls) == 1
     assert max(residuals) <= 1e-5
+
+
+@pytest.mark.parametrize("count", [1, 7, 30])
+def test_surface_chunk_makes_two_kernel_calls(monkeypatch, count):
+    # one point_frame and one weighted_tension call over the whole chunk
+    calls = []
+    kernel = immersion._frame_kernel
+    monkeypatch.setattr(immersion, "_frame_kernel", lambda *a: calls.append(1) or kernel(*a))
+    rows = cli._surface_chunk(("cylinder:k=1,n=2", np.random.SeedSequence(4), count))
+    assert len(rows) == count
+    assert len(calls) == 2

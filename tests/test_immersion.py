@@ -202,19 +202,19 @@ def test_mesh_arrays_match_point_frames(name, shape):
         jets = imm.jet(p)
         for b, row in zip(batch, jets):
             assert np.array_equal(b[i], row)
-        f = im._frame_kernel(*jets, p)
-        assert np.array_equal(mesh.whitening[i], f.S)
-        assert mesh.weights[i] == cell * np.prod(np.diagonal(f.L))
+        L, f = im._frame_kernel(*jets, p)
+        assert np.array_equal(mesh.frames.S[i], f["S"])
+        assert mesh.weights[i] == cell * np.prod(np.diagonal(L))
         pf = im.point_frame(imm, p)
-        got = (mesh.positions[i], mesh.tangent[i], mesh.normal[i], mesh.h[i],
-               mesh.mean[i], mesh.rho[i])
+        fr = mesh.frames
+        got = (fr.position[i], fr.tangent[i], fr.normal[i], fr.h[i], fr.mean[i], fr.rho[i])
         want = (pf.position, pf.tangent, pf.normal, pf.h, pf.mean, pf.rho)
         for g, w in zip(got, want):
             assert np.array_equal(g, w)
-        lazy = mesh.frames[i]
-        for field in ("position", "tangent", "normal", "h", "mean", "rho"):
-            assert np.array_equal(getattr(lazy, field), getattr(pf, field))
-    assert len(mesh.frames) == mesh.node_count
+        row = mesh.frames[i]
+        for field in ("position", "tangent", "normal", "h", "mean", "rho", "S"):
+            assert np.array_equal(getattr(row, field), getattr(pf, field))
+    assert mesh.frames.rho.shape == (mesh.node_count,)
 
 
 def test_patch_mesh_needs_positive_resolutions():
@@ -231,10 +231,10 @@ def test_mesh_quadrature_reads_arrays_only():
     gauss = im.gaussian_weight(mesh)
     im.unit_weight(mesh)
     im.weighted_integral(mesh, np.ones(mesh.node_count))
-    assert "frames" not in vars(mesh)  # PointFrames are built only on request
-    # per-node loops over the frames as the reference
+    # per-node loops over one-point frames as the reference
     field = im.height_field(mesh, a)
-    for i, pf in enumerate(mesh.frames):
+    pfs = [im.point_frame(mesh.immersion, p) for p in mesh.params]
+    for i, pf in enumerate(pfs):
         s = im._orientation_sign(pf)
         assert field.values[i] == 1.0 - float(s * pf.normal[0] @ a)
         coeffs = s * (pf.h[0] @ (pf.tangent @ a))
@@ -242,7 +242,7 @@ def test_mesh_quadrature_reads_arrays_only():
         xt = (pf.tangent @ pf.position) @ pf.tangent
         assert np.array_equal(gauss.grad_log[i], -0.5 * xt)
         assert gauss.values[i] == pf.rho
-    b2 = np.array([pf.second_form_sq for pf in mesh.frames])
+    b2 = np.array([pf.second_form_sq for pf in pfs])
     f = field.values
     lhs = float(np.sum(f * (1.0 - f) * b2 * gauss.values * mesh.weights))
     assert rep.lhs == lhs
@@ -512,7 +512,7 @@ def _ref_tension(imm, p):
         xnorm = pf.position - (pf.tangent @ pf.position) @ pf.tangent
         return pf.mean @ pf.normal + 0.5 * xnorm
 
-    S = im._frame_kernel(*imm.jet(p), p).S
+    S = im.point_frame(imm, p).S
     dV = _ref_fd_jets(field, p, imm.fd_step, second=False)[1]
     return im.point_frame(imm, p).normal @ (S @ dV).T
 
@@ -570,6 +570,16 @@ def test_batched_stencils_equal_pointwise_reference(name):
     probes = [p for p in draws
               if abs(w_product(OrientedFrame(im.point_frame(imm, p).tangent), ref)) >= 0.3]
     assert len(probes) >= 3
+    # batches of (B, n) and (2, 3, n) points: the bits of one call per point
+    batch = np.array(draws[:6])
+    for params in (batch, batch.reshape(2, 3, imm.n)):
+        pf = im.point_frame(imm, params)
+        T = im.weighted_tension(imm, params)
+        for idx in np.ndindex(params.shape[:-1]):
+            one = im.point_frame(imm, params[idx])
+            for field in ("position", "tangent", "normal", "h", "mean", "rho", "S"):
+                assert np.array_equal(getattr(pf, field)[idx], getattr(one, field))
+            assert np.array_equal(T[idx], im.weighted_tension(imm, params[idx]))
     for p in probes[:3]:
         assert np.array_equal(im.weighted_tension(imm, p), _ref_tension(imm, p))
         got = im.composition_checks(imm, p, targets)
@@ -641,8 +651,8 @@ def test_overlap_scalars_equal_the_per_row_scalar():
     imm = im.catalog_immersion("sphere:n=2,R=2")
     ref, _ = _composition_targets(imm)
     points, _ = im._stencil(np.array([1.2, 0.4]), imm.fd_step)
-    _, f = im._stencil_frames(imm, points)
-    pfs = [im._as_point_frame(im._Frames(*row)) for row in zip(*f)]
+    f = im.point_frame(imm, points)
+    pfs = [im.point_frame(imm, q) for q in points]
     v = im.VTarget(ref).scalars(f)
     logv = im.LogVTarget(ref).scalars(f)
     assert v.shape == logv.shape == (len(points),)
@@ -656,10 +666,10 @@ def test_stencil_frames_are_checked(monkeypatch):
     kernel = im._frame_kernel
 
     def corrupting_kernel(*args):
-        f = kernel(*args)
-        mean = f.mean.copy()
+        L, f = kernel(*args)
+        mean = f["mean"].copy()
         mean[-1] += 1.0
-        return f._replace(mean=mean)
+        return L, {**f, "mean": mean}
 
     monkeypatch.setattr(im, "_frame_kernel", corrupting_kernel)
     imm = im.catalog_immersion("sphere:n=2,R=2")
@@ -676,9 +686,9 @@ def test_composition_check_stencil_guard():
     evaluated = []
 
     class Recording(im.HeightTarget):
-        def scalar(self, pf):
-            evaluated.append("scalar")
-            return super().scalar(pf)
+        def scalars(self, frames, shared=None):
+            evaluated.append("scalars")
+            return super().scalars(frames, shared)
 
     with pytest.raises(im.ChartError, match=r"parameter \[-0\.0061"):
         im.composition_check(imm, np.array([1e-4, 0.0]), Recording(np.eye(3)[2]))
@@ -812,7 +822,7 @@ def test_weighted_area_of_shrinker_sphere(shrinker_sphere_mesh):
 
     assert im.weighted_integral(mesh, np.zeros(mesh.node_count)) == 0.0
 
-    odd = np.array([pf.position[2] for pf in mesh.frames])
+    odd = mesh.frames.position[:, 2]
     assert abs(im.weighted_integral(mesh, odd)) <= 1e-12
 
     with pytest.raises(ValueError, match="node count"):
@@ -857,6 +867,58 @@ def _poly_bump(widths, center=None, k=6):
         return out
 
     return eta
+
+
+def _ref_weighted_energy(mesh, map_fn, weight):
+    # the per-node loop that the batched weighted_energy replaced
+    step = mesh.immersion.fd_step
+    total = 0.0
+    for idx in range(mesh.node_count):
+        _, dy, _ = im._fd_jets(map_fn, mesh.params[idx], step, second=False)
+        push = mesh.frames.S[idx] @ dy  # rows: map differential along frame rows
+        total += 0.5 * float(np.sum(push * push)) * weight.values[idx] * mesh.weights[idx]
+    return total
+
+
+def _ref_sphere_map_tension(imm, p, map_fn, grad_log_w):
+    # the per-point tension that the batched sphere_map_tension replaced,
+    # with its metric data and Laplace-Beltrami contraction written out
+    _, dX, ddX = imm.jet(p)
+    fr = im.point_frame(imm, p)
+    ginv = fr.S.T @ fr.S
+    dg = np.einsum("kia,ja->kij", ddX, dX)
+    dg = dg + np.swapaxes(dg, 1, 2)
+    combo = dg + dg.transpose(1, 0, 2) - dg.transpose(1, 2, 0)
+    gamma = 0.5 * np.einsum("kl,ijl->ijk", ginv, combo)
+    y, dy, ddy = im._fd_jets(map_fn, p, imm.fd_step)
+    term = ddy - np.einsum("ijk,k...->ij...", gamma, dy)
+    lap = np.sum(ginv[..., None] * term, axis=(0, 1))
+    push = fr.S @ dy
+    energy_density = float(np.sum(push * push))
+    return lap + energy_density * y + (fr.tangent @ grad_log_w) @ push
+
+
+@pytest.mark.parametrize("case", ["sphere", "plane"])
+def test_batched_energy_layer_matches_per_node_loops(case):
+    if case == "sphere":
+        mesh = im.sphere_mesh(R=2.0, shape=(16, 32))
+    else:  # an open patch
+        mesh = im.patch_mesh(im.catalog_immersion("plane:n=2,m=1"), (12, 10))
+    weight = im.gaussian_weight(mesh)
+
+    def mp(q):
+        y = np.array([math.cos(0.6 * q[0]), math.sin(0.6 * q[0]) * math.cos(0.5 * q[1]),
+                      0.4 + 0.3 * math.sin(0.5 * q[1])])
+        return y / np.linalg.norm(y)
+
+    # summation order may move the last bits
+    want = _ref_weighted_energy(mesh, mp, weight)
+    assert abs(im.weighted_energy(mesh, mp, weight) - want) <= 1e-12 * abs(want)
+    got = im.sphere_map_tension(mesh, mp, weight.grad_log)
+    want = np.array([_ref_sphere_map_tension(mesh.immersion, p, mp, g)
+                     for p, g in zip(mesh.params, weight.grad_log)])
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 def test_first_variation_vanishes_without_variation():

@@ -513,12 +513,12 @@ def _composition_targets(imm):
     # not — the cylinder's tangents all contain the axis direction)
     center = 0.5 * (imm.chart[:, 0] + imm.chart[:, 1])
     ref = OrientedFrame(immersion.point_frame(imm, center).tangent)
-    targets = [("v", immersion.VTarget(ref)), ("logv", immersion.LogVTarget(ref))]
+    targets = [immersion.VTarget(ref), immersion.LogVTarget(ref)]
     if imm.m == 1:
         amb = imm.n + imm.m
         a = np.zeros(amb)
         a[0], a[-1] = 0.6, 0.8
-        targets.insert(0, ("height", immersion.HeightTarget(a)))
+        targets.insert(0, immersion.HeightTarget(a))
     return targets, ref
 
 
@@ -527,28 +527,24 @@ def _composition_worst(name, seed_seq, count):
 
     Probes whose tangent plane tilts far from the reference are redrawn:
     the overlap functions lose conditioning as the planes approach
-    perpendicularity.
+    perpendicularity.  Candidates come in at most 50 rounds of count; the
+    first count admitted are checked in one composition_checks call.
     """
     imm = immersion.catalog_immersion(name)
     rng = np.random.default_rng(seed_seq)
     targets, ref = _composition_targets(imm)
-    worst = 0.0
-    kept = 0
-    attempts = 0
-    while kept < count and attempts < 50 * count:
-        attempts += 1
-        p = _chart_probes(imm, rng, 1)[0]
-        pf = immersion.point_frame(imm, p)
-        if abs(grassmann.w_product(OrientedFrame(pf.tangent), ref)) < 0.3:
-            continue
-        kept += 1
-        for residual in immersion.composition_checks(imm, p, [t for _, t in targets]):
-            worst = max(worst, abs(residual))
-    if kept < count:
+    probes = np.empty((0, imm.n))
+    for _ in range(50):
+        if len(probes) >= count:
+            break
+        draws = _chart_probes(imm, rng, count)
+        w = grassmann.w_product(immersion.point_frame(imm, draws).tangent, ref)
+        probes = np.concatenate([probes, draws[np.abs(w) >= 0.3]])[:count]
+    if len(probes) < count:
         raise RuntimeError(
-            f"only {kept}/{count} admissible composition probes on {name}"
+            f"only {len(probes)}/{count} admissible composition probes on {name}"
         )
-    return worst
+    return float(np.max(np.abs(immersion.composition_checks(imm, probes, targets))))
 
 
 def cmd_verify_shrinkers(cfg, outdir, jobs=1) -> RunReport:
@@ -789,6 +785,20 @@ def cmd_flow_graph(cfg, outdir, jobs=1) -> RunReport:
 # report: merge prior runs into one bundle
 
 
+def _well_formed(payload):
+    """Whether a run report's fields have the types the bundle reads: string
+    status and timestamp, and a list of check objects with float numbers."""
+    def number(x):  # a float, or an int that converts to one
+        return isinstance(x, float) or (isinstance(x, int) and abs(x) < 1e308)
+
+    prov, checks = payload.get("provenance", {}), payload.get("checks", [])
+    fields = ("value", "bound", "margin", "tolerance")
+    return (isinstance(prov, dict) and isinstance(prov.get("timestamp", ""), str)
+            and isinstance(payload.get("status", ""), str) and isinstance(checks, list)
+            and all(isinstance(c, dict) and all(number(c.get(k, 0.0)) for k in fields)
+                    for c in checks))
+
+
 def cmd_report(cfg, outdir, jobs=1) -> RunReport:
     run_dir = cfg["run_dir"] or outdir
     paths = sorted(glob.glob(os.path.join(run_dir, "report_*.json")))
@@ -806,6 +816,9 @@ def cmd_report(cfg, outdir, jobs=1) -> RunReport:
             continue
         if not isinstance(payload, dict) or payload.get("schema") != REPORT_SCHEMA:
             warnings.append(f"skipping {base}: unrecognized schema")
+            continue
+        if not _well_formed(payload):
+            warnings.append(f"skipping {base}: malformed report")
             continue
         stamp = payload.get("provenance", {}).get("timestamp", "")
         runs.append((stamp, base, payload))

@@ -129,11 +129,21 @@ def _check_pair(rows, Q: OrientedFrame) -> None:
         raise ValueError("frames have mismatched plane or ambient dimension")
 
 
-def w_product(P: OrientedFrame, Q: OrientedFrame) -> float:
-    """Overlap determinant det <e_i, f_j> of two oriented planes, in [-1, 1]."""
-    _check_pair(P.vectors, Q)
-    det = float(np.linalg.det(P.vectors @ Q.vectors.T))
-    return min(1.0, max(-1.0, det))
+def _plane_rows(P, Q: OrientedFrame) -> np.ndarray:
+    # orthonormal plane rows P (..., n, amb) shaped like Q's, checked
+    P = np.asarray(P, dtype=float)
+    _check_pair(P, Q)
+    if np.abs(P @ P.swapaxes(-1, -2) - np.eye(Q.n)).max() > _ORTHO_TOL:
+        raise ValueError("rows are not orthonormal")
+    return P
+
+
+def w_product(P, Q: OrientedFrame):
+    """Overlap determinant det <e_i, f_j> of oriented planes, in [-1, 1]:
+    of one OrientedFrame P, or over the leading axes of plane rows P."""
+    rows = _plane_rows(P.vectors if isinstance(P, OrientedFrame) else P, Q)
+    det = np.linalg.det(rows @ Q.vectors.T)
+    return np.clip(det, -1.0, 1.0)[()]
 
 
 def _overlap_svd(rows, Q: OrientedFrame):
@@ -159,11 +169,7 @@ def overlap_values(P, Q: OrientedFrame) -> np.ndarray:
     the p = min(n, m) angle cosines, shape (..., p), equal to the ``mu``
     that ``jordan_spectrum`` stores for each plane.
     """
-    P = np.asarray(P, dtype=float)
-    _check_pair(P, Q)
-    if np.abs(P @ P.swapaxes(-1, -2) - np.eye(Q.n)).max() > _ORTHO_TOL:
-        raise ValueError("rows are not orthonormal")
-    _, mu_all, _, p = _overlap_svd(P, Q)
+    _, mu_all, _, p = _overlap_svd(_plane_rows(P, Q), Q)
     return mu_all[..., :p]
 
 

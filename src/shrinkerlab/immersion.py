@@ -10,9 +10,10 @@ quadrature over patch meshes, the closed-surface stability identity, and a
 first-variation check for weighted map energies.  A small catalog of exact
 surfaces (planes, round spheres, shrinking cylinders, graphs) supplies
 analytic jets; user surfaces fall back to high-order finite differences.
-Frames are one record, PointFrame, over leading axes: point_frame and
-weighted_tension take parameters (..., n) with one kernel call per batch, and
-a patch mesh carries the PointFrame batch of its nodes.
+Frames are one record, PointFrame, over leading axes: point_frame,
+weighted_tension and composition_checks take parameters (..., n) with one
+kernel call per batch, and a patch mesh carries the PointFrame batch of its
+nodes.
 """
 
 from __future__ import annotations
@@ -205,15 +206,14 @@ def _params(imm, params):
 
 
 def _frames(imm, params):
-    """Jets at params (..., n), flattened to one batch axis, and the checked
-    PointFrame there over the leading axes, from one kernel call."""
+    """point_frame for the module's own paths: the checked PointFrame at
+    params (..., n), from one kernel call whose jets die before the check."""
     p = _params(imm, params)
     flat = p.reshape(-1, imm.n)
-    jets = imm.jets(flat)
-    f = _frame_kernel(*jets, flat)[1]
+    f = _frame_kernel(*imm.jets(flat), flat)[1]
     lead = p.shape[:-1]
     # [()] turns the 0-d rho of one point into a scalar
-    return jets, PointFrame(**{k: a.reshape(lead + a.shape[1:])[()] for k, a in f.items()})
+    return PointFrame(**{k: a.reshape(lead + a.shape[1:])[()] for k, a in f.items()})
 
 
 def _metric_data(S, dX, ddX):
@@ -242,7 +242,7 @@ def point_frame(imm: ParametricImmersion, params) -> PointFrame:
     One kernel call covers every point; one point (shape (n,)) gives a
     PointFrame with no leading axis.
     """
-    return _frames(imm, params)[1]
+    return _frames(imm, params)
 
 
 def shrinker_residual(pf: PointFrame) -> np.ndarray:
@@ -294,14 +294,15 @@ def weighted_tension(imm: ParametricImmersion, params) -> np.ndarray:
     """
     p = _params(imm, params)
     points, first = _stencil(p, imm.fd_step, second=False)
-    return _tension(_frames(imm, np.concatenate([p[None], points]))[1], first)
+    return _tension(_frames(imm, np.concatenate([p[None], points])), first)
 
 
 def _drift_laplacian(x, dX, ddX, S, df, ddf):
-    # the operator at one point from its jets, whitening S and the jets of f
+    # the operator over leading axes from the jets, the whitening S and the
+    # jets df (..., n), ddf (..., n, n) of f
     ginv, gamma = _metric_data(S, dX, ddX)
-    lap = float(_laplace_beltrami(ginv, gamma, df, ddf))
-    drift = 0.5 * float(df @ ginv @ (dX @ x))
+    lap = _laplace_beltrami(ginv, gamma, df, ddf)
+    drift = 0.5 * (df[..., None, :] @ ginv @ (dX @ x[..., None]))[..., 0, 0]
     return lap - drift
 
 
@@ -311,9 +312,10 @@ def drift_laplacian(imm: ParametricImmersion, param, f) -> float:
     f(param) must return (value, gradient, hessian) with respect to the
     chart parameters.
     """
-    jets, fr = _frames(imm, param)
-    df, ddf = (np.asarray(a, dtype=float) for a in f(np.asarray(param, float))[1:])
-    return _drift_laplacian(*(a[0] for a in jets), fr.S, df, ddf)
+    p = _params(imm, param)
+    S = _frames(imm, p).S
+    df, ddf = (np.asarray(a, dtype=float) for a in f(p)[1:])
+    return float(_drift_laplacian(*imm.jet(p), S, df, ddf))
 
 
 def _stencil(center, steps, second=True):
@@ -402,41 +404,22 @@ def oriented_normal(pf: PointFrame) -> np.ndarray:
     return _orientation_sign(pf)[..., None] * pf.normal[..., 0, :]
 
 
-class _Target:
-    """A scalar F composed with the plane map, read by composition_checks.
-
-    scalars(frames, shared) gives F at every point of a PointFrame with one
-    leading axis; shared is a dict that the targets of one
-    composition_checks call fill with what they have in common.
-    """
-
-    def centre_sum(self, pf, T, shared):
-        """hess_sum(pf) + tension_term(pf, T), the chain rule's centre terms."""
-        return self.hess_sum(pf) + self.tension_term(pf, T)
-
-
-class _HypersurfaceTarget(_Target):
+class _HypersurfaceTarget:
     """Scalar on the unit sphere composed with the oriented normal map."""
 
-    def _point(self, pf):
+    def values(self, frames, shared):
+        y = oriented_normal(frames)
+        return self._values(y / np.sqrt(sphere._dot(y, y))[..., None])
+
+    def centre_sum(self, pf, T, shared):
         s = _orientation_sign(pf)
-        return s[..., None] * pf.normal[..., 0, :], s
-
-    def scalars(self, frames, shared=None):
-        return np.array([self._value(y) for y in self._point(frames)[0]])
-
-    def scalar(self, pf):
-        return self._value(self._point(pf)[0])
-
-    def hess_sum(self, pf):
-        y, s = self._point(pf)
+        y = s[..., None] * pf.normal[..., 0, :]
         # -s h[0, i] @ tangent is the image of frame row i
-        return sum(self._hess(y, -s * pf.h[0, i, :] @ pf.tangent) for i in range(pf.n))
-
-    def tension_term(self, pf, T):
-        y, s = self._point(pf)
-        u = -s * T[0] @ pf.tangent
-        return self._d(y, u)
+        images = (((-s)[..., None] * pf.h[..., 0, i, :])[..., None, :] @ pf.tangent
+                  for i in range(pf.n))
+        hess = sum(self._hess(y, u[..., 0, :]) for u in images)
+        u = ((-s)[..., None] * T[..., 0, :])[..., None, :] @ pf.tangent
+        return hess + self._d(y, u[..., 0, :])
 
 
 class HeightTarget(_HypersurfaceTarget):
@@ -445,28 +428,31 @@ class HeightTarget(_HypersurfaceTarget):
     def __init__(self, a):
         self.a = np.asarray(a, dtype=float)
 
-    def _value(self, y):
-        return sphere.height_value(y / np.linalg.norm(y), self.a)
+    def _values(self, unit):
+        return sphere.height_value(unit, self.a)
 
     def _hess(self, y, u):
-        return float(y @ self.a) * float(u @ u)
+        return sphere._dot(y, self.a) * sphere._dot(u, u)
 
     def _d(self, y, u):
-        return -float(u @ self.a)
+        return -sphere._dot(u, self.a)
 
 
 class ThetaTarget(_HypersurfaceTarget):
     """Longitude angle of the normal map; defined away from the cut locus."""
 
-    def _value(self, y):
-        return sphere.longitude_coords(y / np.linalg.norm(y))[1]
+    @staticmethod
+    def _values(unit):
+        # longitude_coords, a one-point routine, raises the cut-locus error
+        rows = unit.reshape(-1, unit.shape[-1])
+        return np.reshape([sphere.longitude_coords(y)[1] for y in rows], unit.shape[:-1])
 
     @staticmethod
     def _dr_dt(y, u):
-        r2 = y[0] ** 2 + y[1] ** 2
-        r = math.sqrt(r2)
-        dr = (y[0] * u[0] + y[1] * u[1]) / r
-        dt = (-y[1] * u[0] + y[0] * u[1]) / r2
+        r2 = y[..., 0] ** 2 + y[..., 1] ** 2
+        r = np.sqrt(r2)
+        dr = (y[..., 0] * u[..., 0] + y[..., 1] * u[..., 1]) / r
+        dt = (-y[..., 1] * u[..., 0] + y[..., 0] * u[..., 1]) / r2
         return r, dr, dt
 
     def _hess(self, y, u):
@@ -477,12 +463,12 @@ class ThetaTarget(_HypersurfaceTarget):
         return self._dr_dt(y, u)[2]
 
 
-class _OverlapTarget(_Target):
+class _OverlapTarget:
     """Reciprocal-overlap functions of the tangent plane against a reference.
 
-    scalars reads v for a whole stencil from one overlap_values call; the
-    centre terms share one spectrum per probe through centre_sum.  Targets
-    on the same reference share both through the dict of composition_checks.
+    values reads v for every frame from one overlap_values call; the centre
+    terms take one spectrum per centre.  Targets on the same reference share
+    both through the dict of composition_checks.
     """
 
     def __init__(self, reference: OrientedFrame):
@@ -495,39 +481,23 @@ class _OverlapTarget(_Target):
             shared[key] = compute()
         return shared[key]
 
-    def scalars(self, frames, shared=None):
-        def v():  # at every row: tangent rows (..., n, amb)
-            return grassmann.v_values(grassmann.overlap_values(frames.tangent, self.reference))
-
-        return self._of_v(v() if shared is None else self._shared(shared, "v", v))
-
-    def scalar(self, pf):
-        return float(self.scalars(pf))
-
-    def _spec(self, pf):
-        return grassmann.jordan_spectrum(OrientedFrame(pf.tangent), self.reference)
-
-    @staticmethod
-    def _coeffs(spec, om, pf):
-        return grassmann.express_in_adapted_frame(spec, om, pf.tangent, pf.normal)
-
-    def _hess_sum(self, spec, pf):
-        return sum(
-            self._hess(spec, self._coeffs(spec, pf.h[:, i, :].T, pf)) for i in range(pf.n)
-        )
-
-    def _tension_term(self, spec, pf, T):
-        return self._d(spec, self._coeffs(spec, T.T, pf))
-
-    def hess_sum(self, pf):
-        return self._hess_sum(self._spec(pf), pf)
-
-    def tension_term(self, pf, T):
-        return self._tension_term(self._spec(pf), pf, T)
+    def values(self, frames, shared):
+        return self._of_v(self._shared(shared, "v", lambda: grassmann.v_values(
+            grassmann.overlap_values(frames.tangent, self.reference))))
 
     def centre_sum(self, pf, T, shared):
-        spec = self._shared(shared, "spec", lambda: self._spec(pf))
-        return self._hess_sum(spec, pf) + self._tension_term(spec, pf, T)
+        out = np.empty(np.shape(pf.rho))
+        specs = self._shared(shared, "spec", lambda: {
+            i: grassmann.jordan_spectrum(OrientedFrame(pf.tangent[i]), self.reference)
+            for i in np.ndindex(out.shape)})
+        for i, spec in specs.items():
+            # coefficients [j, alpha] of the plane-map images of the frame
+            # rows, then of the tension, rewritten in the adapted frame
+            *images, tension = (
+                grassmann.express_in_adapted_frame(spec, om, pf.tangent[i], pf.normal[i])
+                for om in [*pf.h[i].transpose(1, 2, 0), T[i].T])
+            out[i] = sum(self._hess(spec, Z) for Z in images) + self._d(spec, tension)
+        return out
 
 
 class VTarget(_OverlapTarget):
@@ -549,7 +519,9 @@ class LogVTarget(_OverlapTarget):
 
     @staticmethod
     def _of_v(v):
-        # math.log per value, the digits of the scalar route
+        # math.log per value: np.log differs from it in the last bit for some
+        # values (0.27% of verify-shrinkers' stencil values at seeds 0-59),
+        # which would move composition_max
         return np.reshape([math.log(x) for x in v.flat], v.shape)
 
     def _hess(self, spec, Z):
@@ -559,36 +531,34 @@ class LogVTarget(_OverlapTarget):
         return grassmann.dlogv_form(spec, Z)
 
 
-def composition_checks(imm: ParametricImmersion, param, targets) -> list:
-    """Residuals of the chain rule for target functions of the plane map.
+def composition_checks(imm: ParametricImmersion, params, targets) -> np.ndarray:
+    """Chain-rule residuals of target functions F of the plane map gamma at
+    centres (..., n): one row per target over the leading axes.
 
-    For each target F, computes L(F o gamma) by differences of the composed
-    scalar and subtracts the closed-form Hessian sum over the plane-map
-    images plus the pairing of dF with the weighted tension.  Near zero on
-    any immersion.  One frame-kernel call covers the whole second-order
-    stencil for every target: its centre row gives the metric data and the
-    PointFrame, its axis rows the tension, and each target reads its values
-    at every row in one scalars call.  Targets on one reference share its
-    v values and its centre spectrum.
+    Each is L(F o gamma), by differences of the composed scalar, minus the
+    closed-form Hessian sum over the plane-map images and dF paired with the
+    weighted tension; near zero on any immersion.  A target has two methods:
+    values(frames, shared), F at frames over their leading axes, and
+    centre_sum(pf, T, shared), the closed-form terms at centres with frames
+    pf and tension T; shared holds what targets on one reference have in
+    common.  One frame-kernel call covers the stencils of every centre.
     """
-    p = _params(imm, param)
+    p = _params(imm, params)
     points, combine = _stencil(p, imm.fd_step)
-    (x, dX, ddX), f = _frames(imm, points)
+    f = _frames(imm, points)
+    x, dX, ddX = (a.reshape(p.shape[:-1] + a.shape[1:]) for a in imm.jets(p.reshape(-1, imm.n)))
     # rows 1 to 4n hold the first-order stencil, in its own order
     T = _tension(f, _stencil(p, imm.fd_step, second=False)[1])
     pf = f[0]
     out = []
     shared = {}
     for target in targets:
-        _, grad, hess = combine(target.scalars(f, shared))
-        lhs = _drift_laplacian(x[0], dX[0], ddX[0], f.S[0], grad, hess)
+        _, grad, hess = combine(target.values(f, shared))
+        # the derivative axes from first to last
+        grad, hess = np.moveaxis(grad, 0, -1), np.moveaxis(hess, (0, 1), (-2, -1))
+        lhs = _drift_laplacian(x, dX, ddX, pf.S, grad, hess)
         out.append(lhs - target.centre_sum(pf, T, shared))
-    return out
-
-
-def composition_check(imm: ParametricImmersion, param, target) -> float:
-    """Residual of the chain rule for one target; see composition_checks."""
-    return composition_checks(imm, param, [target])[0]
+    return np.array(out)
 
 
 # ---------------------------------------------------------------------------
@@ -659,12 +629,12 @@ def weighted_integral(mesh: WeightedPatchMesh, f) -> float:
 
 
 def height_field(mesh: WeightedPatchMesh, a) -> ScalarFieldOnPatch:
-    """Samples of 1 - <normal map, a> with its ambient tangential gradient."""
+    """Samples of 1 - <normal map, a>, for a unit pole a, with the ambient
+    tangential gradient."""
     a = np.asarray(a, dtype=float)
     f = mesh.frames
     sign = _orientation_sign(f)
-    nu = sign[:, None, None] * f.normal[:, :1]  # (B, 1, amb)
-    vals = 1.0 - (nu @ a[:, None])[:, 0, 0]
+    vals = sphere.height_value(sign[:, None] * f.normal[:, 0], a)
     coeffs = sign[:, None] * (f.h[:, 0] @ (f.tangent @ a)[..., None])[..., 0]
     grads = (coeffs[:, None, :] @ f.tangent)[:, 0]  # e_j(f) per frame row
     return ScalarFieldOnPatch(values=vals, gradients=grads)

@@ -78,11 +78,17 @@ class LongitudeCoords(NamedTuple):
     theta: float
 
 
-def _check_unit(x: np.ndarray, name: str = "input") -> np.ndarray:
+def _dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    # <x, y> over the last axis by stacked @: per vector the digits of x @ y
+    return (x[..., None, :] @ y[..., :, None])[..., 0, 0]
+
+
+def _check_unit(x: np.ndarray, name: str = "input", lead: bool = False) -> np.ndarray:
+    # with lead, x may stack unit vectors over leading axes
     x = np.asarray(x, dtype=float)
-    if x.ndim != 1 or x.size < 2:
+    if (x.ndim < 1 if lead else x.ndim != 1) or x.shape[-1] < 2:
         raise ValueError(f"{name} must be a vector in R^{{n+1}}, n >= 1")
-    if abs(np.linalg.norm(x) - 1.0) > _UNIT_TOL:
+    if np.abs(np.sqrt(_dot(x, x)) - 1.0).max() > _UNIT_TOL:
         raise ValueError(f"{name} must be a unit vector (|{name}| = 1 to {_UNIT_TOL})")
     return x
 
@@ -99,13 +105,14 @@ def _check_tangent_frame(x: np.ndarray, basis: np.ndarray) -> np.ndarray:
     return basis
 
 
-def height_value(x: np.ndarray, a: np.ndarray) -> float:
-    """Height of x relative to the pole a: the value 1 - <x, a>, in [0, 2]."""
-    x = _check_unit(x, "x")
+def height_value(x: np.ndarray, a: np.ndarray):
+    """Height of x relative to the pole a: the value 1 - <x, a>, in [0, 2],
+    over the leading axes of points x (..., n+1)."""
+    x = _check_unit(x, "x", lead=True)
     a = _check_unit(a, "a")
-    if x.size != a.size:
+    if x.shape[-1] != a.size:
         raise ValueError("x and a must lie on the same sphere")
-    return 1.0 - float(x @ a)
+    return 1.0 - _dot(x, a)
 
 
 def hess_height(x: np.ndarray, a: np.ndarray, basis: np.ndarray) -> SymBilinearForm:

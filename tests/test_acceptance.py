@@ -339,15 +339,15 @@ def test_c08_composition_formula():
             if imm.m == 1:
                 worst["height"] = max(
                     worst["height"],
-                    abs(immersion.composition_check(imm, p, immersion.HeightTarget(a))),
+                    abs(immersion.composition_checks(imm, p, [immersion.HeightTarget(a)])[0]),
                 )
             worst["v"] = max(
                 worst["v"],
-                abs(immersion.composition_check(imm, p, immersion.VTarget(ref))),
+                abs(immersion.composition_checks(imm, p, [immersion.VTarget(ref)])[0]),
             )
             worst["logv"] = max(
                 worst["logv"],
-                abs(immersion.composition_check(imm, p, immersion.LogVTarget(ref))),
+                abs(immersion.composition_checks(imm, p, [immersion.LogVTarget(ref)])[0]),
             )
         assert kept == probes_per_surface
     peak = max(worst.values())

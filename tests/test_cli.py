@@ -112,6 +112,33 @@ def test_report_skips_a_report_that_is_not_utf8(tmp_path, capsys):
     assert "skipping report_verify-targets.json" in capsys.readouterr().err
 
 
+_RUN = {
+    "schema": cli.REPORT_SCHEMA,
+    "subcommand": "verify-targets",
+    "status": "PASS",
+    "provenance": {"timestamp": "z"},
+    "checks": [{"name": "x", "value": 0.0, "bound": 1.0, "margin": 1.0, "tolerance": 0.0}],
+}
+
+
+@pytest.mark.parametrize("bad", [
+    {"provenance": 5},
+    {"checks": 7},
+    {"checks": [1]},
+    {"checks": [{"value": "x"}]},
+    {"provenance": {"timestamp": 3}},  # not comparable with the "z" of the good run
+])
+def test_report_skips_a_malformed_report(tmp_path, capsys, bad):
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "report_good.json").write_text(json.dumps(_RUN))
+    (out / "report_bad.json").write_text(json.dumps({**_RUN, **bad}))
+    assert cli.main(["report", "--out", str(out)]) == 0
+    assert "skipping report_bad.json: malformed report" in capsys.readouterr().err
+    bundle = json.loads((out / "bundle.json").read_text())
+    assert [run["file"] for run in bundle["runs"]] == ["report_good.json"]
+
+
 def test_verify_targets_small_run_passes(tmp_path):
     cfg = _write_cfg(tmp_path, {"probes": 16, "chunks": 2})
     out = tmp_path / "out"
@@ -424,3 +451,61 @@ def test_surface_chunk_makes_two_kernel_calls(monkeypatch, count):
     rows = cli._surface_chunk(("cylinder:k=1,n=2", np.random.SeedSequence(4), count))
     assert len(rows) == count
     assert len(calls) == 2
+
+
+def _ref_composition_worst(name, seed_seq, count):
+    # the per-probe admission loop: one point_frame, one w_product and one
+    # composition_checks call per candidate
+    imm = immersion.catalog_immersion(name)
+    rng = np.random.default_rng(seed_seq)
+    targets, ref = cli._composition_targets(imm)
+    worst = 0.0
+    kept = 0
+    attempts = 0
+    while kept < count and attempts < 50 * count:
+        attempts += 1
+        p = cli._chart_probes(imm, rng, 1)[0]
+        pf = immersion.point_frame(imm, p)
+        if abs(grassmann.w_product(grassmann.OrientedFrame(pf.tangent), ref)) < 0.3:
+            continue
+        kept += 1
+        for residual in immersion.composition_checks(imm, p, targets):
+            worst = max(worst, abs(residual))
+    assert kept == count
+    return worst
+
+
+def _composition_calls(monkeypatch, tmp_path, seed):
+    """(arguments, frame-kernel calls, result) of each _composition_worst
+    call of one verify-shrinkers run."""
+    calls, kernel_calls = [], []
+    kernel, worst = immersion._frame_kernel, cli._composition_worst
+    monkeypatch.setattr(immersion, "_frame_kernel",
+                        lambda *a: kernel_calls.append(1) or kernel(*a))
+
+    def recording(*args):
+        before = len(kernel_calls)
+        got = worst(*args)
+        calls.append((args, len(kernel_calls) - before, got))
+        return got
+
+    monkeypatch.setattr(cli, "_composition_worst", recording)
+    cli.cmd_verify_shrinkers(cli.load_config("verify-shrinkers", seed=seed), str(tmp_path))
+    return calls
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_composition_admission_equals_the_per_probe_loop(monkeypatch, tmp_path, seed):
+    calls = _composition_calls(monkeypatch, tmp_path, seed)
+    assert [args[0] for args, _, _ in calls] == cli.DEFAULTS["verify-shrinkers"]["surfaces"]
+    for args, _, got in calls:
+        assert got == _ref_composition_worst(*args)
+
+
+def test_composition_admission_makes_few_kernel_calls(monkeypatch, tmp_path):
+    # at seed 61 the per-probe loop made 41 to 57 calls per surface; rounds
+    # of candidates take one per round, plus one for the reference plane and
+    # one for all the admitted probes
+    calls = _composition_calls(monkeypatch, tmp_path, 61)
+    assert len(calls) == 3
+    assert all(kernel <= 4 for _, kernel, _ in calls)

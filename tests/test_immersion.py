@@ -433,8 +433,8 @@ def test_ambient_equivariance():
             - np.linalg.norm(im.shrinker_residual(pfm))
         ) <= 1e-9
         assert abs(pf.second_form_sq - pfm.second_form_sq) <= 1e-9
-        v0 = im.VTarget(P0).scalar(pf)
-        v1 = im.VTarget(P0_moved).scalar(pfm)
+        v0 = im.VTarget(P0).values(pf, {})
+        v1 = im.VTarget(P0_moved).values(pfm, {})
         assert abs(v0 - v1) <= 1e-9 * max(1.0, v0)
 
 
@@ -518,13 +518,14 @@ def _ref_tension(imm, p):
 
 
 def _ref_composition(imm, p, target):
+    # one point_frame per stencil point and one drift_laplacian at the centre
     pf = im.point_frame(imm, p)
     jets = _ref_fd_jets(
-        lambda q: target.scalar(im.point_frame(imm, q)), p, imm.fd_step
+        lambda q: target.values(im.point_frame(imm, q), {}), p, imm.fd_step
     )
     lhs = im.drift_laplacian(imm, p, lambda _q: jets)
     T = _ref_tension(imm, p)
-    return lhs - (target.hess_sum(pf) + target.tension_term(pf, T))
+    return lhs - target.centre_sum(pf, T, {})
 
 
 def _stencil_case(name):
@@ -575,11 +576,22 @@ def test_batched_stencils_equal_pointwise_reference(name):
     for params in (batch, batch.reshape(2, 3, imm.n)):
         pf = im.point_frame(imm, params)
         T = im.weighted_tension(imm, params)
+        residuals = im.composition_checks(imm, params, targets)
+        assert residuals.shape == (len(targets),) + params.shape[:-1]
+        # unit points (..., amb) for the heights, stacked planes for w
+        units = pf.normal[..., 0, :]
+        pole = np.eye(imm.n + imm.m)[-1]
+        heights = sphere.height_value(units, pole)
+        w = grassmann.w_product(pf.tangent, ref)
         for idx in np.ndindex(params.shape[:-1]):
             one = im.point_frame(imm, params[idx])
             for field in ("position", "tangent", "normal", "h", "mean", "rho", "S"):
                 assert np.array_equal(getattr(pf, field)[idx], getattr(one, field))
             assert np.array_equal(T[idx], im.weighted_tension(imm, params[idx]))
+            assert np.array_equal(residuals[(slice(None),) + idx],
+                                  im.composition_checks(imm, params[idx], targets))
+            assert heights[idx] == sphere.height_value(units[idx], pole)
+            assert w[idx] == w_product(OrientedFrame(pf.tangent[idx]), ref)
     for p in probes[:3]:
         assert np.array_equal(im.weighted_tension(imm, p), _ref_tension(imm, p))
         got = im.composition_checks(imm, p, targets)
@@ -587,7 +599,7 @@ def test_batched_stencils_equal_pointwise_reference(name):
         for g, target in zip(got, targets):
             want = _ref_composition(imm, p, target)
             assert g == want
-            assert im.composition_check(imm, p, target) == want
+            assert im.composition_checks(imm, p, [target])[0] == want
 
 
 def test_one_kernel_call_per_stencil(monkeypatch):
@@ -653,12 +665,12 @@ def test_overlap_scalars_equal_the_per_row_scalar():
     points, _ = im._stencil(np.array([1.2, 0.4]), imm.fd_step)
     f = im.point_frame(imm, points)
     pfs = [im.point_frame(imm, q) for q in points]
-    v = im.VTarget(ref).scalars(f)
-    logv = im.LogVTarget(ref).scalars(f)
+    v = im.VTarget(ref).values(f, {})
+    logv = im.LogVTarget(ref).values(f, {})
     assert v.shape == logv.shape == (len(points),)
-    assert v.tolist() == [im.VTarget(ref).scalar(pf) for pf in pfs]
+    assert v.tolist() == [im.VTarget(ref).values(pf, {}) for pf in pfs]
     assert logv.tolist() == [math.log(x) for x in v.tolist()]
-    assert logv.tolist() == [im.LogVTarget(ref).scalar(pf) for pf in pfs]
+    assert logv.tolist() == [im.LogVTarget(ref).values(pf, {}) for pf in pfs]
 
 
 def test_stencil_frames_are_checked(monkeypatch):
@@ -677,7 +689,7 @@ def test_stencil_frames_are_checked(monkeypatch):
     with pytest.raises(ValueError, match="mean curvature must be the trace of h"):
         im.weighted_tension(imm, p)
     with pytest.raises(ValueError, match="mean curvature must be the trace of h"):
-        im.composition_check(imm, p, im.HeightTarget(np.eye(3)[2]))
+        im.composition_checks(imm, p, [im.HeightTarget(np.eye(3)[2])])
 
 
 def test_composition_check_stencil_guard():
@@ -686,12 +698,12 @@ def test_composition_check_stencil_guard():
     evaluated = []
 
     class Recording(im.HeightTarget):
-        def scalars(self, frames, shared=None):
-            evaluated.append("scalars")
-            return super().scalars(frames, shared)
+        def values(self, frames, shared):
+            evaluated.append("values")
+            return super().values(frames, shared)
 
     with pytest.raises(im.ChartError, match=r"parameter \[-0\.0061"):
-        im.composition_check(imm, np.array([1e-4, 0.0]), Recording(np.eye(3)[2]))
+        im.composition_checks(imm, np.array([1e-4, 0.0]), [Recording(np.eye(3)[2])])
     assert evaluated == []
 
 
@@ -766,9 +778,9 @@ def test_composition_on_plane_is_exact():
     a = np.array([0.3, -0.5, 0.8]) / math.sqrt(0.98)
     P0 = OrientedFrame(np.eye(3)[:2])
     p = np.array([0.4, -0.9])
-    assert abs(im.composition_check(imm, p, im.HeightTarget(a))) <= 1e-8
-    assert abs(im.composition_check(imm, p, im.VTarget(P0))) <= 1e-8
-    assert abs(im.composition_check(imm, p, im.LogVTarget(P0))) <= 1e-8
+    assert abs(im.composition_checks(imm, p, [im.HeightTarget(a)])[0]) <= 1e-8
+    assert abs(im.composition_checks(imm, p, [im.VTarget(P0)])[0]) <= 1e-8
+    assert abs(im.composition_checks(imm, p, [im.LogVTarget(P0)])[0]) <= 1e-8
 
 
 def test_composition_on_shrinker_sphere():
@@ -778,7 +790,7 @@ def test_composition_on_shrinker_sphere():
     rng = np.random.default_rng(8)
     for _ in range(5):
         p = _interior_probe(rng, imm)
-        assert abs(im.composition_check(imm, p, im.HeightTarget(a))) <= 1e-5
+        assert abs(im.composition_checks(imm, p, [im.HeightTarget(a)])[0]) <= 1e-5
 
 
 def test_composition_on_generic_graphs():
@@ -795,21 +807,21 @@ def test_composition_on_generic_graphs():
             im.VTarget(P0),
             im.LogVTarget(P0),
         ):
-            assert abs(im.composition_check(g1, p, target)) <= 1e-4
+            assert abs(im.composition_checks(g1, p, [target])[0]) <= 1e-4
 
     g2 = _graph_m2()
     P02 = OrientedFrame(np.eye(4)[:2])
     for _ in range(3):
         p = _interior_probe(rng, g2)
-        assert abs(im.composition_check(g2, p, im.VTarget(P02))) <= 1e-4
-        assert abs(im.composition_check(g2, p, im.LogVTarget(P02))) <= 1e-4
+        assert abs(im.composition_checks(g2, p, [im.VTarget(P02)])[0]) <= 1e-4
+        assert abs(im.composition_checks(g2, p, [im.LogVTarget(P02)])[0]) <= 1e-4
 
 
 def test_composition_undefined_target_raises():
     # the normal of the flat plane lands on the longitude cut locus
     imm = im.catalog_immersion("plane:n=2,m=1")
     with pytest.raises(sphere.RegionError):
-        im.composition_check(imm, np.array([0.1, 0.2]), im.ThetaTarget())
+        im.composition_checks(imm, np.array([0.1, 0.2]), [im.ThetaTarget()])
 
 
 def test_weighted_area_of_shrinker_sphere(shrinker_sphere_mesh):

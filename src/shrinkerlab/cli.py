@@ -69,7 +69,8 @@ def check_ge(name, value, bound, tolerance, kind="mandatory"):
 
 
 def report_status(checks) -> str:
-    if any(c.kind == "mandatory" and c.margin < -c.tolerance for c in checks):
+    # a NaN margin fails: only a margin of at least -tolerance passes
+    if any(c.kind == "mandatory" and not (c.margin >= -c.tolerance) for c in checks):
         return "FAIL"
     if any(c.kind == "observation" for c in checks):
         return "OBSERVATION"
@@ -295,6 +296,16 @@ def _chunk_counts(total, chunks):
     return [base + (1 if k < extra else 0) for k in range(chunks)]
 
 
+def _pick(pick, values):
+    """pick(values) for max or min, but NaN if a value is NaN, which pick may drop."""
+    values = list(values)
+    return math.nan if any(math.isnan(v) for v in values) else pick(values)
+
+
+# the times +step, 0 and -step of _second_difference, in units of step
+_STENCIL = np.array([1.0, 0.0, -1.0])
+
+
 def _second_difference(fp, f0, fm, step):
     """Central second difference from the values at +step, 0 and -step."""
     return (fp - 2.0 * f0 + fm) / step**2
@@ -335,13 +346,9 @@ def _height_probe(rng, step, sign):
             break
     basis = sphere.tangent_frame(x)
     c = _unit(rng, 2)
-    w = c @ basis
-
-    def f(t):
-        y = sphere.great_circle(x, w, t)
-        return sphere.height_value(y / np.linalg.norm(y), a)
-
-    d2 = _second_difference(f(step), f(0.0), f(-step), step)
+    y = sphere.great_circle(x, c @ basis, step * _STENCIL)
+    y /= np.sqrt(sphere._dot(y, y))[:, None]
+    d2 = _second_difference(*sphere.height_value(y, a), step)
     # the closed form is the Hessian of the pole coordinate <., a>; the
     # height 1 - <., a> carries the opposite sign
     return _relative_defect(d2, -sign * sphere.hess_height(x, a, basis)(c, c))
@@ -357,17 +364,12 @@ def _longitude_probe(rng, step):
             break
     basis = sphere.tangent_frame(x)
     c = _unit(rng, 2)
-    w = c @ basis
-
-    def coords(t):
-        y = sphere.great_circle(x, w, t)
-        return sphere.longitude_coords(y / np.linalg.norm(y))
-
-    (r0, t0), (rp, tp), (rm, tm) = coords(0.0), coords(step), coords(-step)
+    y = sphere.great_circle(x, c @ basis, step * _STENCIL)
+    y /= np.sqrt(sphere._dot(y, y))[:, None]
+    r, theta = zip(*map(sphere.longitude_coords, y))
     hr, ht = sphere.hess_r_theta(x, basis)
-    cr, ct = hr(c, c), ht(c, c)
-    return (_relative_defect(_second_difference(rp, r0, rm, step), cr),
-            _relative_defect(_second_difference(tp, t0, tm, step), ct))
+    return (_relative_defect(_second_difference(*r, step), hr(c, c)),
+            _relative_defect(_second_difference(*theta, step), ht(c, c)))
 
 
 def _random_frame(rng, n, amb):
@@ -375,16 +377,11 @@ def _random_frame(rng, n, amb):
     return OrientedFrame(q.T)
 
 
-def _normal_complement(P):
-    q = np.linalg.qr(P.vectors.T, mode="complete")[0]
-    return q[:, P.n:].T
-
-
 def _frame_in_chart(rng, base):
     om = rng.standard_normal((base.n, base.m))
     top = max(float(np.linalg.svd(om)[1][0]), 1e-12)
     om *= 1.1 * rng.uniform(0.1, 1.0) / top
-    return grassmann.geodesic_from_velocity(base, _normal_complement(base), om, 1.0)
+    return grassmann.geodesic_from_velocity(base, grassmann.complement(base.vectors), om, 1.0)
 
 
 def _grassmann_probe(rng, step):
@@ -396,11 +393,9 @@ def _grassmann_probe(rng, step):
     om /= np.linalg.norm(om)
     Z = TangentCoeffs(om, spec.tangent_frame)
 
-    # v at t = +step, 0, -step from one overlap_values call
-    frames = np.stack([
-        grassmann.geodesic_from_velocity(spec.tangent_frame, spec.normal_frame, om, t).vectors
-        for t in (step, 0.0, -step)
-    ])
+    # v at t = +step, 0, -step from one geodesic and one overlap_values call
+    frames = grassmann.geodesic_from_velocity(
+        spec.tangent_frame, spec.normal_frame, om, step * _STENCIL)
     vp, v0, vm = grassmann.v_values(grassmann.overlap_values(frames, base)).tolist()
     lp, l0, lm = math.log(vp), math.log(v0), math.log(vm)
     return (
@@ -428,14 +423,11 @@ def _reduction_probe(rng, step):
     om = rng.standard_normal((2, 1))
     Z = TangentCoeffs(om, spec.tangent_frame)
 
-    def sec_along(t):
-        frame = grassmann.geodesic_from_velocity(
-            spec.tangent_frame, spec.normal_frame, om, t
-        )
-        n_t = np.cross(frame.vectors[0], frame.vectors[1])
-        return 1.0 / abs(float(n_t @ nu0))
-
-    fd = _second_difference(sec_along(step), sec_along(0.0), sec_along(-step), step)
+    # the secant along the geodesic from the normal n_t = r1 x r2 of its frames
+    rows = grassmann.geodesic_from_velocity(
+        spec.tangent_frame, spec.normal_frame, om, step * _STENCIL).vectors
+    n_t = np.cross(rows[:, 0], rows[:, 1])
+    fd = _second_difference(*(1.0 / np.abs(sphere._dot(n_t, nu0))), step)
     return max(res, _relative_defect(fd, grassmann.hess_v_form(spec, Z)))
 
 
@@ -475,7 +467,7 @@ def cmd_verify_targets(cfg, outdir, jobs=1) -> RunReport:
         for family, residual in rows:
             k = seen.get(family, 0)
             seen[family] = k + 1
-            worst[family] = max(worst[family], residual)
+            worst[family] = _pick(max, (worst[family], residual))
             lines.append(f"{family},{ci},{k},{residual:.17g}")
 
     report = RunReport("verify-targets", cfg["seed"])
@@ -512,7 +504,7 @@ def _composition_targets(imm):
     # tangents of every catalog surface (a fixed coordinate plane does
     # not — the cylinder's tangents all contain the axis direction)
     center = 0.5 * (imm.chart[:, 0] + imm.chart[:, 1])
-    ref = OrientedFrame(immersion.point_frame(imm, center).tangent)
+    ref = immersion.gauss_map(immersion.point_frame(imm, center))
     targets = [immersion.VTarget(ref), immersion.LogVTarget(ref)]
     if imm.m == 1:
         amb = imm.n + imm.m
@@ -538,7 +530,7 @@ def _composition_worst(name, seed_seq, count):
         if len(probes) >= count:
             break
         draws = _chart_probes(imm, rng, count)
-        w = grassmann.w_product(immersion.point_frame(imm, draws).tangent, ref)
+        w = grassmann.w_product(immersion.gauss_map(immersion.point_frame(imm, draws)), ref)
         probes = np.concatenate([probes, draws[np.abs(w) >= 0.3]])[:count]
     if len(probes) < count:
         raise RuntimeError(
@@ -570,8 +562,8 @@ def cmd_verify_shrinkers(cfg, outdir, jobs=1) -> RunReport:
     lines = ["surface,probe,residual,tension"]
     for name in names:
         rows = per_surface[name]
-        res = max(r for r, _ in rows)
-        ten = max(t for _, t in rows)
+        res = _pick(max, (r for r, _ in rows))
+        ten = _pick(max, (t for _, t in rows))
         report.checks.append(
             check_le(f"residual[{name}]", res, 0.0, cfg["tol_residual"])
         )
@@ -582,7 +574,7 @@ def cmd_verify_shrinkers(cfg, outdir, jobs=1) -> RunReport:
             lines.append(f"{name},{k},{r:.17g},{t:.17g}")
     for name in controls:
         rows = per_surface[name]
-        floor = min(t for _, t in rows)
+        floor = _pick(min, (t for _, t in rows))
         report.checks.append(
             check_ge(f"control_tension[{name}]", floor, cfg["control_floor"], 0.0)
         )
@@ -590,12 +582,9 @@ def cmd_verify_shrinkers(cfg, outdir, jobs=1) -> RunReport:
             lines.append(f"{name},{k},{r:.17g},{t:.17g}")
 
     comp_children = children[(len(names) + len(controls)) * chunks:]
-    comp_worst = 0.0
-    for name, child in zip(names, comp_children):
-        comp_worst = max(
-            comp_worst,
-            _composition_worst(name, child, int(cfg["composition_probes"])),
-        )
+    comp_worst = _pick(max, [0.0] + [
+        _composition_worst(name, child, int(cfg["composition_probes"]))
+        for name, child in zip(names, comp_children)])
     report.checks.append(
         check_le("composition_max", comp_worst, 0.0, cfg["tol_composition"])
     )
@@ -625,23 +614,20 @@ def cmd_verify_prop41(cfg, outdir, jobs=1) -> RunReport:
 
     rng = np.random.default_rng(np.random.SeedSequence(cfg["seed"]))
     patterns = ("dense", "diag", "triple", "lowrank", "sparse")
-    regroup_worst = 0.0
-    min_margin = math.inf
+    regroups, margins = [0.0], [math.inf]
     for k in range(int(cfg["samples"])):
         n = int(rng.integers(1, 6))
         m = int(rng.integers(1, 6))
         s = ineq.random_group_sample(rng, n, m, pattern=patterns[k % len(patterns)])
         gb = ineq.group_terms(s)
         scale = max(1.0, abs(gb.direct_total))
-        regroup_worst = max(
-            regroup_worst, abs(gb.grouped_total - gb.direct_total) / scale
-        )
-        min_margin = min(min_margin, gb.master_margin)
+        regroups.append(abs(gb.grouped_total - gb.direct_total) / scale)
+        margins.append(gb.master_margin)
     report.checks.append(
-        check_le("regroup_max", regroup_worst, 0.0, cfg["tol_regroup"])
+        check_le("regroup_max", _pick(max, regroups), 0.0, cfg["tol_regroup"])
     )
     report.checks.append(
-        check_ge("sample_min_margin", min_margin, 0.0, cfg["tol_margin"])
+        check_ge("sample_min_margin", _pick(min, margins), 0.0, cfg["tol_margin"])
     )
 
     zero_lam = ineq.GroupSample(

@@ -15,10 +15,11 @@ differences.  Derivative coefficients pair tangent row j with normal
 direction alpha; the forms below are valid only in the adapted frame that
 ``jordan_spectrum`` returns, where the overlap matrix is diagonal.
 
+An ``OrientedFrame`` holds one plane or a stack of them over leading axes.
 Callers that need only v read ``overlap_values``, the angle cosines of a
-stack of planes against one reference from one batched SVD, and
-``v_values``, the product of their reciprocals; ``jordan_spectrum`` takes
-its cosines from the same helper, so both routes give the same digits.
+stack against one reference from one batched SVD, and ``v_values``, the
+product of their reciprocals; ``jordan_spectrum`` takes one plane and its
+cosines from the same helper, so both routes give the same digits.
 """
 
 from __future__ import annotations
@@ -45,33 +46,58 @@ def _matrix(rows) -> np.ndarray:
     return out
 
 
+def _orthonormal(rows, tol=_ORTHO_TOL) -> bool:
+    """Whether the rows (..., k, amb) are orthonormal to tol in every entry
+    of their Gram matrices; False on NaN."""
+    gram = rows @ rows.swapaxes(-1, -2)
+    gram -= np.eye(gram.shape[-1])
+    np.abs(gram, out=gram)
+    return bool(gram.max() <= tol)
+
+
+def complement(rows) -> np.ndarray:
+    """Orthonormal rows (..., amb - k, amb) spanning the orthogonal complement
+    of rows (..., k, amb): trailing columns of the complete QR of rows^T."""
+    rows = np.asarray(rows, dtype=float)
+    q = np.linalg.qr(rows.swapaxes(-1, -2), mode="complete")[0]
+    return q[..., rows.shape[-2]:].swapaxes(-1, -2)
+
+
 @dataclass(frozen=True, eq=False)
 class OrientedFrame:
-    """Orthonormal rows spanning an oriented n-plane in R^{n+m}."""
+    """Orthonormal rows (..., n, amb) spanning oriented n-planes in
+    R^{n+m}: one plane, or a stack of them over leading axes."""
 
     vectors: np.ndarray
 
     def __post_init__(self):
-        v = _matrix(self.vectors)
-        n, amb = v.shape
+        v = np.array(self.vectors, dtype=float, copy=True)
+        if v.ndim < 2:
+            raise ValueError("expected an array of row vectors")
+        n, amb = v.shape[-2:]
         if n < 1 or amb - n < 1:
             raise ValueError("need at least one row and one normal direction")
-        if np.max(np.abs(v @ v.T - np.eye(n))) > _ORTHO_TOL:
+        if not _orthonormal(v):
             raise ValueError("rows are not orthonormal")
         v.flags.writeable = False
         object.__setattr__(self, "vectors", v)
 
     @property
     def n(self) -> int:
-        return self.vectors.shape[0]
+        return self.vectors.shape[-2]
 
     @property
     def m(self) -> int:
-        return self.vectors.shape[1] - self.vectors.shape[0]
+        return self.vectors.shape[-1] - self.vectors.shape[-2]
 
     @property
     def ambient(self) -> int:
-        return self.vectors.shape[1]
+        return self.vectors.shape[-1]
+
+
+def _one_plane(P: OrientedFrame) -> None:
+    if P.vectors.ndim != 2:
+        raise ValueError("expected one plane, not a stack of planes")
 
 
 @dataclass(frozen=True, eq=False)
@@ -123,26 +149,17 @@ class TangentCoeffs:
         object.__setattr__(self, "omega", om)
 
 
-def _check_pair(rows, Q: OrientedFrame) -> None:
-    # rows: one plane's rows, or a stack of them over leading axes
-    if rows.shape[-2:] != Q.vectors.shape:
+def _check_pair(P: OrientedFrame, Q: OrientedFrame) -> None:
+    # P: one plane, or a stack of them over leading axes; Q: one plane
+    if P.vectors.shape[-2:] != Q.vectors.shape:
         raise ValueError("frames have mismatched plane or ambient dimension")
 
 
-def _plane_rows(P, Q: OrientedFrame) -> np.ndarray:
-    # orthonormal plane rows P (..., n, amb) shaped like Q's, checked
-    P = np.asarray(P, dtype=float)
+def w_product(P: OrientedFrame, Q: OrientedFrame):
+    """Overlap determinant det <e_i, f_j> of oriented planes, in [-1, 1],
+    over the leading axes of P."""
     _check_pair(P, Q)
-    if np.abs(P @ P.swapaxes(-1, -2) - np.eye(Q.n)).max() > _ORTHO_TOL:
-        raise ValueError("rows are not orthonormal")
-    return P
-
-
-def w_product(P, Q: OrientedFrame):
-    """Overlap determinant det <e_i, f_j> of oriented planes, in [-1, 1]:
-    of one OrientedFrame P, or over the leading axes of plane rows P."""
-    rows = _plane_rows(P.vectors if isinstance(P, OrientedFrame) else P, Q)
-    det = np.linalg.det(rows @ Q.vectors.T)
+    det = np.linalg.det(P.vectors @ Q.vectors.T)
     return np.clip(det, -1.0, 1.0)[()]
 
 
@@ -162,19 +179,20 @@ def _overlap_svd(rows, Q: OrientedFrame):
     return Ut[..., perm, :], np.clip(sing, 0.0, 1.0)[..., perm], Vt[..., perm, :], p
 
 
-def overlap_values(P, Q: OrientedFrame) -> np.ndarray:
+def overlap_values(P: OrientedFrame, Q: OrientedFrame) -> np.ndarray:
     """Principal-angle cosines of planes P against Q, over leading axes.
 
-    P (..., n, amb) holds orthonormal plane rows shaped like Q's.  Returns
-    the p = min(n, m) angle cosines, shape (..., p), equal to the ``mu``
-    that ``jordan_spectrum`` stores for each plane.
+    P's planes have Q's dimensions.  Returns the p = min(n, m) angle
+    cosines, shape (..., p), equal to the ``mu`` that ``jordan_spectrum``
+    stores for each plane.
     """
-    _, mu_all, _, p = _overlap_svd(_plane_rows(P, Q), Q)
+    _check_pair(P, Q)
+    _, mu_all, _, p = _overlap_svd(P.vectors, Q)
     return mu_all[..., :p]
 
 
 def jordan_spectrum(P: OrientedFrame, Q: OrientedFrame) -> JordanSpectrum:
-    """Principal angles between P and Q with the angle-adapted frames at P.
+    """Principal angles between one plane P and Q with the adapted frames at P.
 
     Singular values of the overlap matrix are clamped to [0, 1]; the p =
     min(n, m) smallest become the stored angle cosines (the rest are overlap
@@ -183,7 +201,8 @@ def jordan_spectrum(P: OrientedFrame, Q: OrientedFrame) -> JordanSpectrum:
     jointly, which keeps the diagonalized overlap nonnegative and leaves
     every derivative form unchanged), and the frame keeps P's orientation.
     """
-    _check_pair(P.vectors, Q)
+    _one_plane(P)
+    _check_pair(P, Q)
     n, m = P.n, P.m
     R, mu_all, S, p = _overlap_svd(P.vectors, Q)
     E = R @ P.vectors
@@ -222,7 +241,7 @@ def _partner_normals(E, F, mu_all, n, m, p):
     # bring every row back to rounding level.
     partners = [j for j in range(p) if 1.0 - mu_all[j] ** 2 > _PARTNER_TOL**2]
     rest = [j for j in range(m) if j not in partners]
-    comp = np.linalg.qr(E.T, mode="complete")[0][:, n:].T if rest else None
+    comp = complement(E) if rest else None
     normals = np.zeros((m, n + m))
     fixed = E
     for j in partners + rest:
@@ -289,25 +308,24 @@ def hess_logv_form(spec: JordanSpectrum, Z: TangentCoeffs) -> float:
 
 
 def _check_normals(P: OrientedFrame, N: np.ndarray) -> None:
-    k = N.shape[0]
     if N.shape[1] != P.ambient:
         raise ValueError("normal directions live in the wrong ambient space")
-    if np.max(np.abs(N @ N.T - np.eye(k))) > _ORTHO_TOL:
+    if not _orthonormal(N):
         raise ValueError("normal directions are not orthonormal")
-    if np.max(np.abs(N @ P.vectors.T)) > _ORTHO_TOL:
+    if not (np.max(np.abs(N @ P.vectors.T)) <= _ORTHO_TOL):
         raise ValueError("directions are not normal to the plane")
 
 
-def geodesic_from_velocity(
-    P: OrientedFrame, normals, omega, t: float
-) -> OrientedFrame:
-    """Frame at time t of the geodesic through P with velocity omega.
+def geodesic_from_velocity(P: OrientedFrame, normals, omega, t) -> OrientedFrame:
+    """Frames at times t (...) of the geodesic through the one plane P with
+    velocity omega, stacked over the axes of t.
 
     omega[j, alpha] moves frame row j toward normals[alpha].  The motion is
     reduced to simultaneous principal rotations by a singular value
-    decomposition of the coefficient matrix, so the returned path is the
-    exact distance-minimizing one with that initial velocity.
+    decomposition of the coefficient matrix, which serves every time, so the
+    returned path is the exact distance-minimizing one with that velocity.
     """
+    _one_plane(P)
     N = _matrix(normals)
     if N.shape[0] != P.m:
         raise ValueError("need a full orthonormal basis of the complement")
@@ -325,28 +343,28 @@ def geodesic_from_velocity(
             Bt[P.n - 1] = -Bt[P.n - 1]
     rows = A.T @ P.vectors
     turned = Bt @ N
-    c = np.cos(s * t)[:, None]
-    sn = np.sin(s * t)[:, None]
-    rows[:k] = c * rows[:k] + sn * turned[:k]
-    return OrientedFrame(rows)
+    st = np.asarray(t, dtype=float)[..., None] * s
+    out = np.broadcast_to(rows, st.shape[:-1] + rows.shape).copy()
+    out[..., :k, :] = np.cos(st)[..., None] * rows[:k] + np.sin(st)[..., None] * turned[:k]
+    return OrientedFrame(out)
 
 
 def express_in_adapted_frame(
     spec: JordanSpectrum, omega, tangent_rows, normal_rows
 ) -> TangentCoeffs:
-    """Rewrite motion coefficients from a caller frame into the adapted frame.
+    """Rewrite motion coefficients of one plane from a caller frame into the adapted frame.
 
-    tangent_rows must span the same plane as the spectrum's base and
-    normal_rows its orthogonal complement; omega[i, alpha] refers to those
-    rows.  Returns coefficients usable with the derivative forms.
+    tangent_rows (n, amb) must span the same plane as the spectrum's base
+    and normal_rows its orthogonal complement; omega[i, alpha] refers to
+    those rows.  Returns coefficients usable with the derivative forms.
     """
     E = _matrix(tangent_rows)
     Nr = _matrix(normal_rows)
     R = spec.tangent_frame.vectors @ E.T
     C = spec.normal_frame @ Nr.T
-    if np.max(np.abs(R @ R.T - np.eye(R.shape[0]))) > 1e-8:
+    if not _orthonormal(R, 1e-8):
         raise ValueError("tangent rows do not span the spectrum's base plane")
-    if np.max(np.abs(C @ C.T - np.eye(C.shape[0]))) > 1e-8:
+    if not _orthonormal(C, 1e-8):
         raise ValueError("normal rows do not span the plane's complement")
     om = R @ np.asarray(omega, dtype=float) @ C.T
     return TangentCoeffs(omega=om, frame=spec.tangent_frame)

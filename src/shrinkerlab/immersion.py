@@ -28,7 +28,6 @@ import numpy as np
 from . import grassmann, sphere
 from .grassmann import OrientedFrame, TangentCoeffs
 
-_FRAME_TOL = 1e-10
 # Central differences of orders 2 and 4: (shift, weight) terms in summation
 # order, and the factor c of the divisor, c h for first and c h h for second
 # differences.
@@ -122,17 +121,15 @@ class PointFrame:
     S: Optional[np.ndarray] = None  # (..., n, n)
 
     def __post_init__(self):
-        frame = np.concatenate([self.tangent, self.normal], axis=-2)
-        gram = frame @ frame.swapaxes(-1, -2)
-        if np.abs(gram - np.eye(gram.shape[-1])).max() > _FRAME_TOL:
+        if not grassmann._orthonormal(np.concatenate([self.tangent, self.normal], axis=-2)):
             raise ValueError("tangent and normal rows are not orthonormal")
-        if np.abs(self.h - self.h.swapaxes(-1, -2)).max() > 1e-9:
+        if not (np.abs(self.h - self.h.swapaxes(-1, -2)).max() <= 1e-9):
             raise ValueError("second fundamental form must be symmetric")
-        if np.abs(self.h.trace(axis1=-2, axis2=-1) - self.mean).max() > 1e-9:
+        if not (np.abs(self.h.trace(axis1=-2, axis2=-1) - self.mean).max() <= 1e-9):
             raise ValueError("mean curvature must be the trace of h")
         # expected <= 1, so the bound 1e-12 * max(1, expected) is 1e-12
         expected = np.exp(-np.einsum("...a,...a->...", self.position, self.position) / 4.0)
-        if np.abs(self.rho - expected).max() > 1e-12:
+        if not (np.abs(self.rho - expected).max() <= 1e-12):
             raise ValueError("weight must equal exp(-|X|^2/4)")
 
     def __getitem__(self, index):
@@ -180,16 +177,14 @@ def _frame_kernel(x, dX, ddX, params):
     PointFrame fields, unchecked: callers build the record once the jets
     are no longer needed.
     """
-    n = dX.shape[-2]
-    dXt = dX.swapaxes(-1, -2)
-    g = dX @ dXt
+    g = dX @ dX.swapaxes(-1, -2)
     try:
         L = np.linalg.cholesky(g)
     except np.linalg.LinAlgError:
         raise _degenerate_metric(g, params) from None
     S = np.linalg.inv(L)
     tangent = S @ dX
-    normal = np.linalg.qr(dXt, mode="complete")[0][..., n:].swapaxes(-1, -2)
+    normal = grassmann.complement(dX)
     b = np.einsum("...ija,...ka->...kij", ddX, normal)  # in the param basis
     h = np.einsum("...pi,...kij,...qj->...kpq", S, b, S)
     h = 0.5 * (h + h.swapaxes(-1, -2))
@@ -251,7 +246,7 @@ def shrinker_residual(pf: PointFrame) -> np.ndarray:
 
 
 def gauss_map(pf: PointFrame) -> OrientedFrame:
-    """Tangent plane at the point, oriented by the chart."""
+    """Tangent planes at the points over pf's leading axes, oriented by the chart."""
     return OrientedFrame(pf.tangent)
 
 
@@ -263,7 +258,7 @@ def gauss_pushforward(imm: ParametricImmersion, param):
     h[alpha, i, j].
     """
     pf = point_frame(imm, param)
-    frame = OrientedFrame(pf.tangent)
+    frame = gauss_map(pf)
     # omega[j, alpha] along frame row i
     return [TangentCoeffs(omega=pf.h[:, i, :].T, frame=frame) for i in range(pf.n)]
 
@@ -483,7 +478,7 @@ class _OverlapTarget:
 
     def values(self, frames, shared):
         return self._of_v(self._shared(shared, "v", lambda: grassmann.v_values(
-            grassmann.overlap_values(frames.tangent, self.reference))))
+            grassmann.overlap_values(gauss_map(frames), self.reference))))
 
     def centre_sum(self, pf, T, shared):
         out = np.empty(np.shape(pf.rho))

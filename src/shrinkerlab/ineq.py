@@ -73,11 +73,12 @@ def omega_membership(v, r, t):
     if not 1.0 < v < 3.0:
         return False, "v outside (1,3)"
     tau = 0.5 * (v - 1.0)
-    if abs((1.0 + r) * (1.0 + t) - v * v) > 1e-12 * v * v:
+    # each test is spelled so that a NaN fails it
+    if not (abs((1.0 + r) * (1.0 + t) - v * v) <= 1e-12 * v * v):
         return False, "(1+r)(1+t) = v^2 fails"
-    if r <= tau:
+    if not (r > tau):
         return False, "r <= tau: t-bound undefined (tau^{-1} r <= 1)"
-    if _pole_denominator(tau, r, t) > 0.0:
+    if not (_pole_denominator(tau, r, t) <= 0.0):
         return False, "t below its lower bound"
     return True, "member"
 

@@ -17,6 +17,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import grassmann
+
 __all__ = [
     "RegionError",
     "RegionClass",
@@ -36,7 +38,6 @@ __all__ = [
 REGION_TOL = 1e-9
 
 _UNIT_TOL = 1e-12
-_FRAME_TOL = 1e-10
 
 
 class RegionError(ValueError):
@@ -88,7 +89,7 @@ def _check_unit(x: np.ndarray, name: str = "input", lead: bool = False) -> np.nd
     x = np.asarray(x, dtype=float)
     if (x.ndim < 1 if lead else x.ndim != 1) or x.shape[-1] < 2:
         raise ValueError(f"{name} must be a vector in R^{{n+1}}, n >= 1")
-    if np.abs(np.sqrt(_dot(x, x)) - 1.0).max() > _UNIT_TOL:
+    if not (np.abs(np.sqrt(_dot(x, x)) - 1.0).max() <= _UNIT_TOL):
         raise ValueError(f"{name} must be a unit vector (|{name}| = 1 to {_UNIT_TOL})")
     return x
 
@@ -98,9 +99,9 @@ def _check_tangent_frame(x: np.ndarray, basis: np.ndarray) -> np.ndarray:
     n = x.size - 1
     if basis.shape != (n, x.size):
         raise ValueError(f"basis must be {n} orthonormal rows of length {x.size}")
-    if not np.allclose(basis @ basis.T, np.eye(n), rtol=0.0, atol=_FRAME_TOL):
+    if not grassmann._orthonormal(basis):
         raise ValueError("basis rows must be orthonormal")
-    if np.max(np.abs(basis @ x)) > _FRAME_TOL:
+    if not (np.max(np.abs(basis @ x)) <= grassmann._ORTHO_TOL):
         raise ValueError("basis rows must be tangent to the sphere at x")
     return basis
 
@@ -135,6 +136,9 @@ def longitude_coords(x: np.ndarray, tol: float = REGION_TOL) -> LongitudeCoords:
     r in (0, 1], theta in (-pi, pi). Points within ``tol`` of the deleted set
     raise RegionError.
     """
+    # one point by design: np.hypot and np.arctan2 differ from math.hypot and
+    # math.atan2 in the last bit on 0.55% and 7.4% of standard normal inputs,
+    # enough to move the verify-targets residuals that read r and theta
     x = _check_unit(x, "x")
     x1, x2 = float(x[0]), float(x[1])
     r = math.hypot(x1, x2)
@@ -195,19 +199,14 @@ def region_membership(x: np.ndarray, a: np.ndarray) -> RegionClass:
     return RegionClass.V_REGION
 
 
-def great_circle(x: np.ndarray, v: np.ndarray, t: float) -> np.ndarray:
-    """Unit-speed geodesic cos(t) x + sin(t) v from x with initial vector v."""
-    return math.cos(t) * np.asarray(x, dtype=float) + math.sin(t) * np.asarray(
-        v, dtype=float
-    )
+def great_circle(x: np.ndarray, v: np.ndarray, t) -> np.ndarray:
+    """Unit-speed geodesic cos(t) x + sin(t) v from x with initial vector v,
+    at times t (...): points (..., n+1) over the axes of t."""
+    t = np.asarray(t, dtype=float)[..., None]
+    return np.cos(t) * np.asarray(x, dtype=float) + np.sin(t) * np.asarray(v, dtype=float)
 
 
 def tangent_frame(x: np.ndarray) -> np.ndarray:
-    """A deterministic orthonormal basis of the tangent space at x (rows)."""
-    x = _check_unit(x, "x")
-    # complete x to an orthonormal basis of the ambient space by Householder QR
-    q, _ = np.linalg.qr(x.reshape(-1, 1), mode="complete")
-    frame = q[:, 1:].T
-    # QR may flip the first column's sign; the remaining columns are a valid
-    # orthonormal completion either way
-    return frame
+    """A deterministic orthonormal basis of the tangent space at x (rows):
+    the orthogonal complement of x by Householder QR."""
+    return grassmann.complement(_check_unit(x, "x")[None])

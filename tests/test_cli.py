@@ -1,10 +1,12 @@
+import dataclasses
 import json
+import math
 import os
 
 import numpy as np
 import pytest
 
-from shrinkerlab import cli, graphflow, grassmann, immersion
+from shrinkerlab import cli, graphflow, grassmann, immersion, ineq, sphere
 
 
 @pytest.fixture(autouse=True)
@@ -402,6 +404,56 @@ def test_check_record_margin_conventions():
     assert cli.report_status([watched]) == "OBSERVATION"
 
 
+def _nan_after_first(monkeypatch, module, name, poison):
+    # module.name as before on its first call, poisoned by poison after it
+    calls = []
+    func = getattr(module, name)
+
+    def wrapped(*args):
+        calls.append(1)
+        got = func(*args)
+        return got if len(calls) == 1 else poison(got)
+
+    monkeypatch.setattr(module, name, wrapped)
+
+
+@pytest.mark.parametrize("case", [
+    "check_le", "check_ge", "verify-targets", "verify-shrinkers residual",
+    "verify-shrinkers composition", "verify-prop41 regroup", "verify-prop41 margin",
+])
+def test_a_nan_fails_a_mandatory_check(monkeypatch, tmp_path, case):
+    # a NaN fails its check, and the max and min over a run keep it, also
+    # when it follows a number
+    if case == "check_le":
+        assert cli.report_status([cli.check_le("x", math.nan, 0.0, 1e-6)]) == "FAIL"
+        return
+    if case == "check_ge":
+        assert cli.report_status([cli.check_ge("x", math.nan, 0.0, 1e-6)]) == "FAIL"
+        return
+    command = case.split()[0]
+    cfg = {
+        "verify-targets": {"probes": 2, "chunks": 1},
+        "verify-shrinkers": {"probes": 3, "chunks": 1, "composition_probes": 2},
+        "verify-prop41": {"v_count": 20, "rt_resolution": 20, "samples": 5,
+                          "restarts": 2, "iters": 2},
+    }[command]
+    if command == "verify-targets":
+        _nan_after_first(monkeypatch, cli, "_reduction_probe", lambda r: math.nan)
+    elif case == "verify-shrinkers residual":
+        _nan_after_first(monkeypatch, immersion, "shrinker_residual",
+                         lambda r: np.where(np.arange(len(r))[:, None] == 2, math.nan, r))
+    elif case == "verify-shrinkers composition":
+        _nan_after_first(monkeypatch, cli, "_composition_worst", lambda r: math.nan)
+    else:
+        field = "grouped_total" if case.endswith("regroup") else "master_margin"
+        _nan_after_first(monkeypatch, ineq, "group_terms",
+                         lambda g: dataclasses.replace(g, **{field: math.nan}))
+    path = _write_cfg(tmp_path, cfg)
+    assert cli.main([command, "--config", path, "--out", str(tmp_path)]) == 1
+    report = _load_report(str(tmp_path), command)
+    assert report["status"] == "FAIL"
+
+
 def test_seed_flag_overrides_config_seed(tmp_path):
     cfg = _write_cfg(tmp_path, {"probes": 4, "chunks": 2, "seed": 11})
     out_a, out_b = tmp_path / "a", tmp_path / "b"
@@ -440,6 +492,138 @@ def test_grassmann_probe_takes_one_spectrum(monkeypatch):
     residuals = cli._grassmann_probe(np.random.default_rng(3), 1e-4)
     assert len(calls) == 1
     assert max(residuals) <= 1e-5
+
+
+def test_target_probe_makes_three_geodesic_and_three_great_circle_calls(monkeypatch):
+    # one call per probe at the times (step, 0, -step), and one geodesic for
+    # the Grassmannian probe's random plane
+    calls = {"geodesic": 0, "great_circle": 0}
+    geodesic, great_circle = grassmann.geodesic_from_velocity, sphere.great_circle
+
+    def counting(name, func):
+        def wrapped(*args):
+            calls[name] += 1
+            return func(*args)
+        return wrapped
+
+    monkeypatch.setattr(grassmann, "geodesic_from_velocity", counting("geodesic", geodesic))
+    monkeypatch.setattr(sphere, "great_circle", counting("great_circle", great_circle))
+    rows = cli._target_chunk((np.random.SeedSequence(2), 5, 1e-4, 1.0))
+    assert len(rows) == 5 * len(cli.TARGET_FAMILIES)
+    assert calls == {"geodesic": 3 * 5, "great_circle": 3 * 5}
+
+
+# the probes as they were with one geodesic call per time, kept as the
+# reference the batched probes must equal
+
+
+def _ref_height_probe(rng, step, sign):
+    x = cli._unit(rng)
+    while True:
+        a = cli._unit(rng)
+        if abs(float(x @ a)) >= 0.3:
+            break
+    basis = sphere.tangent_frame(x)
+    c = cli._unit(rng, 2)
+    w = c @ basis
+
+    def f(t):
+        y = sphere.great_circle(x, w, t)
+        return sphere.height_value(y / np.linalg.norm(y), a)
+
+    d2 = cli._second_difference(f(step), f(0.0), f(-step), step)
+    return cli._relative_defect(d2, -sign * sphere.hess_height(x, a, basis)(c, c))
+
+
+def _ref_longitude_probe(rng, step):
+    while True:
+        x = cli._unit(rng)
+        r = math.hypot(float(x[0]), float(x[1]))
+        if r >= 0.35 and float(x[0]) > -0.8 * r:
+            break
+    basis = sphere.tangent_frame(x)
+    c = cli._unit(rng, 2)
+    w = c @ basis
+
+    def coords(t):
+        y = sphere.great_circle(x, w, t)
+        return sphere.longitude_coords(y / np.linalg.norm(y))
+
+    (r0, t0), (rp, tp), (rm, tm) = coords(0.0), coords(step), coords(-step)
+    hr, ht = sphere.hess_r_theta(x, basis)
+    cr, ct = hr(c, c), ht(c, c)
+    return (cli._relative_defect(cli._second_difference(rp, r0, rm, step), cr),
+            cli._relative_defect(cli._second_difference(tp, t0, tm, step), ct))
+
+
+def _ref_grassmann_probe(rng, step):
+    n, m = int(rng.integers(1, 4)), int(rng.integers(1, 4))
+    base = cli._random_frame(rng, n, n + m)
+    om = rng.standard_normal((base.n, base.m))
+    top = max(float(np.linalg.svd(om)[1][0]), 1e-12)
+    om *= 1.1 * rng.uniform(0.1, 1.0) / top
+    complement = np.linalg.qr(base.vectors.T, mode="complete")[0][:, base.n:].T
+    P = grassmann.geodesic_from_velocity(base, complement, om, 1.0)
+    spec = grassmann.jordan_spectrum(P, base)
+    om = rng.standard_normal((n, m))
+    om /= np.linalg.norm(om)
+    Z = grassmann.TangentCoeffs(om, spec.tangent_frame)
+    frames = np.stack([
+        grassmann.geodesic_from_velocity(spec.tangent_frame, spec.normal_frame, om, t).vectors
+        for t in (step, 0.0, -step)
+    ])
+    vp, v0, vm = grassmann.v_values(
+        grassmann.overlap_values(grassmann.OrientedFrame(frames), base)).tolist()
+    lp, l0, lm = math.log(vp), math.log(v0), math.log(vm)
+    return (
+        cli._relative_defect(cli._second_difference(vp, v0, vm, step),
+                             grassmann.hess_v_form(spec, Z)),
+        cli._relative_defect(cli._second_difference(lp, l0, lm, step),
+                             grassmann.hess_logv_form(spec, Z)),
+        cli._relative_defect((lp - lm) / (2.0 * step), grassmann.dlogv_form(spec, Z)),
+    )
+
+
+def _ref_reduction_probe(rng, step):
+    nu0 = np.array([0.0, 0.0, 1.0])
+    u = np.array([1.0, 0.0, 0.0])
+    a = float(rng.uniform(0.1, 1.0))
+    nu = sphere.great_circle(nu0, u, a)
+    r1 = np.cross(np.array([0.0, 1.0, 0.0]), nu)
+    r1 /= np.linalg.norm(r1)
+    r2 = np.cross(nu, r1)
+    P = grassmann.OrientedFrame(np.vstack([r1, r2]))
+    base = grassmann.OrientedFrame(np.eye(3)[:2])
+    spec = grassmann.jordan_spectrum(P, base)
+    sec = 1.0 / math.cos(a)
+    res = abs(grassmann.v_value(spec) - sec) / sec
+    om = rng.standard_normal((2, 1))
+    Z = grassmann.TangentCoeffs(om, spec.tangent_frame)
+
+    def sec_along(t):
+        frame = grassmann.geodesic_from_velocity(
+            spec.tangent_frame, spec.normal_frame, om, t
+        )
+        n_t = np.cross(frame.vectors[0], frame.vectors[1])
+        return 1.0 / abs(float(n_t @ nu0))
+
+    fd = cli._second_difference(sec_along(step), sec_along(0.0), sec_along(-step), step)
+    return max(res, cli._relative_defect(fd, grassmann.hess_v_form(spec, Z)))
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_target_probes_equal_the_per_time_reference(seed):
+    probes = [
+        (lambda rng, step: cli._height_probe(rng, step, 1.0),
+         lambda rng, step: _ref_height_probe(rng, step, 1.0)),
+        (cli._longitude_probe, _ref_longitude_probe),
+        (cli._grassmann_probe, _ref_grassmann_probe),
+        (cli._reduction_probe, _ref_reduction_probe),
+    ]
+    for probe, reference in probes:
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(5):
+            assert probe(rng, 1e-4) == reference(ref_rng, 1e-4)
 
 
 @pytest.mark.parametrize("count", [1, 7, 30])

@@ -204,7 +204,7 @@ def test_overlap_values_equal_per_frame_spectra(shape, n, m):
     Q = _random_frame(rng, n, n + m)
     P = _plane_stack(rng, shape, n, n + m)
     specs = [jordan_spectrum(OrientedFrame(r), Q) for r in P.reshape(-1, n, n + m)]
-    mu = overlap_values(P, Q)
+    mu = overlap_values(OrientedFrame(P), Q)
     assert mu.shape == shape + (min(n, m),)
     assert np.array_equal(mu, np.reshape([s.mu for s in specs], mu.shape))
     v = v_values(mu)
@@ -217,7 +217,7 @@ def test_v_values_reject_a_perpendicular_row_of_a_batch():
     c, s = math.cos(0.3), math.sin(0.3)
     tilted = np.array([[c, 0.0, s, 0.0], [0.0, 1.0, 0.0, 0.0]])
     P = np.stack([np.eye(4)[:2], tilted, np.eye(4)[2:]])  # the last is perpendicular
-    mu = overlap_values(P, Q)
+    mu = overlap_values(OrientedFrame(P), Q)
     assert np.allclose(v_values(mu[:2]), [1.0, 1.0 / c], rtol=1e-14)
     with pytest.raises(ChartDomainError):
         v_values(mu)
@@ -231,13 +231,16 @@ def test_overlap_values_reject_bad_rows():
     skewed = P.copy()
     skewed[1, 0, 2] = 1e-6  # plane 1: row 0 leans 1e-6 toward row 1
     with pytest.raises(ValueError, match="not orthonormal"):
-        overlap_values(skewed, Q)
+        overlap_values(OrientedFrame(skewed), Q)
     with pytest.raises(ValueError, match="mismatched"):
-        overlap_values(np.stack([np.eye(5)[:2]] * 2), Q)
+        overlap_values(OrientedFrame(np.stack([np.eye(5)[:2]] * 2)), Q)
     with pytest.raises(ValueError, match="mismatched"):
-        overlap_values(np.eye(4)[:3], Q)
+        overlap_values(OrientedFrame(np.eye(4)[:3]), Q)
     with pytest.raises(ValueError, match="mismatched"):
-        overlap_values(np.eye(4)[0], Q)
+        overlap_values(OrientedFrame(np.eye(4)[:1]), Q)
+    # a single row vector is no plane at all
+    with pytest.raises(ValueError, match="row vectors"):
+        OrientedFrame(np.eye(4)[0])
 
 
 def test_geodesic_identity_cases():
@@ -266,6 +269,77 @@ def test_geodesic_rejects_bad_directions():
                                om, 1.0)
     with pytest.raises(ValueError, match="full orthonormal basis"):
         geodesic_from_velocity(P, np.eye(4)[2:3], om, 1.0)
+
+
+@pytest.mark.parametrize("shape", [(3,), (2, 3)])
+def test_geodesic_over_times_equals_per_time_calls(shape):
+    rng = np.random.default_rng(17)
+    for n, m in [(1, 2), (2, 1), (2, 2), (2, 3), (3, 2)]:
+        P = _random_frame(rng, n, n + m)
+        N = _complement(P)
+        om = rng.standard_normal((n, m))
+        t = rng.uniform(-2.0, 2.0, shape)
+        out = geodesic_from_velocity(P, N, om, t)
+        assert out.vectors.shape == shape + (n, n + m)
+        for idx in np.ndindex(shape):
+            assert np.array_equal(out.vectors[idx],
+                                  geodesic_from_velocity(P, N, om, t[idx]).vectors)
+
+
+def test_complement_equals_the_formulas_it_replaces():
+    rng = np.random.default_rng(19)
+    for n, m in [(1, 1), (1, 2), (2, 1), (2, 2), (3, 2), (2, 3)]:
+        E = _random_frame(rng, n, n + m).vectors
+        # the normal complement of the target probes and the completion of
+        # the partner normals, both one plane's rows
+        assert np.array_equal(grassmann.complement(E),
+                              np.linalg.qr(E.T, mode="complete")[0][:, n:].T)
+        # the frame kernel's normals from jets dX over leading axes
+        dX = rng.standard_normal((2, 3, n, n + m))
+        assert np.array_equal(
+            grassmann.complement(dX),
+            np.linalg.qr(dX.swapaxes(-1, -2), mode="complete")[0][..., n:].swapaxes(-1, -2))
+    # the sphere's tangent frame at unit points x
+    for amb in (2, 3, 5):
+        for _ in range(20):
+            x = rng.standard_normal(amb)
+            x /= np.linalg.norm(x)
+            want = np.linalg.qr(x.reshape(-1, 1), mode="complete")[0][:, 1:].T
+            assert np.array_equal(sphere.tangent_frame(x), want)
+            assert np.array_equal(grassmann.complement(x[None]), want)
+
+
+def test_one_plane_routines_reject_a_stack():
+    rng = np.random.default_rng(23)
+    Q = _random_frame(rng, 2, 4)
+    stack = OrientedFrame(_plane_stack(rng, (3,), 2, 4))
+    with pytest.raises(ValueError, match="one plane"):
+        jordan_spectrum(stack, Q)
+    with pytest.raises(ValueError, match="one plane"):
+        geodesic_from_velocity(stack, _complement(Q), np.ones((2, 2)), 1.0)
+    spec = jordan_spectrum(OrientedFrame(stack.vectors[0]), Q)
+    with pytest.raises(ValueError, match="row vectors"):
+        express_in_adapted_frame(spec, np.ones((2, 2)), stack.vectors,
+                                 grassmann.complement(stack.vectors))
+
+
+_NAN_ROWS = [[1.0, 0.0, 0.0], [0.0, math.nan, 0.0]]
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda P: OrientedFrame(_NAN_ROWS), "not orthonormal"),
+    (lambda P: geodesic_from_velocity(P, [[0.0, 0.0, math.nan]], [[1.0], [0.0]], 1.0),
+     "not orthonormal"),
+    (lambda P: express_in_adapted_frame(jordan_spectrum(P, P), np.zeros((2, 1)),
+                                        _NAN_ROWS, [[0.0, 0.0, 1.0]]),
+     "tangent rows"),
+    (lambda P: express_in_adapted_frame(jordan_spectrum(P, P), np.zeros((2, 1)),
+                                        P.vectors, [[0.0, 0.0, math.nan]]),
+     "normal rows"),
+])
+def test_plane_checks_fail_on_nan(call, message):
+    with pytest.raises(ValueError, match=message):
+        call(OrientedFrame(np.eye(3)[:2]))
 
 
 def test_line_geodesic_is_a_great_circle():

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -57,6 +58,24 @@ def _interior_probe(rng, imm, margin=0.12):
     lo = imm.chart[:, 0] + margin * (imm.chart[:, 1] - imm.chart[:, 0])
     hi = imm.chart[:, 1] - margin * (imm.chart[:, 1] - imm.chart[:, 0])
     return rng.uniform(lo, hi)
+
+
+def _with_nan(a, index):
+    a = np.array(a, dtype=float)
+    a[index] = math.nan
+    return a
+
+
+@pytest.mark.parametrize("fields, message", [
+    (lambda pf: dict(position=_with_nan(pf.position, 0), rho=math.nan), "weight"),
+    (lambda pf: dict(mean=_with_nan(pf.mean, 0)), "mean curvature"),
+    (lambda pf: dict(h=_with_nan(pf.h, (0, 0, 0))), "symmetric"),
+    (lambda pf: dict(tangent=_with_nan(pf.tangent, (0, 0))), "not orthonormal"),
+])
+def test_point_frame_checks_fail_on_nan(fields, message):
+    pf = im.point_frame(im.catalog_immersion("sphere:n=2,R=2"), np.array([1.2, 0.4]))
+    with pytest.raises(ValueError, match=message):
+        dataclasses.replace(pf, **fields(pf))
 
 
 @pytest.fixture(scope="module")
@@ -582,7 +601,7 @@ def test_batched_stencils_equal_pointwise_reference(name):
         units = pf.normal[..., 0, :]
         pole = np.eye(imm.n + imm.m)[-1]
         heights = sphere.height_value(units, pole)
-        w = grassmann.w_product(pf.tangent, ref)
+        w = grassmann.w_product(im.gauss_map(pf), ref)
         for idx in np.ndindex(params.shape[:-1]):
             one = im.point_frame(imm, params[idx])
             for field in ("position", "tangent", "normal", "h", "mean", "rho", "S"):

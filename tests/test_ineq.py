@@ -51,6 +51,14 @@ def test_omega_point_validation():
         OmegaPoint(v=2.0, r=1.5, t=0.61)
 
 
+@pytest.mark.parametrize("v, r, t", [(2.0, math.nan, 1.0), (2.0, 1.0, math.nan)])
+def test_nan_is_not_in_omega(v, r, t):
+    ok, reason = ineq.omega_membership(v, r, t)
+    assert not ok and "v^2" in reason
+    with pytest.raises(OmegaMembershipError, match="v\\^2"):
+        OmegaPoint(v=v, r=r, t=t)
+
+
 def test_F_paper_point():
     fb = ineq.F_value(OmegaPoint(v=2.0, r=1.5, t=0.6))
     assert fb.F == pytest.approx(-2.25, abs=1e-12)

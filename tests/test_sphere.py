@@ -75,6 +75,37 @@ def test_hess_height_matches_great_circle_differences():
     assert worst <= 1e-6
 
 
+@pytest.mark.parametrize("shape", [(3,), (2, 3)])
+def test_great_circle_over_times_equals_per_time_calls(shape):
+    rng = np.random.default_rng(13)
+    for n1 in (2, 3, 5):
+        x = _unit(rng, n1)
+        v = _tangent_unit(rng, x)
+        t = rng.uniform(-2.0, 2.0, shape)
+        y = sphere.great_circle(x, v, t)
+        assert y.shape == shape + (n1,)
+        for idx in np.ndindex(shape):
+            assert np.array_equal(y[idx], sphere.great_circle(x, v, t[idx]))
+            assert np.array_equal(y[idx], math.cos(t[idx]) * x + math.sin(t[idx]) * v)
+
+
+_NAN_POINT = np.array([math.nan, 0.0, 1.0])
+_POLE = np.array([0.0, 0.0, 1.0])
+
+
+@pytest.mark.parametrize("call", [
+    lambda y: sphere.height_value(y, _POLE),
+    lambda y: sphere.height_value(np.stack([_POLE, y]), _POLE),
+    lambda y: sphere.height_value(_POLE, y),
+    sphere.longitude_coords,
+    sphere.tangent_frame,
+    lambda y: sphere.region_membership(y, _POLE),
+])
+def test_nan_is_not_a_unit_vector(call):
+    with pytest.raises(ValueError, match="unit vector"):
+        call(_NAN_POINT)
+
+
 def test_hess_height_rejects_bad_basis():
     rng = np.random.default_rng(3)
     x = _unit(rng, 4)

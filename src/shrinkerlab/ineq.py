@@ -14,8 +14,15 @@ F, F1, F2 on the constraint set Omega and the polynomials H1, H2 — is swept
 numerically to certify sup F <= -1/16, the source of the constant.
 
 Each group and its bound are written once, as monomials in a table built
-and cached per (n, m) shape (`_group_table`): `group_terms` reads the group
-values from it and `group_bounds_check` the values minus the bounds.
+and cached per (n, m) shape (`_group_table`), and evaluated over leading
+axes (`_group_values`): `group_terms` reads the group values of one sample
+from it, `group_bounds_check` the values minus the bounds, and
+`group_totals` the grouped totals of a whole stack of one shape.
+
+The sampled check (`sample_check`) draws its samples one after another
+(`draw_group_stacks`, the same stream as a loop over `random_group_sample`),
+stacks them by shape, and then makes one `group_totals` call per shape: one
+stacked validation, one table pass and one master-kernel call.
 
 Everything here is plain finite-dimensional algebra: samples are points in
 (lambda, h) space, sweeps are grids, and the optimizer is a batched greedy
@@ -292,20 +299,8 @@ class GroupSample:
         h = np.asarray(self.h, dtype=float)
         object.__setattr__(self, "lam", lam)
         object.__setattr__(self, "h", h)
-        if lam.shape != (self.p,):
-            raise ValueError(f"need {self.p} angle values, got shape {lam.shape}")
-        if np.any(lam < 0):
-            raise ValueError("angle values must be nonnegative")
-        if h.shape != (self.m, self.n, self.n):
-            raise ValueError(f"h must have shape {(self.m, self.n, self.n)}")
-        if not (np.all(np.isfinite(lam)) and np.all(np.isfinite(h))):
-            raise ValueError("angle values and h must be finite")
-        if np.max(np.abs(h - np.swapaxes(h, 1, 2))) > 1e-12:
-            raise ValueError("h must be symmetric in its last two indices")
-        v = float(_slope(lam))
-        if not math.isfinite(v):
-            raise ValueError("slope value is not finite")
-        object.__setattr__(self, "v", v)
+        v = _check_stack(self.n, self.m, lam[None], h[None])
+        object.__setattr__(self, "v", float(v[0]))
 
     @property
     def p(self):
@@ -324,6 +319,29 @@ class GroupSample:
             "v": self.v,
             "subcritical": self.subcritical,
         }
+
+
+def _check_stack(n, m, lam, h):
+    """Validate a stack of samples of one (n, m) shape; return their slope values.
+
+    lam has shape (B, p) and h (B, m, n, n); a GroupSample is checked as a
+    stack of one, and the messages name the shape of one sample.
+    """
+    p = min(n, m)
+    if lam.ndim != 2 or lam.shape[1:] != (p,):
+        raise ValueError(f"need {p} angle values, got shape {lam.shape[1:]}")
+    if np.any(lam < 0):
+        raise ValueError("angle values must be nonnegative")
+    if h.shape != (len(lam), m, n, n):
+        raise ValueError(f"h must have shape {(m, n, n)}")
+    if not (np.all(np.isfinite(lam)) and np.all(np.isfinite(h))):
+        raise ValueError("angle values and h must be finite")
+    if np.any(np.abs(h - np.swapaxes(h, -1, -2)) > 1e-12):
+        raise ValueError("h must be symmetric in its last two indices")
+    v = _slope(lam)
+    if not np.all(np.isfinite(v)):
+        raise ValueError("slope value is not finite")
+    return v
 
 
 def _slope(lam):
@@ -351,9 +369,9 @@ def _master_kernel(lam, h):
 
 
 def _margins(lam, h):
-    """(margin, total, v) from one kernel call; margin = total - (3 - v)|B|^2 / 2."""
+    """(margin, total, |B|^2, v) from one kernel call; margin = total - (3 - v)|B|^2 / 2."""
     total, b2, v = _master_kernel(lam, h)
-    return total - 0.5 * (3.0 - v) * b2, total, v
+    return total - 0.5 * (3.0 - v) * b2, total, b2, v
 
 
 def direct_total(s: GroupSample):
@@ -439,14 +457,27 @@ def _group_table(n, m) -> _GroupTable:
                        vcols[5], bcols[:2].astype(np.intp), bcols[2:])
 
 
-def _group_values(s: GroupSample):
-    """(table, values): each group's value in key order, the leftover last."""
-    t = _group_table(s.n, s.m)
-    lam1 = np.concatenate((s.lam, [1.0]))
-    h = s.h.ravel()
+def _group_values(n, m, lam, h):
+    """(table, values): each group's value in key order, the leftover last.
+
+    lam (..., p) and h (..., m, n, n) share their leading axes, which the
+    values (..., groups) keep.  One bincount over the ids g + groups * row
+    sums every row's monomials in table order, so each row's values equal
+    those of the same sample alone, bit for bit.
+    """
+    t = _group_table(n, m)
+    rows = lam.shape[:-1]
+    lam1 = np.concatenate((lam, np.ones(rows + (1,))), axis=-1)
+    h = h.reshape(rows + (-1,))
     g, la, lb, ha, hb = t.index
-    w = t.const * lam1[la] * lam1[lb] * h[ha] * h[hb]
-    return t, np.bincount(g, w, minlength=sum(map(len, t.keys)) + 1)
+    w = lam1[..., la] * t.const  # const lam1[la] lam1[lb] h[ha] h[hb], in that order
+    w *= lam1[..., lb]
+    w *= h[..., ha]
+    w *= h[..., hb]
+    groups, count = sum(map(len, t.keys)) + 1, math.prod(rows)
+    ids = g + groups * np.arange(count).reshape(rows + (1,))
+    vals = np.bincount(ids.ravel(), w.ravel(), minlength=groups * count)
+    return t, vals.reshape(rows + (groups,))
 
 
 def _by_group(t: _GroupTable, x):
@@ -469,9 +500,9 @@ class GroupBreakdown:
 
 def group_terms(s: GroupSample) -> GroupBreakdown:
     """All group values, the two routes to the total, and the master margin."""
-    t, vals = _group_values(s)
+    t, vals = _group_values(s.n, s.m, s.lam, s.h)
     I, II, III, IV = _by_group(t, vals)
-    margin, total, _ = _margins(s.lam, s.h)
+    margin, total, _, _ = _margins(s.lam, s.h)
     return GroupBreakdown(
         leftover=float(vals[-1]),
         I=I,
@@ -482,6 +513,30 @@ def group_terms(s: GroupSample) -> GroupBreakdown:
         direct_total=float(total),
         master_margin=float(margin),
     )
+
+
+class GroupTotals(NamedTuple):
+    grouped: np.ndarray  # sum of the group values and the leftover
+    direct: np.ndarray
+    margin: np.ndarray  # direct - (3 - v)|B|^2 / 2
+    b2: np.ndarray  # |B|^2
+
+
+def group_totals(n, m, lam, h) -> GroupTotals:
+    """The two routes to the total, the master margin and |B|^2 of a stack.
+
+    lam (B, p) and h (B, m, n, n) hold B samples of one (n, m) shape, checked
+    as GroupSample checks one.  Each row's grouped total equals
+    group_terms' for that sample bit for bit; the direct total and margin
+    may differ from it in the last bits, as the batched kernel sums in
+    another order.
+    """
+    lam = np.asarray(lam, dtype=float)
+    h = np.asarray(h, dtype=float)
+    _check_stack(n, m, lam, h)
+    _, vals = _group_values(n, m, lam, h)
+    margin, total, b2, _ = _margins(lam, h)
+    return GroupTotals(vals.sum(axis=-1), total, margin, b2)
 
 
 # ---------------------------------------------------------------------------
@@ -504,7 +559,7 @@ class GroupMargins:
 def group_bounds_check(s: GroupSample) -> GroupMargins:
     if not s.subcritical:
         raise ValueError("group bounds require a subcritical sample (v < 3)")
-    t, vals = _group_values(s)
+    t, vals = _group_values(s.n, s.m, s.lam, s.h)
     (g, x), (c0, cv) = t.bound_index, t.bound_coef
     squares = (c0 + cv * (3.0 - s.v)) * s.h.ravel()[x] ** 2
     margins = vals[:-1] - np.bincount(g, squares, minlength=len(vals) - 1)
@@ -545,7 +600,7 @@ def counterexample_dump(s: GroupSample, values: dict) -> dict:
 
 def batched_master_margins(lam, h):
     """Vectorized master margins and slope values: lam (B, p), h (B, m, n, n)."""
-    margin, _, v = _margins(np.asarray(lam, dtype=float), np.asarray(h, dtype=float))
+    margin, _, _, v = _margins(np.asarray(lam, dtype=float), np.asarray(h, dtype=float))
     return margin, v
 
 
@@ -575,9 +630,14 @@ def random_group_sample(rng, n, m, pattern="dense", v_target=None) -> GroupSampl
 
     dense: full normal h.  diag: only the h_{j,ij} entries the square terms
     see.  triple: only fully-distinct index triples within p (group III
-    territory).  lowrank: rank-one h per component.  sparse: a handful of
-    random entries.
+    territory), so h = 0 when p < 3.  lowrank: rank-one h per component.
+    sparse: a handful of random entries.
     """
+    return GroupSample(n, m, *_draw(rng, n, m, pattern, v_target))
+
+
+def _draw(rng, n, m, pattern, v_target=None):
+    """(lam, h) of one random_group_sample draw: lam first, then h."""
     if pattern not in _PATTERNS:
         raise ValueError(f"unknown pattern {pattern!r}")
     p = min(n, m)
@@ -586,25 +646,20 @@ def random_group_sample(rng, n, m, pattern="dense", v_target=None) -> GroupSampl
     if pattern == "dense":
         raw = rng.normal(size=(m, n, n))
         h = 0.5 * (raw + np.swapaxes(raw, 1, 2))
-    elif pattern == "diag":
-        for j in range(p):
-            for i in range(n):
-                val = rng.normal()
-                h[j, i, j] += val
-                if i != j:
-                    h[j, j, i] += val
-    elif pattern == "triple":
-        for i in range(p):
-            for j in range(p):
-                for k in range(p):
-                    if len({i, j, k}) == 3:
-                        val = rng.normal()
-                        h[i, j, k] += val
-                        h[i, k, j] += val
-    elif pattern == "lowrank":
-        for a in range(m):
-            vec = rng.normal(size=n)
-            h[a] = np.outer(vec, vec) * rng.normal()
+    elif pattern == "diag":  # h_{j,ij} = h_{j,ji}, drawn j-major
+        val = rng.normal(size=(p, n))
+        j, i = np.arange(p)[:, None], np.arange(n)
+        h[j, i, j] = val
+        h[j, j, i] = val
+    elif pattern == "triple":  # h_{i,jk} = h_{i,kj}; one value per distinct (i, j, k), in C order
+        i, j, k = np.indices((p, p, p))
+        val = np.zeros((p, p, p))
+        val[(i != j) & (j != k) & (k != i)] = rng.normal(size=p * (p - 1) * (p - 2))
+        h[:p, :p, :p] = val + np.swapaxes(val, 1, 2)
+    elif pattern == "lowrank":  # per component its vector, then its scale
+        raw = rng.normal(size=(m, n + 1))
+        vec = raw[:, :n]
+        h = vec[:, :, None] * vec[:, None, :] * raw[:, n, None, None]
     else:  # sparse
         for _ in range(max(3, n)):
             a = rng.integers(m)
@@ -614,7 +669,56 @@ def random_group_sample(rng, n, m, pattern="dense", v_target=None) -> GroupSampl
             h[a, i, j] += val
             if i != j:
                 h[a, j, i] += val
-    return GroupSample(n=n, m=m, lam=lam, h=h)
+    return lam, h
+
+
+def draw_group_stacks(rng, count):
+    """Draw count samples in sequence and stack them by (n, m) shape.
+
+    Sample k draws n, then m, uniformly from 1..5, then its lam and h with
+    pattern k mod 5 of dense, diag, triple, lowrank, sparse.  Returns
+    {(n, m): (lam (B, p), h (B, m, n, n))}, shapes in order of first draw and
+    samples in draw order; the stacks are not checked here.
+    """
+    drawn = {}  # one growing byte buffer per shape, not a small array per sample
+    for k in range(count):
+        n = int(rng.integers(1, 6))
+        m = int(rng.integers(1, 6))
+        lam, h = _draw(rng, n, m, _PATTERNS[k % len(_PATTERNS)])
+        lam_buf, h_buf = drawn.setdefault((n, m), (bytearray(), bytearray()))
+        lam_buf += lam.tobytes()
+        h_buf += h.tobytes()
+    return {(n, m): (np.frombuffer(lam_buf).reshape(-1, min(n, m)),
+                     np.frombuffer(h_buf).reshape(-1, m, n, n))
+            for (n, m), (lam_buf, h_buf) in drawn.items()}
+
+
+class SampleCheck(NamedTuple):
+    regroup_max: float  # max |grouped - direct| / max(1, |direct|), 0 with no samples
+    min_margin: float  # min master margin over samples with |B|^2 > 0, else inf
+    zero_forms: int  # samples with |B|^2 = 0, whose margin is 0 whatever lam
+
+
+def sample_check(rng, count) -> SampleCheck:
+    """The regrouping identity and the master bound on count random samples.
+
+    The samples come from draw_group_stacks, and each (n, m) stack is
+    checked by one group_totals call.  Zero forms (the triple pattern draws
+    h = 0 whenever p < 3) are counted, not taken into min_margin, where
+    their exact 0 would hide the smallest margin of a curved sample.  A NaN
+    defect or margin reaches regroup_max or min_margin.
+    """
+    regroup, margin, zeros = 0.0, math.inf, 0
+    stacks = draw_group_stacks(rng, count)
+    while stacks:  # each stack is freed once checked; max and min ignore the order
+        (n, m), (lam, h) = stacks.popitem()
+        t = group_totals(n, m, lam, h)
+        defect = np.abs(t.grouped - t.direct) / np.maximum(1.0, np.abs(t.direct))
+        regroup = np.max(defect, initial=regroup)
+        zero = t.b2 == 0.0
+        zeros += int(np.count_nonzero(zero))
+        margin = np.min(t.margin[~zero], initial=margin)
+    return SampleCheck(float(regroup), float(margin), zeros)
 
 
 V_SCHEDULE = tuple(3.0 - 10.0**-k for k in range(1, 7))

@@ -132,16 +132,8 @@ def test_c03_master_inequality_bulk():
 
 def test_c04_regrouping_identity_bulk():
     rng = np.random.default_rng(404)
-    patterns = ("dense", "diag", "triple", "lowrank", "sparse")
-    worst = 0.0
     count = 100_000
-    for k in range(count):
-        n = int(rng.integers(1, 6))
-        m = int(rng.integers(1, 6))
-        s = ineq.random_group_sample(rng, n, m, pattern=patterns[k % 5])
-        gb = ineq.group_terms(s)
-        dev = abs(gb.grouped_total - gb.direct_total) / max(1.0, abs(gb.direct_total))
-        worst = max(worst, dev)
+    worst = ineq.sample_check(rng, count).regroup_max
     ok = worst <= 1e-10
     _emit(4, ok, f"max regrouping defect {worst:.3e} over {count} samples (tol 1e-10)")
     assert worst <= 1e-10

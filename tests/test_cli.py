@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import math
 import os
@@ -276,6 +275,19 @@ def test_verify_prop41_certificate(tmp_path):
     assert cert["worst_value"] <= cert["bound"]
 
 
+def test_prop41_margin_skips_zero_forms_and_counts_them(tmp_path):
+    # the triple pattern draws h = 0 when min(n, m) < 3; those samples'
+    # margin is exactly 0, which the minimum used to read at every seed
+    cfg = _write_cfg(tmp_path, {"v_count": 20, "rt_resolution": 20, "restarts": 2,
+                                "iters": 2, "seed": 61})
+    assert cli.main(["verify-prop41", "--config", cfg, "--out", str(tmp_path)]) == 0
+    checks = {c["name"]: c for c in _load_report(str(tmp_path), "verify-prop41")["checks"]}
+    assert checks["sample_min_margin"]["value"] == pytest.approx(2.1399985090204358e-07,
+                                                                 rel=1e-9)
+    assert checks["zero_form_samples"]["value"] == 497.0
+    assert checks["zero_form_samples"]["margin"] == 4000.0 - 497.0
+
+
 def test_flow_graph_bump_run_artifacts(tmp_path):
     cfg = _write_cfg(
         tmp_path,
@@ -445,9 +457,11 @@ def test_a_nan_fails_a_mandatory_check(monkeypatch, tmp_path, case):
     elif case == "verify-shrinkers composition":
         _nan_after_first(monkeypatch, cli, "_composition_worst", lambda r: math.nan)
     else:
-        field = "grouped_total" if case.endswith("regroup") else "master_margin"
-        _nan_after_first(monkeypatch, ineq, "group_terms",
-                         lambda g: dataclasses.replace(g, **{field: math.nan}))
+        field = "grouped" if case.endswith("regroup") else "margin"
+        _nan_after_first(
+            monkeypatch, ineq, "group_totals",
+            lambda t: t._replace(**{field: np.full_like(getattr(t, field), math.nan)}),
+        )
     path = _write_cfg(tmp_path, cfg)
     assert cli.main([command, "--config", path, "--out", str(tmp_path)]) == 1
     report = _load_report(str(tmp_path), command)

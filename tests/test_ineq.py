@@ -300,6 +300,107 @@ def test_regrouping_identity_random():
         assert abs(gb.grouped_total - gb.direct_total) <= 1e-10 * scale
 
 
+def _per_entry_draw(rng, n, m, pattern):
+    """The diag, triple and lowrank draws as per-entry loops: the reference stream."""
+    p = min(n, m)
+    lam = ineq._subcritical_lambdas(rng, p)
+    h = np.zeros((m, n, n))
+    if pattern == "diag":
+        for j in range(p):
+            for i in range(n):
+                val = rng.normal()
+                h[j, i, j] += val
+                if i != j:
+                    h[j, j, i] += val
+    elif pattern == "triple":
+        for i in range(p):
+            for j in range(p):
+                for k in range(p):
+                    if len({i, j, k}) == 3:
+                        val = rng.normal()
+                        h[i, j, k] += val
+                        h[i, k, j] += val
+    else:
+        for a in range(m):
+            vec = rng.normal(size=n)
+            h[a] = np.outer(vec, vec) * rng.normal()
+    return lam, h
+
+
+@pytest.mark.parametrize("pattern", ["diag", "triple", "lowrank"])
+def test_array_draws_match_the_per_entry_loops(pattern):
+    for seed, (n, m) in enumerate(SHAPES):
+        ref, got = np.random.default_rng(seed), np.random.default_rng(seed)
+        lam_ref, h_ref = _per_entry_draw(ref, n, m, pattern)
+        lam, h = ineq._draw(got, n, m, pattern)
+        assert lam.tobytes() == lam_ref.tobytes()
+        assert h.tobytes() == h_ref.tobytes()
+        assert got.random() == ref.random()
+
+
+def test_stack_drawer_keeps_the_sample_loop_stream():
+    loop, batch = np.random.default_rng(21), np.random.default_rng(21)
+    stacks = {}
+    for k in range(600):
+        n = int(loop.integers(1, 6))
+        m = int(loop.integers(1, 6))
+        s = ineq.random_group_sample(loop, n, m, pattern=ineq._PATTERNS[k % 5])
+        stacks.setdefault((n, m), []).append(s)
+    drawn = ineq.draw_group_stacks(batch, 600)
+    assert batch.random() == loop.random()
+    assert list(drawn) == list(stacks)
+    for shape, (lam, h) in drawn.items():
+        assert lam.tobytes() == np.array([s.lam for s in stacks[shape]]).tobytes()
+        assert h.tobytes() == np.array([s.h for s in stacks[shape]]).tobytes()
+
+
+@pytest.mark.parametrize("n,m", SHAPES)
+def test_group_totals_match_group_terms(n, m):
+    rng = np.random.default_rng(200 + 10 * n + m)
+    samples = [ineq.random_group_sample(rng, n, m, pattern=pattern)
+               for pattern in ineq._PATTERNS for _ in range(3)]
+    t = ineq.group_totals(n, m, [s.lam for s in samples], [s.h for s in samples])
+    for k, s in enumerate(samples):
+        gb = ineq.group_terms(s)
+        assert t.grouped[k] == gb.grouped_total
+        assert t.direct[k] == pytest.approx(gb.direct_total, rel=1e-14, abs=1e-300)
+        assert t.margin[k] == pytest.approx(gb.master_margin, rel=1e-14, abs=1e-300)
+        assert t.b2[k] == np.sum(s.h * s.h)
+
+
+def test_sample_check_makes_one_margin_call_per_shape(monkeypatch):
+    shapes = len(ineq.draw_group_stacks(np.random.default_rng(8), 4000))
+    calls = []
+    margins = ineq._margins
+    monkeypatch.setattr(ineq, "_margins", lambda *a: calls.append(1) or margins(*a))
+    ineq.sample_check(np.random.default_rng(8), 4000)
+    assert len(calls) == shapes <= 25
+
+
+def _bad_stack_samples():
+    """(lam, h) of one (n, m) = (3, 2) sample per way a check can fail."""
+    h = np.zeros((2, 3, 3))
+    asym = h.copy()
+    asym[0, 0, 1] = 1.0
+    nonfinite = h.copy()
+    nonfinite[1, 2, 2] = math.nan
+    return [(np.array([0.5, -0.1]), h), (np.array([0.5, math.inf]), h),
+            (np.zeros(2), nonfinite), (np.zeros(2), asym), (np.array([1e200, 1e200]), h)]
+
+
+@pytest.mark.parametrize("case", range(5))
+def test_stack_check_raises_as_group_sample(case):
+    lam_bad, h_bad = _bad_stack_samples()[case]
+    lam = np.full((4, 2), 0.3)
+    h = np.zeros((4, 2, 3, 3))
+    lam[2], h[2] = lam_bad, h_bad
+    with np.errstate(over="ignore"), pytest.raises(ValueError) as single:
+        GroupSample(n=3, m=2, lam=lam_bad, h=h_bad)
+    with np.errstate(over="ignore"), pytest.raises(ValueError) as stacked:
+        ineq.group_totals(3, 2, lam, h)
+    assert str(stacked.value) == str(single.value)
+
+
 def test_group_bounds_random_subcritical():
     rng = np.random.default_rng(1)
     for _ in range(300):

@@ -157,7 +157,6 @@ DEFAULTS = {
         "v_hi": 3.0 - 1e-6,
         "samples": 4000,
         "restarts": 400,
-        "iters": 30,
         "tol_sweep": 1e-9,
         "tol_regroup": 1e-10,
         "tol_margin": 1e-12,
@@ -639,9 +638,7 @@ def cmd_verify_prop41(cfg, outdir, jobs=1) -> RunReport:
     )
 
     search = ineq.adversarial_margin_search(
-        seed=cfg["seed"] + 1,
-        restarts=int(cfg["restarts"]),
-        iters=int(cfg["iters"]),
+        seed=cfg["seed"] + 1, restarts=int(cfg["restarts"])
     )
     report.checks.append(
         check_ge("search_min_margin", search.worst_margin, 0.0, cfg["tol_margin"])

@@ -116,8 +116,9 @@ def test_c03_master_inequality_bulk():
     _emit(
         3,
         ok,
-        f"{total} random samples min margin {worst:.3e}; 10^4 restarts min "
-        f"{search.worst_margin:.3e} with {len(search.violations)} violations; "
+        f"{total} random samples min margin {worst:.3e}; exact min over h of "
+        f"margin/|B|^2 at 10^4 lambda {search.worst_margin:.3e} with "
+        f"{len(search.violations)} violations; "
         f"lambda=0 margin {zero_worst:.1e} (tol 1e-12)",
     )
     assert worst >= -1e-12

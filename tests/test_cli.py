@@ -54,6 +54,13 @@ def test_wrong_config_schema_rejected(tmp_path):
     assert cli.main(["verify-targets", "--config", cfg, "--out", str(tmp_path)]) == 2
 
 
+def test_removed_search_iters_key_rejected(tmp_path):
+    # the search minimizes over h exactly, so it has no iteration count
+    assert "iters" not in cli.DEFAULTS["verify-prop41"]
+    cfg = _write_cfg(tmp_path, {"iters": 30})
+    assert cli.main(["verify-prop41", "--config", cfg, "--out", str(tmp_path)]) == 2
+
+
 def test_sweep_ceiling_at_or_above_three_rejected(tmp_path):
     cfg = _write_cfg(tmp_path, {"v_hi": 3.0})
     assert cli.main(["verify-prop41", "--config", cfg, "--out", str(tmp_path)]) == 2
@@ -258,7 +265,6 @@ def test_verify_prop41_certificate(tmp_path):
             "rt_resolution": 200,
             "samples": 150,
             "restarts": 40,
-            "iters": 8,
         },
     )
     out = tmp_path / "out"
@@ -279,7 +285,7 @@ def test_prop41_margin_skips_zero_forms_and_counts_them(tmp_path):
     # the triple pattern draws h = 0 when min(n, m) < 3; those samples'
     # margin is exactly 0, which the minimum used to read at every seed
     cfg = _write_cfg(tmp_path, {"v_count": 20, "rt_resolution": 20, "restarts": 2,
-                                "iters": 2, "seed": 61})
+                                "seed": 61})
     assert cli.main(["verify-prop41", "--config", cfg, "--out", str(tmp_path)]) == 0
     checks = {c["name"]: c for c in _load_report(str(tmp_path), "verify-prop41")["checks"]}
     assert checks["sample_min_margin"]["value"] == pytest.approx(2.1399985090204358e-07,
@@ -358,7 +364,6 @@ def test_report_merges_runs_chronologically(tmp_path, monkeypatch):
             "rt_resolution": 100,
             "samples": 40,
             "restarts": 20,
-            "iters": 5,
         },
         name="sweep.json",
     )
@@ -447,7 +452,7 @@ def test_a_nan_fails_a_mandatory_check(monkeypatch, tmp_path, case):
         "verify-targets": {"probes": 2, "chunks": 1},
         "verify-shrinkers": {"probes": 3, "chunks": 1, "composition_probes": 2},
         "verify-prop41": {"v_count": 20, "rt_resolution": 20, "samples": 5,
-                          "restarts": 2, "iters": 2},
+                          "restarts": 2},
     }[command]
     if command == "verify-targets":
         _nan_after_first(monkeypatch, cli, "_reduction_probe", lambda r: math.nan)

@@ -343,14 +343,11 @@ def _height_probe(rng, step, sign):
         a = _unit(rng)
         if abs(float(x @ a)) >= 0.3:
             break
-    basis = sphere.tangent_frame(x)
-    c = _unit(rng, 2)
-    y = sphere.great_circle(x, c @ basis, step * _STENCIL)
+    u = _unit(rng, 2) @ sphere.tangent_frame(x)
+    y = sphere.great_circle(x, u, step * _STENCIL)
     y /= np.sqrt(sphere._dot(y, y))[:, None]
     d2 = _second_difference(*sphere.height_value(y, a), step)
-    # the closed form is the Hessian of the pole coordinate <., a>; the
-    # height 1 - <., a> carries the opposite sign
-    return _relative_defect(d2, -sign * sphere.hess_height(x, a, basis)(c, c))
+    return _relative_defect(d2, sign * sphere.height_hessian(x, a, u, u))
 
 
 def _longitude_probe(rng, step):
@@ -361,14 +358,13 @@ def _longitude_probe(rng, step):
         # theta away from +-pi so differences never cross the cut
         if r >= 0.35 and float(x[0]) > -0.8 * r:
             break
-    basis = sphere.tangent_frame(x)
-    c = _unit(rng, 2)
-    y = sphere.great_circle(x, c @ basis, step * _STENCIL)
+    u = _unit(rng, 2) @ sphere.tangent_frame(x)
+    y = sphere.great_circle(x, u, step * _STENCIL)
     y /= np.sqrt(sphere._dot(y, y))[:, None]
     r, theta = zip(*map(sphere.longitude_coords, y))
-    hr, ht = sphere.hess_r_theta(x, basis)
-    return (_relative_defect(_second_difference(*r, step), hr(c, c)),
-            _relative_defect(_second_difference(*theta, step), ht(c, c)))
+    hr, ht = sphere.longitude_hessians(x, u, u)
+    return (_relative_defect(_second_difference(*r, step), hr),
+            _relative_defect(_second_difference(*theta, step), ht))
 
 
 def _random_frame(rng, n, amb):

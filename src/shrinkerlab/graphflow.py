@@ -65,6 +65,9 @@ class GridField:
         if self.boundary == "affine":
             self.A = np.zeros((self.m, self.n)) if self.A is None else np.asarray(self.A, float)
             self.b = np.zeros(self.m) if self.b is None else np.asarray(self.b, float)
+            if self.A.shape != (self.m, self.n) or self.b.shape != (self.m,):
+                raise ValueError(f"affine data must be A {(self.m, self.n)} and b {(self.m,)}, "
+                                 f"not {self.A.shape} and {self.b.shape}")
             aff = self.affine_values()
             mask = _perimeter_mask(self.shape)
             gap = np.max(np.abs(self.values[mask] - aff[mask]))
@@ -590,6 +593,9 @@ def field_from_csv(text: str) -> GridField:
     A = b = None
     if boundary == "affine":
         flat = [float(t) for t in lines[cursor].split(",")]
+        if len(flat) != m * n + m:
+            raise ValueError(f"affine line {cursor + 1} holds {len(flat)} values, "
+                             f"A and b need {m * n + m}")
         A = np.array(flat[: m * n]).reshape(m, n)
         b = np.array(flat[m * n :])
         cursor += 1

@@ -399,6 +399,12 @@ def oriented_normal(pf: PointFrame) -> np.ndarray:
     return _orientation_sign(pf)[..., None] * pf.normal[..., 0, :]
 
 
+def _normal_images(pf, s, coeffs):
+    """dnu of the frame rows with coefficients coeffs (..., k, n) at frames
+    pf with orientation signs s: the ambient vectors (-s) coeffs @ tangent."""
+    return ((-s)[..., None, None] * coeffs) @ pf.tangent
+
+
 class _HypersurfaceTarget:
     """Scalar on the unit sphere composed with the oriented normal map."""
 
@@ -409,12 +415,9 @@ class _HypersurfaceTarget:
     def centre_sum(self, pf, T, shared):
         s = _orientation_sign(pf)
         y = s[..., None] * pf.normal[..., 0, :]
-        # -s h[0, i] @ tangent is the image of frame row i
-        images = (((-s)[..., None] * pf.h[..., 0, i, :])[..., None, :] @ pf.tangent
-                  for i in range(pf.n))
-        hess = sum(self._hess(y, u[..., 0, :]) for u in images)
-        u = ((-s)[..., None] * T[..., 0, :])[..., None, :] @ pf.tangent
-        return hess + self._d(y, u[..., 0, :])
+        images = _normal_images(pf, s, pf.h[..., 0, :, :])
+        hess = self._hess(y[..., None, :], images).sum(axis=-1)
+        return hess + self._d(y, _normal_images(pf, s, T)[..., 0, :])
 
 
 class HeightTarget(_HypersurfaceTarget):
@@ -427,10 +430,10 @@ class HeightTarget(_HypersurfaceTarget):
         return sphere.height_value(unit, self.a)
 
     def _hess(self, y, u):
-        return sphere._dot(y, self.a) * sphere._dot(u, u)
+        return sphere.height_hessian(y, self.a, u, u)
 
     def _d(self, y, u):
-        return -sphere._dot(u, self.a)
+        return sphere.height_differential(y, self.a, u)
 
 
 class ThetaTarget(_HypersurfaceTarget):
@@ -443,19 +446,12 @@ class ThetaTarget(_HypersurfaceTarget):
         return np.reshape([sphere.longitude_coords(y)[1] for y in rows], unit.shape[:-1])
 
     @staticmethod
-    def _dr_dt(y, u):
-        r2 = y[..., 0] ** 2 + y[..., 1] ** 2
-        r = np.sqrt(r2)
-        dr = (y[..., 0] * u[..., 0] + y[..., 1] * u[..., 1]) / r
-        dt = (-y[..., 1] * u[..., 0] + y[..., 0] * u[..., 1]) / r2
-        return r, dr, dt
+    def _hess(y, u):
+        return sphere.longitude_hessians(y, u, u)[1]
 
-    def _hess(self, y, u):
-        r, dr, dt = self._dr_dt(y, u)
-        return -2.0 * dr * dt / r
-
-    def _d(self, y, u):
-        return self._dr_dt(y, u)[2]
+    @staticmethod
+    def _d(y, u):
+        return sphere.longitude_differentials(y, u)[1]
 
 
 class _OverlapTarget:
@@ -626,12 +622,13 @@ def weighted_integral(mesh: WeightedPatchMesh, f) -> float:
 def height_field(mesh: WeightedPatchMesh, a) -> ScalarFieldOnPatch:
     """Samples of 1 - <normal map, a>, for a unit pole a, with the ambient
     tangential gradient."""
-    a = np.asarray(a, dtype=float)
     f = mesh.frames
     sign = _orientation_sign(f)
-    vals = sphere.height_value(sign[:, None] * f.normal[:, 0], a)
-    coeffs = sign[:, None] * (f.h[:, 0] @ (f.tangent @ a)[..., None])[..., 0]
-    grads = (coeffs[:, None, :] @ f.tangent)[:, 0]  # e_j(f) per frame row
+    y = sign[:, None] * f.normal[:, 0]
+    vals = sphere.height_value(y, a)
+    # e_j(f) per frame row
+    coeffs = sphere.height_differential(y[:, None], a, _normal_images(f, sign, f.h[:, 0]))
+    grads = (coeffs[:, None, :] @ f.tangent)[:, 0]
     return ScalarFieldOnPatch(values=vals, gradients=grads)
 
 

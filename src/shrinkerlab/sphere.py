@@ -1,18 +1,19 @@
 """Closed-form geometry of the round sphere S^n in R^{n+1}.
 
 Height functions 1 - <x, a>, the polar chart (r, theta) defined off a deleted
-closed half-equator, their exact Hessians in caller-supplied orthonormal
-tangent frames, and the region classification used by Gauss-image reports.
+closed half-equator, the region classification used by Gauss-image reports,
+and the first and second derivatives of the height and of (r, theta).
 
-All Hessians are returned as coefficient matrices in the supplied frame; the
-module never invents a global frame (none exists on S^n).
+The derivatives are evaluated at points x (..., n+1) on tangent vectors given
+in ambient coordinates over the same leading axes, so no tangent frame is
+needed (none exists globally on S^n).  Each checks that x and the pole are
+unit vectors on one sphere and that every vector is tangent at x.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -22,13 +23,13 @@ from . import grassmann
 __all__ = [
     "RegionError",
     "RegionClass",
-    "SymBilinearForm",
     "LongitudeCoords",
     "height_value",
-    "hess_height",
+    "height_differential",
+    "height_hessian",
     "longitude_coords",
     "longitude_differentials",
-    "hess_r_theta",
+    "longitude_hessians",
     "region_membership",
     "great_circle",
     "tangent_frame",
@@ -55,25 +56,6 @@ class RegionClass(enum.Enum):
     OUTSIDE = "outside"
 
 
-@dataclass(frozen=True)
-class SymBilinearForm:
-    """A symmetric bilinear form in coordinates of a supplied orthonormal frame."""
-
-    entries: np.ndarray
-
-    def __post_init__(self):
-        m = np.asarray(self.entries, dtype=float)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError("form entries must be a square matrix")
-        if not np.allclose(m, m.T, rtol=0.0, atol=1e-12):
-            raise ValueError("form entries must be symmetric to 1e-12")
-        object.__setattr__(self, "entries", m)
-
-    def __call__(self, u: np.ndarray, w: np.ndarray) -> float:
-        """Contract with coefficient vectors of the same frame."""
-        return float(np.asarray(u) @ self.entries @ np.asarray(w))
-
-
 class LongitudeCoords(NamedTuple):
     r: float
     theta: float
@@ -94,39 +76,43 @@ def _check_unit(x: np.ndarray, name: str = "input", lead: bool = False) -> np.nd
     return x
 
 
-def _check_tangent_frame(x: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    basis = np.asarray(basis, dtype=float)
-    n = x.size - 1
-    if basis.shape != (n, x.size):
-        raise ValueError(f"basis must be {n} orthonormal rows of length {x.size}")
-    if not grassmann._orthonormal(basis):
-        raise ValueError("basis rows must be orthonormal")
-    if not (np.max(np.abs(basis @ x)) <= grassmann._ORTHO_TOL):
-        raise ValueError("basis rows must be tangent to the sphere at x")
-    return basis
+def _check_pole(x: np.ndarray, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    x = _check_unit(x, "x", lead=True)
+    a = _check_unit(a, "a")
+    if x.shape[-1] != a.size:
+        raise ValueError("x and a must lie on the same sphere")
+    return x, a
+
+
+def _check_tangent(x: np.ndarray, u: np.ndarray) -> np.ndarray:
+    # |<x, u>| <= _ORTHO_TOL max(1, |u|_inf) over the broadcast leading axes
+    u = np.asarray(u, dtype=float)
+    if u.shape[-1:] != x.shape[-1:]:
+        raise ValueError("tangent vectors must have the length of x")
+    bound = grassmann._ORTHO_TOL * np.maximum(1.0, np.abs(u).max(axis=-1))
+    if not np.all(np.abs(_dot(x, u)) <= bound):
+        raise ValueError("vectors must be tangent to the sphere at x")
+    return u
 
 
 def height_value(x: np.ndarray, a: np.ndarray):
     """Height of x relative to the pole a: the value 1 - <x, a>, in [0, 2],
     over the leading axes of points x (..., n+1)."""
-    x = _check_unit(x, "x", lead=True)
-    a = _check_unit(a, "a")
-    if x.shape[-1] != a.size:
-        raise ValueError("x and a must lie on the same sphere")
+    x, a = _check_pole(x, a)
     return 1.0 - _dot(x, a)
 
 
-def hess_height(x: np.ndarray, a: np.ndarray, basis: np.ndarray) -> SymBilinearForm:
-    """Hessian of the pole-coordinate function <., a> at x, in the given frame.
+def height_differential(x: np.ndarray, a: np.ndarray, u: np.ndarray):
+    """d(1 - <., a>) at x on tangent vectors u: the value -<u, a>."""
+    x, a = _check_pole(x, a)
+    return -_dot(_check_tangent(x, u), a)
 
-    Equals -<x, a> times the identity form. The height 1 - <., a> has Hessian
-    equal to the negative of this, i.e. (1 - height) g_s.
-    """
-    x = _check_unit(x, "x")
-    a = _check_unit(a, "a")
-    basis = _check_tangent_frame(x, basis)
-    n = basis.shape[0]
-    return SymBilinearForm(-float(x @ a) * np.eye(n))
+
+def height_hessian(x: np.ndarray, a: np.ndarray, u: np.ndarray, w: np.ndarray):
+    """Hessian of the height 1 - <., a> at x on tangent vectors u and w:
+    the value <x, a> <u, w>, i.e. (1 - height) g_s."""
+    x, a = _check_pole(x, a)
+    return _dot(x, a) * _dot(_check_tangent(x, u), _check_tangent(x, w))
 
 
 def longitude_coords(x: np.ndarray, tol: float = REGION_TOL) -> LongitudeCoords:
@@ -149,33 +135,36 @@ def longitude_coords(x: np.ndarray, tol: float = REGION_TOL) -> LongitudeCoords:
     return LongitudeCoords(r, math.atan2(x2, x1))
 
 
-def longitude_differentials(x: np.ndarray, basis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Coefficient vectors of dr and dtheta at x in the given frame."""
-    r, _ = longitude_coords(x)
-    basis = _check_tangent_frame(_check_unit(x, "x"), basis)
-    # ambient differentials of r = |(x1,x2)| and theta = atan2(x2,x1),
-    # restricted to tangent vectors
-    grad_r = np.zeros(x.size)
-    grad_r[0] = x[0] / r
-    grad_r[1] = x[1] / r
-    grad_t = np.zeros(x.size)
-    grad_t[0] = -x[1] / r**2
-    grad_t[1] = x[0] / r**2
-    return basis @ grad_r, basis @ grad_t
+def _longitude_diffs(x: np.ndarray, u: np.ndarray):
+    # r = |(x1, x2)| at x, and dr(u), dtheta(u) of theta = atan2(x2, x1)
+    x = _check_unit(x, "x", lead=True)
+    u = _check_tangent(x, u)
+    r2 = x[..., 0] ** 2 + x[..., 1] ** 2
+    r = np.sqrt(r2)
+    if not (np.min(r) > REGION_TOL):
+        raise RegionError("point projects into the polar set r = 0",
+                          x.reshape(-1, x.shape[-1])[np.argmin(r)])
+    dr = (x[..., 0] * u[..., 0] + x[..., 1] * u[..., 1]) / r
+    dt = (-x[..., 1] * u[..., 0] + x[..., 0] * u[..., 1]) / r2
+    return r, dr, dt
 
 
-def hess_r_theta(x: np.ndarray, basis: np.ndarray) -> tuple[SymBilinearForm, SymBilinearForm]:
-    """Exact Hessians of r and theta at x, in the given frame.
+def longitude_differentials(x: np.ndarray, u: np.ndarray):
+    """dr(u) and dtheta(u) at points x (..., n+1) on tangent vectors u."""
+    return _longitude_diffs(x, u)[1:]
+
+
+def longitude_hessians(x: np.ndarray, u: np.ndarray, w: np.ndarray):
+    """Exact Hessians of r and theta at x on tangent vectors u and w.
 
     Hess r = -r g_s + r dtheta (x) dtheta
     Hess theta = -(dr (x) dtheta + dtheta (x) dr) / r
     """
-    r, _ = longitude_coords(x)
-    dr, dt = longitude_differentials(x, basis)
-    n = dr.size
-    hr = -r * np.eye(n) + r * np.outer(dt, dt)
-    ht = -(np.outer(dr, dt) + np.outer(dt, dr)) / r
-    return SymBilinearForm(hr), SymBilinearForm(ht)
+    u, w = np.asarray(u, dtype=float), np.asarray(w, dtype=float)
+    r, dr_u, dt_u = _longitude_diffs(x, u)
+    _, dr_w, dt_w = _longitude_diffs(x, w)
+    hr = r * (dt_u * dt_w - _dot(u, w))
+    return hr, -(dr_u * dt_w + dt_u * dr_w) / r
 
 
 def region_membership(x: np.ndarray, a: np.ndarray) -> RegionClass:

@@ -542,16 +542,14 @@ def _ref_height_probe(rng, step, sign):
         a = cli._unit(rng)
         if abs(float(x @ a)) >= 0.3:
             break
-    basis = sphere.tangent_frame(x)
-    c = cli._unit(rng, 2)
-    w = c @ basis
+    w = cli._unit(rng, 2) @ sphere.tangent_frame(x)
 
     def f(t):
         y = sphere.great_circle(x, w, t)
         return sphere.height_value(y / np.linalg.norm(y), a)
 
     d2 = cli._second_difference(f(step), f(0.0), f(-step), step)
-    return cli._relative_defect(d2, -sign * sphere.hess_height(x, a, basis)(c, c))
+    return cli._relative_defect(d2, sign * sphere.height_hessian(x, a, w, w))
 
 
 def _ref_longitude_probe(rng, step):
@@ -560,17 +558,14 @@ def _ref_longitude_probe(rng, step):
         r = math.hypot(float(x[0]), float(x[1]))
         if r >= 0.35 and float(x[0]) > -0.8 * r:
             break
-    basis = sphere.tangent_frame(x)
-    c = cli._unit(rng, 2)
-    w = c @ basis
+    w = cli._unit(rng, 2) @ sphere.tangent_frame(x)
 
     def coords(t):
         y = sphere.great_circle(x, w, t)
         return sphere.longitude_coords(y / np.linalg.norm(y))
 
     (r0, t0), (rp, tp), (rm, tm) = coords(0.0), coords(step), coords(-step)
-    hr, ht = sphere.hess_r_theta(x, basis)
-    cr, ct = hr(c, c), ht(c, c)
+    cr, ct = sphere.longitude_hessians(x, w, w)
     return (cli._relative_defect(cli._second_difference(rp, r0, rm, step), cr),
             cli._relative_defect(cli._second_difference(tp, t0, tm, step), ct))
 

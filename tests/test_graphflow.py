@@ -564,6 +564,27 @@ def _from_lines(lines):
     return gf.field_from_csv("\n".join(lines) + "\n")
 
 
+@pytest.mark.parametrize("A, b", [
+    (np.zeros((1, 2)), np.zeros(3)),
+    (np.zeros((2, 2)), np.zeros(1)),
+    (np.zeros(2), np.zeros(1)),
+    (np.zeros((1, 2)), np.zeros(())),
+])
+def test_gridfield_rejects_affine_data_of_the_wrong_shape(A, b):
+    # with m = 1 a zero field matches any zero data once it broadcasts
+    with pytest.raises(ValueError, match=r"affine data must be A \(1, 2\) and b \(1,\)"):
+        gf.GridField(L=1.0, values=np.zeros((7, 7, 1)), boundary="affine", A=A, b=b)
+
+
+def test_field_csv_rejects_affine_line_of_the_wrong_length():
+    f = gf.GridField(L=1.0, values=np.zeros((7, 7, 1)), boundary="affine")
+    lines = gf.field_to_csv(f).strip().split("\n")
+    assert lines[2] == "0,0,0"
+    for line in ("0,0,0,0", "0,0"):
+        with pytest.raises(ValueError, match="affine line 3 holds .* values, A and b need 3"):
+            _from_lines(lines[:2] + [line] + lines[3:])
+
+
 def test_field_csv_rejects_wrong_row_count():
     lines = _csv_lines()
     with pytest.raises(ValueError, match="node rows"):

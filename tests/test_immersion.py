@@ -256,8 +256,12 @@ def test_mesh_quadrature_reads_arrays_only():
     for i, pf in enumerate(pfs):
         s = im._orientation_sign(pf)
         assert field.values[i] == 1.0 - float(s * pf.normal[0] @ a)
-        coeffs = s * (pf.h[0] @ (pf.tangent @ a))
+        y = s * pf.normal[0]
+        coeffs = sphere.height_differential(y, a, im._normal_images(pf, s, pf.h[0]))
         assert np.array_equal(field.gradients[i], coeffs @ pf.tangent)
+        # the closed form s h0 (tangent a) as it was written inline
+        inline = s * (pf.h[0] @ (pf.tangent @ a)) @ pf.tangent
+        assert np.max(np.abs(field.gradients[i] - inline)) <= 1e-15 * np.max(np.abs(inline))
         xt = (pf.tangent @ pf.position) @ pf.tangent
         assert np.array_equal(gauss.grad_log[i], -0.5 * xt)
         assert gauss.values[i] == pf.rho
@@ -834,6 +838,32 @@ def test_composition_on_generic_graphs():
         p = _interior_probe(rng, g2)
         assert abs(im.composition_checks(g2, p, [im.VTarget(P02)])[0]) <= 1e-4
         assert abs(im.composition_checks(g2, p, [im.LogVTarget(P02)])[0]) <= 1e-4
+
+
+def test_hypersurface_targets_reach_the_sphere_forms(monkeypatch):
+    # the targets and the height field read sphere's closed forms, so no
+    # second copy of a sphere formula lives here
+    names = ("height_hessian", "height_differential", "longitude_hessians",
+             "longitude_differentials")
+    calls = dict.fromkeys(names, 0)
+
+    def counting(name, func):
+        def wrapped(*args):
+            calls[name] += 1
+            return func(*args)
+        return wrapped
+
+    for name in names:
+        monkeypatch.setattr(sphere, name, counting(name, getattr(sphere, name)))
+    a = np.array([0.2, 0.4, 0.89])
+    a /= np.linalg.norm(a)
+    im.composition_checks(_graph_m1(), np.array([[0.3, -0.4], [0.5, 0.2]]),
+                          [im.HeightTarget(a), im.ThetaTarget()])
+    # one call of each form per batch of centres
+    assert calls == dict.fromkeys(names, 1)
+    calls.update(dict.fromkeys(names, 0))
+    im.height_field(im.sphere_mesh(R=2.0, shape=(4, 8)), a)
+    assert calls == {**dict.fromkeys(names, 0), "height_differential": 1}
 
 
 def test_composition_undefined_target_raises():

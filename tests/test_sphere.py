@@ -35,28 +35,29 @@ def test_height_rejects_non_unit():
         sphere.height_value(a, np.array([1.0, 1.0, 0.0]))
 
 
+def _frame_pairs(x):
+    # the tangent frame at x as (u, w) pairs: forms on them are n x n matrices
+    basis = sphere.tangent_frame(x)
+    return basis[:, None], basis[None]
+
+
 def test_hess_height_pole_and_equator():
     a = np.array([0.0, 0.0, 0.0, 1.0])
-    basis = sphere.tangent_frame(a)
-    h = sphere.hess_height(a, a, basis)
-    assert np.allclose(h.entries, -np.eye(3), atol=1e-15)
+    assert np.allclose(sphere.height_hessian(a, a, *_frame_pairs(a)), np.eye(3), atol=1e-15)
     x = np.array([1.0, 0.0, 0.0, 0.0])
-    h0 = sphere.hess_height(x, a, sphere.tangent_frame(x))
-    assert np.allclose(h0.entries, 0.0, atol=1e-15)
+    assert np.allclose(sphere.height_hessian(x, a, *_frame_pairs(x)), 0.0, atol=1e-15)
 
 
-def test_hess_height_is_coordinate_times_negative_identity():
-    # the form is Hess<., a> = -<x, a> g_s; the height 1 - <., a> has the
-    # opposite-sign Hessian (1 - height) g_s
+def test_height_hessian_is_coordinate_times_identity():
+    # Hess(1 - <., a>) = <x, a> g_s = (1 - height) g_s
     rng = np.random.default_rng(7)
     for n1 in (3, 4, 6):
         for _ in range(50):
             x = _unit(rng, n1)
             a = _unit(rng, n1)
-            basis = sphere.tangent_frame(x)
-            h = sphere.hess_height(x, a, basis)
-            expected = -(1.0 - sphere.height_value(x, a)) * np.eye(n1 - 1)
-            assert np.max(np.abs(h.entries - expected)) <= 1e-12
+            h = sphere.height_hessian(x, a, *_frame_pairs(x))
+            expected = (1.0 - sphere.height_value(x, a)) * np.eye(n1 - 1)
+            assert np.max(np.abs(h - expected)) <= 1e-12
 
 
 def test_hess_height_matches_great_circle_differences():
@@ -70,8 +71,9 @@ def test_hess_height_matches_great_circle_differences():
         v = _tangent_unit(rng, x)
         f = lambda t: 1.0 - sphere.great_circle(x, v, t) @ a
         fd = (f(step) - 2.0 * f(0.0) + f(-step)) / step**2
-        # closed form: Hess(1 - <., a>)(v, v) = <x, a>
-        worst = max(worst, abs(fd - x @ a))
+        worst = max(worst, abs(fd - sphere.height_hessian(x, a, v, v)))
+        d1 = (f(step) - f(-step)) / (2.0 * step)
+        assert abs(d1 - sphere.height_differential(x, a, v)) <= 1e-7
     assert worst <= 1e-6
 
 
@@ -106,13 +108,66 @@ def test_nan_is_not_a_unit_vector(call):
         call(_NAN_POINT)
 
 
-def test_hess_height_rejects_bad_basis():
+_FORMS = {
+    "height_differential": lambda x, a, u: sphere.height_differential(x, a, u),
+    "height_hessian_u": lambda x, a, u: sphere.height_hessian(x, a, u, 0.0 * x),
+    "height_hessian_w": lambda x, a, u: sphere.height_hessian(x, a, 0.0 * x, u),
+    "longitude_differentials": lambda x, a, u: sphere.longitude_differentials(x, u),
+    "longitude_hessians_u": lambda x, a, u: sphere.longitude_hessians(x, u, 0.0 * x),
+    "longitude_hessians_w": lambda x, a, u: sphere.longitude_hessians(x, 0.0 * x, u),
+}
+
+
+@pytest.mark.parametrize("form", _FORMS.values(), ids=_FORMS.keys())
+def test_forms_reject_non_tangent_and_nan_vectors(form):
     rng = np.random.default_rng(3)
     x = _unit(rng, 4)
     a = _unit(rng, 4)
-    bad = np.eye(4)[:3]  # generically not tangent at x
-    with pytest.raises(ValueError):
-        sphere.hess_height(x, a, bad)
+    u = _tangent_unit(rng, x)
+    form(x, a, u)
+    with pytest.raises(ValueError, match="tangent"):
+        form(x, a, u + 1e-6 * x)
+    with pytest.raises(ValueError, match="tangent"):
+        form(np.stack([x, x]), a, np.stack([u, x]))
+    bad = u.copy()
+    bad[2] = math.nan
+    with pytest.raises(ValueError, match="tangent"):
+        form(x, a, bad)
+    with pytest.raises(ValueError, match="unit vector"):
+        form(np.array([math.nan, 0.0, 0.0, 1.0]), a, u)
+
+
+def test_tangency_bound_scales_with_the_vector():
+    # |<x, u>| <= 1e-10 max(1, |u|_inf): a long tangent vector keeps its
+    # rounding, a unit one may not lean out by more than the tolerance
+    x = np.array([0.6, 0.8, 0.0])
+    u = 1e8 * np.array([-0.8, 0.6, 0.0]) + 0.5e-3 * x
+    assert np.isfinite(sphere.height_differential(x, x, u))
+    with pytest.raises(ValueError, match="tangent"):
+        sphere.height_differential(x, x, np.array([-0.8, 0.6, 0.0]) + 2e-10 * x)
+
+
+@pytest.mark.parametrize("form", list(_FORMS.values())[:3], ids=list(_FORMS)[:3])
+def test_height_forms_reject_a_pole_off_the_sphere(form):
+    rng = np.random.default_rng(4)
+    x = _unit(rng, 4)
+    u = _tangent_unit(rng, x)
+    with pytest.raises(ValueError, match="same sphere"):
+        form(x, _unit(rng, 3), u)
+    with pytest.raises(ValueError, match="unit vector"):
+        form(x, np.array([1.0, 1.0, 0.0, 0.0]), u)
+    with pytest.raises(ValueError, match="unit vector"):
+        form(x, np.array([math.nan, 0.0, 0.0, 1.0]), u)
+
+
+def test_longitude_forms_reject_the_polar_set():
+    x = np.array([0.0, 0.0, 1.0])
+    u = np.array([0.0, 1.0, 0.0])
+    with pytest.raises(sphere.RegionError) as err:
+        sphere.longitude_hessians(np.stack([np.array([1.0, 0.0, 0.0]), x]), u, u)
+    assert np.array_equal(err.value.point, x)
+    with pytest.raises(sphere.RegionError):
+        sphere.longitude_differentials(x, u)
 
 
 def test_longitude_chart_basics():
@@ -156,15 +211,15 @@ def test_region_error_carries_point():
 
 
 def test_hess_r_at_date_line_antipode():
-    # at x = (1,0,0,...), v = third axis direction: dtheta(v) = 0, r = 1,
+    # at x = (1,0,0,...), v = the third axis: dtheta(v) = 0, r = 1,
     # so Hess r(v,v) = -1
     x = np.zeros(5)
     x[0] = 1.0
-    basis = sphere.tangent_frame(x)
-    hr, ht = sphere.hess_r_theta(x, basis)
-    v = basis @ np.eye(5)[2]  # coefficients of the ambient e3 direction
-    assert hr(v, v) == pytest.approx(-1.0, abs=1e-12)
-    assert ht(v, v) == pytest.approx(0.0, abs=1e-12)
+    v = np.eye(5)[2]
+    hr, ht = sphere.longitude_hessians(x, v, v)
+    assert hr == pytest.approx(-1.0, abs=1e-12)
+    assert ht == pytest.approx(0.0, abs=1e-12)
+    assert sphere.longitude_differentials(x, v) == (0.0, 0.0)
 
 
 def _chart_probe(rng, n1):
@@ -183,21 +238,17 @@ def test_hess_r_theta_match_great_circle_differences():
     for _ in range(300):
         n1 = int(rng.integers(3, 6))
         x = _chart_probe(rng, n1)
-        basis = sphere.tangent_frame(x)
         v = _tangent_unit(rng, x)
-        hr, ht = sphere.hess_r_theta(x, basis)
-        vb = basis @ v
+        hr, ht = sphere.longitude_hessians(x, v, v)
+        dr, dt = sphere.longitude_differentials(x, v)
 
-        def r_of(t):
-            return sphere.longitude_coords(sphere.great_circle(x, v, t))[0]
+        def coords(t):
+            return np.array(sphere.longitude_coords(sphere.great_circle(x, v, t)))
 
-        def th_of(t):
-            return sphere.longitude_coords(sphere.great_circle(x, v, t))[1]
-
-        fd_r = (r_of(step) - 2.0 * r_of(0.0) + r_of(-step)) / step**2
-        fd_t = (th_of(step) - 2.0 * th_of(0.0) + th_of(-step)) / step**2
-        assert abs(fd_r - hr(vb, vb)) <= 1e-6 * max(1.0, abs(hr(vb, vb)))
-        assert abs(fd_t - ht(vb, vb)) <= 1e-6 * max(1.0, abs(ht(vb, vb)))
+        fd2 = (coords(step) - 2.0 * coords(0.0) + coords(-step)) / step**2
+        fd1 = (coords(step) - coords(-step)) / (2.0 * step)
+        for fd, closed in zip((*fd2, *fd1), (hr, ht, dr, dt)):
+            assert abs(fd - closed) <= 1e-6 * max(1.0, abs(closed))
 
 
 def test_theta_level_sets_are_totally_geodesic():
@@ -205,14 +256,15 @@ def test_theta_level_sets_are_totally_geodesic():
     for _ in range(200):
         n1 = int(rng.integers(3, 6))
         x = _chart_probe(rng, n1)
+        # the gradient of theta in ambient coordinates, from dtheta of a frame
         basis = sphere.tangent_frame(x)
-        _, dt = sphere.longitude_differentials(x, basis)
-        v = rng.standard_normal(n1 - 1)
-        # remove the dtheta component so that dtheta(v) = 0
-        v -= (v @ dt) / (dt @ dt) * dt
+        grad = sphere.longitude_differentials(x, basis)[1] @ basis
+        v = _tangent_unit(rng, x)
+        # remove the gradient component so that dtheta(v) = 0
+        v -= (v @ grad) / (grad @ grad) * grad
         v /= np.linalg.norm(v)
-        _, ht = sphere.hess_r_theta(x, basis)
-        assert abs(ht(v, v)) <= 1e-10
+        assert abs(sphere.longitude_differentials(x, v)[1]) <= 1e-12
+        assert abs(sphere.longitude_hessians(x, v, v)[1]) <= 1e-10
 
 
 def test_polarization_identity_for_all_hessians():
@@ -221,15 +273,18 @@ def test_polarization_identity_for_all_hessians():
         n1 = int(rng.integers(3, 6))
         x = _chart_probe(rng, n1)
         a = _unit(rng, n1)
-        basis = sphere.tangent_frame(x)
-        forms = [sphere.hess_height(x, a, basis)]
-        forms.extend(sphere.hess_r_theta(x, basis))
-        u = rng.standard_normal(n1 - 1)
-        w = rng.standard_normal(n1 - 1)
+        forms = [
+            lambda u, w: sphere.height_hessian(x, a, u, w),
+            lambda u, w: sphere.longitude_hessians(x, u, w)[0],
+            lambda u, w: sphere.longitude_hessians(x, u, w)[1],
+        ]
+        u = 3.0 * _tangent_unit(rng, x)
+        w = 2.0 * _tangent_unit(rng, x)
         for form in forms:
             lhs = 2.0 * form(u, w)
             rhs = form(u + w, u + w) - form(u, u) - form(w, w)
             assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(lhs))
+            assert form(u, w) == pytest.approx(form(w, u), abs=1e-15)
 
 
 def test_region_membership_cases():
@@ -262,3 +317,37 @@ def test_height_range_and_symmetry(n, seed):
     h = sphere.height_value(x, a)
     assert 0.0 <= h <= 2.0
     assert sphere.height_value(a, x) == pytest.approx(h, abs=1e-12)
+
+
+def _tangents(rng, x):
+    v = rng.standard_normal(x.shape)
+    return v - sphere._dot(v, x)[..., None] * x
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.integers(1, 3), min_size=1, max_size=2), st.integers(2, 5),
+       st.integers(0, 2**32 - 1))
+def test_forms_over_leading_axes_equal_per_point_calls(lead, n, seed):
+    rng = np.random.default_rng(seed)
+    shape = tuple(lead)
+    x = rng.standard_normal(shape + (n + 1,))
+    x /= np.sqrt(sphere._dot(x, x))[..., None]
+    u, w = _tangents(rng, x), _tangents(rng, x)
+    a = _unit(rng, n + 1)
+    batched = [
+        sphere.height_differential(x, a, u),
+        sphere.height_hessian(x, a, u, w),
+        *sphere.longitude_differentials(x, u),
+        *sphere.longitude_hessians(x, u, w),
+    ]
+    for out in batched:
+        assert out.shape == shape
+    for idx in np.ndindex(shape):
+        single = [
+            sphere.height_differential(x[idx], a, u[idx]),
+            sphere.height_hessian(x[idx], a, u[idx], w[idx]),
+            *sphere.longitude_differentials(x[idx], u[idx]),
+            *sphere.longitude_hessians(x[idx], u[idx], w[idx]),
+        ]
+        for out, one in zip(batched, single):
+            assert np.array_equal(out[idx], one)

@@ -153,7 +153,7 @@ class _Plan(NamedTuple):
     box selects the interior; X is the open grid of interior coordinates
     (n read-only arrays with a trailing component axis, broadcasting against
     (*interior, m)).  Each difference is (terms, divisor) with terms the
-    (weight, slices) pairs of _apply: d1[k] and d2[k] run along axis k on
+    (weight, slices) pairs of _diff_calls: d1[k] and d2[k] run along axis k on
     the field values, and mixed holds (k, l, inner, outer) for k < l, the
     first difference along k on values kept whole along l, then along l.
     """
@@ -196,144 +196,214 @@ def _plan(shape, L, order):
                  tuple(diff(_D2, k, box) for k in range(n)), mixed)
 
 
-def _apply(v, terms, div):
-    """Sum of weight * v[slices] over terms, in their order, over div.
+def _diff_calls(v, terms, div, out, tmp):
+    """Ufunc calls that write the sum of weight * v[slices] over div into out.
 
-    The first weight is +-1; the first sum allocates the result and every
-    later step writes into it.
+    The terms are summed in their order: the first weight is +-1, every
+    later term is scaled by |weight| unless that is 1, then added or
+    subtracted, and the sum is divided last.  A scaled term goes to out
+    while out does not yet hold the sum, else to tmp (out's shape; only the
+    4th-order rows need it).
     """
     (w, idx), *rest = terms
-    acc, out = (v[idx] if w > 0 else -v[idx]), None
+    calls = [] if w > 0 else [(np.negative, (v[idx], out))]
+    acc = v[idx] if w > 0 else out
     for w, idx in rest:
-        t = v[idx] if abs(w) == 1.0 else abs(w) * v[idx]
-        acc = out = (np.add if w > 0 else np.subtract)(acc, t, out=out)
-    return np.divide(acc, div, out=acc)
+        t = v[idx]
+        if abs(w) != 1.0:
+            t = tmp if acc is out else out
+            calls.append((np.multiply, (v[idx], abs(w), t)))
+        calls.append((np.add if w > 0 else np.subtract, (acc, t, out)))
+        acc = out
+    calls.append((np.divide, (out, div, out)))
+    return calls
+
+
+def _run(calls):
+    for f, args in calls:
+        f(*args)
 
 
 def _interior_jets(field: GridField, order):
-    """du[k] and ddu[k][l] (*interior, m), ddu[l][k] the same array.
+    """Stacked jets du (n, *interior, m) and ddu (n, n, *interior, m) of the
+    field, and the calls that fill them from its values.
 
     The plan's differences run on the values trimmed to the interior on
     every axis they do not differentiate along, so no node off the interior
-    is computed.
+    is computed; ddu[l, k] is a copy of the mixed difference ddu[k, l].
+    Running the calls again refills the same buffers from whatever
+    field.values holds then.
     """
     plan = _plan(field.shape, field.L, order)
     v = field.values
-    n = len(plan.d1)
-    du = [_apply(v, *d) for d in plan.d1]
-    ddu = [[None] * n for _ in range(n)]
+    n = field.n
+    shape = v[plan.box].shape
+    du = np.empty((n,) + shape)
+    ddu = np.empty((n, n) + shape)
+    tmp = np.empty(shape) if order == 4 else None
+    calls = []
+    for k, d in enumerate(plan.d1):
+        calls += _diff_calls(v, *d, du[k], tmp)
     for k, d in enumerate(plan.d2):
-        ddu[k][k] = _apply(v, *d)
+        calls += _diff_calls(v, *d, ddu[k, k], tmp)
     for k, l, inner, outer in plan.mixed:
-        ddu[k][l] = ddu[l][k] = _apply(_apply(v, *inner), *outer)
-    return du, ddu
+        (_, idx), *_ = inner[0]
+        dk = np.empty(v[idx].shape)
+        calls += _diff_calls(v, *inner, dk, np.empty(dk.shape) if order == 4 else None)
+        calls += _diff_calls(dk, *outer, ddu[k, l], tmp)
+        calls.append((np.copyto, (ddu[l, k], ddu[k, l])))
+    return du, ddu, calls
 
 
 def field_jets(field: GridField, order=2):
     """du (*shape, n, m) and ddu (*shape, n, n, m); zero off the interior."""
     box = interior(field, order)
-    du_i, ddu_i = _interior_jets(field, order)
+    du_i, ddu_i, calls = _interior_jets(field, order)
+    _run(calls)
     n, m = field.n, field.m
     du = np.zeros(field.shape + (n, m))
     ddu = np.zeros(field.shape + (n, n, m))
-    du[box] = np.moveaxis(np.array(du_i), 0, -2)
-    ddu[box] = np.moveaxis(np.array(ddu_i), (0, 1), (-3, -2))
+    du[box] = np.moveaxis(du_i, 0, -2)
+    ddu[box] = np.moveaxis(ddu_i, (0, 1), (-3, -2))
     return du, ddu
 
 
-def _spd_inverse(g):
-    """Inverse and determinant of g, symmetric with eigenvalues >= 1 at each
-    node and read as g[i][j] over the nodes; the inverse is nested lists.
+def _spd_inverse(g, det, tmp):
+    """Calls that overwrite g (n, n, *nodes), symmetric with eigenvalues >= 1
+    at each node, with its inverse, and det (*nodes) with its determinant.
 
     Gauss-Jordan elimination vectorized over the nodes: every pivot is a
     Schur complement of a matrix >= identity, so it is >= 1 and no pivoting
-    is needed.  The determinant is the product of the pivots.  Step k only
-    touches live entries: columns > k of the reduced matrix (the others are
-    never read again) and columns <= k of the inverse (the others still
-    hold the identity).
+    is needed.  The determinant is the product of the pivots.  After step k
+    the columns <= k of g hold the inverse and the columns > k the reduced
+    matrix: the inverse's other columns still hold the identity and the
+    reduced matrix's others are never read again.  tmp (*nodes) holds one
+    product at a time.
     """
     n = len(g)
-    a = [list(row) for row in g]
-    inv = [[float(i == j) for j in range(n)] for i in range(n)]
-    det = np.ones(np.shape(g[0][0]))
+    calls = []
     for k in range(n):
-        det *= a[k][k]
-        p = 1.0 / a[k][k]
-        for j in range(k + 1, n):
-            a[k][j] = a[k][j] * p
-        for j in range(k + 1):
-            inv[k][j] = inv[k][j] * p
+        p = g[k, k]
+        # det is a product from 1.0; 1.0 / pivot is also the inverse's 1.0 * p
+        calls += [(np.multiply, (p, 1.0, det) if k == 0 else (det, p, det)),
+                  (np.divide, (1.0, p, p))]
+        calls += [(np.multiply, (g[k, j], p, g[k, j])) for j in range(n) if j != k]
         for i in range(n):
-            if i != k:
-                f = a[i][k]
-                for j in range(k + 1, n):
-                    t = f * a[k][j]
-                    a[i][j] = np.subtract(a[i][j], t, out=t)
-                for j in range(k + 1):
-                    t = f * inv[k][j]
-                    inv[i][j] = np.subtract(inv[i][j], t, out=t)
-    return inv, det
+            if i == k:
+                continue
+            f = g[i, k]
+            for j in range(n):
+                if j != k:
+                    calls += [(np.multiply, (f, g[k, j], tmp)),
+                              (np.subtract, (g[i, j], tmp, g[i, j]))]
+            # the inverse's column k held 0.0 off the diagonal
+            calls += [(np.multiply, (f, p, f)), (np.subtract, (0.0, f, f))]
+    return calls
 
 
-@dataclass(frozen=True)
-class _Geometry:
-    """Interior geometry of one field state, entry by entry (n <= 3).
+def _sum_calls(pairs, out, tmp):
+    """Calls that write 0.0 + a b + ... over the (a, b) pairs into out, in
+    their order; 0.0 + x differs from x at x = -0.0."""
+    (a, b), *rest = pairs
+    calls = [(np.multiply, (a, b, out)), (np.add, (out, 0.0, out))]
+    for a, b in rest:
+        calls += [(np.multiply, (a, b, tmp)), (np.add, (out, tmp, out))]
+    return calls
 
-    X is the plan's open grid of interior coordinates, u (*interior, m),
-    du[i] and ddu[i][j] (*interior, m), ginv[i][j] the inverse of the graph
-    metric g = I + du du^T and det g, both (*interior).
+
+def _carve(block, *shapes):
+    """Consecutive views of the flat block, one per shape, from its start."""
+    views, start = [], 0
+    for shape in shapes:
+        stop = start + math.prod(shape)
+        views.append(block[start:stop].reshape(shape))
+        start = stop
+    return views
+
+
+class _Workspace:
+    """The interior geometry of one grid field, in buffers built once, and
+    the calls that refill it.
+
+    values is the field's values array and u views its interior nodes
+    (*interior, m); du (n, *interior, m) and ddu (n, n, *interior, m) are
+    the stacked jets; ginv (n, n, *interior) first holds the metric
+    g = I + du du^T, then its inverse; det is det g; res, elliptic and drift
+    are the residual and its two parts.  fill() recomputes all of them from
+    whatever values holds, with the arithmetic of the stacked definitions,
+    so a run builds one workspace and fills it once per state.  One scratch
+    block serves, in turn, the inverse's products, the residual's terms, a
+    sample's reductions and the second form's contractions; elliptic and
+    drift live there, so they hold until the next sample or fill only.
     """
 
-    X: tuple
-    u: np.ndarray
-    du: list
-    ddu: list
-    ginv: list
-    det: np.ndarray
-
-    @classmethod
-    def of(cls, field: GridField, order):
+    def __init__(self, field: GridField, order):
         plan = _plan(field.shape, field.L, order)
-        du, ddu = _interior_jets(field, order)
-        n = len(du)
-        g = [[None] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(i, n):
-                g[i][j] = g[j][i] = np.einsum("...a,...a->...", du[i], du[j])
-            g[i][i] += 1.0
-        return cls(plan.X, field.values[plan.box], du, ddu, *_spd_inverse(g))
+        self.values = field.values
+        self.u = u = field.values[plan.box]
+        self.du, self.ddu, jets = _interior_jets(field, order)
+        n, m = field.n, field.m
+        nodes = u.shape[:-1]
+        self.ginv = g = np.empty((n, n) + nodes)
+        self.det = np.empty(nodes)
+        self.res = np.empty(u.shape)
+        size = math.prod(nodes)
+        block = np.empty(max(3 * m, n * n * m + n ** 3 + 1) * size)
+        (self._node_tmp,) = _carve(block, nodes)
+        self.elliptic, self.drift, self._tmp = _carve(block, u.shape, u.shape, u.shape)
+        # the second form: (p, q) products go where QH was, the tangential
+        # trace where QW was, once each is read for the last time
+        self._qh, self._qw, self._b2 = _carve(block, (n, n) + u.shape, (n, n, n) + nodes,
+                                              nodes)
+        (self._pq,) = _carve(block, (n, n) + nodes)
+        self._tang = self._qw[(0,) * 3]
 
-    def residual(self, parts=False):
-        # sums from 0, the elliptic one over (i, j) in row-major order as
-        # einsum contracts; each writes into its own result, since on large
-        # grids every fresh array costs page faults
-        n = len(self.du)
-        elliptic = np.zeros_like(self.u)
-        for i in range(n):
-            for j in range(n):
-                elliptic += self.ginv[i][j][..., None] * self.ddu[i][j]
-        drift = np.zeros_like(self.u)
-        for x, d in zip(self.X, self.du):
-            drift += x * d
-        drift -= self.u
-        drift *= 0.5
-        res = elliptic - drift
-        if parts:
-            return res, elliptic, drift
-        return res
+        metric = [
+            (functools.partial(np.einsum, "...a,...a->...", out=g[i, j]),
+             (self.du[i], self.du[j]))
+            for i in range(n) for j in range(i, n)
+        ]
+        metric += [(np.add, (g[i, i], 1.0, g[i, i])) for i in range(n)]
+        metric += [(np.copyto, (g[j, i], g[i, j])) for i in range(n) for j in range(i + 1, n)]
+        # the elliptic sum over (i, j) in row-major order, as einsum contracts
+        residual = _sum_calls([(g[i, j][..., None], self.ddu[i, j])
+                               for i, j in np.ndindex(n, n)], self.elliptic, self._tmp)
+        residual += _sum_calls(list(zip(plan.X, self.du)), self.drift, self._tmp)
+        residual += [(np.subtract, (self.drift, u, self.drift)),
+                     (np.multiply, (self.drift, 0.5, self.drift)),
+                     (np.subtract, (self.elliptic, self.drift, self.res))]
+        self._calls = jets + metric + _spd_inverse(g, self.det, self._node_tmp) + residual
 
-    def slope(self):
-        return np.sqrt(self.det)
+    def fill(self):
+        _run(self._calls)
+        return self
+
+    def sup_residual(self):
+        return float(np.abs(self.res, out=self._tmp).max())
+
+    def advance(self, dt):
+        """Move the interior nodes by dt times the residual; returns their sup |u|."""
+        np.multiply(self.res, dt, out=self._tmp)
+        np.add(self.u, self._tmp, out=self.u)
+        return float(np.abs(self.u, out=self._tmp).max())
 
     def second_form_sq(self):
         """|B|^2 = tr(Q H_a Q H_a) - Q_pq tr(Q W_p Q W_q) with Q = g^-1,
         H_a = ddu^a and W_p = du_p . ddu, by pairwise contractions."""
-        Q = np.array(self.ginv)
-        QH = np.einsum("ik...,kj...m->ij...m", Q, np.array(self.ddu))
-        QW = np.einsum("p...m,ij...m->pij...", np.array(self.du), QH)  # Q W_p = du_p . Q H
-        full = np.einsum("ij...m,ji...m->...", QH, QH)
-        tang = np.einsum("pq...,pq...->...", Q, np.einsum("pij...,qji...->pq...", QW, QW))
-        return full - tang
+        Q = self.ginv
+        QH = np.einsum("ik...,kj...m->ij...m", Q, self.ddu, out=self._qh)
+        QW = np.einsum("p...m,ij...m->pij...", self.du, QH, out=self._qw)  # Q W_p = du_p . Q H
+        full = np.einsum("ij...m,ji...m->...", QH, QH, out=self._b2)
+        pq = np.einsum("pij...,qji...->pq...", QW, QW, out=self._pq)
+        tang = np.einsum("pq...,pq...->...", Q, pq, out=self._tang)
+        return np.subtract(full, tang, out=full)
+
+    def sample(self):
+        """sup slope, sup |residual|, sup |B|^2 and min w = min 1 / slope."""
+        sl = np.sqrt(self.det, out=self._node_tmp)
+        sup_slope = float(sl.max())
+        min_w = float(np.divide(1.0, sl, out=sl).min())
+        return sup_slope, self.sup_residual(), float(self.second_form_sq().max()), min_w
 
 
 def system_residual(field: GridField, order=2, parts=False):
@@ -342,17 +412,20 @@ def system_residual(field: GridField, order=2, parts=False):
     Returns elliptic - drift with elliptic = g^ij u_ij and
     drift = (x . Du - u)/2; with parts=True the two pieces come back too.
     """
-    return _Geometry.of(field, order).residual(parts)
+    ws = _Workspace(field, order).fill()
+    if parts:
+        return ws.res, ws.elliptic.copy(), ws.drift.copy()
+    return ws.res
 
 
 def slope_field(field: GridField, order=2):
     """sqrt(det g) at interior nodes; equals the graph's volume distortion."""
-    return _Geometry.of(field, order).slope()
+    return np.sqrt(_Workspace(field, order).fill().det)
 
 
 def second_form_sq_field(field: GridField, order=2):
     """|B|^2 at interior nodes from the graph representation."""
-    return _Geometry.of(field, order).second_form_sq()
+    return _Workspace(field, order).fill().second_form_sq().copy()
 
 
 @dataclass(frozen=True)
@@ -393,16 +466,18 @@ class FlowTrace:
     converged: bool = False
 
     def record(self, step, time, field, order):
+        """Append the row of one field state.  field is a GridField, whose
+        geometry is computed here, or the filled workspace of a run."""
         if self.times and time <= self.times[-1]:
             raise ValueError("trace times must be strictly increasing")
-        geo = _Geometry.of(field, order)
-        sl = geo.slope()
+        ws = field if isinstance(field, _Workspace) else _Workspace(field, order).fill()
+        sup_slope, sup_residual, sup_b2, min_w = ws.sample()
         self.steps.append(step)
         self.times.append(time)
-        self.sup_slope.append(float(np.max(sl)))
-        self.sup_residual.append(float(np.max(np.abs(geo.residual()))))
-        self.sup_b2.append(float(np.max(geo.second_form_sq())))
-        self.min_w.append(float(np.min(1.0 / sl)))
+        self.sup_slope.append(sup_slope)
+        self.sup_residual.append(sup_residual)
+        self.sup_b2.append(sup_b2)
+        self.min_w.append(min_w)
 
 
 def relax_flow(u0: GridField, cfg: SolverConfig = SolverConfig()):
@@ -413,34 +488,40 @@ def relax_flow(u0: GridField, cfg: SolverConfig = SolverConfig()):
     since the largest eigenvalue of g^ij is at most one (g >= identity).
     Stops when sup |residual| drops below the threshold or max_steps is hit;
     blow-up beyond cfg.blowup raises DivergenceError with the trace attached.
-    A non-finite initial field raises ValueError before any step.
+    A non-finite initial field raises ValueError before any step.  The run
+    builds one workspace and fills it once per field state.
     """
     h = float(np.min(u0.spacing))
     dt = cfg.dt if cfg.dt is not None else 0.45 * h * h / (2.0 * u0.n)
-    box = interior(u0, cfg.order)
     current = GridField(
         L=u0.L, values=u0.values.copy(), boundary=u0.boundary, A=u0.A, b=u0.b
     )
+    # the nodes off the interior never move: their sup |u| is taken once
+    fixed = np.ones(current.shape, dtype=bool)
+    fixed[interior(current, cfg.order)] = False
+    fixed_sup = float(np.max(np.abs(current.values[fixed])))
+    ws = _Workspace(current, cfg.order).fill()
     trace = FlowTrace()
-    trace.record(0, 0.0, current, cfg.order)
+    trace.record(0, 0.0, ws, cfg.order)
     step = 0
     while step < cfg.max_steps:
-        res = system_residual(current, cfg.order)
-        if float(np.max(np.abs(res))) < cfg.threshold:
+        if ws.sup_residual() < cfg.threshold:
             break
-        current.values[box] += dt * res
+        # max keeps its first argument when the second is not larger, so a
+        # NaN among the interior nodes comes through
+        sup_val = max(ws.advance(dt), fixed_sup)
         step += 1
-        sup_val = float(np.max(np.abs(current.values)))
         if not math.isfinite(sup_val) or sup_val > cfg.blowup:
             if math.isfinite(sup_val) and trace.steps[-1] != step:
-                trace.record(step, step * dt, current, cfg.order)
+                trace.record(step, step * dt, ws.fill(), cfg.order)
             raise DivergenceError(
                 f"field magnitude {sup_val:.3e} exceeded the blow-up bound", trace
             )
+        ws.fill()
         if step % cfg.sample_interval == 0:
-            trace.record(step, step * dt, current, cfg.order)
+            trace.record(step, step * dt, ws, cfg.order)
     if trace.steps[-1] != step:
-        trace.record(step, step * dt, current, cfg.order)
+        trace.record(step, step * dt, ws, cfg.order)
     trace.converged = trace.sup_residual[-1] < cfg.threshold
     return current, trace
 
@@ -470,8 +551,8 @@ def gauss_image_report(field: GridField, reference: Optional[OrientedFrame] = No
     normals are classified through the sphere-region machinery and the
     hemisphere hypotheses are flagged.
     """
-    geo = _Geometry.of(field, order)
-    sl = geo.slope()
+    ws = _Workspace(field, order).fill()
+    sl = np.sqrt(ws.det)
     max_v = float(np.max(sl))
     if reference is None:
         min_w = float(np.min(1.0 / sl))
@@ -479,7 +560,7 @@ def gauss_image_report(field: GridField, reference: Optional[OrientedFrame] = No
         # w = det(dX ref^T) / sqrt(det g) with dX = [I | du] at each node
         ref = reference.vectors
         n = field.n
-        proj = np.einsum("i...a,ja->...ij", np.array(geo.du), ref[:, n:]) + ref[:, :n].T
+        proj = np.einsum("i...a,ja->...ij", ws.du, ref[:, n:]) + ref[:, :n].T
         min_w = float(np.min(np.linalg.det(proj) / sl))
     min_ip = None
     counts = None
@@ -487,7 +568,7 @@ def gauss_image_report(field: GridField, reference: Optional[OrientedFrame] = No
     closed_h = None
     if field.m == 1 and pole is not None:
         pole = np.asarray(pole, dtype=float)
-        flat_du = np.array(geo.du).reshape(field.n, -1).T
+        flat_du = ws.du.reshape(field.n, -1).T
         denom = np.sqrt(1.0 + np.sum(flat_du * flat_du, axis=1))
         normals = np.concatenate(
             [-flat_du, np.ones((flat_du.shape[0], 1))], axis=1

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -76,6 +78,14 @@ def test_residual_constant_offset_is_half_value():
     assert np.max(np.abs(gf.system_residual(f) - c / 2.0)) == 0.0
 
 
+def test_residual_sums_start_from_zero():
+    # elliptic and drift are sums from 0.0, as in the stacked definition: on
+    # alternating signed zeros u_xx is -0.0 at every other node, yet no part
+    # of the defect is -0.0
+    f = gf.GridField(L=1.0, values=np.array([[-0.0], [0.0]] * 4 + [[-0.0]]))
+    assert not any(np.any(np.signbit(x)) for x in gf.system_residual(f, parts=True))
+
+
 def test_residual_profile_field_within_stencil_bound():
     fine = _profile_field(121)
     coarse = _profile_field(41)
@@ -104,9 +114,10 @@ def test_spd_inverse_matches_lapack(n):
     g = np.einsum("i...a,j...a->ij...", J, J)
     for k in range(n):
         g[k, k] += 1.0
-    per_node = np.moveaxis(g, (0, 1), (-2, -1))
-    inv, det = gf._spd_inverse(g)
-    inv = np.moveaxis(inv, (0, 1), (-2, -1))
+    per_node = np.moveaxis(g, (0, 1), (-2, -1)).copy()
+    det = np.empty(g.shape[2:])
+    gf._run(gf._spd_inverse(g, det, np.empty(g.shape[2:])))
+    inv = np.moveaxis(g, (0, 1), (-2, -1))
     assert np.max(np.abs(inv - np.linalg.inv(per_node))) <= 1e-12
     lapack_det = np.linalg.det(per_node)
     assert np.max(np.abs(det - lapack_det) / lapack_det) <= 1e-12
@@ -405,6 +416,105 @@ def test_relax_divergence_attaches_trace():
     assert all(t1 > t0 for t0, t1 in zip(trace.times, trace.times[1:]))
 
 
+def _reference_relax(u0, cfg):
+    # the relaxation loop by its definition, on the one-off public calls;
+    # returns the field, the trace and the divergence message, if any
+    h = float(np.min(u0.spacing))
+    dt = cfg.dt if cfg.dt is not None else 0.45 * h * h / (2.0 * u0.n)
+    box, v = gf.interior(u0, cfg.order), u0.values.copy()
+    cur = gf.GridField(L=u0.L, values=v, boundary=u0.boundary, A=u0.A, b=u0.b)
+    trace, step = gf.FlowTrace(), 0
+    trace.record(0, 0.0, cur, cfg.order)
+    while step < cfg.max_steps:
+        res = gf.system_residual(cur, cfg.order)
+        if float(np.max(np.abs(res))) < cfg.threshold:
+            break
+        v[box] += dt * res
+        step += 1
+        sup = float(np.max(np.abs(v)))
+        if not math.isfinite(sup) or sup > cfg.blowup:
+            if math.isfinite(sup):
+                trace.record(step, step * dt, cur, cfg.order)
+            return cur, trace, f"field magnitude {sup:.3e} exceeded the blow-up bound"
+        if step % cfg.sample_interval == 0:
+            trace.record(step, step * dt, cur, cfg.order)
+    if trace.steps[-1] != step:
+        trace.record(step, step * dt, cur, cfg.order)
+    return cur, trace, None
+
+
+def _bump(resolution, m, amp=0.3, n=2):
+    return gf.GridField.from_function(
+        lambda x: [amp * _poly_window(x) * (1.0 + 0.5 * a * x[0]) for a in range(m)],
+        L=1.0, resolution=(resolution,) * n, m=m,
+        boundary="affine", A=np.zeros((m, n)), b=np.zeros(m),
+    )
+
+
+def _assert_relax_matches_reference(f, cfg):
+    ref, ref_trace, message = _reference_relax(f, cfg)
+    if message is None:
+        out, trace = gf.relax_flow(f, cfg)
+        assert out.values.tobytes() == ref.values.tobytes()
+        assert trace.converged == (ref_trace.sup_residual[-1] < cfg.threshold)
+    else:
+        with pytest.raises(gf.DivergenceError) as info:
+            gf.relax_flow(f, cfg)
+        trace = info.value.trace
+        assert str(info.value) == message
+    assert gf.trace_to_csv(trace) == gf.trace_to_csv(ref_trace)
+    return trace, message
+
+
+@pytest.mark.parametrize("order", [2, 4])
+@pytest.mark.parametrize("m", [1, 2])
+def test_relax_is_bit_identical_to_the_reference_loop(m, order):
+    # a loose threshold stops m = 1 early; m = 2 runs to max_steps
+    cfg = gf.SolverConfig(max_steps=300, threshold=0.05 if m == 1 else 1e-12,
+                          order=order, sample_interval=7)
+    trace, message = _assert_relax_matches_reference(_bump(13, m), cfg)
+    assert message is None
+    assert (trace.steps[-1] < 300) == (m == 1)
+
+
+def test_relax_in_three_dimensions_is_bit_identical_to_the_reference_loop():
+    cfg = gf.SolverConfig(max_steps=120, sample_interval=25)
+    _, message = _assert_relax_matches_reference(_bump(9, 2, n=3), cfg)
+    assert message is None
+
+
+def test_relax_divergence_is_bit_identical_to_the_reference_loop():
+    f = gf.GridField.from_function(
+        lambda x: [0.3 * _poly_window(x)], L=1.0, resolution=(17, 17), m=1,
+        boundary="affine", A=np.zeros((1, 2)), b=np.zeros(1),
+    )
+    h = float(np.min(f.spacing))
+    unstable = dict(dt=10.0 * 0.45 * h * h / 4.0, max_steps=5000, sample_interval=10)
+    # the bound of test_relax_divergence_attaches_trace: a finite blow-up,
+    # sampled once more; then one the field overflows past to inf or NaN
+    trace, message = _assert_relax_matches_reference(f, gf.SolverConfig(blowup=1e3, **unstable))
+    assert message is not None and len(trace.steps) >= 2
+    with np.errstate(all="ignore"):
+        _, message = _assert_relax_matches_reference(
+            f, gf.SolverConfig(blowup=1.7e308, **unstable))
+    assert message.startswith(("field magnitude inf", "field magnitude nan"))
+
+
+def test_public_results_do_not_alias_the_workspace():
+    rng = np.random.default_rng(8)
+    fields = [gf.GridField(L=1.0, values=0.3 * rng.standard_normal((9, 9, 2)))
+              for _ in range(3)]
+    res = gf.system_residual(fields[0])
+    parts = gf.system_residual(fields[1], parts=True)
+    slope = gf.slope_field(fields[2])
+    got = [res, *parts, slope]
+    kept = [a.copy() for a in got]
+    gf.second_form_sq_field(fields[2])
+    gf.relax_flow(fields[0], gf.SolverConfig(max_steps=5))
+    assert all(np.array_equal(a, b) for a, b in zip(got, kept))
+    assert not any(np.shares_memory(a, b) for i, a in enumerate(got) for b in got[i + 1:])
+
+
 @pytest.mark.parametrize("m", [1, 2])
 def test_trace_sample_evaluates_the_jets_once(m, monkeypatch):
     calls = []
@@ -417,17 +527,25 @@ def test_trace_sample_evaluates_the_jets_once(m, monkeypatch):
     assert len(calls) == 1
 
 
-def test_one_stencil_plan_per_relaxation_run():
+def test_one_stencil_plan_per_relaxation_run(monkeypatch):
+    # one workspace per run: the plan and the jet program are built once,
+    # not looked up or compiled per step
     f = gf.GridField.from_function(
         lambda x: [0.3 * _poly_window(x)], L=1.0, resolution=(17, 17), m=1,
         boundary="affine", A=np.zeros((1, 2)), b=np.zeros(1),
     )
+    built, jets = [], []
+    init, compile_jets = gf._Workspace.__init__, gf._interior_jets
+    monkeypatch.setattr(gf._Workspace, "__init__",
+                        lambda self, *a: built.append(a) or init(self, *a))
+    monkeypatch.setattr(gf, "_interior_jets", lambda *a: jets.append(a) or compile_jets(*a))
     gf._plan.cache_clear()
     _, trace = gf.relax_flow(f, gf.SolverConfig(max_steps=400, sample_interval=50))
     assert trace.steps[-1] == 400
     info = gf._plan.cache_info()
     assert info.misses == 1
-    assert info.hits >= 2 * 400
+    assert info.hits + info.misses <= 2
+    assert len(built) == 1 and len(jets) == 1
 
 
 def test_trace_times_must_increase():

@@ -13,11 +13,18 @@ which pins the subcritical slope threshold v < 3.  The scalar side —
 F, F1, F2 on the constraint set Omega and the polynomials H1, H2 — is swept
 numerically to certify sup F <= -1/16, the source of the constant.
 
-Each group and its bound are written once, as monomials in a table built
-and cached per (n, m) shape (`_group_table`), and evaluated over leading
-axes (`_group_values`): `group_terms` reads the group values of one sample
-from it, `group_bounds_check` the values minus the bounds, and
-`group_totals` the grouped totals of a whole stack of one shape.
+The form is evaluated on stacks only: lam (B, p) and h (B, m, n, n) of one
+(n, m) shape.  Each group and its bound are written once, as monomials in a
+table built and cached per shape (`_group_table`) and evaluated row by row
+(`_group_values`); the direct total and the master margin come from one
+kernel (`_master_kernel`).  Both sum each row in a fixed order along that
+row alone, so a row's numbers never depend on the rest of its stack.  A
+`GroupSample` is evaluated as the stack of one it is checked as
+(`GroupSample.stack`): `group_terms`, `group_bounds_check`, `master_margin`
+and `longdouble_master_margin` read row 0 of the route that `group_totals`
+and `batched_master_margins` take for a whole stack, with the same bits.
+One check validates every entry: `_check_stack`, or its lambda half
+`_check_lam` for the lambda-only `min_margin_over_h`.
 
 The sampled check (`sample_check`) draws its samples one after another
 (`draw_group_stacks`, the same stream as a loop over `random_group_sample`),
@@ -284,8 +291,10 @@ class GroupSample:
     """A point in (lambda, h) space feeding the grouped quadratic form.
 
     lam holds the p = min(n, m) nonnegative angle tangents; h is the
-    (m, n, n) coefficient array, symmetric in its last two indices.  The
-    slope value v = prod sqrt(1 + lam_j^2) is computed once, at construction.
+    (m, n, n) coefficient array, symmetric in its last two indices.  It is
+    checked and evaluated as the stack of one `stack`, so its numbers are
+    those of its row in any stack.  The slope value v = prod sqrt(1 + lam_j^2)
+    is computed once, at construction.
     """
 
     n: int
@@ -299,8 +308,13 @@ class GroupSample:
         h = np.asarray(self.h, dtype=float)
         object.__setattr__(self, "lam", lam)
         object.__setattr__(self, "h", h)
-        v = _check_stack(self.n, self.m, lam[None], h[None])
+        v = _check_stack(self.n, self.m, *self.stack)
         object.__setattr__(self, "v", float(v[0]))
+
+    @property
+    def stack(self):
+        """(lam (1, p), h (1, m, n, n)): this sample as a stack of one."""
+        return self.lam[None], self.h[None]
 
     @property
     def p(self):
@@ -321,26 +335,36 @@ class GroupSample:
         }
 
 
+def _check_lam(p, lam):
+    """Validate a stack of angle values, lam (B, p); return their slope values.
+
+    The lambda half of `_check_stack`, which the lambda-only entries run alone.
+    """
+    if lam.ndim != 2 or lam.shape[1:] != (p,):
+        raise ValueError(f"need {p} angle values, got shape {lam.shape[1:]}")
+    if np.any(lam < 0):
+        raise ValueError("angle values must be nonnegative")
+    if not np.all(np.isfinite(lam)):
+        raise ValueError("angle values must be finite")
+    v = _slope(lam)
+    if not np.all(np.isfinite(v)):
+        raise ValueError("slope value is not finite")
+    return v
+
+
 def _check_stack(n, m, lam, h):
     """Validate a stack of samples of one (n, m) shape; return their slope values.
 
     lam has shape (B, p) and h (B, m, n, n); a GroupSample is checked as a
     stack of one, and the messages name the shape of one sample.
     """
-    p = min(n, m)
-    if lam.ndim != 2 or lam.shape[1:] != (p,):
-        raise ValueError(f"need {p} angle values, got shape {lam.shape[1:]}")
-    if np.any(lam < 0):
-        raise ValueError("angle values must be nonnegative")
+    v = _check_lam(min(n, m), lam)
     if h.shape != (len(lam), m, n, n):
         raise ValueError(f"h must have shape {(m, n, n)}")
-    if not (np.all(np.isfinite(lam)) and np.all(np.isfinite(h))):
-        raise ValueError("angle values and h must be finite")
+    if not np.all(np.isfinite(h)):
+        raise ValueError("h must be finite")
     if np.any(np.abs(h - np.swapaxes(h, -1, -2)) > 1e-12):
         raise ValueError("h must be symmetric in its last two indices")
-    v = _slope(lam)
-    if not np.all(np.isfinite(v)):
-        raise ValueError("slope value is not finite")
     return v
 
 
@@ -350,20 +374,28 @@ def _slope(lam):
 
 
 def _master_kernel(lam, h):
-    """(total, |B|^2, v) for one sample or a batch, in the input dtype.
+    """(total, |B|^2, v) of each row of a stack, in the input dtype.
 
-    lam has shape (..., p) and h (..., m, n, n) over the same leading axes.
+    lam has shape (B, p) and h (B, m, n, n).
     total = |B|^2 + sum_{i,j,k} lam_j lam_k h_{k,ij} h_{j,ik}
     + C1 sum_i (sum_j lam_j h_{j,ij})^2, where the j = k part of the middle
     sum is the diagonal square term sum lam_j^2 h_{j,ij}^2 and the rest the
-    cross terms.
+    cross terms.  Each row is built from elementwise products and summed
+    along its own last axis, so its bits do not depend on the other rows.
+    The middle sum is accumulated in sequence over (i, j, k) in C order: a
+    pairwise sum would move the last digits of verify-prop41's regroup_max.
     """
-    p = lam.shape[-1]
-    hq = h[..., :p, :, :p]  # h_{k,ij} with j, k <= p
-    d = np.einsum("...jij->...ij", hq)  # d[i, j] = h_{j,ij}
+    B, p = lam.shape
+    n = h.shape[-1]
+    h = np.ascontiguousarray(h)  # |B|^2 sums each row in C order, whatever the layout
+    a = np.moveaxis(h[:, :p, :, :p], 1, -1)  # a[b, i, j, k] = h_{k,ij}
     b2 = np.sum(h * h, axis=(-3, -2, -1))
-    coupled = np.einsum("...j,...k,...kij,...jik->...", lam, lam, hq, hq)
-    sums = np.einsum("...ij,...j->...i", d, lam)
+    pair = lam[:, None, :, None] * lam[:, None, None, :] * a
+    pair *= np.swapaxes(a, -1, -2)  # lam_j lam_k h_{k,ij} h_{j,ik}, in that order
+    pair = pair.reshape(B, n * p * p)
+    coupled = np.cumsum(pair, axis=-1, out=pair)[:, -1]
+    d = np.diagonal(a, axis1=-2, axis2=-1)  # d[b, i, j] = h_{j,ij}
+    sums = np.sum(d * lam[:, None, :], axis=-1)
     total = b2 + coupled + C1 * np.sum(sums * sums, axis=-1)
     return total, b2, _slope(lam)
 
@@ -372,11 +404,6 @@ def _margins(lam, h):
     """(margin, total, |B|^2, v) from one kernel call; margin = total - (3 - v)|B|^2 / 2."""
     total, b2, v = _master_kernel(lam, h)
     return total - 0.5 * (3.0 - v) * b2, total, b2, v
-
-
-def direct_total(s: GroupSample):
-    """|B|^2 + sum lam_j^2 h_{j,ij}^2 + cross terms + C1 sum_i (sum_j lam_j h_{j,ij})^2."""
-    return float(_master_kernel(s.lam, s.h)[0])
 
 
 class _GroupTable(NamedTuple):
@@ -458,26 +485,25 @@ def _group_table(n, m) -> _GroupTable:
 
 
 def _group_values(n, m, lam, h):
-    """(table, values): each group's value in key order, the leftover last.
+    """(table, values (B, groups)): each group's value in key order, the leftover last.
 
-    lam (..., p) and h (..., m, n, n) share their leading axes, which the
-    values (..., groups) keep.  One bincount over the ids g + groups * row
-    sums every row's monomials in table order, so each row's values equal
-    those of the same sample alone, bit for bit.
+    lam (B, p) and h (B, m, n, n) hold a stack.  One bincount over the ids
+    g + groups * row sums every row's monomials in table order, so each
+    row's values equal those of the same sample alone, bit for bit.
     """
     t = _group_table(n, m)
-    rows = lam.shape[:-1]
-    lam1 = np.concatenate((lam, np.ones(rows + (1,))), axis=-1)
-    h = h.reshape(rows + (-1,))
+    rows = len(lam)
+    lam1 = np.concatenate((lam, np.ones((rows, 1))), axis=-1)
+    h = h.reshape(rows, m * n * n)
     g, la, lb, ha, hb = t.index
-    w = lam1[..., la] * t.const  # const lam1[la] lam1[lb] h[ha] h[hb], in that order
-    w *= lam1[..., lb]
-    w *= h[..., ha]
-    w *= h[..., hb]
-    groups, count = sum(map(len, t.keys)) + 1, math.prod(rows)
-    ids = g + groups * np.arange(count).reshape(rows + (1,))
-    vals = np.bincount(ids.ravel(), w.ravel(), minlength=groups * count)
-    return t, vals.reshape(rows + (groups,))
+    w = lam1[:, la] * t.const  # const lam1[la] lam1[lb] h[ha] h[hb], in that order
+    w *= lam1[:, lb]
+    w *= h[:, ha]
+    w *= h[:, hb]
+    groups = sum(map(len, t.keys)) + 1
+    ids = g + groups * np.arange(rows)[:, None]
+    vals = np.bincount(ids.ravel(), w.ravel(), minlength=groups * rows)
+    return t, vals.reshape(rows, groups)
 
 
 def _by_group(t: _GroupTable, x):
@@ -499,19 +525,23 @@ class GroupBreakdown:
 
 
 def group_terms(s: GroupSample) -> GroupBreakdown:
-    """All group values, the two routes to the total, and the master margin."""
-    t, vals = _group_values(s.n, s.m, s.lam, s.h)
-    I, II, III, IV = _by_group(t, vals)
-    margin, total, _, _ = _margins(s.lam, s.h)
+    """All group values, the two routes to the total, and the master margin.
+
+    They are row 0 of the stack of one, read as `group_totals` reads a stack.
+    """
+    lam, h = s.stack
+    t, vals = _group_values(s.n, s.m, lam, h)
+    margin, total, _, _ = _margins(lam, h)
+    I, II, III, IV = _by_group(t, vals[0])
     return GroupBreakdown(
-        leftover=float(vals[-1]),
+        leftover=float(vals[0, -1]),
         I=I,
         II=II,
         III=III,
         IV=IV,
-        grouped_total=float(vals.sum()),
-        direct_total=float(total),
-        master_margin=float(margin),
+        grouped_total=float(vals.sum(axis=-1)[0]),
+        direct_total=float(total[0]),
+        master_margin=float(margin[0]),
     )
 
 
@@ -526,10 +556,8 @@ def group_totals(n, m, lam, h) -> GroupTotals:
     """The two routes to the total, the master margin and |B|^2 of a stack.
 
     lam (B, p) and h (B, m, n, n) hold B samples of one (n, m) shape, checked
-    as GroupSample checks one.  Each row's grouped total equals
-    group_terms' for that sample bit for bit; the direct total and margin
-    may differ from it in the last bits, as the batched kernel sums in
-    another order.
+    as GroupSample checks one.  Each row equals group_terms and master_margin
+    of that sample alone, bit for bit, whatever else the stack holds.
     """
     lam = np.asarray(lam, dtype=float)
     h = np.asarray(h, dtype=float)
@@ -559,7 +587,8 @@ class GroupMargins:
 def group_bounds_check(s: GroupSample) -> GroupMargins:
     if not s.subcritical:
         raise ValueError("group bounds require a subcritical sample (v < 3)")
-    t, vals = _group_values(s.n, s.m, s.lam, s.h)
+    t, vals = _group_values(s.n, s.m, *s.stack)
+    vals = vals[0]
     (g, x), (c0, cv) = t.bound_index, t.bound_coef
     squares = (c0 + cv * (3.0 - s.v)) * s.h.ravel()[x] ** 2
     margins = vals[:-1] - np.bincount(g, squares, minlength=len(vals) - 1)
@@ -580,7 +609,7 @@ def group_bounds_check(s: GroupSample) -> GroupMargins:
 
 def master_margin(s: GroupSample):
     """direct quadratic-form total minus (3 - v)|B|^2 / 2."""
-    return float(_margins(s.lam, s.h)[0])
+    return float(_margins(*s.stack)[0][0])
 
 
 def master_inequality_check(s: GroupSample):
@@ -599,15 +628,24 @@ def counterexample_dump(s: GroupSample, values: dict) -> dict:
 
 
 def batched_master_margins(lam, h):
-    """Vectorized master margins and slope values: lam (B, p), h (B, m, n, n)."""
-    margin, _, _, v = _margins(np.asarray(lam, dtype=float), np.asarray(h, dtype=float))
+    """Master margins and slope values of a stack: lam (B, p), h (B, m, n, n).
+
+    The stack is checked as GroupSample checks one, with m and n read from h.
+    """
+    lam = np.asarray(lam, dtype=float)
+    h = np.asarray(h, dtype=float)
+    if h.ndim != 4:
+        raise ValueError(f"h must have shape (B, m, n, n), got {h.shape}")
+    _check_stack(h.shape[2], h.shape[1], lam, h)
+    margin, _, _, v = _margins(lam, h)
     return margin, v
 
 
 def longdouble_master_margin(s: GroupSample):
     """Extended-precision recheck used before reporting any violation."""
+    lam, h = s.stack
     ld = np.longdouble
-    return float(_margins(s.lam.astype(ld), s.h.astype(ld))[0])
+    return float(_margins(lam.astype(ld), h.astype(ld))[0][0])
 
 
 # ---------------------------------------------------------------------------
@@ -760,9 +798,11 @@ def min_margin_over_h(n, m, lam):
     """(kappa, h): the minimum of margin / |B|^2 over h at each lam (B, p).
 
     It is the smallest eigenvalue of T(lam) (`_margin_form`) minus (3 - v) / 2,
-    and h (B, m, n, n) is its eigenvector: symmetric, with |B|^2 = 1.
+    and h (B, m, n, n) is its eigenvector: symmetric, with |B|^2 = 1.  lam
+    is checked as GroupSample checks its angle values.
     """
     lam = np.asarray(lam, dtype=float)
+    v = _check_lam(min(n, m), lam)
     (la, lb, r, c), const, coords, scale = _margin_form(n, m)
     rows, size = len(lam), len(scale)
     lam1 = np.concatenate((lam, np.ones((rows, 1))), axis=-1)
@@ -771,7 +811,7 @@ def min_margin_over_h(n, m, lam):
                        minlength=rows * size * size).reshape(rows, size, size)
     kappa, vec = np.linalg.eigh(0.5 * (form + np.swapaxes(form, 1, 2)))
     h = (vec[:, :, 0] * scale)[:, coords].reshape(rows, m, n, n)
-    return kappa[:, 0] - 0.5 * (3.0 - _slope(lam)), h
+    return kappa[:, 0] - 0.5 * (3.0 - v), h
 
 
 def adversarial_margin_search(seed=0, restarts=10_000) -> SearchReport:

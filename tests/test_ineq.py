@@ -363,9 +363,24 @@ def test_group_totals_match_group_terms(n, m):
     for k, s in enumerate(samples):
         gb = ineq.group_terms(s)
         assert t.grouped[k] == gb.grouped_total
-        assert t.direct[k] == pytest.approx(gb.direct_total, rel=1e-14, abs=1e-300)
-        assert t.margin[k] == pytest.approx(gb.master_margin, rel=1e-14, abs=1e-300)
+        assert t.direct[k] == gb.direct_total
+        assert t.margin[k] == gb.master_margin
         assert t.b2[k] == np.sum(s.h * s.h)
+
+
+def test_every_stack_row_equals_its_sample_alone():
+    # the stacks verify-prop41 checks at seed 61, where a separate
+    # single-sample kernel once differed from the stack in the last bits
+    for (n, m), (lam, h) in ineq.draw_group_stacks(np.random.default_rng(61), 4000).items():
+        t = ineq.group_totals(n, m, lam, h)
+        margins, v = ineq.batched_master_margins(lam, h)
+        for k in range(len(lam)):
+            s = GroupSample(n, m, lam[k], h[k])
+            gb = ineq.group_terms(s)
+            row = (t.grouped[k], t.direct[k], t.margin[k], margins[k], v[k])
+            alone = (gb.grouped_total, gb.direct_total, gb.master_margin,
+                     ineq.master_margin(s), s.v)
+            assert np.array(row).tobytes() == np.array(alone).tobytes(), (n, m, k)
 
 
 def test_sample_check_makes_one_margin_call_per_shape(monkeypatch):
@@ -469,8 +484,28 @@ def test_batched_margins_match_scalar():
     batched, v = ineq.batched_master_margins(np.array(lam), np.array(h))
     for i in range(64):
         s = GroupSample(n=4, m=3, lam=lam[i], h=h[i])
-        assert batched[i] == pytest.approx(ineq.master_margin(s), rel=1e-10, abs=1e-10)
-        assert v[i] == pytest.approx(s.v, rel=1e-12)
+        assert batched[i] == ineq.master_margin(s)
+        assert v[i] == s.v
+
+
+def test_batched_margins_check_their_stack():
+    lam = np.full((3, 2), 0.5)
+    h = np.zeros((3, 2, 3, 3))
+    h[:, 0, 0, 1] = h[:, 0, 1, 0] = 1.0
+    margins, _ = ineq.batched_master_margins(lam, h)
+    assert np.all(margins >= 0.0)
+    bad_lam = lam.copy()
+    bad_lam[1, 0] = -1.0
+    with pytest.raises(ValueError, match="nonnegative"):
+        ineq.batched_master_margins(bad_lam, h)
+    bad_h = h.copy()
+    bad_h[2, 1, 0, 2] = 1.0
+    with pytest.raises(ValueError, match="symmetric"):
+        ineq.batched_master_margins(lam, bad_h)
+    with pytest.raises(ValueError, match="shape"):
+        ineq.batched_master_margins(lam, h[0])
+    with pytest.raises(ValueError, match="angle values"):
+        ineq.batched_master_margins(np.full((3, 3), 0.5), h)
 
 
 def test_longdouble_recheck_consistent():
@@ -483,21 +518,28 @@ def test_longdouble_recheck_consistent():
 
 
 
-def test_master_kernel_single_sample_and_batch_of_one_agree():
+@pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+def test_master_kernel_row_is_its_stack_of_one(dtype):
     rng = np.random.default_rng(15)
-    for _ in range(20):
-        s = _random_sample(rng)
-        single = ineq._master_kernel(s.lam, s.h)
-        batch = ineq._master_kernel(s.lam[None], s.h[None])
-        for a, b in zip(single, batch):
-            assert np.shape(a) == () and np.shape(b) == (1,)
-            assert float(b[0]) == pytest.approx(float(a), rel=1e-14, abs=1e-14)
-        margins, v = ineq.batched_master_margins(s.lam[None], s.h[None])
-        assert margins[0] == pytest.approx(ineq.master_margin(s), rel=1e-14, abs=1e-14)
-        assert v[0] == pytest.approx(s.v, rel=1e-14)
-        gb = ineq.group_terms(s)
-        assert gb.master_margin == ineq.master_margin(s)
-        assert gb.direct_total == ineq.direct_total(s)
+    for n, m in SHAPES:
+        p = min(n, m)
+        lam = (np.abs(rng.normal(size=(12, p))) * 0.5).astype(dtype)
+        h = rng.normal(size=(12, m, n, n))
+        h = (0.5 * (h + np.swapaxes(h, -1, -2))).astype(dtype)
+        stacked = ineq._master_kernel(lam, h)
+        # a layout other than C order must not change a row's bits either
+        flipped = ineq._master_kernel(lam, np.asfortranarray(h))
+        for k in range(len(lam)):
+            alone = ineq._master_kernel(lam[k:k + 1], h[k:k + 1])
+            for a, b, c in zip(stacked, flipped, alone):
+                assert a.dtype == c.dtype == dtype and c.shape == (1,)
+                # equality, not bytes: a longdouble's padding bytes are not its value
+                assert a[k] == b[k] == c[0]
+    s = _random_sample(rng)
+    gb = ineq.group_terms(s)
+    total, _, _ = ineq._master_kernel(*s.stack)
+    assert gb.direct_total == total[0]
+    assert gb.master_margin == ineq.master_margin(s)
 
 
 def test_master_kernel_keeps_dtype_and_longdouble_agrees():
@@ -576,6 +618,14 @@ def test_min_over_h_below_the_group_II_block_where_another_is_lower():
 def test_min_over_h_vanishes_at_zero_angles(n, m):
     kappa, _ = ineq.min_margin_over_h(n, m, np.zeros((1, min(n, m))))
     assert abs(kappa[0]) <= 1e-14
+
+
+@pytest.mark.parametrize("lam", [[[0.5, 0.4, 0.3]], [[0.5, -0.1]], [[0.5, math.nan]],
+                                 [[0.5, math.inf]], [0.5, 0.4]])
+def test_min_over_h_checks_its_angle_values(lam):
+    # a NaN once reached the eigen-solver, whose LinAlgError is a ValueError too
+    with pytest.raises(ValueError, match="angle values"):
+        ineq.min_margin_over_h(3, 2, np.array(lam))
 
 
 def test_min_over_h_vanishes_on_equal_angles_at_3_2():

@@ -132,7 +132,6 @@ DEFAULTS = {
         "chunks": 8,
         "fd_step": 1e-4,
         "tol_hessian": 1e-5,
-        "flip_hess_height_sign": False,
         "residual_csv": "target_residuals.csv",
     },
     "verify-shrinkers": {
@@ -200,7 +199,6 @@ def _catalog_name(name):
 
 # the range of each value type in load_config, and the keys whose range differs
 _TYPE_RANGES = {
-    bool: (lambda x: True, "true or false"),
     int: (lambda x: x >= 1, "a positive integer"),
     float: (lambda x: x > 0.0, "a positive finite number"),
     str: (lambda x: True, "a string"),
@@ -337,7 +335,7 @@ TARGET_FAMILIES = (
 )
 
 
-def _height_probe(rng, step, sign):
+def _height_probe(rng, step):
     x = _unit(rng)
     while True:
         a = _unit(rng)
@@ -347,7 +345,7 @@ def _height_probe(rng, step, sign):
     y = sphere.great_circle(x, u, step * _STENCIL)
     y /= np.sqrt(sphere._dot(y, y))[:, None]
     d2 = _second_difference(*sphere.height_value(y, a), step)
-    return _relative_defect(d2, sign * sphere.height_hessian(x, a, u, u))
+    return _relative_defect(d2, sphere.height_hessian(x, a, u, u))
 
 
 def _longitude_probe(rng, step):
@@ -427,11 +425,11 @@ def _reduction_probe(rng, step):
 
 
 def _target_chunk(args):
-    seed_seq, count, step, sign = args
+    seed_seq, count, step = args
     rng = np.random.default_rng(seed_seq)
     rows = []
     for _ in range(count):
-        rows.append(("sphere_height_hess", _height_probe(rng, step, sign)))
+        rows.append(("sphere_height_hess", _height_probe(rng, step)))
         rr, rt = _longitude_probe(rng, step)
         rows.append(("sphere_r_hess", rr))
         rows.append(("sphere_theta_hess", rt))
@@ -447,9 +445,8 @@ def cmd_verify_targets(cfg, outdir, jobs=1) -> RunReport:
     chunks = int(cfg["chunks"])
     counts = _chunk_counts(int(cfg["probes"]), chunks)
     children = np.random.SeedSequence(cfg["seed"]).spawn(chunks)
-    sign = -1.0 if cfg["flip_hess_height_sign"] else 1.0
     chunk_args = [
-        (child, count, cfg["fd_step"], sign)
+        (child, count, cfg["fd_step"])
         for child, count in zip(children, counts)
         if count
     ]

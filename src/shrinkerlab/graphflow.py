@@ -23,7 +23,6 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from . import sphere
-from .grassmann import OrientedFrame
 from .immersion import _D1, _D2, ChartError, ParametricImmersion, _graph_jets
 
 
@@ -141,10 +140,15 @@ def _margin(order):
     return order // 2
 
 
-def interior(field: GridField, order=2):
+def _box(shape, order):
     """Slices selecting the nodes where all order-wide stencils fit."""
     g = _margin(order)
-    return tuple(slice(g, s - g) for s in field.shape)
+    return tuple(slice(g, s - g) for s in shape)
+
+
+def interior(field: GridField, order=2):
+    """Slices selecting the nodes where all order-wide stencils fit."""
+    return _box(field.shape, order)
 
 
 class _Plan(NamedTuple):
@@ -169,7 +173,7 @@ class _Plan(NamedTuple):
 def _plan(shape, L, order):
     g = _margin(order)
     n = len(shape)
-    box = tuple(slice(g, s - g) for s in shape)
+    box = _box(shape, order)
     h = [2.0 * L / (s - 1) for s in shape]
 
     def diff(table, k, rest):
@@ -253,19 +257,6 @@ def _interior_jets(field: GridField, order):
         calls += _diff_calls(dk, *outer, ddu[k, l], tmp)
         calls.append((np.copyto, (ddu[l, k], ddu[k, l])))
     return du, ddu, calls
-
-
-def field_jets(field: GridField, order=2):
-    """du (*shape, n, m) and ddu (*shape, n, n, m); zero off the interior."""
-    box = interior(field, order)
-    du_i, ddu_i, calls = _interior_jets(field, order)
-    _run(calls)
-    n, m = field.n, field.m
-    du = np.zeros(field.shape + (n, m))
-    ddu = np.zeros(field.shape + (n, n, m))
-    du[box] = np.moveaxis(du_i, 0, -2)
-    ddu[box] = np.moveaxis(ddu_i, (0, 1), (-3, -2))
-    return du, ddu
 
 
 def _spd_inverse(g, det, tmp):
@@ -541,27 +532,18 @@ class GaussImageReport:
     closed_hemisphere: Optional[bool]
 
 
-def gauss_image_report(field: GridField, reference: Optional[OrientedFrame] = None,
-                       pole=None, order=2) -> GaussImageReport:
+def gauss_image_report(field: GridField, pole=None, order=2) -> GaussImageReport:
     """Summary of the tangent-plane image over the interior nodes.
 
-    max_v is the largest slope (the v-function against the horizontal
-    plane); min_w is the smallest w-product against the reference (the
-    horizontal plane when none is given).  With a pole and m = 1 the unit
+    max_v is the largest slope and min_w = 1 / max_v the smallest w-product,
+    both against the horizontal plane.  With a pole and m = 1 the unit
     normals are classified through the sphere-region machinery and the
-    hemisphere hypotheses are flagged.
+    hemisphere hypotheses are flagged.  The w-product against another plane
+    is grassmann.w_product on the gauss_map of the point_frame batch of
+    field_immersion at interior_nodes.
     """
     ws = _Workspace(field, order).fill()
-    sl = np.sqrt(ws.det)
-    max_v = float(np.max(sl))
-    if reference is None:
-        min_w = float(np.min(1.0 / sl))
-    else:
-        # w = det(dX ref^T) / sqrt(det g) with dX = [I | du] at each node
-        ref = reference.vectors
-        n = field.n
-        proj = np.einsum("i...a,ja->...ij", ws.du, ref[:, n:]) + ref[:, :n].T
-        min_w = float(np.min(np.linalg.det(proj) / sl))
+    max_v = float(np.max(np.sqrt(ws.det)))
     min_ip = None
     counts = None
     open_h = None
@@ -583,7 +565,8 @@ def gauss_image_report(field: GridField, reference: Optional[OrientedFrame] = No
         closed_h = min_ip >= -sphere.REGION_TOL
     return GaussImageReport(
         max_v=max_v,
-        min_w=min_w,
+        # the reciprocal is monotone in floating point too: min(1 / slope)
+        min_w=1.0 / max_v,
         v_below_3=max_v < 3.0,
         min_pole_ip=min_ip,
         region_counts=counts,
@@ -597,35 +580,37 @@ def gauss_image_report(field: GridField, reference: Optional[OrientedFrame] = No
 
 
 def field_immersion(field: GridField, order=4) -> ParametricImmersion:
-    """Wrap a grid field as an immersion with jets at interior grid nodes.
+    """Wrap a grid field as a batched immersion with jets at interior grid nodes.
 
-    Parameters must land on interior nodes (within 1e-8 of the spacing);
-    jets are the grid stencils of the stated order, so downstream frame and
-    curvature computations agree with the grid operators exactly.
+    Parameters (B, n) must all land on interior nodes (within 1e-8 of the
+    spacing); the chart is the interior box.  Jets are the grid stencils of
+    the stated order, gathered from one run of the geometry pass's jets, so
+    downstream frame and curvature computations agree with the grid
+    operators exactly.
     """
-    du, ddu = field_jets(field, order)
+    du, ddu, calls = _interior_jets(field, order)
+    _run(calls)
+    u = field.values[interior(field, order)]
+    nodes = u.shape[:-1]
+    n, m = field.n, field.m
+    # one row per interior node, in row-major order
+    u = u.reshape(-1, m)
+    du = np.moveaxis(du, 0, -2).reshape(-1, n, m)
+    ddu = np.moveaxis(ddu, (0, 1), (-3, -2)).reshape(-1, n, n, m)
     g = _margin(order)
     h = field.spacing
-    lo = np.array([-field.L + g * h[k] for k in range(field.n)])
-    hi = np.array([field.L - g * h[k] for k in range(field.n)])
-    n, m = field.n, field.m
 
-    def jet(param):
-        idx = []
-        for k in range(n):
-            f = (param[k] + field.L) / h[k]
-            i = int(round(f))
-            if abs(f - i) > 1e-8:
-                raise ChartError("parameter does not land on a grid node")
-            if i < g or i > field.shape[k] - 1 - g:
-                raise ChartError("grid node too close to the boundary")
-            idx.append(i)
-        idx = tuple(idx)
-        return _graph_jets(param, field.values[idx], du[idx], ddu[idx])
+    def jets(params):
+        f = (params + field.L) / h
+        idx = np.rint(f)
+        if np.any(np.abs(f - idx) > 1e-8):
+            raise ChartError("parameter does not land on a grid node")
+        row = np.ravel_multi_index(idx.astype(np.intp).T - g, nodes)
+        return _graph_jets(params, u[row], du[row], ddu[row])
 
-    return ParametricImmersion(
-        n, m, np.stack([lo, hi], axis=1), jet, fd_step=h, label="graph:field"
-    )
+    chart = np.stack([-field.L + g * h, field.L - g * h], axis=1)
+    return ParametricImmersion(n, m, chart, jets, fd_step=h, label="graph:field",
+                               vectorized=True)
 
 
 def interior_nodes(field: GridField, order=4):

@@ -840,17 +840,16 @@ def _cylinder_immersion(k, n):
 
 
 def _graph_jets(param, u, du, ddu):
-    """Jets x = (param, u), dX = [I | du] and ddX = [0 | ddu] of a graph at one
-    point, from the heights u (m,) and their jets du (n, m), ddu (n, n, m)."""
-    n, m = np.shape(du)
-    x = np.zeros(n + m)
-    x[:n] = param
-    x[n:] = u
-    dX = np.zeros((n, n + m))
-    dX[:, :n] = np.eye(n)
-    dX[:, n:] = du
-    ddX = np.zeros((n, n, n + m))
-    ddX[:, :, n:] = ddu
+    """Jets x = (param, u), dX = [I | du] and ddX = [0 | ddu] of a graph over
+    leading axes, from parameters (..., n), heights u (..., m) and their jets
+    du (..., n, m), ddu (..., n, n, m)."""
+    *lead, n, m = np.shape(du)
+    x = np.concatenate([param, u], axis=-1)
+    dX = np.zeros((*lead, n, n + m))
+    dX[..., :n] = np.eye(n)
+    dX[..., n:] = du
+    ddX = np.zeros((*lead, n, n, n + m))
+    ddX[..., n:] = ddu
     return x, dX, ddX
 
 

@@ -502,7 +502,8 @@ def _group_values(n, m, lam, h):
     w *= h[:, hb]
     groups = sum(map(len, t.keys)) + 1
     ids = g + groups * np.arange(rows)[:, None]
-    vals = np.bincount(ids.ravel(), w.ravel(), minlength=groups * rows)
+    # bincount counts as int64 when there are no ids, weights or not
+    vals = np.bincount(ids.ravel(), w.ravel(), minlength=groups * rows).astype(float, copy=False)
     return t, vals.reshape(rows, groups)
 
 
@@ -765,7 +766,6 @@ V_SCHEDULE = tuple(3.0 - 10.0**-k for k in range(1, 7))
 @dataclass(frozen=True)
 class SearchReport:
     worst_margin: float
-    restarts: int
     evaluations: int
     violations: list
 
@@ -849,7 +849,6 @@ def adversarial_margin_search(seed=0, restarts=10_000) -> SearchReport:
                 )
     return SearchReport(
         worst_margin=float(worst),
-        restarts=per_shape * len(shapes),
         evaluations=per_shape * len(shapes),
         violations=violations,
     )

@@ -150,7 +150,7 @@ def test_c05_hessians_vs_differences():
     worst = {"height": 0.0, "r": 0.0, "theta": 0.0, "v": 0.0, "logv": 0.0}
     probes = 500
     for _ in range(probes):
-        worst["height"] = max(worst["height"], cli._height_probe(rng, step, 1.0))
+        worst["height"] = max(worst["height"], cli._height_probe(rng, step))
         rr, rt = cli._longitude_probe(rng, step)
         worst["r"] = max(worst["r"], rr)
         worst["theta"] = max(worst["theta"], rt)

@@ -70,7 +70,7 @@ def test_sweep_ceiling_at_or_above_three_rejected(tmp_path):
     ("flow-graph", {"resolution": "abc"}),
     ("verify-targets", {"residual_csv": 5}),
     ("flow-graph", {"trace_csv": None}),
-    ("verify-targets", {"flip_hess_height_sign": "no"}),
+    ("verify-targets", {"probes": True}),
     ("flow-graph", {"order": 4.0}),
     # surface lists: nonempty, of names the catalog builds; these used to
     # PASS over no probes and to raise from the catalog (exit 1)
@@ -168,10 +168,16 @@ def test_verify_targets_small_run_passes(tmp_path):
     assert report["provenance"]["timestamp"] == "2025-08-22T00:00:00Z"
 
 
-def test_corrupted_height_formula_fails(tmp_path):
-    cfg = _write_cfg(
-        tmp_path, {"probes": 8, "chunks": 2, "flip_hess_height_sign": True}
-    )
+@pytest.fixture
+def flipped_height_hessian(monkeypatch):
+    # a sign error in the closed-form height Hessian, the fault the height
+    # probes must catch
+    hessian = sphere.height_hessian
+    monkeypatch.setattr(sphere, "height_hessian", lambda *args: -hessian(*args))
+
+
+def test_corrupted_height_formula_fails(tmp_path, flipped_height_hessian):
+    cfg = _write_cfg(tmp_path, {"probes": 8, "chunks": 2})
     out = tmp_path / "out"
     code = cli.main(["verify-targets", "--config", cfg, "--out", str(out)])
     assert code == 1
@@ -181,10 +187,8 @@ def test_corrupted_height_formula_fails(tmp_path):
     assert bad["margin"] < -bad["tolerance"]
 
 
-def test_tolerance_scale_loosens_the_corrupted_run(tmp_path):
-    cfg = _write_cfg(
-        tmp_path, {"probes": 8, "chunks": 2, "flip_hess_height_sign": True}
-    )
+def test_tolerance_scale_loosens_the_corrupted_run(tmp_path, flipped_height_hessian):
+    cfg = _write_cfg(tmp_path, {"probes": 8, "chunks": 2})
     out = tmp_path / "out"
     code = cli.main(
         [
@@ -389,11 +393,9 @@ def test_report_bundle_round_trip_is_byte_identical(tmp_path):
     assert cli.dump_json(json.loads(raw)) == raw
 
 
-def test_report_flags_merged_failures(tmp_path):
+def test_report_flags_merged_failures(tmp_path, flipped_height_hessian):
     out = tmp_path / "out"
-    cfg = _write_cfg(
-        tmp_path, {"probes": 6, "chunks": 2, "flip_hess_height_sign": True}
-    )
+    cfg = _write_cfg(tmp_path, {"probes": 6, "chunks": 2})
     assert cli.main(["verify-targets", "--config", cfg, "--out", str(out)]) == 1
     assert cli.main(["report", "--out", str(out)]) == 1
 
@@ -493,7 +495,7 @@ def test_target_probes_near_zero_angle_keep_orthonormal_normals():
     # chunk 1 of seed 0, probe 70: n = m = 3 with principal cosines
     # [1, 0.994, 0.975]; the partner normals used to miss orthonormality
     # by 1.1e-10 and the geodesic check raised
-    rows = cli._target_chunk((np.random.SeedSequence(0).spawn(8)[1], 71, 1e-4, 1.0))
+    rows = cli._target_chunk((np.random.SeedSequence(0).spawn(8)[1], 71, 1e-4))
     assert len(rows) == 71 * 7
     assert max(residual for _, residual in rows) <= 1e-5
 
@@ -527,7 +529,7 @@ def test_target_probe_makes_three_geodesic_and_three_great_circle_calls(monkeypa
 
     monkeypatch.setattr(grassmann, "geodesic_from_velocity", counting("geodesic", geodesic))
     monkeypatch.setattr(sphere, "great_circle", counting("great_circle", great_circle))
-    rows = cli._target_chunk((np.random.SeedSequence(2), 5, 1e-4, 1.0))
+    rows = cli._target_chunk((np.random.SeedSequence(2), 5, 1e-4))
     assert len(rows) == 5 * len(cli.TARGET_FAMILIES)
     assert calls == {"geodesic": 3 * 5, "great_circle": 3 * 5}
 
@@ -536,7 +538,7 @@ def test_target_probe_makes_three_geodesic_and_three_great_circle_calls(monkeypa
 # reference the batched probes must equal
 
 
-def _ref_height_probe(rng, step, sign):
+def _ref_height_probe(rng, step):
     x = cli._unit(rng)
     while True:
         a = cli._unit(rng)
@@ -549,7 +551,7 @@ def _ref_height_probe(rng, step, sign):
         return sphere.height_value(y / np.linalg.norm(y), a)
 
     d2 = cli._second_difference(f(step), f(0.0), f(-step), step)
-    return cli._relative_defect(d2, sign * sphere.height_hessian(x, a, w, w))
+    return cli._relative_defect(d2, sphere.height_hessian(x, a, w, w))
 
 
 def _ref_longitude_probe(rng, step):
@@ -628,8 +630,7 @@ def _ref_reduction_probe(rng, step):
 @pytest.mark.parametrize("seed", range(10))
 def test_target_probes_equal_the_per_time_reference(seed):
     probes = [
-        (lambda rng, step: cli._height_probe(rng, step, 1.0),
-         lambda rng, step: _ref_height_probe(rng, step, 1.0)),
+        (cli._height_probe, _ref_height_probe),
         (cli._longitude_probe, _ref_longitude_probe),
         (cli._grassmann_probe, _ref_grassmann_probe),
         (cli._reduction_probe, _ref_reduction_probe),

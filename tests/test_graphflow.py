@@ -129,18 +129,15 @@ def test_residual_matches_per_node_formula_in_three_dimensions(order):
     rng = np.random.default_rng(order)
     f = gf.GridField(L=1.2, values=0.3 * rng.standard_normal((9, 10, 11, 2)))
     box = gf.interior(f, order)
-    du, ddu = gf.field_jets(f, order)
-    du, ddu = du[box], ddu[box]
+    _, dX, ddX = gf.field_immersion(f, order).jets(gf.interior_nodes(f, order))
+    du = dX[..., 3:].reshape(f.values[box].shape[:-1] + (3, 2))
+    ddu = ddX[..., 3:].reshape(du.shape[:-2] + (3, 3, 2))
     ginv = np.linalg.inv(np.einsum("...im,...jm->...ij", du, du) + np.eye(3))
     elliptic = np.einsum("...ij,...ijm->...m", ginv, ddu)
     drift = 0.5 * (np.einsum("...i,...im->...m", f.coords()[box], du) - f.values[box])
     res = gf.system_residual(f, order)
     assert res.shape == (9 - order, 10 - order, 11 - order, 2)
     assert np.max(np.abs(res - (elliptic - drift))) <= 1e-12 * np.max(np.abs(elliptic))
-    # off the interior the jets are zero, not wrapped-around differences
-    outside = np.ones(f.shape, dtype=bool)
-    outside[box] = False
-    assert not np.any(gf.field_jets(f, order)[1][outside])
 
 
 # The stacked kernel that the stencil plan and the per-entry geometry pass
@@ -220,11 +217,7 @@ def _ref_geometry(field, order):
     QW = np.einsum("p...m,ij...m->pij...", du, QH)
     b2 = np.einsum("ij...m,ji...m->...", QH, QH) - np.einsum(
         "pq...,pq...->...", Q, np.einsum("pij...,qji...->pq...", QW, QW))
-    du_full = np.zeros(field.shape + (field.n, field.m))
-    ddu_full = np.zeros(field.shape + (field.n, field.n, field.m))
-    du_full[box] = np.moveaxis(du, 0, -2)
-    ddu_full[box] = np.moveaxis(ddu, (0, 1), (-3, -2))
-    return (elliptic - drift, elliptic, drift), np.sqrt(det), b2, (du_full, ddu_full)
+    return (elliptic - drift, elliptic, drift), np.sqrt(det), b2, (du, ddu)
 
 
 _REF_SHAPES = {1: (15,), 2: (11, 13), 3: (7, 8, 9)}
@@ -254,7 +247,14 @@ def test_geometry_pass_is_bit_identical_to_the_stacked_kernel(n, order, m, bound
     assert np.array_equal(gf.system_residual(f, order), parts[0])
     assert np.array_equal(gf.slope_field(f, order), slope)
     assert np.array_equal(gf.second_form_sq_field(f, order), b2)
-    assert all(np.array_equal(x, y) for x, y in zip(gf.field_jets(f, order), jets))
+    # the node bridge gathers the same jets, node by node in row-major order
+    nodes = gf.interior_nodes(f, order)
+    x, dX, ddX = gf.field_immersion(f, order).jets(nodes)
+    du, ddu = jets
+    u = f.values[gf.interior(f, order)].reshape(-1, m)
+    assert np.array_equal(x, np.concatenate([nodes, u], axis=-1))
+    assert np.array_equal(dX[..., n:], np.moveaxis(du, 0, -2).reshape(-1, n, m))
+    assert np.array_equal(ddX[..., n:], np.moveaxis(ddu, (0, 1), (-3, -2)).reshape(-1, n, n, m))
 
 
 # ---------------------------------------------------------------------------
@@ -272,8 +272,8 @@ def test_slope_matches_hypersurface_formula():
         resolution=(41, 41), m=1,
     )
     sl = gf.slope_field(f, order=4)
-    du, _ = gf.field_jets(f, order=4)
-    du1 = du[gf.interior(f, order=4)][..., 0]
+    _, dX, _ = gf.field_immersion(f, order=4).jets(gf.interior_nodes(f, order=4))
+    du1 = dX[..., 2].reshape(sl.shape + (2,))
     assert np.min(sl) >= 1.0
     assert np.max(np.abs(sl - np.sqrt(1.0 + np.sum(du1 * du1, axis=-1)))) <= 1e-12
 
@@ -331,7 +331,6 @@ def test_drift_laplacian_reduces_on_profile_field():
     # collapses to g^ij f_ij - x_j f_j / 2
     f = _profile_field(121)
     imm = gf.field_immersion(f, order=4)
-    du, _ = gf.field_jets(f, order=4)
     ax = np.linspace(-f.L, f.L, 121)
     for i in (10, 30, 60, 85, 110):
         x = ax[i]
@@ -339,7 +338,8 @@ def test_drift_laplacian_reduces_on_profile_field():
             np.sin(q[0]), np.array([np.cos(q[0])]), np.array([[-np.sin(q[0])]])
         )
         lhs = im.drift_laplacian(imm, np.array([x]), jets)
-        reduced = -np.sin(x) / (1.0 + du[i, 0, 0] ** 2) - 0.5 * x * np.cos(x)
+        du = imm.jet(np.array([x]))[1][0, 1]
+        reduced = -np.sin(x) / (1.0 + du ** 2) - 0.5 * x * np.cos(x)
         assert abs(lhs - reduced) <= 1e-8
 
 
@@ -595,22 +595,16 @@ def test_report_slope_hypothesis_flag():
     assert rep.min_w == pytest.approx(1.0 / 2.9, rel=1e-12)
 
 
-def test_report_reference_route_matches_reciprocal_slope():
+def test_w_product_against_the_horizontal_plane_is_reciprocal_slope():
+    # one batched frame call over every interior node
     f = _graph_m2_field()
+    sl = gf.slope_field(f, order=4).ravel()
     P0 = gr.OrientedFrame(np.hstack([np.eye(2), np.zeros((2, 2))]))
+    pf = im.point_frame(gf.field_immersion(f, order=4), gf.interior_nodes(f, order=4))
+    w = gr.w_product(im.gauss_map(pf), P0)
+    assert np.max(np.abs(np.abs(w) * sl - 1.0)) <= 1e-12
     assert gf.gauss_image_report(f, order=4).min_w == pytest.approx(
-        gf.gauss_image_report(f, reference=P0, order=4).min_w, abs=1e-13
-    )
-    # a tilted reference against the frame layer's w-product, node by node
-    tilt = gr.OrientedFrame(np.linalg.qr(
-        np.random.default_rng(7).standard_normal((4, 2)))[0].T)
-    imm = gf.field_immersion(f, order=4)
-    frame_w = min(
-        gr.w_product(gr.OrientedFrame(im.point_frame(imm, x).tangent), tilt)
-        for x in gf.interior_nodes(f, order=4)
-    )
-    assert gf.gauss_image_report(f, reference=tilt, order=4).min_w == pytest.approx(
-        frame_w, abs=1e-12
+        np.min(np.abs(w)), abs=1e-12
     )
 
 
@@ -626,6 +620,25 @@ def test_field_immersion_rejects_off_node_parameters():
         imm.jet(np.array([0.37 * h, 0.0]))
     with pytest.raises(ChartError, match="chart"):
         imm.jet(np.array([-f.L + h, -f.L + h]))
+
+
+def test_field_immersion_rejects_a_batch_with_one_off_node_parameter():
+    f = _graph_m2_field(resolution=21)
+    imm = gf.field_immersion(f, order=4)
+    nodes = gf.interior_nodes(f, order=4)
+    imm.jets(nodes)
+    nodes[7, 1] += 0.37 * f.spacing[1]
+    with pytest.raises(ChartError, match="grid node"):
+        imm.jets(nodes)
+
+
+def test_field_immersion_jet_is_its_row_of_the_batch():
+    f = _graph_m2_field(resolution=21)
+    imm = gf.field_immersion(f, order=4)
+    nodes = gf.interior_nodes(f, order=4)
+    batch = imm.jets(nodes)
+    for i, node in enumerate(nodes):
+        assert all(np.array_equal(a, b[i]) for a, b in zip(imm.jet(node), batch))
 
 
 def test_field_immersion_jets_exact_on_cubics():

@@ -3,9 +3,13 @@
 `perfbench.layers.HOOKS` tags the spans of a few shrinkerlab functions and
 reads work counts from their results.  Each hooked function is called here
 once, at a small size, under an installed tracer: a hook that no longer fits
-its function raises, or leaves its tag or count unset.
+its function raises, or leaves its tag or count unset.  The I/O functions
+whose self time `graphflow.io.self_s` sums must all be reached by a small
+`flow-graph` run, so that a renamed or removed one fails here instead of
+leaving that metric silently short.
 """
 
+import json
 import os
 import sys
 
@@ -17,7 +21,7 @@ if ROOT not in sys.path:
 
 from perfbench import layers  # noqa: E402
 from perfbench.tracing import Tracer  # noqa: E402
-from shrinkerlab import graphflow, immersion, ineq  # noqa: E402
+from shrinkerlab import cli, graphflow, immersion, ineq  # noqa: E402
 
 
 @pytest.fixture
@@ -52,3 +56,11 @@ def test_every_hook_fits_its_function(tracer):
         "mesh_nodes": 32,
     }
     assert 0 < tracer.work["sweep_samples"] <= 64
+
+
+def test_flow_graph_calls_every_graphflow_io_function(tracer, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"m": 1, "resolution": 9, "max_steps": 40, "sample_interval": 10}))
+    cli.main(["flow-graph", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    for name in layers.GRAPHFLOW_IO:
+        assert tracer.calls[name] >= 1, name

@@ -22,7 +22,6 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from . import sphere
 from .immersion import _D1, _D2, ChartError, ParametricImmersion, _graph_jets
 
 
@@ -525,54 +524,31 @@ def relax_flow(u0: GridField, cfg: SolverConfig = SolverConfig()):
 class GaussImageReport:
     max_v: float
     min_w: float
-    v_below_3: bool
     min_pole_ip: Optional[float]
-    region_counts: Optional[dict]
-    open_hemisphere: Optional[bool]
-    closed_hemisphere: Optional[bool]
 
 
 def gauss_image_report(field: GridField, pole=None, order=2) -> GaussImageReport:
     """Summary of the tangent-plane image over the interior nodes.
 
     max_v is the largest slope and min_w = 1 / max_v the smallest w-product,
-    both against the horizontal plane.  With a pole and m = 1 the unit
-    normals are classified through the sphere-region machinery and the
-    hemisphere hypotheses are flagged.  The w-product against another plane
-    is grassmann.w_product on the gauss_map of the point_frame batch of
-    field_immersion at interior_nodes.
+    both against the horizontal plane.  With a pole and m = 1, min_pole_ip
+    is the smallest inner product of the upward unit normals with the pole,
+    positive when the image lies in the open hemisphere about it.  The w-product
+    against another plane is grassmann.w_product on the gauss_map of the
+    point_frame batch of field_immersion at interior_nodes.
     """
     ws = _Workspace(field, order).fill()
     max_v = float(np.max(np.sqrt(ws.det)))
     min_ip = None
-    counts = None
-    open_h = None
-    closed_h = None
     if field.m == 1 and pole is not None:
-        pole = np.asarray(pole, dtype=float)
         flat_du = ws.du.reshape(field.n, -1).T
         denom = np.sqrt(1.0 + np.sum(flat_du * flat_du, axis=1))
         normals = np.concatenate(
             [-flat_du, np.ones((flat_du.shape[0], 1))], axis=1
         ) / denom[:, None]
-        ips = normals @ pole
-        min_ip = float(np.min(ips))
-        counts = {}
-        for row in normals:
-            region = sphere.region_membership(row, pole)
-            counts[region] = counts.get(region, 0) + 1
-        open_h = min_ip > sphere.REGION_TOL
-        closed_h = min_ip >= -sphere.REGION_TOL
-    return GaussImageReport(
-        max_v=max_v,
-        # the reciprocal is monotone in floating point too: min(1 / slope)
-        min_w=1.0 / max_v,
-        v_below_3=max_v < 3.0,
-        min_pole_ip=min_ip,
-        region_counts=counts,
-        open_hemisphere=open_h,
-        closed_hemisphere=closed_h,
-    )
+        min_ip = float(np.min(normals @ np.asarray(pole, dtype=float)))
+    # the reciprocal is monotone in floating point too: min(1 / slope)
+    return GaussImageReport(max_v=max_v, min_w=1.0 / max_v, min_pole_ip=min_ip)
 
 
 # ---------------------------------------------------------------------------

@@ -134,14 +134,15 @@ class JordanSpectrum:
 
 @dataclass(frozen=True, eq=False)
 class TangentCoeffs:
-    """Coefficients omega[j, alpha] of a plane motion: row j toward normal alpha."""
+    """Coefficients omega[..., j, alpha] of plane motions: row j toward
+    normal alpha, one (n, m) matrix or a stack of them over leading axes."""
 
     omega: np.ndarray
     frame: OrientedFrame
 
     def __post_init__(self):
         om = np.array(self.omega, dtype=float, copy=True)
-        if om.shape != (self.frame.n, self.frame.m):
+        if om.shape[-2:] != (self.frame.n, self.frame.m):
             raise ValueError("coefficient shape does not match the frame")
         if not np.all(np.isfinite(om)):
             raise ValueError("coefficients must be finite")
@@ -278,33 +279,50 @@ def _form_coeffs(spec: JordanSpectrum, Z: TangentCoeffs) -> np.ndarray:
     return Z.omega
 
 
-def hess_v_form(spec: JordanSpectrum, Z: TangentCoeffs) -> float:
-    """Second derivative of v along the geodesic with velocity Z (closed form)."""
+def _logv_terms(lam, om):
+    """The terms of the log v forms, elementwise over leading axes.
+
+    lam (..., p) and adapted-frame coefficients om (..., n, m) give
+    pair[..., j, k] = lam_j lam_k om_jk om_kj, multiplied in that order, and
+    lin[..., j] = lam_j om_jj, for j, k < p.  ineq's master kernel reads the
+    same terms with om[b, i] the plane-map image of frame row i.
+    """
+    p = lam.shape[-1]
+    a = om[..., :p, :p]
+    pair = lam[..., :, None] * lam[..., None, :] * a
+    pair *= np.swapaxes(a, -1, -2)
+    return pair, lam * np.diagonal(a, axis1=-2, axis2=-1)
+
+
+def _matrix_sums(x):
+    """Sum of each (k, l) matrix of x (..., k, l) along its own C-order row,
+    so a matrix of a stack has the bits of that matrix alone."""
+    return np.sum(np.reshape(x, x.shape[:-2] + (-1,)), axis=-1)
+
+
+def _value(x):
+    # one value per coefficient matrix: a float for a single matrix
+    return float(x) if x.ndim == 0 else x
+
+
+def dlogv_form(spec: JordanSpectrum, Z: TangentCoeffs):
+    """First derivative of log v along the geodesic with velocity Z:
+    sum lam_j omega_jj, one value per coefficient matrix."""
     om = _form_coeffs(spec, Z)
-    v = v_value(spec)
-    lam = spec.lam
-    p = spec.p
-    d = np.diagonal(om)[:p].copy()
-    a = om[:p, :p]
-    off = float(np.sum(om * om)) - float(d @ d)
-    diag = float(np.sum((1.0 + 2.0 * lam**2) * d * d))
-    ld = lam * d
-    cross = float(np.sum(ld)) ** 2 - float(ld @ ld)
-    cross += float(lam @ (a * a.T) @ lam) - float(np.sum(ld * ld))
-    return v * (off + diag + cross)
+    return _value(np.sum(_logv_terms(spec.lam, om)[1], axis=-1))
 
 
-def dlogv_form(spec: JordanSpectrum, Z: TangentCoeffs) -> float:
-    """First derivative of log v along the geodesic with velocity Z: sum lam_j omega_jj."""
+def hess_logv_form(spec: JordanSpectrum, Z: TangentCoeffs):
+    """Second derivative of log v: |Z|^2 + sum_{j,k} lam_j lam_k omega_jk
+    omega_kj, one value per coefficient matrix."""
     om = _form_coeffs(spec, Z)
-    return float(spec.lam @ np.diagonal(om)[: spec.p])
+    return _value(_matrix_sums(om * om) + _matrix_sums(_logv_terms(spec.lam, om)[0]))
 
 
-def hess_logv_form(spec: JordanSpectrum, Z: TangentCoeffs) -> float:
-    """Second derivative of log v: |Z|^2 + sum_{j,k} lam_j lam_k omega_jk omega_kj."""
-    om = _form_coeffs(spec, Z)
-    a = om[: spec.p, : spec.p]
-    return float(np.sum(om * om)) + float(spec.lam @ (a * a.T) @ spec.lam)
+def hess_v_form(spec: JordanSpectrum, Z: TangentCoeffs):
+    """Second derivative of v along the geodesic with velocity Z:
+    v (Hess log v + (d log v)^2), one value per coefficient matrix."""
+    return v_value(spec) * (hess_logv_form(spec, Z) + dlogv_form(spec, Z) ** 2)
 
 
 def _check_normals(P: OrientedFrame, N: np.ndarray) -> None:
@@ -355,8 +373,9 @@ def express_in_adapted_frame(
     """Rewrite motion coefficients of one plane from a caller frame into the adapted frame.
 
     tangent_rows (n, amb) must span the same plane as the spectrum's base
-    and normal_rows its orthogonal complement; omega[i, alpha] refers to
-    those rows.  Returns coefficients usable with the derivative forms.
+    and normal_rows its orthogonal complement; omega[..., i, alpha] refers
+    to those rows, over any leading axes.  Returns coefficients usable with
+    the derivative forms.
     """
     E = _matrix(tangent_rows)
     Nr = _matrix(normal_rows)

@@ -250,17 +250,16 @@ def gauss_map(pf: PointFrame) -> OrientedFrame:
     return OrientedFrame(pf.tangent)
 
 
-def gauss_pushforward(imm: ParametricImmersion, param):
-    """Coefficient matrices of the plane-map differential along each frame row.
+def gauss_pushforward(imm: ParametricImmersion, param) -> TangentCoeffs:
+    """Coefficient matrices of the plane-map differential along each frame
+    row at one point, stacked over (n, n, m).
 
-    Entry [i][j, alpha] is the speed at which tangent row j turns toward
+    omega[i, j, alpha] is the speed at which tangent row j turns toward
     normal alpha when moving along frame direction i; numerically it equals
     h[alpha, i, j].
     """
     pf = point_frame(imm, param)
-    frame = gauss_map(pf)
-    # omega[j, alpha] along frame row i
-    return [TangentCoeffs(omega=pf.h[:, i, :].T, frame=frame) for i in range(pf.n)]
+    return TangentCoeffs(omega=np.moveaxis(pf.h, -3, -1), frame=gauss_map(pf))
 
 
 def _tension(f, first):
@@ -482,12 +481,12 @@ class _OverlapTarget:
             i: grassmann.jordan_spectrum(OrientedFrame(pf.tangent[i]), self.reference)
             for i in np.ndindex(out.shape)})
         for i, spec in specs.items():
-            # coefficients [j, alpha] of the plane-map images of the frame
-            # rows, then of the tension, rewritten in the adapted frame
-            *images, tension = (
-                grassmann.express_in_adapted_frame(spec, om, pf.tangent[i], pf.normal[i])
-                for om in [*pf.h[i].transpose(1, 2, 0), T[i].T])
-            out[i] = sum(self._hess(spec, Z) for Z in images) + self._d(spec, tension)
+            # coefficients [j, alpha] of the plane-map images of the n frame
+            # rows and of the tension, rewritten in the adapted frame at once
+            om = np.concatenate([np.moveaxis(pf.h[i], 0, -1), T[i].T[None]])
+            om = grassmann.express_in_adapted_frame(spec, om, pf.tangent[i], pf.normal[i]).omega
+            images, tension = (TangentCoeffs(z, spec.tangent_frame) for z in (om[:-1], om[-1]))
+            out[i] = np.sum(self._hess(spec, images)) + self._d(spec, tension)
         return out
 
 

@@ -47,6 +47,8 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
+from . import grassmann
+
 C1 = 16.0
 DELTA0 = 1.0 / 16.0
 MARGIN_TOL = 1e-12
@@ -378,24 +380,24 @@ def _master_kernel(lam, h):
 
     lam has shape (B, p) and h (B, m, n, n).
     total = |B|^2 + sum_{i,j,k} lam_j lam_k h_{k,ij} h_{j,ik}
-    + C1 sum_i (sum_j lam_j h_{j,ij})^2, where the j = k part of the middle
-    sum is the diagonal square term sum lam_j^2 h_{j,ij}^2 and the rest the
-    cross terms.  Each row is built from elementwise products and summed
-    along its own last axis, so its bits do not depend on the other rows.
-    The middle sum is accumulated in sequence over (i, j, k) in C order: a
-    pairwise sum would move the last digits of verify-prop41's regroup_max.
+    + C1 sum_i (sum_j lam_j h_{j,ij})^2
+    = sum_i [Hess log v(Z_i) + C1 (d log v(Z_i))^2], Z_i[j, a] = h_{a,ij} the
+    plane-map image of frame row i in adapted frames: the terms come from
+    grassmann's log v forms (`grassmann._logv_terms`).  Each row is built
+    from elementwise products and summed along its own last axis, so its
+    bits do not depend on the other rows.  The middle sum is accumulated in
+    sequence over (i, j, k) in C order: a pairwise sum would move the last
+    digits of verify-prop41's regroup_max.
     """
     B, p = lam.shape
     n = h.shape[-1]
     h = np.ascontiguousarray(h)  # |B|^2 sums each row in C order, whatever the layout
-    a = np.moveaxis(h[:, :p, :, :p], 1, -1)  # a[b, i, j, k] = h_{k,ij}
     b2 = np.sum(h * h, axis=(-3, -2, -1))
-    pair = lam[:, None, :, None] * lam[:, None, None, :] * a
-    pair *= np.swapaxes(a, -1, -2)  # lam_j lam_k h_{k,ij} h_{j,ik}, in that order
+    # om[b, i, j, a] = h_{a,ij}; the helper reads a[b, i, j, k] = h_{k,ij}, k < p
+    pair, lin = grassmann._logv_terms(lam[:, None, :], np.moveaxis(h, 1, -1))
     pair = pair.reshape(B, n * p * p)
     coupled = np.cumsum(pair, axis=-1, out=pair)[:, -1]
-    d = np.diagonal(a, axis1=-2, axis2=-1)  # d[b, i, j] = h_{j,ij}
-    sums = np.sum(d * lam[:, None, :], axis=-1)
+    sums = np.sum(lin, axis=-1)
     total = b2 + coupled + C1 * np.sum(sums * sums, axis=-1)
     return total, b2, _slope(lam)
 
@@ -852,28 +854,6 @@ def adversarial_margin_search(seed=0, restarts=10_000) -> SearchReport:
         evaluations=per_shape * len(shapes),
         violations=violations,
     )
-
-
-# ---------------------------------------------------------------------------
-# the v^{C1} transform
-
-
-def h_transform_identity(logv_val, L_logv, grad_logv_sq, b2=None, v=None):
-    """Chain-rule values for h = exp(C1 log v).
-
-    Returns (Lh, bound) with Lh = C1 h (L log v + C1 |grad log v|^2); bound
-    is C1 h (3 - v) |B|^2 / 2 when b2 and v are supplied, else None.  The
-    first-derivative route C1 h L + C1^2 h G must agree to rounding.
-    """
-    hval = math.exp(C1 * logv_val)
-    lh = C1 * hval * (L_logv + C1 * grad_logv_sq)
-    via_chain = C1 * hval * L_logv + (C1 * C1 * hval) * grad_logv_sq
-    if abs(lh - via_chain) > 1e-12 * max(1.0, abs(lh)):
-        raise ArithmeticError("chain-rule routes disagree beyond rounding")
-    bound = None
-    if b2 is not None and v is not None:
-        bound = 0.5 * C1 * hval * (3.0 - v) * b2
-    return lh, bound
 
 
 def sweep_certificate_json(report: SweepReport, seed=None) -> str:

@@ -365,6 +365,22 @@ def test_hess_v_at_zero_angles_is_squared_norm():
         assert dlogv_form(spec, Z) == pytest.approx(0.0, abs=1e-6)
 
 
+@pytest.mark.parametrize("n, m", [(1, 1), (2, 3), (3, 2), (4, 4), (5, 2)])
+def test_forms_of_a_stack_are_its_matrices_alone(n, m):
+    rng = np.random.default_rng(14)
+    base = _random_frame(rng, n, n + m)
+    spec = jordan_spectrum(_frame_in_chart(rng, base), base)
+    om = rng.standard_normal((3, 4, n, m))
+    for layout in (om, np.asfortranarray(om), om[:, ::-1]):
+        Z = TangentCoeffs(layout, spec.tangent_frame)
+        for form in (dlogv_form, hess_logv_form, hess_v_form):
+            stacked = form(spec, Z)
+            assert stacked.shape == layout.shape[:-2]
+            for idx in np.ndindex(stacked.shape):
+                alone = form(spec, TangentCoeffs(layout[idx], spec.tangent_frame))
+                assert type(alone) is float and stacked[idx] == alone
+
+
 def test_hess_v_single_pair_coefficient():
     base = OrientedFrame(np.eye(3)[:1])
     a = 0.6

@@ -309,8 +309,8 @@ def _second_difference(fp, f0, fm, step):
 
 
 def _relative_defect(approx, closed):
-    """|approx - closed| / max(1, |closed|)."""
-    return abs(approx - closed) / max(1.0, abs(closed))
+    """|approx - closed| / max(1, |closed|), elementwise."""
+    return np.abs(approx - closed) / np.maximum(1.0, np.abs(closed))
 
 
 def _unit(rng, dim=3):
@@ -335,62 +335,85 @@ TARGET_FAMILIES = (
 )
 
 
-def _height_probe(rng, step):
+def _draw_probe(rng):
+    """The random draws of one probe of every family, in their fixed order.
+
+    Height: point, pole and tangent coordinates; longitude: point and
+    tangent coordinates; Grassmannian: shape (n, m), the Gaussian matrix of
+    the base plane, the chart velocity and its scale, and the probe
+    velocity; reduction: the tilt and the velocity.
+    """
     x = _unit(rng)
     while True:
         a = _unit(rng)
         if abs(float(x @ a)) >= 0.3:
             break
-    u = _unit(rng, 2) @ sphere.tangent_frame(x)
-    y = sphere.great_circle(x, u, step * _STENCIL)
-    y /= np.sqrt(sphere._dot(y, y))[:, None]
-    d2 = _second_difference(*sphere.height_value(y, a), step)
+    height = (x, a, _unit(rng, 2))
+    while True:
+        y = _unit(rng)
+        r = math.hypot(float(y[0]), float(y[1]))
+        # margin from the polar set and the deleted half-equator, and keep
+        # theta away from +-pi so differences never cross the cut
+        if r >= 0.35 and float(y[0]) > -0.8 * r:
+            break
+    longitude = (y, _unit(rng, 2))
+    n, m = int(rng.integers(1, 4)), int(rng.integers(1, 4))
+    grass = ((n, m), rng.standard_normal((n + m, n)), rng.standard_normal((n, m)),
+             rng.uniform(0.1, 1.0), rng.standard_normal((n, m)))
+    reduction = (rng.uniform(0.1, 1.0), rng.standard_normal((2, 1)))
+    return height, longitude, grass, reduction
+
+
+def _unit_rows(y):
+    return y / np.sqrt(sphere._dot(y, y))[..., None]
+
+
+def _circle_stencil(x, w, step):
+    """Tangent vectors u at points x (N, 3) from frame coordinates w (N, 2),
+    and the unit points (N, 3, 3) at times +step, 0, -step on their great
+    circles."""
+    u = (w[:, None] @ sphere.tangent_frame(x))[:, 0]
+    return u, _unit_rows(sphere.great_circle(x[:, None], u[:, None], step * _STENCIL))
+
+
+def _height_residuals(x, a, w, step):
+    u, y = _circle_stencil(x, w, step)
+    d2 = _second_difference(*sphere.height_value(y, a[:, None]).T, step)
     return _relative_defect(d2, sphere.height_hessian(x, a, u, u))
 
 
-def _longitude_probe(rng, step):
-    while True:
-        x = _unit(rng)
-        r = math.hypot(float(x[0]), float(x[1]))
-        # margin from the polar set and the deleted half-equator, and keep
-        # theta away from +-pi so differences never cross the cut
-        if r >= 0.35 and float(x[0]) > -0.8 * r:
-            break
-    u = _unit(rng, 2) @ sphere.tangent_frame(x)
-    y = sphere.great_circle(x, u, step * _STENCIL)
-    y /= np.sqrt(sphere._dot(y, y))[:, None]
-    r, theta = zip(*map(sphere.longitude_coords, y))
+def _longitude_residuals(x, w, step):
+    u, y = _circle_stencil(x, w, step)
+    # one point at a time: longitude_coords keeps math.hypot and math.atan2
+    coords = np.reshape([sphere.longitude_coords(p) for p in y.reshape(-1, 3)],
+                        y.shape[:-1] + (2,))
     hr, ht = sphere.longitude_hessians(x, u, u)
-    return (_relative_defect(_second_difference(*r, step), hr),
-            _relative_defect(_second_difference(*theta, step), ht))
+    return (_relative_defect(_second_difference(*coords[..., 0].T, step), hr),
+            _relative_defect(_second_difference(*coords[..., 1].T, step), ht))
 
 
-def _random_frame(rng, n, amb):
-    q, _ = np.linalg.qr(rng.standard_normal((amb, n)))
-    return OrientedFrame(q.T)
-
-
-def _frame_in_chart(rng, base):
-    om = rng.standard_normal((base.n, base.m))
-    top = max(float(np.linalg.svd(om)[1][0]), 1e-12)
-    om *= 1.1 * rng.uniform(0.1, 1.0) / top
+def _frame_in_chart(base, om, scale):
+    """Planes at distance up to 1.1 from base planes, along the velocities om
+    scaled by scale over their top singular values."""
+    top = np.maximum(np.linalg.svd(om)[1][:, 0], 1e-12)
+    om = om * (1.1 * scale / top)[:, None, None]
     return grassmann.geodesic_from_velocity(base, grassmann.complement(base.vectors), om, 1.0)
 
 
-def _grassmann_probe(rng, step):
-    n, m = int(rng.integers(1, 4)), int(rng.integers(1, 4))
-    base = _random_frame(rng, n, n + m)
-    P = _frame_in_chart(rng, base)
-    spec = grassmann.jordan_spectrum(P, base)
-    om = rng.standard_normal((n, m))
-    om /= np.linalg.norm(om)
+def _grassmann_residuals(gauss, chart_om, scale, om, step):
+    """The v, log v and d log v residuals of probes of one shape (n, m)."""
+    base = OrientedFrame(np.linalg.qr(gauss)[0].swapaxes(-1, -2))
+    spec = grassmann.jordan_spectrum(_frame_in_chart(base, chart_om, scale), base)
+    flat = om.reshape(len(om), -1)
+    om = om / np.sqrt(sphere._dot(flat, flat))[:, None, None]
     Z = TangentCoeffs(om, spec.tangent_frame)
 
     # v at t = +step, 0, -step from one geodesic and one overlap_values call
     frames = grassmann.geodesic_from_velocity(
         spec.tangent_frame, spec.normal_frame, om, step * _STENCIL)
-    vp, v0, vm = grassmann.v_values(grassmann.overlap_values(frames, base)).tolist()
-    lp, l0, lm = math.log(vp), math.log(v0), math.log(vm)
+    v = grassmann.v_values(grassmann.overlap_values(frames, OrientedFrame(base.vectors[:, None])))
+    # math.log per value, as composition_checks takes it
+    (vp, v0, vm), (lp, l0, lm) = v.T, np.reshape([math.log(x) for x in v.flat], v.shape).T
     return (
         _relative_defect(_second_difference(vp, v0, vm, step), grassmann.hess_v_form(spec, Z)),
         _relative_defect(_second_difference(lp, l0, lm, step),
@@ -399,46 +422,45 @@ def _grassmann_probe(rng, step):
     )
 
 
-def _reduction_probe(rng, step):
-    """Codimension-one degeneration: v equals the secant of the tilt angle."""
+def _reduction_residuals(a, om, step):
+    """Codimension-one degeneration: v equals the secant of the tilt angle a."""
     nu0 = np.array([0.0, 0.0, 1.0])
-    u = np.array([1.0, 0.0, 0.0])
-    a = float(rng.uniform(0.1, 1.0))
-    nu = sphere.great_circle(nu0, u, a)
-    r1 = np.cross(np.array([0.0, 1.0, 0.0]), nu)
-    r1 /= np.linalg.norm(r1)
-    r2 = np.cross(nu, r1)
-    P = OrientedFrame(np.vstack([r1, r2]))
-    base = OrientedFrame(np.eye(3)[:2])
-    spec = grassmann.jordan_spectrum(P, base)
-    sec = 1.0 / math.cos(a)
-    res = abs(grassmann.v_value(spec) - sec) / sec
-    om = rng.standard_normal((2, 1))
+    nu = sphere.great_circle(nu0, np.array([1.0, 0.0, 0.0]), a)
+    r1 = _unit_rows(np.cross(np.array([0.0, 1.0, 0.0]), nu))
+    P = OrientedFrame(np.stack([r1, np.cross(nu, r1)], axis=-2))
+    spec = grassmann.jordan_spectrum(P, OrientedFrame(np.eye(3)[:2]))
+    sec = 1.0 / np.array([math.cos(x) for x in a])
+    res = np.abs(grassmann.v_values(spec.mu) - sec) / sec
     Z = TangentCoeffs(om, spec.tangent_frame)
 
     # the secant along the geodesic from the normal n_t = r1 x r2 of its frames
     rows = grassmann.geodesic_from_velocity(
         spec.tangent_frame, spec.normal_frame, om, step * _STENCIL).vectors
-    n_t = np.cross(rows[:, 0], rows[:, 1])
-    fd = _second_difference(*(1.0 / np.abs(sphere._dot(n_t, nu0))), step)
-    return max(res, _relative_defect(fd, grassmann.hess_v_form(spec, Z)))
+    n_t = np.cross(rows[..., 0, :], rows[..., 1, :])
+    fd = _second_difference(*(1.0 / np.abs(sphere._dot(n_t, nu0))).T, step)
+    fd = _relative_defect(fd, grassmann.hess_v_form(spec, Z))
+    return np.where(fd > res, fd, res)  # max(res, fd), NaN in res kept
 
 
 def _target_chunk(args):
+    """Residual rows (family, value) of one chunk of probes, probe by probe
+    in TARGET_FAMILIES order: every probe drawn first, in one pass over the
+    chunk's random stream, then each family evaluated as one stack (the
+    Grassmannian one per shape (n, m))."""
     seed_seq, count, step = args
     rng = np.random.default_rng(seed_seq)
-    rows = []
-    for _ in range(count):
-        rows.append(("sphere_height_hess", _height_probe(rng, step)))
-        rr, rt = _longitude_probe(rng, step)
-        rows.append(("sphere_r_hess", rr))
-        rows.append(("sphere_theta_hess", rt))
-        rv, rl, rd = _grassmann_probe(rng, step)
-        rows.append(("grassmann_v_hess", rv))
-        rows.append(("grassmann_logv_hess", rl))
-        rows.append(("grassmann_dlogv", rd))
-        rows.append(("m1_reduction", _reduction_probe(rng, step)))
-    return rows
+    height, longitude, grass, reduction = zip(*(_draw_probe(rng) for _ in range(count)))
+    columns = [_height_residuals(*map(np.array, zip(*height)), step),
+               *_longitude_residuals(*map(np.array, zip(*longitude)), step)]
+    shapes = [g[0] for g in grass]
+    grass_cols = np.empty((3, count))
+    for shape in sorted(set(shapes)):
+        group = [i for i, s in enumerate(shapes) if s == shape]
+        stacks = map(np.array, zip(*(grass[i][1:] for i in group)))
+        grass_cols[:, group] = _grassmann_residuals(*stacks, step)
+    columns += [*grass_cols, _reduction_residuals(*map(np.array, zip(*reduction)), step)]
+    values = zip(*(c.tolist() for c in columns))
+    return [row for probe in values for row in zip(TARGET_FAMILIES, probe)]
 
 
 def cmd_verify_targets(cfg, outdir, jobs=1) -> RunReport:

@@ -15,11 +15,14 @@ differences.  Derivative coefficients pair tangent row j with normal
 direction alpha; the forms below are valid only in the adapted frame that
 ``jordan_spectrum`` returns, where the overlap matrix is diagonal.
 
-An ``OrientedFrame`` holds one plane or a stack of them over leading axes.
-Callers that need only v read ``overlap_values``, the angle cosines of a
-stack against one reference from one batched SVD, and ``v_values``, the
-product of their reciprocals; ``jordan_spectrum`` takes one plane and its
-cosines from the same helper, so both routes give the same digits.
+An ``OrientedFrame`` holds one plane or a stack of them over leading axes,
+and one plane is the stack with no leading axes.  Callers that need only v
+read ``overlap_values``, the angle cosines of a stack from one batched SVD,
+and ``v_values``, the product of their reciprocals.  ``jordan_spectrum``
+takes a stack of planes, its cosines from the same helper, and returns the
+angles and adapted frames of every plane; ``geodesic_from_velocity`` moves a
+stack of planes at once.  Every plane of a stack gets the bits it gets
+alone.
 """
 
 from __future__ import annotations
@@ -39,10 +42,11 @@ class ChartDomainError(ValueError):
     """A principal angle reached pi/2: the overlap vanishes and v is infinite."""
 
 
-def _matrix(rows) -> np.ndarray:
+def _rows(rows, lead) -> np.ndarray:
+    """A copy of rows (*lead, k, amb): row vectors over the planes' leading axes."""
     out = np.array(rows, dtype=float, copy=True)
-    if out.ndim != 2:
-        raise ValueError("expected a 2-d array of row vectors")
+    if out.shape[:-2] != lead or out.ndim != len(lead) + 2:
+        raise ValueError("expected row vectors over the leading axes of the planes")
     return out
 
 
@@ -95,22 +99,18 @@ class OrientedFrame:
         return self.vectors.shape[-1]
 
 
-def _one_plane(P: OrientedFrame) -> None:
-    if P.vectors.ndim != 2:
-        raise ValueError("expected one plane, not a stack of planes")
-
-
 @dataclass(frozen=True, eq=False)
 class JordanSpectrum:
-    """Principal-angle data plus the adapted frames the derivative forms use.
+    """Principal-angle data plus the adapted frames the derivative forms use,
+    for one plane or a stack of them over leading axes.
 
-    mu, lam, theta hold the p = min(n, m) angle-carrying values, descending
-    in mu; a right angle is stored as lam = inf.  tangent_frame spans the
-    base plane with row j paired to angle j for j < p (any further rows span
-    the part of the plane shared with the reference plane); normal_frame
-    rows are the matched rotation directions, row j being the direction that
-    opens angle j, completed deterministically where the angle leaves the
-    partner underdetermined.
+    mu, lam, theta (..., p) hold the p = min(n, m) angle-carrying values,
+    descending in mu; a right angle is stored as lam = inf.  tangent_frame
+    spans the base plane with row j paired to angle j for j < p (any further
+    rows span the part of the plane shared with the reference plane);
+    normal_frame (..., m, amb) rows are the matched rotation directions, row
+    j being the direction that opens angle j, completed deterministically
+    where the angle leaves the partner underdetermined.
     """
 
     mu: np.ndarray
@@ -121,13 +121,14 @@ class JordanSpectrum:
     normal_frame: np.ndarray
 
     def __post_init__(self):
+        lead = self.tangent_frame.vectors.shape[:-2]
         for name in ("mu", "lam", "theta"):
             arr = np.asarray(getattr(self, name), dtype=float)
-            if arr.shape != (self.p,):
+            if arr.shape != lead + (self.p,):
                 raise ValueError(f"{name} must have length p")
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
-        nf = _matrix(self.normal_frame)
+        nf = _rows(self.normal_frame, lead)
         nf.flags.writeable = False
         object.__setattr__(self, "normal_frame", nf)
 
@@ -151,16 +152,27 @@ class TangentCoeffs:
 
 
 def _check_pair(P: OrientedFrame, Q: OrientedFrame) -> None:
-    # P: one plane, or a stack of them over leading axes; Q: one plane
-    if P.vectors.shape[-2:] != Q.vectors.shape:
-        raise ValueError("frames have mismatched plane or ambient dimension")
+    # P: one plane, or a stack of them over leading axes; Q: one plane, or a
+    # stack whose leading axes broadcast to P's
+    lead, qlead = P.vectors.shape[:-2], Q.vectors.shape[:-2]
+    try:
+        fits = np.broadcast_shapes(qlead, lead) == lead
+    except ValueError:
+        fits = False
+    if P.vectors.shape[-2:] != Q.vectors.shape[-2:] or not fits:
+        raise ValueError("frames have mismatched plane or ambient dimension or leading axes")
+
+
+def _t(a):
+    # the transposes of a stack of matrices
+    return a.swapaxes(-1, -2)
 
 
 def w_product(P: OrientedFrame, Q: OrientedFrame):
     """Overlap determinant det <e_i, f_j> of oriented planes, in [-1, 1],
     over the leading axes of P."""
     _check_pair(P, Q)
-    det = np.linalg.det(P.vectors @ Q.vectors.T)
+    det = np.linalg.det(P.vectors @ _t(Q.vectors))
     return np.clip(det, -1.0, 1.0)[()]
 
 
@@ -174,10 +186,9 @@ def _overlap_svd(rows, Q: OrientedFrame):
     """
     n = rows.shape[-2]
     p = min(n, Q.m)
-    U, sing, Vt = np.linalg.svd(rows @ Q.vectors.T)
+    U, sing, Vt = np.linalg.svd(rows @ _t(Q.vectors))
     perm = list(range(n - p, n)) + list(range(n - p))
-    Ut = U.swapaxes(-1, -2)
-    return Ut[..., perm, :], np.clip(sing, 0.0, 1.0)[..., perm], Vt[..., perm, :], p
+    return _t(U)[..., perm, :], np.clip(sing, 0.0, 1.0)[..., perm], Vt[..., perm, :], p
 
 
 def overlap_values(P: OrientedFrame, Q: OrientedFrame) -> np.ndarray:
@@ -193,67 +204,82 @@ def overlap_values(P: OrientedFrame, Q: OrientedFrame) -> np.ndarray:
 
 
 def jordan_spectrum(P: OrientedFrame, Q: OrientedFrame) -> JordanSpectrum:
-    """Principal angles between one plane P and Q with the adapted frames at P.
+    """Principal angles between planes P and Q with the adapted frames at P.
 
-    Singular values of the overlap matrix are clamped to [0, 1]; the p =
-    min(n, m) smallest become the stored angle cosines (the rest are overlap
-    directions shared by both planes).  Sign choices are deterministic: each
-    adapted row has its largest-magnitude component positive (pairs flip
-    jointly, which keeps the diagonalized overlap nonnegative and leaves
-    every derivative form unchanged), and the frame keeps P's orientation.
+    P is one plane or a stack over leading axes, Q one plane or a stack whose
+    leading axes broadcast to P's; the spectrum has P's leading axes, and
+    each plane of a stack gets the bits it gets alone.  Singular values of
+    the overlap matrix are clamped to [0, 1]; the p = min(n, m) smallest
+    become the stored angle cosines (the rest are overlap directions shared
+    by both planes).  Sign choices are deterministic: each adapted row has
+    its largest-magnitude component positive (pairs flip jointly, which
+    keeps the diagonalized overlap nonnegative and leaves every derivative
+    form unchanged), and the frame keeps P's orientation.
     """
-    _one_plane(P)
     _check_pair(P, Q)
-    n, m = P.n, P.m
     R, mu_all, S, p = _overlap_svd(P.vectors, Q)
     E = R @ P.vectors
     F = S @ Q.vectors
-    for j in range(n):
-        k = int(np.argmax(np.abs(E[j])))
-        if E[j, k] < 0.0:
-            E[j] = -E[j]
-            F[j] = -F[j]
-            R[j] = -R[j]
-    if np.linalg.det(R) < 0.0:
-        E[-1] = -E[-1]
-        F[-1] = -F[-1]
-    mu = mu_all[:p].copy()
+    # -1 where a row's largest-magnitude entry is negative, else 1: exact
+    k = np.argmax(np.abs(E), axis=-1)[..., None]
+    flip = np.where(np.take_along_axis(E, k, axis=-1) < 0.0, -1.0, 1.0)
+    E *= flip
+    F *= flip
+    R *= flip
+    turn = np.where(np.linalg.det(R) < 0.0, -1.0, 1.0)[..., None]
+    E[..., -1, :] *= turn
+    F[..., -1, :] *= turn
+    mu = mu_all[..., :p].copy()
     with np.errstate(divide="ignore"):
         lam = np.sqrt(np.maximum(np.where(mu > 0.0, 1.0 / mu**2, np.inf) - 1.0, 0.0))
     theta = np.arccos(mu)
-    normals = _partner_normals(E, F, mu_all, n, m, p)
     return JordanSpectrum(
         mu=mu,
         lam=lam,
         theta=theta,
         p=p,
         tangent_frame=OrientedFrame(E),
-        normal_frame=normals,
+        normal_frame=_partner_normals(E, F, mu_all, P.m, p),
     )
 
 
-def _partner_normals(E, F, mu_all, n, m, p):
+def _partner_normals(E, F, mu_all, m, p):
     # partner of row j: unit vector in span(e_j, f_j) normal to the plane,
     # signed so that rotating toward it opens the angle; rows without one are
     # completed deterministically inside the plane's orthogonal complement.
     # Each row is orthogonalized twice against the plane and the rows fixed
     # before it: a partner at a small angle is a difference of nearly equal
     # vectors, off orthogonality by up to 1e-10 as computed, and two passes
-    # bring every row back to rounding level.
-    partners = [j for j in range(p) if 1.0 - mu_all[j] ** 2 > _PARTNER_TOL**2]
-    rest = [j for j in range(m) if j not in partners]
-    comp = complement(E) if rest else None
-    normals = np.zeros((m, n + m))
-    fixed = E
-    for j in partners + rest:
-        cand = (mu_all[j] * E[j] - F[j])[None] if j in partners else comp
-        for _ in range(2):
-            cand = cand - (cand @ fixed.T) @ fixed
-        norms = np.linalg.norm(cand, axis=1)
-        k = int(np.argmax(norms))
-        normals[j] = cand[k] / norms[k]
-        fixed = np.vstack([fixed, normals[j]])
-    return normals
+    # bring every row back to rounding level.  Rows are fixed partners first,
+    # so the planes of a stack go in groups of one partner pattern.
+    lead, (n, amb) = E.shape[:-2], E.shape[-2:]
+    E, F, mu_all = E.reshape(-1, n, amb), F.reshape(-1, n, amb), mu_all.reshape(-1, n)
+    # the partner pattern of each plane, bit j set where slot j has a partner
+    pattern = (1.0 - mu_all[:, :p] ** 2 > _PARTNER_TOL**2) @ (1 << np.arange(p))
+    normals = np.zeros((len(E), m, amb))
+    for code in sorted(set(pattern.tolist())):
+        group = np.flatnonzero(pattern == code)
+        partners = [j for j in range(p) if code >> j & 1]
+        rest = [j for j in range(m) if j not in partners]
+        Eg, Fg, mug = E[group], F[group], mu_all[group]
+        comp = complement(Eg) if rest else None
+        fixed = Eg
+        for j in partners + rest:
+            cand = (mug[:, j, None] * Eg[:, j] - Fg[:, j])[:, None] if j in partners else comp
+            for _ in range(2):
+                cand = cand - (cand @ _t(fixed)) @ fixed
+            norms = np.linalg.norm(cand, axis=-1)
+            k = np.argmax(norms, axis=-1)[:, None]
+            row = np.take_along_axis(cand, k[..., None], axis=1)[:, 0]
+            row /= np.take_along_axis(norms, k, axis=1)
+            normals[group, j] = row
+            fixed = np.concatenate([fixed, row[:, None]], axis=1)
+    return normals.reshape(lead + (m, amb))
+
+
+def _value(x):
+    # one value per plane or coefficient matrix: a float for a single one
+    return float(x) if x.ndim == 0 else x
 
 
 def v_values(mu) -> np.ndarray:
@@ -264,9 +290,10 @@ def v_values(mu) -> np.ndarray:
     return np.prod(1.0 / mu, axis=-1)
 
 
-def v_value(spec: JordanSpectrum) -> float:
-    """prod sqrt(1 + lam_i^2) = prod 1/mu_i, the reciprocal unsigned overlap."""
-    return float(v_values(spec.mu))
+def v_value(spec: JordanSpectrum):
+    """prod sqrt(1 + lam_i^2) = prod 1/mu_i, the reciprocal unsigned overlap:
+    a float for one plane, else one value per plane of the stack."""
+    return _value(v_values(spec.mu))
 
 
 def _form_coeffs(spec: JordanSpectrum, Z: TangentCoeffs) -> np.ndarray:
@@ -300,11 +327,6 @@ def _matrix_sums(x):
     return np.sum(np.reshape(x, x.shape[:-2] + (-1,)), axis=-1)
 
 
-def _value(x):
-    # one value per coefficient matrix: a float for a single matrix
-    return float(x) if x.ndim == 0 else x
-
-
 def dlogv_form(spec: JordanSpectrum, Z: TangentCoeffs):
     """First derivative of log v along the geodesic with velocity Z:
     sum lam_j omega_jj, one value per coefficient matrix."""
@@ -322,68 +344,82 @@ def hess_logv_form(spec: JordanSpectrum, Z: TangentCoeffs):
 def hess_v_form(spec: JordanSpectrum, Z: TangentCoeffs):
     """Second derivative of v along the geodesic with velocity Z:
     v (Hess log v + (d log v)^2), one value per coefficient matrix."""
-    return v_value(spec) * (hess_logv_form(spec, Z) + dlogv_form(spec, Z) ** 2)
+    # the square by libm pow, as float ** 2 takes it for a lone matrix: an
+    # array ** 2 multiplies, which differs in the last bit for 0.08% of values
+    square = np.float_power(dlogv_form(spec, Z), 2.0)
+    return _value(v_values(spec.mu) * (hess_logv_form(spec, Z) + square))
 
 
 def _check_normals(P: OrientedFrame, N: np.ndarray) -> None:
-    if N.shape[1] != P.ambient:
+    if N.shape[-1] != P.ambient:
         raise ValueError("normal directions live in the wrong ambient space")
     if not _orthonormal(N):
         raise ValueError("normal directions are not orthonormal")
-    if not (np.max(np.abs(N @ P.vectors.T)) <= _ORTHO_TOL):
+    if not (np.max(np.abs(N @ _t(P.vectors))) <= _ORTHO_TOL):
         raise ValueError("directions are not normal to the plane")
 
 
 def geodesic_from_velocity(P: OrientedFrame, normals, omega, t) -> OrientedFrame:
-    """Frames at times t (...) of the geodesic through the one plane P with
-    velocity omega, stacked over the axes of t.
+    """Frames at times t of the geodesics through the planes P with
+    velocities omega: rows (..., *t.shape, n, amb), the times after P's
+    leading axes.
 
-    omega[j, alpha] moves frame row j toward normals[alpha].  The motion is
-    reduced to simultaneous principal rotations by a singular value
-    decomposition of the coefficient matrix, which serves every time, so the
-    returned path is the exact distance-minimizing one with that velocity.
+    omega[..., j, alpha] moves frame row j toward normals[..., alpha], both
+    over P's leading axes.  The motion is reduced to simultaneous principal
+    rotations by a singular value decomposition of the coefficient matrix,
+    which serves every time, so each returned path is the exact
+    distance-minimizing one with its velocity.  Each plane of a stack gets
+    the bits it gets alone.
     """
-    _one_plane(P)
-    N = _matrix(normals)
-    if N.shape[0] != P.m:
+    lead = P.vectors.shape[:-2]
+    N = _rows(normals, lead)
+    if N.shape[-2] != P.m:
         raise ValueError("need a full orthonormal basis of the complement")
     _check_normals(P, N)
     om = np.asarray(omega, dtype=float)
-    if om.shape != (P.n, P.m):
+    if om.shape != lead + (P.n, P.m):
         raise ValueError("coefficient shape does not match the frame")
     A, s, Bt = np.linalg.svd(om)
-    k = s.size
-    if np.linalg.det(A) < 0.0:
-        # the rows A^T P must keep P's orientation; flip A's last column,
-        # and its partner row of Bt if it has one, so that omega = A S Bt
-        A[:, -1] = -A[:, -1]
-        if P.n <= k:
-            Bt[P.n - 1] = -Bt[P.n - 1]
-    rows = A.T @ P.vectors
+    k = s.shape[-1]
+    # the rows A^T P must keep P's orientation; where det A < 0 flip A's
+    # last column, and its partner row of Bt if it has one, so that
+    # omega = A S Bt still
+    turn = np.where(np.linalg.det(A) < 0.0, -1.0, 1.0)[..., None]
+    A[..., -1] *= turn
+    if P.n <= k:
+        Bt[..., P.n - 1, :] *= turn
+    rows = _t(A) @ P.vectors
     turned = Bt @ N
-    st = np.asarray(t, dtype=float)[..., None] * s
-    out = np.broadcast_to(rows, st.shape[:-1] + rows.shape).copy()
-    out[..., :k, :] = np.cos(st)[..., None] * rows[:k] + np.sin(st)[..., None] * turned[:k]
+    t = np.asarray(t, dtype=float)
+    # the plane axes, then one axis per axis of t
+    rows, turned, s = (a.reshape(lead + (1,) * t.ndim + a.shape[len(lead):])
+                       for a in (rows, turned, s))
+    st = t[..., None] * s
+    out = np.broadcast_to(rows, st.shape[:-1] + rows.shape[-2:]).copy()
+    out[..., :k, :] = (np.cos(st)[..., None] * rows[..., :k, :]
+                       + np.sin(st)[..., None] * turned[..., :k, :])
     return OrientedFrame(out)
 
 
 def express_in_adapted_frame(
     spec: JordanSpectrum, omega, tangent_rows, normal_rows
 ) -> TangentCoeffs:
-    """Rewrite motion coefficients of one plane from a caller frame into the adapted frame.
+    """Rewrite motion coefficients of planes from a caller frame into the adapted frame.
 
-    tangent_rows (n, amb) must span the same plane as the spectrum's base
-    and normal_rows its orthogonal complement; omega[..., i, alpha] refers
-    to those rows, over any leading axes.  Returns coefficients usable with
-    the derivative forms.
+    tangent_rows (..., n, amb) must span the same planes as the spectrum's
+    base, over its leading axes, and normal_rows their orthogonal
+    complements; omega[..., i, alpha] refers to those rows, with the planes'
+    leading axes last before (i, alpha) and any further axes in front.
+    Returns coefficients usable with the derivative forms.
     """
-    E = _matrix(tangent_rows)
-    Nr = _matrix(normal_rows)
-    R = spec.tangent_frame.vectors @ E.T
-    C = spec.normal_frame @ Nr.T
+    lead = spec.mu.shape[:-1]
+    E = _rows(tangent_rows, lead)
+    Nr = _rows(normal_rows, lead)
+    R = spec.tangent_frame.vectors @ _t(E)
+    C = spec.normal_frame @ _t(Nr)
     if not _orthonormal(R, 1e-8):
         raise ValueError("tangent rows do not span the spectrum's base plane")
     if not _orthonormal(C, 1e-8):
         raise ValueError("normal rows do not span the plane's complement")
-    om = R @ np.asarray(omega, dtype=float) @ C.T
+    om = R @ np.asarray(omega, dtype=float) @ _t(C)
     return TangentCoeffs(omega=om, frame=spec.tangent_frame)

@@ -456,9 +456,9 @@ class ThetaTarget(_HypersurfaceTarget):
 class _OverlapTarget:
     """Reciprocal-overlap functions of the tangent plane against a reference.
 
-    values reads v for every frame from one overlap_values call; the centre
-    terms take one spectrum per centre.  Targets on the same reference share
-    both through the dict of composition_checks.
+    values reads v for every frame from one overlap_values call, and the
+    centre terms read one spectrum of every centre's plane.  Targets on the
+    same reference share both through the dict of composition_checks.
     """
 
     def __init__(self, reference: OrientedFrame):
@@ -476,18 +476,16 @@ class _OverlapTarget:
             grassmann.overlap_values(gauss_map(frames), self.reference))))
 
     def centre_sum(self, pf, T, shared):
-        out = np.empty(np.shape(pf.rho))
-        specs = self._shared(shared, "spec", lambda: {
-            i: grassmann.jordan_spectrum(OrientedFrame(pf.tangent[i]), self.reference)
-            for i in np.ndindex(out.shape)})
-        for i, spec in specs.items():
-            # coefficients [j, alpha] of the plane-map images of the n frame
-            # rows and of the tension, rewritten in the adapted frame at once
-            om = np.concatenate([np.moveaxis(pf.h[i], 0, -1), T[i].T[None]])
-            om = grassmann.express_in_adapted_frame(spec, om, pf.tangent[i], pf.normal[i]).omega
-            images, tension = (TangentCoeffs(z, spec.tangent_frame) for z in (om[:-1], om[-1]))
-            out[i] = np.sum(self._hess(spec, images)) + self._d(spec, tension)
-        return out
+        spec = self._shared(shared, "spec", lambda: grassmann.jordan_spectrum(
+            gauss_map(pf), self.reference))
+        # coefficients [j, alpha] of the plane-map images of the n frame rows
+        # and of the tension, image axis first, rewritten in the adapted
+        # frames at once
+        om = np.concatenate([np.moveaxis(pf.h, (-3, -2), (-1, 0)),
+                             np.swapaxes(T, -1, -2)[None]])
+        om = grassmann.express_in_adapted_frame(spec, om, pf.tangent, pf.normal).omega
+        images, tension = (TangentCoeffs(z, spec.tangent_frame) for z in (om[:-1], om[-1]))
+        return np.sum(self._hess(spec, images), axis=0) + self._d(spec, tension)
 
 
 class VTarget(_OverlapTarget):

@@ -6,7 +6,8 @@ and the first and second derivatives of the height and of (r, theta).
 
 The derivatives are evaluated at points x (..., n+1) on tangent vectors given
 in ambient coordinates over the same leading axes, so no tangent frame is
-needed (none exists globally on S^n).  Each checks that x and the pole are
+needed (none exists globally on S^n); the height takes one pole or a pole
+per point.  Each checks that x and the pole are
 unit vectors on one sphere and that every vector is tangent at x.
 """
 
@@ -77,9 +78,10 @@ def _check_unit(x: np.ndarray, name: str = "input", lead: bool = False) -> np.nd
 
 
 def _check_pole(x: np.ndarray, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # one pole, or poles over leading axes that broadcast with x's
     x = _check_unit(x, "x", lead=True)
-    a = _check_unit(a, "a")
-    if x.shape[-1] != a.size:
+    a = _check_unit(a, "a", lead=True)
+    if x.shape[-1] != a.shape[-1]:
         raise ValueError("x and a must lie on the same sphere")
     return x, a
 
@@ -196,6 +198,7 @@ def great_circle(x: np.ndarray, v: np.ndarray, t) -> np.ndarray:
 
 
 def tangent_frame(x: np.ndarray) -> np.ndarray:
-    """A deterministic orthonormal basis of the tangent space at x (rows):
-    the orthogonal complement of x by Householder QR."""
-    return grassmann.complement(_check_unit(x, "x")[None])
+    """A deterministic orthonormal basis of the tangent space at points x
+    (..., n+1): rows (..., n, n+1), the orthogonal complement of each point
+    by Householder QR."""
+    return grassmann.complement(_check_unit(x, "x", lead=True)[..., None, :])

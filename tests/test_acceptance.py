@@ -145,18 +145,12 @@ def test_c04_regrouping_identity_bulk():
 
 
 def test_c05_hessians_vs_differences():
-    rng = np.random.default_rng(505)
+    # one chunk of every target family; _pick keeps a NaN residual
     step = 1e-4
-    worst = {"height": 0.0, "r": 0.0, "theta": 0.0, "v": 0.0, "logv": 0.0}
     probes = 500
-    for _ in range(probes):
-        worst["height"] = max(worst["height"], cli._height_probe(rng, step))
-        rr, rt = cli._longitude_probe(rng, step)
-        worst["r"] = max(worst["r"], rr)
-        worst["theta"] = max(worst["theta"], rt)
-        rv, rl, _ = cli._grassmann_probe(rng, step)
-        worst["v"] = max(worst["v"], rv)
-        worst["logv"] = max(worst["logv"], rl)
+    worst = dict.fromkeys(cli.TARGET_FAMILIES, 0.0)
+    for family, residual in cli._target_chunk((np.random.SeedSequence(505), probes, step)):
+        worst[family] = cli._pick(max, (worst[family], residual))
     peak = max(worst.values())
     ok = peak <= 1e-5
     _emit(

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -451,13 +452,15 @@ def test_a_nan_fails_a_mandatory_check(monkeypatch, tmp_path, case):
         return
     command = case.split()[0]
     cfg = {
-        "verify-targets": {"probes": 2, "chunks": 1},
+        "verify-targets": {"probes": 2, "chunks": 2},
         "verify-shrinkers": {"probes": 3, "chunks": 1, "composition_probes": 2},
         "verify-prop41": {"v_count": 20, "rt_resolution": 20, "samples": 5,
                           "restarts": 2},
     }[command]
     if command == "verify-targets":
-        _nan_after_first(monkeypatch, cli, "_reduction_probe", lambda r: math.nan)
+        # the reduction residuals of chunk 1, after those of chunk 0
+        _nan_after_first(monkeypatch, cli, "_reduction_residuals",
+                         lambda r: np.full_like(r, math.nan))
     elif case == "verify-shrinkers residual":
         _nan_after_first(monkeypatch, immersion, "shrinker_residual",
                          lambda r: np.where(np.arange(len(r))[:, None] == 2, math.nan, r))
@@ -491,35 +494,34 @@ def test_seed_flag_overrides_config_seed(tmp_path):
     ).read_text()
 
 
+def _ref_target_chunk(seed_seq, count, step):
+    # the reference probes in draw order on the chunk's random stream, with
+    # their rows in TARGET_FAMILIES order
+    rng = np.random.default_rng(seed_seq)
+    rows = []
+    for _ in range(count):
+        rows.append(_ref_height_probe(rng, step))
+        rows.extend(_ref_longitude_probe(rng, step))
+        rows.extend(_ref_grassmann_probe(rng, step))
+        rows.append(_ref_reduction_probe(rng, step))
+    return list(zip(cli.TARGET_FAMILIES * count, rows))
+
+
 def test_target_probes_near_zero_angle_keep_orthonormal_normals():
     # chunk 1 of seed 0, probe 70: n = m = 3 with principal cosines
     # [1, 0.994, 0.975]; the partner normals used to miss orthonormality
-    # by 1.1e-10 and the geodesic check raised
-    rows = cli._target_chunk((np.random.SeedSequence(0).spawn(8)[1], 71, 1e-4))
+    # by 1.1e-10 and the geodesic check raised.  Its shape's stack mixes two
+    # partner patterns, and every row keeps the reference's bits
+    args = (np.random.SeedSequence(0).spawn(8)[1], 71, 1e-4)
+    rows = cli._target_chunk(args)
     assert len(rows) == 71 * 7
     assert max(residual for _, residual in rows) <= 1e-5
+    assert rows == _ref_target_chunk(*args)
 
 
-def test_grassmann_probe_takes_one_spectrum(monkeypatch):
-    # the three geodesic frames share one overlap_values call
-    calls = []
-    spectrum = grassmann.jordan_spectrum
-
-    def counting_spectrum(*args):
-        calls.append(1)
-        return spectrum(*args)
-
-    monkeypatch.setattr(grassmann, "jordan_spectrum", counting_spectrum)
-    residuals = cli._grassmann_probe(np.random.default_rng(3), 1e-4)
-    assert len(calls) == 1
-    assert max(residuals) <= 1e-5
-
-
-def test_target_probe_makes_three_geodesic_and_three_great_circle_calls(monkeypatch):
-    # one call per probe at the times (step, 0, -step), and one geodesic for
-    # the Grassmannian probe's random plane
-    calls = {"geodesic": 0, "great_circle": 0}
-    geodesic, great_circle = grassmann.geodesic_from_velocity, sphere.great_circle
+def _count_calls(monkeypatch, *targets):
+    # calls of each (module, name) by name
+    calls = {name: 0 for _, name in targets}
 
     def counting(name, func):
         def wrapped(*args):
@@ -527,11 +529,53 @@ def test_target_probe_makes_three_geodesic_and_three_great_circle_calls(monkeypa
             return func(*args)
         return wrapped
 
-    monkeypatch.setattr(grassmann, "geodesic_from_velocity", counting("geodesic", geodesic))
-    monkeypatch.setattr(sphere, "great_circle", counting("great_circle", great_circle))
-    rows = cli._target_chunk((np.random.SeedSequence(2), 5, 1e-4))
-    assert len(rows) == 5 * len(cli.TARGET_FAMILIES)
-    assert calls == {"geodesic": 3 * 5, "great_circle": 3 * 5}
+    for module, name in targets:
+        monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+    return calls
+
+
+def _shapes_drawn(seed_seq, count):
+    # the Grassmannian probe shapes (n, m) of a chunk, from its draw pass
+    rng = np.random.default_rng(seed_seq)
+    return {cli._draw_probe(rng)[2][0] for _ in range(count)}
+
+
+@pytest.mark.parametrize("count", [1, 5, 30])
+def test_target_chunk_takes_one_spectrum_per_shape_and_one_for_the_reduction(
+        monkeypatch, count):
+    # the Grassmannian probes of one shape (n, m) share one spectrum, and
+    # the three geodesic frames of each one overlap_values call
+    shapes = len(_shapes_drawn(np.random.SeedSequence(3), count))
+    calls = _count_calls(monkeypatch, (grassmann, "jordan_spectrum"),
+                         (grassmann, "overlap_values"))
+    rows = cli._target_chunk((np.random.SeedSequence(3), count, 1e-4))
+    assert calls == {"jordan_spectrum": shapes + 1, "overlap_values": shapes}
+    assert max(residual for _, residual in rows) <= 1e-5
+
+
+@pytest.mark.parametrize("count", [1, 5, 30])
+def test_target_chunk_makes_two_geodesic_calls_per_shape_and_three_great_circle_calls(
+        monkeypatch, count):
+    # per shape one geodesic to the random planes and one at the times
+    # (step, 0, -step), one for the reduction; one great circle per sphere
+    # family and one for the reduction's tilts
+    shapes = len(_shapes_drawn(np.random.SeedSequence(2), count))
+    calls = _count_calls(monkeypatch, (grassmann, "geodesic_from_velocity"),
+                         (sphere, "great_circle"))
+    rows = cli._target_chunk((np.random.SeedSequence(2), count, 1e-4))
+    assert len(rows) == count * len(cli.TARGET_FAMILIES)
+    assert calls == {"geodesic_from_velocity": 2 * shapes + 1, "great_circle": 3}
+
+
+@pytest.mark.parametrize("seed, digest", [
+    (0, "904a1148c933ecf771d4a6ba5308d0743b0ece8a9f2777ac8845dc8d2570c5e7"),
+    (61, "251d00c1a304ce9278016711f2a7870cc6ba86886d5665b52a59d5629cca9074"),
+])
+def test_target_residuals_at_the_default_config_are_pinned(tmp_path, seed, digest):
+    # sha256 of target_residuals.csv as the per-probe loop wrote it
+    assert cli.main(["verify-targets", "--seed", str(seed), "--out", str(tmp_path)]) == 0
+    got = hashlib.sha256((tmp_path / "target_residuals.csv").read_bytes()).hexdigest()
+    assert got == digest
 
 
 # the probes as they were with one geodesic call per time, kept as the
@@ -574,7 +618,7 @@ def _ref_longitude_probe(rng, step):
 
 def _ref_grassmann_probe(rng, step):
     n, m = int(rng.integers(1, 4)), int(rng.integers(1, 4))
-    base = cli._random_frame(rng, n, n + m)
+    base = grassmann.OrientedFrame(np.linalg.qr(rng.standard_normal((n + m, n)))[0].T)
     om = rng.standard_normal((base.n, base.m))
     top = max(float(np.linalg.svd(om)[1][0]), 1e-12)
     om *= 1.1 * rng.uniform(0.1, 1.0) / top
@@ -629,16 +673,11 @@ def _ref_reduction_probe(rng, step):
 
 @pytest.mark.parametrize("seed", range(10))
 def test_target_probes_equal_the_per_time_reference(seed):
-    probes = [
-        (cli._height_probe, _ref_height_probe),
-        (cli._longitude_probe, _ref_longitude_probe),
-        (cli._grassmann_probe, _ref_grassmann_probe),
-        (cli._reduction_probe, _ref_reduction_probe),
-    ]
-    for probe, reference in probes:
-        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        for _ in range(5):
-            assert probe(rng, 1e-4) == reference(ref_rng, 1e-4)
+    # the chunk's rows equal the reference probes run in draw order on the
+    # same random stream, row for row and bit for bit
+    for count in (1, 7, 30):
+        args = (np.random.SeedSequence(seed), count, 1e-4)
+        assert cli._target_chunk(args) == _ref_target_chunk(*args)
 
 
 @pytest.mark.parametrize("count", [1, 7, 30])

@@ -309,18 +309,117 @@ def test_complement_equals_the_formulas_it_replaces():
             assert np.array_equal(grassmann.complement(x[None]), want)
 
 
-def test_one_plane_routines_reject_a_stack():
+def _spectrum_fields(spec):
+    return spec.mu, spec.lam, spec.theta, spec.tangent_frame.vectors, spec.normal_frame
+
+
+def _stack_equals_its_planes(P, Q):
+    """The spectrum of planes P (..., n, amb) against one plane Q or a stack
+    of P's leading shape, after checking each of its fields against the
+    plane's own call, bit for bit."""
+    lead, (n, amb) = P.shape[:-2], P.shape[-2:]
+    spec = jordan_spectrum(OrientedFrame(P), OrientedFrame(Q))
+    assert spec.mu.shape == lead + (spec.p,)
+    assert spec.normal_frame.shape == lead + (amb - n, amb)
+    for idx in np.ndindex(lead):
+        alone = jordan_spectrum(OrientedFrame(P[idx]), OrientedFrame(Q if Q.ndim == 2 else Q[idx]))
+        assert alone.p == spec.p
+        for got, want in zip(_spectrum_fields(spec), _spectrum_fields(alone)):
+            assert np.array_equal(got[idx], want)
+    return spec
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_stacked_spectrum_equals_its_planes_one_by_one(n, m):
+    rng = np.random.default_rng(30 + 10 * n + m)
+    Q = _random_frame(rng, n, n + m)
+    # random planes, planes in the chart of Q, and a stack of references
+    P = _plane_stack(rng, (2, 3), n, n + m)
+    _stack_equals_its_planes(P, Q.vectors)
+    near = np.stack([_frame_in_chart(rng, Q).vectors for _ in range(6)])
+    spec = _stack_equals_its_planes(near, Q.vectors)
+    _stack_equals_its_planes(P, _plane_stack(rng, (2, 3), n, n + m))
+    # the frame rewrite and the forms of the stack, plane by plane
+    tangent = np.linalg.qr(rng.standard_normal((6, n, n)))[0] @ near
+    normal = grassmann.complement(tangent)
+    omega = rng.standard_normal((2, 6, n, m))
+    Z = express_in_adapted_frame(spec, omega, tangent, normal)
+    assert Z.omega.shape == omega.shape
+    forms = [form(spec, Z) for form in (dlogv_form, hess_logv_form, hess_v_form)]
+    for i in range(6):
+        alone = jordan_spectrum(OrientedFrame(near[i]), Q)
+        Zi = express_in_adapted_frame(alone, omega[:, i], tangent[i], normal[i])
+        assert np.array_equal(Z.omega[:, i], Zi.omega)
+        for form, got in zip((dlogv_form, hess_logv_form, hess_v_form), forms):
+            assert np.array_equal(got[:, i], form(alone, Zi))
+
+
+def test_stacked_spectrum_of_shared_and_right_angles_equals_its_planes():
+    # against R^2 x 0 in R^4: a shared direction (mu = 1, no partner), a
+    # right angle (mu = 0, lam = inf), two open angles, and the plane itself
+    Q = np.eye(4)[:2]
+    c, s, c2, s2 = math.cos(0.4), math.sin(0.4), math.cos(1.1), math.sin(1.1)
+    shared = [[1.0, 0.0, 0.0, 0.0], [0.0, c, s, 0.0]]
+    tilted = [[c, 0.0, s, 0.0], [0.0, c2, 0.0, s2]]
+    P = np.array([shared, np.eye(4)[2:], tilted, Q, shared, tilted])
+    spec = _stack_equals_its_planes(P, Q)
+    assert np.array_equal(spec.mu[1], [0.0, 0.0]) and np.all(np.isinf(spec.lam[1]))
+    assert spec.mu[0, 0] == pytest.approx(1.0, abs=1e-15)
+    patterns = 1.0 - spec.mu**2 > grassmann._PARTNER_TOL**2
+    assert len(np.unique(patterns, axis=0)) == 3
+    # the same stack turned by one rotation of R^4
+    turn = np.linalg.qr(np.random.default_rng(31).standard_normal((4, 4)))[0]
+    _stack_equals_its_planes(P @ turn, Q @ turn)
+
+
+def test_hess_v_form_of_a_stack_squares_like_a_lone_matrix():
+    # a lone matrix squares d log v by float ** 2, libm pow, which differs
+    # from x * x in the last bit for about 0.08% of values; 4000 matrices
+    # catch a stack that multiplies instead
+    P = OrientedFrame(np.array([[math.cos(0.7), math.sin(0.7)]]))
+    spec = jordan_spectrum(P, OrientedFrame(np.array([[1.0, 0.0]])))
+    w = np.random.default_rng(32).standard_normal((4000, 1, 1))
+    stacked = hess_v_form(spec, TangentCoeffs(w, spec.tangent_frame))
+    alone = [hess_v_form(spec, TangentCoeffs(z, spec.tangent_frame)) for z in w]
+    assert np.array_equal(stacked, alone)
+
+
+def test_stacked_geodesic_equals_its_planes_one_by_one():
+    rng = np.random.default_rng(33)
+    flips = 0
+    for n in (1, 2, 3):
+        for m in (1, 2, 3):
+            P = _plane_stack(rng, (2, 4), n, n + m)
+            N = grassmann.complement(P)
+            om = rng.standard_normal((2, 4, n, m))
+            # the branch that flips A's last column (and Bt's row) to keep P's
+            # orientation
+            flips += int(np.sum(np.linalg.det(np.linalg.svd(om)[0]) < 0.0))
+            for t in (1.0, np.array([0.3, 0.0, -0.3]), np.ones((2, 3))):
+                out = geodesic_from_velocity(OrientedFrame(P), N, om, t).vectors
+                assert out.shape == (2, 4) + np.shape(t) + (n, n + m)
+                for idx in np.ndindex(2, 4):
+                    alone = geodesic_from_velocity(OrientedFrame(P[idx]), N[idx], om[idx], t)
+                    assert np.array_equal(out[idx], alone.vectors)
+    assert flips >= 10
+
+
+def test_stack_routines_reject_mismatched_leading_axes():
     rng = np.random.default_rng(23)
-    Q = _random_frame(rng, 2, 4)
-    stack = OrientedFrame(_plane_stack(rng, (3,), 2, 4))
-    with pytest.raises(ValueError, match="one plane"):
-        jordan_spectrum(stack, Q)
-    with pytest.raises(ValueError, match="one plane"):
-        geodesic_from_velocity(stack, _complement(Q), np.ones((2, 2)), 1.0)
-    spec = jordan_spectrum(OrientedFrame(stack.vectors[0]), Q)
+    P = OrientedFrame(_plane_stack(rng, (3,), 2, 4))
+    with pytest.raises(ValueError, match="mismatched"):
+        jordan_spectrum(P, OrientedFrame(_plane_stack(rng, (4,), 2, 4)))
+    with pytest.raises(ValueError, match="mismatched"):
+        jordan_spectrum(OrientedFrame(P.vectors[0]), P)
+    N = grassmann.complement(P.vectors)
     with pytest.raises(ValueError, match="row vectors"):
-        express_in_adapted_frame(spec, np.ones((2, 2)), stack.vectors,
-                                 grassmann.complement(stack.vectors))
+        geodesic_from_velocity(P, N[0], np.ones((3, 2, 2)), 1.0)
+    with pytest.raises(ValueError, match="coefficient shape"):
+        geodesic_from_velocity(P, N, np.ones((2, 2)), 1.0)
+    spec = jordan_spectrum(P, _random_frame(rng, 2, 4))
+    with pytest.raises(ValueError, match="row vectors"):
+        express_in_adapted_frame(spec, np.ones((3, 2, 2)), P.vectors[0], N[0])
 
 
 _NAN_ROWS = [[1.0, 0.0, 0.0], [0.0, math.nan, 0.0]]

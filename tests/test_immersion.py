@@ -579,6 +579,7 @@ _STENCIL_CASES = (
     "sphere:n=2,R=1,c1=0.5",
     "cylinder:k=1,n=2",
     "plane:n=2,m=2",
+    "cylinder:k=2,n=3",  # n = 3: each centre sums three image terms
     "graph",
     "positions",
 )

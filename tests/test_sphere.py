@@ -334,20 +334,30 @@ def test_forms_over_leading_axes_equal_per_point_calls(lead, n, seed):
     x /= np.sqrt(sphere._dot(x, x))[..., None]
     u, w = _tangents(rng, x), _tangents(rng, x)
     a = _unit(rng, n + 1)
+    # and a pole per point
+    b = rng.standard_normal(shape + (n + 1,))
+    b /= np.sqrt(sphere._dot(b, b))[..., None]
     batched = [
         sphere.height_differential(x, a, u),
         sphere.height_hessian(x, a, u, w),
         *sphere.longitude_differentials(x, u),
         *sphere.longitude_hessians(x, u, w),
+        sphere.height_value(x, b),
+        sphere.height_hessian(x, b, u, w),
     ]
     for out in batched:
         assert out.shape == shape
+    frames = sphere.tangent_frame(x)
+    assert frames.shape == shape + (n, n + 1)
     for idx in np.ndindex(shape):
         single = [
             sphere.height_differential(x[idx], a, u[idx]),
             sphere.height_hessian(x[idx], a, u[idx], w[idx]),
             *sphere.longitude_differentials(x[idx], u[idx]),
             *sphere.longitude_hessians(x[idx], u[idx], w[idx]),
+            sphere.height_value(x[idx], b[idx]),
+            sphere.height_hessian(x[idx], b[idx], u[idx], w[idx]),
         ]
         for out, one in zip(batched, single):
             assert np.array_equal(out[idx], one)
+        assert np.array_equal(frames[idx], sphere.tangent_frame(x[idx]))

@@ -49,7 +49,8 @@ class GridField:
     b: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
+        # C order, so the geometry pass's slab views alias the values
+        self.values = np.ascontiguousarray(self.values, dtype=float)
         if self.values.ndim < 2:
             raise ValueError("values must have shape (*resolution, m)")
         # before the comparisons below, which are all False for NaN
@@ -153,54 +154,75 @@ def interior(field: GridField, order=2):
 class _Plan(NamedTuple):
     """What a geometry pass needs from the grid alone.
 
-    box selects the interior; X is the open grid of interior coordinates
-    (n read-only arrays with a trailing component axis, broadcasting against
-    (*interior, m)).  Each difference is (terms, divisor) with terms the
-    (weight, slices) pairs of _diff_calls: d1[k] and d2[k] run along axis k on
-    the field values, and mixed holds (k, l, inner, outer) for k < l, the
-    first difference along k on values kept whole along l, then along l.
+    box selects the interior.  The slab is the run of the flat values array
+    from the first interior row along axis 0 to the last, boundary columns
+    included: values.reshape(-1)[start:start + size].  A shift by s along
+    axis k is the flat offset s * strides[k], so every stencil term is a
+    contiguous run of size entries; no term leaves the array, and the slots
+    on boundary columns are computed and never read.  rows is the node grid
+    of the slab, inner selects the interior nodes in it and m is the
+    component count (see _inside).  X (n, size // m) holds each slab node's
+    coordinate along each axis.  groups pairs the axes (0, 1), (2, 3), ..., as
+    (axes, d1, d2) with the first and second differences' divisors, one row
+    per axis (one float if the axes share a step); mixed holds (k, l, div)
+    for k < l.
     """
 
     box: tuple
-    X: tuple
-    d1: tuple
-    d2: tuple
+    start: int
+    size: int
+    strides: tuple
+    rows: tuple
+    inner: tuple
+    m: int
+    X: np.ndarray
+    groups: tuple
     mixed: tuple
 
 
 @functools.lru_cache(maxsize=8)
 def _plan(shape, L, order):
+    """The plan of the grid of values of this shape, (*grid, m)."""
     g = _margin(order)
-    n = len(shape)
-    box = _box(shape, order)
-    h = [2.0 * L / (s - 1) for s in shape]
+    grid, m = shape[:-1], shape[-1]
+    n = len(grid)
+    box = _box(grid, order)
+    h = [2.0 * L / (s - 1) for s in grid]
+    strides = tuple(m * math.prod(grid[k + 1:]) for k in range(n))
+    rows = (grid[0] - 2 * g,) + grid[1:]
+    X = np.moveaxis(_coords(L, grid)[g:grid[0] - g], -1, 0).reshape(n, -1)
+    c1, c2 = _D1[order][1], _D2[order][1]
 
-    def diff(table, k, rest):
-        # along axis k; rest slices every other axis of the input
-        weights, c = table[order]
-        div = c * h[k] if table is _D1 else c * h[k] * h[k]
-        terms = tuple(
-            (w, tuple(slice(g + s, shape[k] - g + s) if j == k else rest[j]
-                      for j in range(n)))
-            for s, w in weights
-        )
-        return terms, div
+    def divisors(c, p, axes):
+        # one float when the axes share a step (a scalar divides faster)
+        d = [c * h[k] if p == 1 else c * h[k] * h[k] for k in axes]
+        if len(set(d)) == 1:
+            return d[0]
+        d = np.array(d)[:, None]
+        d.setflags(write=False)
+        return d
 
-    mixed = tuple(
-        (k, l, diff(_D1, k, box[:l] + (slice(None),) + box[l + 1:]),
-         diff(_D1, l, (slice(None),) * n))
-        for k in range(n) for l in range(k + 1, n)
+    groups = tuple(
+        (axes, divisors(c1, 1, axes), divisors(c2, 2, axes))
+        for axes in (tuple(range(k, min(k + 2, n))) for k in range(0, n, 2))
     )
-    axes = [a[b] for a, b in zip(_axes(L, shape), box)]
-    X = tuple(x[..., None] for x in np.meshgrid(*axes, indexing="ij", sparse=True))
-    for x in X:
-        x.setflags(write=False)
-    return _Plan(box, X, tuple(diff(_D1, k, box) for k in range(n)),
-                 tuple(diff(_D2, k, box) for k in range(n)), mixed)
+    mixed = tuple((k, l, c1 * h[l]) for k in range(n) for l in range(k + 1, n))
+    X.setflags(write=False)
+    return _Plan(box, g * strides[0], rows[0] * strides[0], strides, rows,
+                 (slice(None),) + box[1:], m, X, groups, mixed)
 
 
-def _diff_calls(v, terms, div, out, tmp):
-    """Ufunc calls that write the sum of weight * v[slices] over div into out.
+def _inside(plan, a, per_node=False):
+    """The interior nodes of a slab array: a (..., size) as (..., *interior, m),
+    or with per_node a (..., size // m) as (..., *interior); a view."""
+    tail = () if per_node else (plan.m,)
+    grid = a.reshape(a.shape[:-1] + plan.rows + tail)
+    return grid[(Ellipsis,) + plan.inner + (slice(None),) * len(tail)]
+
+
+def _diff_calls(terms, div, out, tmp):
+    """Ufunc calls that write the sum of weight * term over the (weight, term)
+    pairs, over div, into out.
 
     The terms are summed in their order: the first weight is +-1, every
     later term is scaled by |weight| unless that is 1, then added or
@@ -208,14 +230,14 @@ def _diff_calls(v, terms, div, out, tmp):
     while out does not yet hold the sum, else to tmp (out's shape; only the
     4th-order rows need it).
     """
-    (w, idx), *rest = terms
-    calls = [] if w > 0 else [(np.negative, (v[idx], out))]
-    acc = v[idx] if w > 0 else out
-    for w, idx in rest:
-        t = v[idx]
+    (w, t), *rest = terms
+    calls = [] if w > 0 else [(np.negative, (t, out))]
+    acc = t if w > 0 else out
+    for w, t in rest:
         if abs(w) != 1.0:
-            t = tmp if acc is out else out
-            calls.append((np.multiply, (v[idx], abs(w), t)))
+            scaled = tmp if acc is out else out
+            calls.append((np.multiply, (t, abs(w), scaled)))
+            t = scaled
         calls.append((np.add if w > 0 else np.subtract, (acc, t, out)))
         acc = out
     calls.append((np.divide, (out, div, out)))
@@ -227,33 +249,56 @@ def _run(calls):
         f(*args)
 
 
-def _interior_jets(field: GridField, order):
-    """Stacked jets du (n, *interior, m) and ddu (n, n, *interior, m) of the
-    field, and the calls that fill them from its values.
+def _interior_jets(field: GridField, order, scratch=None):
+    """Stacked jets du (n, size) and ddu (n, n, size) of the field on the slab
+    of its values (see _Plan), and the calls that fill them from those values.
+    scratch, if given, is a flat buffer of at least 3 * size entries that
+    the calls may overwrite (they need size entries at order 2).
 
-    The plan's differences run on the values trimmed to the interior on
-    every axis they do not differentiate along, so no node off the interior
-    is computed; ddu[l, k] is a copy of the mixed difference ddu[k, l].
-    Running the calls again refills the same buffers from whatever
-    field.values holds then.
+    Each group of axes takes one call per stencil term: the term shifted by
+    s along both axes is one strided view of the values, since the two
+    offsets differ by s times the difference of the strides.  Every second
+    difference subtracts one shared centre term |w| u; each mixed
+    difference ddu[k, l] is the first difference along l of du[k], over the
+    slots whose stencil stays on the slab (the first and last
+    margin * strides[l] slots lie on boundary columns, and hold zeros), and
+    ddu[l, k] is its copy.  At every interior node the arithmetic is that
+    of the stacked definitions.  Running the calls again refills the same
+    buffers from whatever field.values holds then: GridField keeps values
+    C-contiguous, so the views alias it.
     """
-    plan = _plan(field.shape, field.L, order)
-    v = field.values
-    n = field.n
-    shape = v[plan.box].shape
-    du = np.empty((n,) + shape)
-    ddu = np.empty((n, n) + shape)
-    tmp = np.empty(shape) if order == 4 else None
-    calls = []
-    for k, d in enumerate(plan.d1):
-        calls += _diff_calls(v, *d, du[k], tmp)
-    for k, d in enumerate(plan.d2):
-        calls += _diff_calls(v, *d, ddu[k, k], tmp)
-    for k, l, inner, outer in plan.mixed:
-        (_, idx), *_ = inner[0]
-        dk = np.empty(v[idx].shape)
-        calls += _diff_calls(v, *inner, dk, np.empty(dk.shape) if order == 4 else None)
-        calls += _diff_calls(dk, *outer, ddu[k, l], tmp)
+    plan = _plan(field.values.shape, field.L, order)
+    n, size, g = field.n, plan.size, _margin(order)
+    flat = field.values.reshape(-1)
+    du = np.zeros((n, size))
+    ddu = np.zeros((n, n, size))
+    diag = ddu.reshape(n * n, size)[::n + 1]
+    if scratch is None:
+        scratch = np.empty((3 if order == 4 else 1) * size)
+    centre = scratch[:size]
+    tmp = scratch[size:3 * size].reshape(2, size) if order == 4 else None
+    d1, d2 = _D1[order][0], _D2[order][0]
+    (w0,) = (w for s, w in d2 if s == 0)
+    calls = [(np.multiply, (flat[plan.start:plan.start + size], abs(w0), centre))]
+
+    def shifted(axes, s):
+        # one row per axis: the slab shifted by s along it
+        first, last = (plan.strides[k] for k in (axes[0], axes[-1]))
+        return np.lib.stride_tricks.as_strided(
+            flat[plan.start + s * first:], (len(axes), size),
+            (s * (last - first) * flat.itemsize, flat.itemsize), writeable=False)
+
+    for axes, div1, div2 in plan.groups:
+        rows = slice(axes[0], axes[-1] + 1)
+        t = None if tmp is None else tmp[:len(axes)]
+        calls += _diff_calls([(w, shifted(axes, s)) for s, w in d1], div1, du[rows], t)
+        calls += _diff_calls([(w, shifted(axes, s)) if s else (math.copysign(1.0, w), centre)
+                              for s, w in d2], div2, diag[rows], t)
+    for k, l, div in plan.mixed:
+        step = plan.strides[l]
+        run = slice(g * step, size - g * step)
+        calls += _diff_calls([(w, du[k, run.start + s * step:run.stop + s * step]) for s, w in d1],
+                             div, ddu[k, l, run], None if tmp is None else tmp[0, run])
         calls.append((np.copyto, (ddu[l, k], ddu[k, l])))
     return du, ddu, calls
 
@@ -315,54 +360,81 @@ class _Workspace:
     """The interior geometry of one grid field, in buffers built once, and
     the calls that refill it.
 
-    values is the field's values array and u views its interior nodes
-    (*interior, m); du (n, *interior, m) and ddu (n, n, *interior, m) are
-    the stacked jets; ginv (n, n, *interior) first holds the metric
-    g = I + du du^T, then its inverse; det is det g; res, elliptic and drift
-    are the residual and its two parts.  fill() recomputes all of them from
-    whatever values holds, with the arithmetic of the stacked definitions,
-    so a run builds one workspace and fills it once per state.  One scratch
+    Every difference, metric, inverse and residual call runs on the slab of
+    the field's values (see _Plan): the jets (n, size) and (n, n, size), the
+    metric g = I + du du^T (n, n, nodes), overwritten by its inverse, its
+    determinant and the residual's two parts, elliptic and drift.  Only the
+    last call reads the interior: res (*interior, m) = elliptic - drift.
+    values is the field's values array and u views its interior nodes; du,
+    det, elliptic and drift view the interior of their slab arrays.
+    fill() recomputes all of them from whatever values holds, with the
+    arithmetic of the stacked definitions at every interior node, so a run
+    builds one workspace and fills it once per state.  One zeroed scratch
     block serves, in turn, the inverse's products, the residual's terms, a
     sample's reductions and the second form's contractions; elliptic and
     drift live there, so they hold until the next sample or fill only.
     """
 
     def __init__(self, field: GridField, order):
-        plan = _plan(field.shape, field.L, order)
+        self._plan = plan = _plan(field.values.shape, field.L, order)
+        n, size = field.n, plan.size
+        nodes = size // field.m
         self.values = field.values
         self.u = u = field.values[plan.box]
-        self.du, self.ddu, jets = _interior_jets(field, order)
-        n, m = field.n, field.m
-        nodes = u.shape[:-1]
-        self.ginv = g = np.empty((n, n) + nodes)
-        self.det = np.empty(nodes)
+        block = np.zeros(max((n + 2) * size, n * n * size + n ** 3 * nodes + nodes))
+        # the jets' centre term and products are dead once they are filled
+        du, ddu, jets = _interior_jets(field, order, block)
+        self.du = _inside(plan, du)
+        # the jets per slab node: (n, nodes, m) and (n, n, nodes, m)
+        self._du, self._ddu = du.reshape(n, nodes, -1), ddu.reshape(n, n, nodes, -1)
+        self._g = g = np.zeros((n, n, nodes))
+        self._det = np.zeros(nodes)
+        self.det = _inside(plan, self._det, per_node=True)
         self.res = np.empty(u.shape)
-        size = math.prod(nodes)
-        block = np.empty(max(3 * m, n * n * m + n ** 3 + 1) * size)
-        (self._node_tmp,) = _carve(block, nodes)
-        self.elliptic, self.drift, self._tmp = _carve(block, u.shape, u.shape, u.shape)
+        elliptic, drift, prod = _carve(block, (size,), (size,), (n, size))
+        self.elliptic, self.drift = _inside(plan, elliptic), _inside(plan, drift)
+        # the residual's products are dead once res is written
+        (self._tmp,) = _carve(block[2 * size:], u.shape)
+        (self._slab_tmp,) = _carve(block[2 * size:], (size,))
+        self._slab_u = field.values.reshape(-1)[plan.start:plan.start + size]
+        (self._node_tmp,) = _carve(block, u.shape[:-1])
         # the second form: (p, q) products go where QH was, the tangential
         # trace where QW was, once each is read for the last time
-        self._qh, self._qw, self._b2 = _carve(block, (n, n) + u.shape, (n, n, n) + nodes,
-                                              nodes)
-        (self._pq,) = _carve(block, (n, n) + nodes)
+        self._qh, self._qw, self._b2 = _carve(block, (n, n, nodes, field.m), (n, n, n, nodes),
+                                              (nodes,))
+        (self._pq,) = _carve(block, (n, n, nodes))
         self._tang = self._qw[(0,) * 3]
 
-        metric = [
-            (functools.partial(np.einsum, "...a,...a->...", out=g[i, j]),
-             (self.du[i], self.du[j]))
-            for i in range(n) for j in range(i, n)
-        ]
-        metric += [(np.add, (g[i, i], 1.0, g[i, i])) for i in range(n)]
+        diag = g.reshape(n * n, nodes)[::n + 1]
+        if field.m == 1:
+            # einsum's sum from 0.0 of one product, which is the product
+            # itself on the diagonal, where it is a square and never -0.0
+            metric = [(np.multiply, (du, du, diag))]
+            metric += [c for i in range(n) for j in range(i + 1, n)
+                       for c in ((np.multiply, (du[i], du[j], g[i, j])),
+                                 (np.add, (g[i, j], 0.0, g[i, j])))]
+        else:
+            metric = [
+                (functools.partial(np.einsum, "...a,...a->...", out=g[i, j]),
+                 (self._du[i], self._du[j]))
+                for i in range(n) for j in range(i, n)
+            ]
+        metric.append((np.add, (diag, 1.0, diag)))
         metric += [(np.copyto, (g[j, i], g[i, j])) for i in range(n) for j in range(i + 1, n)]
         # the elliptic sum over (i, j) in row-major order, as einsum contracts
-        residual = _sum_calls([(g[i, j][..., None], self.ddu[i, j])
-                               for i, j in np.ndindex(n, n)], self.elliptic, self._tmp)
-        residual += _sum_calls(list(zip(plan.X, self.du)), self.drift, self._tmp)
-        residual += [(np.subtract, (self.drift, u, self.drift)),
-                     (np.multiply, (self.drift, 0.5, self.drift)),
+        residual = _sum_calls([(g[i, j][:, None], self._ddu[i, j])
+                               for i, j in np.ndindex(n, n)],
+                              elliptic.reshape(nodes, -1), prod[0].reshape(nodes, -1))
+        # the drift's products x_k du_k, one call per component, summed from
+        # 0.0 in axis order
+        residual += [(np.multiply, (plan.X, self._du[..., a], prod.reshape(n, nodes, -1)[..., a]))
+                     for a in range(field.m)]
+        residual += [(np.add, (prod[0], 0.0, drift))]
+        residual += [(np.add, (drift, p, drift)) for p in prod[1:]]
+        residual += [(np.subtract, (drift, self._slab_u, drift)),
+                     (np.multiply, (drift, 0.5, drift)),
                      (np.subtract, (self.elliptic, self.drift, self.res))]
-        self._calls = jets + metric + _spd_inverse(g, self.det, self._node_tmp) + residual
+        self._calls = jets + metric + _spd_inverse(g, self._det, block[:nodes]) + residual
 
     def fill(self):
         _run(self._calls)
@@ -372,21 +444,23 @@ class _Workspace:
         return float(np.abs(self.res, out=self._tmp).max())
 
     def advance(self, dt):
-        """Move the interior nodes by dt times the residual; returns their sup |u|."""
+        """Move the interior nodes by dt times the residual; returns sup |u|
+        over the slab, whose other slots are nodes that never move."""
         np.multiply(self.res, dt, out=self._tmp)
         np.add(self.u, self._tmp, out=self.u)
-        return float(np.abs(self.u, out=self._tmp).max())
+        return float(np.abs(self._slab_u, out=self._slab_tmp).max())
 
     def second_form_sq(self):
         """|B|^2 = tr(Q H_a Q H_a) - Q_pq tr(Q W_p Q W_q) with Q = g^-1,
-        H_a = ddu^a and W_p = du_p . ddu, by pairwise contractions."""
-        Q = self.ginv
-        QH = np.einsum("ik...,kj...m->ij...m", Q, self.ddu, out=self._qh)
-        QW = np.einsum("p...m,ij...m->pij...", self.du, QH, out=self._qw)  # Q W_p = du_p . Q H
+        H_a = ddu^a and W_p = du_p . ddu, by pairwise contractions on the
+        slab; returns its interior nodes."""
+        Q = self._g
+        QH = np.einsum("ik...,kj...m->ij...m", Q, self._ddu, out=self._qh)
+        QW = np.einsum("p...m,ij...m->pij...", self._du, QH, out=self._qw)  # Q W_p = du_p . Q H
         full = np.einsum("ij...m,ji...m->...", QH, QH, out=self._b2)
         pq = np.einsum("pij...,qji...->pq...", QW, QW, out=self._pq)
         tang = np.einsum("pq...,pq...->...", Q, pq, out=self._tang)
-        return np.subtract(full, tang, out=full)
+        return _inside(self._plan, np.subtract(full, tang, out=full), per_node=True)
 
     def sample(self):
         """sup slope, sup |residual|, sup |B|^2 and min w = min 1 / slope."""
@@ -486,7 +560,8 @@ def relax_flow(u0: GridField, cfg: SolverConfig = SolverConfig()):
     current = GridField(
         L=u0.L, values=u0.values.copy(), boundary=u0.boundary, A=u0.A, b=u0.b
     )
-    # the nodes off the interior never move: their sup |u| is taken once
+    # the nodes off the interior never move: their sup |u| is taken once,
+    # and the slab sup of advance adds only some of them
     fixed = np.ones(current.shape, dtype=bool)
     fixed[interior(current, cfg.order)] = False
     fixed_sup = float(np.max(np.abs(current.values[fixed])))
@@ -566,13 +641,14 @@ def field_immersion(field: GridField, order=4) -> ParametricImmersion:
     """
     du, ddu, calls = _interior_jets(field, order)
     _run(calls)
-    u = field.values[interior(field, order)]
+    plan = _plan(field.values.shape, field.L, order)
+    u = field.values[plan.box]
     nodes = u.shape[:-1]
     n, m = field.n, field.m
     # one row per interior node, in row-major order
     u = u.reshape(-1, m)
-    du = np.moveaxis(du, 0, -2).reshape(-1, n, m)
-    ddu = np.moveaxis(ddu, (0, 1), (-3, -2)).reshape(-1, n, n, m)
+    du = np.moveaxis(_inside(plan, du), 0, -2).reshape(-1, n, m)
+    ddu = np.moveaxis(_inside(plan, ddu), (0, 1), (-3, -2)).reshape(-1, n, n, m)
     g = _margin(order)
     h = field.spacing
 
@@ -624,13 +700,17 @@ def field_to_csv(field: GridField) -> str:
 
 def field_from_csv(text: str) -> GridField:
     """Inverse of field_to_csv; a missing, duplicate, out-of-range or
-    non-finite entry raises ValueError instead of being filled in."""
+    non-finite entry, a resolution with other than n axes, or node
+    coordinates other than the grid's (exactly: they are written with
+    17 digits) raise ValueError instead of being filled in."""
     lines = text.strip().split("\n")
     if lines[0] != "n,m,L,res,boundary":
         raise ValueError("unrecognized field file header")
     n_s, m_s, L_s, res_s, boundary = lines[1].split(",")
     n, m, L = int(n_s), int(m_s), float(L_s)
     shape = tuple(int(t) for t in res_s.split("x"))
+    if len(shape) != n:
+        raise ValueError(f"resolution {res_s} has {len(shape)} axes, n = {n}")
     cursor = 2
     A = b = None
     if boundary == "affine":
@@ -649,6 +729,7 @@ def field_from_csv(text: str) -> GridField:
             f"{math.prod(shape)}"
         )
     values = np.zeros(shape + (m,))
+    xs = np.zeros(shape + (n,))
     seen = np.zeros(shape, dtype=bool)
     for line in rows:
         toks = line.split(",")
@@ -660,8 +741,16 @@ def field_from_csv(text: str) -> GridField:
         if seen[idx]:
             raise ValueError(f"duplicate node index {idx}")
         seen[idx] = True
+        xs[idx] = [float(t) for t in toks[n : 2 * n]]
         values[idx] = [float(t) for t in toks[2 * n :]]
-    return GridField(L=L, values=values, boundary=boundary, A=A, b=b)
+    field = GridField(L=L, values=values, boundary=boundary, A=A, b=b)
+    coords = field.coords()
+    off = np.argwhere(np.any(xs != coords, axis=-1))
+    if len(off):
+        idx = tuple(int(i) for i in off[0])
+        raise ValueError(f"node {idx} has x = {tuple(map(float, xs[idx]))}, "
+                         f"the grid puts it at {tuple(map(float, coords[idx]))}")
+    return field
 
 
 def trace_to_csv(trace: FlowTrace) -> str:

@@ -417,8 +417,8 @@ def test_relax_divergence_attaches_trace():
 
 
 def _reference_relax(u0, cfg):
-    # the relaxation loop by its definition, on the one-off public calls;
-    # returns the field, the trace and the divergence message, if any
+    # the relaxation loop by its definition, on the stacked reference
+    # residual; returns the field, the trace and the divergence message, if any
     h = float(np.min(u0.spacing))
     dt = cfg.dt if cfg.dt is not None else 0.45 * h * h / (2.0 * u0.n)
     box, v = gf.interior(u0, cfg.order), u0.values.copy()
@@ -426,7 +426,7 @@ def _reference_relax(u0, cfg):
     trace, step = gf.FlowTrace(), 0
     trace.record(0, 0.0, cur, cfg.order)
     while step < cfg.max_steps:
-        res = gf.system_residual(cur, cfg.order)
+        (res, _, _), *_ = _ref_geometry(cur, cfg.order)
         if float(np.max(np.abs(res))) < cfg.threshold:
             break
         v[box] += dt * res
@@ -444,10 +444,12 @@ def _reference_relax(u0, cfg):
 
 
 def _bump(resolution, m, amp=0.3, n=2):
+    # resolution is one count per axis, or one count for all n axes
+    shape = tuple(resolution) if np.ndim(resolution) else (resolution,) * n
     return gf.GridField.from_function(
         lambda x: [amp * _poly_window(x) * (1.0 + 0.5 * a * x[0]) for a in range(m)],
-        L=1.0, resolution=(resolution,) * n, m=m,
-        boundary="affine", A=np.zeros((m, n)), b=np.zeros(m),
+        L=1.0, resolution=shape, m=m,
+        boundary="affine", A=np.zeros((m, len(shape))), b=np.zeros(m),
     )
 
 
@@ -481,6 +483,29 @@ def test_relax_in_three_dimensions_is_bit_identical_to_the_reference_loop():
     cfg = gf.SolverConfig(max_steps=120, sample_interval=25)
     _, message = _assert_relax_matches_reference(_bump(9, 2, n=3), cfg)
     assert message is None
+
+
+@pytest.mark.parametrize("shape, m, order", [((11, 15), 2, 4), ((15, 11), 1, 2),
+                                              ((7, 8, 9), 2, 2), ((7, 8, 9), 1, 4)])
+def test_relax_on_unequal_axes_is_bit_identical_to_the_reference_loop(shape, m, order):
+    # unequal steps divide each row of a stacked difference by its own
+    # divisor, and the mixed differences' ends move with the strides
+    cfg = gf.SolverConfig(max_steps=80, threshold=1e-12, order=order, sample_interval=9)
+    trace, message = _assert_relax_matches_reference(_bump(shape, m), cfg)
+    assert message is None and trace.steps[-1] == 80
+
+
+@pytest.mark.parametrize("order", [2, 4])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_relax_raises_no_floating_point_error(n, order):
+    # every slab slot off the interior holds a finite value, computed from
+    # field values or zeroed once, so no call meets garbage
+    f = _bump((13, 11, 9)[:n], 2)
+    with np.errstate(all="raise"):
+        out, trace = gf.relax_flow(f, gf.SolverConfig(max_steps=60, order=order,
+                                                      sample_interval=20))
+        gf.FlowTrace().record(0, 0.0, out, order)
+    assert trace.steps[-1] == 60 and np.all(np.isfinite(out.values))
 
 
 def test_relax_divergence_is_bit_identical_to_the_reference_loop():
@@ -546,6 +571,23 @@ def test_one_stencil_plan_per_relaxation_run(monkeypatch):
     assert info.misses == 1
     assert info.hits + info.misses <= 2
     assert len(built) == 1 and len(jets) == 1
+
+
+@pytest.mark.parametrize("order, count", [(2, 42), (4, 57)])
+def test_fill_call_count(order, count):
+    # one fill at n = 2, m = 1
+    f = gf.GridField(L=1.0, values=np.zeros((9, 9, 1)))
+    assert len(gf._Workspace(f, order)._calls) == count
+
+
+def test_gridfield_keeps_values_c_contiguous():
+    # the workspace's slab views must alias the values a run moves
+    f = gf.GridField(L=1.0, values=np.zeros((1, 9, 7)).T)
+    assert f.values.flags.c_contiguous
+    ws = gf._Workspace(f, 2)
+    f.values[3, 4, 0] = 1.0
+    ws.fill()
+    assert ws.res[2, 3, 0] != 0.0
 
 
 def test_trace_times_must_increase():
@@ -730,6 +772,23 @@ def test_field_csv_rejects_wrong_row_count():
         _from_lines(lines[:-1])
     with pytest.raises(ValueError, match="node rows"):
         _from_lines(lines + [lines[-1]])
+
+
+def test_field_csv_rejects_axis_count_other_than_n():
+    lines = _csv_lines()
+    meta = lines[1].split(",")
+    meta[3] = "30"  # 30 node rows, as many as the 5x6 grid
+    with pytest.raises(ValueError, match="1 axes, n = 2"):
+        _from_lines(lines[:1] + [",".join(meta)] + lines[2:])
+
+
+def test_field_csv_rejects_coordinates_off_the_grid():
+    lines = _csv_lines()
+    toks = lines[-1].split(",")
+    assert toks[2:4] == ["2.5", "2.5"]
+    row = ",".join(toks[:2] + ["9", "9"] + toks[4:])
+    with pytest.raises(ValueError, match=r"node \(4, 5\) has x = \(9.0, 9.0\)"):
+        _from_lines(lines[:-1] + [row])
 
 
 def test_field_csv_rejects_duplicate_index():

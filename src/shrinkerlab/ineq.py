@@ -26,10 +26,16 @@ and `batched_master_margins` take for a whole stack, with the same bits.
 One check validates every entry: `_check_stack`, or its lambda half
 `_check_lam` for the lambda-only `min_margin_over_h`.
 
-The sampled check (`sample_check`) draws its samples one after another
-(`draw_group_stacks`, the same stream as a loop over `random_group_sample`),
-stacks them by shape, and then makes one `group_totals` call per shape: one
-stacked validation, one table pass and one master-kernel call.
+The sampled check (`sample_check`) draws its samples with
+`draw_group_stacks`, whose loop over samples makes only the generator calls,
+in the order a loop over `random_group_sample` makes them, and keeps the raw
+draws.  lambda is then built once per (n, m) shape (`_lam_from`) and h once
+per shape and pattern (`_h_from`): the builders a single draw (`_draw`) runs
+on a stack of one.  lambda's Dirichlet shares are built from standard
+exponentials, which is how numpy's `dirichlet` draws them, so the stream,
+the generator's final state and every bit of the stacks are those of the
+sample loop.  Each shape then takes one `group_totals` call: one stacked
+validation, one table pass and one master-kernel call.
 
 Everything here is plain finite-dimensional algebra: samples are points in
 (lambda, h) space and sweeps are grids.  The search draws lambda only: at
@@ -42,6 +48,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+from array import array
 from dataclasses import dataclass, field as dc_field
 from typing import NamedTuple, Optional
 
@@ -189,7 +196,7 @@ class SweepReport:
 
     @property
     def passed(self):
-        return self.margin >= -1e-9
+        return self.samples > 0 and self.margin >= -1e-9
 
     def certificate(self, seed=None):
         return {
@@ -206,10 +213,16 @@ def sup_F_sweep(v_count=10_000, rt_resolution=10_000, v_lo=None, v_hi=None) -> S
     Each v-slice is parameterized by r in (tau, v^2 - 1] with t forced onto
     the hyperbola (1+r)(1+t) = v^2; samples failing the t lower bound, and
     any on F's pole, are dropped, and a slice losing every sample is
-    counted, not fatal.
+    counted, not fatal.  The grid must be nonempty and lie in the domain
+    1 < v_lo <= v_hi < 3; anything else raises ValueError.
     """
     v_lo = 1.0 + 1e-6 if v_lo is None else v_lo
     v_hi = 3.0 - 1e-6 if v_hi is None else v_hi
+    if v_count < 1 or rt_resolution < 1:
+        raise ValueError(f"need v_count >= 1 and rt_resolution >= 1, got {v_count}, "
+                         f"{rt_resolution}")
+    if not 1.0 < v_lo <= v_hi < 3.0:
+        raise ValueError(f"need 1 < v_lo <= v_hi < 3, got v_lo={v_lo!r}, v_hi={v_hi!r}")
     v_grid = np.linspace(v_lo, v_hi, v_count)
     frac = np.arange(1, rt_resolution + 1) / rt_resolution
     worst = -np.inf
@@ -658,12 +671,83 @@ def longdouble_master_margin(s: GroupSample):
 _PATTERNS = ("dense", "diag", "triple", "lowrank", "sparse")
 
 
-def _subcritical_lambdas(rng, p, v_target=None):
+def _lam_variates(rng, p, v_target=None):
+    """(budget, exponentials (p,)): the draws of one subcritical lambda.
+
+    The budget is sum log(1 + lam^2) = 2 log v, with v uniform in (1, 3)
+    unless v_target is given; `_lam_from` turns the draws into lambda.
+    """
     if v_target is None:
-        v_target = 1.0 + 2.0 * rng.random()  # uniform in (1, 3)
-    budget = 2.0 * math.log(v_target)  # sum log(1 + lam^2)
-    shares = rng.dirichlet(np.ones(p)) * budget
-    return np.sqrt(np.expm1(shares))
+        v_target = 1.0 + 2.0 * rng.random()
+    elif not 1.0 <= v_target < 3.0:
+        raise ValueError(f"v_target must lie in [1, 3), got {v_target!r}")
+    return 2.0 * math.log(v_target), rng.standard_exponential(p)
+
+
+def _lam_from(exps, budget):
+    """lam (B, p) from B rows of p standard exponentials and their budgets (B,).
+
+    Each row splits its budget in Dirichlet(1, ..., 1) shares e / sum(e) with
+    the bits of numpy's `dirichlet`, which draws each Gamma(1) variate as one
+    standard exponential and scales it by 1 / acc, acc summed left to right
+    as `cumsum` sums; lam_j = sqrt(expm1(share_j)).
+    """
+    acc = np.cumsum(exps, axis=-1)[:, -1:]
+    return np.sqrt(np.expm1(exps * (1.0 / acc) * budget[:, None]))
+
+
+def _subcritical_lambdas(rng, p, v_target=None):
+    """One subcritical lam (p,): its draws, built as a stack of one."""
+    budget, exps = _lam_variates(rng, p, v_target)
+    return _lam_from(exps[None], np.array([budget]))[0]
+
+
+def _h_variates(rng, n, m, pattern):
+    """The draws of one h of the given pattern, as a flat array.
+
+    One normal vector for the array patterns: m n n values (dense), p n
+    (diag, j-major), p (p - 1) (p - 2) (triple) or m (n + 1) (lowrank).  The
+    sparse pattern draws entry by entry, (a, i, j, value) per entry.
+    """
+    p = min(n, m)
+    if pattern == "sparse":
+        return np.array([(rng.integers(m), rng.integers(n), rng.integers(n), rng.normal())
+                         for _ in range(max(3, n))], dtype=float).ravel()
+    size = {"dense": m * n * n, "diag": p * n, "triple": p * (p - 1) * (p - 2),
+            "lowrank": m * (n + 1)}[pattern]
+    return rng.normal(size=size)
+
+
+def _h_from(n, m, pattern, raw):
+    """h (B, m, n, n) of one pattern from B rows of its draws (`_h_variates`)."""
+    p = min(n, m)
+    rows = len(raw)
+    h = np.zeros((rows, m, n, n))
+    if pattern == "dense":
+        raw = raw.reshape(rows, m, n, n)
+        h = 0.5 * (raw + np.swapaxes(raw, -1, -2))
+    elif pattern == "diag":  # h_{j,ij} = h_{j,ji}
+        val = raw.reshape(rows, p, n)
+        j, i = np.arange(p)[:, None], np.arange(n)
+        h[:, j, i, j] = val
+        h[:, j, j, i] = val
+    elif pattern == "triple":  # h_{i,jk} = h_{i,kj}; one value per distinct (i, j, k), in C order
+        i, j, k = np.indices((p, p, p))
+        val = np.zeros((rows, p, p, p))
+        val[:, (i != j) & (j != k) & (k != i)] = raw
+        h[:, :p, :p, :p] = val + np.swapaxes(val, -1, -2)
+    elif pattern == "lowrank":  # per component its vector, then its scale
+        raw = raw.reshape(rows, m, n + 1)
+        vec = raw[..., :n]
+        h = vec[..., :, None] * vec[..., None, :] * raw[..., n, None, None]
+    else:  # sparse: the entries in draw order, each added as the loop drew it
+        raw = raw.reshape(rows, -1, 4)
+        a, i, j = np.moveaxis(raw[..., :3].astype(np.intp), -1, 0)
+        for e in range(raw.shape[1]):
+            h[np.arange(rows), a[:, e], i[:, e], j[:, e]] += raw[:, e, 3]
+            off = np.nonzero(i[:, e] != j[:, e])[0]
+            h[off, a[off, e], j[off, e], i[off, e]] += raw[off, e, 3]
+    return h
 
 
 def random_group_sample(rng, n, m, pattern="dense", v_target=None) -> GroupSample:
@@ -672,45 +756,22 @@ def random_group_sample(rng, n, m, pattern="dense", v_target=None) -> GroupSampl
     dense: full normal h.  diag: only the h_{j,ij} entries the square terms
     see.  triple: only fully-distinct index triples within p (group III
     territory), so h = 0 when p < 3.  lowrank: rank-one h per component.
-    sparse: a handful of random entries.
+    sparse: a handful of random entries.  v_target, if given, fixes the
+    slope value v in [1, 3); otherwise v is uniform in (1, 3).
     """
     return GroupSample(n, m, *_draw(rng, n, m, pattern, v_target))
 
 
 def _draw(rng, n, m, pattern, v_target=None):
-    """(lam, h) of one random_group_sample draw: lam first, then h."""
+    """(lam, h) of one random_group_sample draw: lam first, then h.
+
+    The draws of one sample, built as a stack of one by the builders
+    `draw_group_stacks` runs on whole stacks.
+    """
     if pattern not in _PATTERNS:
         raise ValueError(f"unknown pattern {pattern!r}")
-    p = min(n, m)
-    lam = _subcritical_lambdas(rng, p, v_target)
-    h = np.zeros((m, n, n))
-    if pattern == "dense":
-        raw = rng.normal(size=(m, n, n))
-        h = 0.5 * (raw + np.swapaxes(raw, 1, 2))
-    elif pattern == "diag":  # h_{j,ij} = h_{j,ji}, drawn j-major
-        val = rng.normal(size=(p, n))
-        j, i = np.arange(p)[:, None], np.arange(n)
-        h[j, i, j] = val
-        h[j, j, i] = val
-    elif pattern == "triple":  # h_{i,jk} = h_{i,kj}; one value per distinct (i, j, k), in C order
-        i, j, k = np.indices((p, p, p))
-        val = np.zeros((p, p, p))
-        val[(i != j) & (j != k) & (k != i)] = rng.normal(size=p * (p - 1) * (p - 2))
-        h[:p, :p, :p] = val + np.swapaxes(val, 1, 2)
-    elif pattern == "lowrank":  # per component its vector, then its scale
-        raw = rng.normal(size=(m, n + 1))
-        vec = raw[:, :n]
-        h = vec[:, :, None] * vec[:, None, :] * raw[:, n, None, None]
-    else:  # sparse
-        for _ in range(max(3, n)):
-            a = rng.integers(m)
-            i = rng.integers(n)
-            j = rng.integers(n)
-            val = rng.normal()
-            h[a, i, j] += val
-            if i != j:
-                h[a, j, i] += val
-    return lam, h
+    lam = _subcritical_lambdas(rng, min(n, m), v_target)
+    return lam, _h_from(n, m, pattern, _h_variates(rng, n, m, pattern)[None])[0]
 
 
 def draw_group_stacks(rng, count):
@@ -720,18 +781,45 @@ def draw_group_stacks(rng, count):
     pattern k mod 5 of dense, diag, triple, lowrank, sparse.  Returns
     {(n, m): (lam (B, p), h (B, m, n, n))}, shapes in order of first draw and
     samples in draw order; the stacks are not checked here.
+
+    The loop makes only the generator calls, in the order a loop over
+    `random_group_sample` makes them, and keeps their raw draws; lam is then
+    built once per shape (`_lam_from`) and h once per shape and pattern
+    (`_h_from`).  The builders are the ones `_draw` runs on a stack of one,
+    and each row of a stack depends on its own draws alone, so the stacks
+    and the generator's final state are those of the sample loop.  The
+    loop's one call that differs from a `dirichlet` loop, standard_exponential(p)
+    for dirichlet(ones(p)), consumes the same variates, which `_lam_from`
+    normalizes as `dirichlet` does.
     """
-    drawn = {}  # one growing byte buffer per shape, not a small array per sample
+    if count < 0:
+        raise ValueError(f"count must be nonnegative, got {count}")
+    # per shape, packed: each sample's pattern index, budget and exponentials,
+    # and per pattern its h draws
+    drawn = {}
     for k in range(count):
         n = int(rng.integers(1, 6))
         m = int(rng.integers(1, 6))
-        lam, h = _draw(rng, n, m, _PATTERNS[k % len(_PATTERNS)])
-        lam_buf, h_buf = drawn.setdefault((n, m), (bytearray(), bytearray()))
-        lam_buf += lam.tobytes()
-        h_buf += h.tobytes()
-    return {(n, m): (np.frombuffer(lam_buf).reshape(-1, min(n, m)),
-                     np.frombuffer(h_buf).reshape(-1, m, n, n))
-            for (n, m), (lam_buf, h_buf) in drawn.items()}
+        order, budgets, exps, raws = drawn.setdefault(
+            (n, m), (bytearray(), array("d"), bytearray(), {}))
+        pattern = k % len(_PATTERNS)
+        order.append(pattern)
+        budget, e = _lam_variates(rng, min(n, m))
+        budgets.append(budget)
+        exps += e.tobytes()
+        raw = raws.setdefault(pattern, bytearray())
+        raw += _h_variates(rng, n, m, _PATTERNS[pattern]).tobytes()
+    stacks = {}
+    for (n, m), (order, budgets, exps, raws) in drawn.items():
+        order = np.frombuffer(order, dtype=np.uint8)
+        h = np.empty((len(order), m, n, n))
+        for pattern, raw in raws.items():
+            rows = order == pattern
+            draws = np.frombuffer(raw).reshape(np.count_nonzero(rows), -1)
+            h[rows] = _h_from(n, m, _PATTERNS[pattern], draws)
+        lam = _lam_from(np.frombuffer(exps).reshape(len(order), -1), np.frombuffer(budgets))
+        stacks[n, m] = lam, h
+    return stacks
 
 
 class SampleCheck(NamedTuple):
@@ -836,9 +924,7 @@ def adversarial_margin_search(seed=0, restarts=10_000) -> SearchReport:
             1.0 + 2.0 * rng.random(B),
             np.array(V_SCHEDULE)[rng.integers(len(V_SCHEDULE), size=B)],
         )
-        budget = 2.0 * np.log(v0)
-        shares = rng.dirichlet(np.ones(p), size=B) * budget[:, None]
-        lam = np.sqrt(np.expm1(shares))
+        lam = _lam_from(rng.standard_exponential((B, p)), 2.0 * np.log(v0))
         margins, h = min_margin_over_h(n, m, lam)
         worst = np.min(margins, initial=worst)
         flagged = np.nonzero(margins < -MARGIN_TOL)[0]

@@ -286,6 +286,26 @@ def test_verify_prop41_certificate(tmp_path):
     assert cert["worst_value"] <= cert["bound"]
 
 
+@pytest.mark.parametrize("seed, values, digest", [
+    (0, {"regroup_max": "0x1.b631bd26fe94dp-50", "sample_min_margin": "0x1.4199a6856482cp-21",
+         "zero_form_samples": "0x1.fd00000000000p+8",
+         "search_min_margin": "0x1.6b2c1f6400000p-14"},
+     "d3f0525a837d185b454c783aa3e40ade33d505ad4faafb9225b94baf58f96ea3"),
+    (61, {"regroup_max": "0x1.72a74b952c4a0p-51", "sample_min_margin": "0x1.cb8fa9863d000p-23",
+          "zero_form_samples": "0x1.f100000000000p+8",
+          "search_min_margin": "0x1.8ad1cf00b0000p-17"},
+     "39b7e53c1b0aa05d6eb6c2181bcf285912d309031f6cb976889877943062a7ae"),
+])
+def test_prop41_values_at_the_default_config_are_pinned(tmp_path, seed, values, digest):
+    # the bits the sample loop drew before its lambda and h were built per stack
+    assert cli.main(["verify-prop41", "--seed", str(seed), "--out", str(tmp_path)]) == 0
+    checks = {c["name"]: c["value"] for c in _load_report(str(tmp_path), "verify-prop41")["checks"]}
+    values = {"sweep_sup_F": "-0x1.2708531cefc5cp+0", **values}
+    assert {name: float(checks[name]).hex() for name in values} == values
+    got = hashlib.sha256((tmp_path / "prop41_certificate.json").read_bytes()).hexdigest()
+    assert got == digest
+
+
 def test_prop41_margin_skips_zero_forms_and_counts_them(tmp_path):
     # the triple pattern draws h = 0 when min(n, m) < 3; those samples'
     # margin is exactly 0, which the minimum used to read at every seed

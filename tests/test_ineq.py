@@ -157,6 +157,25 @@ def test_sup_F_sweep_bound_and_refinement():
     assert abs(fine.worst_value - rep.worst_value) < 1e-4
 
 
+@pytest.mark.parametrize("kwargs", [
+    {"v_count": 0}, {"rt_resolution": 0},
+    {"v_lo": 0.5, "v_hi": 3.5}, {"v_lo": 1.0}, {"v_hi": 3.0}, {"v_lo": 2.5, "v_hi": 1.5},
+])
+def test_sup_F_sweep_rejects_an_empty_grid_or_one_outside_the_domain(kwargs):
+    # each once returned a report: v_count=0 a pass from no samples, and
+    # (0.5, 3.5) a sup of 9.21 from points outside 1 < v < 3
+    args = {"v_count": 4, "rt_resolution": 4, **kwargs}
+    with pytest.raises(ValueError, match="v_count|v_lo"):
+        ineq.sup_F_sweep(**args)
+
+
+def test_sweep_without_samples_does_not_pass():
+    # at v = 1 + 1e-9 every one of these grid points misses Omega
+    rep = ineq.sup_F_sweep(v_count=1, rt_resolution=3, v_lo=1.0 + 1e-9, v_hi=1.0 + 1e-9)
+    assert rep.samples == 0 and rep.empty_slices == 1
+    assert not rep.passed
+
+
 def test_near_equality_probe_attains_bound():
     for v in (1.3, 1.5, 2.0, 2.5, 2.9):
         d = ineq.near_equality_probe(v)
@@ -352,6 +371,58 @@ def test_stack_drawer_keeps_the_sample_loop_stream():
     for shape, (lam, h) in drawn.items():
         assert lam.tobytes() == np.array([s.lam for s in stacks[shape]]).tobytes()
         assert h.tobytes() == np.array([s.h for s in stacks[shape]]).tobytes()
+
+
+def test_stack_drawer_keeps_the_stream_at_a_count_reaching_every_shape():
+    # 613 is not a multiple of the five patterns, and seed 3 reaches all 25 shapes
+    loop, batch = np.random.default_rng(3), np.random.default_rng(3)
+    stacks = {}
+    for k in range(613):
+        n = int(loop.integers(1, 6))
+        m = int(loop.integers(1, 6))
+        s = ineq.random_group_sample(loop, n, m, pattern=ineq._PATTERNS[k % 5])
+        stacks.setdefault((n, m), []).append(s)
+    drawn = ineq.draw_group_stacks(batch, 613)
+    assert batch.bit_generator.state == loop.bit_generator.state
+    assert list(drawn) == list(stacks) and len(drawn) == 25
+    for shape, (lam, h) in drawn.items():
+        assert lam.tobytes() == np.array([s.lam for s in stacks[shape]]).tobytes()
+        assert h.tobytes() == np.array([s.h for s in stacks[shape]]).tobytes()
+
+
+@pytest.mark.parametrize("p", range(1, 6))
+def test_lam_from_exponentials_reproduces_numpy_dirichlet(p):
+    # src draws its Dirichlet shares from standard exponentials; this is the
+    # reference they must equal, bit for bit, with the generator left as
+    # dirichlet leaves it
+    for seed in range(5):
+        ref, got = np.random.default_rng(seed), np.random.default_rng(seed)
+        budget = 2.0 * np.log(1.0 + 2.0 * ref.random(37))
+        got.random(37)
+        want = np.sqrt(np.expm1(ref.dirichlet(np.ones(p), size=37) * budget[:, None]))
+        lam = ineq._lam_from(got.standard_exponential((37, p)), budget)
+        assert lam.tobytes() == want.tobytes()
+        assert got.bit_generator.state == ref.bit_generator.state
+        # one sample's draw, as _draw makes it
+        one = np.sqrt(np.expm1(ref.dirichlet(np.ones(p)) * budget[0]))
+        lam = ineq._lam_from(got.standard_exponential(p)[None], budget[:1])
+        assert lam.tobytes() == one.tobytes()
+        assert got.bit_generator.state == ref.bit_generator.state
+
+
+def test_draw_counts_must_be_nonnegative():
+    rng = np.random.default_rng(0)
+    assert ineq.draw_group_stacks(rng, 0) == {}
+    for draw in (ineq.draw_group_stacks, ineq.sample_check):
+        with pytest.raises(ValueError, match="nonnegative"):
+            draw(rng, -1)
+
+
+@pytest.mark.parametrize("v_target", [3.5, 3.0, 0.5, math.nan])
+def test_a_target_slope_outside_the_subcritical_range_is_rejected(v_target):
+    # 3.5 once gave a sample with v = 3.5, and 0.5 failed on a NaN angle value
+    with pytest.raises(ValueError, match=r"\[1, 3\)"):
+        ineq.random_group_sample(np.random.default_rng(0), 3, 2, v_target=v_target)
 
 
 @pytest.mark.parametrize("n,m", SHAPES)

@@ -640,16 +640,11 @@ def cmd_verify_prop41(cfg, outdir, jobs=1) -> RunReport:
         check_le("zero_form_samples", sampled.zero_forms, cfg["samples"], 0.0)
     )
 
-    zero_lam = ineq.GroupSample(
-        3, 2, np.zeros(2), _symmetrized(rng.standard_normal((2, 3, 3)))
+    zero_lam, _ = ineq.batched_master_margins(
+        np.zeros((1, 2)), _symmetrized(rng.standard_normal((1, 2, 3, 3)))
     )
     report.checks.append(
-        check_le(
-            "zero_lambda_margin",
-            abs(ineq.master_margin(zero_lam)),
-            0.0,
-            cfg["tol_margin"],
-        )
+        check_le("zero_lambda_margin", abs(zero_lam[0]), 0.0, cfg["tol_margin"])
     )
 
     search = ineq.adversarial_margin_search(

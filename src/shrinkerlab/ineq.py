@@ -13,29 +13,27 @@ which pins the subcritical slope threshold v < 3.  The scalar side —
 F, F1, F2 on the constraint set Omega and the polynomials H1, H2 — is swept
 numerically to certify sup F <= -1/16, the source of the constant.
 
-The form is evaluated on stacks only: lam (B, p) and h (B, m, n, n) of one
-(n, m) shape.  Each group and its bound are written once, as monomials in a
-table built and cached per shape (`_group_table`) and evaluated row by row
-(`_group_values`); the direct total and the master margin come from one
-kernel (`_master_kernel`).  Both sum each row in a fixed order along that
-row alone, so a row's numbers never depend on the rest of its stack.  A
-`GroupSample` is evaluated as the stack of one it is checked as
-(`GroupSample.stack`): `group_terms`, `group_bounds_check`, `master_margin`
-and `longdouble_master_margin` read row 0 of the route that `group_totals`
-and `batched_master_margins` take for a whole stack, with the same bits.
-One check validates every entry: `_check_stack`, or its lambda half
-`_check_lam` for the lambda-only `min_margin_over_h`.
+Every entry of the form takes a stack: lam (B, p) and h (B, m, n, n) of
+one (n, m) shape, a single sample being a stack of one.  Each group and its
+bound are written once, as monomials in a table built and cached per shape
+(`_group_table`) and evaluated row by row (`_group_values`); the direct
+total and the master margin come from one kernel (`_master_kernel`).  Both
+sum each row in a fixed order along that row alone, so a row's numbers never
+depend on the rest of its stack.  `group_totals` gives the two routes to the
+total and the margin, `group_bounds` each group's slack against its bound,
+and `batched_master_margins` the margin alone.  One check validates every
+entry: `_check_stack`, or its lambda half `_check_lam` for the lambda-only
+`min_margin_over_h`.
 
 The sampled check (`sample_check`) draws its samples with
-`draw_group_stacks`, whose loop over samples makes only the generator calls,
-in the order a loop over `random_group_sample` makes them, and keeps the raw
-draws.  lambda is then built once per (n, m) shape (`_lam_from`) and h once
-per shape and pattern (`_h_from`): the builders a single draw (`_draw`) runs
-on a stack of one.  lambda's Dirichlet shares are built from standard
-exponentials, which is how numpy's `dirichlet` draws them, so the stream,
-the generator's final state and every bit of the stacks are those of the
-sample loop.  Each shape then takes one `group_totals` call: one stacked
-validation, one table pass and one master-kernel call.
+`draw_group_stacks`, whose loop over samples makes only the generator calls
+and keeps the raw draws.  lambda is then built once per (n, m) shape
+(`_lam_from`) and h once per shape and pattern (`_h_from`).  lambda's
+Dirichlet shares are built from standard exponentials, which is how numpy's
+`dirichlet` draws them, so the stream and every bit of the stacks are those
+of a loop drawing one sample at a time.  Each shape then takes one
+`group_totals` call: one stacked validation, one table pass and one
+master-kernel call.
 
 Everything here is plain finite-dimensional algebra: samples are points in
 (lambda, h) space and sweeps are grids.  The search draws lambda only: at
@@ -49,8 +47,8 @@ import functools
 import json
 import math
 from array import array
-from dataclasses import dataclass, field as dc_field
-from typing import NamedTuple, Optional
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -298,56 +296,7 @@ def near_equality_probe(v):
 
 
 # ---------------------------------------------------------------------------
-# quadratic-form side: samples and groups
-
-
-@dataclass(frozen=True)
-class GroupSample:
-    """A point in (lambda, h) space feeding the grouped quadratic form.
-
-    lam holds the p = min(n, m) nonnegative angle tangents; h is the
-    (m, n, n) coefficient array, symmetric in its last two indices.  It is
-    checked and evaluated as the stack of one `stack`, so its numbers are
-    those of its row in any stack.  The slope value v = prod sqrt(1 + lam_j^2)
-    is computed once, at construction.
-    """
-
-    n: int
-    m: int
-    lam: np.ndarray
-    h: np.ndarray
-    v: float = dc_field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        lam = np.asarray(self.lam, dtype=float)
-        h = np.asarray(self.h, dtype=float)
-        object.__setattr__(self, "lam", lam)
-        object.__setattr__(self, "h", h)
-        v = _check_stack(self.n, self.m, *self.stack)
-        object.__setattr__(self, "v", float(v[0]))
-
-    @property
-    def stack(self):
-        """(lam (1, p), h (1, m, n, n)): this sample as a stack of one."""
-        return self.lam[None], self.h[None]
-
-    @property
-    def p(self):
-        return min(self.n, self.m)
-
-    @property
-    def subcritical(self):
-        return self.v < 3.0
-
-    def to_json(self):
-        return {
-            "n": self.n,
-            "m": self.m,
-            "lam": self.lam.tolist(),
-            "h": self.h.tolist(),
-            "v": self.v,
-            "subcritical": self.subcritical,
-        }
+# quadratic-form side: stacks and groups
 
 
 def _check_lam(p, lam):
@@ -370,8 +319,8 @@ def _check_lam(p, lam):
 def _check_stack(n, m, lam, h):
     """Validate a stack of samples of one (n, m) shape; return their slope values.
 
-    lam has shape (B, p) and h (B, m, n, n); a GroupSample is checked as a
-    stack of one, and the messages name the shape of one sample.
+    lam has shape (B, p) and h (B, m, n, n); the messages name the shape
+    of one sample.
     """
     v = _check_lam(min(n, m), lam)
     if h.shape != (len(lam), m, n, n):
@@ -522,45 +471,6 @@ def _group_values(n, m, lam, h):
     return t, vals.reshape(rows, groups)
 
 
-def _by_group(t: _GroupTable, x):
-    """Split per-group numbers into the I, II, III and IV dicts."""
-    x = iter(x.tolist())  # zip draws a key first, so each dict takes only its own
-    return [dict(zip(keys, x)) for keys in t.keys]
-
-
-@dataclass(frozen=True)
-class GroupBreakdown:
-    leftover: float
-    I: dict
-    II: dict
-    III: dict
-    IV: dict
-    grouped_total: float
-    direct_total: float
-    master_margin: float
-
-
-def group_terms(s: GroupSample) -> GroupBreakdown:
-    """All group values, the two routes to the total, and the master margin.
-
-    They are row 0 of the stack of one, read as `group_totals` reads a stack.
-    """
-    lam, h = s.stack
-    t, vals = _group_values(s.n, s.m, lam, h)
-    margin, total, _, _ = _margins(lam, h)
-    I, II, III, IV = _by_group(t, vals[0])
-    return GroupBreakdown(
-        leftover=float(vals[0, -1]),
-        I=I,
-        II=II,
-        III=III,
-        IV=IV,
-        grouped_total=float(vals.sum(axis=-1)[0]),
-        direct_total=float(total[0]),
-        master_margin=float(margin[0]),
-    )
-
-
 class GroupTotals(NamedTuple):
     grouped: np.ndarray  # sum of the group values and the leftover
     direct: np.ndarray
@@ -571,9 +481,9 @@ class GroupTotals(NamedTuple):
 def group_totals(n, m, lam, h) -> GroupTotals:
     """The two routes to the total, the master margin and |B|^2 of a stack.
 
-    lam (B, p) and h (B, m, n, n) hold B samples of one (n, m) shape, checked
-    as GroupSample checks one.  Each row equals group_terms and master_margin
-    of that sample alone, bit for bit, whatever else the stack holds.
+    lam (B, p) and h (B, m, n, n) hold B samples of one (n, m) shape.  Each
+    row has the bits of that sample's stack of one, whatever else the stack
+    holds.
     """
     lam = np.asarray(lam, dtype=float)
     h = np.asarray(h, dtype=float)
@@ -583,70 +493,38 @@ def group_totals(n, m, lam, h) -> GroupTotals:
     return GroupTotals(vals.sum(axis=-1), total, margin, b2)
 
 
-# ---------------------------------------------------------------------------
-# bounds
+class GroupBounds(NamedTuple):
+    keys: tuple  # (I keys, II keys, III keys, IV keys): the groups in column order
+    values: np.ndarray  # (B, groups + 1): each group's value, the leftover last
+    slack: np.ndarray  # (B, groups): each group's value minus its proved lower bound
 
 
-@dataclass(frozen=True)
-class GroupMargins:
-    """Per-group slack against the proved lower bounds; all should be
-    >= -1e-12 on subcritical samples."""
+def group_bounds(n, m, lam, h) -> GroupBounds:
+    """Each group's value and its slack against the proved bound, per row of a stack.
 
-    I: dict
-    II: dict
-    III: dict
-    IV: dict
-    min_margin: float
-    counterexample: Optional[dict]
-
-
-def group_bounds_check(s: GroupSample) -> GroupMargins:
-    if not s.subcritical:
-        raise ValueError("group bounds require a subcritical sample (v < 3)")
-    t, vals = _group_values(s.n, s.m, *s.stack)
-    vals = vals[0]
+    lam (B, p) and h (B, m, n, n) hold B samples of one (n, m) shape, every
+    one subcritical (v < 3); all slacks should be >= -1e-12.  The bounds are
+    one bincount over the table's bound squares, so each row has the bits of
+    its stack of one.
+    """
+    lam = np.asarray(lam, dtype=float)
+    h = np.asarray(h, dtype=float)
+    v = _check_stack(n, m, lam, h)
+    if np.any(v >= 3.0):
+        raise ValueError("group bounds require subcritical samples (v < 3)")
+    t, vals = _group_values(n, m, lam, h)
+    rows, groups = vals.shape[0], vals.shape[1] - 1
     (g, x), (c0, cv) = t.bound_index, t.bound_coef
-    squares = (c0 + cv * (3.0 - s.v)) * s.h.ravel()[x] ** 2
-    margins = vals[:-1] - np.bincount(g, squares, minlength=len(vals) - 1)
-    worst = float(margins.min())
-    mI, mII, mIII, mIV = _by_group(t, margins)
-    counter = None
-    if worst < -MARGIN_TOL:
-        counter = counterexample_dump(s, {
-            "group_margins": {
-                "I": {str(k): val for k, val in mI.items()},
-                "II": {str(k): val for k, val in mII.items()},
-                "III": {str(k): val for k, val in mIII.items()},
-                "IV": {str(k): val for k, val in mIV.items()},
-            }
-        })
-    return GroupMargins(mI, mII, mIII, mIV, worst, counter)
-
-
-def master_margin(s: GroupSample):
-    """direct quadratic-form total minus (3 - v)|B|^2 / 2."""
-    return float(_margins(*s.stack)[0][0])
-
-
-def master_inequality_check(s: GroupSample):
-    margin = master_margin(s)
-    record = None
-    if margin < -MARGIN_TOL:
-        record = counterexample_dump(s, {"master_margin": margin})
-    return margin, record
-
-
-def counterexample_dump(s: GroupSample, values: dict) -> dict:
-    """JSON-ready record with everything needed to recompute the claim."""
-    out = {"sample": s.to_json(), "C1": C1}
-    out.update(values)
-    return out
+    squares = (c0 + cv * (3.0 - v)[:, None]) * h.reshape(rows, -1)[:, x] ** 2
+    ids = g + groups * np.arange(rows)[:, None]
+    bounds = np.bincount(ids.ravel(), squares.ravel(), minlength=groups * rows)
+    return GroupBounds(t.keys, vals, vals[:, :-1] - bounds.reshape(rows, groups))
 
 
 def batched_master_margins(lam, h):
     """Master margins and slope values of a stack: lam (B, p), h (B, m, n, n).
 
-    The stack is checked as GroupSample checks one, with m and n read from h.
+    The stack is checked as `group_totals` checks one, with m and n read from h.
     """
     lam = np.asarray(lam, dtype=float)
     h = np.asarray(h, dtype=float)
@@ -657,13 +535,6 @@ def batched_master_margins(lam, h):
     return margin, v
 
 
-def longdouble_master_margin(s: GroupSample):
-    """Extended-precision recheck used before reporting any violation."""
-    lam, h = s.stack
-    ld = np.longdouble
-    return float(_margins(lam.astype(ld), h.astype(ld))[0][0])
-
-
 # ---------------------------------------------------------------------------
 # sampling and adversarial search
 
@@ -671,17 +542,13 @@ def longdouble_master_margin(s: GroupSample):
 _PATTERNS = ("dense", "diag", "triple", "lowrank", "sparse")
 
 
-def _lam_variates(rng, p, v_target=None):
+def _lam_variates(rng, p):
     """(budget, exponentials (p,)): the draws of one subcritical lambda.
 
-    The budget is sum log(1 + lam^2) = 2 log v, with v uniform in (1, 3)
-    unless v_target is given; `_lam_from` turns the draws into lambda.
+    The budget is sum log(1 + lam^2) = 2 log v, with v uniform in (1, 3);
+    `_lam_from` turns the draws into lambda.
     """
-    if v_target is None:
-        v_target = 1.0 + 2.0 * rng.random()
-    elif not 1.0 <= v_target < 3.0:
-        raise ValueError(f"v_target must lie in [1, 3), got {v_target!r}")
-    return 2.0 * math.log(v_target), rng.standard_exponential(p)
+    return 2.0 * math.log(1.0 + 2.0 * rng.random()), rng.standard_exponential(p)
 
 
 def _lam_from(exps, budget):
@@ -694,12 +561,6 @@ def _lam_from(exps, budget):
     """
     acc = np.cumsum(exps, axis=-1)[:, -1:]
     return np.sqrt(np.expm1(exps * (1.0 / acc) * budget[:, None]))
-
-
-def _subcritical_lambdas(rng, p, v_target=None):
-    """One subcritical lam (p,): its draws, built as a stack of one."""
-    budget, exps = _lam_variates(rng, p, v_target)
-    return _lam_from(exps[None], np.array([budget]))[0]
 
 
 def _h_variates(rng, n, m, pattern):
@@ -750,47 +611,26 @@ def _h_from(n, m, pattern, raw):
     return h
 
 
-def random_group_sample(rng, n, m, pattern="dense", v_target=None) -> GroupSample:
-    """Draw a subcritical sample; patterns stress individual group bounds.
-
-    dense: full normal h.  diag: only the h_{j,ij} entries the square terms
-    see.  triple: only fully-distinct index triples within p (group III
-    territory), so h = 0 when p < 3.  lowrank: rank-one h per component.
-    sparse: a handful of random entries.  v_target, if given, fixes the
-    slope value v in [1, 3); otherwise v is uniform in (1, 3).
-    """
-    return GroupSample(n, m, *_draw(rng, n, m, pattern, v_target))
-
-
-def _draw(rng, n, m, pattern, v_target=None):
-    """(lam, h) of one random_group_sample draw: lam first, then h.
-
-    The draws of one sample, built as a stack of one by the builders
-    `draw_group_stacks` runs on whole stacks.
-    """
-    if pattern not in _PATTERNS:
-        raise ValueError(f"unknown pattern {pattern!r}")
-    lam = _subcritical_lambdas(rng, min(n, m), v_target)
-    return lam, _h_from(n, m, pattern, _h_variates(rng, n, m, pattern)[None])[0]
-
-
 def draw_group_stacks(rng, count):
     """Draw count samples in sequence and stack them by (n, m) shape.
 
-    Sample k draws n, then m, uniformly from 1..5, then its lam and h with
-    pattern k mod 5 of dense, diag, triple, lowrank, sparse.  Returns
-    {(n, m): (lam (B, p), h (B, m, n, n))}, shapes in order of first draw and
-    samples in draw order; the stacks are not checked here.
+    Sample k draws n, then m, uniformly from 1..5, then its lam (v uniform
+    in (1, 3), Dirichlet shares of 2 log v) and its h with pattern k mod 5:
+    dense, full normal h; diag, only the h_{j,ij} entries the square terms
+    see; triple, only fully-distinct index triples within p (group III
+    territory), so h = 0 when p < 3; lowrank, rank-one h per component;
+    sparse, a handful of random entries.  Returns {(n, m): (lam (B, p),
+    h (B, m, n, n))}, shapes in order of first draw and samples in draw
+    order; the stacks are not checked here.
 
-    The loop makes only the generator calls, in the order a loop over
-    `random_group_sample` makes them, and keeps their raw draws; lam is then
-    built once per shape (`_lam_from`) and h once per shape and pattern
-    (`_h_from`).  The builders are the ones `_draw` runs on a stack of one,
-    and each row of a stack depends on its own draws alone, so the stacks
-    and the generator's final state are those of the sample loop.  The
-    loop's one call that differs from a `dirichlet` loop, standard_exponential(p)
-    for dirichlet(ones(p)), consumes the same variates, which `_lam_from`
-    normalizes as `dirichlet` does.
+    The loop makes only the generator calls and keeps their raw draws; lam
+    is then built once per shape (`_lam_from`) and h once per shape and
+    pattern (`_h_from`).  Each row of a stack depends on its own draws alone,
+    so the stacks and the generator's final state are those of a loop that
+    draws and builds one sample at a time.  The loop's one call that differs
+    from a `dirichlet` loop, standard_exponential(p) for dirichlet(ones(p)),
+    consumes the same variates, which `_lam_from` normalizes as `dirichlet`
+    does.
     """
     if count < 0:
         raise ValueError(f"count must be nonnegative, got {count}")
@@ -889,7 +729,7 @@ def min_margin_over_h(n, m, lam):
 
     It is the smallest eigenvalue of T(lam) (`_margin_form`) minus (3 - v) / 2,
     and h (B, m, n, n) is its eigenvector: symmetric, with |B|^2 = 1.  lam
-    is checked as GroupSample checks its angle values.
+    is checked as `group_totals` checks its angle values.
     """
     lam = np.asarray(lam, dtype=float)
     v = _check_lam(min(n, m), lam)
@@ -908,8 +748,9 @@ def adversarial_margin_search(seed=0, restarts=10_000) -> SearchReport:
     """min_margin_over_h at restarts // 24 random lambda per shape with p <= 4.
 
     Half the lambda have v uniform in (1, 3), half v from V_SCHEDULE, hard
-    against v -> 3 where the bound degenerates.  A minimum below tolerance
-    is rechecked in extended precision, at its own h, before it is recorded.
+    against v -> 3 where the bound degenerates.  The minima below tolerance
+    are rechecked in extended precision, each at its own h, in one call; one
+    still below is recorded with everything needed to recompute it.
     """
     rng = np.random.default_rng(seed)
     shapes = [(n, m) for n in range(1, 6) for m in range(1, 6) if min(n, m) <= 4]
@@ -928,13 +769,13 @@ def adversarial_margin_search(seed=0, restarts=10_000) -> SearchReport:
         margins, h = min_margin_over_h(n, m, lam)
         worst = np.min(margins, initial=worst)
         flagged = np.nonzero(margins < -MARGIN_TOL)[0]
-        for idx in flagged:
-            cand = GroupSample(n=n, m=m, lam=lam[idx], h=h[idx])
-            refined = longdouble_master_margin(cand)
-            if refined < -MARGIN_TOL:
-                violations.append(
-                    counterexample_dump(cand, {"master_margin": refined})
-                )
+        ld = np.longdouble
+        refined = _margins(lam[flagged].astype(ld), h[flagged].astype(ld))[0].astype(float)
+        for k, margin, v in zip(flagged, refined.tolist(), _slope(lam[flagged]).tolist()):
+            if margin < -MARGIN_TOL:
+                sample = {"n": n, "m": m, "lam": lam[k].tolist(), "h": h[k].tolist(),
+                          "v": v, "subcritical": v < 3.0}
+                violations.append({"sample": sample, "C1": C1, "master_margin": margin})
     return SearchReport(
         worst_margin=float(worst),
         evaluations=per_shape * len(shapes),

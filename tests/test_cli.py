@@ -496,6 +496,14 @@ def test_a_nan_fails_a_mandatory_check(monkeypatch, tmp_path, case):
     assert cli.main([command, "--config", path, "--out", str(tmp_path)]) == 1
     report = _load_report(str(tmp_path), command)
     assert report["status"] == "FAIL"
+    if command == "verify-prop41":
+        # the poisoned check fails alone: the zero-lambda check, which reads
+        # its own stack, passes
+        status = {c["name"]: cli.report_status([cli.CheckRecord(**c)])
+                  for c in report["checks"]}
+        poisoned = "regroup_max" if case.endswith("regroup") else "sample_min_margin"
+        assert {name for name, s in status.items() if s == "FAIL"} == {poisoned}
+        assert status["zero_lambda_margin"] == "PASS"
 
 
 def test_seed_flag_overrides_config_seed(tmp_path):

@@ -5,15 +5,7 @@ import numpy as np
 import pytest
 
 from shrinkerlab import grassmann, ineq
-from shrinkerlab.ineq import GroupSample, OmegaMembershipError, OmegaPoint, PoleError
-
-
-def _random_sample(rng, n=None, m=None, pattern=None):
-    n = int(rng.integers(1, 6)) if n is None else n
-    m = int(rng.integers(1, 6)) if m is None else m
-    if pattern is None:
-        pattern = ineq._PATTERNS[rng.integers(len(ineq._PATTERNS))]
-    return ineq.random_group_sample(rng, n, m, pattern=pattern)
+from shrinkerlab.ineq import OmegaMembershipError, OmegaPoint, PoleError
 
 
 def _hyperbola_t(v, r):
@@ -186,68 +178,117 @@ def test_near_equality_probe_attains_bound():
 
 
 # ---------------------------------------------------------------------------
-# group samples
-
-
-def test_group_sample_validation():
-    with pytest.raises(ValueError, match="angle values"):
-        GroupSample(n=3, m=2, lam=np.zeros(3), h=np.zeros((2, 3, 3)))
-    with pytest.raises(ValueError, match="nonnegative"):
-        GroupSample(n=3, m=2, lam=np.array([0.5, -0.1]), h=np.zeros((2, 3, 3)))
-    with pytest.raises(ValueError, match="shape"):
-        GroupSample(n=3, m=2, lam=np.zeros(2), h=np.zeros((2, 3, 2)))
-    bad = np.zeros((2, 3, 3))
-    bad[0, 0, 1] = 1.0
-    with pytest.raises(ValueError, match="symmetric"):
-        GroupSample(n=3, m=2, lam=np.zeros(2), h=bad)
-    for bad_value in (math.nan, math.inf, -math.inf):
-        bad = np.zeros((2, 3, 3))
-        bad[0, 0, 0] = bad_value
-        with pytest.raises(ValueError, match="finite"):
-            GroupSample(n=3, m=2, lam=np.zeros(2), h=bad)
-        with pytest.raises(ValueError, match="finite"):
-            GroupSample(n=3, m=2, lam=np.array([0.5, abs(bad_value)]), h=np.zeros((2, 3, 3)))
-    s = GroupSample(n=2, m=2, lam=np.array([1.0, 1.0]), h=np.zeros((2, 2, 2)))
-    assert s.v == pytest.approx(2.0, rel=1e-14)
-    assert s.subcritical
-    assert not GroupSample(
-        n=2, m=2, lam=np.array([3.0, 3.0]), h=np.zeros((2, 2, 2))
-    ).subcritical
-
-
-def test_groups_vanish_without_curvature():
-    s = GroupSample(n=4, m=3, lam=np.array([0.5, 1.0, 0.2]), h=np.zeros((3, 4, 4)))
-    gb = ineq.group_terms(s)
-    assert gb.grouped_total == 0.0
-    assert gb.direct_total == 0.0
-    assert all(val == 0.0 for val in gb.I.values())
-    assert all(val == 0.0 for val in gb.IV.values())
+# stacks of group samples
 
 
 SHAPES = [(n, m) for n in range(1, 6) for m in range(1, 6)]
+GROUPS = ("I", "II", "III", "IV")
+
+
+def _reference_draw(rng, n, m, pattern):
+    """One sample of draw_group_stacks' stream, drawn entry by entry.
+
+    lambda comes from numpy's `dirichlet` and h from one generator call per
+    entry (per component for lowrank), so this shares no code with
+    `ineq._lam_from` or `ineq._h_from`.
+    """
+    p = min(n, m)
+    budget = 2.0 * math.log(1.0 + 2.0 * rng.random())
+    lam = np.sqrt(np.expm1(rng.dirichlet(np.ones(p)) * budget))
+    h = np.zeros((m, n, n))
+    if pattern == "dense":
+        for a in range(m):
+            for i in range(n):
+                for j in range(n):
+                    h[a, i, j] = rng.normal()
+        h = 0.5 * (h + np.swapaxes(h, 1, 2))
+    elif pattern == "diag":
+        for j in range(p):
+            for i in range(n):
+                val = rng.normal()
+                h[j, i, j] += val
+                if i != j:
+                    h[j, j, i] += val
+    elif pattern == "triple":
+        for i in range(p):
+            for j in range(p):
+                for k in range(p):
+                    if len({i, j, k}) == 3:
+                        val = rng.normal()
+                        h[i, j, k] += val
+                        h[i, k, j] += val
+    elif pattern == "lowrank":
+        for a in range(m):
+            vec = np.array([rng.normal() for _ in range(n)])
+            h[a] = np.outer(vec, vec) * rng.normal()
+    else:
+        for _ in range(max(3, n)):
+            a, i, j = rng.integers(m), rng.integers(n), rng.integers(n)
+            val = rng.normal()
+            h[a, i, j] += val
+            if i != j:
+                h[a, j, i] += val
+    return lam, h
+
+
+def _reference_stacks(rng, count):
+    """draw_group_stacks' stacks, drawn one sample at a time by _reference_draw."""
+    drawn = {}
+    for k in range(count):
+        n = int(rng.integers(1, 6))
+        m = int(rng.integers(1, 6))
+        drawn.setdefault((n, m), []).append(_reference_draw(rng, n, m, ineq._PATTERNS[k % 5]))
+    return {shape: tuple(map(np.array, zip(*samples))) for shape, samples in drawn.items()}
+
+
+def _reference_stack(rng, n, m, per_pattern):
+    """(lam, h): per_pattern samples of each pattern, of one (n, m) shape."""
+    samples = [_reference_draw(rng, n, m, pattern)
+               for pattern in ineq._PATTERNS for _ in range(per_pattern)]
+    return tuple(map(np.array, zip(*samples)))
+
+
+@pytest.fixture(scope="module")
+def verify_stacks():
+    """{(n, m): (lam, h, group_totals, group_bounds)} of the stacks
+    verify-prop41 checks at seed 61, evaluated once."""
+    return {(n, m): (lam, h, ineq.group_totals(n, m, lam, h), ineq.group_bounds(n, m, lam, h))
+            for (n, m), (lam, h) in
+            ineq.draw_group_stacks(np.random.default_rng(61), 4000).items()}
+
+
+def test_groups_vanish_without_curvature():
+    lam, h = np.array([[0.5, 1.0, 0.2]]), np.zeros((1, 3, 4, 4))
+    t = ineq.group_totals(4, 3, lam, h)
+    b = ineq.group_bounds(4, 3, lam, h)
+    assert t.grouped[0] == 0.0 and t.direct[0] == 0.0
+    assert np.all(b.values == 0.0) and np.all(b.slack == 0.0)
 
 
 @pytest.mark.parametrize("n,m", SHAPES)
 def test_group_key_sets_follow_index_ranges(n, m):
     p = min(n, m)
-    s = _random_sample(np.random.default_rng(4), n=n, m=m, pattern="dense")
-    gb = ineq.group_terms(s)
-    gm = ineq.group_bounds_check(s)
-    assert len(gb.I) == n - p
-    assert len(gb.II) == (n - p) * math.comb(p, 2)
-    assert len(gb.III) == math.comb(p, 3)
-    assert len(gb.IV) == p
-    assert all(p <= i < n for i in gb.I)
-    assert all(p <= i < n and 0 <= j < k < p for i, j, k in gb.II)
-    assert all(0 <= i < j < k < p for i, j, k in gb.III)
-    assert list(gb.IV) == list(range(p))
-    for name in ("I", "II", "III", "IV"):
-        assert list(getattr(gm, name)) == list(getattr(gb, name))
+    lam, h = _reference_stack(np.random.default_rng(4), n, m, 1)
+    b = ineq.group_bounds(n, m, lam, h)
+    I, II, III, IV = b.keys
+    assert len(I) == n - p
+    assert len(II) == (n - p) * math.comb(p, 2)
+    assert len(III) == math.comb(p, 3)
+    assert len(IV) == p
+    assert all(p <= i < n for i in I)
+    assert all(p <= i < n and 0 <= j < k < p for i, j, k in II)
+    assert all(0 <= i < j < k < p for i, j, k in III)
+    assert list(IV) == list(range(p))
+    groups = sum(map(len, b.keys))
+    assert b.values.shape == (len(lam), groups + 1)
+    assert b.slack.shape == (len(lam), groups)
 
 
-def _reference_groups(s):
-    """Group values and bound margins evaluated pointwise, one loop per group."""
-    p, n, la, h, v = s.p, s.n, s.lam, s.h, s.v
+def _reference_groups(lam, h):
+    """Group values and bound margins of one sample, one loop per group."""
+    m, n = h.shape[:2]
+    p, la = min(n, m), lam
+    v = math.prod(math.sqrt(1.0 + x * x) for x in lam)
     diag = np.arange(p)
     vals = {"I": {}, "II": {}, "III": {}, "IV": {}}
     margins = {"I": {}, "II": {}, "III": {}, "IV": {}}
@@ -291,103 +332,72 @@ def _reference_groups(s):
 
 @pytest.mark.parametrize("n,m", SHAPES)
 def test_group_table_matches_pointwise_reference(n, m):
-    rng = np.random.default_rng(100 + 10 * n + m)
-    for pattern in ineq._PATTERNS:
-        for _ in range(4):
-            s = ineq.random_group_sample(rng, n, m, pattern=pattern)
-            vals, margins, leftover = _reference_groups(s)
-            gb = ineq.group_terms(s)
-            gm = ineq.group_bounds_check(s)
-            assert abs(gb.leftover - leftover) <= 1e-13 * max(1.0, leftover)
-            for name in ("I", "II", "III", "IV"):
-                assert list(getattr(gb, name)) == list(vals[name])
-                assert list(getattr(gm, name)) == list(margins[name])
-                for key, ref in vals[name].items():
-                    tol = 1e-13 * max(1.0, abs(ref))
-                    assert abs(getattr(gb, name)[key] - ref) <= tol
-                    assert abs(getattr(gm, name)[key] - margins[name][key]) <= tol
-            worst = min(min(d.values(), default=math.inf) for d in margins.values())
-            assert gm.min_margin == pytest.approx(worst, rel=1e-13, abs=1e-13)
+    lam, h = _reference_stack(np.random.default_rng(100 + 10 * n + m), n, m, 4)
+    b = ineq.group_bounds(n, m, lam, h)
+    for k in range(len(lam)):
+        vals, margins, leftover = _reference_groups(lam[k], h[k])
+        assert [list(keys) for keys in b.keys] == [list(vals[name]) for name in GROUPS]
+        want = np.array([x for name in GROUPS for x in vals[name].values()] + [leftover])
+        slack = np.array([x for name in GROUPS for x in margins[name].values()])
+        tol = 1e-13 * np.maximum(1.0, np.abs(want))
+        assert np.all(np.abs(b.values[k] - want) <= tol)
+        assert np.all(np.abs(b.slack[k] - slack) <= tol[:-1])
 
 
-def test_regrouping_identity_random():
-    rng = np.random.default_rng(0)
-    for _ in range(300):
-        s = _random_sample(rng)
-        gb = ineq.group_terms(s)
-        scale = max(1.0, abs(gb.direct_total))
-        assert abs(gb.grouped_total - gb.direct_total) <= 1e-10 * scale
+def test_regrouping_identity_random(verify_stacks):
+    for *_, t, _ in verify_stacks.values():
+        assert np.all(np.abs(t.grouped - t.direct) <= 1e-10 * np.maximum(1.0, np.abs(t.direct)))
 
 
-def _per_entry_draw(rng, n, m, pattern):
-    """The diag, triple and lowrank draws as per-entry loops: the reference stream."""
-    p = min(n, m)
-    lam = ineq._subcritical_lambdas(rng, p)
-    h = np.zeros((m, n, n))
-    if pattern == "diag":
-        for j in range(p):
-            for i in range(n):
-                val = rng.normal()
-                h[j, i, j] += val
-                if i != j:
-                    h[j, j, i] += val
-    elif pattern == "triple":
-        for i in range(p):
-            for j in range(p):
-                for k in range(p):
-                    if len({i, j, k}) == 3:
-                        val = rng.normal()
-                        h[i, j, k] += val
-                        h[i, k, j] += val
-    else:
-        for a in range(m):
-            vec = rng.normal(size=n)
-            h[a] = np.outer(vec, vec) * rng.normal()
-    return lam, h
+def test_group_bounds_random_subcritical(verify_stacks):
+    for *_, b in verify_stacks.values():
+        assert np.all(b.slack >= -1e-12)
 
 
-@pytest.mark.parametrize("pattern", ["diag", "triple", "lowrank"])
+def test_master_margin_random_and_hierarchy(verify_stacks):
+    for *_, t, _ in verify_stacks.values():
+        assert np.all(t.margin >= -1e-12)
+
+
+def _stack_of_one_draw(rng, n, m, pattern):
+    """One sample's draws, built by the stack builders as a stack of one."""
+    budget, exps = ineq._lam_variates(rng, min(n, m))
+    lam = ineq._lam_from(exps[None], np.array([budget]))
+    return lam[0], ineq._h_from(n, m, pattern, ineq._h_variates(rng, n, m, pattern)[None])[0]
+
+
+@pytest.mark.parametrize("pattern", ["diag", "triple", "lowrank", "dense", "sparse"])
 def test_array_draws_match_the_per_entry_loops(pattern):
     for seed, (n, m) in enumerate(SHAPES):
         ref, got = np.random.default_rng(seed), np.random.default_rng(seed)
-        lam_ref, h_ref = _per_entry_draw(ref, n, m, pattern)
-        lam, h = ineq._draw(got, n, m, pattern)
+        lam_ref, h_ref = _reference_draw(ref, n, m, pattern)
+        lam, h = _stack_of_one_draw(got, n, m, pattern)
         assert lam.tobytes() == lam_ref.tobytes()
         assert h.tobytes() == h_ref.tobytes()
-        assert got.random() == ref.random()
+        assert got.bit_generator.state == ref.bit_generator.state
 
 
 def test_stack_drawer_keeps_the_sample_loop_stream():
     loop, batch = np.random.default_rng(21), np.random.default_rng(21)
-    stacks = {}
-    for k in range(600):
-        n = int(loop.integers(1, 6))
-        m = int(loop.integers(1, 6))
-        s = ineq.random_group_sample(loop, n, m, pattern=ineq._PATTERNS[k % 5])
-        stacks.setdefault((n, m), []).append(s)
+    stacks = _reference_stacks(loop, 600)
     drawn = ineq.draw_group_stacks(batch, 600)
     assert batch.random() == loop.random()
     assert list(drawn) == list(stacks)
     for shape, (lam, h) in drawn.items():
-        assert lam.tobytes() == np.array([s.lam for s in stacks[shape]]).tobytes()
-        assert h.tobytes() == np.array([s.h for s in stacks[shape]]).tobytes()
+        assert lam.tobytes() == stacks[shape][0].tobytes()
+        assert h.tobytes() == stacks[shape][1].tobytes()
 
 
 def test_stack_drawer_keeps_the_stream_at_a_count_reaching_every_shape():
     # 613 is not a multiple of the five patterns, and seed 3 reaches all 25 shapes
     loop, batch = np.random.default_rng(3), np.random.default_rng(3)
-    stacks = {}
-    for k in range(613):
-        n = int(loop.integers(1, 6))
-        m = int(loop.integers(1, 6))
-        s = ineq.random_group_sample(loop, n, m, pattern=ineq._PATTERNS[k % 5])
-        stacks.setdefault((n, m), []).append(s)
+    stacks = _reference_stacks(loop, 613)
     drawn = ineq.draw_group_stacks(batch, 613)
     assert batch.bit_generator.state == loop.bit_generator.state
     assert list(drawn) == list(stacks) and len(drawn) == 25
     for shape, (lam, h) in drawn.items():
-        assert lam.tobytes() == np.array([s.lam for s in stacks[shape]]).tobytes()
-        assert h.tobytes() == np.array([s.h for s in stacks[shape]]).tobytes()
+        assert lam.tobytes() == stacks[shape][0].tobytes()
+        assert h.tobytes() == stacks[shape][1].tobytes()
 
 
 @pytest.mark.parametrize("p", range(1, 6))
@@ -403,7 +413,7 @@ def test_lam_from_exponentials_reproduces_numpy_dirichlet(p):
         lam = ineq._lam_from(got.standard_exponential((37, p)), budget)
         assert lam.tobytes() == want.tobytes()
         assert got.bit_generator.state == ref.bit_generator.state
-        # one sample's draw, as _draw makes it
+        # one sample's draw, as a stack of one
         one = np.sqrt(np.expm1(ref.dirichlet(np.ones(p)) * budget[0]))
         lam = ineq._lam_from(got.standard_exponential(p)[None], budget[:1])
         assert lam.tobytes() == one.tobytes()
@@ -418,40 +428,34 @@ def test_draw_counts_must_be_nonnegative():
             draw(rng, -1)
 
 
-@pytest.mark.parametrize("v_target", [3.5, 3.0, 0.5, math.nan])
-def test_a_target_slope_outside_the_subcritical_range_is_rejected(v_target):
-    # 3.5 once gave a sample with v = 3.5, and 0.5 failed on a NaN angle value
-    with pytest.raises(ValueError, match=r"\[1, 3\)"):
-        ineq.random_group_sample(np.random.default_rng(0), 3, 2, v_target=v_target)
-
-
 @pytest.mark.parametrize("n,m", SHAPES)
 def test_group_totals_match_group_terms(n, m):
-    rng = np.random.default_rng(200 + 10 * n + m)
-    samples = [ineq.random_group_sample(rng, n, m, pattern=pattern)
-               for pattern in ineq._PATTERNS for _ in range(3)]
-    t = ineq.group_totals(n, m, [s.lam for s in samples], [s.h for s in samples])
-    for k, s in enumerate(samples):
-        gb = ineq.group_terms(s)
-        assert t.grouped[k] == gb.grouped_total
-        assert t.direct[k] == gb.direct_total
-        assert t.margin[k] == gb.master_margin
-        assert t.b2[k] == np.sum(s.h * s.h)
+    # the grouped total is the sum of the group terms group_bounds returns,
+    # and the margin is batched_master_margins', bit for bit
+    lam, h = _reference_stack(np.random.default_rng(200 + 10 * n + m), n, m, 3)
+    t = ineq.group_totals(n, m, lam, h)
+    b = ineq.group_bounds(n, m, lam, h)
+    margin, _ = ineq.batched_master_margins(lam, h)
+    assert t.grouped.tobytes() == b.values.sum(axis=-1).tobytes()
+    assert t.margin.tobytes() == margin.tobytes()
+    for k in range(len(lam)):
+        assert t.b2[k] == np.sum(h[k] * h[k])
 
 
-def test_every_stack_row_equals_its_sample_alone():
+def test_every_stack_row_equals_its_sample_alone(verify_stacks):
     # the stacks verify-prop41 checks at seed 61, where a separate
     # single-sample kernel once differed from the stack in the last bits
-    for (n, m), (lam, h) in ineq.draw_group_stacks(np.random.default_rng(61), 4000).items():
-        t = ineq.group_totals(n, m, lam, h)
+    for (n, m), (lam, h, t, b) in verify_stacks.items():
         margins, v = ineq.batched_master_margins(lam, h)
         for k in range(len(lam)):
-            s = GroupSample(n, m, lam[k], h[k])
-            gb = ineq.group_terms(s)
-            row = (t.grouped[k], t.direct[k], t.margin[k], margins[k], v[k])
-            alone = (gb.grouped_total, gb.direct_total, gb.master_margin,
-                     ineq.master_margin(s), s.v)
-            assert np.array(row).tobytes() == np.array(alone).tobytes(), (n, m, k)
+            one = lam[k:k + 1], h[k:k + 1]
+            alone = ineq.group_totals(n, m, *one)
+            row = np.array([*(x[k] for x in t), margins[k], v[k]])
+            assert row.tobytes() == np.concatenate(
+                [*alone, *ineq.batched_master_margins(*one)]).tobytes(), (n, m, k)
+            bounds = ineq.group_bounds(n, m, *one)
+            assert b.values[k].tobytes() == bounds.values[0].tobytes(), (n, m, k)
+            assert b.slack[k].tobytes() == bounds.slack[0].tobytes(), (n, m, k)
 
 
 def test_sample_check_makes_one_margin_call_per_shape(monkeypatch):
@@ -464,27 +468,40 @@ def test_sample_check_makes_one_margin_call_per_shape(monkeypatch):
 
 
 def _bad_stack_samples():
-    """(lam, h) of one (n, m) = (3, 2) sample per way a check can fail."""
+    """(lam, h, message) of one (n, m) = (3, 2) sample per way a check can fail."""
     h = np.zeros((2, 3, 3))
     asym = h.copy()
     asym[0, 0, 1] = 1.0
-    nonfinite = h.copy()
-    nonfinite[1, 2, 2] = math.nan
-    return [(np.array([0.5, -0.1]), h), (np.array([0.5, math.inf]), h),
-            (np.zeros(2), nonfinite), (np.zeros(2), asym), (np.array([1e200, 1e200]), h)]
+    nonfinite = [h.copy() for _ in range(3)]
+    for bad, value in zip(nonfinite, (math.nan, math.inf, -math.inf)):
+        bad[1, 2, 2] = value
+    lam_finite = "angle values must be finite"
+    return [(np.array([0.5, -0.1]), h, "angle values must be nonnegative"),
+            (np.array([0.5, math.inf]), h, lam_finite),
+            (np.zeros(2), nonfinite[0], "h must be finite"),
+            (np.zeros(2), asym, "h must be symmetric in its last two indices"),
+            (np.array([1e200, 1e200]), h, "slope value is not finite"),
+            (np.zeros(3), h, "need 2 angle values, got shape (3,)"),
+            (np.zeros(2), np.zeros((2, 3, 2)), "h must have shape (2, 3, 3)"),
+            (np.array([0.5, math.nan]), h, lam_finite),
+            (np.zeros(2), nonfinite[1], "h must be finite"),
+            (np.zeros(2), nonfinite[2], "h must be finite")]
 
 
-@pytest.mark.parametrize("case", range(5))
+@pytest.mark.parametrize("case", range(10))
 def test_stack_check_raises_as_group_sample(case):
-    lam_bad, h_bad = _bad_stack_samples()[case]
-    lam = np.full((4, 2), 0.3)
-    h = np.zeros((4, 2, 3, 3))
+    # each entry raises the message of one bad sample, also when the sample
+    # is row 2 of a stack of four
+    lam_bad, h_bad, message = _bad_stack_samples()[case]
+    lam = np.full((4, *lam_bad.shape), 0.3)
+    h = np.zeros((4, *h_bad.shape))
     lam[2], h[2] = lam_bad, h_bad
-    with np.errstate(over="ignore"), pytest.raises(ValueError) as single:
-        GroupSample(n=3, m=2, lam=lam_bad, h=h_bad)
-    with np.errstate(over="ignore"), pytest.raises(ValueError) as stacked:
-        ineq.group_totals(3, 2, lam, h)
-    assert str(stacked.value) == str(single.value)
+    for entry in (lambda: ineq.group_totals(3, 2, lam, h),
+                  lambda: ineq.batched_master_margins(lam, h),
+                  lambda: ineq.group_bounds(3, 2, lam, h)):
+        with np.errstate(over="ignore"), pytest.raises(ValueError) as raised:
+            entry()
+        assert str(raised.value) == message
 
 
 def test_group_totals_of_an_empty_stack_are_float():
@@ -493,76 +510,55 @@ def test_group_totals_of_an_empty_stack_are_float():
         assert a.dtype == np.float64 and a.shape == (0,)
 
 
-def test_group_bounds_random_subcritical():
-    rng = np.random.default_rng(1)
-    for _ in range(300):
-        s = _random_sample(rng)
-        report = ineq.group_bounds_check(s)
-        assert report.min_margin >= -1e-12
-        assert report.counterexample is None
-
-
 def test_group_bounds_need_subcritical():
-    s = GroupSample(n=2, m=2, lam=np.array([3.0, 3.0]), h=np.zeros((2, 2, 2)))
-    with pytest.raises(ValueError, match="subcritical"):
-        ineq.group_bounds_check(s)
+    h = np.zeros((2, 2, 2, 2))
+    for lam in ([[3.0, 3.0], [0.5, 0.5]], [[0.5, 0.5], [3.0, 3.0]]):
+        with pytest.raises(ValueError, match="subcritical"):
+            ineq.group_bounds(2, 2, np.array(lam), h)
 
 
 def test_II_margin_tight_at_zero_angles():
     # with lambda = 0 the slope is 1 and each II margin collapses exactly
-    h = np.zeros((2, 3, 3))
-    h[1, 2, 0] = h[1, 0, 2] = 0.7
-    h[0, 2, 1] = h[0, 1, 2] = -0.4
-    s = GroupSample(n=3, m=2, lam=np.zeros(2), h=h)
-    report = ineq.group_bounds_check(s)
-    assert report.II[(2, 0, 1)] == pytest.approx(0.0, abs=1e-14)
+    h = np.zeros((1, 2, 3, 3))
+    h[0, 1, 2, 0] = h[0, 1, 0, 2] = 0.7
+    h[0, 0, 2, 1] = h[0, 0, 1, 2] = -0.4
+    b = ineq.group_bounds(3, 2, np.zeros((1, 2)), h)
+    column = len(b.keys[0]) + b.keys[1].index((2, 0, 1))
+    assert b.slack[0, column] == pytest.approx(0.0, abs=1e-14)
 
 
 def test_master_margin_trivial_cases():
-    h = np.random.default_rng(3).normal(size=(2, 3, 3))
-    h = 0.5 * (h + np.swapaxes(h, 1, 2))
-    zero_angles = GroupSample(n=3, m=2, lam=np.zeros(2), h=h)
-    assert ineq.master_margin(zero_angles) == 0.0
-    no_curv = GroupSample(n=3, m=2, lam=np.array([0.4, 1.1]), h=np.zeros((2, 3, 3)))
-    assert ineq.master_margin(no_curv) == 0.0
-
-
-def test_master_margin_random_and_hierarchy():
-    rng = np.random.default_rng(6)
-    for _ in range(300):
-        s = _random_sample(rng)
-        margin, record = ineq.master_inequality_check(s)
-        assert margin >= -1e-12
-        assert record is None
-        # whenever the four group bounds hold the master bound must follow
-        if ineq.group_bounds_check(s).min_margin >= -1e-12:
-            assert margin >= -1e-12
+    h = np.random.default_rng(3).normal(size=(1, 2, 3, 3))
+    h = 0.5 * (h + np.swapaxes(h, -1, -2))
+    margin, v = ineq.batched_master_margins(np.zeros((1, 2)), h)
+    assert margin[0] == 0.0 and v[0] == 1.0
+    margin, _ = ineq.batched_master_margins(np.array([[0.4, 1.1]]), np.zeros((1, 2, 3, 3)))
+    assert margin[0] == 0.0
+    margin, v = ineq.batched_master_margins(np.array([[1.0, 1.0]]), np.zeros((1, 2, 2, 2)))
+    assert margin[0] == 0.0 and v[0] == pytest.approx(2.0, rel=1e-14)
 
 
 def test_master_margin_near_critical_schedule():
+    # lambda built as the adversarial search builds it, at each scheduled slope
     rng = np.random.default_rng(7)
-    for v_target in ineq.V_SCHEDULE:
-        for _ in range(40):
-            n = int(rng.integers(1, 6))
-            m = int(rng.integers(1, 6))
-            s = ineq.random_group_sample(rng, n, m, v_target=v_target)
-            assert s.v == pytest.approx(v_target, rel=1e-9)
-            assert ineq.master_margin(s) >= -1e-12
+    for slope in ineq.V_SCHEDULE:
+        for n, m in SHAPES:
+            p = min(n, m)
+            budget = np.full(8, 2.0 * math.log(slope))
+            lam = ineq._lam_from(rng.standard_exponential((8, p)), budget)
+            raw = rng.normal(size=(8, m, n, n))
+            margin, v = ineq.batched_master_margins(lam, 0.5 * (raw + np.swapaxes(raw, -1, -2)))
+            assert np.all(np.abs(v - slope) <= 1e-9 * slope)
+            assert np.all(margin >= -1e-12)
 
 
 def test_batched_margins_match_scalar():
-    rng = np.random.default_rng(12)
-    lam = []
-    h = []
-    for _ in range(64):
-        s = ineq.random_group_sample(rng, 4, 3)
-        lam.append(s.lam)
-        h.append(s.h)
-    batched, v = ineq.batched_master_margins(np.array(lam), np.array(h))
-    for i in range(64):
-        s = GroupSample(n=4, m=3, lam=lam[i], h=h[i])
-        assert batched[i] == ineq.master_margin(s)
-        assert v[i] == s.v
+    lam, h = _reference_stack(np.random.default_rng(12), 4, 3, 13)
+    batched, v = ineq.batched_master_margins(lam, h)
+    for i in range(len(lam)):
+        alone, v_alone = ineq.batched_master_margins(lam[i:i + 1], h[i:i + 1])
+        assert batched[i] == alone[0]
+        assert v[i] == v_alone[0]
 
 
 def test_batched_margins_check_their_stack():
@@ -587,12 +583,13 @@ def test_batched_margins_check_their_stack():
 
 def test_longdouble_recheck_consistent():
     rng = np.random.default_rng(13)
+    ld = np.longdouble
     for _ in range(20):
-        s = _random_sample(rng, pattern="dense")
-        a = ineq.master_margin(s)
-        b = ineq.longdouble_master_margin(s)
-        assert a == pytest.approx(b, rel=1e-10, abs=1e-10)
-
+        n, m = (int(x) for x in rng.integers(1, 6, size=2))
+        lam, h = (x[None] for x in _reference_draw(rng, n, m, "dense"))
+        a = ineq.batched_master_margins(lam, h)[0][0]
+        b = ineq._margins(lam.astype(ld), h.astype(ld))[0][0]
+        assert a == pytest.approx(float(b), rel=1e-10, abs=1e-10)
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
@@ -612,11 +609,6 @@ def test_master_kernel_row_is_its_stack_of_one(dtype):
                 assert a.dtype == c.dtype == dtype and c.shape == (1,)
                 # equality, not bytes: a longdouble's padding bytes are not its value
                 assert a[k] == b[k] == c[0]
-    s = _random_sample(rng)
-    gb = ineq.group_terms(s)
-    total, _, _ = ineq._master_kernel(*s.stack)
-    assert gb.direct_total == total[0]
-    assert gb.master_margin == ineq.master_margin(s)
 
 
 def test_master_kernel_keeps_dtype_and_longdouble_agrees():
@@ -687,7 +679,8 @@ _SEARCH_SHAPES = [(n, m) for n in range(1, 6) for m in range(1, 6) if min(n, m) 
 
 
 def _search_lambdas(rng, p, count):
-    return np.stack([ineq._subcritical_lambdas(rng, p) for _ in range(count)])
+    budgets, exps = zip(*(ineq._lam_variates(rng, p) for _ in range(count)))
+    return ineq._lam_from(np.array(exps), np.array(budgets))
 
 
 @pytest.mark.parametrize("n, m", _SEARCH_SHAPES)
@@ -764,11 +757,20 @@ def test_certificate_and_dump_json():
     assert data["samples"] == rep.samples
     assert data["seed"] == 123
 
-    rng = np.random.default_rng(14)
-    s = _random_sample(rng, n=3, m=2, pattern="dense")
-    dump = ineq.counterexample_dump(s, {"master_margin": 0.5})
-    rt = json.loads(json.dumps(dump))
-    assert rt["C1"] == 16.0
-    assert rt["master_margin"] == 0.5
-    assert np.array(rt["sample"]["h"]).shape == (2, 3, 3)
-    assert rt["sample"]["v"] == pytest.approx(s.v)
+
+def test_search_records_every_confirmed_minimum_with_its_longdouble_margin(monkeypatch):
+    # at this tolerance every minimum is flagged, and its recheck confirms it
+    monkeypatch.setattr(ineq, "MARGIN_TOL", -1e9)
+    report = ineq.adversarial_margin_search(seed=14, restarts=48)
+    assert len(report.violations) == report.evaluations == 48
+    ld = np.longdouble
+    for record in report.violations:
+        rt = json.loads(json.dumps(record))
+        assert rt == record and rt["C1"] == 16.0
+        sample = rt["sample"]
+        assert set(sample) == {"n", "m", "lam", "h", "v", "subcritical"}
+        lam, h = np.array([sample["lam"]]), np.array([sample["h"]])
+        assert h.shape == (1, sample["m"], sample["n"], sample["n"])
+        _, v = ineq.batched_master_margins(lam, h)
+        assert sample["v"] == v[0] and sample["subcritical"] == (v[0] < 3.0)
+        assert rt["master_margin"] == float(ineq._margins(lam.astype(ld), h.astype(ld))[0][0])

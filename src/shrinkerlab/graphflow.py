@@ -161,11 +161,12 @@ class _Plan(NamedTuple):
     contiguous run of size entries; no term leaves the array, and the slots
     on boundary columns are computed and never read.  rows is the node grid
     of the slab, inner selects the interior nodes in it and m is the
-    component count (see _inside).  X (n, size // m) holds each slab node's
-    coordinate along each axis.  groups pairs the axes (0, 1), (2, 3), ..., as
-    (axes, d1, d2) with the first and second differences' divisors, one row
-    per axis (one float if the axes share a step); mixed holds (k, l, div)
-    for k < l.
+    component count (see _inside).  X (n, size) holds each slab slot's
+    coordinate along each axis, a node's coordinates repeated m times, so
+    that the drift's products take one call.  groups pairs the axes (0, 1),
+    (2, 3), ..., as (axes, d1, d2) with the first and second differences'
+    divisors, one row per axis (one float if the axes share a step); mixed
+    holds (k, l, div) for k < l.
     """
 
     box: tuple
@@ -191,6 +192,7 @@ def _plan(shape, L, order):
     strides = tuple(m * math.prod(grid[k + 1:]) for k in range(n))
     rows = (grid[0] - 2 * g,) + grid[1:]
     X = np.moveaxis(_coords(L, grid)[g:grid[0] - g], -1, 0).reshape(n, -1)
+    X = np.repeat(X, m, axis=1)
     c1, c2 = _D1[order][1], _D2[order][1]
 
     def divisors(c, p, axes):
@@ -338,11 +340,16 @@ def _spd_inverse(g, det, tmp):
 
 def _sum_calls(pairs, out, tmp):
     """Calls that write 0.0 + a b + ... over the (a, b) pairs into out, in
-    their order; 0.0 + x differs from x at x = -0.0."""
+    their order; 0.0 + x differs from x at x = -0.0.  b, out and tmp are
+    (rows, m) and a (rows,): each product takes one call per component, on
+    strided views, so that no call runs an inner loop of length m."""
+    def product(a, b, dst):
+        return [(np.multiply, (a, b[:, c], dst[:, c])) for c in range(b.shape[1])]
+
     (a, b), *rest = pairs
-    calls = [(np.multiply, (a, b, out)), (np.add, (out, 0.0, out))]
+    calls = product(a, b, out) + [(np.add, (out, 0.0, out))]
     for a, b in rest:
-        calls += [(np.multiply, (a, b, tmp)), (np.add, (out, tmp, out))]
+        calls += product(a, b, tmp) + [(np.add, (out, tmp, out))]
     return calls
 
 
@@ -370,9 +377,10 @@ class _Workspace:
     fill() recomputes all of them from whatever values holds, with the
     arithmetic of the stacked definitions at every interior node, so a run
     builds one workspace and fills it once per state.  One zeroed scratch
-    block serves, in turn, the inverse's products, the residual's terms, a
-    sample's reductions and the second form's contractions; elliptic and
-    drift live there, so they hold until the next sample or fill only.
+    block serves, in turn, the jets' centre term, the metric's second-component
+    products, the inverse's products, the residual's terms, a sample's
+    reductions and the second form's contractions; elliptic and drift live
+    there, so they hold until the next sample or fill only.
     """
 
     def __init__(self, field: GridField, order):
@@ -406,14 +414,26 @@ class _Workspace:
         self._tang = self._qw[(0,) * 3]
 
         diag = g.reshape(n * n, nodes)[::n + 1]
-        if field.m == 1:
-            # einsum's sum from 0.0 of one product, which is the product
-            # itself on the diagonal, where it is a square and never -0.0
-            metric = [(np.multiply, (du, du, diag))]
-            metric += [c for i in range(n) for j in range(i + 1, n)
-                       for c in ((np.multiply, (du[i], du[j], g[i, j])),
-                                 (np.add, (g[i, j], 0.0, g[i, j])))]
+        if field.m <= 2:
+            # einsum's sum from 0.0 in component order, one call per
+            # component; the diagonal drops the 0.0, as its first term is a
+            # square and never -0.0.  The second component's products go to
+            # the scratch block, dead from the jets' end to the inverse
+            comps = [du[:, a::field.m] for a in range(field.m)]
+            second = block[:n * nodes].reshape(n, nodes)
+            metric = [(np.multiply, (comps[0], comps[0], diag))]
+            metric += [c for x in comps[1:]
+                       for c in ((np.multiply, (x, x, second)), (np.add, (diag, second, diag)))]
+            for i in range(n):
+                for j in range(i + 1, n):
+                    metric += [(np.multiply, (comps[0][i], comps[0][j], g[i, j])),
+                               (np.add, (g[i, j], 0.0, g[i, j]))]
+                    metric += [c for x in comps[1:]
+                               for c in ((np.multiply, (x[i], x[j], second[0])),
+                                         (np.add, (g[i, j], second[0], g[i, j])))]
         else:
+            # einsum sums three or more terms in SIMD-lane order, not in the
+            # component order a product per component would take
             metric = [
                 (functools.partial(np.einsum, "...a,...a->...", out=g[i, j]),
                  (self._du[i], self._du[j]))
@@ -422,14 +442,10 @@ class _Workspace:
         metric.append((np.add, (diag, 1.0, diag)))
         metric += [(np.copyto, (g[j, i], g[i, j])) for i in range(n) for j in range(i + 1, n)]
         # the elliptic sum over (i, j) in row-major order, as einsum contracts
-        residual = _sum_calls([(g[i, j][:, None], self._ddu[i, j])
-                               for i, j in np.ndindex(n, n)],
+        residual = _sum_calls([(g[i, j], self._ddu[i, j]) for i, j in np.ndindex(n, n)],
                               elliptic.reshape(nodes, -1), prod[0].reshape(nodes, -1))
-        # the drift's products x_k du_k, one call per component, summed from
-        # 0.0 in axis order
-        residual += [(np.multiply, (plan.X, self._du[..., a], prod.reshape(n, nodes, -1)[..., a]))
-                     for a in range(field.m)]
-        residual += [(np.add, (prod[0], 0.0, drift))]
+        # the drift's products x_k du_k, summed from 0.0 in axis order
+        residual += [(np.multiply, (plan.X, du, prod)), (np.add, (prod[0], 0.0, drift))]
         residual += [(np.add, (drift, p, drift)) for p in prod[1:]]
         residual += [(np.subtract, (drift, self._slab_u, drift)),
                      (np.multiply, (drift, 0.5, drift)),

@@ -257,6 +257,33 @@ def test_geometry_pass_is_bit_identical_to_the_stacked_kernel(n, order, m, bound
     assert np.array_equal(ddX[..., n:], np.moveaxis(ddu, (0, 1), (-3, -2)).reshape(-1, n, n, m))
 
 
+@pytest.mark.parametrize("order", [2, 4])
+def test_geometry_pass_keeps_the_sign_of_zero_at_m2(order, monkeypatch):
+    # u^a depends on y alone and falls with it, so du_x is exactly 0.0 next
+    # to du_y < 0: the products du_x du_y and x du_x hold -0.0, and only a sum
+    # that starts from 0.0, as einsum's does, keeps the reference's zeros
+    shape = (11, 13)
+    y = np.linspace(-1.3, 1.3, shape[1])
+    profile = np.stack([-0.4 * y + 0.1 * y * y, -0.7 * y - 0.2 * y ** 3], axis=-1)
+    f = gf.GridField(L=1.3, values=np.broadcast_to(profile, shape + (2,)))
+    parts, slope, b2, (du, _) = _ref_geometry(f, order)
+    products = du[0] * du[1]
+    assert np.any((products == 0.0) & np.signbit(products))
+    # the inverse's 0.0 - f steps clear the sign of the metric's zeros, so
+    # the metric is read as the inverse receives it
+    metrics, inverse = [], gf._spd_inverse
+    monkeypatch.setattr(gf, "_spd_inverse", lambda g, *a: [
+        (lambda: metrics.append(g.copy()), ())] + inverse(g, *a))
+    ws = gf._Workspace(f, order).fill()
+    g = np.einsum("i...a,j...a->ij...", du, du) + np.eye(2)[..., None, None]
+    got = [gf._inside(ws._plan, metrics[0], per_node=True),
+           *gf.system_residual(f, order, parts=True), gf.slope_field(f, order),
+           gf.second_form_sq_field(f, order)]
+    for a, b in zip(got, [g, *parts, slope, b2]):
+        assert np.array_equal(a, b)
+        assert np.array_equal(np.signbit(a), np.signbit(b))
+
+
 # ---------------------------------------------------------------------------
 # slope and curvature vs the frame layer
 
@@ -471,17 +498,20 @@ def _assert_relax_matches_reference(f, cfg):
 @pytest.mark.parametrize("order", [2, 4])
 @pytest.mark.parametrize("m", [1, 2])
 def test_relax_is_bit_identical_to_the_reference_loop(m, order):
-    # a loose threshold stops m = 1 early; m = 2 runs to max_steps
+    # a loose threshold stops m = 1 early; m = 2 runs to max_steps.  No call
+    # may meet a garbage slot, so no floating-point error is forgiven
     cfg = gf.SolverConfig(max_steps=300, threshold=0.05 if m == 1 else 1e-12,
                           order=order, sample_interval=7)
-    trace, message = _assert_relax_matches_reference(_bump(13, m), cfg)
+    with np.errstate(all="raise"):
+        trace, message = _assert_relax_matches_reference(_bump(13, m), cfg)
     assert message is None
     assert (trace.steps[-1] < 300) == (m == 1)
 
 
 def test_relax_in_three_dimensions_is_bit_identical_to_the_reference_loop():
     cfg = gf.SolverConfig(max_steps=120, sample_interval=25)
-    _, message = _assert_relax_matches_reference(_bump(9, 2, n=3), cfg)
+    with np.errstate(all="raise"):
+        _, message = _assert_relax_matches_reference(_bump(9, 2, n=3), cfg)
     assert message is None
 
 
@@ -573,10 +603,14 @@ def test_one_stencil_plan_per_relaxation_run(monkeypatch):
     assert len(built) == 1 and len(jets) == 1
 
 
-@pytest.mark.parametrize("order, count", [(2, 42), (4, 57)])
-def test_fill_call_count(order, count):
-    # one fill at n = 2, m = 1
-    f = gf.GridField(L=1.0, values=np.zeros((9, 9, 1)))
+_FILL_CALLS = [(1, 2, 42), (1, 4, 57), (2, 2, 50), (2, 4, 65), (3, 2, 50)]
+
+
+@pytest.mark.parametrize("m, order, count", _FILL_CALLS,
+                         ids=[f"{o}-{c}" + (f"-m{m}" if m > 1 else "") for m, o, c in _FILL_CALLS])
+def test_fill_call_count(m, order, count):
+    # one fill at n = 2; m = 3 takes einsum for the metric
+    f = gf.GridField(L=1.0, values=np.zeros((9, 9, m)))
     assert len(gf._Workspace(f, order)._calls) == count
 
 

@@ -250,18 +250,6 @@ def gauss_map(pf: PointFrame) -> OrientedFrame:
     return OrientedFrame(pf.tangent)
 
 
-def gauss_pushforward(imm: ParametricImmersion, param) -> TangentCoeffs:
-    """Coefficient matrices of the plane-map differential along each frame
-    row at one point, stacked over (n, n, m).
-
-    omega[i, j, alpha] is the speed at which tangent row j turns toward
-    normal alpha when moving along frame direction i; numerically it equals
-    h[alpha, i, j].
-    """
-    pf = point_frame(imm, param)
-    return TangentCoeffs(omega=np.moveaxis(pf.h, -3, -1), frame=gauss_map(pf))
-
-
 def _tension(f, first):
     """T[..., alpha, j] from frames with the stencil on their first axis: the
     centres in row 0 and, in rows 1 to 4n, the axis points of the
@@ -298,18 +286,6 @@ def _drift_laplacian(x, dX, ddX, S, df, ddf):
     lap = _laplace_beltrami(ginv, gamma, df, ddf)
     drift = 0.5 * (df[..., None, :] @ ginv @ (dX @ x[..., None]))[..., 0, 0]
     return lap - drift
-
-
-def drift_laplacian(imm: ParametricImmersion, param, f) -> float:
-    """Laplace-Beltrami of f minus (1/2)<X, grad f>, from parameter jets.
-
-    f(param) must return (value, gradient, hessian) with respect to the
-    chart parameters.
-    """
-    p = _params(imm, param)
-    S = _frames(imm, p).S
-    df, ddf = (np.asarray(a, dtype=float) for a in f(p)[1:])
-    return float(_drift_laplacian(*imm.jet(p), S, df, ddf))
 
 
 def _stencil(center, steps, second=True):

@@ -9,9 +9,12 @@ master bound
 
     total >= (3 - v) |B|^2 / 2      with C1 = 16,
 
-which pins the subcritical slope threshold v < 3.  The scalar side —
-F, F1, F2 on the constraint set Omega and the polynomials H1, H2 — is swept
-numerically to certify sup F <= -1/16, the source of the constant.
+which pins the subcritical slope threshold v < 3.  The scalar side is
+the sweep `sup_F_sweep`, which keeps the grid points of the constraint set
+Omega by the sign of F's pole denominator (`_pole_denominator`) and
+evaluates F there (`_F`) to certify sup F <= -1/16, the source of the
+constant.  `H1_value` is the cubic H1 of the factorization
+F = F2 / (F1 (F2 - F1)), F2 = H1 / H2.
 
 Every entry of the form takes a stack: lam (B, p) and h (B, m, n, n) of
 one (n, m) shape, a single sample being a stack of one.  Each group and its
@@ -59,16 +62,8 @@ DELTA0 = 1.0 / 16.0
 MARGIN_TOL = 1e-12
 
 
-class OmegaMembershipError(ValueError):
-    """A scalar-domain point violates one of the Omega constraints."""
-
-
-class PoleError(ZeroDivisionError):
-    """The second F denominator 2 tau + t - r t / tau vanished."""
-
-
 # ---------------------------------------------------------------------------
-# scalar side: Omega, F, F1, F2, H1, H2
+# scalar side: the F-sweep over Omega and H1
 
 
 def _pole_denominator(tau, r, t):
@@ -85,93 +80,14 @@ def _F(tau, r, t, denom):
     return r / (tau + r) + t / denom
 
 
-def omega_membership(v, r, t):
-    """Check (v, r, t) against the three Omega constraints.
-
-    Returns (member, reason); the reason names the first violated
-    constraint, or "member".
-    """
-    if not 1.0 < v < 3.0:
-        return False, "v outside (1,3)"
-    tau = 0.5 * (v - 1.0)
-    # each test is spelled so that a NaN fails it
-    if not (abs((1.0 + r) * (1.0 + t) - v * v) <= 1e-12 * v * v):
-        return False, "(1+r)(1+t) = v^2 fails"
-    if not (r > tau):
-        return False, "r <= tau: t-bound undefined (tau^{-1} r <= 1)"
-    if not (_pole_denominator(tau, r, t) <= 0.0):
-        return False, "t below its lower bound"
-    return True, "member"
-
-
-@dataclass(frozen=True)
-class OmegaPoint:
-    """A member of the constraint set Omega for a slope value v in (1,3)."""
-
-    v: float
-    r: float
-    t: float
-
-    def __post_init__(self):
-        ok, reason = omega_membership(self.v, self.r, self.t)
-        if not ok:
-            raise OmegaMembershipError(reason)
-
-    @property
-    def tau(self):
-        return 0.5 * (self.v - 1.0)
-
-
-def F1_value(r, tau):
-    return 1.0 + tau / r
-
-
-def F2_value(r, t, tau):
-    return 2.0 + tau * (1.0 / r + 2.0 / t) - r / tau
-
-
 def H1_value(v, theta):
+    """H1(v, theta), with F2 = H1 / H2 at theta = r / (v - 1) and
+    H2 = theta (v + 1 - theta)."""
     return (
         2.0 * theta**3
         - (v + 5.0) * theta**2
         + (2.0 * v + 2.5) * theta
         + 0.5 * (v + 1.0)
-    )
-
-
-def H2_value(v, theta):
-    return theta * (v + 1.0 - theta)
-
-
-@dataclass(frozen=True)
-class FBundle:
-    F: float
-    F1: float
-    F2: float
-    theta: float
-    H1: float
-    H2: float
-
-
-def F_value(pt: OmegaPoint) -> FBundle:
-    """F at an Omega point together with its factorization pieces.
-
-    F(r,t) = r/(tau+r) + t/(2 tau + t - r t/tau); the second denominator is
-    nonpositive on Omega and a zero raises PoleError.  The returned bundle
-    satisfies F = F2 / (F1 (F2 - F1)) to rounding.
-    """
-    tau = pt.tau
-    denom = _pole_denominator(tau, pt.r, pt.t)
-    if denom == 0.0:
-        raise PoleError("2 tau + t - r t / tau = 0")
-    theta = pt.r / (pt.v - 1.0)
-    return FBundle(
-        F=_F(tau, pt.r, pt.t, denom),
-        F1=F1_value(pt.r, tau),
-        F2=F2_value(pt.r, pt.t, tau),
-        theta=theta,
-        H1=H1_value(pt.v, theta),
-        H2=H2_value(pt.v, theta),
     )
 
 
@@ -262,37 +178,6 @@ def sup_F_sweep(v_count=10_000, rt_resolution=10_000, v_lo=None, v_hi=None) -> S
         margin=-DELTA0 - worst,
         worst_per_v=per_v,
     )
-
-
-def near_equality_probe(v):
-    """Grid check of the three-angle product bound near its tight point.
-
-    With x = lam_i^2 at the distinguished value tau (2 tau + 3) and the two
-    partner squares pinned at 2 tau^2 / (x - tau), the product
-    (1+lam_i^2)(1+lam_j^2)(1+lam_k^2) dips to exactly 2 v^3/(v+1), which
-    still exceeds v^2 for v in (1,3).
-    """
-    tau = 0.5 * (v - 1.0)
-    x_star = tau * (2.0 * tau + 3.0)
-    x = np.linspace(x_star - 0.2, x_star + 0.2, 401)
-    x = x[x > tau + 1e-9]
-    if x_star > tau:
-        x = np.unique(np.concatenate([x, [x_star]]))
-    partner = 2.0 * tau * tau / (x - tau)
-    product = (1.0 + x) * (1.0 + partner) ** 2
-    bound = 2.0 * v**3 / (v + 1.0)
-    k = int(np.argmin(product))
-    return {
-        "v": v,
-        "x_star": x_star,
-        "min_product": float(product[k]),
-        "arg_x": float(x[k]),
-        "bound": bound,
-        "v_squared": v * v,
-        "min_attains_bound": abs(float(np.min(product)) - bound) <= 1e-9 * bound,
-        "bound_exceeds_v_squared": bound > v * v,
-        "all_above_bound": bool(np.all(product >= bound - 1e-9 * bound)),
-    }
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,8 @@
 """Closed-form geometry of the round sphere S^n in R^{n+1}.
 
 Height functions 1 - <x, a>, the polar chart (r, theta) defined off a deleted
-closed half-equator, the region classification used by Gauss-image reports,
-and the first and second derivatives of the height and of (r, theta).
+closed half-equator, and the first and second derivatives of the height and
+of (r, theta).
 
 The derivatives are evaluated at points x (..., n+1) on tangent vectors given
 in ambient coordinates over the same leading axes, so no tangent frame is
@@ -13,7 +13,6 @@ unit vectors on one sphere and that every vector is tangent at x.
 
 from __future__ import annotations
 
-import enum
 import math
 from typing import NamedTuple
 
@@ -23,7 +22,6 @@ from . import grassmann
 
 __all__ = [
     "RegionError",
-    "RegionClass",
     "LongitudeCoords",
     "height_value",
     "height_differential",
@@ -31,12 +29,13 @@ __all__ = [
     "longitude_coords",
     "longitude_differentials",
     "longitude_hessians",
-    "region_membership",
     "great_circle",
     "tangent_frame",
 ]
 
-#: tolerance for classifying points near a region boundary
+#: tolerance at a boundary: the hemisphere's in flow-graph's
+#: gauss_min_pole_ip check (cli), and that of the set the longitude chart
+#: deletes, the polar set r = 0 and the half-equator
 REGION_TOL = 1e-9
 
 _UNIT_TOL = 1e-12
@@ -48,13 +47,6 @@ class RegionError(ValueError):
     def __init__(self, message: str, point: np.ndarray):
         super().__init__(message)
         self.point = np.asarray(point, dtype=float)
-
-
-class RegionClass(enum.Enum):
-    OPEN_HEMI = "open_hemisphere"
-    CLOSED_HEMI_BOUNDARY = "closed_hemisphere_boundary"
-    V_REGION = "slit_region"
-    OUTSIDE = "outside"
 
 
 class LongitudeCoords(NamedTuple):
@@ -167,27 +159,6 @@ def longitude_hessians(x: np.ndarray, u: np.ndarray, w: np.ndarray):
     _, dr_w, dt_w = _longitude_diffs(x, w)
     hr = r * (dt_u * dt_w - _dot(u, w))
     return hr, -(dr_u * dt_w + dt_u * dr_w) / r
-
-
-def region_membership(x: np.ndarray, a: np.ndarray) -> RegionClass:
-    """Classify x relative to the hemisphere at pole a and the slit chart.
-
-    OPEN_HEMI iff <x,a> > REGION_TOL; CLOSED_HEMI_BOUNDARY iff
-    |<x,a>| <= REGION_TOL.  Otherwise V_REGION if x avoids the canonical
-    deleted half-equator {x2 = 0, x1 <= 0} (within REGION_TOL), else OUTSIDE.
-    """
-    x = _check_unit(x, "x")
-    a = _check_unit(a, "a")
-    ip = float(x @ a)
-    if ip > REGION_TOL:
-        return RegionClass.OPEN_HEMI
-    if abs(ip) <= REGION_TOL:
-        return RegionClass.CLOSED_HEMI_BOUNDARY
-    try:
-        longitude_coords(x)
-    except RegionError:
-        return RegionClass.OUTSIDE
-    return RegionClass.V_REGION
 
 
 def great_circle(x: np.ndarray, v: np.ndarray, t) -> np.ndarray:

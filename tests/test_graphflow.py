@@ -361,11 +361,11 @@ def test_drift_laplacian_reduces_on_profile_field():
     ax = np.linspace(-f.L, f.L, 121)
     for i in (10, 30, 60, 85, 110):
         x = ax[i]
-        jets = lambda q: (
-            np.sin(q[0]), np.array([np.cos(q[0])]), np.array([[-np.sin(q[0])]])
-        )
-        lhs = im.drift_laplacian(imm, np.array([x]), jets)
-        du = imm.jet(np.array([x]))[1][0, 1]
+        p = np.array([x])
+        # f = sin(x), from its chart gradient and hessian
+        df, ddf = np.array([np.cos(x)]), np.array([[-np.sin(x)]])
+        lhs = float(im._drift_laplacian(*imm.jet(p), im.point_frame(imm, p).S, df, ddf))
+        du = imm.jet(p)[1][0, 1]
         reduced = -np.sin(x) / (1.0 + du ** 2) - 0.5 * x * np.cos(x)
         assert abs(lhs - reduced) <= 1e-8
 
@@ -636,14 +636,10 @@ def test_trace_times_must_increase():
 # Gauss-image reports
 
 
-def _normal_regions(f, pole):
-    """Sphere-region counts of the unit normals at the interior nodes."""
+def _pole_ips(f, pole):
+    """<nu, pole> of the unit normals at the interior nodes."""
     pf = im.point_frame(gf.field_immersion(f, order=2), gf.interior_nodes(f, order=2))
-    counts = {}
-    for y in im.oriented_normal(pf):
-        region = sphere.region_membership(y, pole)
-        counts[region] = counts.get(region, 0) + 1
-    return counts
+    return im.oriented_normal(pf) @ pole
 
 
 def test_report_affine_single_point_hemisphere():
@@ -656,7 +652,8 @@ def test_report_affine_single_point_hemisphere():
     pole /= np.linalg.norm(pole)
     rep = gf.gauss_image_report(f, pole=pole)
     assert rep.min_pole_ip == pytest.approx(1.0, abs=1e-12)
-    assert _normal_regions(f, pole) == {sphere.RegionClass.OPEN_HEMI: 49}
+    ips = _pole_ips(f, pole)
+    assert ips.shape == (49,) and np.all(ips > sphere.REGION_TOL)
 
 
 def test_report_single_variable_field_hits_equator():
@@ -668,7 +665,7 @@ def test_report_single_variable_field_hits_equator():
     pole = np.array([0.0, 1.0, 0.0])
     rep = gf.gauss_image_report(f, pole=pole)
     assert abs(rep.min_pole_ip) <= 1e-12
-    assert set(_normal_regions(f, pole)) == {sphere.RegionClass.CLOSED_HEMI_BOUNDARY}
+    assert np.all(np.abs(_pole_ips(f, pole)) <= sphere.REGION_TOL)
 
 
 def test_report_slope_hypothesis_flag():

@@ -5,11 +5,33 @@ import numpy as np
 import pytest
 
 from shrinkerlab import grassmann, ineq
-from shrinkerlab.ineq import OmegaMembershipError, OmegaPoint, PoleError
 
 
 def _hyperbola_t(v, r):
     return (v * v - 1.0 - r) / (1.0 + r)
+
+
+def _in_omega(v, r, t):
+    # the sweep's rule: D < 0, the t-bound off F's pole
+    return ineq._pole_denominator(0.5 * (v - 1.0), r, t) < 0.0
+
+
+# the factors of F = F2 / (F1 (F2 - F1)) and of F2 = H1 / H2, theta = r / (v - 1)
+def _F1(v, r):
+    return 1.0 + 0.5 * (v - 1.0) / r
+
+
+def _F2(v, r, t):
+    return 2.0 + 0.5 * (v - 1.0) * (1.0 / r + 2.0 / t) - r / (0.5 * (v - 1.0))
+
+
+def _H2(v, theta):
+    return theta * (v + 1.0 - theta)
+
+
+def _F(v, r, t):
+    tau = 0.5 * (v - 1.0)
+    return ineq._F(tau, r, t, ineq._pole_denominator(tau, r, t))
 
 
 # ---------------------------------------------------------------------------
@@ -17,46 +39,27 @@ def _hyperbola_t(v, r):
 
 
 def test_omega_membership_examples():
-    assert ineq.omega_membership(2.0, 1.5, 0.6) == (True, "member")
-    ok, reason = ineq.omega_membership(2.0, 0.5, _hyperbola_t(2.0, 0.5))
-    assert not ok and "t-bound undefined" in reason
-    ok, reason = ineq.omega_membership(2.0, 0.2, _hyperbola_t(2.0, 0.2))
-    assert not ok and "t-bound undefined" in reason
-    ok, reason = ineq.omega_membership(2.0, 0.6, _hyperbola_t(2.0, 0.6))
-    assert not ok and "lower bound" in reason
-    # 8.3e-14 below the t-bound, past F's pole (F would read 3.0e6); the
-    # bound used to be checked with 1e-12 of slack, which admitted it
-    ok, reason = ineq.omega_membership(1.000001, 1.5000006666025336e-06, 4.999995833221254e-07)
-    assert not ok and "lower bound" in reason
-    ok, reason = ineq.omega_membership(3.5, 1.5, 0.6)
-    assert not ok and "(1,3)" in reason
-    ok, reason = ineq.omega_membership(2.0, 1.5, 0.7)
-    assert not ok and "v^2" in reason
-
-
-def test_omega_point_validation():
-    pt = OmegaPoint(v=2.0, r=1.5, t=0.6)
-    assert pt.tau == 0.5
-    with pytest.raises(OmegaMembershipError, match="t-bound"):
-        OmegaPoint(v=2.0, r=0.5, t=_hyperbola_t(2.0, 0.5))
-    with pytest.raises(OmegaMembershipError, match="v\\^2"):
-        OmegaPoint(v=2.0, r=1.5, t=0.61)
+    assert _in_omega(2.0, 1.5, 0.6)
+    # r <= tau, where the t-bound is undefined, and t below its bound
+    for r in (0.5, 0.2, 0.6):
+        assert not _in_omega(2.0, r, _hyperbola_t(2.0, r))
+    # 8.3e-14 below the t-bound, past F's pole (F would read 3.0e6), D > 0;
+    # the bound used to be checked with 1e-12 of slack, which admitted it
+    tau = 0.5 * (1.000001 - 1.0)
+    assert ineq._pole_denominator(tau, 1.5000006666025336e-06, 4.999995833221254e-07) > 0.0
 
 
 @pytest.mark.parametrize("v, r, t", [(2.0, math.nan, 1.0), (2.0, 1.0, math.nan)])
 def test_nan_is_not_in_omega(v, r, t):
-    ok, reason = ineq.omega_membership(v, r, t)
-    assert not ok and "v^2" in reason
-    with pytest.raises(OmegaMembershipError, match="v\\^2"):
-        OmegaPoint(v=v, r=r, t=t)
+    assert not _in_omega(v, r, t)
 
 
 def test_F_paper_point():
-    fb = ineq.F_value(OmegaPoint(v=2.0, r=1.5, t=0.6))
-    assert fb.F == pytest.approx(-2.25, abs=1e-12)
-    assert fb.F1 == pytest.approx(4.0 / 3.0, abs=1e-12)
-    assert fb.F2 == pytest.approx(1.0, abs=1e-12)
-    assert fb.F == pytest.approx(fb.F2 / (fb.F1 * (fb.F2 - fb.F1)), abs=1e-10)
+    F, F1, F2 = _F(2.0, 1.5, 0.6), _F1(2.0, 1.5), _F2(2.0, 1.5, 0.6)
+    assert F == pytest.approx(-2.25, abs=1e-12)
+    assert F1 == pytest.approx(4.0 / 3.0, abs=1e-12)
+    assert F2 == pytest.approx(1.0, abs=1e-12)
+    assert F == pytest.approx(F2 / (F1 * (F2 - F1)), abs=1e-10)
 
 
 def test_F_factorization_identity_random():
@@ -67,23 +70,19 @@ def test_F_factorization_identity_random():
         tau = 0.5 * (v - 1.0)
         r = tau + (v * v - 1.0 - tau) * rng.random()
         t = _hyperbola_t(v, r)
-        ok, _ = ineq.omega_membership(v, r, t)
-        if not ok:
+        if not _in_omega(v, r, t):
             continue
-        fb = ineq.F_value(OmegaPoint(v=v, r=r, t=t))
-        assert fb.F == pytest.approx(
-            fb.F2 / (fb.F1 * (fb.F2 - fb.F1)), rel=1e-10, abs=1e-10
-        )
-        assert fb.F2 == pytest.approx(fb.H1 / fb.H2, rel=1e-9)
+        F1, F2, theta = _F1(v, r), _F2(v, r, t), r / (v - 1.0)
+        assert _F(v, r, t) == pytest.approx(F2 / (F1 * (F2 - F1)), rel=1e-10, abs=1e-10)
+        assert F2 == pytest.approx(ineq.H1_value(v, theta) / _H2(v, theta), rel=1e-9)
         checked += 1
 
 
 def test_F_pole_on_t_bound_boundary():
     # at v=2, r=1, t=1 the hyperbola meets the t lower bound exactly and the
-    # second denominator vanishes
-    pt = OmegaPoint(v=2.0, r=1.0, t=1.0)
-    with pytest.raises(PoleError):
-        ineq.F_value(pt)
+    # second denominator vanishes, so the sweep's rule drops the point
+    assert ineq._pole_denominator(0.5, 1.0, 1.0) == 0.0
+    assert not _in_omega(2.0, 1.0, 1.0)
 
 
 def test_H1_pinned_values():
@@ -115,16 +114,13 @@ def test_scalar_bounds_on_sampled_domain():
         tau = 0.5 * (v - 1.0)
         r = tau + (v * v - 1.0 - tau) * rng.random()
         t = _hyperbola_t(v, r)
-        if not ineq.omega_membership(v, r, t)[0]:
+        if not _in_omega(v, r, t):
             continue
-        try:
-            fb = ineq.F_value(OmegaPoint(v=v, r=r, t=t))
-        except PoleError:
-            continue
-        f1_max = max(f1_max, fb.F1)
-        f2_min = min(f2_min, fb.F2)
-        h1_min = min(h1_min, fb.H1)
-        h2_max = max(h2_max, fb.H2)
+        theta = r / (v - 1.0)
+        f1_max = max(f1_max, _F1(v, r))
+        f2_min = min(f2_min, _F2(v, r, t))
+        h1_min = min(h1_min, ineq.H1_value(v, theta))
+        h2_max = max(h2_max, _H2(v, theta))
         count += 1
     assert f1_max <= 2.0 + 1e-12
     assert f2_min >= 0.25 - 1e-12
@@ -166,15 +162,6 @@ def test_sweep_without_samples_does_not_pass():
     rep = ineq.sup_F_sweep(v_count=1, rt_resolution=3, v_lo=1.0 + 1e-9, v_hi=1.0 + 1e-9)
     assert rep.samples == 0 and rep.empty_slices == 1
     assert not rep.passed
-
-
-def test_near_equality_probe_attains_bound():
-    for v in (1.3, 1.5, 2.0, 2.5, 2.9):
-        d = ineq.near_equality_probe(v)
-        assert d["min_attains_bound"]
-        assert d["bound_exceeds_v_squared"]
-        assert d["all_above_bound"]
-        assert d["arg_x"] == pytest.approx(d["x_star"], abs=1e-9)
 
 
 # ---------------------------------------------------------------------------

@@ -101,7 +101,6 @@ _POLE = np.array([0.0, 0.0, 1.0])
     lambda y: sphere.height_value(_POLE, y),
     sphere.longitude_coords,
     sphere.tangent_frame,
-    lambda y: sphere.region_membership(y, _POLE),
 ])
 def test_nan_is_not_a_unit_vector(call):
     with pytest.raises(ValueError, match="unit vector"):
@@ -285,27 +284,6 @@ def test_polarization_identity_for_all_hessians():
             rhs = form(u + w, u + w) - form(u, u) - form(w, w)
             assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(lhs))
             assert form(u, w) == pytest.approx(form(w, u), abs=1e-15)
-
-
-def test_region_membership_cases():
-    a = np.array([0.0, 0.0, 1.0])
-    assert sphere.region_membership(a, a) is sphere.RegionClass.OPEN_HEMI
-    eq = np.array([1.0, 0.0, 0.0])
-    assert (
-        sphere.region_membership(eq, a) is sphere.RegionClass.CLOSED_HEMI_BOUNDARY
-    )
-    dateline = np.array([-1.0, 0.0, 0.0])
-    # relative to the z pole the dateline point lies on the equator, and the
-    # equator classification takes precedence over chart membership
-    assert (
-        sphere.region_membership(dateline, a)
-        is sphere.RegionClass.CLOSED_HEMI_BOUNDARY
-    )
-    # relative to the x pole it is strictly below and on the deleted half-plane
-    ax = np.array([1.0, 0.0, 0.0])
-    assert sphere.region_membership(dateline, ax) is sphere.RegionClass.OUTSIDE
-    below = np.array([0.6, 0.0, -0.8])
-    assert sphere.region_membership(below, a) is sphere.RegionClass.V_REGION
 
 
 @settings(max_examples=50, deadline=None)

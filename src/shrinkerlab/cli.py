@@ -12,9 +12,9 @@ from __future__ import annotations
 import argparse
 import datetime
 import glob
+import itertools
 import json
 import math
-import multiprocessing
 import os
 import sys
 import time
@@ -277,20 +277,28 @@ def load_config(subcommand, path=None, seed=None, tolerance_scale=1.0):
 # worker plumbing
 
 
-def _run_chunks(worker, chunk_args, jobs):
-    """Map `worker` over chunks, with an optional process pool.
-
-    Chunking is fixed by the config, so results do not depend on `jobs`.
-    """
-    if jobs <= 1 or len(chunk_args) <= 1:
-        return [worker(a) for a in chunk_args]
-    with multiprocessing.Pool(processes=min(jobs, len(chunk_args))) as pool:
-        return pool.map(worker, chunk_args)
+def _run_chunks(worker, chunks, jobs, *shared):
+    """Rows per chunk from `worker(batch, *shared)` over contiguous batches of
+    chunks: one batch at jobs 1, else at most `jobs` through a process pool.
+    Chunks fix the random streams, so results do not depend on `jobs`."""
+    if jobs <= 1 or len(chunks) <= 1:
+        return worker(chunks, *shared)
+    import multiprocessing  # only the pool needs it
+    sizes = _chunk_counts(len(chunks), min(jobs, len(chunks)))
+    batches = [(part, *shared) for part in _split(chunks, sizes)]
+    with multiprocessing.Pool(processes=len(batches)) as pool:
+        return [rows for part in pool.starmap(worker, batches) for rows in part]
 
 
 def _chunk_counts(total, chunks):
     base, extra = divmod(total, chunks)
     return [base + (1 if k < extra else 0) for k in range(chunks)]
+
+
+def _split(items, sizes):
+    """items cut into consecutive runs of the given sizes."""
+    ends = itertools.accumulate(sizes)
+    return [items[end - size:end] for size, end in zip(sizes, ends)]
 
 
 def _pick(pick, values):
@@ -442,37 +450,35 @@ def _reduction_residuals(a, om, step):
     return np.where(fd > res, fd, res)  # max(res, fd), NaN in res kept
 
 
-def _target_chunk(args):
-    """Residual rows (family, value) of one chunk of probes, probe by probe
-    in TARGET_FAMILIES order: every probe drawn first, in one pass over the
-    chunk's random stream, then each family evaluated as one stack (the
-    Grassmannian one per shape (n, m))."""
-    seed_seq, count, step = args
-    rng = np.random.default_rng(seed_seq)
-    height, longitude, grass, reduction = zip(*(_draw_probe(rng) for _ in range(count)))
+def _target_batch(chunks, step):
+    """Residual rows (family, value) of each chunk of (seed sequence, count)
+    probes, probe by probe in TARGET_FAMILIES order.  Every chunk draws its
+    probes in one pass over its own random stream; then each family is
+    evaluated as one stack over the whole batch (the Grassmannian one per
+    shape (n, m)), and the rows are split back per chunk."""
+    streams = [(np.random.default_rng(seq), count) for seq, count in chunks]
+    draws = [_draw_probe(rng) for rng, count in streams for _ in range(count)]
+    height, longitude, grass, reduction = zip(*draws)
     columns = [_height_residuals(*map(np.array, zip(*height)), step),
                *_longitude_residuals(*map(np.array, zip(*longitude)), step)]
     shapes = [g[0] for g in grass]
-    grass_cols = np.empty((3, count))
+    grass_cols = np.empty((3, len(draws)))
     for shape in sorted(set(shapes)):
         group = [i for i, s in enumerate(shapes) if s == shape]
         stacks = map(np.array, zip(*(grass[i][1:] for i in group)))
         grass_cols[:, group] = _grassmann_residuals(*stacks, step)
     columns += [*grass_cols, _reduction_residuals(*map(np.array, zip(*reduction)), step)]
     values = zip(*(c.tolist() for c in columns))
-    return [row for probe in values for row in zip(TARGET_FAMILIES, probe)]
+    rows = [row for probe in values for row in zip(TARGET_FAMILIES, probe)]
+    return _split(rows, [len(TARGET_FAMILIES) * count for _, count in chunks])
 
 
 def cmd_verify_targets(cfg, outdir, jobs=1) -> RunReport:
     chunks = int(cfg["chunks"])
     counts = _chunk_counts(int(cfg["probes"]), chunks)
     children = np.random.SeedSequence(cfg["seed"]).spawn(chunks)
-    chunk_args = [
-        (child, count, cfg["fd_step"])
-        for child, count in zip(children, counts)
-        if count
-    ]
-    parts = _run_chunks(_target_chunk, chunk_args, jobs)
+    chunk_args = [(child, count) for child, count in zip(children, counts) if count]
+    parts = _run_chunks(_target_batch, chunk_args, jobs, cfg["fd_step"])
 
     worst = {name: 0.0 for name in TARGET_FAMILIES}
     lines = ["family,chunk,probe,residual"]
@@ -503,14 +509,22 @@ def _chart_probes(imm, rng, count):
     return rng.uniform(lo, hi, size=(count, imm.chart.shape[0]))
 
 
-def _surface_chunk(args):
-    name, seed_seq, count = args
-    imm = immersion.catalog_immersion(name)
-    p = _chart_probes(imm, np.random.default_rng(seed_seq), count)
-    pf = immersion.point_frame(imm, p)
-    res = np.max(np.abs(immersion.shrinker_residual(pf)), axis=-1)
-    ten = np.max(np.abs(immersion.weighted_tension(imm, p)), axis=(-2, -1))
-    return list(zip(res.tolist(), ten.tolist()))
+def _surface_batch(chunks):
+    """Rows (residual, tension) of each chunk of (surface name, seed sequence,
+    count) probes.  Every chunk draws its probes on its own random stream;
+    the probes of each surface's run of chunks are evaluated in one
+    point_frame and one weighted_tension call."""
+    parts = []
+    for name, run in itertools.groupby(chunks, key=lambda chunk: chunk[0]):
+        run = list(run)
+        imm = immersion.catalog_immersion(name)
+        p = np.concatenate([_chart_probes(imm, np.random.default_rng(seq), count)
+                            for _, seq, count in run])
+        pf = immersion.point_frame(imm, p)
+        res = np.max(np.abs(immersion.shrinker_residual(pf)), axis=-1)
+        ten = np.max(np.abs(immersion.weighted_tension(imm, p)), axis=(-2, -1))
+        parts += _split(list(zip(res.tolist(), ten.tolist())), [c for _, _, c in run])
+    return parts
 
 
 def _composition_targets(imm):
@@ -566,7 +580,7 @@ def cmd_verify_shrinkers(cfg, outdir, jobs=1) -> RunReport:
         for ci in range(chunks):
             if counts[ci]:
                 chunk_args.append((name, children[si * chunks + ci], counts[ci]))
-    parts = _run_chunks(_surface_chunk, chunk_args, jobs)
+    parts = _run_chunks(_surface_batch, chunk_args, jobs)
 
     per_surface = {name: [] for name in names + controls}
     for (name, _, _), rows in zip(chunk_args, parts):

@@ -153,7 +153,8 @@ def test_c05_hessians_vs_differences():
     step = 1e-4
     probes = 500
     worst = dict.fromkeys(cli.TARGET_FAMILIES, 0.0)
-    for family, residual in cli._target_chunk((np.random.SeedSequence(505), probes, step)):
+    rows = cli._target_batch([(np.random.SeedSequence(505), probes)], step)[0]
+    for family, residual in rows:
         worst[family] = cli._pick(max, (worst[family], residual))
     peak = max(worst.values())
     ok = peak <= 1e-5

@@ -2,6 +2,8 @@ import hashlib
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -220,25 +222,37 @@ def test_identical_config_and_seed_are_byte_identical(tmp_path):
 
 
 def test_worker_count_does_not_change_artifacts(tmp_path):
-    cfg = _write_cfg(tmp_path, {"probes": 12, "chunks": 4})
-    serial, pooled = tmp_path / "serial", tmp_path / "pooled"
-    cli.main(["verify-targets", "--config", cfg, "--out", str(serial)])
-    cli.main(
-        ["verify-targets", "--config", cfg, "--out", str(pooled), "--jobs", "2"]
-    )
-    assert (serial / "target_residuals.csv").read_bytes() == (
-        pooled / "target_residuals.csv"
-    ).read_bytes()
+    # 8 chunks of targets and 32 of shrinkers, so 3 jobs split them unevenly
+    # and a batch of shrinker chunks spans two surfaces
+    cases = [("verify-targets", {"probes": 12, "chunks": 8}, "target_residuals.csv"),
+             ("verify-shrinkers", {"probes": 12, "chunks": 8, "composition_probes": 2},
+              "shrinker_residuals.csv")]
+    for command, payload, csv in cases:
+        cfg = _write_cfg(tmp_path, payload, f"{command}.json")
+        artifacts = []
+        for jobs in ("1", "2", "3"):
+            out = tmp_path / command / jobs
+            assert cli.main([command, "--config", cfg, "--out", str(out), "--jobs", jobs]) == 0
+            artifacts.append([(out / name).read_bytes()
+                              for name in (csv, f"report_{command}.json")])
+        assert artifacts[1] == artifacts[0] and artifacts[2] == artifacts[0]
 
-    cfg = _write_cfg(
-        tmp_path, {"probes": 8, "chunks": 2, "composition_probes": 2}, "shr.json"
-    )
-    for out, jobs in ((serial, "1"), (pooled, "2")):
-        cli.main(
-            ["verify-shrinkers", "--config", cfg, "--out", str(out), "--jobs", jobs]
-        )
-    for artifact in ("shrinker_residuals.csv", "report_verify-shrinkers.json"):
-        assert (serial / artifact).read_bytes() == (pooled / artifact).read_bytes()
+
+def test_importing_the_cli_leaves_multiprocessing_unloaded():
+    # only the pool of --jobs above 1 needs it
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    code = "import sys, shrinkerlab.cli; sys.exit('multiprocessing' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=src)
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
+def test_verify_targets_at_seed_0_with_800_probes_passes(tmp_path):
+    # larger stacks mix more partner-normal patterns; this run once raised
+    # in the orthonormality check of the partner normals
+    cfg = _write_cfg(tmp_path, {"probes": 800})
+    assert cli.main(["verify-targets", "--config", cfg, "--seed", "0",
+                     "--out", str(tmp_path)]) == 0
+    assert _load_report(str(tmp_path), "verify-targets")["status"] == "PASS"
 
 
 def test_verify_shrinkers_catalog_and_control(tmp_path):
@@ -478,9 +492,11 @@ def test_a_nan_fails_a_mandatory_check(monkeypatch, tmp_path, case):
                           "restarts": 2},
     }[command]
     if command == "verify-targets":
-        # the reduction residuals of chunk 1, after those of chunk 0
-        _nan_after_first(monkeypatch, cli, "_reduction_residuals",
-                         lambda r: np.full_like(r, math.nan))
+        # the reduction residual of chunk 1, after that of chunk 0: one
+        # stack holds both chunks' probes
+        reduction = cli._reduction_residuals
+        monkeypatch.setattr(cli, "_reduction_residuals",
+                            lambda *a: np.where([False, True], math.nan, reduction(*a)))
     elif case == "verify-shrinkers residual":
         _nan_after_first(monkeypatch, immersion, "shrinker_residual",
                          lambda r: np.where(np.arange(len(r))[:, None] == 2, math.nan, r))
@@ -541,7 +557,7 @@ def test_target_probes_near_zero_angle_keep_orthonormal_normals():
     # by 1.1e-10 and the geodesic check raised.  Its shape's stack mixes two
     # partner patterns, and every row keeps the reference's bits
     args = (np.random.SeedSequence(0).spawn(8)[1], 71, 1e-4)
-    rows = cli._target_chunk(args)
+    rows = cli._target_batch([args[:2]], args[2])[0]
     assert len(rows) == 71 * 7
     assert max(residual for _, residual in rows) <= 1e-5
     assert rows == _ref_target_chunk(*args)
@@ -576,7 +592,7 @@ def test_target_chunk_takes_one_spectrum_per_shape_and_one_for_the_reduction(
     shapes = len(_shapes_drawn(np.random.SeedSequence(3), count))
     calls = _count_calls(monkeypatch, (grassmann, "jordan_spectrum"),
                          (grassmann, "overlap_values"))
-    rows = cli._target_chunk((np.random.SeedSequence(3), count, 1e-4))
+    rows = cli._target_batch([(np.random.SeedSequence(3), count)], 1e-4)[0]
     assert calls == {"jordan_spectrum": shapes + 1, "overlap_values": shapes}
     assert max(residual for _, residual in rows) <= 1e-5
 
@@ -590,9 +606,48 @@ def test_target_chunk_makes_two_geodesic_calls_per_shape_and_three_great_circle_
     shapes = len(_shapes_drawn(np.random.SeedSequence(2), count))
     calls = _count_calls(monkeypatch, (grassmann, "geodesic_from_velocity"),
                          (sphere, "great_circle"))
-    rows = cli._target_chunk((np.random.SeedSequence(2), count, 1e-4))
+    rows = cli._target_batch([(np.random.SeedSequence(2), count)], 1e-4)[0]
     assert len(rows) == count * len(cli.TARGET_FAMILIES)
     assert calls == {"geodesic_from_velocity": 2 * shapes + 1, "great_circle": 3}
+
+
+def test_default_verify_targets_takes_one_stack_per_family_over_all_chunks(
+        monkeypatch, tmp_path):
+    # one spectrum and two geodesic calls per shape (n, m) drawn in any
+    # chunk, one of each for the reduction, and three great circle calls
+    cfg = cli.load_config("verify-targets", seed=61)
+    chunks = zip(np.random.SeedSequence(61).spawn(cfg["chunks"]),
+                 cli._chunk_counts(cfg["probes"], cfg["chunks"]))
+    shapes = len(set().union(*(_shapes_drawn(seq, count) for seq, count in chunks)))
+    calls = _count_calls(monkeypatch, (grassmann, "jordan_spectrum"),
+                         (grassmann, "geodesic_from_velocity"), (sphere, "great_circle"))
+    assert cli.main(["verify-targets", "--seed", "61", "--out", str(tmp_path)]) == 0
+    assert calls == {"jordan_spectrum": shapes + 1,
+                     "geodesic_from_velocity": 2 * shapes + 1, "great_circle": 3}
+
+
+def test_default_verify_shrinkers_takes_two_kernel_calls_per_surface(monkeypatch, tmp_path):
+    # one point_frame and one weighted_tension call per surface over all its
+    # chunks; the composition checks, counted apart, are stubbed out
+    calls = []
+    kernel = immersion._frame_kernel
+    monkeypatch.setattr(immersion, "_frame_kernel", lambda *a: calls.append(1) or kernel(*a))
+    monkeypatch.setattr(cli, "_composition_worst", lambda *a: 0.0)
+    cfg = cli.load_config("verify-shrinkers", seed=61)
+    cli.cmd_verify_shrinkers(cfg, str(tmp_path))
+    assert len(calls) == 2 * (len(cfg["surfaces"]) + len(cfg["control_surfaces"]))
+
+
+@pytest.mark.parametrize("seed", [0, 61, 97])
+def test_one_batch_of_all_chunks_equals_one_chunk_batches(seed):
+    # stacking chunks together changes no bit of any chunk's rows
+    children = np.random.SeedSequence(seed).spawn(8)
+    chunks = list(zip(children, cli._chunk_counts(240, 8)))
+    assert cli._target_batch(chunks, 1e-4) == [
+        cli._target_batch([chunk], 1e-4)[0] for chunk in chunks]
+    names = ["sphere:n=2,R=2"] * 3 + ["cylinder:k=1,n=2"] * 3 + ["sphere:n=2,R=1,c1=0.5"] * 2
+    chunks = [(name, child, 30) for name, child in zip(names, children)]
+    assert cli._surface_batch(chunks) == [cli._surface_batch([chunk])[0] for chunk in chunks]
 
 
 @pytest.mark.parametrize("seed, digest", [
@@ -705,7 +760,7 @@ def test_target_probes_equal_the_per_time_reference(seed):
     # same random stream, row for row and bit for bit
     for count in (1, 7, 30):
         args = (np.random.SeedSequence(seed), count, 1e-4)
-        assert cli._target_chunk(args) == _ref_target_chunk(*args)
+        assert cli._target_batch([args[:2]], args[2])[0] == _ref_target_chunk(*args)
 
 
 @pytest.mark.parametrize("count", [1, 7, 30])
@@ -714,7 +769,7 @@ def test_surface_chunk_makes_two_kernel_calls(monkeypatch, count):
     calls = []
     kernel = immersion._frame_kernel
     monkeypatch.setattr(immersion, "_frame_kernel", lambda *a: calls.append(1) or kernel(*a))
-    rows = cli._surface_chunk(("cylinder:k=1,n=2", np.random.SeedSequence(4), count))
+    rows = cli._surface_batch([("cylinder:k=1,n=2", np.random.SeedSequence(4), count)])[0]
     assert len(rows) == count
     assert len(calls) == 2
 

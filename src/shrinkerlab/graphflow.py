@@ -151,6 +151,16 @@ def interior(field: GridField, order=2):
     return _box(field.shape, order)
 
 
+def _const(x):
+    """x as a read-only float64 array; a ufunc takes a 0-d one faster than a float."""
+    a = np.asarray(x, dtype=float)
+    a.setflags(write=False)
+    return a
+
+
+_NEG_ZERO, _ZERO, _HALF, _ONE = map(_const, (-0.0, 0.0, 0.5, 1.0))
+
+
 class _Plan(NamedTuple):
     """What a geometry pass needs from the grid alone.
 
@@ -165,7 +175,7 @@ class _Plan(NamedTuple):
     coordinate along each axis, a node's coordinates repeated m times, so
     that the drift's products take one call.  groups pairs the axes (0, 1),
     (2, 3), ..., as (axes, d1, d2) with the first and second differences'
-    divisors, one row per axis (one float if the axes share a step); mixed
+    divisors, one row per axis (one 0-d array if the axes share a step); mixed
     holds (k, l, div) for k < l.
     """
 
@@ -192,24 +202,19 @@ def _plan(shape, L, order):
     strides = tuple(m * math.prod(grid[k + 1:]) for k in range(n))
     rows = (grid[0] - 2 * g,) + grid[1:]
     X = np.moveaxis(_coords(L, grid)[g:grid[0] - g], -1, 0).reshape(n, -1)
-    X = np.repeat(X, m, axis=1)
+    X = _const(np.repeat(X, m, axis=1))
     c1, c2 = _D1[order][1], _D2[order][1]
 
     def divisors(c, p, axes):
-        # one float when the axes share a step (a scalar divides faster)
+        # a scalar when the axes share a step (it divides faster)
         d = [c * h[k] if p == 1 else c * h[k] * h[k] for k in axes]
-        if len(set(d)) == 1:
-            return d[0]
-        d = np.array(d)[:, None]
-        d.setflags(write=False)
-        return d
+        return _const(d[0] if len(set(d)) == 1 else np.array(d)[:, None])
 
     groups = tuple(
         (axes, divisors(c1, 1, axes), divisors(c2, 2, axes))
         for axes in (tuple(range(k, min(k + 2, n))) for k in range(0, n, 2))
     )
-    mixed = tuple((k, l, c1 * h[l]) for k in range(n) for l in range(k + 1, n))
-    X.setflags(write=False)
+    mixed = tuple((k, l, _const(c1 * h[l])) for k in range(n) for l in range(k + 1, n))
     return _Plan(box, g * strides[0], rows[0] * strides[0], strides, rows,
                  (slice(None),) + box[1:], m, X, groups, mixed)
 
@@ -238,7 +243,7 @@ def _diff_calls(terms, div, out, tmp):
     for w, t in rest:
         if abs(w) != 1.0:
             scaled = tmp if acc is out else out
-            calls.append((np.multiply, (t, abs(w), scaled)))
+            calls.append((np.multiply, (t, _const(abs(w)), scaled)))
             t = scaled
         calls.append((np.add if w > 0 else np.subtract, (acc, t, out)))
         acc = out
@@ -263,11 +268,11 @@ def _interior_jets(field: GridField, order, scratch=None):
     difference subtracts one shared centre term |w| u; each mixed
     difference ddu[k, l] is the first difference along l of du[k], over the
     slots whose stencil stays on the slab (the first and last
-    margin * strides[l] slots lie on boundary columns, and hold zeros), and
-    ddu[l, k] is its copy.  At every interior node the arithmetic is that
-    of the stacked definitions.  Running the calls again refills the same
-    buffers from whatever field.values holds then: GridField keeps values
-    C-contiguous, so the views alias it.
+    margin * strides[l] slots lie on boundary columns, and hold zeros);
+    ddu[l, k] stays zero until _mirror copies it.  At every interior node
+    the arithmetic is that of the stacked definitions.  Running the calls
+    again refills the same buffers from whatever field.values holds then:
+    GridField keeps values C-contiguous, so the views alias it.
     """
     plan = _plan(field.values.shape, field.L, order)
     n, size, g = field.n, plan.size, _margin(order)
@@ -281,7 +286,7 @@ def _interior_jets(field: GridField, order, scratch=None):
     tmp = scratch[size:3 * size].reshape(2, size) if order == 4 else None
     d1, d2 = _D1[order][0], _D2[order][0]
     (w0,) = (w for s, w in d2 if s == 0)
-    calls = [(np.multiply, (flat[plan.start:plan.start + size], abs(w0), centre))]
+    calls = [(np.multiply, (flat[plan.start:plan.start + size], _const(abs(w0)), centre))]
 
     def shifted(axes, s):
         # one row per axis: the slab shifted by s along it
@@ -301,13 +306,17 @@ def _interior_jets(field: GridField, order, scratch=None):
         run = slice(g * step, size - g * step)
         calls += _diff_calls([(w, du[k, run.start + s * step:run.stop + s * step]) for s, w in d1],
                              div, ddu[k, l, run], None if tmp is None else tmp[0, run])
-        calls.append((np.copyto, (ddu[l, k], ddu[k, l])))
     return du, ddu, calls
 
 
+def _mirror(a):
+    """Calls that copy the upper triangle of a (n, n, ...) onto the lower."""
+    return [(np.copyto, (a[j, i], a[i, j])) for i in range(len(a)) for j in range(i + 1, len(a))]
+
+
 def _spd_inverse(g, det, tmp):
-    """Calls that overwrite g (n, n, *nodes), symmetric with eigenvalues >= 1
-    at each node, with its inverse, and det (*nodes) with its determinant.
+    """Calls that overwrite g (n, n, *nodes), bitwise symmetric with eigenvalues
+    >= 1 at each node, with its inverse, and det (*nodes) with its determinant.
 
     Gauss-Jordan elimination vectorized over the nodes: every pivot is a
     Schur complement of a matrix >= identity, so it is >= 1 and no pivoting
@@ -322,8 +331,8 @@ def _spd_inverse(g, det, tmp):
     for k in range(n):
         p = g[k, k]
         # det is a product from 1.0; 1.0 / pivot is also the inverse's 1.0 * p
-        calls += [(np.multiply, (p, 1.0, det) if k == 0 else (det, p, det)),
-                  (np.divide, (1.0, p, p))]
+        calls += [(np.multiply, (p, _ONE, det) if k == 0 else (det, p, det)),
+                  (np.divide, (_ONE, p, p))]
         calls += [(np.multiply, (g[k, j], p, g[k, j])) for j in range(n) if j != k]
         for i in range(n):
             if i == k:
@@ -333,23 +342,24 @@ def _spd_inverse(g, det, tmp):
                 if j != k:
                     calls += [(np.multiply, (f, g[k, j], tmp)),
                               (np.subtract, (g[i, j], tmp, g[i, j]))]
-            # the inverse's column k held 0.0 off the diagonal
-            calls += [(np.multiply, (f, p, f)), (np.subtract, (0.0, f, f))]
+            # the inverse's column k held 0.0 off the diagonal; at k = 0, as g
+            # is symmetric, f p is row 0's scaled entry g[0, i]
+            calls += ([(np.subtract, (_ZERO, g[0, i], f))] if k == 0 else
+                      [(np.multiply, (f, p, f)), (np.subtract, (_ZERO, f, f))])
     return calls
 
 
 def _sum_calls(pairs, out, tmp):
     """Calls that write 0.0 + a b + ... over the (a, b) pairs into out, in
     their order; 0.0 + x differs from x at x = -0.0.  b, out and tmp are
-    (rows, m) and a (rows,): each product takes one call per component, on
-    strided views, so that no call runs an inner loop of length m."""
+    (rows, m) and a (rows,): one product call per component, on strided
+    views, so no call loops over m; a pair repeating the last one adds tmp."""
     def product(a, b, dst):
         return [(np.multiply, (a, b[:, c], dst[:, c])) for c in range(b.shape[1])]
 
-    (a, b), *rest = pairs
-    calls = product(a, b, out) + [(np.add, (out, 0.0, out))]
-    for a, b in rest:
-        calls += product(a, b, tmp) + [(np.add, (out, tmp, out))]
+    calls = product(*pairs[0], out) + [(np.add, (out, _ZERO, out))]
+    for last, pair in zip(pairs, pairs[1:]):
+        calls += ([] if pair is last else product(*pair, tmp)) + [(np.add, (out, tmp, out))]
     return calls
 
 
@@ -367,29 +377,32 @@ class _Workspace:
     """The interior geometry of one grid field, in buffers built once, and
     the calls that refill it.
 
-    Every difference, metric, inverse and residual call runs on the slab of
-    the field's values (see _Plan): the jets (n, size) and (n, n, size), the
-    metric g = I + du du^T (n, n, nodes), overwritten by its inverse, its
-    determinant and the residual's two parts, elliptic and drift.  Only the
-    last call reads the interior: res (*interior, m) = elliptic - drift.
-    values is the field's values array and u views its interior nodes; du,
-    det, elliptic and drift view the interior of their slab arrays.
-    fill() recomputes all of them from whatever values holds, with the
-    arithmetic of the stacked definitions at every interior node, so a run
-    builds one workspace and fills it once per state.  One zeroed scratch
-    block serves, in turn, the jets' centre term, the metric's second-component
-    products, the inverse's products, the residual's terms, a sample's
-    reductions and the second form's contractions; elliptic and drift live
-    there, so they hold until the next sample or fill only.
+    Every call runs on the slab of the field's values (see _Plan): the jets
+    (n, size) and (n, n, size), the metric g = I + du du^T (n, n, nodes),
+    overwritten by its inverse, its determinant, the residual's parts
+    elliptic and drift and res = elliptic - drift, which then gets -0.0 in
+    the slots off the interior, and one reduction to the 0-d sup_u = sup |u|
+    over all nodes and sup_res = sup |res|.  du, det, elliptic, drift and
+    res view the interior of their slab arrays.  fill() recomputes them all
+    from whatever the field's values hold, with the arithmetic of the
+    stacked definitions at every interior node.  A relaxation step first
+    adds dt res to the whole slab, which leaves the nodes off the interior
+    as they are.  One zeroed scratch block serves, in turn, the jets' centre
+    term, the metric's second-component products, the inverse's products,
+    the residual's terms, the sups' absolute values, a sample's reductions
+    and the second form's contractions; elliptic and drift live there, so
+    they hold until the next sample or step only.
     """
 
-    def __init__(self, field: GridField, order):
+    def __init__(self, field: GridField, order, dt=0.0):
         self._plan = plan = _plan(field.values.shape, field.L, order)
         n, size = field.n, plan.size
         nodes = size // field.m
         self.values = field.values
-        self.u = u = field.values[plan.box]
-        block = np.zeros(max((n + 2) * size, n * n * size + n ** 3 * nodes + nodes))
+        values = field.values.reshape(-1)
+        slab = values[plan.start:plan.start + size]
+        block = np.zeros(max((n + 2) * size, n * n * size + n ** 3 * nodes + nodes,
+                             2 * size + 2 * values.size))
         # the jets' centre term and products are dead once they are filled
         du, ddu, jets = _interior_jets(field, order, block)
         self.du = _inside(plan, du)
@@ -398,14 +411,17 @@ class _Workspace:
         self._g = g = np.zeros((n, n, nodes))
         self._det = np.zeros(nodes)
         self.det = _inside(plan, self._det, per_node=True)
-        self.res = np.empty(u.shape)
+        # res on a slab array padded to the length of values, for the sups
+        padded, edge = np.empty(values.size), np.ones(values.size, dtype=bool)
+        _inside(plan, edge[:size])[...] = False
+        self.res, sups = _inside(plan, padded[:size]), np.zeros(2)
+        self.sup_u, self.sup_res = sups[0, ...], sups[1, ...]
         elliptic, drift, prod = _carve(block, (size,), (size,), (n, size))
         self.elliptic, self.drift = _inside(plan, elliptic), _inside(plan, drift)
         # the residual's products are dead once res is written
-        (self._tmp,) = _carve(block[2 * size:], u.shape)
-        (self._slab_tmp,) = _carve(block[2 * size:], (size,))
-        self._slab_u = field.values.reshape(-1)[plan.start:plan.start + size]
-        (self._node_tmp,) = _carve(block, u.shape[:-1])
+        tmp = block[2 * size:3 * size]
+        absolute = block[2 * size:2 * (size + values.size)].reshape(2, -1)
+        (self._node_tmp,) = _carve(block, self.det.shape)
         # the second form: (p, q) products go where QH was, the tangential
         # trace where QW was, once each is read for the last time
         self._qh, self._qw, self._b2 = _carve(block, (n, n, nodes, field.m), (n, n, n, nodes),
@@ -427,49 +443,46 @@ class _Workspace:
             for i in range(n):
                 for j in range(i + 1, n):
                     metric += [(np.multiply, (comps[0][i], comps[0][j], g[i, j])),
-                               (np.add, (g[i, j], 0.0, g[i, j]))]
+                               (np.add, (g[i, j], _ZERO, g[i, j]))]
                     metric += [c for x in comps[1:]
                                for c in ((np.multiply, (x[i], x[j], second[0])),
                                          (np.add, (g[i, j], second[0], g[i, j])))]
         else:
             # einsum sums three or more terms in SIMD-lane order, not in the
             # component order a product per component would take
-            metric = [
-                (functools.partial(np.einsum, "...a,...a->...", out=g[i, j]),
-                 (self._du[i], self._du[j]))
-                for i in range(n) for j in range(i, n)
-            ]
-        metric.append((np.add, (diag, 1.0, diag)))
-        metric += [(np.copyto, (g[j, i], g[i, j])) for i in range(n) for j in range(i + 1, n)]
-        # the elliptic sum over (i, j) in row-major order, as einsum contracts
-        residual = _sum_calls([(g[i, j], self._ddu[i, j]) for i, j in np.ndindex(n, n)],
-                              elliptic.reshape(nodes, -1), prod[0].reshape(nodes, -1))
+            metric = [(functools.partial(np.einsum, "...a,...a->...", out=g[i, j]),
+                       (self._du[i], self._du[j])) for i in range(n) for j in range(i, n)]
+        metric.append((np.add, (diag, _ONE, diag)))
+        # the elliptic sum in row-major (i, j) order, as einsum contracts, on
+        # ddu's upper triangle.  At n = 2 (not 3) the inverse's off-diagonals
+        # are equal bit for bit, save the sign of a zero where their last
+        # product underflows, so the (1, 0) pair repeats the (0, 1) pair
+        pairs = [(g[i, j], self._ddu[min(i, j), max(i, j)]) for i, j in np.ndindex(n, n)]
+        if n == 2:
+            pairs[2] = pairs[1]
+        residual = _sum_calls(pairs, elliptic.reshape(nodes, -1), prod[0].reshape(nodes, -1))
         # the drift's products x_k du_k, summed from 0.0 in axis order
-        residual += [(np.multiply, (plan.X, du, prod)), (np.add, (prod[0], 0.0, drift))]
+        residual += [(np.multiply, (plan.X, du, prod)), (np.add, (prod[0], _ZERO, drift))]
         residual += [(np.add, (drift, p, drift)) for p in prod[1:]]
-        residual += [(np.subtract, (drift, self._slab_u, drift)),
-                     (np.multiply, (drift, 0.5, drift)),
-                     (np.subtract, (self.elliptic, self.drift, self.res))]
-        self._calls = jets + metric + _spd_inverse(g, self._det, block[:nodes]) + residual
+        residual += [(np.subtract, (drift, slab, drift)), (np.multiply, (drift, _HALF, drift)),
+                     (np.subtract, (elliptic, drift, padded[:size])),
+                     (np.copyto, (padded, _NEG_ZERO, "same_kind", edge)),
+                     (np.abs, (values, absolute[0])), (np.abs, (padded, absolute[1])),
+                     (np.maximum.reduce, (absolute, 1, None, sups))]
+        self._calls = (jets + metric + _mirror(g) + _spd_inverse(g, self._det, block[:nodes])
+                       + residual)
+        self.step = [(np.multiply, (padded[:size], _const(dt), tmp)), (np.add, (slab, tmp, slab)),
+                     *self._calls]
 
     def fill(self):
         _run(self._calls)
         return self
 
-    def sup_residual(self):
-        return float(np.abs(self.res, out=self._tmp).max())
-
-    def advance(self, dt):
-        """Move the interior nodes by dt times the residual; returns sup |u|
-        over the slab, whose other slots are nodes that never move."""
-        np.multiply(self.res, dt, out=self._tmp)
-        np.add(self.u, self._tmp, out=self.u)
-        return float(np.abs(self._slab_u, out=self._slab_tmp).max())
-
     def second_form_sq(self):
         """|B|^2 = tr(Q H_a Q H_a) - Q_pq tr(Q W_p Q W_q) with Q = g^-1,
         H_a = ddu^a and W_p = du_p . ddu, by pairwise contractions on the
         slab; returns its interior nodes."""
+        _run(_mirror(self._ddu))
         Q = self._g
         QH = np.einsum("ik...,kj...m->ij...m", Q, self._ddu, out=self._qh)
         QW = np.einsum("p...m,ij...m->pij...", self._du, QH, out=self._qw)  # Q W_p = du_p . Q H
@@ -482,8 +495,8 @@ class _Workspace:
         """sup slope, sup |residual|, sup |B|^2 and min w = min 1 / slope."""
         sl = np.sqrt(self.det, out=self._node_tmp)
         sup_slope = float(sl.max())
-        min_w = float(np.divide(1.0, sl, out=sl).min())
-        return sup_slope, self.sup_residual(), float(self.second_form_sq().max()), min_w
+        min_w = float(np.divide(_ONE, sl, out=sl).min())
+        return sup_slope, float(self.sup_res), float(self.second_form_sq().max()), min_w
 
 
 def system_residual(field: GridField, order=2, parts=False):
@@ -569,36 +582,23 @@ def relax_flow(u0: GridField, cfg: SolverConfig = SolverConfig()):
     Stops when sup |residual| drops below the threshold or max_steps is hit;
     blow-up beyond cfg.blowup raises DivergenceError with the trace attached.
     A non-finite initial field raises ValueError before any step.  The run
-    builds one workspace and fills it once per field state.
+    builds one workspace and runs its step program once per step.
     """
     h = float(np.min(u0.spacing))
     dt = cfg.dt if cfg.dt is not None else 0.45 * h * h / (2.0 * u0.n)
-    current = GridField(
-        L=u0.L, values=u0.values.copy(), boundary=u0.boundary, A=u0.A, b=u0.b
-    )
-    # the nodes off the interior never move: their sup |u| is taken once,
-    # and the slab sup of advance adds only some of them
-    fixed = np.ones(current.shape, dtype=bool)
-    fixed[interior(current, cfg.order)] = False
-    fixed_sup = float(np.max(np.abs(current.values[fixed])))
-    ws = _Workspace(current, cfg.order).fill()
-    trace = FlowTrace()
+    current = GridField(L=u0.L, values=u0.values.copy(), boundary=u0.boundary, A=u0.A, b=u0.b)
+    ws = _Workspace(current, cfg.order, dt).fill()
+    trace, step = FlowTrace(), 0
     trace.record(0, 0.0, ws, cfg.order)
-    step = 0
-    while step < cfg.max_steps:
-        if ws.sup_residual() < cfg.threshold:
-            break
-        # max keeps its first argument when the second is not larger, so a
-        # NaN among the interior nodes comes through
-        sup_val = max(ws.advance(dt), fixed_sup)
+    while step < cfg.max_steps and not float(ws.sup_res) < cfg.threshold:
+        _run(ws.step)
         step += 1
+        sup_val = float(ws.sup_u)  # NaN if a node is NaN
         if not math.isfinite(sup_val) or sup_val > cfg.blowup:
-            if math.isfinite(sup_val) and trace.steps[-1] != step:
-                trace.record(step, step * dt, ws.fill(), cfg.order)
-            raise DivergenceError(
-                f"field magnitude {sup_val:.3e} exceeded the blow-up bound", trace
-            )
-        ws.fill()
+            if math.isfinite(sup_val):
+                trace.record(step, step * dt, ws, cfg.order)
+            raise DivergenceError(f"field magnitude {sup_val:.3e} exceeded the blow-up bound",
+                                  trace)
         if step % cfg.sample_interval == 0:
             trace.record(step, step * dt, ws, cfg.order)
     if trace.steps[-1] != step:
@@ -656,7 +656,7 @@ def field_immersion(field: GridField, order=4) -> ParametricImmersion:
     operators exactly.
     """
     du, ddu, calls = _interior_jets(field, order)
-    _run(calls)
+    _run(calls + _mirror(ddu))
     plan = _plan(field.values.shape, field.L, order)
     u = field.values[plan.box]
     nodes = u.shape[:-1]

@@ -603,7 +603,7 @@ def test_one_stencil_plan_per_relaxation_run(monkeypatch):
     assert len(built) == 1 and len(jets) == 1
 
 
-_FILL_CALLS = [(1, 2, 42), (1, 4, 57), (2, 2, 50), (2, 4, 65), (3, 2, 50)]
+_FILL_CALLS = [(1, 2, 43), (1, 4, 58), (2, 2, 50), (2, 4, 65), (3, 2, 49)]
 
 
 @pytest.mark.parametrize("m, order, count", _FILL_CALLS,
@@ -612,6 +612,51 @@ def test_fill_call_count(m, order, count):
     # one fill at n = 2; m = 3 takes einsum for the metric
     f = gf.GridField(L=1.0, values=np.zeros((9, 9, m)))
     assert len(gf._Workspace(f, order)._calls) == count
+
+
+def test_step_program_is_the_advance_then_the_fill():
+    # res dt into scratch and the slab += it, then the fill's own calls,
+    # which end with |u|, |res| and one reduction to both sups
+    ws = gf._Workspace(gf.GridField(L=1.0, values=np.zeros((9, 9, 1))), 2, 0.01)
+    assert len(ws.step) == 45
+    assert all(a is b for a, b in zip(ws.step[2:], ws._calls, strict=True))
+
+
+@pytest.mark.parametrize("shape, m, order", [((15,), 1, 4), ((9, 9), 1, 2), ((11, 13), 2, 4),
+                                              ((9, 9), 3, 2), ((7, 8, 9), 2, 2)])
+def test_step_program_has_no_python_float_operands(shape, m, order):
+    # a ufunc call takes a 0-d array faster than a float (np.float64 is one)
+    ws = gf._Workspace(gf.GridField(L=1.0, values=np.zeros(shape + (m,))), order, 0.01)
+    floats = [(f, a) for f, args in ws.step for a in args if isinstance(a, float)]
+    assert not floats
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_spd_inverse_leaves_the_off_diagonals_bitwise_equal_at_n2(m):
+    # the elliptic sum adds the (0, 1) product again for (1, 0) on this
+    # fact; at n = 3 it fails, so there both products are taken
+    rng = np.random.default_rng(29 + m)
+
+    def inverse_bits(n):
+        J = 2.0 * rng.standard_normal((n, m, 3000))
+        g = np.einsum("ia...,ja...->ij...", J, J)
+        for k in range(n):
+            g[k, k] += 1.0
+        g[0, 1, :100] = g[1, 0, :100] = 0.0
+        g[0, 1, 100:200] = g[1, 0, 100:200] = -0.0
+        gf._run(gf._spd_inverse(g, np.empty(g.shape[2:]), np.empty(g.shape[2:])))
+        return g.view(np.int64)
+
+    bits = inverse_bits(2)
+    assert np.array_equal(bits[0, 1], bits[1, 0])
+    assert np.all(bits[0, 1, :200] == 0)  # a zero of either sign comes out +0.0
+    bits = inverse_bits(3)
+    assert any(np.any(bits[i, j] != bits[j, i]) for i in range(3) for j in range(i))
+    # the one exception: an off-diagonal whose last product underflows to a
+    # zero, which takes the sign of its factor on one side only
+    g = np.array([[1.0, 5e-324], [5e-324, 3.0]])[..., None]
+    gf._run(gf._spd_inverse(g, np.empty(1), np.empty(1)))
+    assert g[0, 1] == g[1, 0] == 0.0 and np.signbit(g[1, 0]) != np.signbit(g[0, 1])
 
 
 def test_gridfield_keeps_values_c_contiguous():

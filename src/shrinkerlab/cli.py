@@ -197,16 +197,24 @@ def _catalog_name(name):
     return True
 
 
+def _file_name(name):
+    """Whether name is a plain file name: nonempty, not . or .., with no
+    directory part and no NUL, which no file name holds."""
+    return (name not in ("", ".", "..") and "\0" not in name
+            and os.path.basename(name) == name)
+
+
 # the range of each value type in load_config, and the keys whose range differs
 _TYPE_RANGES = {
     int: (lambda x: x >= 1, "a positive integer"),
     float: (lambda x: x > 0.0, "a positive finite number"),
-    str: (lambda x: True, "a string"),
+    str: (_file_name, "a file name with no directory part or NUL, not empty, . or .."),
     list: (lambda x: bool(x) and all(map(_catalog_name, x)),
            "a nonempty list of catalog surface names"),
 }
 _KEY_RANGES = {
     "seed": (lambda x: x >= 0, "a nonnegative integer"),
+    "run_dir": (lambda x: True, "a string"),
     "order": (lambda x: x in (2, 4), "2 or 4"),
     "resolution": (lambda x: x >= 5, "an integer of at least 5"),
     "amplitude": (lambda x: x >= 0.0, "a nonnegative finite number"),
@@ -234,6 +242,8 @@ def load_config(subcommand, path=None, seed=None, tolerance_scale=1.0):
     default and lie in its key's range: counts positive, tolerances and
     other numbers positive and finite, the sweep ceiling inside the v < 3
     domain, surface lists nonempty and made of names the catalog builds.
+    Every string but run_dir names an artifact: a plain file name, which
+    differs from the subcommand's other artifacts and from its report.
     """
     if subcommand not in DEFAULTS:
         raise ConfigError(f"unknown subcommand {subcommand!r}")
@@ -270,6 +280,12 @@ def load_config(subcommand, path=None, seed=None, tolerance_scale=1.0):
         cfg[key] = _typed(key, cfg[key], default)
         if key.startswith("tol_"):
             cfg[key] *= tolerance_scale
+    names = [v for k, v in cfg.items() if type(v) is str and k != "run_dir"]
+    if subcommand == "report":  # the bundle's CSV and SVG take its stem
+        names += [os.path.splitext(cfg["bundle"])[0] + ext for ext in (".csv", ".svg")]
+    names.append(f"report_{subcommand}.json")
+    if len(set(names)) < len(names):
+        raise ConfigError(f"artifact names of {subcommand} must differ, got {names}")
     return cfg
 
 
@@ -299,12 +315,6 @@ def _split(items, sizes):
     """items cut into consecutive runs of the given sizes."""
     ends = itertools.accumulate(sizes)
     return [items[end - size:end] for size, end in zip(sizes, ends)]
-
-
-def _pick(pick, values):
-    """pick(values) for max or min, but NaN if a value is NaN, which pick may drop."""
-    values = list(values)
-    return math.nan if any(math.isnan(v) for v in values) else pick(values)
 
 
 # the times +step, 0 and -step of _second_difference, in units of step
@@ -451,11 +461,11 @@ def _reduction_residuals(a, om, step):
 
 
 def _target_batch(chunks, step):
-    """Residual rows (family, value) of each chunk of (seed sequence, count)
-    probes, probe by probe in TARGET_FAMILIES order.  Every chunk draws its
-    probes in one pass over its own random stream; then each family is
-    evaluated as one stack over the whole batch (the Grassmannian one per
-    shape (n, m)), and the rows are split back per chunk."""
+    """Residuals (count, 7) of each chunk of (seed sequence, count) probes,
+    a row per probe with its columns in TARGET_FAMILIES order.  Every chunk
+    draws its probes in one pass over its own random stream; then each
+    family is evaluated as one stack over the whole batch (the Grassmannian
+    one per shape (n, m)), and the stacked rows are cut per chunk."""
     streams = [(np.random.default_rng(seq), count) for seq, count in chunks]
     draws = [_draw_probe(rng) for rng, count in streams for _ in range(count)]
     height, longitude, grass, reduction = zip(*draws)
@@ -468,9 +478,7 @@ def _target_batch(chunks, step):
         stacks = map(np.array, zip(*(grass[i][1:] for i in group)))
         grass_cols[:, group] = _grassmann_residuals(*stacks, step)
     columns += [*grass_cols, _reduction_residuals(*map(np.array, zip(*reduction)), step)]
-    values = zip(*(c.tolist() for c in columns))
-    rows = [row for probe in values for row in zip(TARGET_FAMILIES, probe)]
-    return _split(rows, [len(TARGET_FAMILIES) * count for _, count in chunks])
+    return _split(np.stack(columns, axis=-1), [count for _, count in chunks])
 
 
 def cmd_verify_targets(cfg, outdir, jobs=1) -> RunReport:
@@ -480,21 +488,16 @@ def cmd_verify_targets(cfg, outdir, jobs=1) -> RunReport:
     chunk_args = [(child, count) for child, count in zip(children, counts) if count]
     parts = _run_chunks(_target_batch, chunk_args, jobs, cfg["fd_step"])
 
-    residuals = {name: [0.0] for name in TARGET_FAMILIES}
     lines = ["family,chunk,probe,residual"]
     for ci, rows in enumerate(parts):
-        seen = {}
-        for family, residual in rows:
-            k = seen.get(family, 0)
-            seen[family] = k + 1
-            residuals[family].append(residual)
-            lines.append(f"{family},{ci},{k},{residual:.17g}")
+        for k, row in enumerate(rows.tolist()):
+            lines += [f"{family},{ci},{k},{r:.17g}" for family, r in zip(TARGET_FAMILIES, row)]
 
     report = RunReport("verify-targets", cfg["seed"])
-    for family in TARGET_FAMILIES:
-        # max keeps the earliest of equal values, as the running fold did
-        worst = _pick(max, residuals[family])
-        report.checks.append(check_le(family, worst, 0.0, cfg["tol_hessian"]))
+    # np.max keeps a NaN
+    worst = np.max(np.concatenate(parts), axis=0, initial=0.0)
+    for family, value in zip(TARGET_FAMILIES, worst):
+        report.checks.append(check_le(family, value, 0.0, cfg["tol_hessian"]))
     report.write_artifact(outdir, cfg["residual_csv"], "\n".join(lines) + "\n")
     return report
 
@@ -510,10 +513,10 @@ def _chart_probes(imm, rng, count):
 
 
 def _surface_batch(chunks):
-    """Rows (residual, tension) of each chunk of (surface name, seed sequence,
-    count) probes.  Every chunk draws its probes on its own random stream;
-    the probes of each surface's run of chunks are evaluated in one
-    point_frame and one weighted_tension call."""
+    """Rows (residual, tension), (count, 2), of each chunk of (surface name,
+    seed sequence, count) probes.  Every chunk draws its probes on its own
+    random stream; the probes of each surface's run of chunks are evaluated
+    in one point_frame and one weighted_tension call."""
     parts = []
     for name, run in itertools.groupby(chunks, key=lambda chunk: chunk[0]):
         run = list(run)
@@ -523,7 +526,7 @@ def _surface_batch(chunks):
         pf = immersion.point_frame(imm, p)
         res = np.max(np.abs(immersion.shrinker_residual(pf)), axis=-1)
         ten = np.max(np.abs(immersion.weighted_tension(imm, p)), axis=(-2, -1))
-        parts += _split(list(zip(res.tolist(), ten.tolist())), [c for _, _, c in run])
+        parts += _split(np.stack([res, ten], axis=-1), [c for _, _, c in run])
     return parts
 
 
@@ -582,35 +585,24 @@ def cmd_verify_shrinkers(cfg, outdir, jobs=1) -> RunReport:
                 chunk_args.append((name, children[si * chunks + ci], counts[ci]))
     parts = _run_chunks(_surface_batch, chunk_args, jobs)
 
-    per_surface = {name: [] for name in names + controls}
-    for (name, _, _), rows in zip(chunk_args, parts):
-        per_surface[name].extend(rows)
+    # every surface's chunks hold probes rows in all, in surface order
+    blocks = np.concatenate(parts).reshape(len(names) + len(controls), -1, 2)
+    lines = ["surface,probe,residual,tension"]
+    for name, rows in zip(names + controls, blocks):
+        lines += [f"{name},{k},{r:.17g},{t:.17g}" for k, (r, t) in enumerate(rows.tolist())]
 
     report = RunReport("verify-shrinkers", cfg["seed"])
-    lines = ["surface,probe,residual,tension"]
-    for name in names:
-        rows = per_surface[name]
-        res = _pick(max, (r for r, _ in rows))
-        ten = _pick(max, (t for _, t in rows))
-        report.checks.append(
-            check_le(f"residual[{name}]", res, 0.0, cfg["tol_residual"])
-        )
-        report.checks.append(
-            check_le(f"tension[{name}]", ten, 0.0, cfg["tol_tension"])
-        )
-        for k, (r, t) in enumerate(rows):
-            lines.append(f"{name},{k},{r:.17g},{t:.17g}")
-    for name in controls:
-        rows = per_surface[name]
-        floor = _pick(min, (t for _, t in rows))
+    # np.max and np.min keep a NaN
+    for name, (res, ten) in zip(names, np.max(blocks[:len(names)], axis=1)):
+        report.checks.append(check_le(f"residual[{name}]", res, 0.0, cfg["tol_residual"]))
+        report.checks.append(check_le(f"tension[{name}]", ten, 0.0, cfg["tol_tension"]))
+    for name, floor in zip(controls, np.min(blocks[len(names):, :, 1], axis=1)):
         report.checks.append(
             check_ge(f"control_tension[{name}]", floor, cfg["control_floor"], 0.0)
         )
-        for k, (r, t) in enumerate(rows):
-            lines.append(f"{name},{k},{r:.17g},{t:.17g}")
 
     comp_children = children[(len(names) + len(controls)) * chunks:]
-    comp_worst = _pick(max, [0.0] + [
+    comp_worst = np.max([0.0] + [
         _composition_worst(name, child, int(cfg["composition_probes"]))
         for name, child in zip(names, comp_children)])
     report.checks.append(

@@ -59,8 +59,7 @@ class ParametricImmersion:
     layer.
     """
 
-    def __init__(self, n, m, chart, jet, fd_step=None, label="custom",
-                 vectorized=False):
+    def __init__(self, n, m, chart, jet, fd_step=None, vectorized=False):
         self.n = int(n)
         self.m = int(m)
         self.chart = np.asarray(chart, dtype=float).reshape(self.n, 2)
@@ -70,14 +69,13 @@ class ParametricImmersion:
         self._vectorized = vectorized
         span = self.chart[:, 1] - self.chart[:, 0]
         self.fd_step = span * 1e-3 if fd_step is None else np.asarray(fd_step, float)
-        self.label = label
 
     @classmethod
-    def from_positions(cls, func, n, m, chart, label="custom"):
+    def from_positions(cls, func, n, m, chart):
         """Wrap a position-only map; jets come from 4th-order differences."""
         chart = np.asarray(chart, dtype=float).reshape(n, 2)
         step = (chart[:, 1] - chart[:, 0]) * 1e-3
-        return cls(n, m, chart, lambda q: _fd_jets(func, q, step), step, label)
+        return cls(n, m, chart, lambda q: _fd_jets(func, q, step), step)
 
     def jet(self, param):
         """Jets at one parameter point: jets of a batch of one."""
@@ -768,9 +766,7 @@ def _sphere_immersion(n, R, c1=0.0):
         x, dx, ddx = _unit_sphere_jets(param)
         return center + R * x, R * dx, R * ddx
 
-    return ParametricImmersion(
-        n, 1, chart, jet, label=f"sphere:n={n},R={R:g},c1={c1:g}", vectorized=True
-    )
+    return ParametricImmersion(n, 1, chart, jet, vectorized=True)
 
 
 def _plane_immersion(n, m):
@@ -784,9 +780,7 @@ def _plane_immersion(n, m):
         dX[..., :n] = np.eye(n)
         return x, dX, np.zeros(lead + (n, n, n + m))
 
-    return ParametricImmersion(
-        n, m, chart, jet, label=f"plane:n={n},m={m}", vectorized=True
-    )
+    return ParametricImmersion(n, m, chart, jet, vectorized=True)
 
 
 def _cylinder_immersion(k, n):
@@ -807,9 +801,7 @@ def _cylinder_immersion(k, n):
         ddX[..., :k, :k, : k + 1] = R * ddxs
         return x, dX, ddX
 
-    return ParametricImmersion(
-        n, 1, chart, jet, label=f"cylinder:k={k},n={n}", vectorized=True
-    )
+    return ParametricImmersion(n, 1, chart, jet, vectorized=True)
 
 
 def _graph_jets(param, u, du, ddu):
@@ -840,7 +832,7 @@ def graph_immersion(u, n, m, chart, jets=None):
             return _graph_jets(param, np.reshape(val, m), np.reshape(du, (n, m)),
                                np.reshape(ddu, (n, n, m)))
 
-        return ParametricImmersion(n, m, chart, jet, label="graph")
+        return ParametricImmersion(n, m, chart, jet)
 
     def position(param):
         x = np.zeros(n + m)
@@ -848,7 +840,7 @@ def graph_immersion(u, n, m, chart, jets=None):
         x[n:] = np.atleast_1d(np.asarray(u(param), dtype=float))
         return x
 
-    return ParametricImmersion.from_positions(position, n, m, chart, label="graph")
+    return ParametricImmersion.from_positions(position, n, m, chart)
 
 
 def _parse_args(text):

@@ -79,6 +79,20 @@ def test_sweep_ceiling_at_or_above_three_rejected(tmp_path):
     # PASS over no probes and to raise from the catalog (exit 1)
     ("verify-shrinkers", {"surfaces": [], "control_surfaces": []}),
     ("verify-shrinkers", {"surfaces": ["torus:n=2"]}),
+    # artifact names are plain file names that differ from each other and
+    # from the report; these used to raise after the run (exit 1) or let
+    # one file overwrite another
+    ("verify-targets", {"residual_csv": ""}),
+    ("verify-targets", {"residual_csv": "."}),
+    ("verify-targets", {"residual_csv": ".."}),
+    ("verify-targets", {"residual_csv": "no/such/dir.csv"}),
+    ("verify-targets", {"residual_csv": "nul\0.csv"}),
+    ("verify-targets", {"residual_csv": "report_verify-targets.json"}),
+    ("verify-shrinkers", {"residual_csv": "report_verify-shrinkers.json"}),
+    ("verify-prop41", {"certificate": "certs/"}),
+    ("flow-graph", {"trace_svg": "flow_trace.csv"}),
+    ("report", {"bundle": "report_report.json"}),
+    ("report", {"bundle": "bundle.csv"}),
 ])
 def test_wrong_typed_config_value_rejected(tmp_path, capsys, subcommand, payload):
     cfg = _write_cfg(tmp_path, payload)
@@ -223,19 +237,32 @@ def test_identical_config_and_seed_are_byte_identical(tmp_path):
 
 def test_worker_count_does_not_change_artifacts(tmp_path):
     # 8 chunks of targets and 32 of shrinkers, so 3 jobs split them unevenly
-    # and a batch of shrinker chunks spans two surfaces
+    # and a batch of shrinker chunks spans two surfaces; 5 probes in 8
+    # chunks leave 3 of them empty
     cases = [("verify-targets", {"probes": 12, "chunks": 8}, "target_residuals.csv"),
              ("verify-shrinkers", {"probes": 12, "chunks": 8, "composition_probes": 2},
+              "shrinker_residuals.csv"),
+             ("verify-targets", {"probes": 5, "chunks": 8}, "target_residuals.csv"),
+             ("verify-shrinkers", {"probes": 5, "chunks": 8, "composition_probes": 2},
               "shrinker_residuals.csv")]
-    for command, payload, csv in cases:
-        cfg = _write_cfg(tmp_path, payload, f"{command}.json")
+    for case, (command, payload, csv) in enumerate(cases):
+        cfg = _write_cfg(tmp_path, payload, f"{case}.json")
         artifacts = []
         for jobs in ("1", "2", "3"):
-            out = tmp_path / command / jobs
+            out = tmp_path / str(case) / jobs
             assert cli.main([command, "--config", cfg, "--out", str(out), "--jobs", jobs]) == 0
             artifacts.append([(out / name).read_bytes()
                               for name in (csv, f"report_{command}.json")])
         assert artifacts[1] == artifacts[0] and artifacts[2] == artifacts[0]
+        if command == "verify-shrinkers":
+            # one block of probes rows per surface, numbered from 0; the
+            # surface names hold commas, so split off the last three fields
+            defaults = cli.DEFAULTS[command]
+            text = artifacts[0][0].decode()
+            rows = [line.rsplit(",", 3)[:2] for line in text.splitlines()[1:]]
+            assert rows == [[name, str(k)]
+                            for name in defaults["surfaces"] + defaults["control_surfaces"]
+                            for k in range(payload["probes"])]
 
 
 def test_importing_the_cli_leaves_multiprocessing_unloaded():
@@ -473,7 +500,8 @@ def _nan_after_first(monkeypatch, module, name, poison):
 
 @pytest.mark.parametrize("case", [
     "check_le", "check_ge", "verify-targets", "verify-shrinkers residual",
-    "verify-shrinkers composition", "verify-prop41 regroup", "verify-prop41 margin",
+    "verify-shrinkers tension", "verify-shrinkers control", "verify-shrinkers composition",
+    "verify-prop41 regroup", "verify-prop41 margin",
 ])
 def test_a_nan_fails_a_mandatory_check(monkeypatch, tmp_path, case):
     # a NaN fails its check, and the max and min over a run keep it, also
@@ -500,6 +528,11 @@ def test_a_nan_fails_a_mandatory_check(monkeypatch, tmp_path, case):
     elif case == "verify-shrinkers residual":
         _nan_after_first(monkeypatch, immersion, "shrinker_residual",
                          lambda r: np.where(np.arange(len(r))[:, None] == 2, math.nan, r))
+    elif case in ("verify-shrinkers tension", "verify-shrinkers control"):
+        if case.endswith("control"):  # one catalog surface: only the control is poisoned
+            cfg = dict(cfg, surfaces=["plane:n=2,m=2"])
+        _nan_after_first(monkeypatch, immersion, "weighted_tension",
+                         lambda t: np.where(np.arange(len(t))[:, None, None] == 2, math.nan, t))
     elif case == "verify-shrinkers composition":
         _nan_after_first(monkeypatch, cli, "_composition_worst", lambda r: math.nan)
     else:
@@ -512,11 +545,14 @@ def test_a_nan_fails_a_mandatory_check(monkeypatch, tmp_path, case):
     assert cli.main([command, "--config", path, "--out", str(tmp_path)]) == 1
     report = _load_report(str(tmp_path), command)
     assert report["status"] == "FAIL"
+    status = {c["name"]: cli.report_status([cli.CheckRecord(**c)]) for c in report["checks"]}
+    if case == "verify-shrinkers control":
+        # the minimum keeps the NaN that follows numbers
+        assert {name for name, s in status.items() if s == "FAIL"} == {
+            "control_tension[sphere:n=2,R=1,c1=0.5]"}
     if command == "verify-prop41":
         # the poisoned check fails alone: the zero-lambda check, which reads
         # its own stack, passes
-        status = {c["name"]: cli.report_status([cli.CheckRecord(**c)])
-                  for c in report["checks"]}
         poisoned = "regroup_max" if case.endswith("regroup") else "sample_min_margin"
         assert {name for name, s in status.items() if s == "FAIL"} == {poisoned}
         assert status["zero_lambda_margin"] == "PASS"
@@ -551,6 +587,11 @@ def _ref_target_chunk(seed_seq, count, step):
     return list(zip(cli.TARGET_FAMILIES * count, rows))
 
 
+def _family_rows(residuals):
+    # a chunk's (count, 7) residuals as (family, value) rows, probe by probe
+    return [row for probe in residuals.tolist() for row in zip(cli.TARGET_FAMILIES, probe)]
+
+
 def test_target_probes_near_zero_angle_keep_orthonormal_normals():
     # chunk 1 of seed 0, probe 70: n = m = 3 with principal cosines
     # [1, 0.994, 0.975]; the partner normals used to miss orthonormality
@@ -558,9 +599,9 @@ def test_target_probes_near_zero_angle_keep_orthonormal_normals():
     # partner patterns, and every row keeps the reference's bits
     args = (np.random.SeedSequence(0).spawn(8)[1], 71, 1e-4)
     rows = cli._target_batch([args[:2]], args[2])[0]
-    assert len(rows) == 71 * 7
-    assert max(residual for _, residual in rows) <= 1e-5
-    assert rows == _ref_target_chunk(*args)
+    assert rows.shape == (71, 7)
+    assert rows.max() <= 1e-5
+    assert _family_rows(rows) == _ref_target_chunk(*args)
 
 
 def _count_calls(monkeypatch, *targets):
@@ -594,7 +635,7 @@ def test_target_chunk_takes_one_spectrum_per_shape_and_one_for_the_reduction(
                          (grassmann, "overlap_values"))
     rows = cli._target_batch([(np.random.SeedSequence(3), count)], 1e-4)[0]
     assert calls == {"jordan_spectrum": shapes + 1, "overlap_values": shapes}
-    assert max(residual for _, residual in rows) <= 1e-5
+    assert rows.max() <= 1e-5
 
 
 @pytest.mark.parametrize("count", [1, 5, 30])
@@ -607,7 +648,7 @@ def test_target_chunk_makes_two_geodesic_calls_per_shape_and_three_great_circle_
     calls = _count_calls(monkeypatch, (grassmann, "geodesic_from_velocity"),
                          (sphere, "great_circle"))
     rows = cli._target_batch([(np.random.SeedSequence(2), count)], 1e-4)[0]
-    assert len(rows) == count * len(cli.TARGET_FAMILIES)
+    assert rows.shape == (count, len(cli.TARGET_FAMILIES))
     assert calls == {"geodesic_from_velocity": 2 * shapes + 1, "great_circle": 3}
 
 
@@ -643,11 +684,12 @@ def test_one_batch_of_all_chunks_equals_one_chunk_batches(seed):
     # stacking chunks together changes no bit of any chunk's rows
     children = np.random.SeedSequence(seed).spawn(8)
     chunks = list(zip(children, cli._chunk_counts(240, 8)))
-    assert cli._target_batch(chunks, 1e-4) == [
-        cli._target_batch([chunk], 1e-4)[0] for chunk in chunks]
+    assert [p.tolist() for p in cli._target_batch(chunks, 1e-4)] == [
+        cli._target_batch([chunk], 1e-4)[0].tolist() for chunk in chunks]
     names = ["sphere:n=2,R=2"] * 3 + ["cylinder:k=1,n=2"] * 3 + ["sphere:n=2,R=1,c1=0.5"] * 2
     chunks = [(name, child, 30) for name, child in zip(names, children)]
-    assert cli._surface_batch(chunks) == [cli._surface_batch([chunk])[0] for chunk in chunks]
+    assert [p.tolist() for p in cli._surface_batch(chunks)] == [
+        cli._surface_batch([chunk])[0].tolist() for chunk in chunks]
 
 
 @pytest.mark.parametrize("seed, digest", [
@@ -658,6 +700,18 @@ def test_target_residuals_at_the_default_config_are_pinned(tmp_path, seed, diges
     # sha256 of target_residuals.csv as the per-probe loop wrote it
     assert cli.main(["verify-targets", "--seed", str(seed), "--out", str(tmp_path)]) == 0
     got = hashlib.sha256((tmp_path / "target_residuals.csv").read_bytes()).hexdigest()
+    assert got == digest
+
+
+@pytest.mark.parametrize("seed, digest", [
+    (0, "a16c8814657c4884b2362904873150b67f31b6b598943d08aaa14b5824ed1a46"),
+    (61, "ee47460d45d98f7b9ca6d7272e5e1fa009927c5e90b5c4274b2d0e85f022f160"),
+])
+def test_shrinker_residuals_at_the_default_config_are_pinned(tmp_path, seed, digest):
+    # sha256 of shrinker_residuals.csv as the (residual, tension) row tuples
+    # wrote it
+    assert cli.main(["verify-shrinkers", "--seed", str(seed), "--out", str(tmp_path)]) == 0
+    got = hashlib.sha256((tmp_path / "shrinker_residuals.csv").read_bytes()).hexdigest()
     assert got == digest
 
 
@@ -760,7 +814,7 @@ def test_target_probes_equal_the_per_time_reference(seed):
     # same random stream, row for row and bit for bit
     for count in (1, 7, 30):
         args = (np.random.SeedSequence(seed), count, 1e-4)
-        assert cli._target_batch([args[:2]], args[2])[0] == _ref_target_chunk(*args)
+        assert _family_rows(cli._target_batch([args[:2]], args[2])[0]) == _ref_target_chunk(*args)
 
 
 @pytest.mark.parametrize("count", [1, 7, 30])
@@ -770,7 +824,7 @@ def test_surface_chunk_makes_two_kernel_calls(monkeypatch, count):
     kernel = immersion._frame_kernel
     monkeypatch.setattr(immersion, "_frame_kernel", lambda *a: calls.append(1) or kernel(*a))
     rows = cli._surface_batch([("cylinder:k=1,n=2", np.random.SeedSequence(4), count)])[0]
-    assert len(rows) == count
+    assert rows.shape == (count, 2)
     assert len(calls) == 2
 
 

@@ -589,7 +589,8 @@ def cmd_verify_shrinkers(cfg, outdir, jobs=1) -> RunReport:
     blocks = np.concatenate(parts).reshape(len(names) + len(controls), -1, 2)
     lines = ["surface,probe,residual,tension"]
     for name, rows in zip(names + controls, blocks):
-        lines += [f"{name},{k},{r:.17g},{t:.17g}" for k, (r, t) in enumerate(rows.tolist())]
+        quoted = f'"{name}"'  # catalog names hold commas; none that builds holds a quote
+        lines += [f"{quoted},{k},{r:.17g},{t:.17g}" for k, (r, t) in enumerate(rows.tolist())]
 
     report = RunReport("verify-shrinkers", cfg["seed"])
     # np.max and np.min keep a NaN

@@ -13,8 +13,11 @@ which pins the subcritical slope threshold v < 3.  The scalar side is
 the sweep `sup_F_sweep`, which keeps the grid points of the constraint set
 Omega by the sign of F's pole denominator (`_pole_denominator`) and
 evaluates F there (`_F`) to certify sup F <= -1/16, the source of the
-constant.  `H1_value` is the cubic H1 of the factorization
-F = F2 / (F1 (F2 - F1)), F2 = H1 / H2.
+constant.  It evaluates blocks of whole v-slices, about 2^14 grid points
+per pass (`_omega_blocks`), and reduces each slice on its own, so every
+point and every slice's maximum has the bits of a loop over slices.
+`H1_value` is the cubic H1 of the factorization F = F2 / (F1 (F2 - F1)),
+F2 = H1 / H2.
 
 Every entry of the form takes a stack: lam (B, p) and h (B, m, n, n) of
 one (n, m) shape, a single sample being a stack of one.  Each group and its
@@ -121,6 +124,31 @@ class SweepReport:
         }
 
 
+_SWEEP_BLOCK = 1 << 14  # grid points per pass of the sweep, in whole v-slices
+
+
+def _omega_blocks(v_grid, frac, rows):
+    """Yield (lo, r, t, member, F) for each block v_grid[lo:lo + rows] of v-slices.
+
+    On a slice, r = tau + (v^2 - 1 - tau) frac with tau = (v - 1) / 2 and t
+    lies on the hyperbola (1 + r)(1 + t) = v^2; arrays are (slices, len(frac)).
+    member marks the points of Omega, D < 0 (the t-bound off F's pole), and
+    is False where D is NaN.  Each point has the bits of a slice computed
+    alone.  A block's arrays live until the next block's replace them, one by
+    one: freeing them all at once let the allocator hand the pages back and
+    fault them in again on every block.
+    """
+    for lo in range(0, len(v_grid), rows):
+        v = v_grid[lo:lo + rows, None]
+        tau = 0.5 * (v - 1.0)
+        r = tau + (v * v - 1.0 - tau) * frac
+        t = (v * v - 1.0 - r) / (1.0 + r)
+        denom = _pole_denominator(tau, r, t)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            F = _F(tau, r, t, denom)
+        yield lo, r, t, denom < 0.0, F
+
+
 def sup_F_sweep(v_count=10_000, rt_resolution=10_000, v_lo=None, v_hi=None) -> SweepReport:
     """Maximize F over a grid of Omega and compare against -1/16.
 
@@ -139,31 +167,23 @@ def sup_F_sweep(v_count=10_000, rt_resolution=10_000, v_lo=None, v_hi=None) -> S
         raise ValueError(f"need 1 < v_lo <= v_hi < 3, got v_lo={v_lo!r}, v_hi={v_hi!r}")
     v_grid = np.linspace(v_lo, v_hi, v_count)
     frac = np.arange(1, rt_resolution + 1) / rt_resolution
-    worst = -np.inf
-    arg = (math.nan, math.nan, math.nan)
+    rows = max(1, _SWEEP_BLOCK // rt_resolution)
     samples = 0
     empty = 0
-    per_v = np.full(v_count, -np.inf)
-    for iv, v in enumerate(v_grid):
-        tau = 0.5 * (v - 1.0)
-        r = tau + (v * v - 1.0 - tau) * frac
-        t = (v * v - 1.0 - r) / (1.0 + r)
-        denom = _pole_denominator(tau, r, t)
-        member = denom < 0.0  # D <= 0, off the pole D = 0
-        with np.errstate(divide="ignore", invalid="ignore"):
-            F = _F(tau, r, t, denom)
-        if not np.any(member):
-            empty += 1
-            continue
-        vals = F[member]
-        samples += int(vals.size)
-        k = int(np.argmax(vals))
-        per_v[iv] = vals[k]
-        if vals[k] > worst:
-            worst = float(vals[k])
-            rm = r[member]
-            tm = t[member]
-            arg = (float(v), float(rm[k]), float(tm[k]))
+    per_v = np.empty(v_count)
+    for lo, _, _, member, F in _omega_blocks(v_grid, frac, rows):
+        per_v[lo:lo + rows] = np.max(F, axis=1, where=member, initial=-np.inf)
+        samples += int(np.count_nonzero(member))
+        empty += int(np.count_nonzero(~np.any(member, axis=1)))
+    # the first slice at the maximum, and its first point there, as a strict >
+    # over the slices in order keeps them; that slice is computed again
+    iv = int(np.argmax(per_v))
+    worst = float(per_v[iv])
+    arg = (math.nan, math.nan, math.nan)
+    if worst > -np.inf:
+        _, r, t, member, F = next(_omega_blocks(v_grid[iv:iv + 1], frac, 1))
+        k = int(np.argmax(np.where(member, F, -np.inf)))
+        arg = (float(v_grid[iv]), float(r[0, k]), float(t[0, k]))
     return SweepReport(
         v_count=v_count,
         rt_resolution=rt_resolution,
@@ -634,8 +654,9 @@ def adversarial_margin_search(seed=0, restarts=10_000) -> SearchReport:
 
     Half the lambda have v uniform in (1, 3), half v from V_SCHEDULE, hard
     against v -> 3 where the bound degenerates.  The minima below tolerance
-    are rechecked in extended precision, each at its own h, in one call; one
-    still below is recorded with everything needed to recompute it.
+    are rechecked in extended precision, each at its own h, in one call per
+    shape that has any; one still below is recorded with everything needed
+    to recompute it.
     """
     rng = np.random.default_rng(seed)
     shapes = [(n, m) for n in range(1, 6) for m in range(1, 6) if min(n, m) <= 4]
@@ -654,6 +675,8 @@ def adversarial_margin_search(seed=0, restarts=10_000) -> SearchReport:
         margins, h = min_margin_over_h(n, m, lam)
         worst = np.min(margins, initial=worst)
         flagged = np.nonzero(margins < -MARGIN_TOL)[0]
+        if not flagged.size:
+            continue
         ld = np.longdouble
         refined = _margins(lam[flagged].astype(ld), h[flagged].astype(ld))[0].astype(float)
         for k, margin, v in zip(flagged, refined.tolist(), _slope(lam[flagged]).tolist()):

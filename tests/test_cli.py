@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import json
 import math
@@ -245,21 +246,23 @@ def test_worker_count_does_not_change_artifacts(tmp_path):
              ("verify-targets", {"probes": 5, "chunks": 8}, "target_residuals.csv"),
              ("verify-shrinkers", {"probes": 5, "chunks": 8, "composition_probes": 2},
               "shrinker_residuals.csv")]
-    for case, (command, payload, csv) in enumerate(cases):
+    for case, (command, payload, residuals) in enumerate(cases):
         cfg = _write_cfg(tmp_path, payload, f"{case}.json")
         artifacts = []
         for jobs in ("1", "2", "3"):
             out = tmp_path / str(case) / jobs
             assert cli.main([command, "--config", cfg, "--out", str(out), "--jobs", jobs]) == 0
             artifacts.append([(out / name).read_bytes()
-                              for name in (csv, f"report_{command}.json")])
+                              for name in (residuals, f"report_{command}.json")])
         assert artifacts[1] == artifacts[0] and artifacts[2] == artifacts[0]
         if command == "verify-shrinkers":
-            # one block of probes rows per surface, numbered from 0; the
-            # surface names hold commas, so split off the last three fields
+            # one block of probes rows per surface, numbered from 0, each
+            # row four fields with the quoted surface name first
             defaults = cli.DEFAULTS[command]
-            text = artifacts[0][0].decode()
-            rows = [line.rsplit(",", 3)[:2] for line in text.splitlines()[1:]]
+            rows = list(csv.reader(artifacts[0][0].decode().splitlines()))
+            assert rows[0] == ["surface", "probe", "residual", "tension"]
+            assert all(len(row) == 4 for row in rows)
+            rows = [row[:2] for row in rows[1:]]
             assert rows == [[name, str(k)]
                             for name in defaults["surfaces"] + defaults["control_surfaces"]
                             for k in range(payload["probes"])]
@@ -704,12 +707,12 @@ def test_target_residuals_at_the_default_config_are_pinned(tmp_path, seed, diges
 
 
 @pytest.mark.parametrize("seed, digest", [
-    (0, "a16c8814657c4884b2362904873150b67f31b6b598943d08aaa14b5824ed1a46"),
-    (61, "ee47460d45d98f7b9ca6d7272e5e1fa009927c5e90b5c4274b2d0e85f022f160"),
+    (0, "56a7651150bf0568ece7595171153ed5388e39159592a6aed711a272d7ac229a"),
+    (61, "2a0c8e4767d61fb95d75b17fede45a614e5aed1822989b6084015bb821db5e1d"),
 ])
 def test_shrinker_residuals_at_the_default_config_are_pinned(tmp_path, seed, digest):
-    # sha256 of shrinker_residuals.csv as the (residual, tension) row tuples
-    # wrote it
+    # sha256 of shrinker_residuals.csv with the surface names quoted; the
+    # rows are those the (residual, tension) row tuples wrote
     assert cli.main(["verify-shrinkers", "--seed", str(seed), "--out", str(tmp_path)]) == 0
     got = hashlib.sha256((tmp_path / "shrinker_residuals.csv").read_bytes()).hexdigest()
     assert got == digest

@@ -607,7 +607,7 @@ _FILL_CALLS = [(1, 2, 43), (1, 4, 58), (2, 2, 50), (2, 4, 65), (3, 2, 49)]
 
 
 @pytest.mark.parametrize("m, order, count", _FILL_CALLS,
-                         ids=[f"{o}-{c}" + (f"-m{m}" if m > 1 else "") for m, o, c in _FILL_CALLS])
+                         ids=[f"order{o}-m{m}" for m, o, _ in _FILL_CALLS])
 def test_fill_call_count(m, order, count):
     # one fill at n = 2; m = 3 takes einsum for the metric
     f = gf.GridField(L=1.0, values=np.zeros((9, 9, m)))

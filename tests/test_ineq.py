@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -162,6 +163,72 @@ def test_sweep_without_samples_does_not_pass():
     rep = ineq.sup_F_sweep(v_count=1, rt_resolution=3, v_lo=1.0 + 1e-9, v_hi=1.0 + 1e-9)
     assert rep.samples == 0 and rep.empty_slices == 1
     assert not rep.passed
+
+
+def _sweep_per_slice(v_count, rt_resolution, v_lo, v_hi):
+    """(worst_per_v, worst, (v, r, t), samples, empty) from one pass per v-slice.
+
+    The sweep as a loop over slices, kept as the reference the blocked
+    passes must equal bit for bit.
+    """
+    v_grid = np.linspace(v_lo, v_hi, v_count)
+    frac = np.arange(1, rt_resolution + 1) / rt_resolution
+    worst = -np.inf
+    arg = (math.nan, math.nan, math.nan)
+    samples = 0
+    empty = 0
+    per_v = np.full(v_count, -np.inf)
+    for iv, v in enumerate(v_grid):
+        tau = 0.5 * (v - 1.0)
+        r = tau + (v * v - 1.0 - tau) * frac
+        t = (v * v - 1.0 - r) / (1.0 + r)
+        denom = ineq._pole_denominator(tau, r, t)
+        member = denom < 0.0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            F = ineq._F(tau, r, t, denom)
+        if not np.any(member):
+            empty += 1
+            continue
+        vals = F[member]
+        samples += int(vals.size)
+        k = int(np.argmax(vals))
+        per_v[iv] = vals[k]
+        if vals[k] > worst:
+            worst = float(vals[k])
+            arg = (float(v), float(r[member][k]), float(t[member][k]))
+    return per_v, worst, arg, samples, empty
+
+
+@pytest.mark.parametrize("v_count, rt_resolution, v_lo, v_hi", [
+    (5, 1, 1.0 + 1e-6, 3.0 - 1e-6),  # r = v^2 - 1 alone: every slice empty
+    (9, 3, 1.0 + 1e-6, 3.0 - 1e-6),
+    (37, 1500, 1.0 + 1e-6, 3.0 - 1e-6),  # passes of 10, 10, 10 and 7 slices
+    (3, 20_000, 1.0 + 1e-6, 3.0 - 1e-6),  # a slice above the block: one per pass
+    (1, 3, 1.0 + 1e-9, 1.0 + 1e-9),
+    (4, 3, 1.0 + 1e-9, 1.5),  # the first slice empty, the others not
+])
+def test_blocked_sweep_equals_the_per_slice_loop(v_count, rt_resolution, v_lo, v_hi):
+    rep = ineq.sup_F_sweep(v_count=v_count, rt_resolution=rt_resolution, v_lo=v_lo, v_hi=v_hi)
+    per_v, worst, arg, samples, empty = _sweep_per_slice(v_count, rt_resolution, v_lo, v_hi)
+    assert rep.worst_per_v.tobytes() == per_v.tobytes()
+    assert (rep.samples, rep.empty_slices) == (samples, empty)
+    got = np.array([rep.worst_value, rep.arg_v, rep.arg_r, rep.arg_t])
+    assert got.tobytes() == np.array([worst, *arg]).tobytes()
+    if samples == 0:
+        assert rep.worst_value == -np.inf and np.all(np.isnan(got[1:]))
+
+
+@pytest.mark.parametrize("v_count, rt_resolution", [(1200, 1500), (10_000, 10_000)])
+def test_sweep_peak_allocation_stays_bounded(v_count, rt_resolution):
+    # verify-prop41's default grid and c01's: a pass holds one block of
+    # slices, where a sweep of the whole grid at once would take about 100 MB
+    tracemalloc.start()
+    try:
+        ineq.sup_F_sweep(v_count=v_count, rt_resolution=rt_resolution)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 2**20
 
 
 # ---------------------------------------------------------------------------
@@ -743,6 +810,15 @@ def test_certificate_and_dump_json():
     assert data["worst_value"] == rep.worst_value
     assert data["samples"] == rep.samples
     assert data["seed"] == 123
+
+
+def test_search_skips_the_recheck_when_nothing_is_flagged(monkeypatch):
+    # the extended-precision recheck runs on flagged minima only
+    calls = []
+    margins = ineq._margins
+    monkeypatch.setattr(ineq, "_margins", lambda lam, h: calls.append(len(lam)) or margins(lam, h))
+    report = ineq.adversarial_margin_search(seed=14, restarts=48)
+    assert report.passed and not report.violations and calls == []
 
 
 def test_search_records_every_confirmed_minimum_with_its_longdouble_margin(monkeypatch):

@@ -677,7 +677,7 @@ def field_immersion(field: GridField, order=4) -> ParametricImmersion:
         return _graph_jets(params, u[row], du[row], ddu[row])
 
     chart = np.stack([-field.L + g * h, field.L - g * h], axis=1)
-    return ParametricImmersion(n, m, chart, jets, fd_step=h, vectorized=True)
+    return ParametricImmersion(n, m, chart, jets, fd_step=h)
 
 
 def interior_nodes(field: GridField, order=4):

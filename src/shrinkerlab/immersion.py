@@ -9,11 +9,12 @@ tangent-plane (Gauss) map with its weighted tension field, weighted
 quadrature over patch meshes, the closed-surface stability identity, and a
 first-variation check for weighted map energies.  A small catalog of exact
 surfaces (planes, round spheres, shrinking cylinders, graphs) supplies
-analytic jets; user surfaces fall back to high-order finite differences.
-Frames are one record, PointFrame, over leading axes: point_frame,
-weighted_tension and composition_checks take parameters (..., n) with one
-kernel call per batch, and a patch mesh carries the PointFrame batch of its
-nodes.
+analytic jets; position-only maps get theirs from high-order finite
+differences.  Every function the module evaluates (jets, positions, heights,
+maps) takes points over leading axes and is called once per batch.  Frames
+are one record, PointFrame, over leading axes: point_frame, weighted_tension
+and composition_checks take parameters (..., n) with one kernel call per
+batch, and a patch mesh carries the PointFrame batch of its nodes.
 """
 
 from __future__ import annotations
@@ -51,31 +52,36 @@ class ChartError(ValueError):
 class ParametricImmersion:
     """Chart-based immersion supplying position, first and second jets.
 
-    The evaluator returns (X, dX, ddX) with dX[k] the derivative of X along
-    parameter k and ddX[k][l] the second derivative.  A vectorized evaluator
-    takes parameters with leading axes (..., n) and returns jets over the
-    same axes; otherwise batches stack one call per point.  fd_step is the
-    stencil step (per parameter) used by every derived finite-difference
-    layer.
+    The evaluator takes parameters (B, n) and returns the jets (X, dX, ddX)
+    over the batch axis: X (B, amb), dX (B, n, amb) with dX[:, k] the
+    derivative of X along parameter k, and ddX (B, n, n, amb) the second
+    derivatives, amb = n + m.  fd_step is the stencil step (per parameter)
+    used by every derived finite-difference layer.
     """
 
-    def __init__(self, n, m, chart, jet, fd_step=None, vectorized=False):
+    def __init__(self, n, m, chart, jet, fd_step=None):
         self.n = int(n)
         self.m = int(m)
         self.chart = np.asarray(chart, dtype=float).reshape(self.n, 2)
         if np.any(self.chart[:, 1] <= self.chart[:, 0]):
             raise ValueError("chart box must have positive extent")
         self._jet = jet
-        self._vectorized = vectorized
         span = self.chart[:, 1] - self.chart[:, 0]
         self.fd_step = span * 1e-3 if fd_step is None else np.asarray(fd_step, float)
 
     @classmethod
     def from_positions(cls, func, n, m, chart):
-        """Wrap a position-only map; jets come from 4th-order differences."""
+        """Wrap a position-only map, func (..., n) -> (..., n + m); jets come
+        from 4th-order differences, one func call per batch."""
         chart = np.asarray(chart, dtype=float).reshape(n, 2)
         step = (chart[:, 1] - chart[:, 0]) * 1e-3
-        return cls(n, m, chart, lambda q: _fd_jets(func, q, step), step)
+
+        def jet(q):
+            x, dX, ddX = _fd_jets(func, q, step)
+            # the derivative axes behind the batch axis
+            return x, np.moveaxis(dX, 0, 1), np.moveaxis(ddX, (0, 1), (1, 2))
+
+        return cls(n, m, chart, jet, step)
 
     def jet(self, param):
         """Jets at one parameter point: jets of a batch of one."""
@@ -90,11 +96,18 @@ class ParametricImmersion:
         inside = ((p >= lo - 1e-12) & (p <= hi + 1e-12)).all(axis=-1)
         if not inside.all():
             raise ChartError(f"parameter {p[np.argmin(inside)]} outside the chart")
-        if self._vectorized:
-            jets = self._jet(p)
-        else:  # one call per point, stacked
-            jets = (np.stack(a) for a in zip(*map(self._jet, p)))
-        return tuple(np.asarray(a, dtype=float) for a in jets)
+        B, n, amb = len(p), self.n, self.n + self.m
+        want = ((B, amb), (B, n, amb), (B, n, n, amb))
+        contract = f"jets of ({B}, {n}) parameters must have shapes {want}"
+        try:
+            jets = tuple(np.asarray(a, dtype=float) for a in self._jet(p))
+        except ChartError:
+            raise
+        except (ValueError, TypeError, IndexError) as err:  # e.g. a one-point evaluator
+            raise ValueError(f"{contract}; the evaluator failed: {err}") from err
+        if tuple(a.shape for a in jets) != want:
+            raise ValueError(f"{contract}, got {tuple(a.shape for a in jets)}")
+        return jets
 
 
 @dataclass(frozen=True, eq=False)
@@ -339,20 +352,20 @@ def _fd_jets(func, center, steps, second=True):
     """(value, first, second) jets of func at centers (..., n) by 4th-order
     differences.
 
-    func takes one point and may return a scalar or an array; first[k] and
-    second[k, l] are its partial derivatives along parameters k and l, over
-    the leading axes of center.  Each stencil point is evaluated once.  With
-    second=False only the first-derivative stencil runs and the value and
-    second jet come back as None.
+    func takes points (..., n) and returns a scalar or an array per point,
+    over the same leading axes; it is called once, on every stencil point
+    stacked.  first[k] and second[k, l] are its partial derivatives along
+    parameters k and l, over the leading axes of center.  With second=False
+    only the first-derivative stencil runs and the value and second jet come
+    back as None.
     """
     points, combine = _stencil(center, steps, second)
-    return combine(_evaluate(func, points))
-
-
-def _evaluate(func, points):
-    """func at every point of points (..., n), stacked over the leading axes."""
-    vals = np.stack([np.asarray(func(q), dtype=float) for q in points.reshape(-1, points.shape[-1])])
-    return vals.reshape(points.shape[:-1] + vals.shape[1:])
+    values = np.asarray(func(points), dtype=float)
+    lead = points.shape[:-1]
+    if values.shape[:len(lead)] != lead:
+        raise ValueError(f"func of points {points.shape} must return values over the "
+                         f"leading axes {lead}, got shape {values.shape}")
+    return combine(values)
 
 
 # ---------------------------------------------------------------------------
@@ -576,15 +589,15 @@ def sphere_mesh(R, shape):
 
 @dataclass(frozen=True, eq=False)
 class ScalarFieldOnPatch:
-    """Per-node scalar samples, optionally with ambient tangential gradients."""
+    """Per-node scalar samples with their ambient tangential gradients."""
 
     values: np.ndarray
-    gradients: Optional[np.ndarray] = None
+    gradients: np.ndarray
 
 
 def weighted_integral(mesh: WeightedPatchMesh, f) -> float:
-    """Quadrature of f against the Gaussian-weighted area measure."""
-    vals = f.values if isinstance(f, ScalarFieldOnPatch) else np.asarray(f, float)
+    """Quadrature of per-node values f against the Gaussian-weighted area measure."""
+    vals = np.asarray(f, float)
     if vals.shape != (mesh.node_count,):
         raise ValueError("field node count does not match the mesh")
     return float(np.sum(vals * mesh.frames.rho * mesh.weights))
@@ -609,21 +622,16 @@ class StabilityReport(NamedTuple):
     residual: float
 
 
-def stability_identity_check(mesh: WeightedPatchMesh, a=None, field=None):
+def stability_identity_check(mesh: WeightedPatchMesh, a):
     """Closed-surface identity: int f(1-f)|B|^2 rho = -int |grad f|^2 rho.
 
-    f is the height of the normal map against the pole a (or an injected
-    field with gradients).  Requires a closed mesh; open patches would need
-    boundary terms that are not modeled.
+    f is the height of the normal map against the pole a.  Requires a
+    closed mesh; open patches would need boundary terms that are not
+    modeled.
     """
     if not mesh.closed:
         raise ValueError("stability identity requires a closed mesh")
-    if field is None:
-        if a is None:
-            raise ValueError("supply a pole or an explicit field")
-        field = height_field(mesh, a)
-    if field.gradients is None:
-        raise ValueError("field gradients are required")
+    field = height_field(mesh, a)
     f = field.values
     lhs = weighted_integral(mesh, f * (1.0 - f) * mesh.frames.second_form_sq)
     grad_sq = np.sum(field.gradients * field.gradients, axis=1)
@@ -687,20 +695,21 @@ def sphere_map_tension(mesh: WeightedPatchMesh, map_fn, grad_log_w):
 def first_variation_check(mesh: WeightedPatchMesh, family, weight_of) -> FirstVariationReport:
     """Compare d/dt of the weighted energy with the tension pairing.
 
-    family(t) returns the map at time t; weight_of(mesh) builds the weight
-    field.  The pairing side is -int <d/dt map, tension> w, with d/dt a
-    central difference of step 1e-3.  A variation reaching the boundary of
-    an open patch triggers a warning since boundary terms are dropped.
+    family(t) returns the map at time t, a function of points (..., n)
+    with values (..., k); weight_of(mesh) builds the weight field.  The
+    pairing side is -int <d/dt map, tension> w, with d/dt a central
+    difference of step 1e-3.  A variation reaching the boundary of an open
+    patch triggers a warning since boundary terms are dropped.
     """
     dt = 1e-3
     imm = mesh.immersion
-    w = weight_of(mesh) if callable(weight_of) else weight_of
+    w = weight_of(mesh)
     f0, fp, fm = family(0.0), family(dt), family(-dt)
     e_p, e_m = weighted_energy(mesh, fp, w), weighted_energy(mesh, fm, w)
     derivative = (e_p - e_m) / (2.0 * dt)
 
     def rate(q):  # d/dt of the map at the points q (..., n)
-        return (_evaluate(fp, q) - _evaluate(fm, q)) / (2.0 * dt)
+        return (fp(q) - fm(q)) / (2.0 * dt)
 
     vdot = rate(mesh.params)
     tau = sphere_map_tension(mesh, f0, w.grad_log)
@@ -766,7 +775,7 @@ def _sphere_immersion(n, R, c1=0.0):
         x, dx, ddx = _unit_sphere_jets(param)
         return center + R * x, R * dx, R * ddx
 
-    return ParametricImmersion(n, 1, chart, jet, vectorized=True)
+    return ParametricImmersion(n, 1, chart, jet)
 
 
 def _plane_immersion(n, m):
@@ -780,7 +789,7 @@ def _plane_immersion(n, m):
         dX[..., :n] = np.eye(n)
         return x, dX, np.zeros(lead + (n, n, n + m))
 
-    return ParametricImmersion(n, m, chart, jet, vectorized=True)
+    return ParametricImmersion(n, m, chart, jet)
 
 
 def _cylinder_immersion(k, n):
@@ -801,7 +810,7 @@ def _cylinder_immersion(k, n):
         ddX[..., :k, :k, : k + 1] = R * ddxs
         return x, dX, ddX
 
-    return ParametricImmersion(n, 1, chart, jet, vectorized=True)
+    return ParametricImmersion(n, 1, chart, jet)
 
 
 def _graph_jets(param, u, du, ddu):
@@ -821,26 +830,15 @@ def _graph_jets(param, u, du, ddu):
 def graph_immersion(u, n, m, chart, jets=None):
     """Immersion x -> (x, u(x)) of a height map with m components.
 
-    jets, if given, must return (u, du, ddu) with du[k] the k-th partial of
-    the heights; otherwise jets come from 4th-order differences of u.
+    u takes parameters (..., n) and returns heights (..., m).  jets, if
+    given, takes (B, n) parameters and returns (u, du, ddu) of shapes
+    (B, m), (B, n, m) and (B, n, n, m), du[:, k] the k-th partial of the
+    heights; otherwise jets come from 4th-order differences of u.
     """
-    chart = np.asarray(chart, dtype=float).reshape(n, 2)
     if jets is not None:
-
-        def jet(param):
-            val, du, ddu = jets(param)
-            return _graph_jets(param, np.reshape(val, m), np.reshape(du, (n, m)),
-                               np.reshape(ddu, (n, n, m)))
-
-        return ParametricImmersion(n, m, chart, jet)
-
-    def position(param):
-        x = np.zeros(n + m)
-        x[:n] = param
-        x[n:] = np.atleast_1d(np.asarray(u(param), dtype=float))
-        return x
-
-    return ParametricImmersion.from_positions(position, n, m, chart)
+        return ParametricImmersion(n, m, chart, lambda p: _graph_jets(p, *jets(p)))
+    return ParametricImmersion.from_positions(
+        lambda p: np.concatenate([p, u(p)], axis=-1), n, m, chart)
 
 
 def _parse_args(text):

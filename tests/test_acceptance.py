@@ -261,28 +261,30 @@ def test_c07_off_center_companion_control():
 
 
 def _graph_jets_m1(x):
-    u = 0.25 * x[0] ** 2 - 0.15 * x[0] * x[1] + 0.1 * math.sin(x[1])
-    du = np.array(
-        [[0.5 * x[0] - 0.15 * x[1]], [-0.15 * x[0] + 0.1 * math.cos(x[1])]]
-    )
-    ddu = np.zeros((2, 2, 1))
-    ddu[0, 0, 0] = 0.5
-    ddu[0, 1, 0] = ddu[1, 0, 0] = -0.15
-    ddu[1, 1, 0] = -0.1 * math.sin(x[1])
-    return np.array([u]), du, ddu
+    x0, x1 = x[..., 0], x[..., 1]
+    u = 0.25 * x0 ** 2 - 0.15 * x0 * x1 + 0.1 * np.sin(x1)
+    du = np.stack([0.5 * x0 - 0.15 * x1, -0.15 * x0 + 0.1 * np.cos(x1)], axis=-1)
+    ddu = np.zeros(x.shape[:-1] + (2, 2, 1))
+    ddu[..., 0, 0, 0] = 0.5
+    ddu[..., 0, 1, 0] = ddu[..., 1, 0, 0] = -0.15
+    ddu[..., 1, 1, 0] = -0.1 * np.sin(x1)
+    return u[..., None], du[..., None], ddu
 
 
 def _graph_jets_m2(x):
-    u1 = 0.25 * x[0] ** 2 - 0.15 * x[0] * x[1]
-    u2 = 0.2 * math.sin(x[1]) + 0.1 * x[0]
-    du = np.array(
-        [[0.5 * x[0] - 0.15 * x[1], 0.1], [-0.15 * x[0], 0.2 * math.cos(x[1])]]
-    )
-    ddu = np.zeros((2, 2, 2))
-    ddu[0, 0] = [0.5, 0.0]
-    ddu[0, 1] = ddu[1, 0] = [-0.15, 0.0]
-    ddu[1, 1] = [0.0, -0.2 * math.sin(x[1])]
-    return np.array([u1, u2]), du, ddu
+    x0, x1 = x[..., 0], x[..., 1]
+    u1 = 0.25 * x0 ** 2 - 0.15 * x0 * x1
+    u2 = 0.2 * np.sin(x1) + 0.1 * x0
+    du = np.zeros(x.shape[:-1] + (2, 2))
+    du[..., 0, 0] = 0.5 * x0 - 0.15 * x1
+    du[..., 0, 1] = 0.1
+    du[..., 1, 0] = -0.15 * x0
+    du[..., 1, 1] = 0.2 * np.cos(x1)
+    ddu = np.zeros(x.shape[:-1] + (2, 2, 2))
+    ddu[..., 0, 0, :] = [0.5, 0.0]
+    ddu[..., 0, 1, :] = ddu[..., 1, 0, :] = [-0.15, 0.0]
+    ddu[..., 1, 1, 1] = -0.2 * np.sin(x1)
+    return np.stack([u1, u2], axis=-1), du, ddu
 
 
 def _c08_surfaces():
@@ -389,16 +391,14 @@ def test_first_variation_of_shrinker_gauss_map_is_critical():
 
     def eta(q):
         out = 1.0
-        for s in ((q[0] - math.pi / 2) / 1.35, q[1] / 2.9):
-            if abs(s) >= 1.0:
-                return 0.0
-            out *= (1.0 - s * s) ** 6
+        for s in ((q[..., 0] - math.pi / 2) / 1.35, q[..., 1] / 2.9):
+            out = out * np.where(np.abs(s) >= 1.0, 0.0, (1.0 - s * s) ** 6)
         return out
 
     def family(t):
         def mp(q):
-            y = immersion.oriented_normal(immersion.point_frame(imm, q)) + t * eta(q) * V
-            return y / np.linalg.norm(y)
+            y = immersion.oriented_normal(immersion.point_frame(imm, q)) + t * eta(q)[..., None] * V
+            return y / np.linalg.norm(y, axis=-1, keepdims=True)
 
         return mp
 

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 import warnings
 
 import numpy as np
@@ -12,26 +13,25 @@ from shrinkerlab.grassmann import OrientedFrame, w_product
 
 
 def _graph_jets_m1(x):
-    u = 0.3 * math.sin(x[0]) * math.cos(x[1]) + 0.1 * x[0] * x[1]
-    du = np.array(
+    x0, x1 = x[..., 0], x[..., 1]
+    u = 0.3 * np.sin(x0) * np.cos(x1) + 0.1 * x0 * x1
+    du = np.stack(
         [
-            0.3 * math.cos(x[0]) * math.cos(x[1]) + 0.1 * x[1],
-            -0.3 * math.sin(x[0]) * math.sin(x[1]) + 0.1 * x[0],
-        ]
+            0.3 * np.cos(x0) * np.cos(x1) + 0.1 * x1,
+            -0.3 * np.sin(x0) * np.sin(x1) + 0.1 * x0,
+        ],
+        axis=-1,
     )
-    ddu = np.array(
+    ddu = np.stack(
         [
-            [
-                -0.3 * math.sin(x[0]) * math.cos(x[1]),
-                -0.3 * math.cos(x[0]) * math.sin(x[1]) + 0.1,
-            ],
-            [
-                -0.3 * math.cos(x[0]) * math.sin(x[1]) + 0.1,
-                -0.3 * math.sin(x[0]) * math.cos(x[1]),
-            ],
-        ]
-    )
-    return u, du, ddu
+            -0.3 * np.sin(x0) * np.cos(x1),
+            -0.3 * np.cos(x0) * np.sin(x1) + 0.1,
+            -0.3 * np.cos(x0) * np.sin(x1) + 0.1,
+            -0.3 * np.sin(x0) * np.cos(x1),
+        ],
+        axis=-1,
+    ).reshape(x.shape[:-1] + (2, 2))
+    return u[..., None], du[..., None], ddu[..., None]
 
 
 def _graph_m1():
@@ -39,15 +39,20 @@ def _graph_m1():
 
 
 def _graph_jets_m2(x):
-    u1 = 0.25 * x[0] ** 2 - 0.15 * x[0] * x[1]
-    u2 = 0.2 * math.sin(x[1]) + 0.1 * x[0]
-    du = np.array([[0.5 * x[0] - 0.15 * x[1], 0.1], [-0.15 * x[0], 0.2 * math.cos(x[1])]])
-    ddu = np.zeros((2, 2, 2))
-    ddu[0, 0] = [0.5, 0.0]
-    ddu[0, 1] = [-0.15, 0.0]
-    ddu[1, 0] = [-0.15, 0.0]
-    ddu[1, 1] = [0.0, -0.2 * math.sin(x[1])]
-    return np.array([u1, u2]), du, ddu
+    x0, x1 = x[..., 0], x[..., 1]
+    u1 = 0.25 * x0 ** 2 - 0.15 * x0 * x1
+    u2 = 0.2 * np.sin(x1) + 0.1 * x0
+    du = np.zeros(x.shape[:-1] + (2, 2))
+    du[..., 0, 0] = 0.5 * x0 - 0.15 * x1
+    du[..., 0, 1] = 0.1
+    du[..., 1, 0] = -0.15 * x0
+    du[..., 1, 1] = 0.2 * np.cos(x1)
+    ddu = np.zeros(x.shape[:-1] + (2, 2, 2))
+    ddu[..., 0, 0, :] = [0.5, 0.0]
+    ddu[..., 0, 1, :] = [-0.15, 0.0]
+    ddu[..., 1, 0, :] = [-0.15, 0.0]
+    ddu[..., 1, 1, 1] = -0.2 * np.sin(x1)
+    return np.stack([u1, u2], axis=-1), du, ddu
 
 
 def _graph_m2():
@@ -110,7 +115,7 @@ def test_sphere_frame_is_umbilic():
 
 def test_parabola_vertex_curvature():
     def jets(x):
-        return 0.5 * x[0] ** 2, np.array([[x[0]]]), np.array([[[1.0]]])
+        return 0.5 * x ** 2, x[..., None], np.ones(x.shape + (1, 1))
 
     imm = im.graph_immersion(None, 1, 1, [(-1, 1)], jets=jets)
     pf = im.point_frame(imm, np.array([0.0]))
@@ -118,7 +123,7 @@ def test_parabola_vertex_curvature():
     assert abs(s * pf.h[0, 0, 0] - 1.0) <= 1e-12
 
     # same surface through the difference-quotient path
-    fd = im.graph_immersion(lambda x: 0.5 * x[0] ** 2, 1, 1, [(-1, 1)])
+    fd = im.graph_immersion(lambda x: 0.5 * x ** 2, 1, 1, [(-1, 1)])
     pfd = im.point_frame(fd, np.array([0.0]))
     sd = math.copysign(1.0, float(pfd.normal[0, 1]))
     assert abs(sd * pfd.h[0, 0, 0] - 1.0) <= 1e-8
@@ -130,29 +135,29 @@ def test_degenerate_metric_raises():
         1,
         [(-1, 1)],
         lambda p: (
-            np.array([p[0] ** 3, 0.0]),
-            np.array([[3 * p[0] ** 2, 0.0]]),
-            np.array([[[6 * p[0], 0.0]]]),
+            np.concatenate([p ** 3, 0.0 * p], axis=-1),
+            np.concatenate([3 * p ** 2, 0.0 * p], axis=-1)[:, None],
+            np.concatenate([6 * p, 0.0 * p], axis=-1)[:, None, None],
         ),
     )
     with pytest.raises(ValueError, match="condition estimate"):
         im.point_frame(imm, np.array([0.0]))
 
 
-def _pinched():
+def _pinched_jet(q):
     # X(u, v) = (u^3, v, u v): dX has rank one at the origin and only there
-    def jet(q):
-        u, v = q
-        ddX = np.zeros((2, 2, 3))
-        ddX[0, 0, 0] = 6.0 * u
-        ddX[0, 1, 2] = ddX[1, 0, 2] = 1.0
-        return (
-            np.array([u**3, v, u * v]),
-            np.array([[3.0 * u * u, 0.0, v], [0.0, 1.0, u]]),
-            ddX,
-        )
+    u, v = q[..., 0], q[..., 1]
+    dX = np.zeros(q.shape[:-1] + (2, 3))
+    dX[..., 0, 0], dX[..., 0, 2] = 3.0 * u * u, v
+    dX[..., 1, 1], dX[..., 1, 2] = 1.0, u
+    ddX = np.zeros(q.shape[:-1] + (2, 2, 3))
+    ddX[..., 0, 0, 0] = 6.0 * u
+    ddX[..., 0, 1, 2] = ddX[..., 1, 0, 2] = 1.0
+    return np.stack([u**3, v, u * v], axis=-1), dX, ddX
 
-    return im.ParametricImmersion(2, 1, [(-1.5, 1.5), (-1.5, 1.5)], jet)
+
+def _pinched():
+    return im.ParametricImmersion(2, 1, [(-1.5, 1.5), (-1.5, 1.5)], _pinched_jet)
 
 
 def test_degenerate_metric_at_one_chart_point():
@@ -179,6 +184,58 @@ def test_batched_jets_check_the_chart_and_shape():
         imm.jets(np.zeros((4, 3)))
 
 
+def test_jets_of_the_wrong_codimension_fail():
+    # the plane's jets live in R^3; a codimension-2 wrapper expects R^4
+    plane = im.catalog_immersion("plane:n=2,m=1")
+    imm = im.ParametricImmersion(2, 2, plane.chart, plane._jet)
+    want = re.escape("jets of (1, 2) parameters must have shapes ((1, 4), (1, 2, 4), "
+                     "(1, 2, 2, 4)), got ((1, 3), (1, 2, 3), (1, 2, 2, 3))")
+    with pytest.raises(ValueError, match=want):
+        im.point_frame(imm, np.array([0.3, -0.8]))
+
+
+def test_one_point_jets_fail_with_the_batch_contract():
+    # _pinched's jet as written for one point (u, v)
+    def jet(q):
+        u, v = q
+        ddX = np.zeros((2, 2, 3))
+        ddX[0, 0, 0] = 6.0 * u
+        ddX[0, 1, 2] = ddX[1, 0, 2] = 1.0
+        return (
+            np.array([u**3, v, u * v]),
+            np.array([[3.0 * u * u, 0.0, v], [0.0, 1.0, u]]),
+            ddX,
+        )
+
+    imm = im.ParametricImmersion(2, 1, [(-1.5, 1.5), (-1.5, 1.5)], jet)
+    for B in (1, 2, 3):
+        with pytest.raises(ValueError, match=rf"jets of \({B}, 2\) parameters must have "
+                                             r"shapes .*; the evaluator failed"):
+            im.point_frame(imm, np.zeros((B, 2)))
+    # an evaluator that answers for its first point only
+    first = im.ParametricImmersion(2, 1, imm.chart, lambda q: _pinched_jet(q[0]))
+    with pytest.raises(ValueError, match=re.escape("got ((3,), (2, 3), (2, 2, 3))")):
+        first.jets(np.zeros((2, 2)))
+
+
+def test_from_positions_calls_the_map_once_per_batch():
+    calls = []
+
+    def position(x):
+        calls.append(x.shape)
+        return np.stack([x[..., 0], x[..., 1], 0.3 * x[..., 0] * x[..., 1] ** 2], axis=-1)
+
+    imm = im.ParametricImmersion.from_positions(position, 2, 1, [(-1, 1)] * 2)
+    params = np.random.default_rng(2).uniform(-0.5, 0.5, (7, 2))
+    batch = imm.jets(params)
+    # one call on the (25, 7, 2) second-order stencil of the batch
+    assert calls == [(25, 7, 2)]
+    assert [a.shape for a in batch] == [(7, 3), (7, 2, 3), (7, 2, 2, 3)]
+    for i, p in enumerate(params):
+        for b, row in zip(batch, imm.jet(p)):
+            assert np.array_equal(b[i], row)
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_unit_sphere_jets_batch_equals_rows(n):
     t = np.random.default_rng(n).uniform(-3.0, 3.0, (9, n))
@@ -200,8 +257,8 @@ _MESH_CASES = (
     ("sphere:n=2,R=1,c1=0.5", (5, 7)),
     ("cylinder:k=1,n=2", (8, 5)),
     ("plane:n=2,m=2", (4, 3)),
-    ("graph", (5, 4)),  # user jets: one call per node, stacked
-    ("graph-fd", (3, 3)),  # position-only map: difference jets per node
+    ("graph", (5, 4)),  # user jets: one call over the nodes
+    ("graph-fd", (3, 3)),  # position-only map: difference jets over the nodes
 )
 
 
@@ -210,7 +267,8 @@ def test_mesh_arrays_match_point_frames(name, shape):
     if name == "graph":
         imm = _graph_m2()
     elif name == "graph-fd":
-        imm = im.graph_immersion(lambda x: 0.3 * x[0] * x[1] ** 2, 2, 1, [(-1, 1)] * 2)
+        imm = im.graph_immersion(lambda x: 0.3 * x[..., :1] * x[..., 1:] ** 2, 2, 1,
+                                 [(-1, 1)] * 2)
     else:
         imm = im.catalog_immersion(name)
     mesh = im.patch_mesh(imm, shape)
@@ -287,12 +345,13 @@ def _poly_jets(coeffs, x):
 
     def deriv(ka, kb):
         return sum(
-            c * power_derivative(a, ka, x[0]) * power_derivative(b, kb, x[1])
+            c * power_derivative(a, ka, x[..., 0]) * power_derivative(b, kb, x[..., 1])
             for (a, b), c in coeffs.items()
         )
 
-    grad = np.array([deriv(1, 0), deriv(0, 1)])
-    hess = np.array([[deriv(2, 0), deriv(1, 1)], [deriv(1, 1), deriv(0, 2)]])
+    grad = np.stack([deriv(1, 0), deriv(0, 1)], axis=-1)
+    hess = np.stack([np.stack([deriv(2, 0), deriv(1, 1)], axis=-1),
+                     np.stack([deriv(1, 1), deriv(0, 2)], axis=-1)], axis=-2)
     return deriv(0, 0), grad, hess
 
 
@@ -313,7 +372,7 @@ def test_fd_jets_exact_on_quartics():
     assert np.max(np.abs(hess - exact[2])) <= 1e-9
 
     def vector(q):
-        return np.array([_poly_jets(c, q)[0] for c in _QUARTICS])
+        return np.stack([_poly_jets(c, q)[0] for c in _QUARTICS], axis=-1)
 
     val, jac, jets2 = im._fd_jets(vector, x, steps)
     assert val.shape == (2,) and jac.shape == (2, 2) and jets2.shape == (2, 2, 2)
@@ -325,24 +384,37 @@ def test_fd_jets_exact_on_quartics():
 
 
 def test_fd_jets_first_order_call_matches_full_call():
-    calls = []
+    calls = []  # the shape of the points of each call
 
     def vector(q):
-        calls.append(q.copy())
-        return np.array([np.sin(q[0]) * q[1], np.exp(q[0] - q[1]), q[0] * q[1] ** 2])
+        calls.append(q.shape)
+        return np.stack([np.sin(q[..., 0]) * q[..., 1], np.exp(q[..., 0] - q[..., 1]),
+                         q[..., 0] * q[..., 1] ** 2], axis=-1)
 
     x = np.array([0.3, 1.2])
     steps = np.array([1e-3, 2e-3])
     _, first_full, _ = im._fd_jets(vector, x, steps)
-    full_calls = len(calls)
+    full_calls = list(calls)
     calls.clear()
     value, first, jets2 = im._fd_jets(vector, x, steps, second=False)
     assert value is None and jets2 is None
     assert np.array_equal(first, first_full)
-    # first-derivative stencil only: 4 points per parameter, no centre
-    assert len(calls) == 8
+    # one call on the stacked stencil; first-derivative stencil only: 4
+    # points per parameter, no centre
+    assert calls == [(8, 2)]
     # full call: each point once: the centre, 4 per axis, 16 mixed per pair
-    assert full_calls == 1 + 8 + 16
+    assert full_calls == [(1 + 8 + 16, 2)]
+
+
+@pytest.mark.parametrize("func, shape", [
+    (lambda q: np.ones(3), (3,)),  # one point's values, not the batch's
+    (lambda q: q[..., 0].T, (2, 3, 8)),
+])
+def test_fd_jets_check_the_leading_axes(func, shape):
+    # 8 first-order stencil points of each of the (3, 2) centres
+    want = re.escape(f"leading axes (8, 3, 2), got shape {shape}")
+    with pytest.raises(ValueError, match=want):
+        im._fd_jets(func, np.zeros((3, 2, 2)), np.array([1e-3, 1e-3]), second=False)
 
 
 def _ref_fd_jets(func, c, steps, second=True):
@@ -380,10 +452,11 @@ def test_fd_jets_equal_pointwise_reference(n):
     steps = np.array([1e-3, 2e-3, 3e-3][:n])
 
     def scalar(q):
-        return float(np.sin(q.sum()) * np.prod(q))
+        return np.sin(q.sum(axis=-1)) * np.prod(q, axis=-1)
 
     def vector(q):
-        return np.array([np.exp(q[0] - q[-1]), q @ q, np.cos(q[0]) * q[-1]])
+        return np.stack([np.exp(q[..., 0] - q[..., -1]), np.sum(q * q, axis=-1),
+                         np.cos(q[..., 0]) * q[..., -1]], axis=-1)
 
     for func in (scalar, vector):
         for second in (True, False):
@@ -441,8 +514,8 @@ def test_ambient_equivariance():
     Q = np.linalg.qr(rng.standard_normal((3, 3)))[0]
 
     def jet(p):
-        x, dX, ddX = imm.jet(p)
-        return Q @ x, dX @ Q.T, ddX @ Q.T
+        x, dX, ddX = imm.jets(p)
+        return x @ Q.T, dX @ Q.T, ddX @ Q.T
 
     moved = im.ParametricImmersion(2, 1, imm.chart, jet)
     P0 = OrientedFrame(np.eye(3)[:2])
@@ -561,11 +634,12 @@ def _ref_composition(imm, p, target):
 
 
 def _stencil_case(name):
-    if name == "graph":  # user jets: the jets batch stacks one call per point
+    if name == "graph":  # user jets: one call per batch
         return _graph_m1()
-    if name == "positions":  # position-only map: difference jets per point
+    if name == "positions":  # position-only map: difference jets, one call per batch
         return im.ParametricImmersion.from_positions(
-            lambda x: np.array([x[0], x[1], 0.3 * x[0] * x[1] ** 2 + 0.2 * np.sin(x[0])]),
+            lambda x: np.stack([x[..., 0], x[..., 1], 0.3 * x[..., 0] * x[..., 1] ** 2
+                                + 0.2 * np.sin(x[..., 0])], axis=-1),
             2, 1, [(-1, 1)] * 2,
         )
     return im.catalog_immersion(name)
@@ -771,10 +845,11 @@ def _shrinker_profile(x_target, u0=0.4, steps=1500):
 
 def _curve_immersion():
     def jets(xarr):
-        x = float(xarr[0])
-        u, q = _shrinker_profile(x)
+        # the ODE profile is scalar by nature: one integration per point
+        x = xarr[:, 0]
+        u, q = np.array([_shrinker_profile(float(xi)) for xi in x]).T
         upp = (1.0 + q * q) * (x * q - u) / 2.0
-        return u, np.array([[q]]), np.array([[[upp]]])
+        return u[:, None], q[:, None, None], upp[:, None, None, None]
 
     return im.graph_immersion(None, 1, 1, [(-1.6, 1.6)], jets=jets)
 
@@ -901,13 +976,6 @@ def test_stability_identity_on_closed_sphere(shrinker_sphere_mesh):
     ratio = coarse.residual / rep.residual
     assert 3.3 <= ratio <= 4.7  # second-order refinement
 
-    injected = im.ScalarFieldOnPatch(
-        values=np.ones(shrinker_sphere_mesh.node_count),
-        gradients=np.zeros((shrinker_sphere_mesh.node_count, 3)),
-    )
-    flat = im.stability_identity_check(shrinker_sphere_mesh, field=injected)
-    assert flat.lhs == 0.0 and flat.rhs == 0.0
-
 
 def test_stability_identity_needs_closed_mesh():
     plane = im.catalog_immersion("plane:n=2,m=1")
@@ -920,10 +988,8 @@ def _poly_bump(widths, center=None, k=6):
     def eta(q):
         out = 1.0
         for idx, w in enumerate(widths):
-            s = (q[idx] - (center[idx] if center is not None else 0.0)) / w
-            if abs(s) >= 1.0:
-                return 0.0
-            out *= (1.0 - s * s) ** k
+            s = (q[..., idx] - (center[idx] if center is not None else 0.0)) / w
+            out = out * np.where(np.abs(s) >= 1.0, 0.0, (1.0 - s * s) ** k)
         return out
 
     return eta
@@ -967,9 +1033,9 @@ def test_batched_energy_layer_matches_per_node_loops(case):
     weight = im.gaussian_weight(mesh)
 
     def mp(q):
-        y = np.array([math.cos(0.6 * q[0]), math.sin(0.6 * q[0]) * math.cos(0.5 * q[1]),
-                      0.4 + 0.3 * math.sin(0.5 * q[1])])
-        return y / np.linalg.norm(y)
+        y = np.stack([np.cos(0.6 * q[..., 0]), np.sin(0.6 * q[..., 0]) * np.cos(0.5 * q[..., 1]),
+                      0.4 + 0.3 * np.sin(0.5 * q[..., 1])], axis=-1)
+        return y / np.linalg.norm(y, axis=-1, keepdims=True)
 
     # summation order may move the last bits
     want = _ref_weighted_energy(mesh, mp, weight)
@@ -987,8 +1053,9 @@ def test_first_variation_vanishes_without_variation():
 
     def family(_t):
         def mp(q):
-            y = np.array([math.cos(0.4 * q[0]), math.sin(0.4 * q[0]), 0.5 * q[1]])
-            return y / np.linalg.norm(y)
+            y = np.stack([np.cos(0.4 * q[..., 0]), np.sin(0.4 * q[..., 0]), 0.5 * q[..., 1]],
+                         axis=-1)
+            return y / np.linalg.norm(y, axis=-1, keepdims=True)
 
         return mp
 
@@ -1003,19 +1070,20 @@ def test_first_variation_matches_tension_pairing():
     W = np.array([-0.2, 0.5, 0.3])
 
     def base(q):
-        y = np.array(
+        y = np.stack(
             [
-                math.cos(0.6 * q[0]),
-                math.sin(0.6 * q[0]) * math.cos(0.5 * q[1]),
-                0.4 + 0.3 * math.sin(0.5 * q[1]),
-            ]
+                np.cos(0.6 * q[..., 0]),
+                np.sin(0.6 * q[..., 0]) * np.cos(0.5 * q[..., 1]),
+                0.4 + 0.3 * np.sin(0.5 * q[..., 1]),
+            ],
+            axis=-1,
         )
-        return y / np.linalg.norm(y)
+        return y / np.linalg.norm(y, axis=-1, keepdims=True)
 
     def family(t):
         def mp(q):
-            y = base(q) + t * eta(q) * W
-            return y / np.linalg.norm(y)
+            y = base(q) + t * eta(q)[..., None] * W
+            return y / np.linalg.norm(y, axis=-1, keepdims=True)
 
         return mp
 
@@ -1025,6 +1093,34 @@ def test_first_variation_matches_tension_pairing():
     assert abs(rep.residual) <= 1e-4 * abs(rep.derivative)
 
 
+@pytest.mark.parametrize("closed", [True, False])
+def test_first_variation_calls_each_map_a_fixed_number_of_times(closed):
+    plane = im.catalog_immersion("plane:n=2,m=1")
+    W = np.array([0.0, 0.1, 0.2])
+    counts = []
+    for shape in ((4, 6), (8, 12)):
+        calls = {}
+
+        def family(t):
+            def mp(q):
+                calls[t] = calls.get(t, 0) + 1
+                y = np.stack([np.cos(0.4 * q[..., 0]), np.sin(0.4 * q[..., 0]), 0.5 * q[..., 1]],
+                             axis=-1) + t * W
+                return y / np.linalg.norm(y, axis=-1, keepdims=True)
+
+            return mp
+
+        mesh = im.sphere_mesh(R=2.0, shape=shape) if closed else im.patch_mesh(plane, shape)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the variation reaches the open patch's boundary
+            im.first_variation_check(mesh, family, im.unit_weight)
+        counts.append(calls)
+    # the energies, the rate at the nodes and the tension, plus the rate at
+    # the faces of an open chart box
+    each = 2 if closed else 3
+    assert counts[0] == counts[1] == {0.0: 1, 1e-3: each, -1e-3: each}
+
+
 def test_first_variation_warns_on_boundary_support():
     plane = im.catalog_immersion("plane:n=2,m=1")
     mesh = im.patch_mesh(plane, (6, 6))
@@ -1032,8 +1128,9 @@ def test_first_variation_warns_on_boundary_support():
 
     def family(t):
         def mp(q):
-            y = np.array([1.0, 0.3 * q[0], 0.2 * q[1]]) + t * W
-            return y / np.linalg.norm(y)
+            y = np.stack([np.ones(q.shape[:-1]), 0.3 * q[..., 0], 0.2 * q[..., 1]],
+                         axis=-1) + t * W
+            return y / np.linalg.norm(y, axis=-1, keepdims=True)
 
         return mp
 

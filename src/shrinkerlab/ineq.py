@@ -32,14 +32,14 @@ entry: `_check_stack`, or its lambda half `_check_lam` for the lambda-only
 `min_margin_over_h`.
 
 The sampled check (`sample_check`) draws its samples with
-`draw_group_stacks`, whose loop over samples makes only the generator calls
-and keeps the raw draws.  lambda is then built once per (n, m) shape
-(`_lam_from`) and h once per shape and pattern (`_h_from`).  lambda's
-Dirichlet shares are built from standard exponentials, which is how numpy's
-`dirichlet` draws them, so the stream and every bit of the stacks are those
-of a loop drawing one sample at a time.  Each shape then takes one
-`group_totals` call: one stacked validation, one table pass and one
-master-kernel call.
+`draw_group_stacks`, which calls the generator in bulk, a fixed number of
+times whatever the count: n, m, the budgets and the exponentials over all
+samples, then one h block per shape and pattern (its docstring gives the
+order).  lambda is built once per (n, m) shape (`_lam_from`) and h once per
+shape and pattern (`_h_from`).  lambda's Dirichlet shares are built from
+standard exponentials, which is how numpy's `dirichlet` draws them.  Each
+shape then takes one `group_totals` call: one stacked validation, one table
+pass and one master-kernel call.
 
 Everything here is plain finite-dimensional algebra: samples are points in
 (lambda, h) space and sweeps are grids.  The search draws lambda only: at
@@ -52,7 +52,6 @@ from __future__ import annotations
 import functools
 import json
 import math
-from array import array
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -447,15 +446,6 @@ def batched_master_margins(lam, h):
 _PATTERNS = ("dense", "diag", "triple", "lowrank", "sparse")
 
 
-def _lam_variates(rng, p):
-    """(budget, exponentials (p,)): the draws of one subcritical lambda.
-
-    The budget is sum log(1 + lam^2) = 2 log v, with v uniform in (1, 3);
-    `_lam_from` turns the draws into lambda.
-    """
-    return 2.0 * math.log(1.0 + 2.0 * rng.random()), rng.standard_exponential(p)
-
-
 def _lam_from(exps, budget):
     """lam (B, p) from B rows of p standard exponentials and their budgets (B,).
 
@@ -468,24 +458,13 @@ def _lam_from(exps, budget):
     return np.sqrt(np.expm1(exps * (1.0 / acc) * budget[:, None]))
 
 
-def _h_variates(rng, n, m, pattern):
-    """The draws of one h of the given pattern, as a flat array.
-
-    One normal vector for the array patterns: m n n values (dense), p n
-    (diag, j-major), p (p - 1) (p - 2) (triple) or m (n + 1) (lowrank).  The
-    sparse pattern draws entry by entry, (a, i, j, value) per entry.
-    """
-    p = min(n, m)
-    if pattern == "sparse":
-        return np.array([(rng.integers(m), rng.integers(n), rng.integers(n), rng.normal())
-                         for _ in range(max(3, n))], dtype=float).ravel()
-    size = {"dense": m * n * n, "diag": p * n, "triple": p * (p - 1) * (p - 2),
-            "lowrank": m * (n + 1)}[pattern]
-    return rng.normal(size=size)
-
-
 def _h_from(n, m, pattern, raw):
-    """h (B, m, n, n) of one pattern from B rows of its draws (`_h_variates`)."""
+    """h (B, m, n, n) of one pattern from B rows of its draws.
+
+    A row of an array pattern holds normals: m n n (dense), p n (diag,
+    j-major), p (p - 1) (p - 2) (triple) or m (n + 1) (lowrank).  A row of
+    the sparse pattern holds its entries, (entries, 4) of (a, i, j, value).
+    """
     p = min(n, m)
     rows = len(raw)
     h = np.zeros((rows, m, n, n))
@@ -506,8 +485,7 @@ def _h_from(n, m, pattern, raw):
         raw = raw.reshape(rows, m, n + 1)
         vec = raw[..., :n]
         h = vec[..., :, None] * vec[..., None, :] * raw[..., n, None, None]
-    else:  # sparse: the entries in draw order, each added as the loop drew it
-        raw = raw.reshape(rows, -1, 4)
+    else:  # sparse: the entries in order, each added with its mirror
         a, i, j = np.moveaxis(raw[..., :3].astype(np.intp), -1, 0)
         for e in range(raw.shape[1]):
             h[np.arange(rows), a[:, e], i[:, e], j[:, e]] += raw[:, e, 3]
@@ -517,53 +495,52 @@ def _h_from(n, m, pattern, raw):
 
 
 def draw_group_stacks(rng, count):
-    """Draw count samples in sequence and stack them by (n, m) shape.
+    """Draw count samples and stack them by (n, m) shape.
 
-    Sample k draws n, then m, uniformly from 1..5, then its lam (v uniform
-    in (1, 3), Dirichlet shares of 2 log v) and its h with pattern k mod 5:
-    dense, full normal h; diag, only the h_{j,ij} entries the square terms
-    see; triple, only fully-distinct index triples within p (group III
-    territory), so h = 0 when p < 3; lowrank, rank-one h per component;
-    sparse, a handful of random entries.  Returns {(n, m): (lam (B, p),
-    h (B, m, n, n))}, shapes in order of first draw and samples in draw
-    order; the stacks are not checked here.
+    Sample k has n and m uniform in 1..5, lam with v uniform in (1, 3) and
+    Dirichlet shares of 2 log v, and h with pattern k mod 5: dense, full
+    normal h; diag, only the h_{j,ij} entries the square terms see; triple,
+    only fully-distinct index triples within p (group III territory), so
+    h = 0 when p < 3; lowrank, rank-one h per component; sparse, max(3, n)
+    random entries.  Returns {(n, m): (lam (B, p), h (B, m, n, n))}, shapes
+    in order of first draw and samples in order of k; the stacks are not
+    checked here.
 
-    The loop makes only the generator calls and keeps their raw draws; lam
-    is then built once per shape (`_lam_from`) and h once per shape and
-    pattern (`_h_from`).  Each row of a stack depends on its own draws alone,
-    so the stacks and the generator's final state are those of a loop that
-    draws and builds one sample at a time.  The loop's one call that differs
-    from a `dirichlet` loop, standard_exponential(p) for dirichlet(ones(p)),
-    consumes the same variates, which `_lam_from` normalizes as `dirichlet`
-    does.
+    The generator is called in bulk, in this order: integers(1, 6, count)
+    for every n, then for every m; random(count), each budget 2 log(1 + 2 r);
+    standard_exponential((count, 5)), whose first p columns give a sample's
+    shares (`_lam_from`).  Then per shape in order of first draw, and per
+    pattern in `_PATTERNS` order over that shape's B samples of the pattern,
+    one block feeds `_h_from`: normal((B, size)) for an array pattern, and
+    for sparse integers((B, e)) below m, n and n, then normal((B, e)), with
+    e = max(3, n).  So the calls do not depend on count, at most 4 + 25 * 8.
     """
     if count < 0:
         raise ValueError(f"count must be nonnegative, got {count}")
-    # per shape, packed: each sample's pattern index, budget and exponentials,
-    # and per pattern its h draws
-    drawn = {}
-    for k in range(count):
-        n = int(rng.integers(1, 6))
-        m = int(rng.integers(1, 6))
-        order, budgets, exps, raws = drawn.setdefault(
-            (n, m), (bytearray(), array("d"), bytearray(), {}))
-        pattern = k % len(_PATTERNS)
-        order.append(pattern)
-        budget, e = _lam_variates(rng, min(n, m))
-        budgets.append(budget)
-        exps += e.tobytes()
-        raw = raws.setdefault(pattern, bytearray())
-        raw += _h_variates(rng, n, m, _PATTERNS[pattern]).tobytes()
+    ns = rng.integers(1, 6, size=count)
+    ms = rng.integers(1, 6, size=count)
+    budget = 2.0 * np.log(1.0 + 2.0 * rng.random(count))
+    exps = rng.standard_exponential((count, 5))
+    shape = 10 * ns + ms
+    codes, first = np.unique(shape, return_index=True)
     stacks = {}
-    for (n, m), (order, budgets, exps, raws) in drawn.items():
-        order = np.frombuffer(order, dtype=np.uint8)
-        h = np.empty((len(order), m, n, n))
-        for pattern, raw in raws.items():
-            rows = order == pattern
-            draws = np.frombuffer(raw).reshape(np.count_nonzero(rows), -1)
-            h[rows] = _h_from(n, m, _PATTERNS[pattern], draws)
-        lam = _lam_from(np.frombuffer(exps).reshape(len(order), -1), np.frombuffer(budgets))
-        stacks[n, m] = lam, h
+    for n, m in (divmod(code, 10) for code in codes[np.argsort(first)].tolist()):
+        p = min(n, m)
+        rows = np.flatnonzero(shape == 10 * n + m)
+        h = np.empty((len(rows), m, n, n))
+        sizes = {"dense": m * n * n, "diag": p * n, "triple": p * (p - 1) * (p - 2),
+                 "lowrank": m * (n + 1)}
+        for q, name in enumerate(_PATTERNS):
+            of = rows % len(_PATTERNS) == q
+            b = np.count_nonzero(of)
+            if name == "sparse":
+                e = max(3, n)
+                raw = np.stack([*(rng.integers(top, size=(b, e)) for top in (m, n, n)),
+                                rng.normal(size=(b, e))], axis=-1)
+            else:
+                raw = rng.normal(size=(b, sizes[name]))
+            h[of] = _h_from(n, m, name, raw)
+        stacks[n, m] = _lam_from(exps[rows, :p], budget[rows]), h
     return stacks
 
 

@@ -239,27 +239,33 @@ SHAPES = [(n, m) for n in range(1, 6) for m in range(1, 6)]
 GROUPS = ("I", "II", "III", "IV")
 
 
-def _reference_draw(rng, n, m, pattern):
-    """One sample of draw_group_stacks' stream, drawn entry by entry.
+def _h_size(n, m, pattern):
+    """Normals per sample of an array pattern, and entries per sparse sample."""
+    p = min(n, m)
+    return {"dense": m * n * n, "diag": p * n, "triple": p * (p - 1) * (p - 2),
+            "lowrank": m * (n + 1), "sparse": max(3, n)}[pattern]
 
-    lambda comes from numpy's `dirichlet` and h from one generator call per
-    entry (per component for lowrank), so this shares no code with
-    `ineq._lam_from` or `ineq._h_from`.
+
+def _reference_h(n, m, pattern, raw):
+    """One sample's h, built entry by entry from its raw numbers.
+
+    raw is a flat sequence of normals for the array patterns (per component
+    its vector, then its scale, for lowrank) and a sequence of (a, i, j,
+    value) entries for sparse; this shares no code with `ineq._h_from`.
     """
     p = min(n, m)
-    budget = 2.0 * math.log(1.0 + 2.0 * rng.random())
-    lam = np.sqrt(np.expm1(rng.dirichlet(np.ones(p)) * budget))
+    values = iter(raw)
     h = np.zeros((m, n, n))
     if pattern == "dense":
         for a in range(m):
             for i in range(n):
                 for j in range(n):
-                    h[a, i, j] = rng.normal()
+                    h[a, i, j] = next(values)
         h = 0.5 * (h + np.swapaxes(h, 1, 2))
     elif pattern == "diag":
         for j in range(p):
             for i in range(n):
-                val = rng.normal()
+                val = next(values)
                 h[j, i, j] += val
                 if i != j:
                     h[j, j, i] += val
@@ -268,30 +274,72 @@ def _reference_draw(rng, n, m, pattern):
             for j in range(p):
                 for k in range(p):
                     if len({i, j, k}) == 3:
-                        val = rng.normal()
+                        val = next(values)
                         h[i, j, k] += val
                         h[i, k, j] += val
     elif pattern == "lowrank":
         for a in range(m):
-            vec = np.array([rng.normal() for _ in range(n)])
-            h[a] = np.outer(vec, vec) * rng.normal()
+            vec = np.array([next(values) for _ in range(n)])
+            h[a] = np.outer(vec, vec) * next(values)
     else:
-        for _ in range(max(3, n)):
-            a, i, j = rng.integers(m), rng.integers(n), rng.integers(n)
-            val = rng.normal()
+        for a, i, j, val in raw:
+            a, i, j = int(a), int(i), int(j)
             h[a, i, j] += val
             if i != j:
                 h[a, j, i] += val
-    return lam, h
+    return h
+
+
+def _reference_draw(rng, n, m, pattern):
+    """One sample drawn one variate at a time: test data, not the drawer's stream.
+
+    lambda comes from numpy's `dirichlet` and h from one generator call per
+    number, so this shares no code with `ineq._lam_from` or `ineq._h_from`.
+    """
+    p = min(n, m)
+    budget = 2.0 * math.log(1.0 + 2.0 * rng.random())
+    lam = np.sqrt(np.expm1(rng.dirichlet(np.ones(p)) * budget))
+    if pattern == "sparse":
+        raw = [(rng.integers(m), rng.integers(n), rng.integers(n), rng.normal())
+               for _ in range(_h_size(n, m, pattern))]
+    else:
+        raw = [rng.normal() for _ in range(_h_size(n, m, pattern))]
+    return lam, _reference_h(n, m, pattern, raw)
 
 
 def _reference_stacks(rng, count):
-    """draw_group_stacks' stacks, drawn one sample at a time by _reference_draw."""
-    drawn = {}
+    """draw_group_stacks' stacks, built one sample at a time from its stream.
+
+    The stream is drawn in the order the drawer's docstring gives; then each
+    sample k takes its row of every block, lambda from its budget and its
+    first p exponentials with the shares summed left to right, and h from
+    `_reference_h`.
+    """
+    ns, ms = rng.integers(1, 6, size=count), rng.integers(1, 6, size=count)
+    r = rng.random(count)
+    exps = rng.standard_exponential((count, 5))
+    shapes = list(dict.fromkeys(zip(ns.tolist(), ms.tolist())))
+    rows = {}  # (n, m, pattern): that block's rows, in order of k
+    for n, m in shapes:
+        for q, pattern in enumerate(ineq._PATTERNS):
+            b = sum(1 for k in range(count) if (ns[k], ms[k]) == (n, m) and k % 5 == q)
+            e = _h_size(n, m, pattern)
+            if pattern == "sparse":
+                a, i, j = (rng.integers(top, size=(b, e)) for top in (m, n, n))
+                block = np.stack((a, i, j, rng.normal(size=(b, e))), axis=-1)
+            else:
+                block = rng.normal(size=(b, e))
+            rows[n, m, q] = iter(block)
+    drawn = {shape: [] for shape in shapes}
     for k in range(count):
-        n = int(rng.integers(1, 6))
-        m = int(rng.integers(1, 6))
-        drawn.setdefault((n, m), []).append(_reference_draw(rng, n, m, ineq._PATTERNS[k % 5]))
+        n, m = int(ns[k]), int(ms[k])
+        e = exps[k, :min(n, m)]
+        acc = 0.0
+        for x in e:
+            acc += x
+        lam = np.sqrt(np.expm1(e * (1.0 / acc) * (2.0 * np.log(1.0 + 2.0 * r[k]))))
+        h = _reference_h(n, m, ineq._PATTERNS[k % 5], next(rows[n, m, k % 5]))
+        drawn[n, m].append((lam, h))
     return {shape: tuple(map(np.array, zip(*samples))) for shape, samples in drawn.items()}
 
 
@@ -413,22 +461,20 @@ def test_master_margin_random_and_hierarchy(verify_stacks):
         assert np.all(t.margin >= -1e-12)
 
 
-def _stack_of_one_draw(rng, n, m, pattern):
-    """One sample's draws, built by the stack builders as a stack of one."""
-    budget, exps = ineq._lam_variates(rng, min(n, m))
-    lam = ineq._lam_from(exps[None], np.array([budget]))
-    return lam[0], ineq._h_from(n, m, pattern, ineq._h_variates(rng, n, m, pattern)[None])[0]
-
-
 @pytest.mark.parametrize("pattern", ["diag", "triple", "lowrank", "dense", "sparse"])
 def test_array_draws_match_the_per_entry_loops(pattern):
     for seed, (n, m) in enumerate(SHAPES):
-        ref, got = np.random.default_rng(seed), np.random.default_rng(seed)
-        lam_ref, h_ref = _reference_draw(ref, n, m, pattern)
-        lam, h = _stack_of_one_draw(got, n, m, pattern)
-        assert lam.tobytes() == lam_ref.tobytes()
-        assert h.tobytes() == h_ref.tobytes()
-        assert got.bit_generator.state == ref.bit_generator.state
+        rng = np.random.default_rng(seed)
+        e = _h_size(n, m, pattern)
+        if pattern == "sparse":
+            raw = np.stack([rng.integers(top, size=(7, e)) for top in (m, n, n)]
+                           + [rng.normal(size=(7, e))], axis=-1)
+        else:
+            raw = rng.normal(size=(7, e))
+        h = ineq._h_from(n, m, pattern, raw)
+        assert h.shape == (7, m, n, n)
+        for k in range(7):
+            assert h[k].tobytes() == _reference_h(n, m, pattern, raw[k]).tobytes()
 
 
 def test_stack_drawer_keeps_the_sample_loop_stream():
@@ -452,6 +498,31 @@ def test_stack_drawer_keeps_the_stream_at_a_count_reaching_every_shape():
     for shape, (lam, h) in drawn.items():
         assert lam.tobytes() == stacks[shape][0].tobytes()
         assert h.tobytes() == stacks[shape][1].tobytes()
+
+
+class _CountingGenerator:
+    """Forwards to a Generator and counts the method calls made on it."""
+
+    def __init__(self, rng):
+        self.rng, self.calls = rng, 0
+
+    def __getattr__(self, name):
+        method = getattr(self.rng, name)
+
+        def call(*args, **kwargs):
+            self.calls += 1
+            return method(*args, **kwargs)
+        return call
+
+
+def test_stack_drawer_makes_a_fixed_number_of_generator_calls():
+    # a loop over samples would make calls in proportion to the count
+    calls = []
+    for count in (600, 6000):
+        rng = _CountingGenerator(np.random.default_rng(5))
+        assert len(ineq.draw_group_stacks(rng, count)) == 25
+        calls.append(rng.calls)
+    assert calls[0] == calls[1] <= 4 + 25 * 8
 
 
 @pytest.mark.parametrize("p", range(1, 6))
@@ -703,12 +774,13 @@ def test_master_kernel_total_is_the_sum_of_the_log_v_forms():
 
 
 @pytest.mark.parametrize("seed, regroup_max, min_margin, zero_forms", [
-    (0, "0x1.b631bd26fe94dp-50", "0x1.4199a6856482cp-21", 509),
-    (61, "0x1.72a74b952c4a0p-51", "0x1.cb8fa9863d000p-23", 497),
-])
+    (0, "0x1.c342c49ad7762p-51", "0x1.2087f2ac050c1p-13", 514),
+    (61, "0x1.8fea68a689efep-51", "0x1.6b81d84b8f637p-55", 504),
+], ids=["0", "61"])
 def test_sample_check_values_are_pinned(seed, regroup_max, min_margin, zero_forms):
-    # verify-prop41's sampled check reads these bits; a change of the kernel's
-    # summation order moves them
+    # verify-prop41's sampled check reads these bits; they move with the order
+    # in which draw_group_stacks consumes the stream, or with the kernel's
+    # summation order
     r = ineq.sample_check(np.random.default_rng(np.random.SeedSequence(seed)), 4000)
     assert r.regroup_max == float.fromhex(regroup_max)
     assert r.min_margin == float.fromhex(min_margin)
@@ -733,7 +805,8 @@ _SEARCH_SHAPES = [(n, m) for n in range(1, 6) for m in range(1, 6) if min(n, m) 
 
 
 def _search_lambdas(rng, p, count):
-    budgets, exps = zip(*(ineq._lam_variates(rng, p) for _ in range(count)))
+    budgets, exps = zip(*((2.0 * math.log(1.0 + 2.0 * rng.random()), rng.standard_exponential(p))
+                          for _ in range(count)))
     return ineq._lam_from(np.array(exps), np.array(budgets))
 
 
@@ -789,6 +862,41 @@ def test_min_over_h_checks_its_angle_values(lam):
     # a NaN once reached the eigen-solver, whose LinAlgError is a ValueError too
     with pytest.raises(ValueError, match="angle values"):
         ineq.min_margin_over_h(3, 2, np.array(lam))
+
+
+_EQUALITY_SHAPES = [(3, 2), (4, 2), (5, 2), (3, 3), (4, 3), (4, 4), (5, 5), (3, 5)]
+
+
+def _equal_angles(p, a):
+    """lam = (a, a, 0, ...) of length p, one row per value of a."""
+    lam = np.zeros((len(a), p))
+    lam[:, :2] = np.asarray(a)[:, None]
+    return lam
+
+
+@pytest.mark.parametrize("n, m", _EQUALITY_SHAPES)
+def test_prop41_is_an_equality_on_equal_angles(n, m):
+    # at lam = (a, a, 0, ...), v = 1 + a^2, the fixed h* below attains
+    # total = (3 - v)|B|^2 / 2 and every group's bound at once, for every v < 3
+    a = np.linspace(0.05, 1.41, 28)
+    lam = _equal_angles(min(n, m), a)
+    h = np.zeros((len(a), m, n, n))
+    h[:, 0, 1, 2] = h[:, 0, 2, 1] = 0.5
+    h[:, 1, 0, 2] = h[:, 1, 2, 0] = -0.5
+    t = ineq.group_totals(n, m, lam, h)
+    assert np.all(t.b2 == 1.0)
+    assert np.max(np.abs(t.margin)) <= 1e-15
+    assert np.max(np.abs(ineq.group_bounds(n, m, lam, h).slack)) <= 1e-15
+    kappa, _ = ineq.min_margin_over_h(n, m, lam)
+    assert np.max(np.abs(kappa)) <= 1e-14
+
+
+@pytest.mark.parametrize("m", [2, 5])
+def test_prop41_is_strict_on_equal_angles_at_n_2(m):
+    # with two tangent directions h* does not exist; the minimum is 0.1578 a^2
+    a = np.linspace(0.5, 1.41, 28)
+    kappa, _ = ineq.min_margin_over_h(2, m, _equal_angles(2, a))
+    assert np.min(kappa) >= 0.03
 
 
 def test_min_over_h_vanishes_on_equal_angles_at_3_2():

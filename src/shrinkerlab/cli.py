@@ -402,12 +402,10 @@ def _height_residuals(x, a, w, step):
 
 def _longitude_residuals(x, w, step):
     u, y = _circle_stencil(x, w, step)
-    # one point at a time: longitude_coords keeps math.hypot and math.atan2
-    coords = np.reshape([sphere.longitude_coords(p) for p in y.reshape(-1, 3)],
-                        y.shape[:-1] + (2,))
+    r, theta = sphere.longitude_coords(y)
     hr, ht = sphere.longitude_hessians(x, u, u)
-    return (_relative_defect(_second_difference(*coords[..., 0].T, step), hr),
-            _relative_defect(_second_difference(*coords[..., 1].T, step), ht))
+    return (_relative_defect(_second_difference(*r.T, step), hr),
+            _relative_defect(_second_difference(*theta.T, step), ht))
 
 
 def _frame_in_chart(base, om, scale):
@@ -430,8 +428,7 @@ def _grassmann_residuals(gauss, chart_om, scale, om, step):
     frames = grassmann.geodesic_from_velocity(
         spec.tangent_frame, spec.normal_frame, om, step * _STENCIL)
     v = grassmann.v_values(grassmann.overlap_values(frames, OrientedFrame(base.vectors[:, None])))
-    # math.log per value, as composition_checks takes it
-    (vp, v0, vm), (lp, l0, lm) = v.T, np.reshape([math.log(x) for x in v.flat], v.shape).T
+    (vp, v0, vm), (lp, l0, lm) = v.T, np.log(v).T
     return (
         _relative_defect(_second_difference(vp, v0, vm, step), grassmann.hess_v_form(spec, Z)),
         _relative_defect(_second_difference(lp, l0, lm, step),
@@ -447,7 +444,7 @@ def _reduction_residuals(a, om, step):
     r1 = _unit_rows(np.cross(np.array([0.0, 1.0, 0.0]), nu))
     P = OrientedFrame(np.stack([r1, np.cross(nu, r1)], axis=-2))
     spec = grassmann.jordan_spectrum(P, OrientedFrame(np.eye(3)[:2]))
-    sec = 1.0 / np.array([math.cos(x) for x in a])
+    sec = 1.0 / np.cos(a)
     res = np.abs(grassmann.v_values(spec.mu) - sec) / sec
     Z = TangentCoeffs(om, spec.tangent_frame)
 
@@ -665,8 +662,7 @@ def cmd_verify_prop41(cfg, outdir, jobs=1) -> RunReport:
     )
 
     report.write_artifact(
-        outdir, cfg["certificate"], ineq.sweep_certificate_json(sweep, seed=cfg["seed"]) + "\n"
-    )
+        outdir, cfg["certificate"], dump_json(sweep.certificate(seed=cfg["seed"])))
     return report
 
 

@@ -430,28 +430,22 @@ class _Workspace:
         self._tang = self._qw[(0,) * 3]
 
         diag = g.reshape(n * n, nodes)[::n + 1]
-        if field.m <= 2:
-            # einsum's sum from 0.0 in component order, one call per
-            # component; the diagonal drops the 0.0, as its first term is a
-            # square and never -0.0.  The second component's products go to
-            # the scratch block, dead from the jets' end to the inverse
-            comps = [du[:, a::field.m] for a in range(field.m)]
-            second = block[:n * nodes].reshape(n, nodes)
-            metric = [(np.multiply, (comps[0], comps[0], diag))]
-            metric += [c for x in comps[1:]
-                       for c in ((np.multiply, (x, x, second)), (np.add, (diag, second, diag)))]
-            for i in range(n):
-                for j in range(i + 1, n):
-                    metric += [(np.multiply, (comps[0][i], comps[0][j], g[i, j])),
-                               (np.add, (g[i, j], _ZERO, g[i, j]))]
-                    metric += [c for x in comps[1:]
-                               for c in ((np.multiply, (x[i], x[j], second[0])),
-                                         (np.add, (g[i, j], second[0], g[i, j])))]
-        else:
-            # einsum sums three or more terms in SIMD-lane order, not in the
-            # component order a product per component would take
-            metric = [(functools.partial(np.einsum, "...a,...a->...", out=g[i, j]),
-                       (self._du[i], self._du[j])) for i in range(n) for j in range(i, n)]
+        # the sum from 0.0 in component order, one call per component; the
+        # diagonal drops the 0.0, as its first term is a square and never
+        # -0.0.  The later components' products go to the scratch block,
+        # dead from the jets' end to the inverse
+        comps = [du[:, a::field.m] for a in range(field.m)]
+        second = block[:n * nodes].reshape(n, nodes)
+        metric = [(np.multiply, (comps[0], comps[0], diag))]
+        metric += [c for x in comps[1:]
+                   for c in ((np.multiply, (x, x, second)), (np.add, (diag, second, diag)))]
+        for i in range(n):
+            for j in range(i + 1, n):
+                metric += [(np.multiply, (comps[0][i], comps[0][j], g[i, j])),
+                           (np.add, (g[i, j], _ZERO, g[i, j]))]
+                metric += [c for x in comps[1:]
+                           for c in ((np.multiply, (x[i], x[j], second[0])),
+                                     (np.add, (g[i, j], second[0], g[i, j])))]
         metric.append((np.add, (diag, _ONE, diag)))
         # the elliptic sum in row-major (i, j) order, as einsum contracts, on
         # ddu's upper triangle.  At n = 2 (not 3) the inverse's off-diagonals

@@ -344,10 +344,8 @@ def hess_logv_form(spec: JordanSpectrum, Z: TangentCoeffs):
 def hess_v_form(spec: JordanSpectrum, Z: TangentCoeffs):
     """Second derivative of v along the geodesic with velocity Z:
     v (Hess log v + (d log v)^2), one value per coefficient matrix."""
-    # the square by libm pow, as float ** 2 takes it for a lone matrix: an
-    # array ** 2 multiplies, which differs in the last bit for 0.08% of values
-    square = np.float_power(dlogv_form(spec, Z), 2.0)
-    return _value(v_values(spec.mu) * (hess_logv_form(spec, Z) + square))
+    d = dlogv_form(spec, Z)
+    return _value(v_values(spec.mu) * (hess_logv_form(spec, Z) + d * d))
 
 
 def _check_normals(P: OrientedFrame, N: np.ndarray) -> None:

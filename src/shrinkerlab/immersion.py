@@ -83,10 +83,6 @@ class ParametricImmersion:
 
         return cls(n, m, chart, jet, step)
 
-    def jet(self, param):
-        """Jets at one parameter point: jets of a batch of one."""
-        return tuple(a[0] for a in self.jets(np.asarray(param, dtype=float)[None]))
-
     def jets(self, params):
         """Jets at (B, n) parameters: (B, amb), (B, n, amb) and (B, n, n, amb)."""
         p = np.asarray(params, dtype=float)
@@ -427,9 +423,7 @@ class ThetaTarget(_HypersurfaceTarget):
 
     @staticmethod
     def _values(unit):
-        # longitude_coords, a one-point routine, raises the cut-locus error
-        rows = unit.reshape(-1, unit.shape[-1])
-        return np.reshape([sphere.longitude_coords(y)[1] for y in rows], unit.shape[:-1])
+        return sphere.longitude_coords(unit)[1]
 
     @staticmethod
     def _hess(y, u):
@@ -494,10 +488,7 @@ class LogVTarget(_OverlapTarget):
 
     @staticmethod
     def _of_v(v):
-        # math.log per value: np.log differs from it in the last bit for some
-        # values (0.27% of verify-shrinkers' stencil values at seeds 0-59),
-        # which would move composition_max
-        return np.reshape([math.log(x) for x in v.flat], v.shape)
+        return np.log(v)
 
     def _hess(self, spec, Z):
         return grassmann.hess_logv_form(spec, Z)

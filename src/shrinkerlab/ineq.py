@@ -50,7 +50,6 @@ minimum over h is one eigenvalue problem (`min_margin_over_h`).
 from __future__ import annotations
 
 import functools
-import json
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -666,7 +665,3 @@ def adversarial_margin_search(seed=0, restarts=10_000) -> SearchReport:
         evaluations=per_shape * len(shapes),
         violations=violations,
     )
-
-
-def sweep_certificate_json(report: SweepReport, seed=None) -> str:
-    return json.dumps(report.certificate(seed), indent=2, sort_keys=True)

@@ -13,16 +13,12 @@ unit vectors on one sphere and that every vector is tangent at x.
 
 from __future__ import annotations
 
-import math
-from typing import NamedTuple
-
 import numpy as np
 
 from . import grassmann
 
 __all__ = [
     "RegionError",
-    "LongitudeCoords",
     "height_value",
     "height_differential",
     "height_hessian",
@@ -49,20 +45,15 @@ class RegionError(ValueError):
         self.point = np.asarray(point, dtype=float)
 
 
-class LongitudeCoords(NamedTuple):
-    r: float
-    theta: float
-
-
 def _dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     # <x, y> over the last axis by stacked @: per vector the digits of x @ y
     return (x[..., None, :] @ y[..., :, None])[..., 0, 0]
 
 
-def _check_unit(x: np.ndarray, name: str = "input", lead: bool = False) -> np.ndarray:
-    # with lead, x may stack unit vectors over leading axes
+def _check_unit(x: np.ndarray, name: str = "input") -> np.ndarray:
+    # unit vectors over leading axes
     x = np.asarray(x, dtype=float)
-    if (x.ndim < 1 if lead else x.ndim != 1) or x.shape[-1] < 2:
+    if x.ndim < 1 or x.shape[-1] < 2:
         raise ValueError(f"{name} must be a vector in R^{{n+1}}, n >= 1")
     if not (np.abs(np.sqrt(_dot(x, x)) - 1.0).max() <= _UNIT_TOL):
         raise ValueError(f"{name} must be a unit vector (|{name}| = 1 to {_UNIT_TOL})")
@@ -71,8 +62,8 @@ def _check_unit(x: np.ndarray, name: str = "input", lead: bool = False) -> np.nd
 
 def _check_pole(x: np.ndarray, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # one pole, or poles over leading axes that broadcast with x's
-    x = _check_unit(x, "x", lead=True)
-    a = _check_unit(a, "a", lead=True)
+    x = _check_unit(x, "x")
+    a = _check_unit(a, "a")
     if x.shape[-1] != a.shape[-1]:
         raise ValueError("x and a must lie on the same sphere")
     return x, a
@@ -109,35 +100,39 @@ def height_hessian(x: np.ndarray, a: np.ndarray, u: np.ndarray, w: np.ndarray):
     return _dot(x, a) * _dot(_check_tangent(x, u), _check_tangent(x, w))
 
 
-def longitude_coords(x: np.ndarray, tol: float = REGION_TOL) -> LongitudeCoords:
-    """Polar coordinates (r, theta) of the first two components of x.
+def _check_region(x: np.ndarray, r: np.ndarray, cut=False) -> None:
+    # RegionError on the first point of the stack x (..., n+1) in the polar
+    # set, where r = |(x1, x2)| is within REGION_TOL of 0 (or NaN), or in cut
+    polar = np.reshape(~(r > REGION_TOL), -1)
+    outside = polar | np.reshape(cut, -1)
+    if outside.any():
+        k = np.argmax(outside)
+        raise RegionError("point projects into the polar set r = 0" if polar[k]
+                          else "point lies on the deleted half-equator",
+                          x.reshape(-1, x.shape[-1])[k])
+
+
+def longitude_coords(x: np.ndarray):
+    """Polar coordinates (r, theta) of the first two components of points
+    x (..., n+1): arrays over the leading axes.
 
     Defined on the sphere minus the closed half-equator {x2 = 0, x1 <= 0};
-    r in (0, 1], theta in (-pi, pi). Points within ``tol`` of the deleted set
-    raise RegionError.
+    r in (0, 1], theta in (-pi, pi). Points within REGION_TOL of the deleted
+    set raise RegionError, which carries the first such point of the stack.
     """
-    # one point by design: np.hypot and np.arctan2 differ from math.hypot and
-    # math.atan2 in the last bit on 0.55% and 7.4% of standard normal inputs,
-    # enough to move the verify-targets residuals that read r and theta
     x = _check_unit(x, "x")
-    x1, x2 = float(x[0]), float(x[1])
-    r = math.hypot(x1, x2)
-    if r <= tol:
-        raise RegionError("point projects into the polar set r = 0", x)
-    if x1 <= 0.0 and abs(x2) <= tol:
-        raise RegionError("point lies on the deleted half-equator", x)
-    return LongitudeCoords(r, math.atan2(x2, x1))
+    r = np.hypot(x[..., 0], x[..., 1])
+    _check_region(x, r, (x[..., 0] <= 0.0) & (np.abs(x[..., 1]) <= REGION_TOL))
+    return r, np.arctan2(x[..., 1], x[..., 0])
 
 
 def _longitude_diffs(x: np.ndarray, u: np.ndarray):
     # r = |(x1, x2)| at x, and dr(u), dtheta(u) of theta = atan2(x2, x1)
-    x = _check_unit(x, "x", lead=True)
+    x = _check_unit(x, "x")
     u = _check_tangent(x, u)
     r2 = x[..., 0] ** 2 + x[..., 1] ** 2
     r = np.sqrt(r2)
-    if not (np.min(r) > REGION_TOL):
-        raise RegionError("point projects into the polar set r = 0",
-                          x.reshape(-1, x.shape[-1])[np.argmin(r)])
+    _check_region(x, r)
     dr = (x[..., 0] * u[..., 0] + x[..., 1] * u[..., 1]) / r
     dt = (-x[..., 1] * u[..., 0] + x[..., 0] * u[..., 1]) / r2
     return r, dr, dt
@@ -172,4 +167,4 @@ def tangent_frame(x: np.ndarray) -> np.ndarray:
     """A deterministic orthonormal basis of the tangent space at points x
     (..., n+1): rows (..., n, n+1), the orthogonal complement of each point
     by Householder QR."""
-    return grassmann.complement(_check_unit(x, "x", lead=True)[..., None, :])
+    return grassmann.complement(_check_unit(x, "x")[..., None, :])

@@ -698,11 +698,12 @@ def test_one_batch_of_all_chunks_equals_one_chunk_batches(seed):
 
 
 @pytest.mark.parametrize("seed, digest", [
-    (0, "904a1148c933ecf771d4a6ba5308d0743b0ece8a9f2777ac8845dc8d2570c5e7"),
-    (61, "251d00c1a304ce9278016711f2a7870cc6ba86886d5665b52a59d5629cca9074"),
-])
+    (0, "ffc603c241cd8843a02fa3d0b39c80df133e12b3ff85e0c1a8b2625c4d15e206"),
+    (61, "953b39a27f7a34ce9606aa05ca2487670d5d58575441b1e03ede46ba066e14ae"),
+], ids=["0", "61"])
 def test_target_residuals_at_the_default_config_are_pinned(tmp_path, seed, digest):
-    # sha256 of target_residuals.csv as the per-probe loop wrote it
+    # sha256 of target_residuals.csv with the chart and the logarithms and
+    # cosines taken by NumPy ufuncs over the batch
     assert cli.main(["verify-targets", "--seed", str(seed), "--out", str(tmp_path)]) == 0
     got = hashlib.sha256((tmp_path / "target_residuals.csv").read_bytes()).hexdigest()
     assert got == digest
@@ -718,6 +719,28 @@ def test_shrinker_residuals_at_the_default_config_are_pinned(tmp_path, seed, dig
     assert cli.main(["verify-shrinkers", "--seed", str(seed), "--out", str(tmp_path)]) == 0
     got = hashlib.sha256((tmp_path / "shrinker_residuals.csv").read_bytes()).hexdigest()
     assert got == digest
+
+
+@pytest.fixture
+def chart_calls(monkeypatch):
+    # the shapes of the stacks that sphere.longitude_coords is called on
+    calls = []
+    chart = sphere.longitude_coords
+    monkeypatch.setattr(sphere, "longitude_coords", lambda x: calls.append(x.shape) or chart(x))
+    return calls
+
+
+@pytest.mark.parametrize("count", [1, 7, 30])
+def test_target_batch_takes_the_longitude_chart_in_one_call(chart_calls, count):
+    cli._target_batch([(np.random.SeedSequence(count), count)], 1e-4)
+    assert chart_calls == [(count, 3, 3)]
+
+
+def test_theta_composition_takes_the_longitude_chart_in_one_call(chart_calls):
+    imm = immersion.catalog_immersion("sphere:n=2,R=2")
+    immersion.composition_checks(imm, np.array([[0.9, 0.4], [1.2, -0.5], [2.0, 1.0]]),
+                                 [immersion.ThetaTarget()])
+    assert len(chart_calls) == 1
 
 
 # the probes as they were with one geodesic call per time, kept as the
@@ -776,7 +799,7 @@ def _ref_grassmann_probe(rng, step):
     ])
     vp, v0, vm = grassmann.v_values(
         grassmann.overlap_values(grassmann.OrientedFrame(frames), base)).tolist()
-    lp, l0, lm = math.log(vp), math.log(v0), math.log(vm)
+    lp, l0, lm = np.log(vp), np.log(v0), np.log(vm)
     return (
         cli._relative_defect(cli._second_difference(vp, v0, vm, step),
                              grassmann.hess_v_form(spec, Z)),
@@ -797,7 +820,7 @@ def _ref_reduction_probe(rng, step):
     P = grassmann.OrientedFrame(np.vstack([r1, r2]))
     base = grassmann.OrientedFrame(np.eye(3)[:2])
     spec = grassmann.jordan_spectrum(P, base)
-    sec = 1.0 / math.cos(a)
+    sec = 1.0 / np.cos(a)
     res = abs(grassmann.v_value(spec) - sec) / sec
     om = rng.standard_normal((2, 1))
     Z = grassmann.TangentCoeffs(om, spec.tangent_frame)

@@ -232,8 +232,8 @@ def test_from_positions_calls_the_map_once_per_batch():
     assert calls == [(25, 7, 2)]
     assert [a.shape for a in batch] == [(7, 3), (7, 2, 3), (7, 2, 2, 3)]
     for i, p in enumerate(params):
-        for b, row in zip(batch, imm.jet(p)):
-            assert np.array_equal(b[i], row)
+        for b, row in zip(batch, imm.jets(p[None])):
+            assert np.array_equal(b[i], row[0])
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -276,7 +276,7 @@ def test_mesh_arrays_match_point_frames(name, shape):
     batch = imm.jets(mesh.params)
     # batched jets, kernel and checks give the bits of the one-point path
     for i, p in enumerate(mesh.params):
-        jets = imm.jet(p)
+        jets = [a[0] for a in imm.jets(p[None])]
         for b, row in zip(batch, jets):
             assert np.array_equal(b[i], row)
         L, f = im._frame_kernel(*jets, p)
@@ -550,7 +550,7 @@ def test_graph_w_product_is_reciprocal_slope():
         P0 = OrientedFrame(np.eye(amb)[:2])
         for _ in range(10):
             p = _interior_probe(rng, imm)
-            x, dX, _ = imm.jet(p)
+            x, dX, _ = (a[0] for a in imm.jets(p[None]))
             slope = math.sqrt(np.linalg.det(dX @ dX.T))
             pf = im.point_frame(imm, p)
             w = abs(
@@ -618,7 +618,8 @@ def _drift_laplacian(imm, p, df, ddf):
     # Laplace-Beltrami of f minus (1/2)<X, grad f> at one point p, from f's
     # chart gradient df and hessian ddf
     S = im.point_frame(imm, p).S
-    return float(im._drift_laplacian(*imm.jet(p), S, np.asarray(df, dtype=float),
+    return float(im._drift_laplacian(*(a[0] for a in imm.jets(p[None])), S,
+                                     np.asarray(df, dtype=float),
                                      np.asarray(ddf, dtype=float)))
 
 
@@ -864,7 +865,7 @@ def test_drift_laplacian_graph_reduction():
         # f = sin(1.3 s)
         lf = _drift_laplacian(curve, np.array([x]), [1.3 * math.cos(1.3 * x)],
                               [[-1.69 * math.sin(1.3 * x)]])
-        slope = float(curve.jet(np.array([x]))[1][0, 1])
+        slope = float(curve.jets(np.array([[x]]))[1][0, 0, 1])
         g11 = 1.0 + slope**2
         reduced = (-1.69 * math.sin(1.3 * x)) / g11 - 0.5 * x * 1.3 * math.cos(1.3 * x)
         assert abs(lf - reduced) <= 1e-9
@@ -1009,7 +1010,7 @@ def _ref_weighted_energy(mesh, map_fn, weight):
 def _ref_sphere_map_tension(imm, p, map_fn, grad_log_w):
     # the per-point tension that the batched sphere_map_tension replaced,
     # with its metric data and Laplace-Beltrami contraction written out
-    _, dX, ddX = imm.jet(p)
+    _, dX, ddX = (a[0] for a in imm.jets(p[None]))
     fr = im.point_frame(imm, p)
     ginv = fr.S.T @ fr.S
     dg = np.einsum("kia,ja->kij", ddX, dX)
@@ -1140,7 +1141,7 @@ def test_first_variation_warns_on_boundary_support():
 
 def test_catalog_string_parsing():
     imm = im.catalog_immersion("sphere:n=2,R=2,c1=0.5")
-    x = imm.jet(np.array([0.6, 1.0]))[0]
+    x = imm.jets(np.array([[0.6, 1.0]]))[0][0]
     assert abs(np.linalg.norm(x - np.array([0.5, 0.0, 0.0])) - 2.0) <= 1e-12
 
     with pytest.raises(ValueError, match="unknown catalog kind"):

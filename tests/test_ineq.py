@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from shrinkerlab import grassmann, ineq
+from shrinkerlab import cli, grassmann, ineq
 
 
 def _hyperbola_t(v, r):
@@ -912,7 +912,7 @@ def test_min_over_h_vanishes_on_equal_angles_at_3_2():
 
 def test_certificate_and_dump_json():
     rep = ineq.sup_F_sweep(v_count=50, rt_resolution=200)
-    text = ineq.sweep_certificate_json(rep, seed=123)
+    text = cli.dump_json(rep.certificate(seed=123))
     data = json.loads(text)
     assert data["bound"] == -0.0625
     assert data["worst_value"] == rep.worst_value

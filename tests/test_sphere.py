@@ -100,6 +100,7 @@ _POLE = np.array([0.0, 0.0, 1.0])
     lambda y: sphere.height_value(np.stack([_POLE, y]), _POLE),
     lambda y: sphere.height_value(_POLE, y),
     sphere.longitude_coords,
+    lambda y: sphere.longitude_coords(np.stack([np.array([0.6, 0.8, 0.0]), y])),
     sphere.tangent_frame,
 ])
 def test_nan_is_not_a_unit_vector(call):
@@ -209,6 +210,43 @@ def test_region_error_carries_point():
         pytest.fail("expected RegionError")
 
 
+def test_batched_chart_is_within_an_ulp_of_libm():
+    rng = np.random.default_rng(29)
+    x = rng.standard_normal((10**5, 3))
+    x /= np.linalg.norm(x, axis=1)[:, None]
+    r, th = sphere.longitude_coords(x)
+    assert r.shape == th.shape == (10**5,)
+    ref_r = np.array([math.hypot(p[0], p[1]) for p in x.tolist()])
+    ref_th = np.array([math.atan2(p[1], p[0]) for p in x.tolist()])
+    assert np.all(np.abs(r - ref_r) <= np.spacing(ref_r))
+    assert np.all(np.abs(th - ref_th) <= np.spacing(np.abs(ref_th)))
+    # leading axes are kept
+    r2, th2 = sphere.longitude_coords(x[:12].reshape(3, 4, 3))
+    assert np.array_equal(r2, r[:12].reshape(3, 4)) and np.array_equal(th2, th[:12].reshape(3, 4))
+
+
+def _on_the_sphere(*rows):
+    x = np.array(rows, dtype=float)
+    return x / np.linalg.norm(x, axis=1)[:, None]
+
+
+@pytest.mark.parametrize("stack, first, region", [
+    (_on_the_sphere([0.6, 0.8, 0.0], [0.0, 0.0, 1.0], [0.3, 0.2, 0.5], [1e-10, 0.0, -1.0]),
+     1, "polar set"),
+    (_on_the_sphere([0.6, 0.8, 0.0], [-0.5, 0.0, 0.5], [0.3, 0.2, 0.5], [-1.0, 1e-10, 0.0]),
+     1, "half-equator"),
+    (_on_the_sphere([-1.0, -1e-10, 0.0], [0.0, 0.0, 1.0]), 0, "half-equator"),
+    (_on_the_sphere([0.0, 0.0, 1.0], [-1.0, 0.0, 0.0]), 0, "polar set"),
+], ids=["polar", "half-equator", "half-equator-first", "polar-first"])
+def test_region_error_names_the_first_point_of_the_stack(stack, first, region):
+    with pytest.raises(sphere.RegionError, match=region) as err:
+        sphere.longitude_coords(stack)
+    assert np.array_equal(err.value.point, stack[first])
+    with pytest.raises(sphere.RegionError, match=region) as err:
+        sphere.longitude_coords(stack.reshape((2, -1, 3)))
+    assert np.array_equal(err.value.point, stack[first])
+
+
 def test_hess_r_at_date_line_antipode():
     # at x = (1,0,0,...), v = the third axis: dtheta(v) = 0, r = 1,
     # so Hess r(v,v) = -1
@@ -222,13 +260,11 @@ def test_hess_r_at_date_line_antipode():
 
 
 def _chart_probe(rng, n1):
+    # a point at least 1e-3 off the polar set and the deleted half-equator
     while True:
         x = _unit(rng, n1)
-        try:
-            sphere.longitude_coords(x, tol=1e-3)
-        except sphere.RegionError:
-            continue
-        return x
+        if math.hypot(x[0], x[1]) > 1e-3 and not (x[0] <= 0.0 and abs(x[1]) <= 1e-3):
+            return x
 
 
 def test_hess_r_theta_match_great_circle_differences():

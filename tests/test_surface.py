@@ -73,3 +73,21 @@ def test_every_kept_name_is_defined_and_still_unreached():
     # a kept name that is deleted or that the lab comes to reach leaves KEEP
     assert sorted(KEEP) == sorted(name.rpartition(".")[2] for name in _unreached()
                                   if name.rpartition(".")[2] in KEEP)
+
+
+def _per_value_math_loops(tree):
+    """(line, call) of every list comprehension or generator expression
+    whose element is a math.* call: a per-value libm loop that one NumPy
+    ufunc call on the array replaces."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.ListComp, ast.GeneratorExp)):
+            elt = node.elt
+            if (isinstance(elt, ast.Call) and isinstance(elt.func, ast.Attribute)
+                    and isinstance(elt.func.value, ast.Name) and elt.func.value.id == "math"):
+                yield node.lineno, f"math.{elt.func.attr}"
+
+
+def test_no_per_value_math_loops_in_src():
+    found = [f"{path.stem}.py:{line}: {call}" for path in SRC
+             for line, call in _per_value_math_loops(ast.parse(path.read_text()))]
+    assert found == []

@@ -644,9 +644,9 @@ def cmd_verify_prop41(cfg, outdir, jobs=1) -> RunReport:
         check_le("zero_form_samples", sampled.zero_forms, cfg["samples"], 0.0)
     )
 
-    zero_lam, _ = ineq.batched_master_margins(
-        np.zeros((1, 2)), _symmetrized(rng.standard_normal((1, 2, 3, 3)))
-    )
+    zero_lam = ineq.group_totals(
+        3, 2, np.zeros((1, 2)), _symmetrized(rng.standard_normal((1, 2, 3, 3)))
+    ).margin
     report.checks.append(
         check_le("zero_lambda_margin", abs(zero_lam[0]), 0.0, cfg["tol_margin"])
     )

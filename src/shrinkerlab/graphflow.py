@@ -93,9 +93,6 @@ class GridField:
     def spacing(self):
         return np.array([2.0 * self.L / (s - 1) for s in self.shape])
 
-    def axis_coords(self, k):
-        return _axes(self.L, self.shape)[k]
-
     def coords(self):
         return _coords(self.L, self.shape)
 
@@ -493,16 +490,13 @@ class _Workspace:
         return sup_slope, float(self.sup_res), float(self.second_form_sq().max()), min_w
 
 
-def system_residual(field: GridField, order=2, parts=False):
+def system_residual(field: GridField, order=2):
     """Per-interior-node defect of the graphic shrinker system, per component.
 
     Returns elliptic - drift with elliptic = g^ij u_ij and
-    drift = (x . Du - u)/2; with parts=True the two pieces come back too.
+    drift = (x . Du - u)/2.
     """
-    ws = _Workspace(field, order).fill()
-    if parts:
-        return ws.res, ws.elliptic.copy(), ws.drift.copy()
-    return ws.res
+    return _Workspace(field, order).fill().res
 
 
 def slope_field(field: GridField, order=2):
@@ -608,15 +602,14 @@ def relax_flow(u0: GridField, cfg: SolverConfig = SolverConfig()):
 @dataclass(frozen=True)
 class GaussImageReport:
     max_v: float
-    min_w: float
     min_pole_ip: Optional[float]
 
 
 def gauss_image_report(field: GridField, pole=None, order=2) -> GaussImageReport:
     """Summary of the tangent-plane image over the interior nodes.
 
-    max_v is the largest slope and min_w = 1 / max_v the smallest w-product,
-    both against the horizontal plane.  With a pole and m = 1, min_pole_ip
+    max_v is the largest slope against the horizontal plane, so 1 / max_v
+    is the smallest w-product.  With a pole and m = 1, min_pole_ip
     is the smallest inner product of the upward unit normals with the pole,
     positive when the image lies in the open hemisphere about it.  The w-product
     against another plane is grassmann.w_product on the gauss_map of the
@@ -632,8 +625,7 @@ def gauss_image_report(field: GridField, pole=None, order=2) -> GaussImageReport
             [-flat_du, np.ones((flat_du.shape[0], 1))], axis=1
         ) / denom[:, None]
         min_ip = float(np.min(normals @ np.asarray(pole, dtype=float)))
-    # the reciprocal is monotone in floating point too: min(1 / slope)
-    return GaussImageReport(max_v=max_v, min_w=1.0 / max_v, min_pole_ip=min_ip)
+    return GaussImageReport(max_v=max_v, min_pole_ip=min_ip)
 
 
 # ---------------------------------------------------------------------------

@@ -104,10 +104,11 @@ class JordanSpectrum:
     """Principal-angle data plus the adapted frames the derivative forms use,
     for one plane or a stack of them over leading axes.
 
-    mu, lam, theta (..., p) hold the p = min(n, m) angle-carrying values,
-    descending in mu; a right angle is stored as lam = inf.  tangent_frame
-    spans the base plane with row j paired to angle j for j < p (any further
-    rows span the part of the plane shared with the reference plane);
+    mu and lam (..., p) hold the cosines and tangents of the p = min(n, m)
+    principal angles, descending in mu; a right angle is stored as
+    lam = inf.  tangent_frame spans the base plane with row j paired to
+    angle j for j < p (any further rows span the part of the plane shared
+    with the reference plane);
     normal_frame (..., m, amb) rows are the matched rotation directions, row
     j being the direction that opens angle j, completed deterministically
     where the angle leaves the partner underdetermined.
@@ -115,17 +116,16 @@ class JordanSpectrum:
 
     mu: np.ndarray
     lam: np.ndarray
-    theta: np.ndarray
-    p: int
     tangent_frame: OrientedFrame
     normal_frame: np.ndarray
 
     def __post_init__(self):
-        lead = self.tangent_frame.vectors.shape[:-2]
-        for name in ("mu", "lam", "theta"):
+        tf = self.tangent_frame
+        lead = tf.vectors.shape[:-2]
+        for name in ("mu", "lam"):
             arr = np.asarray(getattr(self, name), dtype=float)
-            if arr.shape != lead + (self.p,):
-                raise ValueError(f"{name} must have length p")
+            if arr.shape != lead + (min(tf.n, tf.m),):
+                raise ValueError(f"{name} must have length p = min(n, m)")
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
         nf = _rows(self.normal_frame, lead)
@@ -232,12 +232,9 @@ def jordan_spectrum(P: OrientedFrame, Q: OrientedFrame) -> JordanSpectrum:
     mu = mu_all[..., :p].copy()
     with np.errstate(divide="ignore"):
         lam = np.sqrt(np.maximum(np.where(mu > 0.0, 1.0 / mu**2, np.inf) - 1.0, 0.0))
-    theta = np.arccos(mu)
     return JordanSpectrum(
         mu=mu,
         lam=lam,
-        theta=theta,
-        p=p,
         tangent_frame=OrientedFrame(E),
         normal_frame=_partner_normals(E, F, mu_all, P.m, p),
     )
@@ -288,12 +285,6 @@ def v_values(mu) -> np.ndarray:
     if np.any(mu <= 0.0):
         raise ChartDomainError("a principal angle is pi/2, so v is unbounded")
     return np.prod(1.0 / mu, axis=-1)
-
-
-def v_value(spec: JordanSpectrum):
-    """prod sqrt(1 + lam_i^2) = prod 1/mu_i, the reciprocal unsigned overlap:
-    a float for one plane, else one value per plane of the stack."""
-    return _value(v_values(spec.mu))
 
 
 def _form_coeffs(spec: JordanSpectrum, Z: TangentCoeffs) -> np.ndarray:

@@ -207,17 +207,6 @@ def _params(imm, params):
     return p
 
 
-def _frames(imm, params):
-    """point_frame for the module's own paths: the checked PointFrame at
-    params (..., n), from one kernel call whose jets die before the check."""
-    p = _params(imm, params)
-    flat = p.reshape(-1, imm.n)
-    f = _frame_kernel(*imm.jets(flat), flat)[1]
-    lead = p.shape[:-1]
-    # [()] turns the 0-d rho of one point into a scalar
-    return PointFrame(**{k: a.reshape(lead + a.shape[1:])[()] for k, a in f.items()})
-
-
 def _metric_data(S, dX, ddX):
     """Inverse metric and Christoffel symbols gamma[..., i, j, k] from S and
     the jets, over leading axes."""
@@ -241,10 +230,15 @@ def _laplace_beltrami(ginv, gamma, df, ddf):
 def point_frame(imm: ParametricImmersion, params) -> PointFrame:
     """Frames, curvature, and Gaussian weight at parameters (..., n).
 
-    One kernel call covers every point; one point (shape (n,)) gives a
-    PointFrame with no leading axis.
+    One kernel call covers every point, and its jets die before the frame
+    check; one point (shape (n,)) gives a PointFrame with no leading axis.
     """
-    return _frames(imm, params)
+    p = _params(imm, params)
+    flat = p.reshape(-1, imm.n)
+    f = _frame_kernel(*imm.jets(flat), flat)[1]
+    lead = p.shape[:-1]
+    # [()] turns the 0-d rho of one point into a scalar
+    return PointFrame(**{k: a.reshape(lead + a.shape[1:])[()] for k, a in f.items()})
 
 
 def shrinker_residual(pf: PointFrame) -> np.ndarray:
@@ -283,7 +277,7 @@ def weighted_tension(imm: ParametricImmersion, params) -> np.ndarray:
     """
     p = _params(imm, params)
     points, first = _stencil(p, imm.fd_step, second=False)
-    return _tension(_frames(imm, np.concatenate([p[None], points])), first)
+    return _tension(point_frame(imm, np.concatenate([p[None], points])), first)
 
 
 def _drift_laplacian(x, dX, ddX, S, df, ddf):
@@ -368,17 +362,18 @@ def _fd_jets(func, center, steps, second=True):
 # target functions for composition checks
 
 
-def _orientation_sign(pf):
-    # sign making (tangent rows, normal) positively oriented, over the
-    # leading axes; hypersurfaces only
-    return np.sign(np.linalg.det(np.concatenate([pf.tangent, pf.normal], axis=-2)))
+def _signed_normal(pf):
+    # (s, y) over the leading axes: the sign s making (tangent rows, normal)
+    # positively oriented and the oriented normal y = s nu; hypersurfaces only
+    s = np.sign(np.linalg.det(np.concatenate([pf.tangent, pf.normal], axis=-2)))
+    return s, s[..., None] * pf.normal[..., 0, :]
 
 
 def oriented_normal(pf: PointFrame) -> np.ndarray:
     """Unit normal of a hypersurface, oriented to follow the chart."""
     if pf.m != 1:
         raise ValueError("oriented normal needs codimension one")
-    return _orientation_sign(pf)[..., None] * pf.normal[..., 0, :]
+    return _signed_normal(pf)[1]
 
 
 def _normal_images(pf, s, coeffs):
@@ -395,8 +390,7 @@ class _HypersurfaceTarget:
         return self._values(y / np.sqrt(sphere._dot(y, y))[..., None])
 
     def centre_sum(self, pf, T, shared):
-        s = _orientation_sign(pf)
-        y = s[..., None] * pf.normal[..., 0, :]
+        s, y = _signed_normal(pf)
         images = _normal_images(pf, s, pf.h[..., 0, :, :])
         hess = self._hess(y[..., None, :], images).sum(axis=-1)
         return hess + self._d(y, _normal_images(pf, s, T)[..., 0, :])
@@ -480,7 +474,7 @@ class VTarget(_OverlapTarget):
         return grassmann.hess_v_form(spec, Z)
 
     def _d(self, spec, Z):
-        return grassmann.v_value(spec) * grassmann.dlogv_form(spec, Z)
+        return grassmann.v_values(spec.mu) * grassmann.dlogv_form(spec, Z)
 
 
 class LogVTarget(_OverlapTarget):
@@ -511,7 +505,7 @@ def composition_checks(imm: ParametricImmersion, params, targets) -> np.ndarray:
     """
     p = _params(imm, params)
     points, combine = _stencil(p, imm.fd_step)
-    f = _frames(imm, points)
+    f = point_frame(imm, points)
     x, dX, ddX = (a.reshape(p.shape[:-1] + a.shape[1:]) for a in imm.jets(p.reshape(-1, imm.n)))
     # rows 1 to 4n hold the first-order stencil, in its own order
     T = _tension(f, _stencil(p, imm.fd_step, second=False)[1])
@@ -598,8 +592,7 @@ def height_field(mesh: WeightedPatchMesh, a) -> ScalarFieldOnPatch:
     """Samples of 1 - <normal map, a>, for a unit pole a, with the ambient
     tangential gradient."""
     f = mesh.frames
-    sign = _orientation_sign(f)
-    y = sign[:, None] * f.normal[:, 0]
+    sign, y = _signed_normal(f)
     vals = sphere.height_value(y, a)
     # e_j(f) per frame row
     coeffs = sphere.height_differential(y[:, None], a, _normal_images(f, sign, f.h[:, 0]))

@@ -26,10 +26,9 @@ bound are written once, as monomials in a table built and cached per shape
 total and the master margin come from one kernel (`_master_kernel`).  Both
 sum each row in a fixed order along that row alone, so a row's numbers never
 depend on the rest of its stack.  `group_totals` gives the two routes to the
-total and the margin, `group_bounds` each group's slack against its bound,
-and `batched_master_margins` the margin alone.  One check validates every
-entry: `_check_stack`, or its lambda half `_check_lam` for the lambda-only
-`min_margin_over_h`.
+total and the margin, and `group_bounds` each group's slack against its
+bound.  One check validates every entry: `_check_stack`, or its lambda half
+`_check_lam` for the lambda-only `min_margin_over_h`.
 
 The sampled check (`sample_check`) draws its samples with
 `draw_group_stacks`, which calls the generator in bulk, a fixed number of
@@ -98,20 +97,10 @@ class SweepReport:
 
     v_count: int
     rt_resolution: int
-    v_lo: float
-    v_hi: float
     worst_value: float
-    arg_v: float
-    arg_r: float
-    arg_t: float
     samples: int
     empty_slices: int
-    margin: float  # -1/16 - worst_value; nonnegative means PASS
     worst_per_v: np.ndarray  # per v-slice, -inf on an empty slice
-
-    @property
-    def passed(self):
-        return self.samples > 0 and self.margin >= -1e-9
 
     def certificate(self, seed=None):
         return {
@@ -126,7 +115,7 @@ _SWEEP_BLOCK = 1 << 14  # grid points per pass of the sweep, in whole v-slices
 
 
 def _omega_blocks(v_grid, frac, rows):
-    """Yield (lo, r, t, member, F) for each block v_grid[lo:lo + rows] of v-slices.
+    """Yield (lo, member, F) for each block v_grid[lo:lo + rows] of v-slices.
 
     On a slice, r = tau + (v^2 - 1 - tau) frac with tau = (v - 1) / 2 and t
     lies on the hyperbola (1 + r)(1 + t) = v^2; arrays are (slices, len(frac)).
@@ -144,7 +133,7 @@ def _omega_blocks(v_grid, frac, rows):
         denom = _pole_denominator(tau, r, t)
         with np.errstate(divide="ignore", invalid="ignore"):
             F = _F(tau, r, t, denom)
-        yield lo, r, t, denom < 0.0, F
+        yield lo, denom < 0.0, F
 
 
 def sup_F_sweep(v_count=10_000, rt_resolution=10_000, v_lo=None, v_hi=None) -> SweepReport:
@@ -169,31 +158,16 @@ def sup_F_sweep(v_count=10_000, rt_resolution=10_000, v_lo=None, v_hi=None) -> S
     samples = 0
     empty = 0
     per_v = np.empty(v_count)
-    for lo, _, _, member, F in _omega_blocks(v_grid, frac, rows):
+    for lo, member, F in _omega_blocks(v_grid, frac, rows):
         per_v[lo:lo + rows] = np.max(F, axis=1, where=member, initial=-np.inf)
         samples += int(np.count_nonzero(member))
         empty += int(np.count_nonzero(~np.any(member, axis=1)))
-    # the first slice at the maximum, and its first point there, as a strict >
-    # over the slices in order keeps them; that slice is computed again
-    iv = int(np.argmax(per_v))
-    worst = float(per_v[iv])
-    arg = (math.nan, math.nan, math.nan)
-    if worst > -np.inf:
-        _, r, t, member, F = next(_omega_blocks(v_grid[iv:iv + 1], frac, 1))
-        k = int(np.argmax(np.where(member, F, -np.inf)))
-        arg = (float(v_grid[iv]), float(r[0, k]), float(t[0, k]))
     return SweepReport(
         v_count=v_count,
         rt_resolution=rt_resolution,
-        v_lo=v_lo,
-        v_hi=v_hi,
-        worst_value=worst,
-        arg_v=arg[0],
-        arg_r=arg[1],
-        arg_t=arg[2],
+        worst_value=float(np.max(per_v)),
         samples=samples,
         empty_slices=empty,
-        margin=-DELTA0 - worst,
         worst_per_v=per_v,
     )
 
@@ -424,20 +398,6 @@ def group_bounds(n, m, lam, h) -> GroupBounds:
     return GroupBounds(t.keys, vals, vals[:, :-1] - bounds.reshape(rows, groups))
 
 
-def batched_master_margins(lam, h):
-    """Master margins and slope values of a stack: lam (B, p), h (B, m, n, n).
-
-    The stack is checked as `group_totals` checks one, with m and n read from h.
-    """
-    lam = np.asarray(lam, dtype=float)
-    h = np.asarray(h, dtype=float)
-    if h.ndim != 4:
-        raise ValueError(f"h must have shape (B, m, n, n), got {h.shape}")
-    _check_stack(h.shape[2], h.shape[1], lam, h)
-    margin, _, _, v = _margins(lam, h)
-    return margin, v
-
-
 # ---------------------------------------------------------------------------
 # sampling and adversarial search
 
@@ -579,10 +539,6 @@ class SearchReport:
     worst_margin: float
     evaluations: int
     violations: list
-
-    @property
-    def passed(self):
-        return self.worst_margin >= -MARGIN_TOL and not self.violations
 
 
 @functools.lru_cache(maxsize=None)

@@ -55,7 +55,8 @@ def _check_unit(x: np.ndarray, name: str = "input") -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.ndim < 1 or x.shape[-1] < 2:
         raise ValueError(f"{name} must be a vector in R^{{n+1}}, n >= 1")
-    if not (np.abs(np.sqrt(_dot(x, x)) - 1.0).max() <= _UNIT_TOL):
+    # initial=0.0 admits an empty stack; a NaN still fails the comparison
+    if not (np.abs(np.sqrt(_dot(x, x)) - 1.0).max(initial=0.0) <= _UNIT_TOL):
         raise ValueError(f"{name} must be a unit vector (|{name}| = 1 to {_UNIT_TOL})")
     return x
 

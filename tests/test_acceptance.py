@@ -98,7 +98,7 @@ def test_c03_master_inequality_bulk():
             p = min(n, m)
             lam = _batched_subcritical(rng, batch, p)
             h = _sym(rng.standard_normal((batch, m, n, n)))
-            margins, _ = ineq.batched_master_margins(lam, h)
+            margins = ineq.group_totals(n, m, lam, h).margin
             worst = min(worst, float(np.min(margins)))
             total += batch
 
@@ -107,8 +107,8 @@ def test_c03_master_inequality_bulk():
     zero_worst = 0.0
     for n, m in [(1, 1), (2, 3), (4, 4), (5, 2)]:
         p = min(n, m)
-        margin, _ = ineq.batched_master_margins(
-            np.zeros((1, p)), _sym(rng.standard_normal((1, m, n, n))))
+        margin = ineq.group_totals(
+            n, m, np.zeros((1, p)), _sym(rng.standard_normal((1, m, n, n)))).margin
         zero_worst = max(zero_worst, abs(float(margin[0])))
 
     ok = (

@@ -15,7 +15,6 @@ from shrinkerlab.grassmann import (
     hess_v_form,
     jordan_spectrum,
     overlap_values,
-    v_value,
     v_values,
     w_product,
 )
@@ -77,10 +76,9 @@ def test_spectrum_of_identical_frames():
     rng = np.random.default_rng(2)
     P = _random_frame(rng, 3, 5)
     spec = jordan_spectrum(P, P)
-    assert spec.p == 2
+    assert spec.mu.shape == (2,)
     assert np.allclose(spec.mu, 1.0, atol=1e-12)
     assert np.allclose(spec.lam, 0.0, atol=1e-6)
-    assert np.allclose(spec.theta, 0.0, atol=1e-6)
 
 
 def test_spectrum_of_single_block_rotation():
@@ -94,7 +92,7 @@ def test_spectrum_of_single_block_rotation():
     )
     spec = jordan_spectrum(OrientedFrame(rows), P)
     # angles as a multiset are {alpha, 0}; storage is descending in mu
-    assert sorted(spec.theta) == pytest.approx([0.0, alpha], abs=1e-12)
+    assert sorted(np.arccos(spec.mu)) == pytest.approx([0.0, alpha], abs=1e-12)
     assert spec.mu[0] >= spec.mu[1]
 
 
@@ -139,7 +137,7 @@ def test_w_and_spectrum_invariant_under_reorthonormalization():
 
 def test_v_trivial_values():
     P = OrientedFrame(np.eye(5)[:2])
-    assert v_value(jordan_spectrum(P, P)) == pytest.approx(1.0, abs=1e-12)
+    assert v_values(jordan_spectrum(P, P).mu) == pytest.approx(1.0, abs=1e-12)
     # both angles at 45 degrees: v = sqrt(2) * sqrt(2)
     c = math.sqrt(0.5)
     rows = np.array(
@@ -150,7 +148,7 @@ def test_v_trivial_values():
     )
     spec = jordan_spectrum(OrientedFrame(rows), P)
     assert np.allclose(spec.lam, 1.0, atol=1e-12)
-    assert v_value(spec) == pytest.approx(2.0, abs=1e-12)
+    assert v_values(spec.mu) == pytest.approx(2.0, abs=1e-12)
 
 
 def test_v_is_reciprocal_of_unsigned_overlap():
@@ -159,18 +157,18 @@ def test_v_is_reciprocal_of_unsigned_overlap():
         base = _random_frame(rng, 2, 4)
         P = _frame_in_chart(rng, base)
         spec = jordan_spectrum(P, base)
-        assert v_value(spec) == pytest.approx(
+        assert v_values(spec.mu) == pytest.approx(
             1.0 / abs(w_product(P, base)), rel=1e-10
         )
 
 
 def test_v_at_least_one_and_strict_away_from_overlap():
     P = OrientedFrame(np.eye(5)[:2])
-    assert v_value(jordan_spectrum(P, P)) >= 1.0
+    assert v_values(jordan_spectrum(P, P).mu) >= 1.0
     rows = np.eye(5)[:2].copy()
     a = 1e-3
     rows[0] = [math.cos(a), 0.0, math.sin(a), 0.0, 0.0]
-    v = v_value(jordan_spectrum(OrientedFrame(rows), P))
+    v = v_values(jordan_spectrum(OrientedFrame(rows), P).mu)
     assert v > 1.0 + 1e-9
 
 
@@ -179,10 +177,10 @@ def test_orthogonal_planes_poison_v_operations():
     Q = OrientedFrame(np.eye(4)[2:])
     spec = jordan_spectrum(P, Q)
     assert np.all(np.isinf(spec.lam))
-    assert np.allclose(spec.theta, math.pi / 2)
+    assert np.all(spec.mu == 0.0)
     Z = TangentCoeffs(np.ones((2, 2)), spec.tangent_frame)
     with pytest.raises(ChartDomainError):
-        v_value(spec)
+        v_values(spec.mu)
     with pytest.raises(ChartDomainError):
         dlogv_form(spec, Z)
     with pytest.raises(ChartDomainError):
@@ -209,7 +207,7 @@ def test_overlap_values_equal_per_frame_spectra(shape, n, m):
     assert np.array_equal(mu, np.reshape([s.mu for s in specs], mu.shape))
     v = v_values(mu)
     assert v.shape == shape
-    assert np.array_equal(v, np.reshape([v_value(s) for s in specs], shape))
+    assert np.array_equal(v, np.reshape([v_values(s.mu) for s in specs], shape))
 
 
 def test_v_values_reject_a_perpendicular_row_of_a_batch():
@@ -310,7 +308,7 @@ def test_complement_equals_the_formulas_it_replaces():
 
 
 def _spectrum_fields(spec):
-    return spec.mu, spec.lam, spec.theta, spec.tangent_frame.vectors, spec.normal_frame
+    return spec.mu, spec.lam, spec.tangent_frame.vectors, spec.normal_frame
 
 
 def _stack_equals_its_planes(P, Q):
@@ -319,11 +317,10 @@ def _stack_equals_its_planes(P, Q):
     plane's own call, bit for bit."""
     lead, (n, amb) = P.shape[:-2], P.shape[-2:]
     spec = jordan_spectrum(OrientedFrame(P), OrientedFrame(Q))
-    assert spec.mu.shape == lead + (spec.p,)
+    assert spec.mu.shape == lead + (min(n, amb - n),)
     assert spec.normal_frame.shape == lead + (amb - n, amb)
     for idx in np.ndindex(lead):
         alone = jordan_spectrum(OrientedFrame(P[idx]), OrientedFrame(Q if Q.ndim == 2 else Q[idx]))
-        assert alone.p == spec.p
         for got, want in zip(_spectrum_fields(spec), _spectrum_fields(alone)):
             assert np.array_equal(got[idx], want)
     return spec
@@ -501,7 +498,7 @@ def test_chain_rule_between_hess_v_and_hess_logv():
         P = _frame_in_chart(rng, base)
         spec = jordan_spectrum(P, base)
         Z = TangentCoeffs(rng.standard_normal((n, m)), spec.tangent_frame)
-        v = v_value(spec)
+        v = v_values(spec.mu)
         lhs = hess_logv_form(spec, Z)
         rhs = hess_v_form(spec, Z) / v - dlogv_form(spec, Z) ** 2
         assert lhs == pytest.approx(rhs, abs=1e-10 * max(1.0, abs(lhs)))
@@ -524,7 +521,7 @@ def test_derivative_forms_match_geodesic_differences():
             frame = geodesic_from_velocity(
                 spec.tangent_frame, spec.normal_frame, om, t
             )
-            return math.log(v_value(jordan_spectrum(frame, base)))
+            return math.log(v_values(jordan_spectrum(frame, base).mu))
 
         f0 = logv_at(0.0)
         fp = logv_at(step)
@@ -540,7 +537,7 @@ def test_derivative_forms_match_geodesic_differences():
             frame = geodesic_from_velocity(
                 spec.tangent_frame, spec.normal_frame, om, t
             )
-            return v_value(jordan_spectrum(frame, base))
+            return v_values(jordan_spectrum(frame, base).mu)
 
         dv2 = (v_at(step) - 2.0 * v_at(0.0) + v_at(-step)) / step**2
         cv2 = hess_v_form(spec, Z)
@@ -590,7 +587,7 @@ def test_line_machinery_degenerates_to_secant_on_sphere():
         P = OrientedFrame(np.vstack([r1, r2]))
         base = OrientedFrame(np.eye(3)[:2])
         spec = jordan_spectrum(P, base)
-        assert v_value(spec) == pytest.approx(1.0 / math.cos(a), rel=1e-12)
+        assert v_values(spec.mu) == pytest.approx(1.0 / math.cos(a), rel=1e-12)
 
         om = rng.standard_normal((2, 1))
         Z = TangentCoeffs(om, spec.tangent_frame)

@@ -312,9 +312,9 @@ def test_mesh_quadrature_reads_arrays_only():
     field = im.height_field(mesh, a)
     pfs = [im.point_frame(mesh.immersion, p) for p in mesh.params]
     for i, pf in enumerate(pfs):
-        s = im._orientation_sign(pf)
+        s, y = im._signed_normal(pf)
         assert field.values[i] == 1.0 - float(s * pf.normal[0] @ a)
-        y = s * pf.normal[0]
+        assert np.array_equal(y, s * pf.normal[0])
         coeffs = sphere.height_differential(y, a, im._normal_images(pf, s, pf.h[0]))
         assert np.array_equal(field.gradients[i], coeffs @ pf.tangent)
         # the closed form s h0 (tangent a) as it was written inline
@@ -715,23 +715,31 @@ def test_one_kernel_call_per_stencil(monkeypatch):
     _, targets = _composition_targets(imm)
     assert len(targets) == 3
     p = np.array([1.2, 0.4])
-    calls = {"kernel": 0, "point_frame": 0}
-    kernel, point_frame = im._frame_kernel, im.point_frame
-
-    def counting_kernel(*args):
-        calls["kernel"] += 1
-        return kernel(*args)
-
-    def counting_point_frame(*args):
-        calls["point_frame"] += 1
-        return point_frame(*args)
-
-    monkeypatch.setattr(im, "_frame_kernel", counting_kernel)
-    monkeypatch.setattr(im, "point_frame", counting_point_frame)
+    calls = _count_calls(monkeypatch, im, "_frame_kernel")
     im.weighted_tension(imm, p)
-    assert calls == {"kernel": 1, "point_frame": 0}
+    assert len(calls) == 1
     im.composition_checks(imm, p, targets)
-    assert calls == {"kernel": 2, "point_frame": 0}
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("lead", [(), (3,), (2, 2)])
+def test_one_point_frame_call_per_batch(monkeypatch, lead):
+    # the frames of a batch come from one point_frame call: weighted_tension's
+    # on the centres and their 4n first-order stencil points, and
+    # composition_checks' on the second-order stencils of its centres
+    imm = im.catalog_immersion("sphere:n=2,R=2")
+    _, targets = _composition_targets(imm)
+    p = np.array([1.2, 0.4]) + 0.05 * np.arange(math.prod(lead))[:, None]
+    p = p.reshape(lead + (2,))
+    shapes = []
+    point_frame = im.point_frame
+    monkeypatch.setattr(im, "point_frame",
+                        lambda imm, q: shapes.append(np.shape(q)) or point_frame(imm, q))
+    im.weighted_tension(imm, p)
+    assert shapes == [(1 + 4 * 2,) + p.shape]
+    shapes.clear()
+    im.composition_checks(imm, p, targets)
+    assert shapes == [(1 + 4 * 2 + 16,) + p.shape]
 
 
 def _count_calls(monkeypatch, module, name):

@@ -131,7 +131,6 @@ def test_scalar_bounds_on_sampled_domain():
 
 def test_sup_F_sweep_bound_and_refinement():
     rep = ineq.sup_F_sweep(v_count=400, rt_resolution=1500)
-    assert rep.passed
     assert rep.worst_value <= -1.0 / 16.0 + 1e-9
     assert rep.samples >= 100_000
     assert rep.empty_slices == 0
@@ -139,8 +138,9 @@ def test_sup_F_sweep_bound_and_refinement():
     per_v = rep.worst_per_v[np.isfinite(rep.worst_per_v)]
     assert np.max(per_v) <= -1.0 / 16.0 + 1e-9
     # refining 4x inside a window around the arg-max barely moves the worst
-    lo = max(1.0 + 1e-9, rep.arg_v - 0.01)
-    hi = min(3.0 - 1e-9, rep.arg_v + 0.01)
+    v_peak = np.linspace(1.0 + 1e-6, 3.0 - 1e-6, 400)[np.argmax(rep.worst_per_v)]
+    lo = max(1.0 + 1e-9, v_peak - 0.01)
+    hi = min(3.0 - 1e-9, v_peak + 0.01)
     fine = ineq.sup_F_sweep(v_count=200, rt_resolution=6000, v_lo=lo, v_hi=hi)
     assert fine.worst_value >= rep.worst_value - 1e-12
     assert abs(fine.worst_value - rep.worst_value) < 1e-4
@@ -161,12 +161,13 @@ def test_sup_F_sweep_rejects_an_empty_grid_or_one_outside_the_domain(kwargs):
 def test_sweep_without_samples_does_not_pass():
     # at v = 1 + 1e-9 every one of these grid points misses Omega
     rep = ineq.sup_F_sweep(v_count=1, rt_resolution=3, v_lo=1.0 + 1e-9, v_hi=1.0 + 1e-9)
+    # verify-prop41 fails such a sweep by its empty-slice check
     assert rep.samples == 0 and rep.empty_slices == 1
-    assert not rep.passed
+    assert rep.worst_value == -np.inf
 
 
 def _sweep_per_slice(v_count, rt_resolution, v_lo, v_hi):
-    """(worst_per_v, worst, (v, r, t), samples, empty) from one pass per v-slice.
+    """(worst_per_v, worst, samples, empty) from one pass per v-slice.
 
     The sweep as a loop over slices, kept as the reference the blocked
     passes must equal bit for bit.
@@ -174,7 +175,6 @@ def _sweep_per_slice(v_count, rt_resolution, v_lo, v_hi):
     v_grid = np.linspace(v_lo, v_hi, v_count)
     frac = np.arange(1, rt_resolution + 1) / rt_resolution
     worst = -np.inf
-    arg = (math.nan, math.nan, math.nan)
     samples = 0
     empty = 0
     per_v = np.full(v_count, -np.inf)
@@ -191,12 +191,9 @@ def _sweep_per_slice(v_count, rt_resolution, v_lo, v_hi):
             continue
         vals = F[member]
         samples += int(vals.size)
-        k = int(np.argmax(vals))
-        per_v[iv] = vals[k]
-        if vals[k] > worst:
-            worst = float(vals[k])
-            arg = (float(v), float(r[member][k]), float(t[member][k]))
-    return per_v, worst, arg, samples, empty
+        per_v[iv] = np.max(vals)
+        worst = max(worst, float(per_v[iv]))
+    return per_v, worst, samples, empty
 
 
 @pytest.mark.parametrize("v_count, rt_resolution, v_lo, v_hi", [
@@ -209,13 +206,12 @@ def _sweep_per_slice(v_count, rt_resolution, v_lo, v_hi):
 ])
 def test_blocked_sweep_equals_the_per_slice_loop(v_count, rt_resolution, v_lo, v_hi):
     rep = ineq.sup_F_sweep(v_count=v_count, rt_resolution=rt_resolution, v_lo=v_lo, v_hi=v_hi)
-    per_v, worst, arg, samples, empty = _sweep_per_slice(v_count, rt_resolution, v_lo, v_hi)
+    per_v, worst, samples, empty = _sweep_per_slice(v_count, rt_resolution, v_lo, v_hi)
     assert rep.worst_per_v.tobytes() == per_v.tobytes()
     assert (rep.samples, rep.empty_slices) == (samples, empty)
-    got = np.array([rep.worst_value, rep.arg_v, rep.arg_r, rep.arg_t])
-    assert got.tobytes() == np.array([worst, *arg]).tobytes()
+    assert np.array(rep.worst_value).tobytes() == np.array(worst).tobytes()
     if samples == 0:
-        assert rep.worst_value == -np.inf and np.all(np.isnan(got[1:]))
+        assert rep.worst_value == -np.inf
 
 
 @pytest.mark.parametrize("v_count, rt_resolution", [(1200, 1500), (10_000, 10_000)])
@@ -556,11 +552,11 @@ def test_draw_counts_must_be_nonnegative():
 @pytest.mark.parametrize("n,m", SHAPES)
 def test_group_totals_match_group_terms(n, m):
     # the grouped total is the sum of the group terms group_bounds returns,
-    # and the margin is batched_master_margins', bit for bit
+    # and the margin is the master kernel's, bit for bit
     lam, h = _reference_stack(np.random.default_rng(200 + 10 * n + m), n, m, 3)
     t = ineq.group_totals(n, m, lam, h)
     b = ineq.group_bounds(n, m, lam, h)
-    margin, _ = ineq.batched_master_margins(lam, h)
+    margin = ineq._margins(lam, h)[0]
     assert t.grouped.tobytes() == b.values.sum(axis=-1).tobytes()
     assert t.margin.tobytes() == margin.tobytes()
     for k in range(len(lam)):
@@ -571,13 +567,13 @@ def test_every_stack_row_equals_its_sample_alone(verify_stacks):
     # the stacks verify-prop41 checks at seed 61, where a separate
     # single-sample kernel once differed from the stack in the last bits
     for (n, m), (lam, h, t, b) in verify_stacks.items():
-        margins, v = ineq.batched_master_margins(lam, h)
+        v = ineq._slope(lam)
         for k in range(len(lam)):
             one = lam[k:k + 1], h[k:k + 1]
             alone = ineq.group_totals(n, m, *one)
-            row = np.array([*(x[k] for x in t), margins[k], v[k]])
-            assert row.tobytes() == np.concatenate(
-                [*alone, *ineq.batched_master_margins(*one)]).tobytes(), (n, m, k)
+            row = np.array([*(x[k] for x in t), v[k]])
+            assert row.tobytes() == np.concatenate([*alone, ineq._slope(one[0])]).tobytes(), \
+                (n, m, k)
             bounds = ineq.group_bounds(n, m, *one)
             assert b.values[k].tobytes() == bounds.values[0].tobytes(), (n, m, k)
             assert b.slack[k].tobytes() == bounds.slack[0].tobytes(), (n, m, k)
@@ -622,7 +618,6 @@ def test_stack_check_raises_as_group_sample(case):
     h = np.zeros((4, *h_bad.shape))
     lam[2], h[2] = lam_bad, h_bad
     for entry in (lambda: ineq.group_totals(3, 2, lam, h),
-                  lambda: ineq.batched_master_margins(lam, h),
                   lambda: ineq.group_bounds(3, 2, lam, h)):
         with np.errstate(over="ignore"), pytest.raises(ValueError) as raised:
             entry()
@@ -655,12 +650,13 @@ def test_II_margin_tight_at_zero_angles():
 def test_master_margin_trivial_cases():
     h = np.random.default_rng(3).normal(size=(1, 2, 3, 3))
     h = 0.5 * (h + np.swapaxes(h, -1, -2))
-    margin, v = ineq.batched_master_margins(np.zeros((1, 2)), h)
-    assert margin[0] == 0.0 and v[0] == 1.0
-    margin, _ = ineq.batched_master_margins(np.array([[0.4, 1.1]]), np.zeros((1, 2, 3, 3)))
-    assert margin[0] == 0.0
-    margin, v = ineq.batched_master_margins(np.array([[1.0, 1.0]]), np.zeros((1, 2, 2, 2)))
-    assert margin[0] == 0.0 and v[0] == pytest.approx(2.0, rel=1e-14)
+    lam = np.zeros((1, 2))
+    assert ineq.group_totals(3, 2, lam, h).margin[0] == 0.0 and ineq._slope(lam)[0] == 1.0
+    lam = np.array([[0.4, 1.1]])
+    assert ineq.group_totals(3, 2, lam, np.zeros((1, 2, 3, 3))).margin[0] == 0.0
+    lam = np.array([[1.0, 1.0]])
+    assert ineq.group_totals(2, 2, lam, np.zeros((1, 2, 2, 2))).margin[0] == 0.0
+    assert ineq._slope(lam)[0] == pytest.approx(2.0, rel=1e-14)
 
 
 def test_master_margin_near_critical_schedule():
@@ -672,38 +668,35 @@ def test_master_margin_near_critical_schedule():
             budget = np.full(8, 2.0 * math.log(slope))
             lam = ineq._lam_from(rng.standard_exponential((8, p)), budget)
             raw = rng.normal(size=(8, m, n, n))
-            margin, v = ineq.batched_master_margins(lam, 0.5 * (raw + np.swapaxes(raw, -1, -2)))
-            assert np.all(np.abs(v - slope) <= 1e-9 * slope)
+            margin = ineq.group_totals(n, m, lam, 0.5 * (raw + np.swapaxes(raw, -1, -2))).margin
+            assert np.all(np.abs(ineq._slope(lam) - slope) <= 1e-9 * slope)
             assert np.all(margin >= -1e-12)
 
 
 def test_batched_margins_match_scalar():
     lam, h = _reference_stack(np.random.default_rng(12), 4, 3, 13)
-    batched, v = ineq.batched_master_margins(lam, h)
+    batched = ineq.group_totals(4, 3, lam, h).margin
     for i in range(len(lam)):
-        alone, v_alone = ineq.batched_master_margins(lam[i:i + 1], h[i:i + 1])
-        assert batched[i] == alone[0]
-        assert v[i] == v_alone[0]
+        assert batched[i] == ineq.group_totals(4, 3, lam[i:i + 1], h[i:i + 1]).margin[0]
 
 
 def test_batched_margins_check_their_stack():
     lam = np.full((3, 2), 0.5)
     h = np.zeros((3, 2, 3, 3))
     h[:, 0, 0, 1] = h[:, 0, 1, 0] = 1.0
-    margins, _ = ineq.batched_master_margins(lam, h)
-    assert np.all(margins >= 0.0)
+    assert np.all(ineq.group_totals(3, 2, lam, h).margin >= 0.0)
     bad_lam = lam.copy()
     bad_lam[1, 0] = -1.0
     with pytest.raises(ValueError, match="nonnegative"):
-        ineq.batched_master_margins(bad_lam, h)
+        ineq.group_totals(3, 2, bad_lam, h)
     bad_h = h.copy()
     bad_h[2, 1, 0, 2] = 1.0
     with pytest.raises(ValueError, match="symmetric"):
-        ineq.batched_master_margins(lam, bad_h)
+        ineq.group_totals(3, 2, lam, bad_h)
     with pytest.raises(ValueError, match="shape"):
-        ineq.batched_master_margins(lam, h[0])
+        ineq.group_totals(3, 2, lam, h[0])
     with pytest.raises(ValueError, match="angle values"):
-        ineq.batched_master_margins(np.full((3, 3), 0.5), h)
+        ineq.group_totals(3, 2, np.full((3, 3), 0.5), h)
 
 
 def test_longdouble_recheck_consistent():
@@ -712,7 +705,7 @@ def test_longdouble_recheck_consistent():
     for _ in range(20):
         n, m = (int(x) for x in rng.integers(1, 6, size=2))
         lam, h = (x[None] for x in _reference_draw(rng, n, m, "dense"))
-        a = ineq.batched_master_margins(lam, h)[0][0]
+        a = ineq.group_totals(n, m, lam, h).margin[0]
         b = ineq._margins(lam.astype(ld), h.astype(ld))[0][0]
         assert a == pytest.approx(float(b), rel=1e-10, abs=1e-10)
 
@@ -789,7 +782,6 @@ def test_sample_check_values_are_pinned(seed, regroup_max, min_margin, zero_form
 
 def test_adversarial_search_finds_no_violation():
     report = ineq.adversarial_margin_search(seed=5, restarts=300)
-    assert report.passed
     assert report.worst_margin >= -1e-12
     assert report.violations == []
     assert report.evaluations == (300 // 24) * 24
@@ -926,7 +918,7 @@ def test_search_skips_the_recheck_when_nothing_is_flagged(monkeypatch):
     margins = ineq._margins
     monkeypatch.setattr(ineq, "_margins", lambda lam, h: calls.append(len(lam)) or margins(lam, h))
     report = ineq.adversarial_margin_search(seed=14, restarts=48)
-    assert report.passed and not report.violations and calls == []
+    assert report.worst_margin >= -ineq.MARGIN_TOL and not report.violations and calls == []
 
 
 def test_search_records_every_confirmed_minimum_with_its_longdouble_margin(monkeypatch):
@@ -942,6 +934,6 @@ def test_search_records_every_confirmed_minimum_with_its_longdouble_margin(monke
         assert set(sample) == {"n", "m", "lam", "h", "v", "subcritical"}
         lam, h = np.array([sample["lam"]]), np.array([sample["h"]])
         assert h.shape == (1, sample["m"], sample["n"], sample["n"])
-        _, v = ineq.batched_master_margins(lam, h)
+        v = ineq._slope(lam)
         assert sample["v"] == v[0] and sample["subcritical"] == (v[0] < 3.0)
         assert rt["master_margin"] == float(ineq._margins(lam.astype(ld), h.astype(ld))[0][0])

@@ -108,6 +108,30 @@ def test_nan_is_not_a_unit_vector(call):
         call(_NAN_POINT)
 
 
+_E3 = np.eye(4)[3]
+# each public function on a stack x of points of S^3, with the trailing
+# shapes of what it returns
+_EMPTY_CALLS = {
+    "height_value": (lambda x: sphere.height_value(x, _E3), [()]),
+    "height_differential": (lambda x: sphere.height_differential(x, _E3, x), [()]),
+    "height_hessian": (lambda x: sphere.height_hessian(x, _E3, x, x), [()]),
+    "longitude_coords": (sphere.longitude_coords, [(), ()]),
+    "longitude_differentials": (lambda x: sphere.longitude_differentials(x, x), [(), ()]),
+    "longitude_hessians": (lambda x: sphere.longitude_hessians(x, x, x), [(), ()]),
+    "great_circle": (lambda x: sphere.great_circle(x, x, np.zeros(len(x))), [(4,)]),
+    "tangent_frame": (sphere.tangent_frame, [(3, 4)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(set(sphere.__all__) - {"RegionError"}))
+def test_an_empty_stack_gives_empty_arrays(name):
+    # the unit-vector check once raised NumPy's zero-size reduction error here
+    call, trailing = _EMPTY_CALLS[name]
+    out = call(np.zeros((0, 4)))
+    out = out if isinstance(out, tuple) else (out,)
+    assert [a.shape for a in out] == [(0,) + t for t in trailing]
+
+
 _FORMS = {
     "height_differential": lambda x, a, u: sphere.height_differential(x, a, u),
     "height_hessian_u": lambda x, a, u: sphere.height_hessian(x, a, u, 0.0 * x),

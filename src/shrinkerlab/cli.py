@@ -168,7 +168,6 @@ DEFAULTS = {
         "box": 1.0,
         "resolution": 25,
         "amplitude": 0.3,
-        "order": 2,
         "max_steps": 60_000,
         "sample_interval": 200,
         "threshold": 1e-8,
@@ -215,7 +214,6 @@ _TYPE_RANGES = {
 _KEY_RANGES = {
     "seed": (lambda x: x >= 0, "a nonnegative integer"),
     "run_dir": (lambda x: True, "a string"),
-    "order": (lambda x: x in (2, 4), "2 or 4"),
     "resolution": (lambda x: x >= 5, "an integer of at least 5"),
     "amplitude": (lambda x: x >= 0.0, "a nonnegative finite number"),
     "v_hi": (lambda x: 1.0 < x < 3.0, "a number in (1, 3): the bound degenerates at "
@@ -644,9 +642,8 @@ def cmd_verify_prop41(cfg, outdir, jobs=1) -> RunReport:
         check_le("zero_form_samples", sampled.zero_forms, cfg["samples"], 0.0)
     )
 
-    zero_lam = ineq.group_totals(
-        3, 2, np.zeros((1, 2)), _symmetrized(rng.standard_normal((1, 2, 3, 3)))
-    ).margin
+    zero_lam = ineq.master_margin(
+        3, 2, np.zeros((1, 2)), _symmetrized(rng.standard_normal((1, 2, 3, 3))))
     report.checks.append(
         check_le("zero_lambda_margin", abs(zero_lam[0]), 0.0, cfg["tol_margin"])
     )
@@ -703,7 +700,6 @@ def cmd_flow_graph(cfg, outdir, jobs=1) -> RunReport:
     solver = graphflow.SolverConfig(
         max_steps=int(cfg["max_steps"]),
         threshold=cfg["threshold"],
-        order=int(cfg["order"]),
         sample_interval=int(cfg["sample_interval"]),
     )
     final = None
@@ -750,7 +746,7 @@ def cmd_flow_graph(cfg, outdir, jobs=1) -> RunReport:
     if final is not None and final.m == 1 and final.n == 2:
         pole = np.zeros(final.n + 1)
         pole[-1] = 1.0
-        gauss = graphflow.gauss_image_report(final, pole=pole, order=int(cfg["order"]))
+        gauss = graphflow.gauss_image_report(final, pole=pole)
         report.checks.append(
             check_ge(
                 "gauss_min_pole_ip",

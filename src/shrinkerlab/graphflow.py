@@ -6,10 +6,10 @@ surface (x, u(x)).  The elliptic system for self-shrinking graphs,
     sum_ij g^ij u^a_ij = (x . Du^a - u^a) / 2,   g_ij = delta_ij + u^a_i u^a_j,
 
 is discretized with central differences on a uniform grid; an explicit
-parabolic relaxation du/dt = (elliptic) - (drift) flows fields toward
-solutions with Dirichlet data pinned on the boundary.  Slope, curvature, and
-Gauss-image telemetry are recorded along runs, and grid fields interoperate
-with the immersion layer through jets evaluated at grid nodes.
+parabolic relaxation du/dt = (elliptic) - (drift) on order-2 stencils flows
+fields toward solutions with Dirichlet data pinned on the boundary.  Slope,
+curvature, and Gauss-image telemetry are recorded along runs, and grid
+fields interoperate with the immersion layer through jets at grid nodes.
 """
 
 from __future__ import annotations
@@ -516,7 +516,6 @@ class SolverConfig:
     dt: Optional[float] = None  # None: CFL-scaled 0.45 h^2 / (2 n)
     max_steps: int = 200_000
     threshold: float = 1e-8
-    order: int = 2
     sample_interval: int = 50
     blowup: float = 1e6
 
@@ -531,7 +530,6 @@ class SolverConfig:
             raise ValueError("convergence threshold must be positive")
         if self.max_steps <= 0 or self.sample_interval <= 0 or self.blowup <= 0:
             raise ValueError("solver parameters must be positive")
-        _margin(self.order)
 
 
 @dataclass
@@ -546,12 +544,12 @@ class FlowTrace:
     min_w: list = dc_field(default_factory=list)
     converged: bool = False
 
-    def record(self, step, time, field, order):
-        """Append the row of one field state.  field is a GridField, whose
-        geometry is computed here, or the filled workspace of a run."""
+    def record(self, step, time, field):
+        """Append the row of one field state: field is a GridField, measured
+        here at order 2, or the filled workspace of a run."""
         if self.times and time <= self.times[-1]:
             raise ValueError("trace times must be strictly increasing")
-        ws = field if isinstance(field, _Workspace) else _Workspace(field, order).fill()
+        ws = field if isinstance(field, _Workspace) else _Workspace(field, 2).fill()
         sup_slope, sup_residual, sup_b2, min_w = ws.sample()
         self.steps.append(step)
         self.times.append(time)
@@ -570,27 +568,28 @@ def relax_flow(u0: GridField, cfg: SolverConfig = SolverConfig()):
     Stops when sup |residual| drops below the threshold or max_steps is hit;
     blow-up beyond cfg.blowup raises DivergenceError with the trace attached.
     A non-finite initial field raises ValueError before any step.  The run
-    builds one workspace and runs its step program once per step.
+    builds one order-2 workspace, whose interior is every node off the
+    boundary, and runs its step program once per step.
     """
     h = float(np.min(u0.spacing))
     dt = cfg.dt if cfg.dt is not None else 0.45 * h * h / (2.0 * u0.n)
     current = GridField(L=u0.L, values=u0.values.copy(), boundary=u0.boundary, A=u0.A, b=u0.b)
-    ws = _Workspace(current, cfg.order, dt).fill()
+    ws = _Workspace(current, 2, dt).fill()
     trace, step = FlowTrace(), 0
-    trace.record(0, 0.0, ws, cfg.order)
+    trace.record(0, 0.0, ws)
     while step < cfg.max_steps and not float(ws.sup_res) < cfg.threshold:
         _run(ws.step)
         step += 1
         sup_val = float(ws.sup_u)  # NaN if a node is NaN
         if not math.isfinite(sup_val) or sup_val > cfg.blowup:
             if math.isfinite(sup_val):
-                trace.record(step, step * dt, ws, cfg.order)
+                trace.record(step, step * dt, ws)
             raise DivergenceError(f"field magnitude {sup_val:.3e} exceeded the blow-up bound",
                                   trace)
         if step % cfg.sample_interval == 0:
-            trace.record(step, step * dt, ws, cfg.order)
+            trace.record(step, step * dt, ws)
     if trace.steps[-1] != step:
-        trace.record(step, step * dt, ws, cfg.order)
+        trace.record(step, step * dt, ws)
     trace.converged = trace.sup_residual[-1] < cfg.threshold
     return current, trace
 

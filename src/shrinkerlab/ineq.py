@@ -26,9 +26,10 @@ bound are written once, as monomials in a table built and cached per shape
 total and the master margin come from one kernel (`_master_kernel`).  Both
 sum each row in a fixed order along that row alone, so a row's numbers never
 depend on the rest of its stack.  `group_totals` gives the two routes to the
-total and the margin, and `group_bounds` each group's slack against its
-bound.  One check validates every entry: `_check_stack`, or its lambda half
-`_check_lam` for the lambda-only `min_margin_over_h`.
+total and the margin, `master_margin` the margin alone, and `group_bounds`
+each group's slack against its bound.  One check converts and validates
+every entry's stack: `_check_stack`, or its lambda half `_check_lam` for
+the lambda-only `min_margin_over_h`.
 
 The sampled check (`sample_check`) draws its samples with
 `draw_group_stacks`, which calls the generator in bulk, a fixed number of
@@ -194,11 +195,12 @@ def _check_lam(p, lam):
 
 
 def _check_stack(n, m, lam, h):
-    """Validate a stack of samples of one (n, m) shape; return their slope values.
+    """Validate a stack of one (n, m) shape; return (lam, h, v) as float arrays.
 
-    lam has shape (B, p) and h (B, m, n, n); the messages name the shape
-    of one sample.
+    lam has shape (B, p) and h (B, m, n, n); v are their slope values, and
+    the messages name the shape of one sample.
     """
+    lam, h = np.asarray(lam, dtype=float), np.asarray(h, dtype=float)
     v = _check_lam(min(n, m), lam)
     if h.shape != (len(lam), m, n, n):
         raise ValueError(f"h must have shape {(m, n, n)}")
@@ -206,7 +208,7 @@ def _check_stack(n, m, lam, h):
         raise ValueError("h must be finite")
     if np.any(np.abs(h - np.swapaxes(h, -1, -2)) > 1e-12):
         raise ValueError("h must be symmetric in its last two indices")
-    return v
+    return lam, h, v
 
 
 def _slope(lam):
@@ -348,6 +350,12 @@ def _group_values(n, m, lam, h):
     return t, vals.reshape(rows, groups)
 
 
+def master_margin(n, m, lam, h):
+    """group_totals(n, m, lam, h).margin, bit for bit, without the grouped table."""
+    lam, h, _ = _check_stack(n, m, lam, h)
+    return _margins(lam, h)[0]
+
+
 class GroupTotals(NamedTuple):
     grouped: np.ndarray  # sum of the group values and the leftover
     direct: np.ndarray
@@ -362,9 +370,7 @@ def group_totals(n, m, lam, h) -> GroupTotals:
     row has the bits of that sample's stack of one, whatever else the stack
     holds.
     """
-    lam = np.asarray(lam, dtype=float)
-    h = np.asarray(h, dtype=float)
-    _check_stack(n, m, lam, h)
+    lam, h, _ = _check_stack(n, m, lam, h)
     _, vals = _group_values(n, m, lam, h)
     margin, total, b2, _ = _margins(lam, h)
     return GroupTotals(vals.sum(axis=-1), total, margin, b2)
@@ -384,9 +390,7 @@ def group_bounds(n, m, lam, h) -> GroupBounds:
     one bincount over the table's bound squares, so each row has the bits of
     its stack of one.
     """
-    lam = np.asarray(lam, dtype=float)
-    h = np.asarray(h, dtype=float)
-    v = _check_stack(n, m, lam, h)
+    lam, h, v = _check_stack(n, m, lam, h)
     if np.any(v >= 3.0):
         raise ValueError("group bounds require subcritical samples (v < 3)")
     t, vals = _group_values(n, m, lam, h)

@@ -98,7 +98,7 @@ def test_c03_master_inequality_bulk():
             p = min(n, m)
             lam = _batched_subcritical(rng, batch, p)
             h = _sym(rng.standard_normal((batch, m, n, n)))
-            margins = ineq.group_totals(n, m, lam, h).margin
+            margins = ineq.master_margin(n, m, lam, h)
             worst = min(worst, float(np.min(margins)))
             total += batch
 
@@ -107,8 +107,8 @@ def test_c03_master_inequality_bulk():
     zero_worst = 0.0
     for n, m in [(1, 1), (2, 3), (4, 4), (5, 2)]:
         p = min(n, m)
-        margin = ineq.group_totals(
-            n, m, np.zeros((1, p)), _sym(rng.standard_normal((1, m, n, n)))).margin
+        margin = ineq.master_margin(
+            n, m, np.zeros((1, p)), _sym(rng.standard_normal((1, m, n, n))))
         zero_worst = max(zero_worst, abs(float(margin[0])))
 
     ok = (

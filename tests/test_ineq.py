@@ -552,13 +552,14 @@ def test_draw_counts_must_be_nonnegative():
 @pytest.mark.parametrize("n,m", SHAPES)
 def test_group_totals_match_group_terms(n, m):
     # the grouped total is the sum of the group terms group_bounds returns,
-    # and the margin is the master kernel's, bit for bit
+    # and the margin is the master kernel's, bit for bit, as is master_margin
     lam, h = _reference_stack(np.random.default_rng(200 + 10 * n + m), n, m, 3)
     t = ineq.group_totals(n, m, lam, h)
     b = ineq.group_bounds(n, m, lam, h)
     margin = ineq._margins(lam, h)[0]
     assert t.grouped.tobytes() == b.values.sum(axis=-1).tobytes()
     assert t.margin.tobytes() == margin.tobytes()
+    assert ineq.master_margin(n, m, lam, h).tobytes() == margin.tobytes()
     for k in range(len(lam)):
         assert t.b2[k] == np.sum(h[k] * h[k])
 
@@ -618,6 +619,7 @@ def test_stack_check_raises_as_group_sample(case):
     h = np.zeros((4, *h_bad.shape))
     lam[2], h[2] = lam_bad, h_bad
     for entry in (lambda: ineq.group_totals(3, 2, lam, h),
+                  lambda: ineq.master_margin(3, 2, lam, h),
                   lambda: ineq.group_bounds(3, 2, lam, h)):
         with np.errstate(over="ignore"), pytest.raises(ValueError) as raised:
             entry()

@@ -27,8 +27,8 @@ KEEP = {
                     "verify-prop41 would change that report and the certify workload",
     "unit_weight": "the unweighted control of the first-variation family, used by "
                    "the unit tests of the tension pairing and the boundary warning",
-    "RunReport.subcommand": "written into the report JSON by RunReport.to_json",
-    "RunReport.artifacts": "listed in the report JSON by RunReport.to_json",
+    "RunReport.subcommand": "written into the report JSON by RunReport.as_dict",
+    "RunReport.artifacts": "listed in the report JSON by RunReport.as_dict",
     "SweepReport.worst_per_v": "the per-slice maxima, which the unit tests hold bit "
                                "for bit to a loop over slices",
     "GroupBounds.slack": "the slacks group_bounds returns, kept above",

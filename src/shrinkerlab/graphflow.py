@@ -382,16 +382,17 @@ class _Workspace:
     over all nodes and sup_res = sup |res|.  du, det, elliptic, drift and
     res view the interior of their slab arrays.  fill() recomputes them all
     from whatever the field's values hold, with the arithmetic of the
-    stacked definitions at every interior node.  A relaxation step first
-    adds dt res to the whole slab, which leaves the nodes off the interior
-    as they are.  One zeroed scratch block serves, in turn, the jets' centre
-    term, the metric's second-component products, the inverse's products,
-    the residual's terms, the sups' absolute values, a sample's reductions
-    and the second form's contractions; elliptic and drift live there, so
-    they hold until the next sample or step only.
+    stacked definitions at every interior node.  Given a dt, the workspace
+    also holds the relaxation step program (step, else None), which first
+    adds dt res to the whole slab, leaving the nodes off the interior as
+    they are, then fills.  One zeroed scratch block serves, in turn, the
+    jets' centre term, the metric's second-component products, the
+    inverse's products, the residual's terms, the sups' absolute values, a
+    sample's reductions and the second form's contractions; elliptic and
+    drift live there, so they hold until the next sample or step only.
     """
 
-    def __init__(self, field: GridField, order, dt=0.0):
+    def __init__(self, field: GridField, order, dt=None):
         self._plan = plan = _plan(field.values.shape, field.L, order)
         n, size = field.n, plan.size
         nodes = size // field.m
@@ -462,8 +463,9 @@ class _Workspace:
                      (np.maximum.reduce, (absolute, 1, None, sups))]
         self._calls = (jets + metric + _mirror(g) + _spd_inverse(g, self._det, block[:nodes])
                        + residual)
-        self.step = [(np.multiply, (padded[:size], _const(dt), tmp)), (np.add, (slab, tmp, slab)),
-                     *self._calls]
+        self.step = None if dt is None else [
+            (np.multiply, (padded[:size], _const(dt), tmp)), (np.add, (slab, tmp, slab)),
+            *self._calls]
 
     def fill(self):
         _run(self._calls)

@@ -44,7 +44,11 @@ pass and one master-kernel call.
 Everything here is plain finite-dimensional algebra: samples are points in
 (lambda, h) space and sweeps are grids.  The search draws lambda only: at
 fixed lambda margin / |B|^2 is a ratio of quadratic forms in h, so its exact
-minimum over h is one eigenvalue problem (`min_margin_over_h`).
+minimum over h is the smallest eigenvalue of one symmetric form T(lambda)
+(`min_margin_over_h`).  T couples the coordinates of h only within fixed
+blocks, the same for every lambda, of at most 2p - 1 coordinates for p <= 4
+and 9 at (5, 5) (`_margin_form`), so each drawn lambda takes one small
+eigenvalue problem per coupled block, solved in one call per block size.
 """
 
 from __future__ import annotations
@@ -545,15 +549,34 @@ class SearchReport:
     violations: list
 
 
+class _MarginForm(NamedTuple):
+    index: np.ndarray  # rows la, lb, r, c with r >= c; one column per value monomial
+    const: np.ndarray
+    coords: np.ndarray  # flat h index -> symmetric coordinate
+    scale: np.ndarray  # 1 / sqrt(w) per coordinate
+    blocks: tuple  # per block size, ascending: (count, size) coordinates of each block
+    slot: np.ndarray  # per monomial, its entry in the flat run of blocks
+
+
 @functools.lru_cache(maxsize=None)
-def _margin_form(n, m):
-    """(index, const, coords, scale): the group table on symmetric coordinates.
+def _margin_form(n, m) -> _MarginForm:
+    """The group table on symmetric coordinates, split into its coupled blocks.
 
     Coordinate r = coords[flat h index] stands for h_{a,ij} = h_{a,ji}, and
     |B|^2 weighs its square by w_r, the number of flat indices it covers (1
     if i = j, else 2); scale = 1 / sqrt(w).  Each value monomial is a column
-    (la, lb, r, c) of index, its constant scaled by scale[r] scale[c], so in
-    y = sqrt(w) h, |B|^2 = |y|^2 and the total is y^T T(lam) y.
+    (la, lb, r, c) of index with r >= c, its constant scaled by scale[r]
+    scale[c] and halved off the diagonal, so in y = sqrt(w) h, |B|^2 = |y|^2
+    and the total is y^T T(lam) y, T(lam) being the symmetric matrix whose
+    lower triangle holds, at (r, c), the sum of const lam1[la] lam1[lb].
+
+    T couples two coordinates only through a monomial, whatever lam, so its
+    blocks are the connected components of the monomials' (r, c) pairs: at
+    most 2p - 1 coordinates for p <= 4, 9 at (5, 5).  They are laid out in
+    one flat run, by size and then by smallest coordinate, each block a
+    row-major k x k matrix with its coordinates in increasing order; blocks
+    lists each size's coordinates, and slot is each monomial's entry in the
+    run, in the block's lower triangle.
     """
     t = _group_table(n, m)
     flat = np.arange(m * n * n).reshape(m, n, n)
@@ -561,28 +584,61 @@ def _margin_form(n, m):
                           return_inverse=True)
     scale = np.bincount(coords) ** -0.5
     _, la, lb, ha, hb = t.index
-    r, c = coords[ha], coords[hb]
-    return np.stack((la, lb, r, c)), t.const * scale[r] * scale[c], coords, scale
+    r, c = np.maximum(coords[ha], coords[hb]), np.minimum(coords[ha], coords[hb])
+    const = t.const * scale[r] * scale[c] * np.where(r == c, 1.0, 0.5)
+    # each coordinate's label falls to the smallest coordinate of its block
+    label = np.arange(len(scale))
+    while np.any(label[r] != label[c]):
+        low = np.minimum(label[r], label[c])
+        np.minimum.at(label, r, low)
+        np.minimum.at(label, c, low)
+    _, block, sizes = np.unique(label, return_inverse=True, return_counts=True)
+    order = np.lexsort((block, sizes[block]))  # by size, then block, then coordinate
+    # a plain np.unique would import numpy.ma (its masked-array check), about 1 MB resident
+    blocks = tuple(order[sizes[block[order]] == k].reshape(-1, k)
+                   for k in np.flatnonzero(np.bincount(sizes)))
+    local, start, first = np.empty_like(label), np.empty_like(label), 0
+    for members in blocks:
+        count, k = members.shape
+        local[members] = np.arange(k)
+        start[members] = first + k * k * np.arange(count)[:, None]
+        first += count * k * k
+    slot = start[r] + local[r] * sizes[block[r]] + local[c]
+    return _MarginForm(np.stack((la, lb, r, c)), const, coords, scale, blocks, slot)
 
 
 def min_margin_over_h(n, m, lam):
     """(kappa, h): the minimum of margin / |B|^2 over h at each lam (B, p).
 
     It is the smallest eigenvalue of T(lam) (`_margin_form`) minus (3 - v) / 2,
-    and h (B, m, n, n) is its eigenvector: symmetric, with |B|^2 = 1.  lam
-    is checked as `group_totals` checks its angle values.
+    and h (B, m, n, n) is its eigenvector: symmetric, with |B|^2 = 1.  T is
+    built straight into its blocks by one bincount and solved by one `eigh`
+    call per block size; kappa is the smallest block minimum and h that
+    block's eigenvector, the first such block in the run on a tie.  lam is
+    checked as `group_totals` checks its angle values.
     """
     lam = np.asarray(lam, dtype=float)
     v = _check_lam(min(n, m), lam)
-    (la, lb, r, c), const, coords, scale = _margin_form(n, m)
-    rows, size = len(lam), len(scale)
+    f = _margin_form(n, m)
+    la, lb = f.index[:2]
+    rows, entries = len(lam), [b.size * b.shape[1] for b in f.blocks]
+    run = sum(entries)
     lam1 = np.concatenate((lam, np.ones((rows, 1))), axis=-1)
-    ids = (np.arange(rows)[:, None] * size + r) * size + c
-    form = np.bincount(ids.ravel(), (lam1[:, la] * lam1[:, lb] * const).ravel(),
-                       minlength=rows * size * size).reshape(rows, size, size)
-    kappa, vec = np.linalg.eigh(0.5 * (form + np.swapaxes(form, 1, 2)))
-    h = (vec[:, :, 0] * scale)[:, coords].reshape(rows, m, n, n)
-    return kappa[:, 0] - 0.5 * (3.0 - v), h
+    ids = np.arange(rows)[:, None] * run + f.slot
+    form = np.bincount(ids.ravel(), (lam1[:, la] * lam1[:, lb] * f.const).ravel(),
+                       minlength=rows * run).reshape(rows, run)
+    kappa, y = np.full(rows, np.inf), np.zeros((rows, len(f.scale)))
+    for members, part in zip(f.blocks, np.split(form, np.cumsum(entries)[:-1], axis=1)):
+        count, k = members.shape
+        low, vec = np.linalg.eigh(part.reshape(rows, count, k, k), UPLO="L")
+        best = np.argmin(low[..., 0], axis=1)
+        low = low[np.arange(rows), best, 0]
+        at = np.flatnonzero(low < kappa)  # strictly lower: the first block in the run wins a tie
+        kappa[at] = low[at]
+        y[at] = 0.0
+        y[at[:, None], members[best[at]]] = vec[at, best[at], :, 0]
+    h = (y * f.scale)[:, f.coords].reshape(rows, m, n, n)
+    return kappa - 0.5 * (3.0 - v), h
 
 
 def adversarial_margin_search(seed=0, restarts=10_000) -> SearchReport:

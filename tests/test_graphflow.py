@@ -659,9 +659,12 @@ def test_fill_call_count(m, order, count):
 def test_step_program_is_the_advance_then_the_fill():
     # res dt into scratch and the slab += it, then the fill's own calls,
     # which end with |u|, |res| and one reduction to both sups
-    ws = gf._Workspace(gf.GridField(L=1.0, values=np.zeros((9, 9, 1))), 2, 0.01)
+    f = gf.GridField(L=1.0, values=np.zeros((9, 9, 1)))
+    ws = gf._Workspace(f, 2, 0.01)
     assert len(ws.step) == 45
     assert all(a is b for a, b in zip(ws.step[2:], ws._calls, strict=True))
+    # a one-off workspace, with no dt, builds no step program
+    assert gf._Workspace(f, 2).step is None
 
 
 @pytest.mark.parametrize("shape, m, order", [((15,), 1, 4), ((9, 9), 1, 2), ((11, 13), 2, 4),

@@ -830,6 +830,52 @@ def test_minimizing_h_reproduces_the_minimum(n, m):
     assert np.all(np.abs(margin / b2 - kappa) <= 1e-12 * np.maximum(1.0, total / b2))
 
 
+_ALL_SHAPES = [(n, m) for n in range(1, 6) for m in range(1, 6)]
+
+
+@pytest.mark.parametrize("n, m", _ALL_SHAPES)
+def test_margin_form_blocks_hold_every_coupling(n, m):
+    # T(lam), built dense from the monomials, is exactly 0 between two cached
+    # blocks, and the blockwise minimum is the dense form's smallest eigenvalue
+    f = ineq._margin_form(n, m)
+    la, lb, r, c = f.index
+    size = len(f.scale)
+    members = [b for size_blocks in f.blocks for b in size_blocks]
+    assert np.array_equal(np.sort(np.concatenate(members)), np.arange(size))
+    block = np.empty(size, dtype=int)
+    for g, b in enumerate(members):
+        block[b] = g
+    assert max(map(len, members)) == (9 if (n, m) == (5, 5) else 2 * min(n, m) - 1)
+    assert np.all(r >= c)
+    rng = np.random.default_rng(300 + 10 * n + m)
+    lam = _search_lambdas(rng, min(n, m), 6)
+    kappa, _ = ineq.min_margin_over_h(n, m, lam)
+    lam1 = np.concatenate((lam, np.ones((len(lam), 1))), axis=-1)
+    for row, weights in enumerate(lam1[:, la] * lam1[:, lb] * f.const):
+        lower = np.zeros((size, size))
+        np.add.at(lower, (r, c), weights)
+        T = lower + np.tril(lower, -1).T
+        assert np.all(T[block[:, None] != block] == 0.0)
+        eig = np.linalg.eigvalsh(T)
+        dense = eig[0] - 0.5 * (3.0 - ineq._slope(lam[row]))
+        assert abs(kappa[row] - dense) <= 1e-13 * max(1.0, np.max(np.abs(eig)))
+
+
+def test_search_solves_blocks_of_at_most_seven_once_per_size(monkeypatch):
+    # one eigh call per block size and shape, none past 7 x 7: a dense solve of
+    # up to 60 x 60 woke OpenBLAS's second thread, stalling the first search
+    calls, shapes = [], []
+    eigh, solve = np.linalg.eigh, ineq.min_margin_over_h
+    monkeypatch.setattr(np.linalg, "eigh", lambda a, *args, **kwargs: (
+        calls.append((shapes[-1], a.shape[-2:])) or eigh(a, *args, **kwargs)))
+    monkeypatch.setattr(ineq, "min_margin_over_h", lambda n, m, lam: (
+        shapes.append((n, m)) or solve(n, m, lam)))
+    ineq.adversarial_margin_search(seed=1, restarts=400)
+    assert sorted(shapes) == _SEARCH_SHAPES
+    assert all(k == j <= 7 for _, (k, j) in calls)
+    assert len(set(calls)) == len(calls)
+
+
 @pytest.mark.parametrize("lam", [(0.5, 0.4), (1.2, 1.2), (1.3, 1.5)])
 def test_min_over_h_closed_form_at_3_2(lam):
     # group II's 2x2 block is lowest here: kappa = (v - 1 - lam_1 lam_2) / 2

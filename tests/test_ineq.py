@@ -4,6 +4,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shrinkerlab import cli, grassmann, ineq
 
@@ -167,10 +169,10 @@ def test_sweep_without_samples_does_not_pass():
 
 
 def _sweep_per_slice(v_count, rt_resolution, v_lo, v_hi):
-    """(worst_per_v, worst, samples, empty) from one pass per v-slice.
+    """(worst_per_v, worst, samples, empty) from every point of every v-slice.
 
-    The sweep as a loop over slices, kept as the reference the blocked
-    passes must equal bit for bit.
+    The sweep as a loop over slices that evaluates each slice's full grid,
+    kept as the reference the sweep must equal bit for bit.
     """
     v_grid = np.linspace(v_lo, v_hi, v_count)
     frac = np.arange(1, rt_resolution + 1) / rt_resolution
@@ -196,15 +198,7 @@ def _sweep_per_slice(v_count, rt_resolution, v_lo, v_hi):
     return per_v, worst, samples, empty
 
 
-@pytest.mark.parametrize("v_count, rt_resolution, v_lo, v_hi", [
-    (5, 1, 1.0 + 1e-6, 3.0 - 1e-6),  # r = v^2 - 1 alone: every slice empty
-    (9, 3, 1.0 + 1e-6, 3.0 - 1e-6),
-    (37, 1500, 1.0 + 1e-6, 3.0 - 1e-6),  # passes of 10, 10, 10 and 7 slices
-    (3, 20_000, 1.0 + 1e-6, 3.0 - 1e-6),  # a slice above the block: one per pass
-    (1, 3, 1.0 + 1e-9, 1.0 + 1e-9),
-    (4, 3, 1.0 + 1e-9, 1.5),  # the first slice empty, the others not
-])
-def test_blocked_sweep_equals_the_per_slice_loop(v_count, rt_resolution, v_lo, v_hi):
+def _assert_sweep_is_the_loop(v_count, rt_resolution, v_lo, v_hi):
     rep = ineq.sup_F_sweep(v_count=v_count, rt_resolution=rt_resolution, v_lo=v_lo, v_hi=v_hi)
     per_v, worst, samples, empty = _sweep_per_slice(v_count, rt_resolution, v_lo, v_hi)
     assert rep.worst_per_v.tobytes() == per_v.tobytes()
@@ -214,10 +208,115 @@ def test_blocked_sweep_equals_the_per_slice_loop(v_count, rt_resolution, v_lo, v
         assert rep.worst_value == -np.inf
 
 
+@pytest.mark.parametrize("v_count, rt_resolution, v_lo, v_hi", [
+    (5, 1, 1.0 + 1e-6, 3.0 - 1e-6),  # r = v^2 - 1 alone: every slice empty
+    (9, 3, 1.0 + 1e-6, 3.0 - 1e-6),
+    (37, 1500, 1.0 + 1e-6, 3.0 - 1e-6),
+    (3, 20_000, 1.0 + 1e-6, 3.0 - 1e-6),  # a slice's coarse points fill a pass
+    (1, 3, 1.0 + 1e-9, 1.0 + 1e-9),
+    (4, 3, 1.0 + 1e-9, 1.5),  # the first slice empty, the others not
+    (1200, 1500, 1.0 + 1e-6, 2.999999),  # verify-prop41's default grid
+])
+def test_blocked_sweep_equals_the_per_slice_loop(v_count, rt_resolution, v_lo, v_hi):
+    _assert_sweep_is_the_loop(v_count, rt_resolution, v_lo, v_hi)
+
+
+def _v_near(edge, sign):
+    # 3 - 4.5e-16 rounds to the float just below 3; 1 + 2.3e-16 to the one above 1
+    return st.floats(4.5e-16, 1e-12).map(lambda e: edge + sign * e)
+
+
+_V = st.one_of(st.floats(1.0, 3.0, exclude_min=True, exclude_max=True),
+               _v_near(1.0, 1.0), _v_near(3.0, -1.0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 40), st.floats(0.0, math.log(2e5)), _V, _V)
+def test_sweep_equals_the_per_slice_loop_on_random_grids(v_count, log_resolution, v_a, v_b):
+    rt_resolution = round(math.exp(log_resolution))
+    _assert_sweep_is_the_loop(v_count, rt_resolution, min(v_a, v_b), max(v_a, v_b))
+
+
+def test_a_window_that_must_widen_keeps_the_loop_bits(monkeypatch):
+    # with delta = 1 no window edge is ever accepted early: every window
+    # doubles until it spans its slice's interior
+    monkeypatch.setattr(ineq, "_ROUNDING", 1.0)
+    _assert_sweep_is_the_loop(37, 1500, 1.0 + 1e-6, 3.0 - 1e-6)
+    _assert_sweep_is_the_loop(12, 333, 1.0 + 1e-12, 3.0 - 1e-12)
+
+
+def _shift_edges(monkeypatch, points, rt_resolution):
+    edges = ineq._omega_edges
+
+    def shifted(tau, c):
+        step = points * (c - tau) / rt_resolution
+        return tuple(e + step for e in edges(tau, c))
+    monkeypatch.setattr(ineq, "_omega_edges", shifted)
+
+
+@pytest.mark.parametrize("points", [ineq._BAND + 0.5, -ineq._BAND - 0.5])
+def test_a_window_shifted_past_the_band_raises(monkeypatch, points):
+    # the bands then cut through Omega: an outermost point is in it, or an
+    # innermost one is not
+    _shift_edges(monkeypatch, points, 1500)
+    with pytest.raises(RuntimeError, match="bracket"):
+        ineq.sup_F_sweep(v_count=40, rt_resolution=1500)
+
+
+@pytest.mark.parametrize("points", [ineq._BAND - 1.5, 1.5 - ineq._BAND])
+def test_a_window_shifted_within_the_band_keeps_the_loop_bits(monkeypatch, points):
+    _shift_edges(monkeypatch, points, 1500)
+    _assert_sweep_is_the_loop(40, 1500, 1.0 + 1e-6, 3.0 - 1e-6)
+
+
+def test_pole_denominator_factors_on_a_slice():
+    # tau (1 + r) D = (r - 2 tau)(r - tau (3 + 2 tau)) on the hyperbola, to rounding
+    rng = np.random.default_rng(11)
+    v = 1.0 + 2.0 * rng.random(2000)
+    tau = 0.5 * (v - 1.0)
+    r = tau + (v * v - 1.0 - tau) * rng.random(2000)
+    t = _hyperbola_t(v, r)
+    lhs = tau * (1.0 + r) * ineq._pole_denominator(tau, r, t)
+    rhs = (r - 2.0 * tau) * (r - tau * (3.0 + 2.0 * tau))
+    assert np.all(np.abs(lhs - rhs) <= 1e-14 * (r + tau * (3.0 + 2.0 * tau)) ** 2)
+    lo, hi = ineq._omega_edges(tau, v * v - 1.0)
+    assert lo == pytest.approx(2.0 * tau, rel=1e-13)
+    assert hi == pytest.approx(tau * (3.0 + 2.0 * tau), rel=1e-13)
+
+
+@pytest.mark.parametrize("v", [1.0 + 1e-6, 1.5, 2.0, 2.5, 3.0 - 1e-6])
+def test_F_is_concave_across_a_slice(v):
+    # second differences of F along r, strictly inside 2 tau < r < tau (3 + 2 tau)
+    tau = 0.5 * (v - 1.0)
+    width = 1.0 + 2.0 * tau
+    r = tau * np.linspace(2.0 + 1e-3 * width, 3.0 + 2.0 * tau - 1e-3 * width, 2001)
+    t = _hyperbola_t(v, r)
+    denom = ineq._pole_denominator(tau, r, t)
+    assert np.all(denom < 0.0)
+    F = ineq._F(tau, r, t, denom)
+    assert np.all(F[:-2] - 2.0 * F[1:-1] + F[2:] < 0.0)
+
+
+def test_sweep_evaluates_under_a_tenth_of_the_default_grid(monkeypatch):
+    # verify-prop41's default grid: bands, a coarse pass and a window per
+    # slice, not all 1 800 000 points
+    evaluated = []
+    F = ineq._F
+
+    def counted(tau, r, t, denom):
+        evaluated.append(np.size(r))
+        return F(tau, r, t, denom)
+    monkeypatch.setattr(ineq, "_F", counted)
+    rep = ineq.sup_F_sweep(v_count=1200, rt_resolution=1500, v_hi=2.999999)
+    assert rep.samples == 709_338
+    assert sum(evaluated) <= 0.1 * 1200 * 1500
+
+
 @pytest.mark.parametrize("v_count, rt_resolution", [(1200, 1500), (10_000, 10_000)])
 def test_sweep_peak_allocation_stays_bounded(v_count, rt_resolution):
-    # verify-prop41's default grid and c01's: a pass holds one block of
-    # slices, where a sweep of the whole grid at once would take about 100 MB
+    # verify-prop41's default grid and c01's: a pass holds the bands, the
+    # coarse points or the windows of one block of slices, about 2^14 points,
+    # where a sweep of the whole grid at once would take about 100 MB
     tracemalloc.start()
     try:
         ineq.sup_F_sweep(v_count=v_count, rt_resolution=rt_resolution)

@@ -19,21 +19,15 @@ import os
 import sys
 import time
 from dataclasses import asdict, dataclass, field as dc_field
-from importlib import metadata as _metadata
 
 import numpy as np
 
-from . import graphflow, grassmann, immersion, ineq, sphere
+from . import __version__, graphflow, grassmann, immersion, ineq, sphere
 from .grassmann import OrientedFrame, TangentCoeffs
 
 REPORT_SCHEMA = "shrinkerlab.run-report/1"
 BUNDLE_SCHEMA = "shrinkerlab.report-bundle/1"
 CONFIG_SCHEMA = "shrinkerlab.run-config/1"
-
-try:
-    VERSION = _metadata.version("shrinkerlab")
-except _metadata.PackageNotFoundError:  # pragma: no cover - source checkout
-    VERSION = "0+unknown"
 
 
 class ConfigError(ValueError):
@@ -97,7 +91,7 @@ class RunReport:
             "artifacts": sorted(self.artifacts),
             "provenance": {
                 "seed": self.seed,
-                "version": VERSION,
+                "version": __version__,
                 "timestamp": run_timestamp(),
             },
         }
@@ -329,14 +323,6 @@ def _relative_defect(approx, closed):
     return np.abs(approx - closed) / np.maximum(1.0, np.abs(closed))
 
 
-def _unit(rng, dim=3):
-    while True:
-        x = rng.standard_normal(dim)
-        nrm = float(np.linalg.norm(x))
-        if nrm > 1e-6:
-            return x / nrm
-
-
 # ---------------------------------------------------------------------------
 # verify-targets: finite-difference probes of the closed-form Hessians
 
@@ -351,32 +337,71 @@ TARGET_FAMILIES = (
 )
 
 
-def _draw_probe(rng):
-    """The random draws of one probe of every family, in their fixed order.
+def _draw_units(rng, count, dim, keep=None):
+    """count unit vectors (count, dim) in rounds: the first round draws every
+    row, each later one redraws only the rows that were too short to
+    normalise or that keep(units, rows) rejects, with rows their indices."""
+    out = np.empty((count, dim))
+    rows = np.arange(count)
+    while len(rows):
+        x = rng.standard_normal((len(rows), dim))
+        nrm = np.sqrt(sphere._dot(x, x))
+        ok = nrm > 1e-6
+        u = x / np.where(ok, nrm, 1.0)[:, None]
+        if keep is not None:
+            ok &= keep(u, rows)
+        out[rows[ok]] = u[ok]
+        rows = rows[~ok]
+    return out
 
-    Height: point, pole and tangent coordinates; longitude: point and
-    tangent coordinates; Grassmannian: shape (n, m), the Gaussian matrix of
-    the base plane, the chart velocity and its scale, and the probe
-    velocity; reduction: the tilt and the velocity.
+
+def _longitude_margin(y, rows):
+    # margin from the polar set and the deleted half-equator, and theta away
+    # from +-pi so differences never cross the cut
+    r = np.hypot(y[:, 0], y[:, 1])
+    return (r >= 0.35) & (y[:, 0] > -0.8 * r)
+
+
+def _draw_targets(rng, count):
+    """The random draws of count probes of every family, as arrays.
+
+    Returns ((x, a, w), (y, w), grass, (tilt, om)): the height probes'
+    points, poles and tangent coordinates; the longitude probes' points and
+    tangent coordinates; grass, {(n, m): (rows, gauss, chart_om, scale, om)}
+    in sorted shape order, the Grassmannian probes of each shape with their
+    probe indices, the Gaussian matrices of the base planes, the chart
+    velocities and their scales, and the probe velocities; and the
+    reduction's tilts and velocities.
+
+    The generator is called in bulk, in this order: standard_normal((count,
+    3)) for the height points, then for the poles, standard_normal((count,
+    2)) for the height tangent coordinates, (count, 3) for the longitude
+    points and (count, 2) for their tangent coordinates, each unit set
+    followed by its redraw rounds (`_draw_units`: a norm at most 1e-6, a
+    pole with |x.a| < 0.3, a longitude point outside `_longitude_margin`);
+    integers(1, 4, count) for every n, then for every m; uniform(0.1, 1.0,
+    count) for the scales; per shape in sorted order, standard_normal((B,
+    (n + m) n + 2 n m)) over its B probes in probe order, whose columns are
+    the Gaussian matrix, the chart velocity and the probe velocity; then
+    uniform(0.1, 1.0, count) for the tilts and standard_normal((count, 2,
+    1)) for the reduction's velocities.  So the calls do not depend on
+    count, at most 19 besides the redraw rounds.
     """
-    x = _unit(rng)
-    while True:
-        a = _unit(rng)
-        if abs(float(x @ a)) >= 0.3:
-            break
-    height = (x, a, _unit(rng, 2))
-    while True:
-        y = _unit(rng)
-        r = math.hypot(float(y[0]), float(y[1]))
-        # margin from the polar set and the deleted half-equator, and keep
-        # theta away from +-pi so differences never cross the cut
-        if r >= 0.35 and float(y[0]) > -0.8 * r:
-            break
-    longitude = (y, _unit(rng, 2))
-    n, m = int(rng.integers(1, 4)), int(rng.integers(1, 4))
-    grass = ((n, m), rng.standard_normal((n + m, n)), rng.standard_normal((n, m)),
-             rng.uniform(0.1, 1.0), rng.standard_normal((n, m)))
-    reduction = (rng.uniform(0.1, 1.0), rng.standard_normal((2, 1)))
+    x = _draw_units(rng, count, 3)
+    a = _draw_units(rng, count, 3, lambda u, rows: np.abs(sphere._dot(u, x[rows])) >= 0.3)
+    height = (x, a, _draw_units(rng, count, 2))
+    longitude = (_draw_units(rng, count, 3, _longitude_margin), _draw_units(rng, count, 2))
+    ns, ms = rng.integers(1, 4, count), rng.integers(1, 4, count)
+    scale = rng.uniform(0.1, 1.0, count)
+    grass = {}
+    for n, m in sorted(set(zip(ns.tolist(), ms.tolist()))):
+        rows = np.flatnonzero((ns == n) & (ms == m))
+        block = rng.standard_normal((len(rows), (n + m) * n + 2 * n * m))
+        k = (n + m) * n
+        grass[n, m] = (rows, block[:, :k].reshape(-1, n + m, n),
+                       block[:, k:k + n * m].reshape(-1, n, m), scale[rows],
+                       block[:, k + n * m:].reshape(-1, n, m))
+    reduction = (rng.uniform(0.1, 1.0, count), rng.standard_normal((count, 2, 1)))
     return height, longitude, grass, reduction
 
 
@@ -458,22 +483,27 @@ def _reduction_residuals(a, om, step):
 def _target_batch(chunks, step):
     """Residuals (count, 7) of each chunk of (seed sequence, count) probes,
     a row per probe with its columns in TARGET_FAMILIES order.  Every chunk
-    draws its probes in one pass over its own random stream; then each
-    family is evaluated as one stack over the whole batch (the Grassmannian
-    one per shape (n, m)), and the stacked rows are cut per chunk."""
-    streams = [(np.random.default_rng(seq), count) for seq, count in chunks]
-    draws = [_draw_probe(rng) for rng, count in streams for _ in range(count)]
-    height, longitude, grass, reduction = zip(*draws)
-    columns = [_height_residuals(*map(np.array, zip(*height)), step),
-               *_longitude_residuals(*map(np.array, zip(*longitude)), step)]
-    shapes = [g[0] for g in grass]
-    grass_cols = np.empty((3, len(draws)))
-    for shape in sorted(set(shapes)):
-        group = [i for i, s in enumerate(shapes) if s == shape]
-        stacks = map(np.array, zip(*(grass[i][1:] for i in group)))
-        grass_cols[:, group] = _grassmann_residuals(*stacks, step)
-    columns += [*grass_cols, _reduction_residuals(*map(np.array, zip(*reduction)), step)]
-    return _split(np.stack(columns, axis=-1), [count for _, count in chunks])
+    draws its probes in bulk on its own random stream (`_draw_targets`);
+    then each family is evaluated as one stack over the whole batch (the
+    Grassmannian one per shape (n, m)), and the stacked rows are cut per
+    chunk."""
+    counts = [count for _, count in chunks]
+    height, longitude, grass, reduction = zip(
+        *(_draw_targets(np.random.default_rng(seq), count) for seq, count in chunks))
+
+    def joined(parts):  # each array of the parts, concatenated over the chunks
+        return [np.concatenate(arrays) for arrays in zip(*parts)]
+
+    columns = [_height_residuals(*joined(height), step),
+               *_longitude_residuals(*joined(longitude), step)]
+    starts = np.cumsum([0] + counts[:-1])
+    grass_cols = np.empty((3, sum(counts)))
+    for shape in sorted(set().union(*grass)):
+        rows, *stacks = joined((start + g[shape][0], *g[shape][1:])
+                               for start, g in zip(starts, grass) if shape in g)
+        grass_cols[:, rows] = _grassmann_residuals(*stacks, step)
+    columns += [*grass_cols, _reduction_residuals(*joined(reduction), step)]
+    return _split(np.stack(columns, axis=-1), counts)
 
 
 def cmd_verify_targets(cfg, outdir, jobs=1) -> RunReport:
@@ -511,16 +541,16 @@ def _surface_batch(chunks):
     """Rows (residual, tension), (count, 2), of each chunk of (surface name,
     seed sequence, count) probes.  Every chunk draws its probes on its own
     random stream; the probes of each surface's run of chunks are evaluated
-    in one point_frame and one weighted_tension call."""
+    in one frame-kernel call, whose centre frames give the residuals."""
     parts = []
     for name, run in itertools.groupby(chunks, key=lambda chunk: chunk[0]):
         run = list(run)
         imm = immersion.catalog_immersion(name)
         p = np.concatenate([_chart_probes(imm, np.random.default_rng(seq), count)
                             for _, seq, count in run])
-        pf = immersion.point_frame(imm, p)
+        pf, T = immersion._centre_tension(imm, p)
         res = np.max(np.abs(immersion.shrinker_residual(pf)), axis=-1)
-        ten = np.max(np.abs(immersion.weighted_tension(imm, p)), axis=(-2, -1))
+        ten = np.max(np.abs(T), axis=(-2, -1))
         parts += _split(np.stack([res, ten], axis=-1), [c for _, _, c in run])
     return parts
 

@@ -275,9 +275,16 @@ def weighted_tension(imm: ParametricImmersion, params) -> np.ndarray:
     self-shrinkers.  One frame-kernel call covers every centre and its
     first-order stencil.
     """
+    return _centre_tension(imm, params)[1]
+
+
+def _centre_tension(imm, params):
+    """(frames at the centres (..., n), weighted_tension's T) from one
+    frame-kernel call over the centres and their first-order stencils."""
     p = _params(imm, params)
     points, first = _stencil(p, imm.fd_step, second=False)
-    return _tension(point_frame(imm, np.concatenate([p[None], points])), first)
+    f = point_frame(imm, np.concatenate([p[None], points]))
+    return f[0], _tension(f, first)
 
 
 def _drift_laplacian(x, dX, ddX, S, df, ddf):

@@ -9,6 +9,7 @@ import sys
 import numpy as np
 import pytest
 
+import shrinkerlab
 from shrinkerlab import cli, graphflow, grassmann, immersion, ineq, sphere
 
 
@@ -288,6 +289,17 @@ def test_verify_targets_at_seed_0_with_800_probes_passes(tmp_path):
     assert _load_report(str(tmp_path), "verify-targets")["status"] == "PASS"
 
 
+def test_report_version_is_the_project_version(tmp_path):
+    tomllib = pytest.importorskip("tomllib")
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "pyproject.toml"), "rb") as fh:
+        version = tomllib.load(fh)["project"]["version"]
+    assert shrinkerlab.__version__ == version
+    cfg = _write_cfg(tmp_path, {"probes": 2, "chunks": 1})
+    assert cli.main(["verify-targets", "--config", cfg, "--out", str(tmp_path)]) == 0
+    assert _load_report(str(tmp_path), "verify-targets")["provenance"]["version"] == version
+
+
 def test_verify_shrinkers_catalog_and_control(tmp_path):
     cfg = _write_cfg(
         tmp_path, {"probes": 12, "chunks": 2, "composition_probes": 4}
@@ -535,8 +547,10 @@ def test_a_nan_fails_a_mandatory_check(monkeypatch, tmp_path, case):
     elif case in ("verify-shrinkers tension", "verify-shrinkers control"):
         if case.endswith("control"):  # one catalog surface: only the control is poisoned
             cfg = dict(cfg, surfaces=["plane:n=2,m=2"])
-        _nan_after_first(monkeypatch, immersion, "weighted_tension",
-                         lambda t: np.where(np.arange(len(t))[:, None, None] == 2, math.nan, t))
+        # T of the (centre frames, T) pair that verify-shrinkers reads
+        _nan_after_first(monkeypatch, immersion, "_centre_tension",
+                         lambda got: (got[0], np.where(
+                             np.arange(len(got[1]))[:, None, None] == 2, math.nan, got[1])))
     elif case == "verify-shrinkers composition":
         _nan_after_first(monkeypatch, cli, "_composition_worst", lambda r: math.nan)
     else:
@@ -588,15 +602,18 @@ def test_seed_flag_overrides_config_seed(tmp_path):
 
 
 def _ref_target_chunk(seed_seq, count, step):
-    # the reference probes in draw order on the chunk's random stream, with
+    # the reference probes, one at a time, on the chunk's bulk draw, with
     # their rows in TARGET_FAMILIES order
-    rng = np.random.default_rng(seed_seq)
+    (x, a, hw), (y, lw), grass, (tilt, rom) = cli._draw_targets(
+        np.random.default_rng(seed_seq), count)
+    probe_grass = {k: g for rows, *stacks in grass.values()
+                   for k, g in zip(rows.tolist(), zip(*stacks))}
     rows = []
-    for _ in range(count):
-        rows.append(_ref_height_probe(rng, step))
-        rows.extend(_ref_longitude_probe(rng, step))
-        rows.extend(_ref_grassmann_probe(rng, step))
-        rows.append(_ref_reduction_probe(rng, step))
+    for k in range(count):
+        rows.append(_ref_height_probe(x[k], a[k], hw[k], step))
+        rows.extend(_ref_longitude_probe(y[k], lw[k], step))
+        rows.extend(_ref_grassmann_probe(*probe_grass[k], step))
+        rows.append(_ref_reduction_probe(tilt[k], rom[k], step))
     return list(zip(cli.TARGET_FAMILIES * count, rows))
 
 
@@ -605,16 +622,45 @@ def _family_rows(residuals):
     return [row for probe in residuals.tolist() for row in zip(cli.TARGET_FAMILIES, probe)]
 
 
+# probe 70 of chunk 1 at seed 0 when every probe was drawn with its own
+# generator calls: the Gaussian matrix of the base plane, the chart velocity
+# and its scale, and the probe velocity
+_NEAR_ZERO_ANGLE_PROBE = (
+    [[0.3643761739623491, 0.926668834853784, -0.4227290634985127],
+     [0.022396706960390263, 1.520931839431247, 0.10088072559899439],
+     [0.1974263305847077, -0.524337956720583, -0.36860903906108416],
+     [-0.5337245994332588, 1.2603922173835451, -0.0018857784977254445],
+     [-0.0836877166802098, 1.4770874561163774, -0.7821349869832959],
+     [-1.1145594681224424, 0.9841280413514604, 0.8729211522308916]],
+    [[-0.04624757549588375, 1.1300133756710817, 0.9269469072823368],
+     [-0.8782926250316406, -1.3849640784387751, -1.8155151625129777],
+     [-1.2560859116986203, 2.1790768557608815, 0.9411712860520483]],
+    0.20357304037862123,
+    [[0.23890950914380263, 0.32209235838623784, -1.1052287264704792],
+     [1.131336878505956, -0.27338177607084435, -0.4072970880847563],
+     [0.7104316502416679, -1.5906468757918188, -0.5409005681047082]],
+)
+
+
 def test_target_probes_near_zero_angle_keep_orthonormal_normals():
-    # chunk 1 of seed 0, probe 70: n = m = 3 with principal cosines
-    # [1, 0.994, 0.975]; the partner normals used to miss orthonormality
-    # by 1.1e-10 and the geodesic check raised.  Its shape's stack mixes two
-    # partner patterns, and every row keeps the reference's bits
-    args = (np.random.SeedSequence(0).spawn(8)[1], 71, 1e-4)
-    rows = cli._target_batch([args[:2]], args[2])[0]
-    assert rows.shape == (71, 7)
-    assert rows.max() <= 1e-5
-    assert _family_rows(rows) == _ref_target_chunk(*args)
+    # n = m = 3 with principal cosines [1, 0.994, 0.975], the first at sine
+    # 1.8e-5: normalised without orthogonalization, its partner normal missed
+    # orthonormality by 1.1e-10 and the geodesic check raised.  Stacked with
+    # a probe of the same shape, every row keeps the reference's bits
+    rng = np.random.default_rng(70)
+    other = (rng.standard_normal((6, 3)), rng.standard_normal((3, 3)), 0.5,
+             rng.standard_normal((3, 3)))
+    stacks = [np.array(s) for s in zip(_NEAR_ZERO_ANGLE_PROBE, other)]
+    base = grassmann.OrientedFrame(np.linalg.qr(stacks[0])[0].swapaxes(-1, -2))
+    spec = grassmann.jordan_spectrum(cli._frame_in_chart(base, *stacks[1:3]), base)
+    assert spec.mu[0].tolist() == pytest.approx([1.0, 0.99405, 0.97503], abs=1e-5)
+    frames = np.concatenate([spec.tangent_frame.vectors, spec.normal_frame], axis=-2)
+    gram = frames @ frames.swapaxes(-1, -2) - np.eye(6)
+    assert np.abs(gram).max() <= 1e-14
+    cols = np.array(cli._grassmann_residuals(*stacks, 1e-4))
+    assert cols.max() <= 1e-5
+    assert cols.T.tolist() == [list(_ref_grassmann_probe(*probe, 1e-4))
+                               for probe in zip(*stacks)]
 
 
 def _count_calls(monkeypatch, *targets):
@@ -634,8 +680,64 @@ def _count_calls(monkeypatch, *targets):
 
 def _shapes_drawn(seed_seq, count):
     # the Grassmannian probe shapes (n, m) of a chunk, from its draw pass
-    rng = np.random.default_rng(seed_seq)
-    return {cli._draw_probe(rng)[2][0] for _ in range(count)}
+    return set(cli._draw_targets(np.random.default_rng(seed_seq), count)[2])
+
+
+def test_target_draw_meets_the_probe_regions():
+    (x, a, hw), (y, lw), grass, (tilt, rom) = cli._draw_targets(np.random.default_rng(5), 500)
+    for units in (x, a, hw, y, lw):
+        assert np.abs(np.linalg.norm(units, axis=-1) - 1.0).max() <= 1e-15
+    assert np.abs(np.sum(x * a, axis=-1)).min() >= 0.3
+    r = np.hypot(y[:, 0], y[:, 1])
+    assert r.min() >= 0.35 and np.all(y[:, 0] > -0.8 * r)
+    # every probe in the block of its shape, blocks in sorted shape order
+    assert list(grass) == sorted(grass) == [(n, m) for n in (1, 2, 3) for m in (1, 2, 3)]
+    assert sorted(np.concatenate([g[0] for g in grass.values()]).tolist()) == list(range(500))
+    for (n, m), (rows, gauss, chart_om, scale, om) in grass.items():
+        assert np.all(np.diff(rows) > 0)
+        assert gauss.shape == (len(rows), n + m, n)
+        assert chart_om.shape == om.shape == (len(rows), n, m)
+        assert scale.shape == (len(rows),)
+    for values in (np.concatenate([g[3] for g in grass.values()]), tilt):
+        assert 0.1 <= values.min() and values.max() < 1.0
+    assert tilt.shape == (500,) and rom.shape == (500, 2, 1)
+
+
+class _CountingGenerator:
+    # a random generator recording the method and output shape of each call
+    def __init__(self, rng):
+        self._rng, self.calls = rng, []
+
+    def __getattr__(self, name):
+        method = getattr(self._rng, name)
+
+        def call(*args):
+            out = method(*args)
+            self.calls.append((name, np.shape(out)))
+            return out
+        return call
+
+
+@pytest.mark.parametrize("seed", [0, 61])
+def test_target_draw_calls_the_generator_a_fixed_number_of_times(monkeypatch, seed):
+    # a chunk's draw pass calls its generator in bulk: apart from the rounds
+    # that redraw rejected unit vectors, standard_normal((k, d)) with d <= 3
+    # and k below the count, the calls do not grow with the count (one draw
+    # per probe and family made about 15 calls per probe)
+    make, generators = np.random.default_rng, []
+    monkeypatch.setattr(np.random, "default_rng",
+                        lambda seq: generators.append(_CountingGenerator(make(seq)))
+                        or generators[-1])
+    fixed = []
+    for count in (100, 400):
+        cli._target_batch([(np.random.SeedSequence(seed), count)], 1e-4)
+        calls = generators.pop().calls
+        rounds = [call for call in calls if call[0] == "standard_normal"
+                  and len(call[1]) == 2 and call[1][1] <= 3 and call[1][0] < count]
+        assert len(rounds) <= 30
+        fixed.append([name for name, shape in calls if (name, shape) not in rounds])
+    assert fixed[0] == fixed[1]
+    assert len(fixed[0]) == 19
 
 
 @pytest.mark.parametrize("count", [1, 5, 30])
@@ -680,16 +782,17 @@ def test_default_verify_targets_takes_one_stack_per_family_over_all_chunks(
                      "geodesic_from_velocity": 2 * shapes + 1, "great_circle": 3}
 
 
-def test_default_verify_shrinkers_takes_two_kernel_calls_per_surface(monkeypatch, tmp_path):
-    # one point_frame and one weighted_tension call per surface over all its
-    # chunks; the composition checks, counted apart, are stubbed out
+def test_default_verify_shrinkers_takes_one_kernel_call_per_surface(monkeypatch, tmp_path):
+    # one frame-kernel call per surface over all its chunks: the residuals
+    # read the tension's centre frames; the composition checks, counted
+    # apart, are stubbed out
     calls = []
     kernel = immersion._frame_kernel
     monkeypatch.setattr(immersion, "_frame_kernel", lambda *a: calls.append(1) or kernel(*a))
     monkeypatch.setattr(cli, "_composition_worst", lambda *a: 0.0)
     cfg = cli.load_config("verify-shrinkers", seed=61)
     cli.cmd_verify_shrinkers(cfg, str(tmp_path))
-    assert len(calls) == 2 * (len(cfg["surfaces"]) + len(cfg["control_surfaces"]))
+    assert len(calls) == len(cfg["surfaces"]) + len(cfg["control_surfaces"])
 
 
 @pytest.mark.parametrize("seed", [0, 61, 97])
@@ -706,12 +809,13 @@ def test_one_batch_of_all_chunks_equals_one_chunk_batches(seed):
 
 
 @pytest.mark.parametrize("seed, digest", [
-    (0, "ffc603c241cd8843a02fa3d0b39c80df133e12b3ff85e0c1a8b2625c4d15e206"),
-    (61, "953b39a27f7a34ce9606aa05ca2487670d5d58575441b1e03ede46ba066e14ae"),
+    (0, "4d5e52a9f887403101d26030e85cc9e816ba312d0d594aacf7a7ca2dd279879b"),
+    (61, "7fe87b320195bc0d53e6f47e2eb29b803a9400b8cf3ada17f89f00e14c5cb8f0"),
 ], ids=["0", "61"])
 def test_target_residuals_at_the_default_config_are_pinned(tmp_path, seed, digest):
     # sha256 of target_residuals.csv with the chart and the logarithms and
-    # cosines taken by NumPy ufuncs over the batch
+    # cosines taken by NumPy ufuncs over the batch, and every chunk's probes
+    # drawn in bulk
     assert cli.main(["verify-targets", "--seed", str(seed), "--out", str(tmp_path)]) == 0
     got = hashlib.sha256((tmp_path / "target_residuals.csv").read_bytes()).hexdigest()
     assert got == digest
@@ -755,13 +859,8 @@ def test_theta_composition_takes_the_longitude_chart_in_one_call(chart_calls):
 # reference the batched probes must equal
 
 
-def _ref_height_probe(rng, step):
-    x = cli._unit(rng)
-    while True:
-        a = cli._unit(rng)
-        if abs(float(x @ a)) >= 0.3:
-            break
-    w = cli._unit(rng, 2) @ sphere.tangent_frame(x)
+def _ref_height_probe(x, a, w, step):
+    w = w @ sphere.tangent_frame(x)
 
     def f(t):
         y = sphere.great_circle(x, w, t)
@@ -771,13 +870,8 @@ def _ref_height_probe(rng, step):
     return cli._relative_defect(d2, sphere.height_hessian(x, a, w, w))
 
 
-def _ref_longitude_probe(rng, step):
-    while True:
-        x = cli._unit(rng)
-        r = math.hypot(float(x[0]), float(x[1]))
-        if r >= 0.35 and float(x[0]) > -0.8 * r:
-            break
-    w = cli._unit(rng, 2) @ sphere.tangent_frame(x)
+def _ref_longitude_probe(x, w, step):
+    w = w @ sphere.tangent_frame(x)
 
     def coords(t):
         y = sphere.great_circle(x, w, t)
@@ -789,17 +883,14 @@ def _ref_longitude_probe(rng, step):
             cli._relative_defect(cli._second_difference(tp, t0, tm, step), ct))
 
 
-def _ref_grassmann_probe(rng, step):
-    n, m = int(rng.integers(1, 4)), int(rng.integers(1, 4))
-    base = grassmann.OrientedFrame(np.linalg.qr(rng.standard_normal((n + m, n)))[0].T)
-    om = rng.standard_normal((base.n, base.m))
-    top = max(float(np.linalg.svd(om)[1][0]), 1e-12)
-    om *= 1.1 * rng.uniform(0.1, 1.0) / top
+def _ref_grassmann_probe(gauss, chart_om, scale, om, step):
+    base = grassmann.OrientedFrame(np.linalg.qr(gauss)[0].T)
+    top = max(float(np.linalg.svd(chart_om)[1][0]), 1e-12)
+    chart_om = chart_om * (1.1 * scale / top)
     complement = np.linalg.qr(base.vectors.T, mode="complete")[0][:, base.n:].T
-    P = grassmann.geodesic_from_velocity(base, complement, om, 1.0)
+    P = grassmann.geodesic_from_velocity(base, complement, chart_om, 1.0)
     spec = grassmann.jordan_spectrum(P, base)
-    om = rng.standard_normal((n, m))
-    om /= np.linalg.norm(om)
+    om = om / np.linalg.norm(om)
     Z = grassmann.TangentCoeffs(om, spec.tangent_frame)
     frames = np.stack([
         grassmann.geodesic_from_velocity(spec.tangent_frame, spec.normal_frame, om, t).vectors
@@ -817,10 +908,10 @@ def _ref_grassmann_probe(rng, step):
     )
 
 
-def _ref_reduction_probe(rng, step):
+def _ref_reduction_probe(a, om, step):
     nu0 = np.array([0.0, 0.0, 1.0])
     u = np.array([1.0, 0.0, 0.0])
-    a = float(rng.uniform(0.1, 1.0))
+    a = float(a)
     nu = sphere.great_circle(nu0, u, a)
     r1 = np.cross(np.array([0.0, 1.0, 0.0]), nu)
     r1 /= np.linalg.norm(r1)
@@ -830,7 +921,6 @@ def _ref_reduction_probe(rng, step):
     spec = grassmann.jordan_spectrum(P, base)
     sec = 1.0 / np.cos(a)
     res = abs(grassmann.v_values(spec.mu) - sec) / sec
-    om = rng.standard_normal((2, 1))
     Z = grassmann.TangentCoeffs(om, spec.tangent_frame)
 
     def sec_along(t):
@@ -854,14 +944,14 @@ def test_target_probes_equal_the_per_time_reference(seed):
 
 
 @pytest.mark.parametrize("count", [1, 7, 30])
-def test_surface_chunk_makes_two_kernel_calls(monkeypatch, count):
-    # one point_frame and one weighted_tension call over the whole chunk
+def test_surface_chunk_makes_one_kernel_call(monkeypatch, count):
+    # one frame-kernel call over the chunk's centres and their stencils
     calls = []
     kernel = immersion._frame_kernel
     monkeypatch.setattr(immersion, "_frame_kernel", lambda *a: calls.append(1) or kernel(*a))
     rows = cli._surface_batch([("cylinder:k=1,n=2", np.random.SeedSequence(4), count)])[0]
     assert rows.shape == (count, 2)
-    assert len(calls) == 2
+    assert len(calls) == 1
 
 
 def _ref_composition_worst(name, seed_seq, count):

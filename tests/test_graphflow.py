@@ -474,6 +474,26 @@ def test_relax_converges_to_an_exact_non_affine_solution():
     assert 3.5 <= errors[0] / errors[1] <= 4.7
 
 
+@pytest.mark.parametrize("order, low, high", [(2, 3.5, 4.5), (4, 14.0, 18.5)])
+def test_exact_solution_residual_falls_with_the_stencil_order(order, low, high):
+    # the sampled exact solution at the node (0.375, 0.75) of 17^2, 33^2 and
+    # 65^2: per halving of h the residual fell by 3.99 and 4.00 (first
+    # component) and 4.03 and 4.01 (second) at order 2, and by 16.9 and 16.2,
+    # 16.4 and 16.1 at order 4
+    ratios = []
+    previous = None
+    for resolution in (17, 33, 65):
+        k, margin = (resolution - 1) // 16, order // 2
+        field = _equivariant_field(resolution)
+        assert field.coords()[10 * k, 12 * k].tolist() == [0.375, 0.75]
+        residual = np.abs(gf.system_residual(field, order)[10 * k - margin, 12 * k - margin])
+        if previous is not None:
+            ratios.append(previous / residual)
+        previous = residual
+    ratios = np.array(ratios)
+    assert np.all((low <= ratios) & (ratios <= high)), ratios
+
+
 def test_relax_divergence_attaches_trace():
     f = gf.GridField.from_function(
         lambda x: [0.3 * _poly_window(x)], L=1.0, resolution=(17, 17), m=1,

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import argparse
 import datetime
+import functools
 import glob
-import itertools
 import json
 import math
 import os
@@ -123,7 +123,6 @@ DEFAULTS = {
     "verify-targets": {
         "seed": 0,
         "probes": 240,
-        "chunks": 8,
         "fd_step": 1e-4,
         "tol_hessian": 1e-5,
         "residual_csv": "target_residuals.csv",
@@ -131,7 +130,6 @@ DEFAULTS = {
     "verify-shrinkers": {
         "seed": 0,
         "probes": 120,
-        "chunks": 4,
         "surfaces": ["plane:n=2,m=2", "sphere:n=2,R=2", "cylinder:k=1,n=2"],
         # off-center: the weighted tension vanishes identically on every
         # centered round sphere, so only a shifted one exercises the control
@@ -282,32 +280,7 @@ def load_config(subcommand, path=None, seed=None, tolerance_scale=1.0):
 
 
 # ---------------------------------------------------------------------------
-# worker plumbing
-
-
-def _run_chunks(worker, chunks, jobs, *shared):
-    """Rows per chunk from `worker(batch, *shared)` over contiguous batches of
-    chunks: one batch at jobs 1, else at most `jobs` through a process pool.
-    Chunks fix the random streams, so results do not depend on `jobs`."""
-    if jobs <= 1 or len(chunks) <= 1:
-        return worker(chunks, *shared)
-    import multiprocessing  # only the pool needs it
-    sizes = _chunk_counts(len(chunks), min(jobs, len(chunks)))
-    batches = [(part, *shared) for part in _split(chunks, sizes)]
-    with multiprocessing.Pool(processes=len(batches)) as pool:
-        return [rows for part in pool.starmap(worker, batches) for rows in part]
-
-
-def _chunk_counts(total, chunks):
-    base, extra = divmod(total, chunks)
-    return [base + (1 if k < extra else 0) for k in range(chunks)]
-
-
-def _split(items, sizes):
-    """items cut into consecutive runs of the given sizes."""
-    ends = itertools.accumulate(sizes)
-    return [items[end - size:end] for size, end in zip(sizes, ends)]
-
+# finite differences
 
 # the times +step, 0 and -step of _second_difference, in units of step
 _STENCIL = np.array([1.0, 0.0, -1.0])
@@ -480,47 +453,29 @@ def _reduction_residuals(a, om, step):
     return np.where(fd > res, fd, res)  # max(res, fd), NaN in res kept
 
 
-def _target_batch(chunks, step):
-    """Residuals (count, 7) of each chunk of (seed sequence, count) probes,
-    a row per probe with its columns in TARGET_FAMILIES order.  Every chunk
-    draws its probes in bulk on its own random stream (`_draw_targets`);
-    then each family is evaluated as one stack over the whole batch (the
-    Grassmannian one per shape (n, m)), and the stacked rows are cut per
-    chunk."""
-    counts = [count for _, count in chunks]
-    height, longitude, grass, reduction = zip(
-        *(_draw_targets(np.random.default_rng(seq), count) for seq, count in chunks))
-
-    def joined(parts):  # each array of the parts, concatenated over the chunks
-        return [np.concatenate(arrays) for arrays in zip(*parts)]
-
-    columns = [_height_residuals(*joined(height), step),
-               *_longitude_residuals(*joined(longitude), step)]
-    starts = np.cumsum([0] + counts[:-1])
-    grass_cols = np.empty((3, sum(counts)))
-    for shape in sorted(set().union(*grass)):
-        rows, *stacks = joined((start + g[shape][0], *g[shape][1:])
-                               for start, g in zip(starts, grass) if shape in g)
+def _target_batch(seed_seq, count, step):
+    """Residuals (count, 7) of count probes drawn in bulk on the random
+    stream of seed_seq (`_draw_targets`), a row per probe with its columns
+    in TARGET_FAMILIES order; each family is evaluated as one stack (the
+    Grassmannian one per shape (n, m))."""
+    height, longitude, grass, reduction = _draw_targets(np.random.default_rng(seed_seq), count)
+    grass_cols = np.empty((3, count))
+    for rows, *stacks in grass.values():
         grass_cols[:, rows] = _grassmann_residuals(*stacks, step)
-    columns += [*grass_cols, _reduction_residuals(*joined(reduction), step)]
-    return _split(np.stack(columns, axis=-1), counts)
+    return np.stack([_height_residuals(*height, step), *_longitude_residuals(*longitude, step),
+                     *grass_cols, _reduction_residuals(*reduction, step)], axis=-1)
 
 
-def cmd_verify_targets(cfg, outdir, jobs=1) -> RunReport:
-    chunks = int(cfg["chunks"])
-    counts = _chunk_counts(int(cfg["probes"]), chunks)
-    children = np.random.SeedSequence(cfg["seed"]).spawn(chunks)
-    chunk_args = [(child, count) for child, count in zip(children, counts) if count]
-    parts = _run_chunks(_target_batch, chunk_args, jobs, cfg["fd_step"])
+def cmd_verify_targets(cfg, outdir) -> RunReport:
+    rows = _target_batch(np.random.SeedSequence(cfg["seed"]), cfg["probes"], cfg["fd_step"])
 
-    lines = ["family,chunk,probe,residual"]
-    for ci, rows in enumerate(parts):
-        for k, row in enumerate(rows.tolist()):
-            lines += [f"{family},{ci},{k},{r:.17g}" for family, r in zip(TARGET_FAMILIES, row)]
+    lines = ["family,probe,residual"]
+    for k, row in enumerate(rows.tolist()):
+        lines += [f"{family},{k},{r:.17g}" for family, r in zip(TARGET_FAMILIES, row)]
 
     report = RunReport("verify-targets", cfg["seed"])
     # np.max keeps a NaN
-    worst = np.max(np.concatenate(parts), axis=0, initial=0.0)
+    worst = np.max(rows, axis=0, initial=0.0)
     for family, value in zip(TARGET_FAMILIES, worst):
         report.checks.append(check_le(family, value, 0.0, cfg["tol_hessian"]))
     report.write_artifact(outdir, cfg["residual_csv"], "\n".join(lines) + "\n")
@@ -537,22 +492,15 @@ def _chart_probes(imm, rng, count):
     return rng.uniform(lo, hi, size=(count, imm.chart.shape[0]))
 
 
-def _surface_batch(chunks):
-    """Rows (residual, tension), (count, 2), of each chunk of (surface name,
-    seed sequence, count) probes.  Every chunk draws its probes on its own
-    random stream; the probes of each surface's run of chunks are evaluated
-    in one frame-kernel call, whose centre frames give the residuals."""
-    parts = []
-    for name, run in itertools.groupby(chunks, key=lambda chunk: chunk[0]):
-        run = list(run)
-        imm = immersion.catalog_immersion(name)
-        p = np.concatenate([_chart_probes(imm, np.random.default_rng(seq), count)
-                            for _, seq, count in run])
-        pf, T = immersion._centre_tension(imm, p)
-        res = np.max(np.abs(immersion.shrinker_residual(pf)), axis=-1)
-        ten = np.max(np.abs(T), axis=(-2, -1))
-        parts += _split(np.stack([res, ten], axis=-1), [c for _, _, c in run])
-    return parts
+def _surface_batch(name, seed_seq, count):
+    """Rows (residual, tension), (count, 2), of count probes of one catalog
+    surface, drawn on the random stream of seed_seq and evaluated in one
+    frame-kernel call, whose centre frames give the residuals."""
+    imm = immersion.catalog_immersion(name)
+    pf, T = immersion._centre_tension(
+        imm, _chart_probes(imm, np.random.default_rng(seed_seq), count))
+    res = np.max(np.abs(immersion.shrinker_residual(pf)), axis=-1)
+    return np.stack([res, np.max(np.abs(T), axis=(-2, -1))], axis=-1)
 
 
 def _composition_targets(imm):
@@ -595,25 +543,17 @@ def _composition_worst(name, seed_seq, count):
     return float(np.max(np.abs(immersion.composition_checks(imm, probes, targets))))
 
 
-def cmd_verify_shrinkers(cfg, outdir, jobs=1) -> RunReport:
-    chunks = int(cfg["chunks"])
+def cmd_verify_shrinkers(cfg, outdir) -> RunReport:
     names = list(cfg["surfaces"])
     controls = list(cfg["control_surfaces"])
-    root = np.random.SeedSequence(cfg["seed"])
-    children = root.spawn((len(names) + len(controls)) * chunks + len(names))
+    surfaces = names + controls
+    # one random stream per surface and control, then one per composition surface
+    children = np.random.SeedSequence(cfg["seed"]).spawn(len(surfaces) + len(names))
 
-    chunk_args = []
-    counts = _chunk_counts(int(cfg["probes"]), chunks)
-    for si, name in enumerate(names + controls):
-        for ci in range(chunks):
-            if counts[ci]:
-                chunk_args.append((name, children[si * chunks + ci], counts[ci]))
-    parts = _run_chunks(_surface_batch, chunk_args, jobs)
-
-    # every surface's chunks hold probes rows in all, in surface order
-    blocks = np.concatenate(parts).reshape(len(names) + len(controls), -1, 2)
+    blocks = np.stack([_surface_batch(name, child, cfg["probes"])
+                       for name, child in zip(surfaces, children)])
     lines = ["surface,probe,residual,tension"]
-    for name, rows in zip(names + controls, blocks):
+    for name, rows in zip(surfaces, blocks):
         quoted = f'"{name}"'  # catalog names hold commas; none that builds holds a quote
         lines += [f"{quoted},{k},{r:.17g},{t:.17g}" for k, (r, t) in enumerate(rows.tolist())]
 
@@ -627,10 +567,9 @@ def cmd_verify_shrinkers(cfg, outdir, jobs=1) -> RunReport:
             check_ge(f"control_tension[{name}]", floor, cfg["control_floor"], 0.0)
         )
 
-    comp_children = children[(len(names) + len(controls)) * chunks:]
     comp_worst = np.max([0.0] + [
-        _composition_worst(name, child, int(cfg["composition_probes"]))
-        for name, child in zip(names, comp_children)])
+        _composition_worst(name, child, cfg["composition_probes"])
+        for name, child in zip(names, children[len(surfaces):])])
     report.checks.append(
         check_le("composition_max", comp_worst, 0.0, cfg["tol_composition"])
     )
@@ -643,7 +582,7 @@ def cmd_verify_shrinkers(cfg, outdir, jobs=1) -> RunReport:
 # verify-prop41: scalar sweep, sampled grouped inequality, adversarial search
 
 
-def cmd_verify_prop41(cfg, outdir, jobs=1) -> RunReport:
+def cmd_verify_prop41(cfg, outdir) -> RunReport:
     report = RunReport("verify-prop41", cfg["seed"])
 
     sweep = ineq.sup_F_sweep(
@@ -724,7 +663,7 @@ def _seeded_bump_field(cfg, rng):
     )
 
 
-def cmd_flow_graph(cfg, outdir, jobs=1) -> RunReport:
+def cmd_flow_graph(cfg, outdir) -> RunReport:
     rng = np.random.default_rng(np.random.SeedSequence(cfg["seed"]))
     field = _seeded_bump_field(cfg, rng)
     solver = graphflow.SolverConfig(
@@ -817,7 +756,7 @@ def _well_formed(payload):
                     for c in checks))
 
 
-def cmd_report(cfg, outdir, jobs=1) -> RunReport:
+def cmd_report(cfg, outdir) -> RunReport:
     run_dir = cfg["run_dir"] or outdir
     paths = sorted(glob.glob(os.path.join(run_dir, "report_*.json")))
     runs = []
@@ -936,6 +875,7 @@ _HELP = {
 }
 
 
+@functools.cache  # built once: a process may call main many times
 def build_parser() -> argparse.ArgumentParser:
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--config", default=None, help="JSON config file")
@@ -945,9 +885,8 @@ def build_parser() -> argparse.ArgumentParser:
     shared.add_argument(
         "--seed", type=int, default=None, help="override the config seed"
     )
-    shared.add_argument(
-        "--jobs", type=int, default=1, help="worker processes for probe batches"
-    )
+    # the retired worker count, accepted at its one value, which changes nothing
+    shared.add_argument("--jobs", type=int, choices=(1,), default=1, help=argparse.SUPPRESS)
     shared.add_argument(
         "--tolerance-scale",
         type=float,
@@ -982,8 +921,6 @@ def main(argv=None) -> int:
         parser.print_help(sys.stderr)
         return 2
     try:
-        if args.jobs < 1:
-            raise ConfigError("jobs must be at least 1")
         cfg = load_config(
             args.command,
             path=args.config,
@@ -992,7 +929,7 @@ def main(argv=None) -> int:
         )
         outdir = os.environ.get("SHRINKER_LAB_OUT") or args.out
         os.makedirs(outdir, exist_ok=True)
-        report = HANDLERS[args.command](cfg, outdir, jobs=args.jobs)
+        report = HANDLERS[args.command](cfg, outdir)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import hashlib
 import json
@@ -98,6 +99,10 @@ def test_sweep_ceiling_at_or_above_three_rejected(tmp_path):
     ("report", {"bundle": "report_report.json"}),
     ("report", {"bundle": "bundle.csv"}),
     ("flow-graph", {"order": 2}),
+    # verify-targets draws its probes on one random stream and
+    # verify-shrinkers on one per surface, so chunks is an unknown key
+    ("verify-targets", {"chunks": 8}),
+    ("verify-shrinkers", {"chunks": 4}),
 ])
 def test_wrong_typed_config_value_rejected(tmp_path, capsys, subcommand, payload):
     cfg = _write_cfg(tmp_path, payload)
@@ -170,7 +175,7 @@ def test_report_skips_a_malformed_report(tmp_path, capsys, bad):
 
 
 def test_verify_targets_small_run_passes(tmp_path):
-    cfg = _write_cfg(tmp_path, {"probes": 16, "chunks": 2})
+    cfg = _write_cfg(tmp_path, {"probes": 16})
     out = tmp_path / "out"
     code = cli.main(
         ["verify-targets", "--config", cfg, "--out", str(out), "--seed", "5"]
@@ -185,7 +190,7 @@ def test_verify_targets_small_run_passes(tmp_path):
         assert c["tolerance"] >= 0.0
         assert c["margin"] >= -c["tolerance"]
     csv_text = (out / "target_residuals.csv").read_text()
-    assert csv_text.startswith("family,chunk,probe,residual\n")
+    assert csv_text.startswith("family,probe,residual\n")
     assert report["provenance"]["seed"] == 5
     assert report["provenance"]["timestamp"] == "2025-08-22T00:00:00Z"
 
@@ -199,7 +204,7 @@ def flipped_height_hessian(monkeypatch):
 
 
 def test_corrupted_height_formula_fails(tmp_path, flipped_height_hessian):
-    cfg = _write_cfg(tmp_path, {"probes": 8, "chunks": 2})
+    cfg = _write_cfg(tmp_path, {"probes": 8})
     out = tmp_path / "out"
     code = cli.main(["verify-targets", "--config", cfg, "--out", str(out)])
     assert code == 1
@@ -210,7 +215,7 @@ def test_corrupted_height_formula_fails(tmp_path, flipped_height_hessian):
 
 
 def test_tolerance_scale_loosens_the_corrupted_run(tmp_path, flipped_height_hessian):
-    cfg = _write_cfg(tmp_path, {"probes": 8, "chunks": 2})
+    cfg = _write_cfg(tmp_path, {"probes": 8})
     out = tmp_path / "out"
     code = cli.main(
         [
@@ -227,7 +232,7 @@ def test_tolerance_scale_loosens_the_corrupted_run(tmp_path, flipped_height_hess
 
 
 def test_identical_config_and_seed_are_byte_identical(tmp_path):
-    cfg = _write_cfg(tmp_path, {"probes": 12, "chunks": 3})
+    cfg = _write_cfg(tmp_path, {"probes": 12})
     outs = [tmp_path / "a", tmp_path / "b"]
     for out in outs:
         assert (
@@ -240,40 +245,44 @@ def test_identical_config_and_seed_are_byte_identical(tmp_path):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
 
-def test_worker_count_does_not_change_artifacts(tmp_path):
-    # 8 chunks of targets and 32 of shrinkers, so 3 jobs split them unevenly
-    # and a batch of shrinker chunks spans two surfaces; 5 probes in 8
-    # chunks leave 3 of them empty
-    cases = [("verify-targets", {"probes": 12, "chunks": 8}, "target_residuals.csv"),
-             ("verify-shrinkers", {"probes": 12, "chunks": 8, "composition_probes": 2},
-              "shrinker_residuals.csv"),
-             ("verify-targets", {"probes": 5, "chunks": 8}, "target_residuals.csv"),
-             ("verify-shrinkers", {"probes": 5, "chunks": 8, "composition_probes": 2},
-              "shrinker_residuals.csv")]
-    for case, (command, payload, residuals) in enumerate(cases):
-        cfg = _write_cfg(tmp_path, payload, f"{case}.json")
-        artifacts = []
-        for jobs in ("1", "2", "3"):
-            out = tmp_path / str(case) / jobs
-            assert cli.main([command, "--config", cfg, "--out", str(out), "--jobs", jobs]) == 0
-            artifacts.append([(out / name).read_bytes()
-                              for name in (residuals, f"report_{command}.json")])
-        assert artifacts[1] == artifacts[0] and artifacts[2] == artifacts[0]
-        if command == "verify-shrinkers":
-            # one block of probes rows per surface, numbered from 0, each
-            # row four fields with the quoted surface name first
-            defaults = cli.DEFAULTS[command]
-            rows = list(csv.reader(artifacts[0][0].decode().splitlines()))
-            assert rows[0] == ["surface", "probe", "residual", "tension"]
-            assert all(len(row) == 4 for row in rows)
-            rows = [row[:2] for row in rows[1:]]
-            assert rows == [[name, str(k)]
-                            for name in defaults["surfaces"] + defaults["control_surfaces"]
-                            for k in range(payload["probes"])]
+@pytest.mark.parametrize("command, payload, residuals", [
+    ("verify-targets", {"probes": 6}, "target_residuals.csv"),
+    ("verify-shrinkers", {"probes": 6, "composition_probes": 2}, "shrinker_residuals.csv"),
+])
+def test_retired_jobs_flag_takes_only_1_which_changes_nothing(tmp_path, command, payload,
+                                                              residuals):
+    # every probe runs in the calling process; --jobs 1 is still parsed and
+    # writes the bytes that no flag writes, and any other count exits 2
+    cfg = _write_cfg(tmp_path, payload)
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "--config", cfg, "--out", str(tmp_path / "two"), "--jobs", "2"])
+    assert exc.value.code == 2
+    assert not (tmp_path / "two").exists()
+    artifacts = []
+    for flags in ([], ["--jobs", "1"]):
+        out = tmp_path / str(len(flags))
+        assert cli.main([command, "--config", cfg, "--out", str(out), *flags]) == 0
+        artifacts.append([(out / name).read_bytes()
+                          for name in (residuals, f"report_{command}.json")])
+    assert artifacts[1] == artifacts[0]
+
+
+def test_main_builds_the_parser_once(monkeypatch):
+    # a shared parent, the top parser and one subparser per command, built
+    # by the first call alone
+    built = []
+    init = argparse.ArgumentParser.__init__
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__",
+                        lambda self, *a, **k: built.append(1) or init(self, *a, **k))
+    cli.build_parser.cache_clear()
+    assert cli.main([]) == 2
+    assert len(built) == 2 + len(cli.HANDLERS)
+    assert cli.main([]) == 2
+    assert len(built) == 2 + len(cli.HANDLERS)
 
 
 def test_importing_the_cli_leaves_multiprocessing_unloaded():
-    # only the pool of --jobs above 1 needs it
+    # no command starts a worker process
     src = os.path.dirname(os.path.dirname(cli.__file__))
     code = "import sys, shrinkerlab.cli; sys.exit('multiprocessing' in sys.modules)"
     env = dict(os.environ, PYTHONPATH=src)
@@ -295,18 +304,25 @@ def test_report_version_is_the_project_version(tmp_path):
     with open(os.path.join(root, "pyproject.toml"), "rb") as fh:
         version = tomllib.load(fh)["project"]["version"]
     assert shrinkerlab.__version__ == version
-    cfg = _write_cfg(tmp_path, {"probes": 2, "chunks": 1})
+    cfg = _write_cfg(tmp_path, {"probes": 2})
     assert cli.main(["verify-targets", "--config", cfg, "--out", str(tmp_path)]) == 0
     assert _load_report(str(tmp_path), "verify-targets")["provenance"]["version"] == version
 
 
 def test_verify_shrinkers_catalog_and_control(tmp_path):
-    cfg = _write_cfg(
-        tmp_path, {"probes": 12, "chunks": 2, "composition_probes": 4}
-    )
+    cfg = _write_cfg(tmp_path, {"probes": 12, "composition_probes": 4})
     out = tmp_path / "out"
     code = cli.main(["verify-shrinkers", "--config", cfg, "--out", str(out)])
     assert code == 0
+    # one block of probes rows per surface, numbered from 0, each row four
+    # fields with the quoted surface name first
+    defaults = cli.DEFAULTS["verify-shrinkers"]
+    rows = list(csv.reader((out / "shrinker_residuals.csv").read_text().splitlines()))
+    assert rows[0] == ["surface", "probe", "residual", "tension"]
+    assert all(len(row) == 4 for row in rows)
+    assert [row[:2] for row in rows[1:]] == [
+        [name, str(k)] for name in defaults["surfaces"] + defaults["control_surfaces"]
+        for k in range(12)]
     report = _load_report(str(out), "verify-shrinkers")
     assert report["status"] == "PASS"
     names = [c["name"] for c in report["checks"]]
@@ -436,7 +452,7 @@ def test_report_empty_directory_warns(tmp_path, capsys):
 
 def test_report_merges_runs_chronologically(tmp_path, monkeypatch):
     out = tmp_path / "out"
-    cfg_fast = _write_cfg(tmp_path, {"probes": 6, "chunks": 2})
+    cfg_fast = _write_cfg(tmp_path, {"probes": 6})
     monkeypatch.setenv("SOURCE_DATE_EPOCH", "1755830000")
     assert cli.main(["verify-targets", "--config", cfg_fast, "--out", str(out)]) == 0
     cfg_sweep = _write_cfg(
@@ -464,7 +480,7 @@ def test_report_merges_runs_chronologically(tmp_path, monkeypatch):
 
 def test_report_bundle_round_trip_is_byte_identical(tmp_path):
     out = tmp_path / "out"
-    cfg = _write_cfg(tmp_path, {"probes": 6, "chunks": 2})
+    cfg = _write_cfg(tmp_path, {"probes": 6})
     cli.main(["verify-targets", "--config", cfg, "--out", str(out)])
     cli.main(["report", "--out", str(out)])
     raw = (out / "bundle.json").read_text()
@@ -473,7 +489,7 @@ def test_report_bundle_round_trip_is_byte_identical(tmp_path):
 
 def test_report_flags_merged_failures(tmp_path, flipped_height_hessian):
     out = tmp_path / "out"
-    cfg = _write_cfg(tmp_path, {"probes": 6, "chunks": 2})
+    cfg = _write_cfg(tmp_path, {"probes": 6})
     assert cli.main(["verify-targets", "--config", cfg, "--out", str(out)]) == 1
     assert cli.main(["report", "--out", str(out)]) == 1
 
@@ -481,7 +497,7 @@ def test_report_flags_merged_failures(tmp_path, flipped_height_hessian):
 def test_env_var_overrides_out_flag(tmp_path, monkeypatch):
     env_dir = tmp_path / "from_env"
     monkeypatch.setenv("SHRINKER_LAB_OUT", str(env_dir))
-    cfg = _write_cfg(tmp_path, {"probes": 4, "chunks": 2})
+    cfg = _write_cfg(tmp_path, {"probes": 4})
     code = cli.main(
         ["verify-targets", "--config", cfg, "--out", str(tmp_path / "unused")]
     )
@@ -530,14 +546,14 @@ def test_a_nan_fails_a_mandatory_check(monkeypatch, tmp_path, case):
         return
     command = case.split()[0]
     cfg = {
-        "verify-targets": {"probes": 2, "chunks": 2},
-        "verify-shrinkers": {"probes": 3, "chunks": 1, "composition_probes": 2},
+        "verify-targets": {"probes": 2},
+        "verify-shrinkers": {"probes": 3, "composition_probes": 2},
         "verify-prop41": {"v_count": 20, "rt_resolution": 20, "samples": 5,
                           "restarts": 2},
     }[command]
     if command == "verify-targets":
-        # the reduction residual of chunk 1, after that of chunk 0: one
-        # stack holds both chunks' probes
+        # the reduction residual of probe 1, after that of probe 0: one
+        # stack holds both probes
         reduction = cli._reduction_residuals
         monkeypatch.setattr(cli, "_reduction_residuals",
                             lambda *a: np.where([False, True], math.nan, reduction(*a)))
@@ -586,7 +602,7 @@ def test_a_nan_fails_a_mandatory_check(monkeypatch, tmp_path, case):
 
 
 def test_seed_flag_overrides_config_seed(tmp_path):
-    cfg = _write_cfg(tmp_path, {"probes": 4, "chunks": 2, "seed": 11})
+    cfg = _write_cfg(tmp_path, {"probes": 4, "seed": 11})
     out_a, out_b = tmp_path / "a", tmp_path / "b"
     cli.main(["verify-targets", "--config", cfg, "--out", str(out_a)])
     cli.main(
@@ -601,9 +617,9 @@ def test_seed_flag_overrides_config_seed(tmp_path):
     ).read_text()
 
 
-def _ref_target_chunk(seed_seq, count, step):
-    # the reference probes, one at a time, on the chunk's bulk draw, with
-    # their rows in TARGET_FAMILIES order
+def _ref_target_rows(seed_seq, count, step):
+    # the reference probes, one at a time, on one bulk draw, with their rows
+    # in TARGET_FAMILIES order
     (x, a, hw), (y, lw), grass, (tilt, rom) = cli._draw_targets(
         np.random.default_rng(seed_seq), count)
     probe_grass = {k: g for rows, *stacks in grass.values()
@@ -618,13 +634,13 @@ def _ref_target_chunk(seed_seq, count, step):
 
 
 def _family_rows(residuals):
-    # a chunk's (count, 7) residuals as (family, value) rows, probe by probe
+    # (count, 7) residuals as (family, value) rows, probe by probe
     return [row for probe in residuals.tolist() for row in zip(cli.TARGET_FAMILIES, probe)]
 
 
-# probe 70 of chunk 1 at seed 0 when every probe was drawn with its own
-# generator calls: the Gaussian matrix of the base plane, the chart velocity
-# and its scale, and the probe velocity
+# probe 70 of the second of eight random streams at seed 0, when every
+# probe was drawn with its own generator calls: the Gaussian matrix of the
+# base plane, the chart velocity and its scale, and the probe velocity
 _NEAR_ZERO_ANGLE_PROBE = (
     [[0.3643761739623491, 0.926668834853784, -0.4227290634985127],
      [0.022396706960390263, 1.520931839431247, 0.10088072559899439],
@@ -679,7 +695,7 @@ def _count_calls(monkeypatch, *targets):
 
 
 def _shapes_drawn(seed_seq, count):
-    # the Grassmannian probe shapes (n, m) of a chunk, from its draw pass
+    # the Grassmannian probe shapes (n, m) of a draw pass
     return set(cli._draw_targets(np.random.default_rng(seed_seq), count)[2])
 
 
@@ -720,7 +736,7 @@ class _CountingGenerator:
 
 @pytest.mark.parametrize("seed", [0, 61])
 def test_target_draw_calls_the_generator_a_fixed_number_of_times(monkeypatch, seed):
-    # a chunk's draw pass calls its generator in bulk: apart from the rounds
+    # a draw pass calls its generator in bulk: apart from the rounds
     # that redraw rejected unit vectors, standard_normal((k, d)) with d <= 3
     # and k below the count, the calls do not grow with the count (one draw
     # per probe and family made about 15 calls per probe)
@@ -730,7 +746,7 @@ def test_target_draw_calls_the_generator_a_fixed_number_of_times(monkeypatch, se
                         or generators[-1])
     fixed = []
     for count in (100, 400):
-        cli._target_batch([(np.random.SeedSequence(seed), count)], 1e-4)
+        cli._target_batch(np.random.SeedSequence(seed), count, 1e-4)
         calls = generators.pop().calls
         rounds = [call for call in calls if call[0] == "standard_normal"
                   and len(call[1]) == 2 and call[1][1] <= 3 and call[1][0] < count]
@@ -748,7 +764,7 @@ def test_target_chunk_takes_one_spectrum_per_shape_and_one_for_the_reduction(
     shapes = len(_shapes_drawn(np.random.SeedSequence(3), count))
     calls = _count_calls(monkeypatch, (grassmann, "jordan_spectrum"),
                          (grassmann, "overlap_values"))
-    rows = cli._target_batch([(np.random.SeedSequence(3), count)], 1e-4)[0]
+    rows = cli._target_batch(np.random.SeedSequence(3), count, 1e-4)
     assert calls == {"jordan_spectrum": shapes + 1, "overlap_values": shapes}
     assert rows.max() <= 1e-5
 
@@ -762,19 +778,17 @@ def test_target_chunk_makes_two_geodesic_calls_per_shape_and_three_great_circle_
     shapes = len(_shapes_drawn(np.random.SeedSequence(2), count))
     calls = _count_calls(monkeypatch, (grassmann, "geodesic_from_velocity"),
                          (sphere, "great_circle"))
-    rows = cli._target_batch([(np.random.SeedSequence(2), count)], 1e-4)[0]
+    rows = cli._target_batch(np.random.SeedSequence(2), count, 1e-4)
     assert rows.shape == (count, len(cli.TARGET_FAMILIES))
     assert calls == {"geodesic_from_velocity": 2 * shapes + 1, "great_circle": 3}
 
 
 def test_default_verify_targets_takes_one_stack_per_family_over_all_chunks(
         monkeypatch, tmp_path):
-    # one spectrum and two geodesic calls per shape (n, m) drawn in any
-    # chunk, one of each for the reduction, and three great circle calls
+    # one spectrum and two geodesic calls per shape (n, m) drawn, one of
+    # each for the reduction, and three great circle calls
     cfg = cli.load_config("verify-targets", seed=61)
-    chunks = zip(np.random.SeedSequence(61).spawn(cfg["chunks"]),
-                 cli._chunk_counts(cfg["probes"], cfg["chunks"]))
-    shapes = len(set().union(*(_shapes_drawn(seq, count) for seq, count in chunks)))
+    shapes = len(_shapes_drawn(np.random.SeedSequence(61), cfg["probes"]))
     calls = _count_calls(monkeypatch, (grassmann, "jordan_spectrum"),
                          (grassmann, "geodesic_from_velocity"), (sphere, "great_circle"))
     assert cli.main(["verify-targets", "--seed", "61", "--out", str(tmp_path)]) == 0
@@ -783,7 +797,7 @@ def test_default_verify_targets_takes_one_stack_per_family_over_all_chunks(
 
 
 def test_default_verify_shrinkers_takes_one_kernel_call_per_surface(monkeypatch, tmp_path):
-    # one frame-kernel call per surface over all its chunks: the residuals
+    # one frame-kernel call per surface over all its probes: the residuals
     # read the tension's centre frames; the composition checks, counted
     # apart, are stubbed out
     calls = []
@@ -795,36 +809,23 @@ def test_default_verify_shrinkers_takes_one_kernel_call_per_surface(monkeypatch,
     assert len(calls) == len(cfg["surfaces"]) + len(cfg["control_surfaces"])
 
 
-@pytest.mark.parametrize("seed", [0, 61, 97])
-def test_one_batch_of_all_chunks_equals_one_chunk_batches(seed):
-    # stacking chunks together changes no bit of any chunk's rows
-    children = np.random.SeedSequence(seed).spawn(8)
-    chunks = list(zip(children, cli._chunk_counts(240, 8)))
-    assert [p.tolist() for p in cli._target_batch(chunks, 1e-4)] == [
-        cli._target_batch([chunk], 1e-4)[0].tolist() for chunk in chunks]
-    names = ["sphere:n=2,R=2"] * 3 + ["cylinder:k=1,n=2"] * 3 + ["sphere:n=2,R=1,c1=0.5"] * 2
-    chunks = [(name, child, 30) for name, child in zip(names, children)]
-    assert [p.tolist() for p in cli._surface_batch(chunks)] == [
-        cli._surface_batch([chunk])[0].tolist() for chunk in chunks]
-
-
 @pytest.mark.parametrize("seed, digest", [
-    (0, "4d5e52a9f887403101d26030e85cc9e816ba312d0d594aacf7a7ca2dd279879b"),
-    (61, "7fe87b320195bc0d53e6f47e2eb29b803a9400b8cf3ada17f89f00e14c5cb8f0"),
+    (0, "045cfd2ec51bb8cb8d73c1638cf547af7ed82999003ba78544dcf6320d65a57d"),
+    (61, "7e44d09ef29221c60d95f235c1513448c766b5da43538276ccb8044c9b9d6b41"),
 ], ids=["0", "61"])
 def test_target_residuals_at_the_default_config_are_pinned(tmp_path, seed, digest):
     # sha256 of target_residuals.csv with the chart and the logarithms and
-    # cosines taken by NumPy ufuncs over the batch, and every chunk's probes
-    # drawn in bulk
+    # cosines taken by NumPy ufuncs over the batch, and every probe drawn in
+    # bulk on one random stream
     assert cli.main(["verify-targets", "--seed", str(seed), "--out", str(tmp_path)]) == 0
     got = hashlib.sha256((tmp_path / "target_residuals.csv").read_bytes()).hexdigest()
     assert got == digest
 
 
 @pytest.mark.parametrize("seed, digest", [
-    (0, "56a7651150bf0568ece7595171153ed5388e39159592a6aed711a272d7ac229a"),
-    (61, "2a0c8e4767d61fb95d75b17fede45a614e5aed1822989b6084015bb821db5e1d"),
-])
+    (0, "ade340697363d53aa522e5d12ac07df9b5491e90e31e7712ea010a1639c049a1"),
+    (61, "c6d35708f50f430f37acc742dc04e4c4039af823dbe218234cc2c5af88cf4376"),
+], ids=["0", "61"])
 def test_shrinker_residuals_at_the_default_config_are_pinned(tmp_path, seed, digest):
     # sha256 of shrinker_residuals.csv with the surface names quoted; the
     # rows are those the (residual, tension) row tuples wrote
@@ -844,7 +845,7 @@ def chart_calls(monkeypatch):
 
 @pytest.mark.parametrize("count", [1, 7, 30])
 def test_target_batch_takes_the_longitude_chart_in_one_call(chart_calls, count):
-    cli._target_batch([(np.random.SeedSequence(count), count)], 1e-4)
+    cli._target_batch(np.random.SeedSequence(count), count, 1e-4)
     assert chart_calls == [(count, 3, 3)]
 
 
@@ -936,20 +937,20 @@ def _ref_reduction_probe(a, om, step):
 
 @pytest.mark.parametrize("seed", range(10))
 def test_target_probes_equal_the_per_time_reference(seed):
-    # the chunk's rows equal the reference probes run in draw order on the
+    # the batch's rows equal the reference probes run in draw order on the
     # same random stream, row for row and bit for bit
     for count in (1, 7, 30):
         args = (np.random.SeedSequence(seed), count, 1e-4)
-        assert _family_rows(cli._target_batch([args[:2]], args[2])[0]) == _ref_target_chunk(*args)
+        assert _family_rows(cli._target_batch(*args)) == _ref_target_rows(*args)
 
 
 @pytest.mark.parametrize("count", [1, 7, 30])
 def test_surface_chunk_makes_one_kernel_call(monkeypatch, count):
-    # one frame-kernel call over the chunk's centres and their stencils
+    # one frame-kernel call over the surface's centres and their stencils
     calls = []
     kernel = immersion._frame_kernel
     monkeypatch.setattr(immersion, "_frame_kernel", lambda *a: calls.append(1) or kernel(*a))
-    rows = cli._surface_batch([("cylinder:k=1,n=2", np.random.SeedSequence(4), count)])[0]
+    rows = cli._surface_batch("cylinder:k=1,n=2", np.random.SeedSequence(4), count)
     assert rows.shape == (count, 2)
     assert len(calls) == 1
 

@@ -12,6 +12,8 @@ route that does the work, or give it a reason in KEEP.
 import ast
 from pathlib import Path
 
+from shrinkerlab import cli
+
 ROOT = Path(__file__).resolve().parents[1]
 SRC = sorted((ROOT / "src" / "shrinkerlab").glob("*.py"))
 MODULES = {path.stem for path in SRC}
@@ -129,3 +131,20 @@ def test_no_per_value_math_loops_in_src():
     found = [f"{path.stem}.py:{line}: {call}" for path in SRC
              for line, call in _per_value_math_loops(ast.parse(path.read_text()))]
     assert found == []
+
+
+def _config_keys_read(tree):
+    """Every key k that a tree reads as cfg["k"]."""
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Load)
+                and isinstance(node.value, ast.Name) and node.value.id == "cfg"
+                and isinstance(node.slice, ast.Constant)):
+            yield node.slice.value
+
+
+def test_every_config_key_is_read_by_the_cli():
+    # a default that no command reads is an option that changes nothing
+    read = set(_config_keys_read(ast.parse(Path(cli.__file__).read_text())))
+    unread = [f"{sub}.{key}" for sub, keys in cli.DEFAULTS.items() for key in keys
+              if key not in read]
+    assert unread == []

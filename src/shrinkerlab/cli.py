@@ -143,12 +143,8 @@ DEFAULTS = {
     },
     "verify-prop41": {
         "seed": 0,
-        "v_count": 1200,
-        "rt_resolution": 1500,
-        "v_hi": 3.0 - 1e-6,
         "samples": 4000,
         "restarts": 400,
-        "tol_sweep": 1e-9,
         "tol_regroup": 1e-10,
         "tol_margin": 1e-12,
         "certificate": "prop41_certificate.json",
@@ -208,8 +204,6 @@ _KEY_RANGES = {
     "run_dir": (lambda x: True, "a string"),
     "resolution": (lambda x: x >= 5, "an integer of at least 5"),
     "amplitude": (lambda x: x >= 0.0, "a nonnegative finite number"),
-    "v_hi": (lambda x: 1.0 < x < 3.0, "a number in (1, 3): the bound degenerates at "
-             "v = 3 and samples at or above it are outside the domain"),
 }
 
 
@@ -230,8 +224,8 @@ def load_config(subcommand, path=None, seed=None, tolerance_scale=1.0):
 
     Unknown keys are rejected, and every value must have the type of its
     default and lie in its key's range: counts positive, tolerances and
-    other numbers positive and finite, the sweep ceiling inside the v < 3
-    domain, surface lists nonempty and made of names the catalog builds.
+    other numbers positive and finite, surface lists nonempty and made of
+    names the catalog builds.
     Every string but run_dir names an artifact: a plain file name, which
     differs from the subcommand's other artifacts and from its report.
     """
@@ -579,23 +573,39 @@ def cmd_verify_shrinkers(cfg, outdir) -> RunReport:
 
 
 # ---------------------------------------------------------------------------
-# verify-prop41: scalar sweep, sampled grouped inequality, adversarial search
+# verify-prop41: scalar proof, sampled grouped inequality, adversarial search
+
+
+_PROP41_LEMMA = (
+    "In tau = (v - 1)/2 and s = r/tau, Omega(tau) = {2 < s < 3 + 2 tau} and "
+    "F = s/(1 + s) - (4 + 4 tau - s)/((s - 2)(3 + 2 tau - s)). At fixed s, "
+    "dF/dtau = 2/(3 + 2 tau - s)^2 > 0 and Omega(tau) grows with tau, so sup F over "
+    "Omega (v < 3) is the sup of F(1, s) over (2, 5), and F(1, s) <= -c there exactly "
+    "when the cubic p_c(s) = (1 + s)(s - 2)(5 - s)(F(1, s) + c) <= 0 on [2, 5].")
+
+
+def _proof_certificate(proof):
+    """The JSON record of an `ineq.certify_sup_F` proof of sup F <= -1/16, exact
+    numbers as strings; samples counts its closed boxes."""
+    return {
+        "bound": -ineq.DELTA0,
+        "method": "exact Bernstein enclosure of p_c on [2, 5] over the rationals, by bisection",
+        "lemma": _PROP41_LEMMA,
+        "cubic": [str(a) for a in proof.cubic],
+        "boxes": [{"lo": str(lo), "hi": str(hi), "bernstein": [str(b) for b in coef]}
+                  for lo, hi, coef in proof.boxes],
+        "proved": proof.counterexample is None,
+        "counterexample": None if proof.counterexample is None else str(proof.counterexample),
+        "samples": len(proof.boxes),
+    }
 
 
 def cmd_verify_prop41(cfg, outdir) -> RunReport:
     report = RunReport("verify-prop41", cfg["seed"])
 
-    sweep = ineq.sup_F_sweep(
-        v_count=int(cfg["v_count"]),
-        rt_resolution=int(cfg["rt_resolution"]),
-        v_hi=cfg["v_hi"],
-    )
-    report.checks.append(
-        check_le("sweep_sup_F", sweep.worst_value, -ineq.DELTA0, cfg["tol_sweep"])
-    )
-    report.checks.append(
-        check_le("sweep_empty_slices", sweep.empty_slices, 0.0, 0.0)
-    )
+    # the largest closed Bernstein coefficient, or p_c >= 0 at a counterexample
+    proof = ineq.certify_sup_F(ineq.DELTA0)
+    report.checks.append(check_le("sup_F_proof", proof.worst, 0.0, 0.0))
 
     rng = np.random.default_rng(np.random.SeedSequence(cfg["seed"]))
     sampled = ineq.sample_check(rng, int(cfg["samples"]))
@@ -627,8 +637,7 @@ def cmd_verify_prop41(cfg, outdir) -> RunReport:
         check_le("search_violations", len(search.violations), 0.0, 0.0)
     )
 
-    report.write_artifact(
-        outdir, cfg["certificate"], dump_json(sweep.certificate(seed=cfg["seed"])))
+    report.write_artifact(outdir, cfg["certificate"], dump_json(_proof_certificate(proof)))
     return report
 
 
@@ -869,7 +878,7 @@ HANDLERS = {
 _HELP = {
     "verify-targets": "finite-difference checks of the closed-form Hessians",
     "verify-shrinkers": "catalog residual, tension, and composition checks",
-    "verify-prop41": "scalar sweep plus sampled grouped-inequality checks",
+    "verify-prop41": "exact proof of the scalar bound plus sampled grouped-inequality checks",
     "flow-graph": "graph relaxation experiment with trace artifacts",
     "report": "merge prior run reports into one bundle",
 }

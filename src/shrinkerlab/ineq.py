@@ -10,18 +10,12 @@ master bound
     total >= (3 - v) |B|^2 / 2      with C1 = 16,
 
 which pins the subcritical slope threshold v < 3.  The scalar side is
-the sweep `sup_F_sweep`, which certifies sup F <= -1/16 over a grid of the
-constraint set Omega, the source of the constant.  A grid point belongs to
-Omega by the sign of F's pole denominator (`_pole_denominator`, D < 0) and
-its value is `_F`.  On a v-slice, tau (1 + r) D = (r - 2 tau)(r - tau (3 +
-2 tau)), so Omega is one interval of r, and F is strictly concave on it
-(`sup_F_sweep` gives both proofs).  So the sweep evaluates only bands of
-grid points around the interval's two edges and a coarse pass and a window
-around F's peak (`_omega_slices`), about 83 of a slice's 1500 points on
-verify-prop41's default grid; the points between the bands are counted
-without evaluation.  Each slice's count and maximum have the bits of a full
-loop over its points.  `H1_value` is the cubic H1 of the factorization F =
-F2 / (F1 (F2 - F1)), F2 = H1 / H2.
+the constant itself, sup F <= -1/16 over the constraint set Omega:
+`certify_sup_F` proves it exactly, in rational arithmetic, from one cubic
+on an interval, and the grid sweep `sup_F_sweep` checks it in floats.  A
+grid point belongs to Omega by the sign of F's pole denominator
+(`_pole_denominator`, D < 0) and its value is `_F`.  `H1_value` is the
+cubic H1 of the factorization F = F2 / (F1 (F2 - F1)), F2 = H1 / H2.
 
 Every entry of the form takes a stack: lam (B, p) and h (B, m, n, n) of
 one (n, m) shape, a single sample being a stack of one.  Each group and its
@@ -60,6 +54,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
@@ -72,7 +67,7 @@ MARGIN_TOL = 1e-12
 
 
 # ---------------------------------------------------------------------------
-# scalar side: the F-sweep over Omega and H1
+# scalar side: the proof and the F-sweep over Omega, and H1
 
 
 def _pole_denominator(tau, r, t):
@@ -111,127 +106,8 @@ class SweepReport:
     empty_slices: int
     worst_per_v: np.ndarray  # per v-slice, -inf on an empty slice
 
-    def certificate(self, seed=None):
-        return {
-            "bound": -DELTA0,
-            "worst_value": self.worst_value,
-            "samples": self.samples,
-            "seed": seed,
-        }
-
 
 _SWEEP_BLOCK = 1 << 14  # evaluated points per pass of the sweep, in whole v-slices
-_BAND = 3  # grid points on either side of an edge of Omega, each band 2 _BAND wide
-_COARSE = 16  # stride of the coarse pass over a slice's interior
-_ROUNDING = 2.0**-36  # delta: F's rounding wherever F > -32, away from the pole
-
-
-def _omega_edges(tau, c):
-    """(lo, hi): the roots of tau (1 + r) D = r^2 - r (tau + c - 2 tau^2) + 2 tau^2 + tau c.
-
-    tau and c = v^2 - 1 are a slice's floats, so the roots bound Omega for
-    the t = (c - r) / (1 + r) that slice computes; with c = 4 tau (1 + tau)
-    they are 2 tau and tau (3 + 2 tau).  hi takes the root with the sign of
-    b, lo = (product) / hi, so neither subtracts near-equal numbers.
-    """
-    b = tau + c - 2.0 * tau * tau
-    k = 2.0 * tau * tau + tau * c
-    hi = 0.5 * (b + np.sqrt(b * b - 4.0 * k))
-    return k / hi, hi
-
-
-def _grid_values(tau, c, span, k, rt_resolution):
-    """(member, F) at grid indices k (rows, points) of slices tau, c, span (rows, 1).
-
-    Point k of a slice is r = tau + span k / rt_resolution with span = c - tau,
-    t on the hyperbola (1 + r)(1 + t) = v^2, in the operations of the slice's
-    full grid, so each value has the bits that grid gives it.  member is D < 0.
-    """
-    r = tau + span * (k / rt_resolution)
-    t = (c - r) / (1.0 + r)
-    denom = _pole_denominator(tau, r, t)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        F = _F(tau, r, t, denom)
-    return denom < 0.0, F
-
-
-def _require_bracket(ok):
-    if not ok:
-        raise RuntimeError("the bands around Omega's edges do not bracket its grid points")
-
-
-def _omega_slices(v_grid, rt_resolution, rows):
-    """Yield (lo, members, peak) for each block v_grid[lo:lo + rows] of v-slices.
-
-    members counts a slice's points of Omega (D < 0) and peak is the largest
-    F among them, -inf on an empty slice; both equal what the slice's full
-    grid gives.  On a slice Omega is the interval between the roots of
-    `_omega_edges`, and F is strictly concave on it (`sup_F_sweep`).  Each
-    block takes two passes, each one gather of grid indices and one `_F`
-    call over all its slices:
-
-    - bands and coarse points.  A band of 2 _BAND grid points straddles the
-      float position of each edge, so a rounding of D that moves an edge by
-      up to _BAND - 1 points stays inside it.  Each band's outermost point
-      must miss Omega, and next to a nonempty interior its innermost point
-      must be in it.  The interior between the bands is counted without
-      evaluation.  Every _COARSE-th interior point is evaluated, and each
-      must be in Omega too.  Anything else raises RuntimeError.
-    - a window of the interior, _COARSE points to either side of the best
-      coarse point.  Grid r rises with the index, so where exact F is
-      concave no point beyond a window edge has exact F above that edge's.
-      So once each edge is an end of the interior, or its F lies more than
-      2 delta below the window's maximum, that maximum is the interior's as
-      floats.  delta = _ROUNDING bounds F's rounding, about 40 eps (t / D)^2
-      + 4 eps, wherever F > -32.  Every slice's maximum lies above -6
-      (-5.11 as v -> 1, -1.15 as v -> 3), so a point below -32 cannot carry
-      it.  A window not yet accepted doubles its reach and is evaluated
-      again; it is accepted at the latest once it spans the interior.
-
-    Per slice that is 4 _BAND band points, ceil(n / _COARSE) coarse points
-    and up to 2 _COARSE + 1 window points, n < R / 2 being the interior's
-    length for R = rt_resolution.  On verify-prop41's default grid (R =
-    1500) a slice evaluates at most 85 points and 83 on average.  An
-    interior shorter than a window is spanned by it at once.
-    """
-    S, W = _COARSE, _BAND
-    band = np.arange(1.0 - W, W + 1.0)
-    for lo in range(0, len(v_grid), rows):
-        v = v_grid[lo:lo + rows, None]
-        tau = 0.5 * (v - 1.0)
-        c = v * v - 1.0
-        span = c - tau
-        below, above = (np.floor((e - tau) / span * rt_resolution) for e in _omega_edges(tau, c))
-        first, last = below + W + 1.0, above - W  # the interior, first..last
-        inner = np.maximum(last - first + 1.0, 0.0)
-        empty = inner == 0.0
-        k = np.hstack((below + band, above + band))
-        coarse = np.minimum(first + S * np.arange(max(1, -(-int(np.max(inner)) // S))),
-                            np.maximum(last, 1.0))  # an empty interior's points are ignored
-        member, F = _grid_values(tau, c, span,
-                                 np.hstack((np.clip(k, 1.0, rt_resolution), coarse)),
-                                 rt_resolution)
-        counted = member[:, :4 * W] & (k >= 1.0) & (k <= rt_resolution)
-        _require_bracket(not np.any(counted[:, [0, -1]])
-                         and np.all(member[:, 2 * W - 1:2 * W + 1] | empty)
-                         and np.all(member[:, 4 * W:] | empty))
-        counted[:, 2 * W:] &= k[:, 2 * W:] > below + W  # a point both bands hold counts once
-        members = np.count_nonzero(counted, axis=1) + inner[:, 0].astype(np.intp)
-        peak = np.max(F[:, :4 * W], axis=1, where=counted, initial=-np.inf)
-        best = np.take_along_axis(coarse, np.argmax(F[:, 4 * W:], axis=1)[:, None], axis=1)
-        todo, reach = np.flatnonzero(~empty), S
-        while todo.size:
-            a = np.maximum(best[todo] - reach, first[todo])
-            b = np.minimum(best[todo] + reach, last[todo])
-            k = np.minimum(a + np.arange(np.max(b - a) + 1.0), b)  # the last column is b
-            member, F = _grid_values(tau[todo], c[todo], span[todo], k, rt_resolution)
-            _require_bracket(np.all(member))
-            top = np.max(F, axis=1, keepdims=True)
-            done = (((a == first[todo]) | (F[:, :1] < top - 2.0 * _ROUNDING))
-                    & ((b == last[todo]) | (F[:, -1:] < top - 2.0 * _ROUNDING)))[:, 0]
-            peak[todo[done]] = np.maximum(peak[todo[done]], top[done, 0])
-            todo, reach = todo[~done], 2 * reach
-        yield lo, members, peak
 
 
 def sup_F_sweep(v_count=10_000, rt_resolution=10_000, v_lo=None, v_hi=None) -> SweepReport:
@@ -241,22 +117,9 @@ def sup_F_sweep(v_count=10_000, rt_resolution=10_000, v_lo=None, v_hi=None) -> S
     the hyperbola (1+r)(1+t) = v^2; samples failing the t lower bound, and
     any on F's pole, are dropped, and a slice losing every sample is
     counted, not fatal.  The grid must be nonempty and lie in the domain
-    1 < v_lo <= v_hi < 3; anything else raises ValueError.
-
-    On a slice, with c = v^2 - 1 = 4 tau (1 + tau), the pole denominator
-    factors as tau (1 + r) D = r^2 - r (tau + c - 2 tau^2) + 2 tau^2 + tau c
-    = (r - 2 tau)(r - tau (3 + 2 tau)).  As tau (1 + r) > 0, Omega is exactly
-    2 tau < r < tau (3 + 2 tau).  In s = r / tau, with q = 4 + 4 tau - s and
-    P = (s - 2)(3 + 2 tau - s), positive on Omega, F = s / (1 + s) - q / P.
-    s / (1 + s) is concave, and (q / P)'' = 2 [P (q + P') + q P'^2] / P^3 > 0,
-    since q > 0 and q + P' = 9 + 6 tau - 3 s > 0 on Omega.  So F is strictly
-    concave there.  A slice's float c is not exactly 4 tau (1 + tau); with
-    the roots s_lo < s_hi of its quadratic, x = s - s_lo, y = s_hi - s and
-    d = c / tau - s_hi > 0, P (q + P') + q P'^2 = d (x^2 - x y + y^2) + y^3,
-    still positive.  So each slice is known from its two edges and its peak
-    (`_omega_slices`): on verify-prop41's default grid 5.5 % of the points
-    are evaluated, and every slice's count and maximum have the bits of a
-    full loop over its points.
+    1 < v_lo <= v_hi < 3; anything else raises ValueError.  Every grid point
+    is evaluated, one pass per block of whole v-slices of about
+    _SWEEP_BLOCK points.  `certify_sup_F` proves the bound this samples.
     """
     v_lo = 1.0 + 1e-6 if v_lo is None else v_lo
     v_hi = 3.0 - 1e-6 if v_hi is None else v_hi
@@ -266,25 +129,92 @@ def sup_F_sweep(v_count=10_000, rt_resolution=10_000, v_lo=None, v_hi=None) -> S
     if not 1.0 < v_lo <= v_hi < 3.0:
         raise ValueError(f"need 1 < v_lo <= v_hi < 3, got v_lo={v_lo!r}, v_hi={v_hi!r}")
     v_grid = np.linspace(v_lo, v_hi, v_count)
-    # per slice, a pass holds the bands and the coarse points (at most R // (2 _COARSE) + 1
-    # of them), or a window
-    width = max(4 * _BAND + rt_resolution // (2 * _COARSE) + 1, 2 * _COARSE + 1)
-    rows = max(1, _SWEEP_BLOCK // width)
-    samples = 0
-    empty = 0
+    frac = np.arange(1, rt_resolution + 1) / rt_resolution
+    rows = max(1, _SWEEP_BLOCK // rt_resolution)
+    members = np.empty(v_count, dtype=np.intp)
     per_v = np.empty(v_count)
-    for lo, members, peak in _omega_slices(v_grid, rt_resolution, rows):
-        per_v[lo:lo + rows] = peak
-        samples += int(np.sum(members))
-        empty += int(np.count_nonzero(members == 0))
+    for lo in range(0, v_count, rows):
+        v = v_grid[lo:lo + rows, None]
+        tau = 0.5 * (v - 1.0)
+        c = v * v - 1.0
+        r = tau + (c - tau) * frac
+        t = (c - r) / (1.0 + r)
+        denom = _pole_denominator(tau, r, t)
+        member = denom < 0.0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            F = _F(tau, r, t, denom)
+        members[lo:lo + rows] = np.count_nonzero(member, axis=1)
+        per_v[lo:lo + rows] = np.max(F, axis=1, where=member, initial=-np.inf)
     return SweepReport(
         v_count=v_count,
         rt_resolution=rt_resolution,
         worst_value=float(np.max(per_v)),
-        samples=samples,
-        empty_slices=empty,
+        samples=int(np.sum(members)),
+        empty_slices=int(np.count_nonzero(members == 0)),
         worst_per_v=per_v,
     )
+
+
+class SupFProof(NamedTuple):
+    cubic: tuple  # p_c's coefficients, highest power first
+    boxes: tuple  # (lo, hi, Bernstein coefficients) of each closed box, in order of s
+    worst: Fraction  # the largest closed coefficient, or p_c at the counterexample
+    counterexample: Fraction | None  # a point of [2, 5] with p_c >= 0, None once proved
+
+
+def _bernstein(coef, lo, hi):
+    """The Bernstein coefficients on [lo, hi] of the polynomial coef, highest power first."""
+    n = len(coef) - 1
+    a = list(coef)
+    for k in range(n):  # synthetic division by s - lo: a[n - k] becomes p^(k)(lo) / k!
+        for i in range(1, n + 1 - k):
+            a[i] += lo * a[i - 1]
+    d = [x * (hi - lo) ** k for k, x in enumerate(reversed(a))]
+    return tuple(sum(Fraction(math.comb(j, k), math.comb(n, k)) * d[k] for k in range(j + 1))
+                 for j in range(n + 1))
+
+
+def certify_sup_F(c) -> SupFProof:
+    """Prove sup F <= -c over Omega (v in (1, 3)) exactly, or find where it fails.
+
+    In tau = (v - 1) / 2 in (0, 1) and s = r / tau, with q = 4 + 4 tau - s and
+    P = (s - 2)(3 + 2 tau - s), tau (1 + r) D = -tau^2 P on the hyperbola
+    (1 + r)(1 + t) = v^2, so Omega(tau) = {2 < s < 3 + 2 tau}, where P > 0,
+    and F = s / (1 + s) - q / P there.
+
+    The lemma: at fixed s, dF/dtau = 2 (s - 2)^2 / P^2 = 2 / (3 + 2 tau - s)^2
+    > 0, and Omega(tau) grows with tau, so F(tau, s) < F(1, s) on Omega and
+    the supremum over Omega is that of F(1, s) over s in (2, 5), attained by
+    no v < 3.  Multiplying by (1 + s)(s - 2)(5 - s) > 0, F(1, s) <= -c is
+    p_c(s) = -(1 + c) s^3 + (8 + 6c) s^2 - (17 + 3c) s - (8 + 10c) <= 0, and
+    p_c(2) = p_c(5) = -18 for every c.
+
+    c is taken as the exact rational of its value.  [2, 5] is cut into
+    boxes by bisection, each written in the Bernstein basis in `Fraction`:
+    a box closes once every coefficient is negative, which bounds p_c on it
+    below 0, and an end of a box with p_c >= 0 is returned as an exact
+    counterexample.  So the search ends for every rational c: below the
+    sharp constant (1.15246996739633) p_c < 0 on [2, 5], and above it p_c > 0
+    on an interval, which holds a box end.  No rational c is the sharp one,
+    where p_c has a double root, rational for rational c, at the root
+    3.78171... of F's critical quartic s^4 - 14 s^3 + 42 s^2 - 32 s + 73,
+    which has no rational root.
+    """
+    c = Fraction(c)
+    cubic = (-(1 + c), 8 + 6 * c, -(17 + 3 * c), -(8 + 10 * c))
+    todo, boxes = [(Fraction(2), Fraction(5))], []
+    while todo:
+        lo, hi = todo.pop()
+        coef = _bernstein(cubic, lo, hi)
+        for end, value in ((lo, coef[0]), (hi, coef[-1])):  # p_c at the box's ends
+            if value >= 0:
+                return SupFProof(cubic, tuple(boxes), value, end)
+        if max(coef) < 0:
+            boxes.append((lo, hi, coef))
+        else:
+            mid = (lo + hi) / 2
+            todo += [(mid, hi), (lo, mid)]  # the left half first: boxes stay in order
+    return SupFProof(cubic, tuple(boxes), max(max(box[2]) for box in boxes), None)
 
 
 # ---------------------------------------------------------------------------
@@ -623,7 +553,7 @@ def draw_group_stacks(rng, count):
 
 class SampleCheck(NamedTuple):
     regroup_max: float  # max |grouped - direct| / max(1, |direct|), 0 with no samples
-    min_margin: float  # min master margin over samples with |B|^2 > 0, else inf
+    min_margin: float  # min master margin / |B|^2 over samples with |B|^2 > 0, else inf
     zero_forms: int  # samples with |B|^2 = 0, whose margin is 0 whatever lam
 
 
@@ -631,10 +561,11 @@ def sample_check(rng, count) -> SampleCheck:
     """The regrouping identity and the master bound on count random samples.
 
     The samples come from draw_group_stacks, and each (n, m) stack is
-    checked by one group_totals call.  Zero forms (the triple pattern draws
-    h = 0 whenever p < 3) are counted, not taken into min_margin, where
-    their exact 0 would hide the smallest margin of a curved sample.  A NaN
-    defect or margin reaches regroup_max or min_margin.
+    checked by one group_totals call.  min_margin is the smallest margin /
+    |B|^2, which does not scale with h, as `adversarial_margin_search`
+    reports it.  Zero forms (the triple pattern draws h = 0 whenever p < 3)
+    are counted, not taken into min_margin, where their margin, exactly 0,
+    has no ratio.  A NaN defect or margin reaches regroup_max or min_margin.
     """
     regroup, margin, zeros = 0.0, math.inf, 0
     stacks = draw_group_stacks(rng, count)
@@ -645,7 +576,7 @@ def sample_check(rng, count) -> SampleCheck:
         regroup = np.max(defect, initial=regroup)
         zero = t.b2 == 0.0
         zeros += int(np.count_nonzero(zero))
-        margin = np.min(t.margin[~zero], initial=margin)
+        margin = np.min(t.margin[~zero] / t.b2[~zero], initial=margin)
     return SampleCheck(float(regroup), float(margin), zeros)
 
 

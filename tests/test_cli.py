@@ -68,6 +68,7 @@ def test_removed_search_iters_key_rejected(tmp_path):
 
 
 def test_sweep_ceiling_at_or_above_three_rejected(tmp_path):
+    # verify-prop41 proves its bound without a sweep, so v_hi is an unknown key
     cfg = _write_cfg(tmp_path, {"v_hi": 3.0})
     assert cli.main(["verify-prop41", "--config", cfg, "--out", str(tmp_path)]) == 2
 
@@ -103,6 +104,12 @@ def test_sweep_ceiling_at_or_above_three_rejected(tmp_path):
     # verify-shrinkers on one per surface, so chunks is an unknown key
     ("verify-targets", {"chunks": 8}),
     ("verify-shrinkers", {"chunks": 4}),
+    # verify-prop41 proves the scalar bound exactly and sweeps no grid, so
+    # the sweep's keys are unknown, at their old defaults too
+    ("verify-prop41", {"v_count": 1200}),
+    ("verify-prop41", {"rt_resolution": 1500}),
+    ("verify-prop41", {"v_hi": 3.0 - 1e-6}),
+    ("verify-prop41", {"tol_sweep": 1e-9}),
 ])
 def test_wrong_typed_config_value_rejected(tmp_path, capsys, subcommand, payload):
     cfg = _write_cfg(tmp_path, payload)
@@ -341,8 +348,6 @@ def test_verify_prop41_certificate(tmp_path):
     cfg = _write_cfg(
         tmp_path,
         {
-            "v_count": 80,
-            "rt_resolution": 200,
             "samples": 150,
             "restarts": 40,
         },
@@ -352,32 +357,37 @@ def test_verify_prop41_certificate(tmp_path):
     assert code == 0
     report = _load_report(str(out), "verify-prop41")
     assert report["status"] == "PASS"
-    sweep = next(c for c in report["checks"] if c["name"] == "sweep_sup_F")
-    assert sweep["bound"] == -1.0 / 16.0
-    assert sweep["value"] <= sweep["bound"]
+    # the largest Bernstein coefficient of p_c over the proof's one box
+    proof = next(c for c in report["checks"] if c["name"] == "sup_F_proof")
+    assert proof["bound"] == 0.0
+    assert proof["value"] == -4.875 <= proof["bound"]
     with open(out / "prop41_certificate.json") as fh:
         cert = json.load(fh)
     assert cert["bound"] == -1.0 / 16.0
-    assert cert["worst_value"] <= cert["bound"]
+    assert cert["proved"] is True and cert["counterexample"] is None
+    # the benchmark reads samples from every certificate: here the boxes
+    assert type(cert["samples"]) is int and cert["samples"] == len(cert["boxes"]) == 1
 
 
 @pytest.mark.parametrize("seed, values, digest", [
-    (0, {"regroup_max": "0x1.c342c49ad7762p-51", "sample_min_margin": "0x1.2087f2ac050c1p-13",
+    (0, {"regroup_max": "0x1.c342c49ad7762p-51", "sample_min_margin": "0x1.8eb4e1d038c83p-10",
          "zero_form_samples": "0x1.0100000000000p+9",
          "search_min_margin": "0x1.6b2c1f6405000p-14"},
-     "d3f0525a837d185b454c783aa3e40ade33d505ad4faafb9225b94baf58f96ea3"),
-    (61, {"regroup_max": "0x1.8fea68a689efep-51", "sample_min_margin": "0x1.6b81d84b8f637p-55",
+     "32e25a3ca8daeb7edb0129f82c5d3540a95fd545359969771ded851c6421daa0"),
+    (61, {"regroup_max": "0x1.8fea68a689efep-51", "sample_min_margin": "0x1.b0116c8890c21p-12",
           "zero_form_samples": "0x1.f800000000000p+8",
           "search_min_margin": "0x1.8ad1cf00e0000p-17"},
-     "39b7e53c1b0aa05d6eb6c2181bcf285912d309031f6cb976889877943062a7ae"),
-])
+     "32e25a3ca8daeb7edb0129f82c5d3540a95fd545359969771ded851c6421daa0"),
+], ids=["0", "61"])
 def test_prop41_values_at_the_default_config_are_pinned(tmp_path, seed, values, digest):
-    # the sampled values follow draw_group_stacks' bulk stream; the sweep and the
-    # search do not read it.  The search's last bits follow the eigen-solver's
-    # matrices, one block of T(lam) each (`ineq._margin_form`), not the whole form
+    # the sampled values follow draw_group_stacks' bulk stream; the proof and
+    # the search do not read it, and the certificate records the proof alone,
+    # so its digest is the same at every seed.  The search's last bits follow
+    # the eigen-solver's matrices, one block of T(lam) each
+    # (`ineq._margin_form`), not the whole form
     assert cli.main(["verify-prop41", "--seed", str(seed), "--out", str(tmp_path)]) == 0
     checks = {c["name"]: c["value"] for c in _load_report(str(tmp_path), "verify-prop41")["checks"]}
-    values = {"sweep_sup_F": "-0x1.2708531cefc5cp+0", **values}
+    values = {"sup_F_proof": "-0x1.3800000000000p+2", **values}
     assert {name: float(checks[name]).hex() for name in values} == values
     got = hashlib.sha256((tmp_path / "prop41_certificate.json").read_bytes()).hexdigest()
     assert got == digest
@@ -386,12 +396,13 @@ def test_prop41_values_at_the_default_config_are_pinned(tmp_path, seed, values, 
 def test_prop41_margin_skips_zero_forms_and_counts_them(tmp_path):
     # the triple pattern draws h = 0 when min(n, m) < 3; those samples'
     # margin is exactly 0, which the minimum used to read at every seed
-    cfg = _write_cfg(tmp_path, {"v_count": 20, "rt_resolution": 20, "restarts": 2,
-                                "seed": 61})
+    cfg = _write_cfg(tmp_path, {"restarts": 2, "seed": 61})
     assert cli.main(["verify-prop41", "--config", cfg, "--out", str(tmp_path)]) == 0
     checks = {c["name"]: c for c in _load_report(str(tmp_path), "verify-prop41")["checks"]}
-    # the smallest curved sample has |B|^2 = 7.1e-19, so its margin is tiny but not 0
-    assert checks["sample_min_margin"]["value"] == pytest.approx(3.941153031664211e-17,
+    # the minimum is of margin / |B|^2, which does not shrink with h: the
+    # smallest curved sample, |B|^2 = 7.1e-19 with margin 3.9e-17, reads 55.5,
+    # and the minimum comes from a (5, 4) sample with |B|^2 = 0.70
+    assert checks["sample_min_margin"]["value"] == pytest.approx(4.120522139922662e-04,
                                                                  rel=1e-9, abs=0.0)
     assert checks["zero_form_samples"]["value"] == 504.0
     assert checks["zero_form_samples"]["margin"] == 4000.0 - 504.0
@@ -455,18 +466,16 @@ def test_report_merges_runs_chronologically(tmp_path, monkeypatch):
     cfg_fast = _write_cfg(tmp_path, {"probes": 6})
     monkeypatch.setenv("SOURCE_DATE_EPOCH", "1755830000")
     assert cli.main(["verify-targets", "--config", cfg_fast, "--out", str(out)]) == 0
-    cfg_sweep = _write_cfg(
+    cfg_prop41 = _write_cfg(
         tmp_path,
         {
-            "v_count": 40,
-            "rt_resolution": 100,
             "samples": 40,
             "restarts": 20,
         },
-        name="sweep.json",
+        name="prop41.json",
     )
     monkeypatch.setenv("SOURCE_DATE_EPOCH", "1755820800")  # earlier than the first
-    assert cli.main(["verify-prop41", "--config", cfg_sweep, "--out", str(out)]) == 0
+    assert cli.main(["verify-prop41", "--config", cfg_prop41, "--out", str(out)]) == 0
     assert cli.main(["report", "--out", str(out)]) == 0
     with open(out / "bundle.json") as fh:
         bundle = json.load(fh)
@@ -548,8 +557,7 @@ def test_a_nan_fails_a_mandatory_check(monkeypatch, tmp_path, case):
     cfg = {
         "verify-targets": {"probes": 2},
         "verify-shrinkers": {"probes": 3, "composition_probes": 2},
-        "verify-prop41": {"v_count": 20, "rt_resolution": 20, "samples": 5,
-                          "restarts": 2},
+        "verify-prop41": {"samples": 5, "restarts": 2},
     }[command]
     if command == "verify-targets":
         # the reduction residual of probe 1, after that of probe 0: one

@@ -1,6 +1,7 @@
 import json
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -212,10 +213,10 @@ def _assert_sweep_is_the_loop(v_count, rt_resolution, v_lo, v_hi):
     (5, 1, 1.0 + 1e-6, 3.0 - 1e-6),  # r = v^2 - 1 alone: every slice empty
     (9, 3, 1.0 + 1e-6, 3.0 - 1e-6),
     (37, 1500, 1.0 + 1e-6, 3.0 - 1e-6),
-    (3, 20_000, 1.0 + 1e-6, 3.0 - 1e-6),  # a slice's coarse points fill a pass
+    (3, 20_000, 1.0 + 1e-6, 3.0 - 1e-6),  # one slice is more than a pass
     (1, 3, 1.0 + 1e-9, 1.0 + 1e-9),
     (4, 3, 1.0 + 1e-9, 1.5),  # the first slice empty, the others not
-    (1200, 1500, 1.0 + 1e-6, 2.999999),  # verify-prop41's default grid
+    (1200, 1500, 1.0 + 1e-6, 2.999999),  # 1 800 000 points in 120 passes
 ])
 def test_blocked_sweep_equals_the_per_slice_loop(v_count, rt_resolution, v_lo, v_hi):
     _assert_sweep_is_the_loop(v_count, rt_resolution, v_lo, v_hi)
@@ -237,38 +238,6 @@ def test_sweep_equals_the_per_slice_loop_on_random_grids(v_count, log_resolution
     _assert_sweep_is_the_loop(v_count, rt_resolution, min(v_a, v_b), max(v_a, v_b))
 
 
-def test_a_window_that_must_widen_keeps_the_loop_bits(monkeypatch):
-    # with delta = 1 no window edge is ever accepted early: every window
-    # doubles until it spans its slice's interior
-    monkeypatch.setattr(ineq, "_ROUNDING", 1.0)
-    _assert_sweep_is_the_loop(37, 1500, 1.0 + 1e-6, 3.0 - 1e-6)
-    _assert_sweep_is_the_loop(12, 333, 1.0 + 1e-12, 3.0 - 1e-12)
-
-
-def _shift_edges(monkeypatch, points, rt_resolution):
-    edges = ineq._omega_edges
-
-    def shifted(tau, c):
-        step = points * (c - tau) / rt_resolution
-        return tuple(e + step for e in edges(tau, c))
-    monkeypatch.setattr(ineq, "_omega_edges", shifted)
-
-
-@pytest.mark.parametrize("points", [ineq._BAND + 0.5, -ineq._BAND - 0.5])
-def test_a_window_shifted_past_the_band_raises(monkeypatch, points):
-    # the bands then cut through Omega: an outermost point is in it, or an
-    # innermost one is not
-    _shift_edges(monkeypatch, points, 1500)
-    with pytest.raises(RuntimeError, match="bracket"):
-        ineq.sup_F_sweep(v_count=40, rt_resolution=1500)
-
-
-@pytest.mark.parametrize("points", [ineq._BAND - 1.5, 1.5 - ineq._BAND])
-def test_a_window_shifted_within_the_band_keeps_the_loop_bits(monkeypatch, points):
-    _shift_edges(monkeypatch, points, 1500)
-    _assert_sweep_is_the_loop(40, 1500, 1.0 + 1e-6, 3.0 - 1e-6)
-
-
 def test_pole_denominator_factors_on_a_slice():
     # tau (1 + r) D = (r - 2 tau)(r - tau (3 + 2 tau)) on the hyperbola, to rounding
     rng = np.random.default_rng(11)
@@ -279,9 +248,6 @@ def test_pole_denominator_factors_on_a_slice():
     lhs = tau * (1.0 + r) * ineq._pole_denominator(tau, r, t)
     rhs = (r - 2.0 * tau) * (r - tau * (3.0 + 2.0 * tau))
     assert np.all(np.abs(lhs - rhs) <= 1e-14 * (r + tau * (3.0 + 2.0 * tau)) ** 2)
-    lo, hi = ineq._omega_edges(tau, v * v - 1.0)
-    assert lo == pytest.approx(2.0 * tau, rel=1e-13)
-    assert hi == pytest.approx(tau * (3.0 + 2.0 * tau), rel=1e-13)
 
 
 @pytest.mark.parametrize("v", [1.0 + 1e-6, 1.5, 2.0, 2.5, 3.0 - 1e-6])
@@ -297,26 +263,11 @@ def test_F_is_concave_across_a_slice(v):
     assert np.all(F[:-2] - 2.0 * F[1:-1] + F[2:] < 0.0)
 
 
-def test_sweep_evaluates_under_a_tenth_of_the_default_grid(monkeypatch):
-    # verify-prop41's default grid: bands, a coarse pass and a window per
-    # slice, not all 1 800 000 points
-    evaluated = []
-    F = ineq._F
-
-    def counted(tau, r, t, denom):
-        evaluated.append(np.size(r))
-        return F(tau, r, t, denom)
-    monkeypatch.setattr(ineq, "_F", counted)
-    rep = ineq.sup_F_sweep(v_count=1200, rt_resolution=1500, v_hi=2.999999)
-    assert rep.samples == 709_338
-    assert sum(evaluated) <= 0.1 * 1200 * 1500
-
-
 @pytest.mark.parametrize("v_count, rt_resolution", [(1200, 1500), (10_000, 10_000)])
 def test_sweep_peak_allocation_stays_bounded(v_count, rt_resolution):
-    # verify-prop41's default grid and c01's: a pass holds the bands, the
-    # coarse points or the windows of one block of slices, about 2^14 points,
-    # where a sweep of the whole grid at once would take about 100 MB
+    # a 1200 x 1500 grid and c01's: a pass holds one block of whole slices,
+    # about 2^14 points, where a sweep of the whole grid at once would take
+    # about 100 MB
     tracemalloc.start()
     try:
         ineq.sup_F_sweep(v_count=v_count, rt_resolution=rt_resolution)
@@ -324,6 +275,90 @@ def test_sweep_peak_allocation_stays_bounded(v_count, rt_resolution):
     finally:
         tracemalloc.stop()
     assert peak <= 2 * 2**20
+
+
+# ---------------------------------------------------------------------------
+# the exact proof of the scalar bound
+
+
+def _cubic_at(cubic, s):
+    out = Fraction(0)
+    for a in cubic:
+        out = out * s + a
+    return out
+
+
+def _F_on_hyperbola(tau, s):
+    # F at r = tau s, t on (1 + r)(1 + t) = v^2, with v = 1 + 2 tau
+    r = tau * s
+    t = _hyperbola_t(1.0 + 2.0 * tau, r)
+    return ineq._F(tau, r, t, ineq._pole_denominator(tau, r, t))
+
+
+def test_the_proof_closes_at_delta0_in_one_box():
+    proof = ineq.certify_sup_F(ineq.DELTA0)
+    assert proof.counterexample is None
+    assert proof.boxes == ((2, 5, (-18, Fraction(-231, 16), Fraction(-39, 8), -18)),)
+    assert proof.worst == Fraction(-39, 8)
+
+
+def test_the_proof_closes_just_below_the_sharp_constant():
+    proof = ineq.certify_sup_F(Fraction("1.1524"))
+    assert proof.counterexample is None
+    # the closed boxes tile [2, 5] in order, each with every coefficient negative
+    lo, hi, _ = zip(*proof.boxes)
+    assert lo[0] == 2 and hi[-1] == 5 and lo[1:] == hi[:-1]
+    assert proof.worst == max(max(coef) for _, _, coef in proof.boxes) < 0
+    # each box's end coefficients are p_c at its ends
+    for a, b, coef in proof.boxes:
+        assert (coef[0], coef[-1]) == (_cubic_at(proof.cubic, a), _cubic_at(proof.cubic, b))
+
+
+def test_the_proof_fails_just_above_the_sharp_constant():
+    proof = ineq.certify_sup_F(Fraction("1.1525"))
+    s = proof.counterexample
+    # p_c has its two roots in (2, 5) at 3.77598 and 3.78744
+    assert Fraction("3.77598") < s < Fraction("3.78744")
+    assert proof.worst == _cubic_at(proof.cubic, s) >= 0
+    assert _F_on_hyperbola(1.0, float(s)) >= -1.1525
+
+
+@pytest.mark.parametrize("c", [Fraction(0), Fraction(1, 16), Fraction("1.1525"), Fraction(7, 3)])
+def test_the_cubic_is_F_at_v_3_cleared_of_its_denominators(c):
+    cubic = ineq.certify_sup_F(c).cubic
+    assert _cubic_at(cubic, 2) == _cubic_at(cubic, 5) == -18
+    # p_c(s) = (1 + s)(s - 2)(5 - s)(F(1, s) + c), F from `ineq._F` at tau = 1
+    s = np.linspace(2.01, 4.99, 97)
+    cleared = (1.0 + s) * (s - 2.0) * (5.0 - s) * (_F_on_hyperbola(1.0, s) + float(c))
+    exact = np.array([float(_cubic_at(cubic, Fraction(x))) for x in s])
+    assert np.allclose(cleared, exact, rtol=1e-12, atol=1e-12)
+
+
+def test_F_increases_with_tau_at_fixed_s():
+    # the proof's lemma: dF/dtau = 2 / (3 + 2 tau - s)^2 > 0 on Omega, here
+    # by central differences along the hyperbola
+    rng = np.random.default_rng(7)
+    tau = 0.01 + 0.98 * rng.random(500)
+    width = 1.0 + 2.0 * tau
+    s = 2.0 + width * (0.05 + 0.9 * rng.random(500))
+    step = 1e-5
+    assert np.all(s < 3.0 + 2.0 * (tau - step))  # both differences stay in Omega
+    slope = (_F_on_hyperbola(tau + step, s) - _F_on_hyperbola(tau - step, s)) / (2.0 * step)
+    assert np.all(slope > 0.0)
+    assert np.allclose(slope, 2.0 / (3.0 + 2.0 * tau - s) ** 2, rtol=1e-6, atol=0.0)
+
+
+def test_the_sharp_constant_is_the_quartic_root():
+    # F'(1, s) = 0 on (2, 5) is s^4 - 14 s^3 + 42 s^2 - 32 s + 73 = 0
+    roots = np.roots([1.0, -14.0, 42.0, -32.0, 73.0])
+    root = float(roots[(np.abs(roots.imag) < 1e-12) & (roots.real > 2.0) & (roots.real < 5.0)]
+                 .real.item())
+    assert root == pytest.approx(3.78171437452, abs=1e-11)
+    s = np.linspace(2.0, 5.0, 3_000_001)[1:-1]
+    F = _F_on_hyperbola(1.0, s)
+    assert abs(s[np.argmax(F)] - root) <= 2e-6
+    assert _F_on_hyperbola(1.0, root) == pytest.approx(-1.15246996739633, abs=1e-12)
+    assert np.max(F) <= _F_on_hyperbola(1.0, root) + 1e-15
 
 
 # ---------------------------------------------------------------------------
@@ -868,8 +903,8 @@ def test_master_kernel_total_is_the_sum_of_the_log_v_forms():
 
 
 @pytest.mark.parametrize("seed, regroup_max, min_margin, zero_forms", [
-    (0, "0x1.c342c49ad7762p-51", "0x1.2087f2ac050c1p-13", 514),
-    (61, "0x1.8fea68a689efep-51", "0x1.6b81d84b8f637p-55", 504),
+    (0, "0x1.c342c49ad7762p-51", "0x1.8eb4e1d038c83p-10", 514),
+    (61, "0x1.8fea68a689efep-51", "0x1.b0116c8890c21p-12", 504),
 ], ids=["0", "61"])
 def test_sample_check_values_are_pinned(seed, regroup_max, min_margin, zero_forms):
     # verify-prop41's sampled check reads these bits; they move with the order
@@ -879,6 +914,17 @@ def test_sample_check_values_are_pinned(seed, regroup_max, min_margin, zero_form
     assert r.regroup_max == float.fromhex(regroup_max)
     assert r.min_margin == float.fromhex(min_margin)
     assert r.zero_forms == zero_forms
+
+
+def test_sampled_margin_ratio_is_at_least_the_min_over_h():
+    # sample_check's min_margin is a margin / |B|^2, which min_margin_over_h
+    # bounds below at each sample's lambda; the smallest |B|^2 here is 7.1e-19
+    stacks = ineq.draw_group_stacks(np.random.default_rng(np.random.SeedSequence(61)), 4000)
+    for (n, m), (lam, h) in stacks.items():
+        t = ineq.group_totals(n, m, lam, h)
+        curved = t.b2 > 0.0
+        kappa, _ = ineq.min_margin_over_h(n, m, lam[curved])
+        assert np.all(t.margin[curved] / t.b2[curved] >= kappa - 1e-12), (n, m)
 
 
 def test_adversarial_search_finds_no_violation():
@@ -1050,13 +1096,15 @@ def test_min_over_h_vanishes_on_equal_angles_at_3_2():
 
 
 def test_certificate_and_dump_json():
-    rep = ineq.sup_F_sweep(v_count=50, rt_resolution=200)
-    text = cli.dump_json(rep.certificate(seed=123))
+    proof = ineq.certify_sup_F(ineq.DELTA0)
+    text = cli.dump_json(cli._proof_certificate(proof))
     data = json.loads(text)
     assert data["bound"] == -0.0625
-    assert data["worst_value"] == rep.worst_value
-    assert data["samples"] == rep.samples
-    assert data["seed"] == 123
+    assert data["proved"] is True and data["counterexample"] is None
+    assert data["cubic"] == ["-17/16", "67/8", "-275/16", "-69/8"]
+    assert data["boxes"] == [{"lo": "2", "hi": "5", "bernstein": ["-18", "-231/16", "-39/8", "-18"]}]
+    assert data["samples"] == len(proof.boxes) == 1
+    assert cli.dump_json(data) == text
 
 
 def test_search_skips_the_recheck_when_nothing_is_flagged(monkeypatch):

@@ -33,6 +33,8 @@ KEEP = {
     "RunReport.artifacts": "listed in the report JSON by RunReport.as_dict",
     "SweepReport.worst_per_v": "the per-slice maxima, which the unit tests hold bit "
                                "for bit to a loop over slices",
+    "SweepReport.empty_slices": "the count of slices with no point of Omega, which the "
+                                "unit tests hold to a loop over slices",
     "GroupBounds.slack": "the slacks group_bounds returns, kept above",
 }
 

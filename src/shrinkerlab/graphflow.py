@@ -103,11 +103,17 @@ class GridField:
 
     @classmethod
     def from_function(cls, func, L, resolution, m, boundary="frozen", A=None, b=None):
+        """The field of func at the grid nodes, filled node by node into one
+        array: func takes a node's coordinates (n,) and returns m values."""
         resolution = tuple(int(s) for s in resolution)
         flat = _coords(L, resolution).reshape(-1, len(resolution))
-        vals = np.array([np.atleast_1d(func(x)) for x in flat], dtype=float)
-        vals = vals.reshape(*resolution, m)
-        return cls(L=L, values=vals, boundary=boundary, A=A, b=b)
+        vals = np.empty((len(flat), m))
+        for row, x in zip(vals, flat):
+            v = np.asarray(func(x), dtype=float)
+            if v.size != m:
+                raise ValueError(f"func must return {m} values per node, got {v.size} at {x}")
+            row[:] = v.reshape(m)
+        return cls(L=L, values=vals.reshape(*resolution, m), boundary=boundary, A=A, b=b)
 
 
 def _axes(L, shape):

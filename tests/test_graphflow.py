@@ -106,6 +106,25 @@ def test_residual_constant_offset_is_half_value():
     assert np.max(np.abs(gf.system_residual(f) - c / 2.0)) == 0.0
 
 
+def test_from_function_fills_the_nodes_in_grid_order():
+    def u(x):
+        return [math.sin(x[0]) * x[1], x[0] - 0.5 * x[1] ** 2]
+
+    f = gf.GridField.from_function(u, L=1.0, resolution=(9, 7), m=2)
+    want = np.array([u(x) for x in f.coords().reshape(-1, 2)]).reshape(9, 7, 2)
+    assert np.array_equal(f.values, want)
+
+
+@pytest.mark.parametrize("m, func", [
+    (2, lambda x: x[0]),
+    (1, lambda x: [x[0], x[1]]),
+    (2, lambda x: [0.0, 1.0, 2.0] if x[0] > 0.5 else [0.0, 1.0]),  # later nodes only
+])
+def test_from_function_needs_m_values_per_node(m, func):
+    with pytest.raises(ValueError, match=f"func must return {m} values per node"):
+        gf.GridField.from_function(func, L=1.0, resolution=(9, 9), m=m)
+
+
 def test_residual_sums_start_from_zero():
     # elliptic and drift are sums from 0.0, as in the stacked definition: on
     # alternating signed zeros u_xx is -0.0 at every other node, yet no part

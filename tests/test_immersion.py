@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -294,6 +295,151 @@ def test_mesh_arrays_match_point_frames(name, shape):
     assert mesh.frames.rho.shape == (mesh.node_count,)
 
 
+_FRAME_FIELDS = ("position", "tangent", "normal", "h", "mean", "rho", "S")
+
+
+def _one_call_mesh(imm, shape):
+    # the unblocked reference: params, weights and frame fields of every node
+    # from one jets call and one frame-kernel call
+    steps = [(hi - lo) / c for (lo, hi), c in zip(imm.chart, shape)]
+    axes = [lo + st * (np.arange(c) + 0.5) for (lo, _), st, c in zip(imm.chart, steps, shape)]
+    params = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=1)
+    L, f = im._frame_kernel(*imm.jets(params), params)
+    weights = math.prod(steps) * np.prod(np.diagonal(L, axis1=-2, axis2=-1), axis=-1)
+    return params, weights, f
+
+
+def _position_graph():
+    return im.ParametricImmersion.from_positions(
+        lambda x: np.stack([x[..., 0], x[..., 1], 0.3 * x[..., 0] * x[..., 1] ** 2], axis=-1),
+        2, 1, [(-1, 1)] * 2)
+
+
+_BLOCKED_IMMERSIONS = {
+    "sphere": lambda: im.catalog_immersion("sphere:n=2,R=2"),
+    "cylinder": lambda: im.catalog_immersion("cylinder:k=1,n=2"),
+    "plane-m2": lambda: im.catalog_immersion("plane:n=2,m=2"),
+    "graph-jets": _graph_m2,
+    "from-positions": _position_graph,
+}
+
+
+# with blocks of 16 nodes: fewer nodes, as many, one more, and several blocks
+# with a tail of 1 and of 7
+@pytest.mark.parametrize("shape", [(3, 4), (4, 4), (17, 1), (7, 7), (5, 11)])
+@pytest.mark.parametrize("name", sorted(_BLOCKED_IMMERSIONS))
+def test_mesh_blocks_keep_every_bit(name, shape, monkeypatch):
+    monkeypatch.setattr(im, "_NODE_BLOCK", 16)
+    imm = _BLOCKED_IMMERSIONS[name]()
+    evaluator, calls, checked = imm._jet, [], []
+    monkeypatch.setattr(imm, "_jet", lambda p: calls.append(len(p)) or evaluator(p))
+    orthonormal = grassmann._orthonormal
+    monkeypatch.setattr(grassmann, "_orthonormal",
+                        lambda rows: checked.append(len(rows)) or orthonormal(rows))
+    mesh = im.patch_mesh(imm, shape)
+    count = math.prod(shape)
+    # one evaluator call per block of nodes, and one check per frame
+    assert calls == [min(16, count - lo) for lo in range(0, count, 16)]
+    assert checked == calls
+    params, weights, f = _one_call_mesh(imm, shape)
+    assert np.array_equal(mesh.params, params)
+    assert np.array_equal(mesh.weights, weights)
+    for field in _FRAME_FIELDS:
+        got = getattr(mesh.frames, field)
+        assert got.shape == f[field].shape and np.array_equal(got, f[field])
+
+
+def test_mesh_blocks_at_the_module_block_size_keep_every_bit():
+    imm = im.catalog_immersion("sphere:n=2,R=2")
+    shape = (im._NODE_BLOCK + 1, 1)
+    mesh = im.patch_mesh(imm, shape)
+    params, weights, f = _one_call_mesh(imm, shape)
+    assert np.array_equal(mesh.weights, weights)
+    for field in _FRAME_FIELDS:
+        assert np.array_equal(getattr(mesh.frames, field), f[field])
+
+
+@pytest.mark.parametrize("shape", [(3, 4), (7, 7), (16, 32)])
+def test_blocked_stability_check_equals_one_pass(shape, monkeypatch):
+    monkeypatch.setattr(im, "_NODE_BLOCK", 16)
+    a = np.array([0.2, 0.5, 0.84])
+    a /= np.linalg.norm(a)
+    mesh = im.sphere_mesh(R=2.0, shape=shape)
+    # height_field's and the check's arithmetic over every node at once
+    _, weights, f = _one_call_mesh(mesh.immersion, shape)
+    s, y = im._signed_normal(f["tangent"], f["normal"])
+    vals = sphere.height_value(y, a)
+    images = im._normal_images(f["tangent"], s, f["h"][:, 0])
+    grads = (sphere.height_differential(y[:, None], a, images)[:, None, :] @ f["tangent"])[:, 0]
+    # the mesh's frames were checked once, when it was built
+    monkeypatch.setattr(grassmann, "_orthonormal", None)
+    field = im.height_field(mesh, a)
+    assert np.array_equal(field.values, vals) and np.array_equal(field.gradients, grads)
+    b2 = np.sum(f["h"] * f["h"], axis=(-3, -2, -1))
+    lhs = float(np.sum(vals * (1.0 - vals) * b2 * f["rho"] * weights))
+    rhs = -float(np.sum(np.sum(grads * grads, axis=1) * f["rho"] * weights))
+    assert im.stability_identity_check(mesh, a) == (lhs, rhs, lhs - rhs)
+
+
+@pytest.mark.parametrize("fields, message", [
+    (lambda f: dict(position=_with_nan(f.position, -1), rho=_with_nan(f.rho, -1)), "weight"),
+    (lambda f: dict(mean=_with_nan(f.mean, -1)), "mean curvature"),
+    (lambda f: dict(h=_with_nan(f.h, (-1, 0, 0, 0))), "symmetric"),
+    (lambda f: dict(tangent=_with_nan(f.tangent, (-1, 0))), "not orthonormal"),
+])
+def test_frame_check_fails_on_nan_in_the_last_block(fields, message, monkeypatch):
+    monkeypatch.setattr(im, "_NODE_BLOCK", 16)
+    mesh = im.sphere_mesh(R=2.0, shape=(7, 7))  # 4 blocks, the last of one node
+    with pytest.raises(ValueError, match=message):
+        dataclasses.replace(mesh.frames, **fields(mesh.frames))
+
+
+@pytest.mark.parametrize("kind", ["chart", "rank"])
+def test_a_later_block_fails_as_one_batch_does(kind, monkeypatch):
+    plane = im.catalog_immersion("plane:n=2,m=1")
+
+    def jet(q):
+        # the last row of a (9, 5) mesh, nodes 40 to 44: the third block of 16
+        late = q[:, 0] > 2.2
+        if kind == "chart" and late.any():
+            raise im.ChartError(f"stencil of parameter {q[np.argmax(late)]} leaves the chart")
+        x, dX, ddX = plane._jet(q)
+        dX[late, 1] = dX[late, 0]  # rank one
+        return x, dX, ddX
+
+    imm = im.ParametricImmersion(2, 1, plane.chart, jet)
+    messages = []
+    for block in (45, 16):
+        monkeypatch.setattr(im, "_NODE_BLOCK", block)
+        with pytest.raises(ValueError) as info:
+            im.patch_mesh(imm, (9, 5))
+        assert isinstance(info.value, im.ChartError) == (kind == "chart")
+        messages.append(str(info.value))
+    assert messages[0] == messages[1]
+    assert "parameter [ 2.66666667 -2.4       ]" in messages[1]
+
+
+def test_mesh_build_and_check_peak_allocation_stays_bounded():
+    # certify's fine quadrature mesh holds 6.25 MB of arrays.  Beyond them the
+    # build and the check take a block's temporaries, under 3 MB; one pass
+    # over every node took about 10 MB and 6 MB
+    a = np.array([0.2, 0.5, 0.84])
+    a /= np.linalg.norm(a)
+    tracemalloc.start()
+    try:
+        mesh = im.sphere_mesh(R=2.0, shape=(128, 256))
+        build = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        im.stability_identity_check(mesh, a)
+        check = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    held = sum(getattr(mesh.frames, k).nbytes for k in _FRAME_FIELDS)
+    held += mesh.params.nbytes + mesh.weights.nbytes
+    assert build - held <= 4 * 2**20
+    assert check - held <= 4 * 2**20
+
+
 def test_patch_mesh_needs_positive_resolutions():
     plane = im.catalog_immersion("plane:n=2,m=1")
     for shape in ((0, 3), (4,), (2, 2, 2)):
@@ -312,10 +458,10 @@ def test_mesh_quadrature_reads_arrays_only():
     field = im.height_field(mesh, a)
     pfs = [im.point_frame(mesh.immersion, p) for p in mesh.params]
     for i, pf in enumerate(pfs):
-        s, y = im._signed_normal(pf)
+        s, y = im._signed_normal(pf.tangent, pf.normal)
         assert field.values[i] == 1.0 - float(s * pf.normal[0] @ a)
         assert np.array_equal(y, s * pf.normal[0])
-        coeffs = sphere.height_differential(y, a, im._normal_images(pf, s, pf.h[0]))
+        coeffs = sphere.height_differential(y, a, im._normal_images(pf.tangent, s, pf.h[0]))
         assert np.array_equal(field.gradients[i], coeffs @ pf.tangent)
         # the closed form s h0 (tangent a) as it was written inline
         inline = s * (pf.h[0] @ (pf.tangent @ a)) @ pf.tangent

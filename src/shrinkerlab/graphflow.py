@@ -39,7 +39,9 @@ class GridField:
 
     Boundary data is either an affine map (A, b) whose values the perimeter
     must match, or "frozen" (whatever the perimeter samples are is held
-    fixed by the solvers).
+    fixed by the solvers).  Construction raises ValueError on non-finite
+    data, on m < 1, on fewer than 5 nodes along an axis and on affine data
+    of the wrong shape or that the perimeter does not match.
     """
 
     L: float
@@ -51,8 +53,8 @@ class GridField:
     def __post_init__(self):
         # C order, so the geometry pass's slab views alias the values
         self.values = np.ascontiguousarray(self.values, dtype=float)
-        if self.values.ndim < 2:
-            raise ValueError("values must have shape (*resolution, m)")
+        if self.values.ndim < 2 or self.values.shape[-1] < 1:
+            raise ValueError("values must have shape (*resolution, m) with m >= 1")
         # before the comparisons below, which are all False for NaN
         if not all(np.all(np.isfinite(x)) for x in (self.L, self.values, self.A, self.b)
                    if x is not None):
@@ -395,7 +397,8 @@ class _Workspace:
     jets' centre term, the metric's second-component products, the
     inverse's products, the residual's terms, the sups' absolute values, a
     sample's reductions and the second form's contractions; elliptic and
-    drift live there, so they hold until the next sample or step only.
+    drift live there, so they hold until the next sample or step only.  A
+    fill is 43 calls at n = 2, m = 1 and order 2, and the step program 45.
     """
 
     def __init__(self, field: GridField, order, dt=None):
@@ -606,33 +609,22 @@ def relax_flow(u0: GridField, cfg: SolverConfig = SolverConfig()):
 # Gauss-image reporting
 
 
-@dataclass(frozen=True)
-class GaussImageReport:
-    max_v: float
-    min_pole_ip: Optional[float]
+def gauss_image_report(field: GridField, pole) -> float:
+    """The smallest inner product of the upward unit normals at the interior
+    nodes with the pole, from the order-2 jets of a field with m = 1:
+    positive when the Gauss image lies in the open hemisphere about it.
 
-
-def gauss_image_report(field: GridField, pole=None, order=2) -> GaussImageReport:
-    """Summary of the tangent-plane image over the interior nodes.
-
-    max_v is the largest slope against the horizontal plane, so 1 / max_v
-    is the smallest w-product.  With a pole and m = 1, min_pole_ip
-    is the smallest inner product of the upward unit normals with the pole,
-    positive when the image lies in the open hemisphere about it.  The w-product
-    against another plane is grassmann.w_product on the gauss_map of the
-    point_frame batch of field_immersion at interior_nodes.
+    The largest slope, whose reciprocal is the smallest w-product against
+    the horizontal plane, is a trace row's sup_slope.  The w-product against
+    another plane is grassmann.w_product on the gauss_map of the point_frame
+    batch of field_immersion at interior_nodes.
     """
-    ws = _Workspace(field, order).fill()
-    max_v = float(np.max(np.sqrt(ws.det)))
-    min_ip = None
-    if field.m == 1 and pole is not None:
-        flat_du = ws.du.reshape(field.n, -1).T
-        denom = np.sqrt(1.0 + np.sum(flat_du * flat_du, axis=1))
-        normals = np.concatenate(
-            [-flat_du, np.ones((flat_du.shape[0], 1))], axis=1
-        ) / denom[:, None]
-        min_ip = float(np.min(normals @ np.asarray(pole, dtype=float)))
-    return GaussImageReport(max_v=max_v, min_pole_ip=min_ip)
+    if field.m != 1:
+        raise ValueError(f"a Gauss image on the sphere needs m = 1, got m = {field.m}")
+    flat_du = _Workspace(field, 2).fill().du.reshape(field.n, -1).T
+    denom = np.sqrt(1.0 + np.sum(flat_du * flat_du, axis=1))
+    normals = np.concatenate([-flat_du, np.ones((flat_du.shape[0], 1))], axis=1) / denom[:, None]
+    return float(np.min(normals @ np.asarray(pole, dtype=float)))
 
 
 # ---------------------------------------------------------------------------
@@ -714,7 +706,13 @@ def field_from_csv(text: str) -> GridField:
     lines = text.strip().split("\n")
     if lines[0] != "n,m,L,res,boundary":
         raise ValueError("unrecognized field file header")
-    n_s, m_s, L_s, res_s, boundary = lines[1].split(",")
+
+    def line(k):
+        if k >= len(lines):
+            raise ValueError(f"field file ends before line {k + 1}")
+        return lines[k]
+
+    n_s, m_s, L_s, res_s, boundary = line(1).split(",")
     n, m, L = int(n_s), int(m_s), float(L_s)
     shape = tuple(int(t) for t in res_s.split("x"))
     if len(shape) != n:
@@ -722,7 +720,7 @@ def field_from_csv(text: str) -> GridField:
     cursor = 2
     A = b = None
     if boundary == "affine":
-        flat = [float(t) for t in lines[cursor].split(",")]
+        flat = [float(t) for t in line(cursor).split(",")]
         if len(flat) != m * n + m:
             raise ValueError(f"affine line {cursor + 1} holds {len(flat)} values, "
                              f"A and b need {m * n + m}")

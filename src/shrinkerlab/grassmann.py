@@ -52,7 +52,8 @@ def _rows(rows, lead) -> np.ndarray:
 
 def _orthonormal(rows, tol=_ORTHO_TOL) -> bool:
     """Whether the rows (..., k, amb) are orthonormal to tol in every entry
-    of their Gram matrices; False on NaN."""
+    of their Gram matrices; False on NaN.  The package's one orthonormality
+    check: planes here and immersion's frames are checked by it."""
     gram = rows @ rows.swapaxes(-1, -2)
     gram -= np.eye(gram.shape[-1])
     np.abs(gram, out=gram)
@@ -61,7 +62,9 @@ def _orthonormal(rows, tol=_ORTHO_TOL) -> bool:
 
 def complement(rows) -> np.ndarray:
     """Orthonormal rows (..., amb - k, amb) spanning the orthogonal complement
-    of rows (..., k, amb): trailing columns of the complete QR of rows^T."""
+    of rows (..., k, amb): trailing columns of the complete QR of rows^T.
+    The package's one complement, behind sphere's tangent frames,
+    immersion's normals and jordan_spectrum's partner normals."""
     rows = np.asarray(rows, dtype=float)
     q = np.linalg.qr(rows.swapaxes(-1, -2), mode="complete")[0]
     return q[..., rows.shape[-2]:].swapaxes(-1, -2)

@@ -42,8 +42,8 @@ _D2 = {2: (((1, 1.0), (0, -2.0), (-1, 1.0)), 1.0),
 # divided by step (_D4) or step^2 (_D4_2)
 _D4, _D4_2 = (tuple((s, w / c) for s, w in reversed(terms)) for terms, c in (_D1[4], _D2[4]))
 
-# points per pass of a mesh build, a frame check and height_field.  At 1 024
-# a 128 x 256 sphere mesh builds with 0.8 MB of temporaries beside its
+# points per pass of a mesh build, a frame check and a stability check.  At
+# 1 024 a 128 x 256 sphere mesh builds with 0.8 MB of temporaries beside its
 # 6.25 MB of arrays (3.0 MB at 4 096), as fast as in one batch
 _NODE_BLOCK = 1 << 10
 
@@ -187,7 +187,12 @@ class PointFrame:
     @property
     def second_form_sq(self):
         """|B|^2, the squared norm of the second fundamental form."""
-        return np.sum(self.h * self.h, axis=(-3, -2, -1))
+        return _second_form_sq(self.h)
+
+
+def _second_form_sq(h):
+    # |B|^2 over the leading axes of h (..., m, n, n)
+    return np.sum(h * h, axis=(-3, -2, -1))
 
 
 def _degenerate_metric(g, params):
@@ -418,50 +423,22 @@ def _normal_images(tangent, s, coeffs):
     return ((-s)[..., None, None] * coeffs) @ tangent
 
 
-class _HypersurfaceTarget:
-    """Scalar on the unit sphere composed with the oriented normal map."""
-
-    def values(self, frames, shared):
-        y = oriented_normal(frames)
-        return self._values(y / np.sqrt(sphere._dot(y, y))[..., None])
-
-    def centre_sum(self, pf, T, shared):
-        s, y = _signed_normal(pf.tangent, pf.normal)
-        images = _normal_images(pf.tangent, s, pf.h[..., 0, :, :])
-        hess = self._hess(y[..., None, :], images).sum(axis=-1)
-        return hess + self._d(y, _normal_images(pf.tangent, s, T)[..., 0, :])
-
-
-class HeightTarget(_HypersurfaceTarget):
+class HeightTarget:
     """F = 1 - <., a> on the unit sphere, composed with the normal map."""
 
     def __init__(self, a):
         self.a = np.asarray(a, dtype=float)
 
-    def _values(self, unit):
-        return sphere.height_value(unit, self.a)
+    def values(self, frames, shared):
+        y = oriented_normal(frames)
+        return sphere.height_value(y / np.sqrt(sphere._dot(y, y))[..., None], self.a)
 
-    def _hess(self, y, u):
-        return sphere.height_hessian(y, self.a, u, u)
-
-    def _d(self, y, u):
-        return sphere.height_differential(y, self.a, u)
-
-
-class ThetaTarget(_HypersurfaceTarget):
-    """Longitude angle of the normal map; defined away from the cut locus."""
-
-    @staticmethod
-    def _values(unit):
-        return sphere.longitude_coords(unit)[1]
-
-    @staticmethod
-    def _hess(y, u):
-        return sphere.longitude_hessians(y, u, u)[1]
-
-    @staticmethod
-    def _d(y, u):
-        return sphere.longitude_differentials(y, u)[1]
+    def centre_sum(self, pf, T, shared):
+        s, y = _signed_normal(pf.tangent, pf.normal)
+        images = _normal_images(pf.tangent, s, pf.h[..., 0, :, :])
+        hess = sphere.height_hessian(y[..., None, :], self.a, images, images).sum(axis=-1)
+        tension = _normal_images(pf.tangent, s, T)[..., 0, :]
+        return hess + sphere.height_differential(y, self.a, tension)
 
 
 class _OverlapTarget:
@@ -593,8 +570,9 @@ def patch_mesh(imm: ParametricImmersion, shape, closed=False):
 
     The nodes are built in blocks of _NODE_BLOCK, one jets call and one
     frame-kernel call each, whose results are copied into the mesh's arrays
-    and whose temporaries die with the block; the first block that fails
-    names the first failing node.
+    (so no stored normal is a view into a block's complete-QR Q) and whose
+    temporaries die with the block; the first block that fails names the
+    first failing node, as a build in one batch would.
     """
     shape = tuple(int(s) for s in shape)
     if len(shape) != imm.n or min(shape) < 1:
@@ -622,37 +600,12 @@ def sphere_mesh(R, shape):
     return patch_mesh(imm, shape, closed=True)
 
 
-@dataclass(frozen=True, eq=False)
-class ScalarFieldOnPatch:
-    """Per-node scalar samples with their ambient tangential gradients."""
-
-    values: np.ndarray
-    gradients: np.ndarray
-
-
 def weighted_integral(mesh: WeightedPatchMesh, f) -> float:
     """Quadrature of per-node values f against the Gaussian-weighted area measure."""
     vals = np.asarray(f, float)
     if vals.shape != (mesh.node_count,):
         raise ValueError("field node count does not match the mesh")
     return float(np.sum(vals * mesh.frames.rho * mesh.weights))
-
-
-def height_field(mesh: WeightedPatchMesh, a) -> ScalarFieldOnPatch:
-    """Samples of 1 - <normal map, a>, for a unit pole a, with the ambient
-    tangential gradient, filled in blocks of _NODE_BLOCK nodes."""
-    f = mesh.frames
-    vals = np.empty(mesh.node_count)
-    grads = np.empty(f.position.shape)
-    for b in _blocks(vals.shape):
-        tangent = f.tangent[b]
-        sign, y = _signed_normal(tangent, f.normal[b])
-        vals[b] = sphere.height_value(y, a)
-        # e_j(f) per frame row
-        images = _normal_images(tangent, sign, f.h[b, 0])
-        coeffs = sphere.height_differential(y[:, None], a, images)
-        grads[b] = (coeffs[:, None, :] @ tangent)[:, 0]
-    return ScalarFieldOnPatch(values=vals, gradients=grads)
 
 
 class StabilityReport(NamedTuple):
@@ -664,16 +617,26 @@ class StabilityReport(NamedTuple):
 def stability_identity_check(mesh: WeightedPatchMesh, a):
     """Closed-surface identity: int f(1-f)|B|^2 rho = -int |grad f|^2 rho.
 
-    f is the height of the normal map against the pole a.  Requires a
-    closed mesh; open patches would need boundary terms that are not
-    modeled.
+    f is the height of the normal map against the unit pole a.  The two
+    per-node integrands are filled in blocks of _NODE_BLOCK nodes, and each
+    is integrated in one sum over every node.  Requires a closed mesh; open
+    patches would need boundary terms that are not modeled.
     """
     if not mesh.closed:
         raise ValueError("stability identity requires a closed mesh")
-    field = height_field(mesh, a)
-    f = field.values
-    lhs = weighted_integral(mesh, f * (1.0 - f) * mesh.frames.second_form_sq)
-    grad_sq = np.sum(field.gradients * field.gradients, axis=1)
+    f = mesh.frames
+    curved, grad_sq = np.empty(mesh.node_count), np.empty(mesh.node_count)
+    for b in _blocks(curved.shape):
+        tangent = f.tangent[b]
+        sign, y = _signed_normal(tangent, f.normal[b])
+        vals = sphere.height_value(y, a)
+        curved[b] = vals * (1.0 - vals) * _second_form_sq(f.h[b])
+        # e_j(f) per frame row, then grad f in ambient coordinates
+        images = _normal_images(tangent, sign, f.h[b, 0])
+        coeffs = sphere.height_differential(y[:, None], a, images)
+        grads = (coeffs[:, None, :] @ tangent)[:, 0]
+        grad_sq[b] = np.sum(grads * grads, axis=1)
+    lhs = weighted_integral(mesh, curved)
     rhs = -weighted_integral(mesh, grad_sq)
     return StabilityReport(lhs=lhs, rhs=rhs, residual=lhs - rhs)
 

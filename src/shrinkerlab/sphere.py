@@ -1,14 +1,15 @@
 """Closed-form geometry of the round sphere S^n in R^{n+1}.
 
 Height functions 1 - <x, a>, the polar chart (r, theta) defined off a deleted
-closed half-equator, and the first and second derivatives of the height and
-of (r, theta).
+closed half-equator, the first and second derivatives of the height, and the
+Hessians of (r, theta).
 
 The derivatives are evaluated at points x (..., n+1) on tangent vectors given
 in ambient coordinates over the same leading axes, so no tangent frame is
 needed (none exists globally on S^n); the height takes one pole or a pole
 per point.  Each checks that x and the pole are
-unit vectors on one sphere and that every vector is tangent at x.
+unit vectors on one sphere and that every vector is tangent at x.  These
+are the package's one copy of each form, which immersion and cli call.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ __all__ = [
     "height_differential",
     "height_hessian",
     "longitude_coords",
-    "longitude_differentials",
     "longitude_hessians",
     "great_circle",
     "tangent_frame",
@@ -137,11 +137,6 @@ def _longitude_diffs(x: np.ndarray, u: np.ndarray):
     dr = (x[..., 0] * u[..., 0] + x[..., 1] * u[..., 1]) / r
     dt = (-x[..., 1] * u[..., 0] + x[..., 0] * u[..., 1]) / r2
     return r, dr, dt
-
-
-def longitude_differentials(x: np.ndarray, u: np.ndarray):
-    """dr(u) and dtheta(u) at points x (..., n+1) on tangent vectors u."""
-    return _longitude_diffs(x, u)[1:]
 
 
 def longitude_hessians(x: np.ndarray, u: np.ndarray, w: np.ndarray):

@@ -779,8 +779,7 @@ def test_report_affine_single_point_hemisphere():
     )
     pole = np.array([-0.5, 0.3, 1.0])
     pole /= np.linalg.norm(pole)
-    rep = gf.gauss_image_report(f, pole=pole)
-    assert rep.min_pole_ip == pytest.approx(1.0, abs=1e-12)
+    assert gf.gauss_image_report(f, pole) == pytest.approx(1.0, abs=1e-12)
     ips = _pole_ips(f, pole)
     assert ips.shape == (49,) and np.all(ips > sphere.REGION_TOL)
 
@@ -792,16 +791,23 @@ def test_report_single_variable_field_hits_equator():
         lambda x: [0.8 * np.sin(1.3 * x[0])], L=1.0, resolution=(17, 17), m=1
     )
     pole = np.array([0.0, 1.0, 0.0])
-    rep = gf.gauss_image_report(f, pole=pole)
-    assert abs(rep.min_pole_ip) <= 1e-12
+    assert abs(gf.gauss_image_report(f, pole)) <= 1e-12
     assert np.all(np.abs(_pole_ips(f, pole)) <= sphere.REGION_TOL)
 
 
 def test_report_slope_hypothesis_flag():
+    # flow-graph's gauss_max_v is a trace row's sup_slope
     g = np.sqrt(2.9**2 - 1.0)
     f = gf.GridField.from_function(lambda x: [g * x[0]], L=1.0, resolution=(9, 9), m=1)
-    rep = gf.gauss_image_report(f)
-    assert rep.max_v == pytest.approx(2.9, rel=1e-12)
+    trace = gf.FlowTrace()
+    trace.record(0, 0.0, f)
+    assert trace.sup_slope[0] == pytest.approx(2.9, rel=1e-12)
+
+
+def test_report_needs_one_component():
+    f = gf.GridField(L=1.0, values=np.zeros((9, 9, 2)))
+    with pytest.raises(ValueError, match="m = 1, got m = 2"):
+        gf.gauss_image_report(f, np.eye(4)[3])
 
 
 def test_w_product_against_the_horizontal_plane_is_reciprocal_slope():
@@ -812,9 +818,7 @@ def test_w_product_against_the_horizontal_plane_is_reciprocal_slope():
     pf = im.point_frame(gf.field_immersion(f, order=4), gf.interior_nodes(f, order=4))
     w = gr.w_product(im.gauss_map(pf), P0)
     assert np.max(np.abs(np.abs(w) * sl - 1.0)) <= 1e-12
-    assert 1.0 / gf.gauss_image_report(f, order=4).max_v == pytest.approx(
-        np.min(np.abs(w)), abs=1e-12
-    )
+    assert 1.0 / np.max(sl) == pytest.approx(np.min(np.abs(w)), abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -923,6 +927,26 @@ def test_field_csv_rejects_affine_line_of_the_wrong_length():
     for line in ("0,0,0,0", "0,0"):
         with pytest.raises(ValueError, match="affine line 3 holds .* values, A and b need 3"):
             _from_lines(lines[:2] + [line] + lines[3:])
+
+
+def test_field_csv_rejects_a_file_cut_before_its_data():
+    lines = _csv_lines()
+    with pytest.raises(ValueError, match="ends before line 2"):
+        _from_lines(lines[:1])
+    affine = gf.GridField(L=1.0, values=np.zeros((7, 7, 1)), boundary="affine")
+    lines = gf.field_to_csv(affine).strip().split("\n")
+    with pytest.raises(ValueError, match="ends before line 3"):
+        _from_lines(lines[:2])
+
+
+def test_field_with_no_components_is_rejected():
+    with pytest.raises(ValueError, match="m >= 1"):
+        gf.GridField(L=1.0, values=np.zeros((9, 9, 0)))
+    # the text form of such a field fails to read back
+    text = "n,m,L,res,boundary\n1,0,1,5,frozen\ni0,x0\n" + "".join(
+        f"{i},{x:.17g}\n" for i, x in enumerate(np.linspace(-1.0, 1.0, 5)))
+    with pytest.raises(ValueError, match="m >= 1"):
+        gf.field_from_csv(text)
 
 
 def test_field_csv_rejects_wrong_row_count():

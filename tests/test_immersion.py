@@ -365,7 +365,7 @@ def test_blocked_stability_check_equals_one_pass(shape, monkeypatch):
     a = np.array([0.2, 0.5, 0.84])
     a /= np.linalg.norm(a)
     mesh = im.sphere_mesh(R=2.0, shape=shape)
-    # height_field's and the check's arithmetic over every node at once
+    # the check's arithmetic over every node at once
     _, weights, f = _one_call_mesh(mesh.immersion, shape)
     s, y = im._signed_normal(f["tangent"], f["normal"])
     vals = sphere.height_value(y, a)
@@ -373,8 +373,6 @@ def test_blocked_stability_check_equals_one_pass(shape, monkeypatch):
     grads = (sphere.height_differential(y[:, None], a, images)[:, None, :] @ f["tangent"])[:, 0]
     # the mesh's frames were checked once, when it was built
     monkeypatch.setattr(grassmann, "_orthonormal", None)
-    field = im.height_field(mesh, a)
-    assert np.array_equal(field.values, vals) and np.array_equal(field.gradients, grads)
     b2 = np.sum(f["h"] * f["h"], axis=(-3, -2, -1))
     lhs = float(np.sum(vals * (1.0 - vals) * b2 * f["rho"] * weights))
     rhs = -float(np.sum(np.sum(grads * grads, axis=1) * f["rho"] * weights))
@@ -421,8 +419,9 @@ def test_a_later_block_fails_as_one_batch_does(kind, monkeypatch):
 
 def test_mesh_build_and_check_peak_allocation_stays_bounded():
     # certify's fine quadrature mesh holds 6.25 MB of arrays.  Beyond them the
-    # build and the check take a block's temporaries, under 3 MB; one pass
-    # over every node took about 10 MB and 6 MB
+    # build and the check take a block's temporaries and the check its two
+    # per-node integrands, about 0.9 MB; one pass over every node took about
+    # 10 MB and 6 MB, and a check holding full-size values and gradients 2.5 MB
     a = np.array([0.2, 0.5, 0.84])
     a /= np.linalg.norm(a)
     tracemalloc.start()
@@ -437,7 +436,7 @@ def test_mesh_build_and_check_peak_allocation_stays_bounded():
     held = sum(getattr(mesh.frames, k).nbytes for k in _FRAME_FIELDS)
     held += mesh.params.nbytes + mesh.weights.nbytes
     assert build - held <= 4 * 2**20
-    assert check - held <= 4 * 2**20
+    assert check - held <= 1.5 * 2**20
 
 
 def test_patch_mesh_needs_positive_resolutions():
@@ -455,24 +454,25 @@ def test_mesh_quadrature_reads_arrays_only():
     im.unit_weight(mesh)
     im.weighted_integral(mesh, np.ones(mesh.node_count))
     # per-node loops over one-point frames as the reference
-    field = im.height_field(mesh, a)
     pfs = [im.point_frame(mesh.immersion, p) for p in mesh.params]
+    f, grad_sq = np.empty(mesh.node_count), np.empty(mesh.node_count)
     for i, pf in enumerate(pfs):
         s, y = im._signed_normal(pf.tangent, pf.normal)
-        assert field.values[i] == 1.0 - float(s * pf.normal[0] @ a)
+        f[i] = 1.0 - float(s * pf.normal[0] @ a)
         assert np.array_equal(y, s * pf.normal[0])
         coeffs = sphere.height_differential(y, a, im._normal_images(pf.tangent, s, pf.h[0]))
-        assert np.array_equal(field.gradients[i], coeffs @ pf.tangent)
+        grad = coeffs @ pf.tangent
         # the closed form s h0 (tangent a) as it was written inline
         inline = s * (pf.h[0] @ (pf.tangent @ a)) @ pf.tangent
-        assert np.max(np.abs(field.gradients[i] - inline)) <= 1e-15 * np.max(np.abs(inline))
+        assert np.max(np.abs(grad - inline)) <= 1e-15 * np.max(np.abs(inline))
+        grad_sq[i] = np.sum(grad * grad)
         xt = (pf.tangent @ pf.position) @ pf.tangent
         assert np.array_equal(gauss.grad_log[i], -0.5 * xt)
         assert gauss.values[i] == pf.rho
     b2 = np.array([pf.second_form_sq for pf in pfs])
-    f = field.values
     lhs = float(np.sum(f * (1.0 - f) * b2 * gauss.values * mesh.weights))
     assert rep.lhs == lhs
+    assert rep.rhs == -float(np.sum(grad_sq * gauss.values * mesh.weights))
 
 
 
@@ -1053,12 +1053,7 @@ def test_composition_on_generic_graphs():
     P0 = OrientedFrame(np.eye(3)[:2])
     for _ in range(5):
         p = _interior_probe(rng, g1)
-        for target in (
-            im.HeightTarget(a),
-            im.ThetaTarget(),
-            im.VTarget(P0),
-            im.LogVTarget(P0),
-        ):
+        for target in (im.HeightTarget(a), im.VTarget(P0), im.LogVTarget(P0)):
             assert abs(im.composition_checks(g1, p, [target])[0]) <= 1e-4
 
     g2 = _graph_m2()
@@ -1070,10 +1065,9 @@ def test_composition_on_generic_graphs():
 
 
 def test_hypersurface_targets_reach_the_sphere_forms(monkeypatch):
-    # the targets and the height field read sphere's closed forms, so no
-    # second copy of a sphere formula lives here
-    names = ("height_hessian", "height_differential", "longitude_hessians",
-             "longitude_differentials")
+    # the height target and the stability check read sphere's closed forms,
+    # so no second copy of a sphere formula lives here
+    names = ("height_hessian", "height_differential")
     calls = dict.fromkeys(names, 0)
 
     def counting(name, func):
@@ -1087,19 +1081,12 @@ def test_hypersurface_targets_reach_the_sphere_forms(monkeypatch):
     a = np.array([0.2, 0.4, 0.89])
     a /= np.linalg.norm(a)
     im.composition_checks(_graph_m1(), np.array([[0.3, -0.4], [0.5, 0.2]]),
-                          [im.HeightTarget(a), im.ThetaTarget()])
+                          [im.HeightTarget(a)])
     # one call of each form per batch of centres
     assert calls == dict.fromkeys(names, 1)
     calls.update(dict.fromkeys(names, 0))
-    im.height_field(im.sphere_mesh(R=2.0, shape=(4, 8)), a)
+    im.stability_identity_check(im.sphere_mesh(R=2.0, shape=(4, 8)), a)
     assert calls == {**dict.fromkeys(names, 0), "height_differential": 1}
-
-
-def test_composition_undefined_target_raises():
-    # the normal of the flat plane lands on the longitude cut locus
-    imm = im.catalog_immersion("plane:n=2,m=1")
-    with pytest.raises(sphere.RegionError):
-        im.composition_checks(imm, np.array([0.1, 0.2]), [im.ThetaTarget()])
 
 
 def test_weighted_area_of_shrinker_sphere(shrinker_sphere_mesh):

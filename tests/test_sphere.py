@@ -116,14 +116,16 @@ _EMPTY_CALLS = {
     "height_differential": (lambda x: sphere.height_differential(x, _E3, x), [()]),
     "height_hessian": (lambda x: sphere.height_hessian(x, _E3, x, x), [()]),
     "longitude_coords": (sphere.longitude_coords, [(), ()]),
-    "longitude_differentials": (lambda x: sphere.longitude_differentials(x, x), [(), ()]),
+    "_longitude_diffs": (lambda x: sphere._longitude_diffs(x, x), [(), (), ()]),
     "longitude_hessians": (lambda x: sphere.longitude_hessians(x, x, x), [(), ()]),
     "great_circle": (lambda x: sphere.great_circle(x, x, np.zeros(len(x))), [(4,)]),
     "tangent_frame": (sphere.tangent_frame, [(3, 4)]),
 }
 
 
-@pytest.mark.parametrize("name", sorted(set(sphere.__all__) - {"RegionError"}))
+# and dr, dtheta, which the Hessians of r and theta take from _longitude_diffs
+@pytest.mark.parametrize("name", sorted(set(sphere.__all__) - {"RegionError"}
+                                        | {"_longitude_diffs"}))
 def test_an_empty_stack_gives_empty_arrays(name):
     # the unit-vector check once raised NumPy's zero-size reduction error here
     call, trailing = _EMPTY_CALLS[name]
@@ -136,7 +138,7 @@ _FORMS = {
     "height_differential": lambda x, a, u: sphere.height_differential(x, a, u),
     "height_hessian_u": lambda x, a, u: sphere.height_hessian(x, a, u, 0.0 * x),
     "height_hessian_w": lambda x, a, u: sphere.height_hessian(x, a, 0.0 * x, u),
-    "longitude_differentials": lambda x, a, u: sphere.longitude_differentials(x, u),
+    "_longitude_diffs": lambda x, a, u: sphere._longitude_diffs(x, u),
     "longitude_hessians_u": lambda x, a, u: sphere.longitude_hessians(x, u, 0.0 * x),
     "longitude_hessians_w": lambda x, a, u: sphere.longitude_hessians(x, 0.0 * x, u),
 }
@@ -191,7 +193,7 @@ def test_longitude_forms_reject_the_polar_set():
         sphere.longitude_hessians(np.stack([np.array([1.0, 0.0, 0.0]), x]), u, u)
     assert np.array_equal(err.value.point, x)
     with pytest.raises(sphere.RegionError):
-        sphere.longitude_differentials(x, u)
+        sphere._longitude_diffs(x, u)
 
 
 def test_longitude_chart_basics():
@@ -280,7 +282,7 @@ def test_hess_r_at_date_line_antipode():
     hr, ht = sphere.longitude_hessians(x, v, v)
     assert hr == pytest.approx(-1.0, abs=1e-12)
     assert ht == pytest.approx(0.0, abs=1e-12)
-    assert sphere.longitude_differentials(x, v) == (0.0, 0.0)
+    assert sphere._longitude_diffs(x, v)[1:] == (0.0, 0.0)
 
 
 def _chart_probe(rng, n1):
@@ -299,7 +301,7 @@ def test_hess_r_theta_match_great_circle_differences():
         x = _chart_probe(rng, n1)
         v = _tangent_unit(rng, x)
         hr, ht = sphere.longitude_hessians(x, v, v)
-        dr, dt = sphere.longitude_differentials(x, v)
+        _, dr, dt = sphere._longitude_diffs(x, v)
 
         def coords(t):
             return np.array(sphere.longitude_coords(sphere.great_circle(x, v, t)))
@@ -317,12 +319,12 @@ def test_theta_level_sets_are_totally_geodesic():
         x = _chart_probe(rng, n1)
         # the gradient of theta in ambient coordinates, from dtheta of a frame
         basis = sphere.tangent_frame(x)
-        grad = sphere.longitude_differentials(x, basis)[1] @ basis
+        grad = sphere._longitude_diffs(x, basis)[2] @ basis
         v = _tangent_unit(rng, x)
         # remove the gradient component so that dtheta(v) = 0
         v -= (v @ grad) / (grad @ grad) * grad
         v /= np.linalg.norm(v)
-        assert abs(sphere.longitude_differentials(x, v)[1]) <= 1e-12
+        assert abs(sphere._longitude_diffs(x, v)[2]) <= 1e-12
         assert abs(sphere.longitude_hessians(x, v, v)[1]) <= 1e-10
 
 
@@ -378,7 +380,7 @@ def test_forms_over_leading_axes_equal_per_point_calls(lead, n, seed):
     batched = [
         sphere.height_differential(x, a, u),
         sphere.height_hessian(x, a, u, w),
-        *sphere.longitude_differentials(x, u),
+        *sphere._longitude_diffs(x, u)[1:],
         *sphere.longitude_hessians(x, u, w),
         sphere.height_value(x, b),
         sphere.height_hessian(x, b, u, w),
@@ -391,7 +393,7 @@ def test_forms_over_leading_axes_equal_per_point_calls(lead, n, seed):
         single = [
             sphere.height_differential(x[idx], a, u[idx]),
             sphere.height_hessian(x[idx], a, u[idx], w[idx]),
-            *sphere.longitude_differentials(x[idx], u[idx]),
+            *sphere._longitude_diffs(x[idx], u[idx])[1:],
             *sphere.longitude_hessians(x[idx], u[idx], w[idx]),
             sphere.height_value(x[idx], b[idx]),
             sphere.height_hessian(x[idx], b[idx], u[idx], w[idx]),

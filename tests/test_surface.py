@@ -10,6 +10,9 @@ route that does the work, or give it a reason in KEEP.
 """
 
 import ast
+import functools
+import importlib
+import re
 from pathlib import Path
 
 from shrinkerlab import cli
@@ -23,8 +26,6 @@ MODULES = {path.stem for path in SRC}
 KEEP = {
     "field_from_csv": "tests/test_cli.py reads the flow_final.csv artifact back with it",
     "second_form_sq_field": "tests/test_cli.py checks the flow_final.csv artifact with it",
-    "ThetaTarget": "reaching it needs a verify-shrinkers check, a change of its own "
-                   "that the shrinker-probes workload would pay for",
     "group_bounds": "each Prop 4.1 group against its proved bound; reaching it from "
                     "verify-prop41 would change that report and the certify workload",
     "unit_weight": "the unweighted control of the first-variation family, used by "
@@ -150,3 +151,31 @@ def test_every_config_key_is_read_by_the_cli():
     unread = [f"{sub}.{key}" for sub, keys in cli.DEFAULTS.items() for key in keys
               if key not in read]
     assert unread == []
+
+
+def _layout_rows():
+    """(module, contents) of each row of README's Layout table."""
+    text = (ROOT / "README.md").read_text()
+    section = text.split("\n## Layout\n", 1)[1].split("\n## ", 1)[0]
+    for line in section.splitlines():
+        # a cell may hold escaped pipes, \|
+        cells = [c.strip() for c in re.split(r"(?<!\\)\|", line.strip().strip("|"))]
+        if len(cells) == 2 and cells[0].startswith("`shrinkerlab."):
+            yield cells[0].strip("`").partition(".")[2], cells[1]
+
+
+def test_every_layout_identifier_is_an_attribute_of_its_module():
+    # so a deleted or renamed name cannot stay in README
+    rows = dict(_layout_rows())
+    assert set(rows) == MODULES - {"__init__"}
+    missing = []
+    for name, contents in rows.items():
+        module = importlib.import_module(f"shrinkerlab.{name}")
+        for token in re.findall(r"`([^`]*)`", contents):
+            if not re.fullmatch(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)*", token):
+                continue
+            try:
+                functools.reduce(getattr, token.split("."), module)
+            except AttributeError:
+                missing.append(f"{name}: {token}")
+    assert missing == []

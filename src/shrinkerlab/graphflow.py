@@ -22,7 +22,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .immersion import _D1, _D2, ChartError, ParametricImmersion, _graph_jets
+from .immersion import _D1, _D2, ChartError, ParametricImmersion, _blocks, _graph_jets
 
 
 class DivergenceError(RuntimeError):
@@ -393,12 +393,12 @@ class _Workspace:
     stacked definitions at every interior node.  Given a dt, the workspace
     also holds the relaxation step program (step, else None), which first
     adds dt res to the whole slab, leaving the nodes off the interior as
-    they are, then fills.  One zeroed scratch block serves, in turn, the
-    jets' centre term, the metric's second-component products, the
-    inverse's products, the residual's terms, the sups' absolute values, a
-    sample's reductions and the second form's contractions; elliptic and
-    drift live there, so they hold until the next sample or step only.  A
-    fill is 43 calls at n = 2, m = 1 and order 2, and the step program 45.
+    they are, then fills.  One zeroed scratch block, (n + 2) size entries
+    unless the sups need more, serves in turn the jets' centre term, the
+    metric's second-component products, the inverse's products, the
+    residual's terms, the sups' absolute values and a sample's slopes;
+    elliptic and drift live there, so they hold until the next sample or
+    step only.  A fill is 43 calls at n = 2, m = 1 and order 2, the step 45.
     """
 
     def __init__(self, field: GridField, order, dt=None):
@@ -408,8 +408,7 @@ class _Workspace:
         self.values = field.values
         values = field.values.reshape(-1)
         slab = values[plan.start:plan.start + size]
-        block = np.zeros(max((n + 2) * size, n * n * size + n ** 3 * nodes + nodes,
-                             2 * size + 2 * values.size))
+        block = np.zeros(max((n + 2) * size, 2 * size + 2 * values.size))
         # the jets' centre term and products are dead once they are filled
         du, ddu, jets = _interior_jets(field, order, block)
         self.du = _inside(plan, du)
@@ -429,12 +428,6 @@ class _Workspace:
         tmp = block[2 * size:3 * size]
         absolute = block[2 * size:2 * (size + values.size)].reshape(2, -1)
         (self._node_tmp,) = _carve(block, self.det.shape)
-        # the second form: (p, q) products go where QH was, the tangential
-        # trace where QW was, once each is read for the last time
-        self._qh, self._qw, self._b2 = _carve(block, (n, n, nodes, field.m), (n, n, n, nodes),
-                                              (nodes,))
-        (self._pq,) = _carve(block, (n, n, nodes))
-        self._tang = self._qw[(0,) * 3]
 
         diag = g.reshape(n * n, nodes)[::n + 1]
         # the sum from 0.0 in component order, one call per component; the
@@ -482,16 +475,21 @@ class _Workspace:
 
     def second_form_sq(self):
         """|B|^2 = tr(Q H_a Q H_a) - Q_pq tr(Q W_p Q W_q) with Q = g^-1,
-        H_a = ddu^a and W_p = du_p . ddu, by pairwise contractions on the
-        slab; returns its interior nodes."""
-        _run(_mirror(self._ddu))
-        Q = self._g
-        QH = np.einsum("ik...,kj...m->ij...m", Q, self._ddu, out=self._qh)
-        QW = np.einsum("p...m,ij...m->pij...", self._du, QH, out=self._qw)  # Q W_p = du_p . Q H
-        full = np.einsum("ij...m,ji...m->...", QH, QH, out=self._b2)
-        pq = np.einsum("pij...,qji...->pq...", QW, QW, out=self._pq)
-        tang = np.einsum("pq...,pq...->...", Q, pq, out=self._tang)
-        return _inside(self._plan, np.subtract(full, tang, out=full), per_node=True)
+        H_a = ddu^a and W_p = du_p . ddu, by pairwise contractions over
+        blocks of slab nodes, each on a mirrored copy of its block of ddu;
+        returns the interior nodes of a fresh array."""
+        b2 = np.empty(len(self._det))
+        for b in _blocks(b2.shape):
+            # einsum orders a one-node block's (i, j) sums otherwise; only the
+            # tail can be one node, the slab's last: off the interior at n > 1
+            Q, ddu = self._g[:, :, b], self._ddu[:, :, b].copy()
+            _run(_mirror(ddu))
+            QH = np.einsum("ik...,kj...m->ij...m", Q, ddu)
+            QW = np.einsum("p...m,ij...m->pij...", self._du[:, b], QH)  # Q W_p = du_p . Q H
+            full = np.einsum("ij...m,ji...m->...", QH, QH)
+            pq = np.einsum("pij...,qji...->pq...", QW, QW)
+            np.subtract(full, np.einsum("pq...,pq...->...", Q, pq), out=b2[b])
+        return _inside(self._plan, b2, per_node=True)
 
     def sample(self):
         """sup slope, sup |residual|, sup |B|^2 and min w = min 1 / slope."""
@@ -517,7 +515,7 @@ def slope_field(field: GridField, order=2):
 
 def second_form_sq_field(field: GridField, order=2):
     """|B|^2 at interior nodes from the graph representation."""
-    return _Workspace(field, order).fill().second_form_sq().copy()
+    return _Workspace(field, order).fill().second_form_sq()
 
 
 @dataclass(frozen=True)
@@ -674,6 +672,12 @@ def interior_nodes(field: GridField, order=4):
 # files and plots
 
 
+def _csv_columns(n, m):
+    """The column-header line of a field file: index, coordinate, value."""
+    return ",".join([f"i{k}" for k in range(n)] + [f"x{k}" for k in range(n)]
+                    + [f"u{a}" for a in range(m)])
+
+
 def field_to_csv(field: GridField) -> str:
     """Loss-free text form: meta line, boundary line, then one row per node."""
     out = io.StringIO()
@@ -683,12 +687,7 @@ def field_to_csv(field: GridField) -> str:
     if field.boundary == "affine":
         flat = list(field.A.ravel()) + list(field.b)
         out.write(",".join(f"{v:.17g}" for v in flat) + "\n")
-    cols = (
-        [f"i{k}" for k in range(field.n)]
-        + [f"x{k}" for k in range(field.n)]
-        + [f"u{a}" for a in range(field.m)]
-    )
-    out.write(",".join(cols) + "\n")
+    out.write(_csv_columns(field.n, field.m) + "\n")
     coords = field.coords()
     for idx in np.ndindex(*field.shape):
         row = list(map(str, idx)) + [
@@ -700,9 +699,10 @@ def field_to_csv(field: GridField) -> str:
 
 def field_from_csv(text: str) -> GridField:
     """Inverse of field_to_csv; a missing, duplicate, out-of-range or
-    non-finite entry, a resolution with other than n axes, or node
-    coordinates other than the grid's (exactly: they are written with
-    17 digits) raise ValueError instead of being filled in."""
+    non-finite entry, a resolution with other than n axes, a column header
+    other than the one field_to_csv writes, or node coordinates other than
+    the grid's (exactly: they are written with 17 digits) raise ValueError
+    instead of being filled in."""
     lines = text.strip().split("\n")
     if lines[0] != "n,m,L,res,boundary":
         raise ValueError("unrecognized field file header")
@@ -727,8 +727,9 @@ def field_from_csv(text: str) -> GridField:
         A = np.array(flat[: m * n]).reshape(m, n)
         b = np.array(flat[m * n :])
         cursor += 1
-    cursor += 1  # column header
-    rows = lines[cursor:]
+    if line(cursor) != _csv_columns(n, m):
+        raise ValueError(f"line {cursor + 1} is not the column header {_csv_columns(n, m)}")
+    rows = lines[cursor + 1:]
     if len(rows) != math.prod(shape):
         raise ValueError(
             f"field file has {len(rows)} node rows, the {res_s} grid needs "

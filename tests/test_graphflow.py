@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -276,7 +277,8 @@ _REF_SHAPES = {1: (15,), 2: (11, 13), 3: (7, 8, 9)}
 @pytest.mark.parametrize("m", [1, 2, 3])
 @pytest.mark.parametrize("order", [2, 4])
 @pytest.mark.parametrize("n", [1, 2, 3])
-def test_geometry_pass_is_bit_identical_to_the_stacked_kernel(n, order, m, boundary):
+def test_geometry_pass_is_bit_identical_to_the_stacked_kernel(n, order, m, boundary,
+                                                               monkeypatch):
     shape = _REF_SHAPES[n]
     rng = np.random.default_rng(100 * n + 10 * order + m)
     values = 0.4 * rng.standard_normal(shape + (m,))
@@ -295,7 +297,12 @@ def test_geometry_pass_is_bit_identical_to_the_stacked_kernel(n, order, m, bound
     assert all(np.array_equal(x, y) for x, y in zip((ws.res, ws.elliptic, ws.drift), parts))
     assert np.array_equal(gf.system_residual(f, order), parts[0])
     assert np.array_equal(gf.slope_field(f, order), slope)
-    assert np.array_equal(gf.second_form_sq_field(f, order), b2)
+    # |B|^2 is contracted in blocks of nodes: at the module's size, one block
+    # here, then over several blocks of each slab (13, 11, 117, 91, 360 or 216
+    # nodes), ending in tails of 1 to 11 nodes or in a whole block
+    for block in (im._NODE_BLOCK, 16, 4):
+        monkeypatch.setattr(im, "_NODE_BLOCK", block)
+        assert np.array_equal(gf.second_form_sq_field(f, order), b2)
     # the node bridge gathers the same jets, node by node in row-major order
     nodes = gf.interior_nodes(f, order)
     x, dX, ddX = gf.field_immersion(f, order).jets(nodes)
@@ -330,6 +337,11 @@ def test_geometry_pass_keeps_the_sign_of_zero_at_m2(order, monkeypatch):
     for a, b in zip(got, [g, *parts, slope, b2]):
         assert np.array_equal(a, b)
         assert np.array_equal(np.signbit(a), np.signbit(b))
+    # over blocks of 16 and of 4 nodes, the last of one node at order 2
+    for block in (16, 4):
+        monkeypatch.setattr(im, "_NODE_BLOCK", block)
+        a = gf.second_form_sq_field(f, order)
+        assert np.array_equal(a, b2) and np.array_equal(np.signbit(a), np.signbit(b2))
 
 
 # ---------------------------------------------------------------------------
@@ -580,10 +592,14 @@ def _assert_relax_matches_reference(f, cfg):
     return trace, message
 
 
-@pytest.mark.parametrize("m", [1, 2])
-def test_relax_is_bit_identical_to_the_reference_loop(m):
+@pytest.mark.parametrize("m, block", [(1, None), (2, None), (2, 16)],
+                         ids=["1", "2", "2-block16"])
+def test_relax_is_bit_identical_to_the_reference_loop(m, block, monkeypatch):
     # a loose threshold stops m = 1 early; m = 2 runs to max_steps.  No call
-    # may meet a garbage slot, so no floating-point error is forgiven
+    # may meet a garbage slot, so no floating-point error is forgiven.  With
+    # blocks of 16 nodes each sup_B2 reads 9 blocks, the last of 15 nodes
+    if block is not None:
+        monkeypatch.setattr(im, "_NODE_BLOCK", block)
     cfg = gf.SolverConfig(max_steps=300, threshold=0.05 if m == 1 else 1e-12,
                           sample_interval=7)
     with np.errstate(all="raise"):
@@ -649,6 +665,24 @@ def test_public_results_do_not_alias_the_workspace():
     gf.relax_flow(fields[0], gf.SolverConfig(max_steps=5))
     assert all(np.array_equal(a, b) for a, b in zip(got, kept))
     assert not any(np.shares_memory(a, b) for i, a in enumerate(got) for b in got[i + 1:])
+
+
+@pytest.mark.parametrize("shape, bound_mb", [((129, 129), 4.25), ((25, 25, 25), 7.5)],
+                         ids=["129x129", "25x25x25"])
+def test_workspace_fill_and_sample_peak_allocation_stays_bounded(shape, bound_mb):
+    # a step workspace, filled and sampled once, at m = 2.  The scratch block
+    # holds the step's (n + 2) size entries and |B|^2 is contracted over blocks
+    # of nodes: 3.91 and 6.02 MB.  Sized for one pass of the contractions,
+    # n^2 m + n^3 + 1 entries per node, the block took 4.62 and 9.14 MB
+    f = gf.GridField(L=1.0, values=0.1 * np.random.default_rng(0).standard_normal(shape + (2,)))
+    gf._Workspace(f, 2, 1e-4)  # the plan is cached
+    tracemalloc.start()
+    try:
+        gf._Workspace(f, 2, 1e-4).fill().sample()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound_mb * 2**20
 
 
 @pytest.mark.parametrize("m", [1, 2])
@@ -937,6 +971,19 @@ def test_field_csv_rejects_a_file_cut_before_its_data():
     lines = gf.field_to_csv(affine).strip().split("\n")
     with pytest.raises(ValueError, match="ends before line 3"):
         _from_lines(lines[:2])
+
+
+def test_field_csv_rejects_a_column_header_other_than_its_own():
+    lines = _csv_lines()
+    assert lines[2] == "i0,i1,x0,x1,u0"
+    for header in ("anything at all", "i0,i1,x0,x1,u0,u1", "i0,x0,i1,x1,u0"):
+        with pytest.raises(ValueError, match="line 3 is not the column header i0,i1,x0,x1,u0"):
+            _from_lines(lines[:2] + [header] + lines[3:])
+    affine = gf.GridField(L=1.0, values=np.zeros((7, 7, 1)), boundary="affine")
+    lines = gf.field_to_csv(affine).strip().split("\n")
+    assert lines[3] == "i0,i1,x0,x1,u0"
+    with pytest.raises(ValueError, match="line 4 is not the column header"):
+        _from_lines(lines[:3] + ["anything at all"] + lines[4:])
 
 
 def test_field_with_no_components_is_rejected():

@@ -399,9 +399,19 @@ class _Workspace:
     residual's terms, the sups' absolute values and a sample's slopes;
     elliptic and drift live there, so they hold until the next sample or
     step only.  A fill is 43 calls at n = 2, m = 1 and order 2, the step 45.
+
+    Given a dt and a stage count s, stages holds the s programs of one RKL1
+    superstep (see relax_flow), each ending in a fill: [step] at s = 1.  At
+    s > 1 the first copies the slab into one more slab buffer, prev, then
+    runs step; program j = 2 ... s writes
+    Y_j = Y_{j-1} + nu_j (Y_{j-2} - Y_{j-1}) + mu_j dt L(Y_{j-1}), with
+    nu_j = -(j - 1) / j and mu_j = (2 j - 1) / j, from the slab (Y_{j-1}),
+    prev (Y_{j-2}) and res (L(Y_{j-1})) through the step's dead scratch,
+    leaves Y_{j-1} in prev, then fills.  Off the interior Y_{j-2} - Y_{j-1}
+    is 0.0 and res is -0.0, so those nodes keep their bits.
     """
 
-    def __init__(self, field: GridField, order, dt=None):
+    def __init__(self, field: GridField, order, dt=None, stages=1):
         self._plan = plan = _plan(field.values.shape, field.L, order)
         n, size = field.n, plan.size
         nodes = size // field.m
@@ -468,6 +478,16 @@ class _Workspace:
         self.step = None if dt is None else [
             (np.multiply, (padded[:size], _const(dt), tmp)), (np.add, (slab, tmp, slab)),
             *self._calls]
+        self.stages = [self.step]
+        if stages > 1:
+            prev = np.empty(size)
+            self.stages[0] = [(np.copyto, (prev, slab)), *self.step]
+            self.stages += [[(np.subtract, (prev, slab, tmp)), (np.copyto, (prev, slab)),
+                             (np.multiply, (tmp, _const(-(j - 1) / j), tmp)),
+                             (np.add, (slab, tmp, slab)),
+                             (np.multiply, (padded[:size], _const((2 * j - 1) / j * dt), tmp)),
+                             (np.add, (slab, tmp, slab)), *self._calls]
+                            for j in range(2, stages + 1)]
 
     def fill(self):
         _run(self._calls)
@@ -520,15 +540,22 @@ def second_form_sq_field(field: GridField, order=2):
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Explicit-relaxation policy: stepping, stopping, telemetry cadence."""
+    """Relaxation policy: stepping, stopping, telemetry cadence.
+
+    stages = 1 takes explicit steps, stages = s > 1 RKL1 supersteps of s
+    fills (see relax_flow); max_steps and sample_interval count fills.
+    """
 
     dt: Optional[float] = None  # None: CFL-scaled 0.45 h^2 / (2 n)
     max_steps: int = 200_000
     threshold: float = 1e-8
     sample_interval: int = 50
     blowup: float = 1e6
+    stages: int = 1
 
     def __post_init__(self):
+        if not isinstance(self.stages, int) or self.stages < 1:
+            raise ValueError(f"stages must be an integer of at least 1, got {self.stages!r}")
         # before the comparisons below, which are all False for NaN
         reals = (self.threshold, self.blowup) + (() if self.dt is None else (self.dt,))
         if not all(map(math.isfinite, reals)):
@@ -578,27 +605,43 @@ def relax_flow(u0: GridField, cfg: SolverConfig = SolverConfig()):
     blow-up beyond cfg.blowup raises DivergenceError with the trace attached.
     A non-finite initial field raises ValueError before any step.  The run
     builds one order-2 workspace, whose interior is every node off the
-    boundary, and runs its step program once per step.
+    boundary, and runs its superstep's programs once per superstep.
+
+    With cfg.stages = s > 1 the run takes Runge-Kutta-Legendre (RKL1)
+    supersteps of s fills (Meyer, Balsara and Aslam, J. Comput. Phys. 257,
+    2014), each moving the flow on by dt (s^2 + s) / 2.  They assume a real,
+    negative spectrum of the flow's linearization near the state (a stable
+    box), and then reach the explicit flow's stationary states; at an
+    unstable state, such as c10's, they diverge as the explicit flow does.
+    Stage values are not states of the flow, so convergence, blow-up and
+    samples are read at superstep ends only, a sample at the first end at or
+    after each multiple of sample_interval.  steps counts fills, the last
+    superstep shortens to the fills left under max_steps, and the time
+    column is flow time.  At s = 1 the run is the explicit one, bit for bit.
     """
     h = float(np.min(u0.spacing))
     dt = cfg.dt if cfg.dt is not None else 0.45 * h * h / (2.0 * u0.n)
     current = GridField(L=u0.L, values=u0.values.copy(), boundary=u0.boundary, A=u0.A, b=u0.b)
-    ws = _Workspace(current, 2, dt).fill()
-    trace, step = FlowTrace(), 0
+    ws = _Workspace(current, 2, dt, cfg.stages).fill()
+    # covered counts the explicit steps the supersteps span: time is covered * dt
+    trace, step, covered = FlowTrace(), 0, 0
     trace.record(0, 0.0, ws)
     while step < cfg.max_steps and not float(ws.sup_res) < cfg.threshold:
-        _run(ws.step)
-        step += 1
+        s = min(cfg.stages, cfg.max_steps - step)
+        for program in ws.stages[:s]:
+            _run(program)
+        step += s
+        covered += (s * s + s) // 2
         sup_val = float(ws.sup_u)  # NaN if a node is NaN
         if not math.isfinite(sup_val) or sup_val > cfg.blowup:
             if math.isfinite(sup_val):
-                trace.record(step, step * dt, ws)
+                trace.record(step, covered * dt, ws)
             raise DivergenceError(f"field magnitude {sup_val:.3e} exceeded the blow-up bound",
                                   trace)
-        if step % cfg.sample_interval == 0:
-            trace.record(step, step * dt, ws)
+        if step // cfg.sample_interval > (step - s) // cfg.sample_interval:
+            trace.record(step, covered * dt, ws)
     if trace.steps[-1] != step:
-        trace.record(step, step * dt, ws)
+        trace.record(step, covered * dt, ws)
     trace.converged = trace.sup_residual[-1] < cfg.threshold
     return current, trace
 

@@ -8,6 +8,7 @@ stated control/target is unattainable, and one (beside c09) checks that the
 Gauss map of a shrinker is critical for the Gaussian-weighted energy.
 """
 
+import dataclasses
 import math
 import time
 import warnings
@@ -510,6 +511,21 @@ def test_c10_stable_box_companion():
     assert slope0 <= 2.5
     assert trace.converged and trace.sup_residual[-1] < 1e-8
     assert deviation <= 1e-6
+    # RKL1 supersteps reach the same stationary state: 3 040 fills at 40
+    # stages against 65 649 explicit steps, 6.5e-10 apart
+    fast, fast_trace = graphflow.relax_flow(field, dataclasses.replace(solver, stages=40))
+    assert fast_trace.converged
+    assert float(np.max(np.abs(fast.values - final.values))) <= 1e-8
+
+
+def test_c10_field_diverges_under_supersteps():
+    # supersteps follow the same flow, so c10's affine state repels them as
+    # it repels the explicit steps: at 65^2 and 20 stages the field passes
+    # the blow-up bound at fill 1 440
+    field = _rigidity_bump_field(L=4.0, res=65, amp=1.2)
+    with pytest.raises(graphflow.DivergenceError):
+        graphflow.relax_flow(field, graphflow.SolverConfig(
+            max_steps=150_000, threshold=1e-8, sample_interval=500, stages=20))
 
 
 # ---------------------------------------------------------------------------

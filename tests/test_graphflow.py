@@ -1,9 +1,11 @@
+import dataclasses
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from shrinkerlab import cli
 from shrinkerlab import grassmann as gr
 from shrinkerlab import graphflow as gf
 from shrinkerlab import immersion as im
@@ -12,8 +14,10 @@ from shrinkerlab.immersion import ChartError
 
 
 def _rk4_samples(rhs, x, y, xs, sub):
-    """{xt: y(xt)[0]} at each xt >= x of xs, by RK4 outward from y(x) = y in
-    steps of at most sub."""
+    """{xt: y(xt)[0]} at each xt of xs, by RK4 outward from y(x) = y in
+    steps of at most sub; a target below x raises ValueError."""
+    if min(xs) < x:
+        raise ValueError(f"target {min(xs)} lies below the start {x}")
     out = {}
     for xt in sorted(set(xs)):
         while x < xt - 1e-15:
@@ -50,13 +54,14 @@ def _profile_field(resolution, L=1.5):
     return gf.GridField(L=L, values=np.array([[samples[abs(v)]] for v in ax]))
 
 
-def _equivariant_field(resolution, d=0.1, L=1.5, r0=0.05, sub=1e-3):
+def _equivariant_field(resolution, d=0.1, L=1.5, r0=0.01, sub=1e-3):
     """The k = 2 equivariant shrinking graph u = f(r) (cos 2 theta, sin 2 theta)
     on the grid of [-L, L]^2: an exact non-affine solution of the m = 2 system.
 
     f solves f'' / (1 + f'^2) + (f'/r - 4 f / r^2) / (1 + 4 f^2 / r^2)
     = (r f' - f) / 2, integrated by RK4 from the series f = d r^2 (1 + r^2 / 24)
-    at r0, below every nonzero node radius; u = (f / r^2) (x^2 - y^2, 2 x y).
+    at r0, below every nonzero node radius up to 257^2 (_rk4_samples checks);
+    u = (f / r^2) (x^2 - y^2, 2 x y).
     """
     x = gf.GridField(L=L, values=np.zeros((resolution, resolution, 2))).coords()
     radii = np.hypot(x[..., 0], x[..., 1])
@@ -540,6 +545,67 @@ def test_relax_divergence_attaches_trace():
     assert all(t1 > t0 for t0, t1 in zip(trace.times, trace.times[1:]))
 
 
+def test_rk4_samples_reject_a_target_below_the_start():
+    # such a node would silently take the value at the start
+    with pytest.raises(ValueError, match="below the start"):
+        _rk4_samples(lambda x, y: y, 0.05, np.ones(1), [0.047, 0.1], 1e-3)
+
+
+# ---------------------------------------------------------------------------
+# RKL1 supersteps
+
+
+def test_supersteps_reach_the_explicit_state_of_the_flow_graph_field():
+    # flow-graph's default field at seed 61: 6 573 explicit steps, or 520
+    # fills at 20 stages, to states 1.8e-10 apart; the perimeter keeps its bits
+    cfg = cli.DEFAULTS["flow-graph"]
+    f = cli._seeded_bump_field(cfg, np.random.default_rng(np.random.SeedSequence(61)))
+    rim = gf._perimeter_mask(f.shape)
+    states = []
+    with np.errstate(all="raise"):
+        for stages in (1, 20):
+            out, trace = gf.relax_flow(f, gf.SolverConfig(
+                max_steps=cfg["max_steps"], sample_interval=cfg["sample_interval"],
+                stages=stages))
+            assert trace.converged
+            assert out.values[rim].tobytes() == f.values[rim].tobytes()
+            states.append(out.values)
+    assert np.max(np.abs(states[1] - states[0])) <= 1e-8
+
+
+def test_supersteps_keep_order_two_in_h_on_the_exact_box():
+    # 40 stages from the exact boundary and a zero interior: the error is
+    # 4.17e-6 at 33^2 and 1.04e-6 at 65^2 (ratio 4.0), in 760 and 1 160 fills
+    errors = []
+    for resolution in (33, 65):
+        exact = _equivariant_field(resolution)
+        start = exact.values.copy()
+        start[1:-1, 1:-1] = 0.0
+        with np.errstate(all="raise"):
+            out, trace = gf.relax_flow(gf.GridField(L=exact.L, values=start),
+                                       gf.SolverConfig(threshold=1e-11, stages=40))
+        assert trace.converged
+        errors.append(float(np.max(np.abs(out.values - exact.values))))
+    assert 3.5 <= errors[0] / errors[1] <= 4.5
+
+
+def test_superstep_trace_is_read_at_superstep_ends():
+    # 7 stages end at fills 7, 14, ...: a sample at the first end at or after
+    # each multiple of 15, and the last superstep shortens to the 2 fills left
+    # under max_steps.  A superstep spans 28 explicit steps of flow time
+    f = _bump(13, 2)
+    cfg = gf.SolverConfig(max_steps=100, threshold=1e-14, sample_interval=15, stages=7)
+    with np.errstate(all="raise"):
+        _, trace = gf.relax_flow(f, cfg)
+        _, short = gf.relax_flow(f, dataclasses.replace(cfg, max_steps=35))
+    dt = 0.45 * float(np.min(f.spacing)) ** 2 / 4.0
+    assert trace.steps == [0, 21, 35, 49, 63, 77, 91, 100]
+    assert trace.times == [k * 28 * dt for k in (0, 3, 5, 7, 9, 11, 13)] + [395 * dt]
+    # a sample is the state of the flow there: a run that stops at it ends on it
+    rows = [gf.trace_to_csv(t).splitlines() for t in (trace, short)]
+    assert rows[1][-1] == rows[0][3]
+
+
 def _reference_relax(u0, cfg):
     # the relaxation loop by its definition, on the stacked reference
     # residual; returns the field, the trace and the divergence message, if any
@@ -743,10 +809,13 @@ def test_step_program_is_the_advance_then_the_fill():
 @pytest.mark.parametrize("shape, m, order", [((15,), 1, 4), ((9, 9), 1, 2), ((11, 13), 2, 4),
                                               ((9, 9), 3, 2), ((7, 8, 9), 2, 2)])
 def test_step_program_has_no_python_float_operands(shape, m, order):
-    # a ufunc call takes a 0-d array faster than a float (np.float64 is one)
-    ws = gf._Workspace(gf.GridField(L=1.0, values=np.zeros(shape + (m,))), order, 0.01)
-    floats = [(f, a) for f, args in ws.step for a in args if isinstance(a, float)]
+    # a ufunc call takes a 0-d array faster than a float (np.float64 is one);
+    # the superstep's programs run the step first
+    ws = gf._Workspace(gf.GridField(L=1.0, values=np.zeros(shape + (m,))), order, 0.01, 3)
+    floats = [(f, a) for program in ws.stages for f, args in program for a in args
+              if isinstance(a, float)]
     assert not floats
+    assert all(a is b for a, b in zip(ws.stages[0][1:], ws.step, strict=True))
 
 
 @pytest.mark.parametrize("m", [1, 2])
@@ -1098,6 +1167,7 @@ def test_gridfield_rejects_non_finite_data():
 @pytest.mark.parametrize("kwargs", [
     dict(threshold=float("nan")), dict(threshold=float("inf")), dict(dt=float("nan")),
     dict(dt=float("inf")), dict(blowup=float("nan")), dict(blowup=-1.0), dict(max_steps=0),
+    dict(stages=0), dict(stages=1.5),
 ])
 def test_solver_config_rejects_non_finite_and_out_of_range_values(kwargs):
     with pytest.raises(ValueError):

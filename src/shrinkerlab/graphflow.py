@@ -554,7 +554,8 @@ class SolverConfig:
     stages: int = 1
 
     def __post_init__(self):
-        if not isinstance(self.stages, int) or self.stages < 1:
+        # bool is an int subclass, but True is no stage count
+        if isinstance(self.stages, bool) or not isinstance(self.stages, int) or self.stages < 1:
             raise ValueError(f"stages must be an integer of at least 1, got {self.stages!r}")
         # before the comparisons below, which are all False for NaN
         reals = (self.threshold, self.blowup) + (() if self.dt is None else (self.dt,))
@@ -622,7 +623,8 @@ def relax_flow(u0: GridField, cfg: SolverConfig = SolverConfig()):
     h = float(np.min(u0.spacing))
     dt = cfg.dt if cfg.dt is not None else 0.45 * h * h / (2.0 * u0.n)
     current = GridField(L=u0.L, values=u0.values.copy(), boundary=u0.boundary, A=u0.A, b=u0.b)
-    ws = _Workspace(current, 2, dt, cfg.stages).fill()
+    # a superstep never spans more fills than the run may take
+    ws = _Workspace(current, 2, dt, min(cfg.stages, cfg.max_steps)).fill()
     # covered counts the explicit steps the supersteps span: time is covered * dt
     trace, step, covered = FlowTrace(), 0, 0
     trace.record(0, 0.0, ws)

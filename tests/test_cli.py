@@ -110,10 +110,6 @@ def test_sweep_ceiling_at_or_above_three_rejected(tmp_path):
     ("verify-prop41", {"rt_resolution": 1500}),
     ("verify-prop41", {"v_hi": 3.0 - 1e-6}),
     ("verify-prop41", {"tol_sweep": 1e-9}),
-    # a superstep has a whole number of stages, at least 1
-    ("flow-graph", {"stages": 0}),
-    ("flow-graph", {"stages": True}),
-    ("flow-graph", {"stages": 1.5}),
 ])
 def test_wrong_typed_config_value_rejected(tmp_path, capsys, subcommand, payload):
     cfg = _write_cfg(tmp_path, payload)
@@ -443,8 +439,9 @@ def test_flow_graph_final_b2_is_the_final_field_curvature(tmp_path):
     assert b2 == float(np.max(graphflow.second_form_sq_field(final)))
 
 
-# seed -> (gauss_max_v, gauss_min_pole_ip) of the explicit flow-graph run,
-# {"stages": 1}, and of the default run, by RKL1 supersteps of 20 fills
+# seed -> (gauss_max_v, gauss_min_pole_ip) of flow-graph's default field
+# relaxed by explicit steps, and of the default run, by RKL1 supersteps of 20
+# fills
 _GAUSS_PINS = {
     0: ("0x1.0062038911f23p+0", "0x1.ff3c43de94e87p-1"),
     61: ("0x1.100ea658aa8d2p+0", "0x1.e1c7ef1155054p-1"),
@@ -455,34 +452,34 @@ _SUPERSTEP_GAUSS_PINS = {
 }
 
 
-def _assert_gauss_observations(tmp_path, seed, pins, payload=None):
-    # the slope and hemisphere readings, bit for bit; the slope maximum is
-    # the trace's last row
-    max_v, min_pole_ip = pins[seed]
-    argv = ["flow-graph", "--out", str(tmp_path / "out"), "--seed", str(seed)]
-    if payload is not None:
-        argv += ["--config", _write_cfg(tmp_path, payload)]
-    assert cli.main(argv) == 0
-    report = _load_report(str(tmp_path / "out"), "flow-graph")
-    checks = {c["name"]: c["value"] for c in report["checks"]}
-    assert checks["gauss_max_v"] == float.fromhex(max_v)
-    assert checks["gauss_min_pole_ip"] == float.fromhex(min_pole_ip)
-    with open(tmp_path / "out" / "flow_trace.csv") as fh:
-        assert float(list(csv.DictReader(fh))[-1]["sup_slope"]) == float.fromhex(max_v)
-    return checks
-
-
 @pytest.mark.parametrize("seed", sorted(_GAUSS_PINS))
-def test_flow_graph_gauss_observations_keep_their_bits(tmp_path, seed):
-    # the explicit flow keeps the bits it had before supersteps existed
-    _assert_gauss_observations(tmp_path, seed, _GAUSS_PINS, {"stages": 1})
+def test_flow_graph_gauss_observations_keep_their_bits(seed):
+    # the explicit flow (stages = 1) on flow-graph's field keeps the readings
+    # flow-graph reported before supersteps existed, bit for bit
+    cfg = cli.DEFAULTS["flow-graph"]
+    field = cli._seeded_bump_field(cfg, np.random.default_rng(np.random.SeedSequence(seed)))
+    final, trace = graphflow.relax_flow(field, graphflow.SolverConfig(
+        max_steps=cfg["max_steps"], threshold=cfg["threshold"],
+        sample_interval=cfg["sample_interval"]))
+    max_v, min_pole_ip = _GAUSS_PINS[seed]
+    assert trace.sup_slope[-1] == float.fromhex(max_v)
+    pole = np.array([0.0, 0.0, 1.0])
+    assert graphflow.gauss_image_report(final, pole) == float.fromhex(min_pole_ip)
 
 
 @pytest.mark.parametrize("seed", sorted(_SUPERSTEP_GAUSS_PINS))
 def test_flow_graph_default_keeps_its_bits_and_converges_in_at_most_1000_fills(tmp_path, seed):
-    # the fill bound guards the superstep speed-up by a count, not a time:
-    # 460 and 520 fills, against 5 744 and 6 573 explicit steps
-    checks = _assert_gauss_observations(tmp_path, seed, _SUPERSTEP_GAUSS_PINS)
+    # the default run's slope and hemisphere readings, bit for bit; the slope
+    # maximum is the trace's last row.  The fill bound guards the superstep
+    # speed-up by a count, not a time: 460 and 520 fills, against 5 744 and
+    # 6 573 explicit steps
+    max_v, min_pole_ip = _SUPERSTEP_GAUSS_PINS[seed]
+    assert cli.main(["flow-graph", "--out", str(tmp_path), "--seed", str(seed)]) == 0
+    checks = {c["name"]: c["value"] for c in _load_report(str(tmp_path), "flow-graph")["checks"]}
+    assert checks["gauss_max_v"] == float.fromhex(max_v)
+    assert checks["gauss_min_pole_ip"] == float.fromhex(min_pole_ip)
+    with open(tmp_path / "flow_trace.csv") as fh:
+        assert float(list(csv.DictReader(fh))[-1]["sup_slope"]) == float.fromhex(max_v)
     assert checks["steps_to_converge"] <= 1000
 
 

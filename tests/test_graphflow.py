@@ -606,6 +606,20 @@ def test_superstep_trace_is_read_at_superstep_ends():
     assert rows[1][-1] == rows[0][3]
 
 
+def test_a_run_builds_no_more_stage_programs_than_it_may_fill():
+    # a stage count far above max_steps builds the programs of max_steps
+    # fills only; 10 000 stage programs would take about 16 MB
+    f = _bump(9, 2)
+    tracemalloc.start()
+    try:
+        _, trace = gf.relax_flow(f, gf.SolverConfig(max_steps=3, threshold=1e-14, stages=10_000))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert trace.steps == [0, 3]
+    assert peak <= 2**20
+
+
 def _reference_relax(u0, cfg):
     # the relaxation loop by its definition, on the stacked reference
     # residual; returns the field, the trace and the divergence message, if any
@@ -1167,7 +1181,7 @@ def test_gridfield_rejects_non_finite_data():
 @pytest.mark.parametrize("kwargs", [
     dict(threshold=float("nan")), dict(threshold=float("inf")), dict(dt=float("nan")),
     dict(dt=float("inf")), dict(blowup=float("nan")), dict(blowup=-1.0), dict(max_steps=0),
-    dict(stages=0), dict(stages=1.5),
+    dict(stages=0), dict(stages=1.5), dict(stages=True),
 ])
 def test_solver_config_rejects_non_finite_and_out_of_range_values(kwargs):
     with pytest.raises(ValueError):

@@ -660,16 +660,19 @@ def _seeded_bump_field(cfg, rng):
     coef = rng.standard_normal((n, m))
     base = rng.standard_normal(m)
     amp = float(cfg["amplitude"])
-
-    def value(x):
-        z = x / L
-        window = float(np.prod((1.0 - z * z) ** 2))
-        bump = amp * window * (base + coef.T @ z)
-        return A @ x + b + bump
-
-    return graphflow.GridField.from_function(
-        value, L, res, m, boundary="affine", A=A, b=b
-    )
+    # every node at once, one column (n, 1) per node: the stacked matmuls
+    # give each node the bits of its own A @ x and coef.T @ z (x @ A.T or
+    # einsum differ by an ulp at n = 2), and the window multiplies the axis
+    # factors in axis order, as np.prod does for one node
+    x = graphflow._coords(L, res)[..., None]
+    z = x / L
+    factors = (1.0 - z * z) ** 2
+    window = factors[..., 0, 0]
+    for k in range(1, n):
+        window = window * factors[..., k, 0]
+    bump = (amp * window)[..., None] * (base + (coef.T @ z)[..., 0])
+    values = (A @ x)[..., 0] + b + bump
+    return graphflow.GridField(L=L, values=values, boundary="affine", A=A, b=b)
 
 
 def cmd_flow_graph(cfg, outdir) -> RunReport:

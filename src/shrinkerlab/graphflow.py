@@ -238,9 +238,10 @@ def _diff_calls(terms, div, out, tmp):
 
     The terms are summed in their order: the first weight is +-1, every
     later term is scaled by |weight| unless that is 1, then added or
-    subtracted, and the sum is divided last.  A scaled term goes to out
-    while out does not yet hold the sum, else to tmp (out's shape; only the
-    4th-order rows need it).
+    subtracted, and the sum is divided last, or multiplied by 1 / div when
+    every divisor is a power of two (see _exact_reciprocal).  A scaled term
+    goes to out while out does not yet hold the sum, else to tmp (out's
+    shape; only the 4th-order rows need it).
     """
     (w, t), *rest = terms
     calls = [] if w > 0 else [(np.negative, (t, out))]
@@ -252,8 +253,21 @@ def _diff_calls(terms, div, out, tmp):
             t = scaled
         calls.append((np.add if w > 0 else np.subtract, (acc, t, out)))
         acc = out
-    calls.append((np.divide, (out, div, out)))
+    inverse = _exact_reciprocal(div)
+    calls.append((np.divide, (out, div, out)) if inverse is None else
+                 (np.multiply, (out, inverse, out)))
     return calls
+
+
+def _exact_reciprocal(div):
+    """1 / div as a read-only array when every entry of div is +-2^k with a
+    finite reciprocal, else None.  Then 1 / div is exact, x * (1 / div) and
+    x / div round the same real number, so they agree bit for bit,
+    subnormal results included, and a multiply is the cheaper call."""
+    with np.errstate(all="ignore"):
+        inverse = 1.0 / np.asarray(div, dtype=float)
+    exact = all(np.all(np.frexp(np.abs(a))[0] == 0.5) for a in (div, inverse))
+    return _const(inverse) if exact else None
 
 
 def _run(calls):
@@ -554,9 +568,11 @@ class SolverConfig:
     stages: int = 1
 
     def __post_init__(self):
-        # bool is an int subclass, but True is no stage count
-        if isinstance(self.stages, bool) or not isinstance(self.stages, int) or self.stages < 1:
-            raise ValueError(f"stages must be an integer of at least 1, got {self.stages!r}")
+        # bool is an int subclass, but True is no count
+        for name in ("max_steps", "sample_interval", "stages"):
+            count = getattr(self, name)
+            if isinstance(count, bool) or not isinstance(count, int) or count < 1:
+                raise ValueError(f"{name} must be an integer of at least 1, got {count!r}")
         # before the comparisons below, which are all False for NaN
         reals = (self.threshold, self.blowup) + (() if self.dt is None else (self.dt,))
         if not all(map(math.isfinite, reals)):
@@ -565,8 +581,8 @@ class SolverConfig:
             raise ValueError("time step must be positive")
         if self.threshold <= 0:
             raise ValueError("convergence threshold must be positive")
-        if self.max_steps <= 0 or self.sample_interval <= 0 or self.blowup <= 0:
-            raise ValueError("solver parameters must be positive")
+        if self.blowup <= 0:
+            raise ValueError("blow-up bound must be positive")
 
 
 @dataclass
@@ -724,7 +740,8 @@ def _csv_columns(n, m):
 
 
 def field_to_csv(field: GridField) -> str:
-    """Loss-free text form: meta line, boundary line, then one row per node."""
+    """Loss-free text form: meta line, boundary line, then one row per node,
+    in C order: indices, then coordinates and values with 17 digits."""
     out = io.StringIO()
     res = "x".join(str(s) for s in field.shape)
     out.write("n,m,L,res,boundary\n")
@@ -733,12 +750,14 @@ def field_to_csv(field: GridField) -> str:
         flat = list(field.A.ravel()) + list(field.b)
         out.write(",".join(f"{v:.17g}" for v in flat) + "\n")
     out.write(_csv_columns(field.n, field.m) + "\n")
-    coords = field.coords()
-    for idx in np.ndindex(*field.shape):
-        row = list(map(str, idx)) + [
-            f"{c:.17g}" for c in coords[idx]
-        ] + [f"{v:.17g}" for v in field.values[idx]]
-        out.write(",".join(row) + "\n")
+    # one %-format pass over every row: "%.17g" % v is f"{v:.17g}", and the
+    # indices, exact in a float, print as integers through %d
+    n, nodes = field.n, math.prod(field.shape)
+    table = np.concatenate([np.indices(field.shape).reshape(n, nodes).T,
+                            field.coords().reshape(nodes, n),
+                            field.values.reshape(nodes, field.m)], axis=1)
+    row = ",".join(["%d"] * n + ["%.17g"] * (n + field.m)) + "\n"
+    out.write(row * nodes % tuple(table.ravel().tolist()))
     return out.getvalue()
 
 

@@ -483,6 +483,48 @@ def test_flow_graph_default_keeps_its_bits_and_converges_in_at_most_1000_fills(t
     assert checks["steps_to_converge"] <= 1000
 
 
+def _per_node_bump_field(cfg, rng):
+    """flow-graph's bump field built one node at a time: the bit-for-bit
+    reference of cli._seeded_bump_field's all-node build."""
+    n, m = int(cfg["n"]), int(cfg["m"])
+    L = float(cfg["box"])
+    A = 0.3 * rng.standard_normal((m, n))
+    b = np.zeros(m)
+    coef = rng.standard_normal((n, m))
+    base = rng.standard_normal(m)
+    amp = float(cfg["amplitude"])
+
+    def value(x):
+        z = x / L
+        window = float(np.prod((1.0 - z * z) ** 2))
+        return A @ x + b + amp * window * (base + coef.T @ z)
+
+    return graphflow.GridField.from_function(
+        value, L, (int(cfg["resolution"]),) * n, m, boundary="affine", A=A, b=b)
+
+
+@pytest.mark.parametrize("n, m", [(1, 1), (2, 1), (2, 2), (3, 1), (3, 2)])
+def test_seeded_bump_field_matches_the_per_node_build_bit_for_bit(n, m):
+    resolution = {1: 41, 2: 25, 3: 9}[n]
+    for seed in (0, 3, 61):
+        for box, amplitude in ((1.0, 0.3), (0.7, 4.0), (2.0, 1.0)):
+            cfg = dict(cli.DEFAULTS["flow-graph"], n=n, m=m, box=box,
+                       resolution=resolution, amplitude=amplitude)
+            field, ref = (build(cfg, np.random.default_rng(np.random.SeedSequence(seed)))
+                          for build in (cli._seeded_bump_field, _per_node_bump_field))
+            assert field.values.tobytes() == ref.values.tobytes()
+            assert (field.L, field.boundary) == (ref.L, ref.boundary)
+            assert field.A.tobytes() == ref.A.tobytes() and field.b.tobytes() == ref.b.tobytes()
+
+
+def test_flow_graph_default_final_field_keeps_its_bytes(tmp_path):
+    # sha256 of flow_final.csv from the default run at seed 61, taken when
+    # the bump field was built and the file written one node at a time
+    assert cli.main(["flow-graph", "--out", str(tmp_path), "--seed", "61"]) == 0
+    digest = hashlib.sha256((tmp_path / "flow_final.csv").read_bytes()).hexdigest()
+    assert digest == "0b9c20adcbb81c44b26301b9f9dd4cbed9dbe56becdf777e2111d0fc0bfd6145"
+
+
 def test_flow_graph_affine_start_converges_in_zero_steps(tmp_path):
     cfg = _write_cfg(tmp_path, {"resolution": 9, "amplitude": 0.0})
     out = tmp_path / "out"

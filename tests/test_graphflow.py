@@ -552,6 +552,63 @@ def test_rk4_samples_reject_a_target_below_the_start():
 
 
 # ---------------------------------------------------------------------------
+# power-of-two stencil divisors
+
+
+@pytest.mark.parametrize("h, ufunc", [
+    (0.125, np.multiply), (1 / 16, np.multiply), (2.0 ** -20, np.multiply),
+    (1 / 12, np.divide), (0.1, np.divide),
+])
+def test_diff_calls_multiply_by_an_exact_reciprocal_only(h, ufunc):
+    # the second difference over h^2: a multiply by 1 / h^2 when h = 2^-k
+    a, b, out = np.ones(9), np.full(9, 3.0), np.empty(9)
+    calls = gf._diff_calls([(1.0, a), (-1.0, b)], gf._const(h * h), out, None)
+    last, args = calls[-1]
+    assert last is ufunc
+    if ufunc is np.multiply:
+        assert float(args[1]) == 1.0 / (h * h)
+    gf._run(calls)
+    assert out.tobytes() == np.full(9, -2.0 / (h * h)).tobytes()
+
+
+def test_exact_reciprocal_needs_every_divisor_a_power_of_two_with_a_finite_inverse():
+    assert gf._exact_reciprocal(gf._const([[0.25], [0.125]])).tolist() == [[4.0], [8.0]]
+    assert float(gf._exact_reciprocal(gf._const(-0.5))) == -2.0
+    assert float(gf._exact_reciprocal(gf._const(2.0 ** 1023))) == 2.0 ** -1023  # subnormal
+    for div in ([[0.25], [1 / 6]], 1.5, 2.0 ** -1074, 0.0):
+        assert gf._exact_reciprocal(gf._const(div)) is None
+
+
+@pytest.mark.parametrize("shape, L, order, divides", [
+    ((17, 17), 1.0, 2, 0), ((129, 129), 4.0, 2, 0), ((17, 9), 1.0, 2, 0),
+    ((25, 25), 1.0, 2, 3), ((17, 13), 1.0, 2, 3), ((17, 17), 1.0, 4, 3),
+])
+def test_jets_divide_only_by_divisors_other_than_powers_of_two(shape, L, order, divides):
+    # order 2: 2h and h^2 (powers of two at h = 1/8, 1/16 and 1/4 beside 1/8);
+    # order 4: 12h and 12h^2, never powers of two
+    f = gf.GridField(L=L, values=np.zeros(shape + (1,)))
+    _, _, calls = gf._interior_jets(f, order)
+    assert sum(ufunc is np.divide for ufunc, _ in calls) == divides
+
+
+@pytest.mark.parametrize("stages", [1, 6])
+def test_relaxation_with_reciprocal_multiplies_keeps_the_divide_bits(monkeypatch, stages):
+    # 17^2 on L = 1 (h = 1/8): every stencil divisor is a power of two, and a
+    # run built with divides only reads the same trace and field, bit for bit
+    f = _bump(17, 2, amp=0.6)
+    cfg = gf.SolverConfig(max_steps=240, threshold=1e-14, sample_interval=40, stages=stages)
+    runs = []
+    for divide_only in (False, True):
+        if divide_only:
+            monkeypatch.setattr(gf, "_exact_reciprocal", lambda div: None)
+        ws = gf._Workspace(f, 2, 0.01)
+        assert sum(ufunc is np.divide for ufunc, _ in ws.step) == (5 if divide_only else 2)
+        out, trace = gf.relax_flow(f, cfg)
+        runs.append((out.values.tobytes(), gf.trace_to_csv(trace)))
+    assert runs[0] == runs[1]
+
+
+# ---------------------------------------------------------------------------
 # RKL1 supersteps
 
 
@@ -1013,6 +1070,38 @@ def test_field_csv_round_trip():
         gf.field_from_csv("bogus\n1,2,3")
 
 
+def _per_node_field_csv(field):
+    """field_to_csv as it wrote the node rows one node at a time: the
+    byte-for-byte reference of its one-pass writer."""
+    lines = ["n,m,L,res,boundary",
+             f"{field.n},{field.m},{field.L:.17g},{'x'.join(map(str, field.shape))},"
+             f"{field.boundary}"]
+    if field.boundary == "affine":
+        lines.append(",".join(f"{v:.17g}" for v in list(field.A.ravel()) + list(field.b)))
+    lines.append(gf._csv_columns(field.n, field.m))
+    coords = field.coords()
+    for idx in np.ndindex(*field.shape):
+        lines.append(",".join(list(map(str, idx)) + [f"{c:.17g}" for c in coords[idx]]
+                              + [f"{v:.17g}" for v in field.values[idx]]))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("m", [1, 2])
+def test_field_csv_matches_the_per_node_writer_byte_for_byte(n, m):
+    shape = (7, 5, 6)[:n]
+    rng = np.random.default_rng(10 * n + m)
+    values = rng.standard_normal(shape + (m,)) * 10.0 ** rng.integers(-300, 300, shape + (m,))
+    values.reshape(-1)[:5] = [-0.0, 5e-324, 1e300, 0.1, 3.0]
+    frozen = gf.GridField(L=1.3, values=values)
+    A = rng.standard_normal((m, n))
+    affine = gf.GridField(L=0.7, values=gf._coords(0.7, shape) @ A.T, boundary="affine", A=A)
+    for field in (frozen, affine):
+        text = gf.field_to_csv(field)
+        assert text == _per_node_field_csv(field)
+        assert gf.field_from_csv(text).values.tobytes() == field.values.tobytes()
+
+
 
 def _csv_lines():
     f = gf.GridField.from_function(
@@ -1186,6 +1275,18 @@ def test_gridfield_rejects_non_finite_data():
 def test_solver_config_rejects_non_finite_and_out_of_range_values(kwargs):
     with pytest.raises(ValueError):
         gf.SolverConfig(**kwargs)
+
+
+@pytest.mark.parametrize("name, value", [
+    # 10.5 fills raised TypeError inside relax_flow, True ran one step and
+    # an interval of 2.5 sampled at steps 3, 5, 8, ...
+    ("max_steps", 10.5), ("max_steps", True), ("max_steps", 0),
+    ("sample_interval", 2.5), ("sample_interval", True), ("sample_interval", 0),
+    ("stages", 1.5), ("stages", True),
+])
+def test_solver_config_rejects_counts_other_than_positive_integers(name, value):
+    with pytest.raises(ValueError, match=f"{name} must be an integer of at least 1"):
+        gf.SolverConfig(**{name: value})
 
 
 def test_gridfield_validation():

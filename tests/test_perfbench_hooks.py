@@ -5,8 +5,9 @@ reads work counts from their results.  Each hooked function is called here
 once, at a small size, under an installed tracer: a hook that no longer fits
 its function raises, or leaves its tag or count unset.  The I/O functions
 whose self time `graphflow.io.self_s` sums must all be reached by a small
-`flow-graph` run, so that a renamed or removed one fails here instead of
-leaving that metric silently short.
+copy of what the flow-relax workload runs (a `flow-graph` op and the c10
+segment's field build), so that a renamed or removed one fails here instead
+of leaving that metric silently short.
 """
 
 import json
@@ -19,7 +20,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 if ROOT not in sys.path:
     sys.path.insert(0, ROOT)
 
-from perfbench import layers  # noqa: E402
+from perfbench import layers, workloads  # noqa: E402
 from perfbench.tracing import Tracer  # noqa: E402
 from shrinkerlab import cli, graphflow, immersion, ineq  # noqa: E402
 
@@ -59,8 +60,11 @@ def test_every_hook_fits_its_function(tracer):
 
 
 def test_flow_graph_calls_every_graphflow_io_function(tracer, tmp_path):
+    # what flow-relax runs, small: a flow-graph op and the c10 segment's
+    # field build, the one caller of GridField.from_function among them
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"m": 1, "resolution": 9, "max_steps": 40, "sample_interval": 10}))
     cli.main(["flow-graph", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    workloads.c10_field(res=17)
     for name in layers.GRAPHFLOW_IO:
         assert tracer.calls[name] >= 1, name

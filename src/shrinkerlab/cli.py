@@ -219,8 +219,8 @@ def _typed(key, val, default):
     return val
 
 
-def load_config(subcommand, path=None, seed=None, tolerance_scale=1.0):
-    """Merge defaults, file payload, and flag overrides into one dict.
+def load_config(subcommand, path=None, seed=None):
+    """Merge defaults, file payload, and the seed flag into one dict.
 
     Unknown keys are rejected, and every value must have the type of its
     default and lie in its key's range: counts positive, tolerances and
@@ -254,16 +254,8 @@ def load_config(subcommand, path=None, seed=None, tolerance_scale=1.0):
             cfg[key] = val
     if seed is not None:
         cfg["seed"] = seed
-    try:
-        tolerance_scale = float(tolerance_scale)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError("tolerance scale must be a number") from exc
-    if not tolerance_scale > 0.0 or not math.isfinite(tolerance_scale):
-        raise ConfigError("tolerance scale must be positive and finite")
     for key, default in DEFAULTS[subcommand].items():
         cfg[key] = _typed(key, cfg[key], default)
-        if key.startswith("tol_"):
-            cfg[key] *= tolerance_scale
     names = [v for k, v in cfg.items() if type(v) is str and k != "run_dir"]
     if subcommand == "report":  # the bundle's CSV and SVG take its stem
         names += [os.path.splitext(cfg["bundle"])[0] + ext for ext in (".csv", ".svg")]
@@ -696,7 +688,7 @@ def cmd_flow_graph(cfg, outdir) -> RunReport:
     report.checks.append(
         check_le(
             "final_residual",
-            trace.sup_residual[-1] if trace.sup_residual else math.inf,
+            trace.sup_residual[-1],
             0.0,
             cfg["threshold"],
         )
@@ -721,7 +713,7 @@ def cmd_flow_graph(cfg, outdir) -> RunReport:
     report.checks.append(
         check_le(
             "steps_to_converge",
-            trace.steps[-1] if trace.steps else math.inf,
+            trace.steps[-1],
             float(cfg["max_steps"]),
             0.0,
             kind="observation",
@@ -771,6 +763,11 @@ def _well_formed(payload):
                     for c in checks))
 
 
+def _csv_text(x):
+    """x as one bundle CSV field: commas become ';' and line breaks spaces."""
+    return str(x).replace(",", ";").replace("\r", " ").replace("\n", " ")
+
+
 def cmd_report(cfg, outdir) -> RunReport:
     run_dir = cfg["run_dir"] or outdir
     paths = sorted(glob.glob(os.path.join(run_dir, "report_*.json")))
@@ -818,15 +815,15 @@ def cmd_report(cfg, outdir) -> RunReport:
             lines.append(
                 ",".join(
                     [
-                        base,
-                        str(payload.get("subcommand", "")),
-                        str(payload.get("status", "")),
-                        str(chk.get("name", "")).replace(",", ";"),
+                        _csv_text(base),
+                        _csv_text(payload.get("subcommand", "")),
+                        _csv_text(payload.get("status", "")),
+                        _csv_text(chk.get("name", "")),
                         f"{chk.get('value', math.nan):.17g}",
                         f"{chk.get('bound', math.nan):.17g}",
                         f"{chk.get('margin', math.nan):.17g}",
                         f"{chk.get('tolerance', math.nan):.17g}",
-                        str(chk.get("kind", "")),
+                        _csv_text(chk.get("kind", "")),
                     ]
                 )
             )
@@ -902,13 +899,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     # the retired worker count, accepted at its one value, which changes nothing
     shared.add_argument("--jobs", type=int, choices=(1,), default=1, help=argparse.SUPPRESS)
-    shared.add_argument(
-        "--tolerance-scale",
-        type=float,
-        default=1.0,
-        dest="tolerance_scale",
-        help="multiply every configured tolerance",
-    )
     parser = argparse.ArgumentParser(
         prog="shrinker-lab",
         description="batch verification runs with machine-readable reports",
@@ -936,13 +926,8 @@ def main(argv=None) -> int:
         parser.print_help(sys.stderr)
         return 2
     try:
-        cfg = load_config(
-            args.command,
-            path=args.config,
-            seed=args.seed,
-            tolerance_scale=args.tolerance_scale,
-        )
-        outdir = os.environ.get("SHRINKER_LAB_OUT") or args.out
+        cfg = load_config(args.command, path=args.config, seed=args.seed)
+        outdir = args.out
         os.makedirs(outdir, exist_ok=True)
         report = HANDLERS[args.command](cfg, outdir)
     except ConfigError as exc:

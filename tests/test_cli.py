@@ -17,7 +17,6 @@ from shrinkerlab import cli, graphflow, grassmann, immersion, ineq, sphere
 @pytest.fixture(autouse=True)
 def _pinned_clock(monkeypatch):
     monkeypatch.setenv("SOURCE_DATE_EPOCH", "1755820800")
-    monkeypatch.delenv("SHRINKER_LAB_OUT", raising=False)
 
 
 def _write_cfg(tmp_path, payload, name="cfg.json"):
@@ -221,21 +220,13 @@ def test_corrupted_height_formula_fails(tmp_path, flipped_height_hessian):
     assert bad["margin"] < -bad["tolerance"]
 
 
-def test_tolerance_scale_loosens_the_corrupted_run(tmp_path, flipped_height_hessian):
-    cfg = _write_cfg(tmp_path, {"probes": 8})
+def test_retired_tolerance_scale_flag_exits_2(tmp_path):
+    # a looser run sets tol_* keys in its config
     out = tmp_path / "out"
-    code = cli.main(
-        [
-            "verify-targets",
-            "--config",
-            cfg,
-            "--out",
-            str(out),
-            "--tolerance-scale",
-            "1e9",
-        ]
-    )
-    assert code == 0
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify-targets", "--out", str(out), "--tolerance-scale", "2"])
+    assert exc.value.code == 2
+    assert not out.exists()
 
 
 def test_identical_config_and_seed_are_byte_identical(tmp_path):
@@ -589,16 +580,30 @@ def test_report_flags_merged_failures(tmp_path, flipped_height_hessian):
     assert cli.main(["report", "--out", str(out)]) == 1
 
 
-def test_env_var_overrides_out_flag(tmp_path, monkeypatch):
-    env_dir = tmp_path / "from_env"
-    monkeypatch.setenv("SHRINKER_LAB_OUT", str(env_dir))
+def test_out_flag_alone_places_the_run(tmp_path, monkeypatch):
+    # the retired SHRINKER_LAB_OUT override is ignored
+    monkeypatch.setenv("SHRINKER_LAB_OUT", str(tmp_path / "from_env"))
     cfg = _write_cfg(tmp_path, {"probes": 4})
-    code = cli.main(
-        ["verify-targets", "--config", cfg, "--out", str(tmp_path / "unused")]
-    )
-    assert code == 0
-    assert (env_dir / "report_verify-targets.json").exists()
-    assert not (tmp_path / "unused").exists()
+    out = tmp_path / "out"
+    assert cli.main(["verify-targets", "--config", cfg, "--out", str(out)]) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "out"]
+    assert sorted(p.name for p in out.iterdir()) == [
+        "report_verify-targets.json", "target_residuals.csv"]
+
+
+def test_report_csv_keeps_commas_and_line_breaks_in_their_column(tmp_path):
+    # every free-text field of a merged report stays one field of its row
+    out = tmp_path / "out"
+    out.mkdir()
+    check = {**_RUN["checks"][0], "name": "a,b", "kind": "mandatory,\nx"}
+    run = {**_RUN, "subcommand": "verify,targets", "status": "PASS,\r", "checks": [check]}
+    (out / "report_a,b.json").write_text(json.dumps(run))
+    assert cli.main(["report", "--out", str(out)]) == 0
+    with open(out / "bundle.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert [len(row) for row in rows] == [9, 9]
+    assert rows[1][:4] == ["report_a;b.json", "verify;targets", "PASS; ", "a;b"]
+    assert rows[1][8] == "mandatory; x"
 
 
 def test_check_record_margin_conventions():

@@ -541,7 +541,7 @@ def test_relax_divergence_attaches_trace():
     with pytest.raises(gf.DivergenceError) as info:
         gf.relax_flow(f, unstable)
     trace = info.value.trace
-    assert len(trace.steps) >= 1
+    assert trace.steps[0] == 0  # step 0 is recorded before the first step
     assert all(t1 > t0 for t0, t1 in zip(trace.times, trace.times[1:]))
 
 

@@ -9,6 +9,7 @@ only unit tests reach is dead weight: delete it and move its tests onto the
 route that does the work, or give it a reason in KEEP.
 """
 
+import argparse
 import ast
 import functools
 import importlib
@@ -179,3 +180,23 @@ def test_every_layout_identifier_is_an_attribute_of_its_module():
             except AttributeError:
                 missing.append(f"{name}: {token}")
     assert missing == []
+
+
+def _synopsis_options():
+    """The options README's command-line synopsis names, in order."""
+    text = (ROOT / "README.md").read_text()
+    section = text.split("\n## Command-line interface\n", 1)[1]
+    synopsis = section.split("```", 2)[1]
+    return re.findall(r"\[(--[a-z-]+)", synopsis)
+
+
+def test_cli_synopsis_names_exactly_the_shown_options():
+    # so a flag cannot stay in README after it is removed, or be added without it
+    parser = cli.build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert list(commands.choices) == list(cli.HANDLERS)
+    shown = {name: [s for a in sub._actions if a.help is not argparse.SUPPRESS
+                    for s in a.option_strings if s.startswith("--") and s != "--help"]
+             for name, sub in commands.choices.items()}
+    assert shown == {name: _synopsis_options() for name in cli.HANDLERS}
+    assert _synopsis_options() == ["--config", "--out", "--seed"]

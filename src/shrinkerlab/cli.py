@@ -19,6 +19,7 @@ import os
 import sys
 import time
 from dataclasses import asdict, dataclass, field as dc_field
+from xml.sax.saxutils import escape
 
 import numpy as np
 
@@ -861,7 +862,7 @@ def _bundle_svg(runs):
         )
         parts.append(
             f'<text x="34" y="{y + 13}" font-family="monospace" '
-            f'font-size="12">{payload.get("status", "?")} {base}</text>'
+            f'font-size="12">{escape(str(payload.get("status", "?")))} {escape(base)}</text>'
         )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

@@ -12,15 +12,17 @@ surfaces (planes, round spheres, shrinking cylinders, graphs) supplies
 analytic jets; position-only maps get theirs from high-order finite
 differences.  Every function the module evaluates (jets, positions, heights,
 maps) takes points over leading axes and is called once per batch, or once
-per block of _NODE_BLOCK nodes where a mesh is built or read.  Frames are one
-record, PointFrame, over leading axes, checked in blocks of points:
-point_frame, weighted_tension and composition_checks take parameters (..., n)
-with one kernel call per batch, and a patch mesh carries the PointFrame batch
-of its nodes, built one block at a time.
+per block of _NODE_BLOCK nodes where a mesh is read.  Frames are one record,
+PointFrame, over leading axes, checked in blocks of points: point_frame,
+weighted_tension and composition_checks take parameters (..., n) with one
+kernel call per batch, and a patch mesh holds only its grid, computing and
+checking the PointFrame batch of its nodes one block at a time whenever they
+are read.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -42,9 +44,10 @@ _D2 = {2: (((1, 1.0), (0, -2.0), (-1, 1.0)), 1.0),
 # divided by step (_D4) or step^2 (_D4_2)
 _D4, _D4_2 = (tuple((s, w / c) for s, w in reversed(terms)) for terms, c in (_D1[4], _D2[4]))
 
-# points per pass of a mesh build, a frame check and a stability check.  At
-# 1 024 a 128 x 256 sphere mesh builds with 0.8 MB of temporaries beside its
-# 6.25 MB of arrays (3.0 MB at 4 096), as fast as in one batch
+# points per pass of a mesh read and a frame check.  At 1 024 a block's
+# temporaries take about 1.0 MB (3.7 MB at 4 096), so the stability check of a
+# 128 x 256 sphere mesh peaks at 1.5 MB, its two 0.25 MB integrands included,
+# about as fast as in one batch
 _NODE_BLOCK = 1 << 10
 
 
@@ -540,58 +543,89 @@ def composition_checks(imm: ParametricImmersion, params, targets) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class WeightedPatchMesh:
-    """Midpoint quadrature nodes with their frames and area weights.
+    """Midpoint quadrature over a tensor-product grid of the chart.
 
-    frames is the PointFrame batch over the nodes: row i of each of its
-    fields, and of weights, belongs to node params[i].  weights hold the
-    unweighted area element (cell volume times sqrt det g); the Gaussian
-    factor enters through frames.rho.
+    A mesh holds its grid only: the immersion, shape (one resolution per
+    parameter) and whether it is closed.  Its nodes, in the order of
+    np.meshgrid(..., indexing="ij"), are computed whenever a consumer reads
+    them, one block of _NODE_BLOCK nodes at a time with one jets call and one
+    frame-kernel call each, and each block's frames and weights are checked
+    as it is built, so a bad node raises at the first read, not in
+    patch_mesh.  stability_identity_check and weighted_integral stream the
+    blocks; params, weights and frames are whole arrays, filled by one such
+    pass at their first read and kept.  Row i of each belongs to node i.
+    weights hold the unweighted area element (cell volume times sqrt det g);
+    the Gaussian factor enters through frames.rho.
     """
 
     immersion: ParametricImmersion
-    params: np.ndarray
-    weights: np.ndarray
-    frames: PointFrame
+    shape: tuple
     closed: bool = False
-
-    def __post_init__(self):
-        if np.any(self.weights <= 0.0):
-            raise ValueError("quadrature weights must be positive")
-        if not self.weights.shape == self.frames.rho.shape == (self.node_count,):
-            raise ValueError("frame count must match node count")
 
     @property
     def node_count(self):
-        return self.params.shape[0]
+        return math.prod(self.shape)
+
+    def _node_blocks(self):
+        """(slice, params, weights, frames) of each block of nodes in turn.
+
+        The first failing block raises what a build over every node would
+        raise, naming the same first failing node; its temporaries die with
+        the block.
+        """
+        imm, count = self.immersion, self.node_count
+        steps = [(hi - lo) / cnt for (lo, hi), cnt in zip(imm.chart, self.shape)]
+        axes = [lo + st * (np.arange(c) + 0.5) for (lo, _), st, c in zip(imm.chart, steps, self.shape)]
+        cell = math.prod(steps)
+        for b in _blocks((count,)):
+            nodes = np.unravel_index(np.arange(b.start, min(b.stop, count)), self.shape)
+            params = np.stack([axis[i] for axis, i in zip(axes, nodes)], axis=1)
+            L, fields = _frame_kernel(*imm.jets(params), params)
+            weights = cell * np.prod(np.diagonal(L, axis1=-2, axis2=-1), axis=-1)
+            frames = PointFrame(**fields)
+            if np.any(weights <= 0.0):
+                raise ValueError("quadrature weights must be positive")
+            yield b, params, weights, frames
+
+    @functools.cached_property
+    def _arrays(self):
+        # params, weights and the frame fields of every node from one block
+        # pass; copied, so no normal is a view into a block's complete-QR Q
+        count, n, m = self.node_count, self.immersion.n, self.immersion.m
+        params, weights = np.empty((count, n)), np.empty(count)
+        trailing = dict(position=(n + m,), tangent=(n, n + m), normal=(m, n + m), h=(m, n, n),
+                        mean=(m,), rho=(), S=(n, n))
+        f = {k: np.empty((count,) + t) for k, t in trailing.items()}
+        for b, p, w, frames in self._node_blocks():
+            params[b], weights[b] = p, w
+            for k, a in f.items():
+                a[b] = getattr(frames, k)
+        # every block was checked as it was built
+        whole = object.__new__(PointFrame)
+        vars(whole).update(f)
+        return params, weights, whole
+
+    @property
+    def params(self):
+        return self._arrays[0]
+
+    @property
+    def weights(self):
+        return self._arrays[1]
+
+    @property
+    def frames(self):
+        return self._arrays[2]
 
 
 def patch_mesh(imm: ParametricImmersion, shape, closed=False):
-    """Tensor-product midpoint mesh over the chart.
-
-    The nodes are built in blocks of _NODE_BLOCK, one jets call and one
-    frame-kernel call each, whose results are copied into the mesh's arrays
-    (so no stored normal is a view into a block's complete-QR Q) and whose
-    temporaries die with the block; the first block that fails names the
-    first failing node, as a build in one batch would.
-    """
+    """Tensor-product midpoint mesh over the chart, shape nodes per
+    parameter: the grid only, whose nodes are computed and checked block by
+    block when they are read (see WeightedPatchMesh)."""
     shape = tuple(int(s) for s in shape)
     if len(shape) != imm.n or min(shape) < 1:
         raise ValueError("need one positive resolution per parameter")
-    steps = [(hi - lo) / cnt for (lo, hi), cnt in zip(imm.chart, shape)]
-    axes = [lo + st * (np.arange(c) + 0.5) for (lo, _), st, c in zip(imm.chart, steps, shape)]
-    params = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=1)
-    count, n, m = len(params), imm.n, imm.m
-    cell = math.prod(steps)
-    weights = np.empty(count)
-    trailing = dict(position=(n + m,), tangent=(n, n + m), normal=(m, n + m), h=(m, n, n),
-                    mean=(m,), rho=(), S=(n, n))
-    f = {k: np.empty((count,) + t) for k, t in trailing.items()}
-    for b in _blocks((count,)):
-        L, block = _frame_kernel(*imm.jets(params[b]), params[b])
-        weights[b] = cell * np.prod(np.diagonal(L, axis1=-2, axis2=-1), axis=-1)
-        for k, a in block.items():
-            f[k][b] = a
-    return WeightedPatchMesh(imm, params, weights, PointFrame(**f), closed=closed)
+    return WeightedPatchMesh(imm, shape, closed=closed)
 
 
 def sphere_mesh(R, shape):
@@ -601,11 +635,15 @@ def sphere_mesh(R, shape):
 
 
 def weighted_integral(mesh: WeightedPatchMesh, f) -> float:
-    """Quadrature of per-node values f against the Gaussian-weighted area measure."""
+    """Quadrature of per-node values f against the Gaussian-weighted area
+    measure, streamed over the mesh's node blocks and summed once."""
     vals = np.asarray(f, float)
     if vals.shape != (mesh.node_count,):
         raise ValueError("field node count does not match the mesh")
-    return float(np.sum(vals * mesh.frames.rho * mesh.weights))
+    terms = np.empty(mesh.node_count)
+    for b, _, weights, frames in mesh._node_blocks():
+        terms[b] = vals[b] * frames.rho * weights
+    return float(np.sum(terms))
 
 
 class StabilityReport(NamedTuple):
@@ -617,27 +655,26 @@ class StabilityReport(NamedTuple):
 def stability_identity_check(mesh: WeightedPatchMesh, a):
     """Closed-surface identity: int f(1-f)|B|^2 rho = -int |grad f|^2 rho.
 
-    f is the height of the normal map against the unit pole a.  The two
-    per-node integrands are filled in blocks of _NODE_BLOCK nodes, and each
-    is integrated in one sum over every node.  Requires a closed mesh; open
-    patches would need boundary terms that are not modeled.
+    f is the height of the normal map against the unit pole a.  The check
+    streams the mesh: each block of _NODE_BLOCK nodes is built, checked and
+    read in turn, and only the two per-node weighted integrands are kept
+    whole, each integrated in one sum over every node.  Requires a closed
+    mesh; open patches would need boundary terms that are not modeled.
     """
     if not mesh.closed:
         raise ValueError("stability identity requires a closed mesh")
-    f = mesh.frames
     curved, grad_sq = np.empty(mesh.node_count), np.empty(mesh.node_count)
-    for b in _blocks(curved.shape):
-        tangent = f.tangent[b]
-        sign, y = _signed_normal(tangent, f.normal[b])
+    for b, _, weights, f in mesh._node_blocks():
+        sign, y = _signed_normal(f.tangent, f.normal)
         vals = sphere.height_value(y, a)
-        curved[b] = vals * (1.0 - vals) * _second_form_sq(f.h[b])
+        curved[b] = vals * (1.0 - vals) * _second_form_sq(f.h) * f.rho * weights
         # e_j(f) per frame row, then grad f in ambient coordinates
-        images = _normal_images(tangent, sign, f.h[b, 0])
+        images = _normal_images(f.tangent, sign, f.h[:, 0])
         coeffs = sphere.height_differential(y[:, None], a, images)
-        grads = (coeffs[:, None, :] @ tangent)[:, 0]
-        grad_sq[b] = np.sum(grads * grads, axis=1)
-    lhs = weighted_integral(mesh, curved)
-    rhs = -weighted_integral(mesh, grad_sq)
+        grads = (coeffs[:, None, :] @ f.tangent)[:, 0]
+        grad_sq[b] = np.sum(grads * grads, axis=1) * f.rho * weights
+    lhs = float(np.sum(curved))
+    rhs = -float(np.sum(grad_sq))
     return StabilityReport(lhs=lhs, rhs=rhs, residual=lhs - rhs)
 
 
@@ -661,7 +698,8 @@ def gaussian_weight(mesh: WeightedPatchMesh) -> WeightField:
 
 
 def unit_weight(mesh: WeightedPatchMesh) -> WeightField:
-    return WeightField(np.ones(mesh.node_count), np.zeros(mesh.frames.position.shape))
+    amb = mesh.immersion.n + mesh.immersion.m
+    return WeightField(np.ones(mesh.node_count), np.zeros((mesh.node_count, amb)))
 
 
 def weighted_energy(mesh: WeightedPatchMesh, map_fn, weight: WeightField) -> float:

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import xml.dom.minidom
 
 import numpy as np
 import pytest
@@ -604,6 +605,22 @@ def test_report_csv_keeps_commas_and_line_breaks_in_their_column(tmp_path):
     assert [len(row) for row in rows] == [9, 9]
     assert rows[1][:4] == ["report_a;b.json", "verify;targets", "PASS; ", "a;b"]
     assert rows[1][8] == "mandatory; x"
+
+
+def test_report_svg_escapes_file_names_and_statuses(tmp_path):
+    # a copied report named with "&" and a status holding "<" keep bundle.svg
+    # well-formed, and the parsed text reads them back
+    out = tmp_path / "out"
+    cfg = _write_cfg(tmp_path, {"samples": 40, "restarts": 20})
+    assert cli.main(["verify-prop41", "--config", cfg, "--out", str(out)]) == 0
+    raw = (out / "report_verify-prop41.json").read_text()
+    (out / "report_a&b.json").write_text(raw)
+    (out / "report_c.json").write_text(json.dumps({**_RUN, "status": "PASS<&>"}))
+    cli.main(["report", "--out", str(out)])
+    svg = xml.dom.minidom.parse(str(out / "bundle.svg"))
+    texts = [t.firstChild.data for t in svg.getElementsByTagName("text")]
+    assert "PASS report_a&b.json" in texts
+    assert "PASS<&> report_c.json" in texts
 
 
 def test_check_record_margin_conventions():

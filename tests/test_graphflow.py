@@ -614,6 +614,26 @@ def test_supersteps_reach_the_explicit_state_of_the_flow_graph_field():
     assert np.max(np.abs(states[1] - states[0])) <= 1e-8
 
 
+@pytest.mark.parametrize("seed", [0, 61])
+def test_supersteps_reach_the_explicit_state_in_three_dimensions(seed):
+    # flow-graph's bump field at n = 3, m = 2 on 13^3: 1 555 and 1 744
+    # explicit steps at seeds 0 and 61, or 360 and 400 fills at 20 stages, to
+    # states 6.1e-10 and 2.0e-9 apart
+    cfg = {**cli.DEFAULTS["flow-graph"], "n": 3, "m": 2, "resolution": 13}
+    f = cli._seeded_bump_field(cfg, np.random.default_rng(np.random.SeedSequence(seed)))
+    states, fills = [], []
+    with np.errstate(all="raise"):
+        for stages in (1, 20):
+            out, trace = gf.relax_flow(f, gf.SolverConfig(
+                max_steps=cfg["max_steps"], sample_interval=cfg["sample_interval"],
+                stages=stages))
+            assert trace.converged
+            states.append(out.values)
+            fills.append(trace.steps[-1])
+    assert fills[1] <= 600
+    assert np.max(np.abs(states[1] - states[0])) <= 1e-8
+
+
 def test_supersteps_keep_order_two_in_h_on_the_exact_box():
     # 40 stages from the exact boundary and a zero interior: the error is
     # 4.17e-6 at 33^2 and 1.04e-6 at 65^2 (ratio 4.0), in 760 and 1 160 fills

@@ -166,12 +166,17 @@ def test_degenerate_metric_at_one_chart_point():
     with pytest.raises(ValueError, match="degenerate induced metric"):
         im.point_frame(imm, np.zeros(2))
     im.point_frame(imm, np.array([0.0, 0.5]))  # regular off the origin
-    # the 3 x 3 midpoint mesh has its centre node on the origin
-    with pytest.raises(
-        ValueError, match=r"degenerate induced metric at parameter \[0\. 0\.\]"
-    ):
-        im.patch_mesh(imm, (3, 3))
-    assert im.patch_mesh(imm, (2, 2)).node_count == 4
+    # the 3 x 3 midpoint mesh has its centre node on the origin; a mesh is
+    # its grid, so the first read of its nodes raises, by either route
+    mesh = im.patch_mesh(imm, (3, 3), closed=True)
+    for read in (lambda: mesh.frames, lambda: im.stability_identity_check(mesh, np.eye(3)[2])):
+        with pytest.raises(
+            ValueError, match=r"degenerate induced metric at parameter \[0\. 0\.\]"
+        ):
+            read()
+    regular = im.patch_mesh(imm, (2, 2))
+    assert regular.node_count == 4
+    assert regular.frames.rho.shape == (4,)
 
 
 def test_batched_jets_check_the_chart_and_shape():
@@ -337,16 +342,22 @@ def test_mesh_blocks_keep_every_bit(name, shape, monkeypatch):
     monkeypatch.setattr(grassmann, "_orthonormal",
                         lambda rows: checked.append(len(rows)) or orthonormal(rows))
     mesh = im.patch_mesh(imm, shape)
+    assert calls == checked == []  # the grid only
     count = math.prod(shape)
-    # one evaluator call per block of nodes, and one check per frame
+    mesh.params
+    # the first read: one evaluator call per block of nodes, and one check
+    # per frame
     assert calls == [min(16, count - lo) for lo in range(0, count, 16)]
     assert checked == calls
+    first = list(calls)
+    got = mesh.params, mesh.weights, {k: getattr(mesh.frames, k) for k in _FRAME_FIELDS}
+    # later reads make no call
+    assert calls == checked == first
     params, weights, f = _one_call_mesh(imm, shape)
-    assert np.array_equal(mesh.params, params)
-    assert np.array_equal(mesh.weights, weights)
+    assert np.array_equal(got[0], params)
+    assert np.array_equal(got[1], weights)
     for field in _FRAME_FIELDS:
-        got = getattr(mesh.frames, field)
-        assert got.shape == f[field].shape and np.array_equal(got, f[field])
+        assert got[2][field].shape == f[field].shape and np.array_equal(got[2][field], f[field])
 
 
 def test_mesh_blocks_at_the_module_block_size_keep_every_bit():
@@ -371,12 +382,16 @@ def test_blocked_stability_check_equals_one_pass(shape, monkeypatch):
     vals = sphere.height_value(y, a)
     images = im._normal_images(f["tangent"], s, f["h"][:, 0])
     grads = (sphere.height_differential(y[:, None], a, images)[:, None, :] @ f["tangent"])[:, 0]
-    # the mesh's frames were checked once, when it was built
-    monkeypatch.setattr(grassmann, "_orthonormal", None)
     b2 = np.sum(f["h"] * f["h"], axis=(-3, -2, -1))
     lhs = float(np.sum(vals * (1.0 - vals) * b2 * f["rho"] * weights))
     rhs = -float(np.sum(np.sum(grads * grads, axis=1) * f["rho"] * weights))
+    # the check builds the frames of each block and checks them once
+    orthonormal, checked = grassmann._orthonormal, []
+    monkeypatch.setattr(grassmann, "_orthonormal",
+                        lambda rows: checked.append(len(rows)) or orthonormal(rows))
     assert im.stability_identity_check(mesh, a) == (lhs, rhs, lhs - rhs)
+    count = math.prod(shape)
+    assert checked == [min(16, count - lo) for lo in range(0, count, 16)]
 
 
 @pytest.mark.parametrize("fields, message", [
@@ -409,34 +424,37 @@ def test_a_later_block_fails_as_one_batch_does(kind, monkeypatch):
     messages = []
     for block in (45, 16):
         monkeypatch.setattr(im, "_NODE_BLOCK", block)
-        with pytest.raises(ValueError) as info:
-            im.patch_mesh(imm, (9, 5))
-        assert isinstance(info.value, im.ChartError) == (kind == "chart")
-        messages.append(str(info.value))
-    assert messages[0] == messages[1]
-    assert "parameter [ 2.66666667 -2.4       ]" in messages[1]
+        # the mesh is its grid: its first read raises, by either route
+        mesh = im.patch_mesh(imm, (9, 5), closed=True)
+        for read in (lambda: mesh.frames, lambda: im.stability_identity_check(mesh, np.eye(3)[2])):
+            with pytest.raises(ValueError) as info:
+                read()
+            assert isinstance(info.value, im.ChartError) == (kind == "chart")
+            messages.append(str(info.value))
+    assert messages[0] == messages[-1] and len(set(messages)) == 1
+    assert "parameter [ 2.66666667 -2.4       ]" in messages[-1]
 
 
 def test_mesh_build_and_check_peak_allocation_stays_bounded():
-    # certify's fine quadrature mesh holds 6.25 MB of arrays.  Beyond them the
-    # build and the check take a block's temporaries and the check its two
-    # per-node integrands, about 0.9 MB; one pass over every node took about
-    # 10 MB and 6 MB, and a check holding full-size values and gradients 2.5 MB
+    # a mesh holds its grid only, and the check holds one block's
+    # temporaries (about 1.0 MB) and its two per-node integrands: 1.50 MB at
+    # 128 x 256 and 3.02 MB at 256 x 512.  A mesh that stored its frames
+    # took 7.06 MB to build and 7.14 MB to check at 128 x 256, and 25.8 MB
+    # and 28.2 MB at 256 x 512
     a = np.array([0.2, 0.5, 0.84])
     a /= np.linalg.norm(a)
-    tracemalloc.start()
-    try:
-        mesh = im.sphere_mesh(R=2.0, shape=(128, 256))
-        build = tracemalloc.get_traced_memory()[1]
-        tracemalloc.reset_peak()
-        im.stability_identity_check(mesh, a)
-        check = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    held = sum(getattr(mesh.frames, k).nbytes for k in _FRAME_FIELDS)
-    held += mesh.params.nbytes + mesh.weights.nbytes
-    assert build - held <= 4 * 2**20
-    assert check - held <= 1.5 * 2**20
+    for shape in ((128, 256), (256, 512)):
+        tracemalloc.start()
+        try:
+            mesh = im.sphere_mesh(R=2.0, shape=shape)
+            build = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            im.stability_identity_check(mesh, a)
+            check = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert build <= 64 * 2**10
+        assert check <= 1.25 * 2**20 + 16 * mesh.node_count
 
 
 def test_patch_mesh_needs_positive_resolutions():

@@ -19,7 +19,6 @@ import os
 import sys
 import time
 from dataclasses import asdict, dataclass, field as dc_field
-from xml.sax.saxutils import escape
 
 import numpy as np
 
@@ -845,6 +844,10 @@ _STATUS_COLORS = {"PASS": "#2a7e43", "OBSERVATION": "#b57b14", "FAIL": "#b03030"
 
 
 def _bundle_svg(runs):
+    # imported here: xml.sax.saxutils loads urllib.request and ssl, about
+    # 30 ms and several MB of resident memory that no other command needs
+    from xml.sax.saxutils import escape
+
     row_h, width = 26, 520
     height = row_h * max(1, len(runs)) + 30
     parts = [

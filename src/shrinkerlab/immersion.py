@@ -600,7 +600,8 @@ class WeightedPatchMesh:
             params[b], weights[b] = p, w
             for k, a in f.items():
                 a[b] = getattr(frames, k)
-        # every block was checked as it was built
+        # one record over the whole arrays, whose blocks were each checked as
+        # they were built: made without PointFrame's checks, not run twice
         whole = object.__new__(PointFrame)
         vars(whole).update(f)
         return params, weights, whole

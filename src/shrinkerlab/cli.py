@@ -2,7 +2,9 @@
 
 Each subcommand reads an optional JSON config, runs its checks, writes a
 versioned JSON report plus CSV/SVG artifacts into the output directory, and
-exits 0 on PASS or OBSERVATION, 1 on FAIL, 2 on a configuration error.
+exits 0 on PASS or OBSERVATION, 1 on FAIL, 2 on a configuration error: a
+bad config, an output directory that cannot be made, or a SOURCE_DATE_EPOCH
+that is not whole seconds, each found before any artifact is written.
 Identical config and seed produce byte-identical CSV/JSON artifacts (set
 SOURCE_DATE_EPOCH to pin the provenance timestamp as well).
 """
@@ -104,10 +106,15 @@ class RunReport:
 
 
 def run_timestamp() -> str:
-    """UTC timestamp string; honors SOURCE_DATE_EPOCH for reproducible runs."""
+    """UTC timestamp string; honors SOURCE_DATE_EPOCH for reproducible runs
+    (ConfigError unless it is whole seconds that name a date)."""
     raw = os.environ.get("SOURCE_DATE_EPOCH")
-    stamp = int(raw) if raw else int(time.time())
-    when = datetime.datetime.fromtimestamp(stamp, datetime.timezone.utc)
+    try:
+        stamp = int(raw) if raw else int(time.time())
+        when = datetime.datetime.fromtimestamp(stamp, datetime.timezone.utc)
+    except (ValueError, OverflowError, OSError) as exc:
+        raise ConfigError(f"SOURCE_DATE_EPOCH must be whole seconds since 1970, "
+                          f"got {raw!r}") from exc
     return when.strftime("%Y-%m-%dT%H:%M:%SZ")
 
 
@@ -770,7 +777,7 @@ def _csv_text(x):
 
 def cmd_report(cfg, outdir) -> RunReport:
     run_dir = cfg["run_dir"] or outdir
-    paths = sorted(glob.glob(os.path.join(run_dir, "report_*.json")))
+    paths = sorted(glob.glob(os.path.join(glob.escape(run_dir), "report_*.json")))
     runs = []
     warnings = []
     for path in paths:
@@ -931,15 +938,21 @@ def main(argv=None) -> int:
         return 2
     try:
         cfg = load_config(args.command, path=args.config, seed=args.seed)
+        # the clock and the output directory are checked before any artifact
+        run_timestamp()
         outdir = args.out
-        os.makedirs(outdir, exist_ok=True)
+        try:
+            os.makedirs(outdir, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot make the output directory {outdir}: {exc}") from exc
         report = HANDLERS[args.command](cfg, outdir)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     path = os.path.join(outdir, f"report_{args.command}.json")
+    text = dump_json(report.as_dict())
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dump_json(report.as_dict()))
+        fh.write(text)
     _print_report(report, path)
     return 0 if report.status != "FAIL" else 1
 

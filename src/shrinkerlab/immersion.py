@@ -11,18 +11,17 @@ first-variation check for weighted map energies.  A small catalog of exact
 surfaces (planes, round spheres, shrinking cylinders, graphs) supplies
 analytic jets; position-only maps get theirs from high-order finite
 differences.  Every function the module evaluates (jets, positions, heights,
-maps) takes points over leading axes and is called once per batch, or once
-per block of _NODE_BLOCK nodes where a mesh is read.  Frames are one record,
-PointFrame, over leading axes, checked in blocks of points: point_frame,
-weighted_tension and composition_checks take parameters (..., n) with one
-kernel call per batch, and a patch mesh holds only its grid, computing and
-checking the PointFrame batch of its nodes one block at a time whenever they
-are read.
+maps) takes points over leading axes and is called once per batch, or a fixed
+number of times per block of _NODE_BLOCK nodes where a mesh is read.  Frames
+are one record, PointFrame, over leading axes, checked in blocks of points:
+point_frame, weighted_tension and composition_checks take parameters (..., n)
+with one kernel call per batch.  A patch mesh holds only its grid and is read
+one way, block by block: the stability identity and the first variation each
+fill their weighted integrands in one such read (_integrals).
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -547,15 +546,13 @@ class WeightedPatchMesh:
 
     A mesh holds its grid only: the immersion, shape (one resolution per
     parameter) and whether it is closed.  Its nodes, in the order of
-    np.meshgrid(..., indexing="ij"), are computed whenever a consumer reads
-    them, one block of _NODE_BLOCK nodes at a time with one jets call and one
-    frame-kernel call each, and each block's frames and weights are checked
-    as it is built, so a bad node raises at the first read, not in
-    patch_mesh.  stability_identity_check and weighted_integral stream the
-    blocks; params, weights and frames are whole arrays, filled by one such
-    pass at their first read and kept.  Row i of each belongs to node i.
-    weights hold the unweighted area element (cell volume times sqrt det g);
-    the Gaussian factor enters through frames.rho.
+    np.meshgrid(..., indexing="ij"), are read in one way, _node_blocks: one
+    block of _NODE_BLOCK nodes at a time with one jets call and one
+    frame-kernel call each, and each block's frames and weights checked as
+    it is built, so a bad node raises at the first read, not in patch_mesh.
+    Nothing is kept between reads.  The weights are the unweighted area
+    element (cell volume times sqrt det g); the Gaussian factor enters
+    through frames.rho.
     """
 
     immersion: ParametricImmersion
@@ -587,37 +584,6 @@ class WeightedPatchMesh:
                 raise ValueError("quadrature weights must be positive")
             yield b, params, weights, frames
 
-    @functools.cached_property
-    def _arrays(self):
-        # params, weights and the frame fields of every node from one block
-        # pass; copied, so no normal is a view into a block's complete-QR Q
-        count, n, m = self.node_count, self.immersion.n, self.immersion.m
-        params, weights = np.empty((count, n)), np.empty(count)
-        trailing = dict(position=(n + m,), tangent=(n, n + m), normal=(m, n + m), h=(m, n, n),
-                        mean=(m,), rho=(), S=(n, n))
-        f = {k: np.empty((count,) + t) for k, t in trailing.items()}
-        for b, p, w, frames in self._node_blocks():
-            params[b], weights[b] = p, w
-            for k, a in f.items():
-                a[b] = getattr(frames, k)
-        # one record over the whole arrays, whose blocks were each checked as
-        # they were built: made without PointFrame's checks, not run twice
-        whole = object.__new__(PointFrame)
-        vars(whole).update(f)
-        return params, weights, whole
-
-    @property
-    def params(self):
-        return self._arrays[0]
-
-    @property
-    def weights(self):
-        return self._arrays[1]
-
-    @property
-    def frames(self):
-        return self._arrays[2]
-
 
 def patch_mesh(imm: ParametricImmersion, shape, closed=False):
     """Tensor-product midpoint mesh over the chart, shape nodes per
@@ -635,16 +601,20 @@ def sphere_mesh(R, shape):
     return patch_mesh(imm, shape, closed=True)
 
 
-def weighted_integral(mesh: WeightedPatchMesh, f) -> float:
-    """Quadrature of per-node values f against the Gaussian-weighted area
-    measure, streamed over the mesh's node blocks and summed once."""
-    vals = np.asarray(f, float)
-    if vals.shape != (mesh.node_count,):
-        raise ValueError("field node count does not match the mesh")
-    terms = np.empty(mesh.node_count)
-    for b, _, weights, frames in mesh._node_blocks():
-        terms[b] = vals[b] * frames.rho * weights
-    return float(np.sum(terms))
+def _integrals(mesh: WeightedPatchMesh, integrands):
+    """Quadrature of several per-node fields in one streamed read of mesh.
+
+    integrands(params, frames) returns k rows of per-node terms for one
+    block of nodes; each is multiplied by the block's area element, and
+    each row of the (k, nodes) terms is summed once over every node.
+    """
+    terms = None
+    for b, params, weights, frames in mesh._node_blocks():
+        rows = np.asarray(integrands(params, frames)) * weights
+        if terms is None:
+            terms = np.empty((len(rows), mesh.node_count))
+        terms[:, b] = rows
+    return [float(np.sum(row)) for row in terms]
 
 
 class StabilityReport(NamedTuple):
@@ -656,26 +626,26 @@ class StabilityReport(NamedTuple):
 def stability_identity_check(mesh: WeightedPatchMesh, a):
     """Closed-surface identity: int f(1-f)|B|^2 rho = -int |grad f|^2 rho.
 
-    f is the height of the normal map against the unit pole a.  The check
-    streams the mesh: each block of _NODE_BLOCK nodes is built, checked and
-    read in turn, and only the two per-node weighted integrands are kept
-    whole, each integrated in one sum over every node.  Requires a closed
-    mesh; open patches would need boundary terms that are not modeled.
+    f is the height of the normal map against the unit pole a.  The two
+    weighted integrands are filled block by block in one streamed read of
+    the mesh (_integrals).  Requires a closed mesh; open patches would need
+    boundary terms that are not modeled.
     """
     if not mesh.closed:
         raise ValueError("stability identity requires a closed mesh")
-    curved, grad_sq = np.empty(mesh.node_count), np.empty(mesh.node_count)
-    for b, _, weights, f in mesh._node_blocks():
+
+    def integrands(_, f):
         sign, y = _signed_normal(f.tangent, f.normal)
         vals = sphere.height_value(y, a)
-        curved[b] = vals * (1.0 - vals) * _second_form_sq(f.h) * f.rho * weights
         # e_j(f) per frame row, then grad f in ambient coordinates
         images = _normal_images(f.tangent, sign, f.h[:, 0])
         coeffs = sphere.height_differential(y[:, None], a, images)
         grads = (coeffs[:, None, :] @ f.tangent)[:, 0]
-        grad_sq[b] = np.sum(grads * grads, axis=1) * f.rho * weights
-    lhs = float(np.sum(curved))
-    rhs = -float(np.sum(grad_sq))
+        return (vals * (1.0 - vals) * _second_form_sq(f.h) * f.rho,
+                np.sum(grads * grads, axis=1) * f.rho)
+
+    lhs, grad_sq = _integrals(mesh, integrands)
+    rhs = -grad_sq
     return StabilityReport(lhs=lhs, rhs=rhs, residual=lhs - rhs)
 
 
@@ -691,24 +661,22 @@ class WeightField:
     grad_log: np.ndarray
 
 
-def gaussian_weight(mesh: WeightedPatchMesh) -> WeightField:
-    """The shrinker weight rho with grad log rho = -(tangential X)/2."""
-    f = mesh.frames
-    xt = (f.tangent @ f.position[..., None]).swapaxes(-1, -2) @ f.tangent
-    return WeightField(values=f.rho, grad_log=-0.5 * xt[:, 0])
+def gaussian_weight(frames: PointFrame) -> WeightField:
+    """The shrinker weight rho at frames, with grad log rho = -(tangential X)/2."""
+    xt = (frames.tangent @ frames.position[..., None]).swapaxes(-1, -2) @ frames.tangent
+    return WeightField(values=frames.rho, grad_log=-0.5 * xt[:, 0])
 
 
-def unit_weight(mesh: WeightedPatchMesh) -> WeightField:
-    amb = mesh.immersion.n + mesh.immersion.m
-    return WeightField(np.ones(mesh.node_count), np.zeros((mesh.node_count, amb)))
+def unit_weight(frames: PointFrame) -> WeightField:
+    """The weight 1 at frames."""
+    return WeightField(np.ones(frames.rho.shape), np.zeros(frames.position.shape))
 
 
-def weighted_energy(mesh: WeightedPatchMesh, map_fn, weight: WeightField) -> float:
-    """Integral of (1/2)|d map|^2 w over the mesh (map valued in R^k)."""
-    _, dy, _ = _fd_jets(map_fn, mesh.params, mesh.immersion.fd_step, second=False)
-    push = mesh.frames.S @ dy.swapaxes(0, 1)  # rows: map differential along frame rows
-    density = 0.5 * np.sum(push * push, axis=(-2, -1))
-    return float(np.sum(density * weight.values * mesh.weights))
+def _energy_density(imm, params, frames, map_fn):
+    # (1/2)|d map|^2 at nodes params with frames (map valued in R^k)
+    _, dy, _ = _fd_jets(map_fn, params, imm.fd_step, second=False)
+    push = frames.S @ dy.swapaxes(0, 1)  # rows: map differential along frame rows
+    return 0.5 * np.sum(push * push, axis=(-2, -1))
 
 
 class FirstVariationReport(NamedTuple):
@@ -717,19 +685,19 @@ class FirstVariationReport(NamedTuple):
     residual: float
 
 
-def sphere_map_tension(mesh: WeightedPatchMesh, map_fn, grad_log_w):
-    """Weighted tension (N, k) of a unit-sphere-valued map at the mesh nodes
-    (ambient), with grad_log_w (N, amb) the tangential gradients of log w."""
-    imm, f = mesh.immersion, mesh.frames
-    _, dX, ddX = imm.jets(mesh.params)
-    ginv, gamma = _metric_data(f.S, dX, ddX)
-    y, dy, ddy = _fd_jets(map_fn, mesh.params, imm.fd_step)
+def _sphere_map_tension(imm, params, frames, map_fn, grad_log_w):
+    # weighted tension (N, k) of a unit-sphere-valued map at nodes params
+    # with frames (ambient), with grad_log_w (N, amb) the tangential
+    # gradients of log w
+    _, dX, ddX = imm.jets(params)
+    ginv, gamma = _metric_data(frames.S, dX, ddX)
+    y, dy, ddy = _fd_jets(map_fn, params, imm.fd_step)
     # the map's components on a leading axis: (k, N, n) and (k, N, n, n)
     lap = _laplace_beltrami(ginv, gamma, dy.transpose(2, 1, 0), ddy.transpose(3, 2, 0, 1)).T
-    push = f.S @ dy.swapaxes(0, 1)  # (N, n, k)
+    push = frames.S @ dy.swapaxes(0, 1)  # (N, n, k)
     energy_density = np.sum(push * push, axis=(-2, -1))
     # weight term: push the tangential gradient of log w through the map
-    drift = ((f.tangent @ grad_log_w[..., None]).swapaxes(-1, -2) @ push)[:, 0]
+    drift = ((frames.tangent @ grad_log_w[..., None]).swapaxes(-1, -2) @ push)[:, 0]
     return lap + energy_density[:, None] * y + drift
 
 
@@ -737,29 +705,41 @@ def first_variation_check(mesh: WeightedPatchMesh, family, weight_of) -> FirstVa
     """Compare d/dt of the weighted energy with the tension pairing.
 
     family(t) returns the map at time t, a function of points (..., n)
-    with values (..., k); weight_of(mesh) builds the weight field.  The
-    pairing side is -int <d/dt map, tension> w, with d/dt a central
-    difference of step 1e-3.  A variation reaching the boundary of an open
-    patch triggers a warning since boundary terms are dropped.
+    with values (..., k); weight_of(frames) builds the weight field at one
+    block's frames.  The pairing side is -int <d/dt map, tension> w, with
+    d/dt a central difference of step 1e-3.  The energies at +-dt and the
+    pairing are filled block by block in one streamed read of the mesh
+    (_integrals), so each map is called a fixed number of times per block.
+    A variation reaching the boundary of an open patch triggers a warning
+    since boundary terms are dropped.
     """
     dt = 1e-3
     imm = mesh.immersion
-    w = weight_of(mesh)
     f0, fp, fm = family(0.0), family(dt), family(-dt)
-    e_p, e_m = weighted_energy(mesh, fp, w), weighted_energy(mesh, fm, w)
-    derivative = (e_p - e_m) / (2.0 * dt)
 
     def rate(q):  # d/dt of the map at the points q (..., n)
         return (fp(q) - fm(q)) / (2.0 * dt)
 
-    vdot = rate(mesh.params)
-    tau = sphere_map_tension(mesh, f0, w.grad_log)
-    total = -float(np.sum(np.sum(vdot * tau, axis=-1) * w.values * mesh.weights))
+    peak = 0.0  # max |d/dt map| over the nodes
+
+    def integrands(params, frames):
+        nonlocal peak
+        w = weight_of(frames)
+        vdot = rate(params)
+        peak = max(peak, float(np.max(np.abs(vdot))))
+        tau = _sphere_map_tension(imm, params, frames, f0, w.grad_log)
+        return (_energy_density(imm, params, frames, fp) * w.values,
+                _energy_density(imm, params, frames, fm) * w.values,
+                np.sum(vdot * tau, axis=-1) * w.values)
+
+    e_p, e_m, pairing = _integrals(mesh, integrands)
+    derivative = (e_p - e_m) / (2.0 * dt)
+    total = -pairing
     if not mesh.closed:
         # the midpoints of the faces of the chart box
         faces = np.repeat(0.5 * imm.chart.sum(axis=1)[None], 2 * imm.n, axis=0)
         faces[np.arange(2 * imm.n), np.repeat(np.arange(imm.n), 2)] = imm.chart.ravel()
-        if np.max(np.abs(rate(faces))) > 1e-8 * max(float(np.max(np.abs(vdot))), 1e-30):
+        if np.max(np.abs(rate(faces))) > 1e-8 * max(peak, 1e-30):
             warnings.warn(
                 "variation is not compactly supported; boundary terms dropped",
                 stacklevel=2,
@@ -887,9 +867,12 @@ def _parse_args(text):
     if text:
         for piece in text.split(","):
             key, _, val = piece.partition("=")
-            if not _ or key.strip() == "":
+            key = key.strip()
+            if not _ or key == "":
                 raise ValueError(f"malformed catalog argument {piece!r}")
-            out[key.strip()] = float(val)
+            if key in out:
+                raise ValueError(f"repeated catalog argument {key!r}")
+            out[key] = float(val)
     return out
 
 

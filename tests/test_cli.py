@@ -122,10 +122,12 @@ def test_wrong_typed_config_value_rejected(tmp_path, capsys, subcommand, payload
 @pytest.mark.parametrize("surface", [
     "plane:n=0,m=1", "plane:n=1.5,m=1", "plane:n=1,m=0", "sphere:n=2,R=0",
     "sphere:n=2,R=-2", "sphere:n=2,R=nan", "sphere:n=2,R=2,c1=inf", "cylinder:k=3,n=2",
+    "sphere:n=2,R=1,R=2",
 ])
 def test_degenerate_catalog_surface_rejected(tmp_path, capsys, surface):
-    # non-integral or nonpositive dimensions, k > n, and radii or centres
-    # that are not finite (or not positive) are configuration errors
+    # non-integral or nonpositive dimensions, k > n, radii or centres that
+    # are not finite (or not positive), and a repeated argument are
+    # configuration errors
     cfg = _write_cfg(tmp_path, {"surfaces": [surface]})
     out = tmp_path / "out"
     assert cli.main(["verify-shrinkers", "--config", cfg, "--out", str(out)]) == 2
@@ -537,6 +539,36 @@ def test_report_empty_directory_warns(tmp_path, capsys):
     assert bundle["schema"] == cli.BUNDLE_SCHEMA
     assert bundle["runs"] == []
     assert any("no run reports" in w for w in bundle["warnings"])
+
+
+def test_report_reads_a_run_directory_whose_name_holds_glob_characters(tmp_path):
+    out = tmp_path / "runs[1]"
+    assert cli.main(["verify-prop41", "--out", str(out)]) == 0
+    assert cli.main(["report", "--out", str(out)]) == 0
+    with open(out / "bundle.json") as fh:
+        bundle = json.load(fh)
+    assert [run["file"] for run in bundle["runs"]] == ["report_verify-prop41.json"]
+    assert bundle["warnings"] == []
+
+
+def test_out_naming_an_existing_file_is_a_config_error(tmp_path, capsys):
+    path = tmp_path / "taken"
+    path.write_text("kept\n")
+    assert cli.main(["verify-prop41", "--out", str(path)]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert path.read_text() == "kept\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["taken"]
+
+
+@pytest.mark.parametrize("stamp", ["abc", "1.5", "9" * 30])
+def test_a_bad_source_date_epoch_is_a_config_error_before_any_artifact(
+        tmp_path, capsys, monkeypatch, stamp):
+    # found before the handler runs: no artifact and no empty report
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", stamp)
+    out = tmp_path / "out"
+    assert cli.main(["verify-prop41", "--out", str(out)]) == 2
+    assert "SOURCE_DATE_EPOCH" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_report_merges_runs_chronologically(tmp_path, monkeypatch):

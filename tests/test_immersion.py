@@ -167,16 +167,17 @@ def test_degenerate_metric_at_one_chart_point():
         im.point_frame(imm, np.zeros(2))
     im.point_frame(imm, np.array([0.0, 0.5]))  # regular off the origin
     # the 3 x 3 midpoint mesh has its centre node on the origin; a mesh is
-    # its grid, so the first read of its nodes raises, by either route
+    # its grid, so the first read of its nodes raises, by itself or in a check
     mesh = im.patch_mesh(imm, (3, 3), closed=True)
-    for read in (lambda: mesh.frames, lambda: im.stability_identity_check(mesh, np.eye(3)[2])):
+    for read in (lambda: _mesh_arrays(mesh),
+                 lambda: im.stability_identity_check(mesh, np.eye(3)[2])):
         with pytest.raises(
             ValueError, match=r"degenerate induced metric at parameter \[0\. 0\.\]"
         ):
             read()
     regular = im.patch_mesh(imm, (2, 2))
     assert regular.node_count == 4
-    assert regular.frames.rho.shape == (4,)
+    assert _mesh_arrays(regular)[2].rho.shape == (4,)
 
 
 def test_batched_jets_check_the_chart_and_shape():
@@ -257,6 +258,23 @@ def test_unit_sphere_jets_batch_equals_rows(n):
     assert np.max(np.abs(fd2 - ddx)) <= 1e-8
 
 
+_FRAME_FIELDS = ("position", "tangent", "normal", "h", "mean", "rho", "S")
+
+
+def _block_arrays(blocks):
+    # params, weights and frame fields of every node, concatenated from the
+    # (slice, params, weights, frames) blocks of a mesh read
+    return (np.concatenate([p for _, p, _, _ in blocks]),
+            np.concatenate([w for _, _, w, _ in blocks]),
+            {k: np.concatenate([getattr(f, k) for *_, f in blocks]) for k in _FRAME_FIELDS})
+
+
+def _mesh_arrays(mesh):
+    # one read of every node: params, weights and one PointFrame record
+    params, weights, fields = _block_arrays(list(mesh._node_blocks()))
+    return params, weights, im.PointFrame(**fields)
+
+
 _MESH_CASES = (
     ("sphere:n=2,R=2", (6, 8)),
     ("sphere:n=3,R=2", (3, 4, 5)),
@@ -279,28 +297,26 @@ def test_mesh_arrays_match_point_frames(name, shape):
         imm = im.catalog_immersion(name)
     mesh = im.patch_mesh(imm, shape)
     cell = math.prod((hi - lo) / c for (lo, hi), c in zip(imm.chart, shape))
-    batch = imm.jets(mesh.params)
+    params, weights, frames = _mesh_arrays(mesh)
+    batch = imm.jets(params)
     # batched jets, kernel and checks give the bits of the one-point path
-    for i, p in enumerate(mesh.params):
+    for i, p in enumerate(params):
         jets = [a[0] for a in imm.jets(p[None])]
         for b, row in zip(batch, jets):
             assert np.array_equal(b[i], row)
         L, f = im._frame_kernel(*jets, p)
-        assert np.array_equal(mesh.frames.S[i], f["S"])
-        assert mesh.weights[i] == cell * np.prod(np.diagonal(L))
+        assert np.array_equal(frames.S[i], f["S"])
+        assert weights[i] == cell * np.prod(np.diagonal(L))
         pf = im.point_frame(imm, p)
-        fr = mesh.frames
-        got = (fr.position[i], fr.tangent[i], fr.normal[i], fr.h[i], fr.mean[i], fr.rho[i])
+        got = (frames.position[i], frames.tangent[i], frames.normal[i], frames.h[i],
+               frames.mean[i], frames.rho[i])
         want = (pf.position, pf.tangent, pf.normal, pf.h, pf.mean, pf.rho)
         for g, w in zip(got, want):
             assert np.array_equal(g, w)
-        row = mesh.frames[i]
-        for field in ("position", "tangent", "normal", "h", "mean", "rho", "S"):
+        row = frames[i]
+        for field in _FRAME_FIELDS:
             assert np.array_equal(getattr(row, field), getattr(pf, field))
-    assert mesh.frames.rho.shape == (mesh.node_count,)
-
-
-_FRAME_FIELDS = ("position", "tangent", "normal", "h", "mean", "rho", "S")
+    assert frames.rho.shape == (mesh.node_count,)
 
 
 def _one_call_mesh(imm, shape):
@@ -344,15 +360,14 @@ def test_mesh_blocks_keep_every_bit(name, shape, monkeypatch):
     mesh = im.patch_mesh(imm, shape)
     assert calls == checked == []  # the grid only
     count = math.prod(shape)
-    mesh.params
-    # the first read: one evaluator call per block of nodes, and one check
-    # per frame
+    got = _block_arrays(list(mesh._node_blocks()))
+    # a read: one evaluator call per block of nodes, and one check per frame
     assert calls == [min(16, count - lo) for lo in range(0, count, 16)]
     assert checked == calls
+    # nothing is kept: a second read makes the same calls again
     first = list(calls)
-    got = mesh.params, mesh.weights, {k: getattr(mesh.frames, k) for k in _FRAME_FIELDS}
-    # later reads make no call
-    assert calls == checked == first
+    list(mesh._node_blocks())
+    assert calls == checked == first + first
     params, weights, f = _one_call_mesh(imm, shape)
     assert np.array_equal(got[0], params)
     assert np.array_equal(got[1], weights)
@@ -365,14 +380,15 @@ def test_mesh_blocks_at_the_module_block_size_keep_every_bit():
     shape = (im._NODE_BLOCK + 1, 1)
     mesh = im.patch_mesh(imm, shape)
     params, weights, f = _one_call_mesh(imm, shape)
-    assert np.array_equal(mesh.weights, weights)
+    got = _mesh_arrays(mesh)
+    assert np.array_equal(got[0], params)
+    assert np.array_equal(got[1], weights)
     for field in _FRAME_FIELDS:
-        assert np.array_equal(getattr(mesh.frames, field), f[field])
+        assert np.array_equal(getattr(got[2], field), f[field])
 
 
 @pytest.mark.parametrize("shape", [(3, 4), (7, 7), (16, 32)])
 def test_blocked_stability_check_equals_one_pass(shape, monkeypatch):
-    monkeypatch.setattr(im, "_NODE_BLOCK", 16)
     a = np.array([0.2, 0.5, 0.84])
     a /= np.linalg.norm(a)
     mesh = im.sphere_mesh(R=2.0, shape=shape)
@@ -385,13 +401,18 @@ def test_blocked_stability_check_equals_one_pass(shape, monkeypatch):
     b2 = np.sum(f["h"] * f["h"], axis=(-3, -2, -1))
     lhs = float(np.sum(vals * (1.0 - vals) * b2 * f["rho"] * weights))
     rhs = -float(np.sum(np.sum(grads * grads, axis=1) * f["rho"] * weights))
-    # the check builds the frames of each block and checks them once
+    # the check builds the frames of each block and checks them once, and
+    # keeps every bit at each block size, a tail of one node (7 at 7 x 7)
+    # included
     orthonormal, checked = grassmann._orthonormal, []
     monkeypatch.setattr(grassmann, "_orthonormal",
                         lambda rows: checked.append(len(rows)) or orthonormal(rows))
-    assert im.stability_identity_check(mesh, a) == (lhs, rhs, lhs - rhs)
     count = math.prod(shape)
-    assert checked == [min(16, count - lo) for lo in range(0, count, 16)]
+    for block in (1 << 10, 16, 7):
+        monkeypatch.setattr(im, "_NODE_BLOCK", block)
+        checked.clear()
+        assert im.stability_identity_check(mesh, a) == (lhs, rhs, lhs - rhs)
+        assert checked == [min(block, count - lo) for lo in range(0, count, block)]
 
 
 @pytest.mark.parametrize("fields, message", [
@@ -404,7 +425,8 @@ def test_frame_check_fails_on_nan_in_the_last_block(fields, message, monkeypatch
     monkeypatch.setattr(im, "_NODE_BLOCK", 16)
     mesh = im.sphere_mesh(R=2.0, shape=(7, 7))  # 4 blocks, the last of one node
     with pytest.raises(ValueError, match=message):
-        dataclasses.replace(mesh.frames, **fields(mesh.frames))
+        frames = _mesh_arrays(mesh)[2]
+        dataclasses.replace(frames, **fields(frames))
 
 
 @pytest.mark.parametrize("kind", ["chart", "rank"])
@@ -424,9 +446,10 @@ def test_a_later_block_fails_as_one_batch_does(kind, monkeypatch):
     messages = []
     for block in (45, 16):
         monkeypatch.setattr(im, "_NODE_BLOCK", block)
-        # the mesh is its grid: its first read raises, by either route
+        # the mesh is its grid: its first read raises, by itself or in a check
         mesh = im.patch_mesh(imm, (9, 5), closed=True)
-        for read in (lambda: mesh.frames, lambda: im.stability_identity_check(mesh, np.eye(3)[2])):
+        for read in (lambda: _mesh_arrays(mesh),
+                     lambda: im.stability_identity_check(mesh, np.eye(3)[2])):
             with pytest.raises(ValueError) as info:
                 read()
             assert isinstance(info.value, im.ChartError) == (kind == "chart")
@@ -468,11 +491,13 @@ def test_mesh_quadrature_reads_arrays_only():
     mesh = im.sphere_mesh(R=2.0, shape=(8, 16))
     a = np.array([0.0, 0.6, 0.8])
     rep = im.stability_identity_check(mesh, a)
-    gauss = im.gaussian_weight(mesh)
-    im.unit_weight(mesh)
-    im.weighted_integral(mesh, np.ones(mesh.node_count))
+    params, weights, frames = _mesh_arrays(mesh)
+    gauss = im.gaussian_weight(frames)
+    unit = im.unit_weight(frames)
+    assert np.array_equal(unit.values, np.ones(mesh.node_count))
+    assert np.array_equal(unit.grad_log, np.zeros((mesh.node_count, 3)))
     # per-node loops over one-point frames as the reference
-    pfs = [im.point_frame(mesh.immersion, p) for p in mesh.params]
+    pfs = [im.point_frame(mesh.immersion, p) for p in params]
     f, grad_sq = np.empty(mesh.node_count), np.empty(mesh.node_count)
     for i, pf in enumerate(pfs):
         s, y = im._signed_normal(pf.tangent, pf.normal)
@@ -488,9 +513,9 @@ def test_mesh_quadrature_reads_arrays_only():
         assert np.array_equal(gauss.grad_log[i], -0.5 * xt)
         assert gauss.values[i] == pf.rho
     b2 = np.array([pf.second_form_sq for pf in pfs])
-    lhs = float(np.sum(f * (1.0 - f) * b2 * gauss.values * mesh.weights))
+    lhs = float(np.sum(f * (1.0 - f) * b2 * gauss.values * weights))
     assert rep.lhs == lhs
-    assert rep.rhs == -float(np.sum(grad_sq * gauss.values * mesh.weights))
+    assert rep.rhs == -float(np.sum(grad_sq * gauss.values * weights))
 
 
 
@@ -1108,20 +1133,20 @@ def test_hypersurface_targets_reach_the_sphere_forms(monkeypatch):
 
 
 def test_weighted_area_of_shrinker_sphere(shrinker_sphere_mesh):
+    # the Gaussian-weighted area, a zero field and a field odd under the
+    # reflection x3 -> -x3, as three rows of one streamed read
     mesh = shrinker_sphere_mesh
     exact = 16.0 * math.pi * math.exp(-1.0)
-    val = im.weighted_integral(mesh, np.ones(mesh.node_count))
+    val, zero, odd = im._integrals(
+        mesh, lambda p, f: (f.rho, np.zeros(len(p)), f.position[:, 2] * f.rho))
     # midpoint quadrature carries an endpoint term h^2/24 in the latitude
     # direction; at 64 x 128 that is 1.004e-4 relative
     assert abs(val - exact) / exact <= 1.2e-4
-
-    assert im.weighted_integral(mesh, np.zeros(mesh.node_count)) == 0.0
-
-    odd = mesh.frames.position[:, 2]
-    assert abs(im.weighted_integral(mesh, odd)) <= 1e-12
-
-    with pytest.raises(ValueError, match="node count"):
-        im.weighted_integral(mesh, np.ones(3))
+    assert zero == 0.0
+    assert abs(odd) <= 1e-12
+    # each row is one sum over every node
+    params, weights, frames = _mesh_arrays(mesh)
+    assert val == float(np.sum(frames.rho * weights))
 
 
 def test_stability_identity_on_closed_sphere(shrinker_sphere_mesh):
@@ -1156,18 +1181,19 @@ def _poly_bump(widths, center=None, k=6):
 
 
 def _ref_weighted_energy(mesh, map_fn, weight):
-    # the per-node loop that the batched weighted_energy replaced
+    # the per-node loop that the batched energy density replaced
     step = mesh.immersion.fd_step
+    params, weights, frames = _mesh_arrays(mesh)
     total = 0.0
     for idx in range(mesh.node_count):
-        _, dy, _ = im._fd_jets(map_fn, mesh.params[idx], step, second=False)
-        push = mesh.frames.S[idx] @ dy  # rows: map differential along frame rows
-        total += 0.5 * float(np.sum(push * push)) * weight.values[idx] * mesh.weights[idx]
+        _, dy, _ = im._fd_jets(map_fn, params[idx], step, second=False)
+        push = frames.S[idx] @ dy  # rows: map differential along frame rows
+        total += 0.5 * float(np.sum(push * push)) * weight.values[idx] * weights[idx]
     return total
 
 
 def _ref_sphere_map_tension(imm, p, map_fn, grad_log_w):
-    # the per-point tension that the batched sphere_map_tension replaced,
+    # the per-point tension that the batched _sphere_map_tension replaced,
     # with its metric data and Laplace-Beltrami contraction written out
     _, dX, ddX = (a[0] for a in imm.jets(p[None]))
     fr = im.point_frame(imm, p)
@@ -1185,24 +1211,33 @@ def _ref_sphere_map_tension(imm, p, map_fn, grad_log_w):
 
 
 @pytest.mark.parametrize("case", ["sphere", "plane"])
-def test_batched_energy_layer_matches_per_node_loops(case):
+def test_batched_energy_layer_matches_per_node_loops(case, monkeypatch):
     if case == "sphere":
         mesh = im.sphere_mesh(R=2.0, shape=(16, 32))
     else:  # an open patch
         mesh = im.patch_mesh(im.catalog_immersion("plane:n=2,m=1"), (12, 10))
-    weight = im.gaussian_weight(mesh)
+    monkeypatch.setattr(im, "_NODE_BLOCK", 16)  # several blocks on each mesh
+    imm = mesh.immersion
+    params, weights, frames = _mesh_arrays(mesh)
+    weight = im.gaussian_weight(frames)
 
     def mp(q):
         y = np.stack([np.cos(0.6 * q[..., 0]), np.sin(0.6 * q[..., 0]) * np.cos(0.5 * q[..., 1]),
                       0.4 + 0.3 * np.sin(0.5 * q[..., 1])], axis=-1)
         return y / np.linalg.norm(y, axis=-1, keepdims=True)
 
-    # summation order may move the last bits
+    # the block helpers of the first variation, summed over the blocks of
+    # one read; summation order may move the last bits
+    energy, tension = 0.0, []
+    for _, p, w, f in mesh._node_blocks():
+        gw = im.gaussian_weight(f)
+        energy += float(np.sum(im._energy_density(imm, p, f, mp) * gw.values * w))
+        tension.append(im._sphere_map_tension(imm, p, f, mp, gw.grad_log))
     want = _ref_weighted_energy(mesh, mp, weight)
-    assert abs(im.weighted_energy(mesh, mp, weight) - want) <= 1e-12 * abs(want)
-    got = im.sphere_map_tension(mesh, mp, weight.grad_log)
-    want = np.array([_ref_sphere_map_tension(mesh.immersion, p, mp, g)
-                     for p, g in zip(mesh.params, weight.grad_log)])
+    assert abs(energy - want) <= 1e-12 * abs(want)
+    got = np.concatenate(tension)
+    want = np.array([_ref_sphere_map_tension(imm, p, mp, g)
+                     for p, g in zip(params, weight.grad_log)])
     assert got.shape == want.shape
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
@@ -1281,6 +1316,57 @@ def test_first_variation_calls_each_map_a_fixed_number_of_times(closed):
     assert counts[0] == counts[1] == {0.0: 1, 1e-3: each, -1e-3: each}
 
 
+@pytest.mark.parametrize("closed", [True, False])
+def test_blocked_first_variation_keeps_every_bit(closed, monkeypatch):
+    # the shrinker sphere of c09 with the Gaussian weight, and an open plane
+    # patch with the unit weight; 512 and 64 nodes leave a tail of one node
+    # in blocks of 7
+    if closed:
+        mesh, weight_of = im.sphere_mesh(R=2.0, shape=(16, 32)), im.gaussian_weight
+        eta = _poly_bump((1.35, 2.9), center=(math.pi / 2, 0.0))
+    else:
+        mesh = im.patch_mesh(im.catalog_immersion("plane:n=2,m=1"), (8, 8))
+        weight_of, eta = im.unit_weight, _poly_bump((2.6, 2.6))
+    imm, W = mesh.immersion, np.array([0.3, -0.2, 0.5])
+    calls = []
+
+    def family(t):
+        def mp(q):
+            calls.append(t)
+            y = np.stack([np.cos(0.6 * q[..., 0]),
+                          np.sin(0.6 * q[..., 0]) * np.cos(0.5 * q[..., 1]),
+                          0.4 + 0.3 * np.sin(0.5 * q[..., 1])], axis=-1)
+            y = y + t * eta(q)[..., None] * W
+            return y / np.linalg.norm(y, axis=-1, keepdims=True)
+
+        return mp
+
+    # the check's arithmetic over every node at once
+    dt = 1e-3
+    params, weights, f = _one_call_mesh(imm, mesh.shape)
+    frames = im.PointFrame(**f)
+    w = weight_of(frames)
+    e_p, e_m = (float(np.sum(im._energy_density(imm, params, frames, family(t)) * w.values
+                             * weights)) for t in (dt, -dt))
+    vdot = (family(dt)(params) - family(-dt)(params)) / (2.0 * dt)
+    tau = im._sphere_map_tension(imm, params, frames, family(0.0), w.grad_log)
+    pairing = -float(np.sum(np.sum(vdot * tau, axis=-1) * w.values * weights))
+    derivative = (e_p - e_m) / (2.0 * dt)
+    want = (derivative, pairing, derivative - pairing)
+    count = mesh.node_count
+    for block in (1 << 10, 16, 7):
+        monkeypatch.setattr(im, "_NODE_BLOCK", block)
+        calls.clear()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert im.first_variation_check(mesh, family, weight_of) == want
+        # per block: the tension, and each of +-dt for its energy and the
+        # rate; one more rate at the faces of an open chart box
+        blocks = -(-count // block)
+        each = 2 * blocks + (0 if closed else 1)
+        assert {t: calls.count(t) for t in set(calls)} == {0.0: blocks, dt: each, -dt: each}
+
+
 def test_first_variation_warns_on_boundary_support():
     plane = im.catalog_immersion("plane:n=2,m=1")
     mesh = im.patch_mesh(plane, (6, 6))
@@ -1311,3 +1397,7 @@ def test_catalog_string_parsing():
         im.catalog_immersion("plane:n=2,m=1,R=4")
     with pytest.raises(ValueError, match="malformed"):
         im.catalog_immersion("plane:n2")
+    # a repeated argument names no one surface, even with equal values
+    for name in ("sphere:n=2,R=1,R=2", "plane:n=2,m=1, n=2", "sphere:n=2,R=2,c1=0.5,c1=0.5"):
+        with pytest.raises(ValueError, match="repeated catalog argument"):
+            im.catalog_immersion(name)

@@ -29,11 +29,9 @@ KEEP = {
     "second_form_sq_field": "tests/test_cli.py checks the flow_final.csv artifact with it",
     "group_bounds": "each Prop 4.1 group against its proved bound; reaching it from "
                     "verify-prop41 would change that report and the certify workload",
-    "weighted_integral": "the Gaussian-weighted quadrature of one per-node field; the "
-                         "stability check fills its two integrands in its own pass over "
-                         "the mesh, so the unit tests of the measure call it",
-    "unit_weight": "the unweighted control of the first-variation family, used by "
-                   "the unit tests of the tension pairing and the boundary warning",
+    "unit_weight": "the weight 1 at one block's frames: the unweighted control that "
+                   "first_variation_check takes in the unit tests of the tension "
+                   "pairing, the boundary warning and the blocked bits",
     "RunReport.subcommand": "written into the report JSON by RunReport.as_dict",
     "RunReport.artifacts": "listed in the report JSON by RunReport.as_dict",
     "SweepReport.worst_per_v": "the per-slice maxima, which the unit tests hold bit "

@@ -14,7 +14,6 @@ fields interoperate with the immersion layer through jets at grid nodes.
 
 from __future__ import annotations
 
-import functools
 import io
 import math
 from dataclasses import dataclass, field as dc_field
@@ -196,12 +195,10 @@ class _Plan(NamedTuple):
     mixed: tuple
 
 
-@functools.lru_cache(maxsize=8)
-def _plan(shape, L, order):
-    """The plan of the grid of values of this shape, (*grid, m)."""
+def _plan(field: GridField, order):
+    """The plan of the field's grid, built once per workspace or immersion."""
     g = _margin(order)
-    grid, m = shape[:-1], shape[-1]
-    n = len(grid)
+    L, grid, m, n = field.L, field.shape, field.m, field.n
     box = _box(grid, order)
     h = [2.0 * L / (s - 1) for s in grid]
     strides = tuple(m * math.prod(grid[k + 1:]) for k in range(n))
@@ -275,9 +272,10 @@ def _run(calls):
         f(*args)
 
 
-def _interior_jets(field: GridField, order, scratch=None):
+def _interior_jets(field: GridField, plan, order, scratch=None):
     """Stacked jets du (n, size) and ddu (n, n, size) of the field on the slab
-    of its values (see _Plan), and the calls that fill them from those values.
+    of its values (plan is its _Plan at this order), and the calls that fill
+    them from those values.
     scratch, if given, is a flat buffer of at least 3 * size entries that
     the calls may overwrite (they need size entries at order 2).
 
@@ -293,7 +291,6 @@ def _interior_jets(field: GridField, order, scratch=None):
     again refills the same buffers from whatever field.values holds then:
     GridField keeps values C-contiguous, so the views alias it.
     """
-    plan = _plan(field.values.shape, field.L, order)
     n, size, g = field.n, plan.size, _margin(order)
     flat = field.values.reshape(-1)
     du = np.zeros((n, size))
@@ -426,7 +423,7 @@ class _Workspace:
     """
 
     def __init__(self, field: GridField, order, dt=None, stages=1):
-        self._plan = plan = _plan(field.values.shape, field.L, order)
+        self._plan = plan = _plan(field, order)
         n, size = field.n, plan.size
         nodes = size // field.m
         self.values = field.values
@@ -434,7 +431,7 @@ class _Workspace:
         slab = values[plan.start:plan.start + size]
         block = np.zeros(max((n + 2) * size, 2 * size + 2 * values.size))
         # the jets' centre term and products are dead once they are filled
-        du, ddu, jets = _interior_jets(field, order, block)
+        du, ddu, jets = _interior_jets(field, plan, order, block)
         self.du = _inside(plan, du)
         # the jets per slab node: (n, nodes, m) and (n, n, nodes, m)
         self._du, self._ddu = du.reshape(n, nodes, -1), ddu.reshape(n, n, nodes, -1)
@@ -699,9 +696,9 @@ def field_immersion(field: GridField, order=4) -> ParametricImmersion:
     downstream frame and curvature computations agree with the grid
     operators exactly.
     """
-    du, ddu, calls = _interior_jets(field, order)
+    plan = _plan(field, order)
+    du, ddu, calls = _interior_jets(field, plan, order)
     _run(calls + _mirror(ddu))
-    plan = _plan(field.values.shape, field.L, order)
     u = field.values[plan.box]
     nodes = u.shape[:-1]
     n, m = field.n, field.m

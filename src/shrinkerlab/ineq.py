@@ -492,12 +492,12 @@ def _h_from(n, m, pattern, raw):
         raw = raw.reshape(rows, m, n + 1)
         vec = raw[..., :n]
         h = vec[..., :, None] * vec[..., None, :] * raw[..., n, None, None]
-    else:  # sparse: the entries in order, each added with its mirror
+    else:  # sparse: the entries in order, each added with its mirror where i != j
         a, i, j = np.moveaxis(raw[..., :3].astype(np.intp), -1, 0)
-        for e in range(raw.shape[1]):
-            h[np.arange(rows), a[:, e], i[:, e], j[:, e]] += raw[:, e, 3]
-            off = np.nonzero(i[:, e] != j[:, e])[0]
-            h[off, a[off, e], j[off, e], i[off, e]] += raw[off, e, 3]
+        keep = np.stack([np.full(i.shape, True), i != j], axis=-1)  # (rows, entries, 2)
+        r, a, v = (np.broadcast_to(x[..., None], keep.shape)[keep]
+                   for x in (np.arange(rows)[:, None], a, raw[..., 3]))
+        np.add.at(h, (r, a, np.stack([i, j], -1)[keep], np.stack([j, i], -1)[keep]), v)
     return h
 
 

@@ -571,7 +571,7 @@ def test_jets_divide_only_by_divisors_other_than_powers_of_two(shape, L, order, 
     # order 2: 2h and h^2 (powers of two at h = 1/8, 1/16 and 1/4 beside 1/8);
     # order 4: 12h and 12h^2, never powers of two
     f = gf.GridField(L=L, values=np.zeros(shape + (1,)))
-    _, _, calls = gf._interior_jets(f, order)
+    _, _, calls = gf._interior_jets(f, gf._plan(f, order), order)
     assert sum(ufunc is np.divide for ufunc, _ in calls) == divides
 
 
@@ -810,13 +810,15 @@ def test_public_results_do_not_alias_the_workspace():
 
 @pytest.mark.parametrize("shape, bound_mb", [((129, 129), 4.25), ((25, 25, 25), 7.5)],
                          ids=["129x129", "25x25x25"])
-def test_workspace_fill_and_sample_peak_allocation_stays_bounded(shape, bound_mb):
+def test_workspace_fill_and_sample_peak_allocation_stays_bounded(monkeypatch, shape, bound_mb):
     # a step workspace, filled and sampled once, at m = 2.  The scratch block
     # holds the step's (n + 2) size entries and |B|^2 is contracted over blocks
     # of nodes: 3.91 and 6.02 MB.  Sized for one pass of the contractions,
     # n^2 m + n^3 + 1 entries per node, the block took 4.62 and 9.14 MB
     f = gf.GridField(L=1.0, values=0.1 * np.random.default_rng(0).standard_normal(shape + (2,)))
-    gf._Workspace(f, 2, 1e-4)  # the plan is cached
+    # the plan, with its coordinate table, is built before tracing: not counted
+    plan = gf._plan(f, 2)
+    monkeypatch.setattr(gf, "_plan", lambda *a: plan)
     tracemalloc.start()
     try:
         gf._Workspace(f, 2, 1e-4).fill().sample()
@@ -840,23 +842,43 @@ def test_trace_sample_evaluates_the_jets_once(m, monkeypatch):
 
 def test_one_stencil_plan_per_relaxation_run(monkeypatch):
     # one workspace per run: the plan and the jet program are built once,
-    # not looked up or compiled per step
+    # not looked up or compiled per step; so are an immersion's
     f = gf.GridField.from_function(
         lambda x: [0.3 * _poly_window(x)], L=1.0, resolution=(17, 17), m=1,
         boundary="affine", A=np.zeros((1, 2)), b=np.zeros(1),
     )
-    built, jets = [], []
-    init, compile_jets = gf._Workspace.__init__, gf._interior_jets
+    built, plans, jets = [], [], []
+    init, plan, compile_jets = gf._Workspace.__init__, gf._plan, gf._interior_jets
     monkeypatch.setattr(gf._Workspace, "__init__",
                         lambda self, *a: built.append(a) or init(self, *a))
+    monkeypatch.setattr(gf, "_plan", lambda *a: plans.append(a) or plan(*a))
     monkeypatch.setattr(gf, "_interior_jets", lambda *a: jets.append(a) or compile_jets(*a))
-    gf._plan.cache_clear()
     _, trace = gf.relax_flow(f, gf.SolverConfig(max_steps=400, sample_interval=50))
     assert trace.steps[-1] == 400
-    info = gf._plan.cache_info()
-    assert info.misses == 1
-    assert info.hits + info.misses <= 2
-    assert len(built) == 1 and len(jets) == 1
+    assert len(built) == 1 and len(plans) == 1 and len(jets) == 1
+    gf.field_immersion(f)
+    assert len(built) == 1 and len(plans) == 2 and len(jets) == 2
+
+
+def test_a_finished_run_leaves_no_graphflow_array_live():
+    # the plan lives in its workspace: once a run's results are dropped, no
+    # array buffer allocated from graphflow.py during the run is still held,
+    # so no grid's coordinate table (0.13 MiB here) outlives the run.  Small
+    # Python objects are left out: the interpreter's and numpy's free lists
+    # keep some of those
+    f = gf.GridField(L=1.0, values=0.1 * np.random.default_rng(0).standard_normal((65, 65, 2)))
+    tracemalloc.start(64)  # np.repeat and its kin allocate a frame below graphflow.py
+    try:
+        out, trace = gf.relax_flow(f, gf.SolverConfig(max_steps=20, sample_interval=10))
+        assert trace.steps == [0, 10, 20]
+        del out, trace
+        snapshot = tracemalloc.take_snapshot()
+    finally:
+        tracemalloc.stop()
+    for keep in (tracemalloc.Filter(True, gf.__file__, all_frames=True),
+                 tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)):
+        snapshot = snapshot.filter_traces([keep])
+    assert [t.size for t in snapshot.traces] == []
 
 
 _FILL_CALLS = [(1, 2, 43), (1, 4, 58), (2, 2, 50), (2, 4, 65), (3, 2, 57)]

@@ -24,6 +24,9 @@ import numpy as np
 from .immersion import _D1, _D2, ChartError, ParametricImmersion, _blocks, _graph_jets
 
 
+BLOWUP = 1e6  # relax_flow raises DivergenceError once sup |u| passes it
+
+
 class DivergenceError(RuntimeError):
     """Relaxation blow-up; carries the telemetry collected so far."""
 
@@ -397,29 +400,32 @@ class _Workspace:
     (n, size) and (n, n, size), the metric g = I + du du^T (n, n, nodes),
     overwritten by its inverse, its determinant, the residual's parts
     elliptic and drift and res = elliptic - drift, which then gets -0.0 in
-    the slots off the interior, and one reduction to the 0-d sup_u = sup |u|
-    over all nodes and sup_res = sup |res|.  du, det, elliptic, drift and
-    res view the interior of their slab arrays.  fill() recomputes them all
-    from whatever the field's values hold, with the arithmetic of the
-    stacked definitions at every interior node.  Given a dt, the workspace
-    also holds the relaxation step program (step, else None), which first
-    adds dt res to the whole slab, leaving the nodes off the interior as
-    they are, then fills.  One zeroed scratch block, (n + 2) size entries
-    unless the sups need more, serves in turn the jets' centre term, the
-    metric's second-component products, the inverse's products, the
-    residual's terms, the sups' absolute values and a sample's slopes;
+    the slots off the interior, and one reduction (_sups) to the 0-d
+    sup_u = sup |u| over all nodes and sup_res = sup |res|.  du, det,
+    elliptic, drift and res view the interior of their slab arrays.  fill()
+    recomputes them all from whatever the field's values hold, with the
+    arithmetic of the stacked definitions at every interior node.  Given a
+    dt, the workspace also holds the relaxation step program (step, else
+    None), which first adds dt res to the whole slab, leaving the nodes off
+    the interior as they are, then runs the fill up to res's -0.0 copy; the
+    sups are left to the caller.  One zeroed scratch block, (n + 2) size
+    entries unless the sups need more, serves in turn the jets' centre
+    term, the metric's second-component products, the inverse's products,
+    the residual's terms, the sups' absolute values and a sample's slopes;
     elliptic and drift live there, so they hold until the next sample or
-    step only.  A fill is 43 calls at n = 2, m = 1 and order 2, the step 45.
+    step only.  A fill is 43 calls at n = 2, m = 1 and order 2, three of
+    them the sups, and the step 42.
 
     Given a dt and a stage count s, stages holds the s programs of one RKL1
-    superstep (see relax_flow), each ending in a fill: [step] at s = 1.  At
-    s > 1 the first copies the slab into one more slab buffer, prev, then
-    runs step; program j = 2 ... s writes
+    superstep (see relax_flow), each ending as the step does, without the
+    sups: [step] at s = 1.  At s > 1 the first copies the slab into one
+    more slab buffer, prev, then runs step; program j = 2 ... s writes
     Y_j = Y_{j-1} + nu_j (Y_{j-2} - Y_{j-1}) + mu_j dt L(Y_{j-1}), with
     nu_j = -(j - 1) / j and mu_j = (2 j - 1) / j, from the slab (Y_{j-1}),
     prev (Y_{j-2}) and res (L(Y_{j-1})) through the step's dead scratch,
-    leaves Y_{j-1} in prev, then fills.  Off the interior Y_{j-2} - Y_{j-1}
-    is 0.0 and res is -0.0, so those nodes keep their bits.
+    leaves Y_{j-1} in prev, then fills up to res.  Off the interior
+    Y_{j-2} - Y_{j-1} is 0.0 and res is -0.0, so those nodes keep their
+    bits.
     """
 
     def __init__(self, field: GridField, order, dt=None, stages=1):
@@ -481,9 +487,9 @@ class _Workspace:
         residual += [(np.add, (drift, p, drift)) for p in prod[1:]]
         residual += [(np.subtract, (drift, slab, drift)), (np.multiply, (drift, _HALF, drift)),
                      (np.subtract, (elliptic, drift, padded[:size])),
-                     (np.copyto, (padded, _NEG_ZERO, "same_kind", edge)),
-                     (np.abs, (values, absolute[0])), (np.abs, (padded, absolute[1])),
-                     (np.maximum.reduce, (absolute, 1, None, sups))]
+                     (np.copyto, (padded, _NEG_ZERO, "same_kind", edge))]
+        self._sups = [(np.abs, (values, absolute[0])), (np.abs, (padded, absolute[1])),
+                      (np.maximum.reduce, (absolute, 1, None, sups))]
         self._calls = (jets + metric + _mirror(g) + _spd_inverse(g, self._det, block[:nodes])
                        + residual)
         self.step = None if dt is None else [
@@ -502,6 +508,7 @@ class _Workspace:
 
     def fill(self):
         _run(self._calls)
+        _run(self._sups)
         return self
 
     def second_form_sq(self):
@@ -554,14 +561,14 @@ class SolverConfig:
     """Relaxation policy: stepping, stopping, telemetry cadence.
 
     stages = 1 takes explicit steps, stages = s > 1 RKL1 supersteps of s
-    fills (see relax_flow); max_steps and sample_interval count fills.
+    fills (see relax_flow); max_steps and sample_interval count fills.  A
+    run diverges once sup |u| passes the module's constant BLOWUP, 1e6.
     """
 
     dt: Optional[float] = None  # None: CFL-scaled 0.45 h^2 / (2 n)
     max_steps: int = 200_000
     threshold: float = 1e-8
     sample_interval: int = 50
-    blowup: float = 1e6
     stages: int = 1
 
     def __post_init__(self):
@@ -571,15 +578,13 @@ class SolverConfig:
             if isinstance(count, bool) or not isinstance(count, int) or count < 1:
                 raise ValueError(f"{name} must be an integer of at least 1, got {count!r}")
         # before the comparisons below, which are all False for NaN
-        reals = (self.threshold, self.blowup) + (() if self.dt is None else (self.dt,))
+        reals = (self.threshold,) + (() if self.dt is None else (self.dt,))
         if not all(map(math.isfinite, reals)):
             raise ValueError("solver parameters must be finite")
         if self.dt is not None and self.dt <= 0:
             raise ValueError("time step must be positive")
         if self.threshold <= 0:
             raise ValueError("convergence threshold must be positive")
-        if self.blowup <= 0:
-            raise ValueError("blow-up bound must be positive")
 
 
 @dataclass
@@ -616,10 +621,11 @@ def relax_flow(u0: GridField, cfg: SolverConfig = SolverConfig()):
     default step is 0.45 h^2 / (2 n), which satisfies the stability bound
     since the largest eigenvalue of g^ij is at most one (g >= identity).
     Stops when sup |residual| drops below the threshold or max_steps is hit;
-    blow-up beyond cfg.blowup raises DivergenceError with the trace attached.
-    A non-finite initial field raises ValueError before any step.  The run
-    builds one order-2 workspace, whose interior is every node off the
-    boundary, and runs its superstep's programs once per superstep.
+    sup |u| beyond BLOWUP (1e6), or not finite, raises DivergenceError with
+    the trace attached.  A non-finite initial field raises ValueError before
+    any step.  The run builds one order-2 workspace, whose interior is every
+    node off the boundary, runs its superstep's programs once per superstep
+    and then takes sup |u| and sup |residual| once.
 
     With cfg.stages = s > 1 the run takes Runge-Kutta-Legendre (RKL1)
     supersteps of s fills (Meyer, Balsara and Aslam, J. Comput. Phys. 257,
@@ -645,10 +651,11 @@ def relax_flow(u0: GridField, cfg: SolverConfig = SolverConfig()):
         s = min(cfg.stages, cfg.max_steps - step)
         for program in ws.stages[:s]:
             _run(program)
+        _run(ws._sups)
         step += s
         covered += (s * s + s) // 2
         sup_val = float(ws.sup_u)  # NaN if a node is NaN
-        if not math.isfinite(sup_val) or sup_val > cfg.blowup:
+        if not math.isfinite(sup_val) or sup_val > BLOWUP:
             if math.isfinite(sup_val):
                 trace.record(step, covered * dt, ws)
             raise DivergenceError(f"field magnitude {sup_val:.3e} exceeded the blow-up bound",

@@ -101,38 +101,32 @@ class SweepReport:
 
     v_count: int
     rt_resolution: int
-    worst_value: float
+    worst_value: float  # -inf when no grid point lies in Omega
     samples: int
-    empty_slices: int
-    worst_per_v: np.ndarray  # per v-slice, -inf on an empty slice
 
 
 _SWEEP_BLOCK = 1 << 14  # evaluated points per pass of the sweep, in whole v-slices
 
 
-def sup_F_sweep(v_count=10_000, rt_resolution=10_000, v_lo=None, v_hi=None) -> SweepReport:
+def sup_F_sweep(v_count=10_000, rt_resolution=10_000) -> SweepReport:
     """Maximize F over a grid of Omega and compare against -1/16.
 
-    Each v-slice is parameterized by r in (tau, v^2 - 1] with t forced onto
-    the hyperbola (1+r)(1+t) = v^2; samples failing the t lower bound, and
-    any on F's pole, are dropped, and a slice losing every sample is
-    counted, not fatal.  The grid must be nonempty and lie in the domain
-    1 < v_lo <= v_hi < 3; anything else raises ValueError.  Every grid point
+    The grid has v_count v-slices on the fixed domain
+    1 + 1e-6 <= v <= 3 - 1e-6, each parameterized by rt_resolution values
+    of r in (tau, v^2 - 1] with t forced onto the hyperbola
+    (1+r)(1+t) = v^2; samples failing the t lower bound, and any on F's
+    pole, are dropped.  An empty grid raises ValueError.  Every grid point
     is evaluated, one pass per block of whole v-slices of about
-    _SWEEP_BLOCK points.  `certify_sup_F` proves the bound this samples.
+    _SWEEP_BLOCK points, and each pass updates a running maximum and a
+    member count.  `certify_sup_F` proves the bound this samples.
     """
-    v_lo = 1.0 + 1e-6 if v_lo is None else v_lo
-    v_hi = 3.0 - 1e-6 if v_hi is None else v_hi
     if v_count < 1 or rt_resolution < 1:
         raise ValueError(f"need v_count >= 1 and rt_resolution >= 1, got {v_count}, "
                          f"{rt_resolution}")
-    if not 1.0 < v_lo <= v_hi < 3.0:
-        raise ValueError(f"need 1 < v_lo <= v_hi < 3, got v_lo={v_lo!r}, v_hi={v_hi!r}")
-    v_grid = np.linspace(v_lo, v_hi, v_count)
+    v_grid = np.linspace(1.0 + 1e-6, 3.0 - 1e-6, v_count)
     frac = np.arange(1, rt_resolution + 1) / rt_resolution
     rows = max(1, _SWEEP_BLOCK // rt_resolution)
-    members = np.empty(v_count, dtype=np.intp)
-    per_v = np.empty(v_count)
+    worst, samples = -np.inf, 0
     for lo in range(0, v_count, rows):
         v = v_grid[lo:lo + rows, None]
         tau = 0.5 * (v - 1.0)
@@ -143,16 +137,9 @@ def sup_F_sweep(v_count=10_000, rt_resolution=10_000, v_lo=None, v_hi=None) -> S
         member = denom < 0.0
         with np.errstate(divide="ignore", invalid="ignore"):
             F = _F(tau, r, t, denom)
-        members[lo:lo + rows] = np.count_nonzero(member, axis=1)
-        per_v[lo:lo + rows] = np.max(F, axis=1, where=member, initial=-np.inf)
-    return SweepReport(
-        v_count=v_count,
-        rt_resolution=rt_resolution,
-        worst_value=float(np.max(per_v)),
-        samples=int(np.sum(members)),
-        empty_slices=int(np.count_nonzero(members == 0)),
-        worst_per_v=per_v,
-    )
+        samples += int(np.count_nonzero(member))
+        worst = max(worst, float(np.max(F, where=member, initial=-np.inf)))
+    return SweepReport(v_count, rt_resolution, worst, samples)
 
 
 class SupFProof(NamedTuple):

@@ -537,7 +537,7 @@ def test_relax_divergence_attaches_trace():
     )
     h = float(np.min(f.spacing))
     unstable = gf.SolverConfig(dt=10.0 * 0.45 * h * h / 4.0, max_steps=5000,
-                               blowup=1e3, sample_interval=10)
+                               sample_interval=10)
     with pytest.raises(gf.DivergenceError) as info:
         gf.relax_flow(f, unstable)
     trace = info.value.trace
@@ -697,7 +697,7 @@ def _reference_relax(u0, cfg):
         v[box] += dt * res
         step += 1
         sup = float(np.max(np.abs(v)))
-        if not math.isfinite(sup) or sup > cfg.blowup:
+        if not math.isfinite(sup) or sup > gf.BLOWUP:
             if math.isfinite(sup):
                 trace.record(step, step * dt, cur)
             return cur, trace, f"field magnitude {sup:.3e} exceeded the blow-up bound"
@@ -783,15 +783,17 @@ def test_relax_divergence_is_bit_identical_to_the_reference_loop():
         boundary="affine", A=np.zeros((1, 2)), b=np.zeros(1),
     )
     h = float(np.min(f.spacing))
-    unstable = dict(dt=10.0 * 0.45 * h * h / 4.0, max_steps=5000, sample_interval=10)
-    # the bound of test_relax_divergence_attaches_trace: a finite blow-up,
-    # sampled once more; then one the field overflows past to inf or NaN
-    trace, message = _assert_relax_matches_reference(f, gf.SolverConfig(blowup=1e3, **unstable))
+    # the step of test_relax_divergence_attaches_trace: a finite blow-up past
+    # BLOWUP, sampled once more; then a step so large that the field
+    # overflows to inf or NaN before it is ever finite and past the bound
+    unstable = gf.SolverConfig(dt=10.0 * 0.45 * h * h / 4.0, max_steps=5000, sample_interval=10)
+    trace, message = _assert_relax_matches_reference(f, unstable)
     assert message is not None and len(trace.steps) >= 2
     with np.errstate(all="ignore"):
-        _, message = _assert_relax_matches_reference(
-            f, gf.SolverConfig(blowup=1.7e308, **unstable))
+        trace, message = _assert_relax_matches_reference(
+            f, gf.SolverConfig(dt=1.7e308, max_steps=5000, sample_interval=10))
     assert message.startswith(("field magnitude inf", "field magnitude nan"))
+    assert trace.steps == [0]
 
 
 def test_public_results_do_not_alias_the_workspace():
@@ -887,18 +889,19 @@ _FILL_CALLS = [(1, 2, 43), (1, 4, 58), (2, 2, 50), (2, 4, 65), (3, 2, 57)]
 @pytest.mark.parametrize("m, order, count", _FILL_CALLS,
                          ids=[f"order{o}-m{m}" for m, o, _ in _FILL_CALLS])
 def test_fill_call_count(m, order, count):
-    # one fill at n = 2
-    f = gf.GridField(L=1.0, values=np.zeros((9, 9, m)))
-    assert len(gf._Workspace(f, order)._calls) == count
+    # one fill at n = 2: the geometry up to res, then the sups
+    ws = gf._Workspace(gf.GridField(L=1.0, values=np.zeros((9, 9, m))), order)
+    assert len(ws._calls) + len(ws._sups) == count
 
 
 def test_step_program_is_the_advance_then_the_fill():
-    # res dt into scratch and the slab += it, then the fill's own calls,
-    # which end with |u|, |res| and one reduction to both sups
+    # res dt into scratch and the slab += it, then the fill's own calls up to
+    # res's -0.0 copy; |u|, |res| and their reduction are left to the run
     f = gf.GridField(L=1.0, values=np.zeros((9, 9, 1)))
     ws = gf._Workspace(f, 2, 0.01)
-    assert len(ws.step) == 45
+    assert len(ws.step) == 42
     assert all(a is b for a, b in zip(ws.step[2:], ws._calls, strict=True))
+    assert ws.step[-1][0] is np.copyto and ws.step[-1][1][1] is gf._NEG_ZERO
     # a one-off workspace, with no dt, builds no step program
     assert gf._Workspace(f, 2).step is None
 
@@ -913,6 +916,19 @@ def test_step_program_has_no_python_float_operands(shape, m, order):
               if isinstance(a, float)]
     assert not floats
     assert all(a is b for a, b in zip(ws.stages[0][1:], ws.step, strict=True))
+
+
+@pytest.mark.parametrize("stages", [1, 5])
+def test_a_superstep_takes_the_sups_once(stages, monkeypatch):
+    # no stage program reduces |u| and |res|: relax_flow does, once after
+    # the first fill and once after each superstep
+    reductions, run = [], gf._run
+    monkeypatch.setattr(gf, "_run", lambda calls: reductions.extend(
+        f for f, _ in calls if f == np.maximum.reduce) or run(calls))
+    cfg = gf.SolverConfig(max_steps=40, threshold=1e-14, sample_interval=20, stages=stages)
+    _, trace = gf.relax_flow(_bump(13, 1), cfg)
+    assert trace.steps == [0, 20, 40]
+    assert len(reductions) == 1 + 40 // stages
 
 
 @pytest.mark.parametrize("m", [1, 2])
@@ -1295,7 +1311,7 @@ def test_gridfield_rejects_non_finite_data():
 
 @pytest.mark.parametrize("kwargs", [
     dict(threshold=float("nan")), dict(threshold=float("inf")), dict(dt=float("nan")),
-    dict(dt=float("inf")), dict(blowup=float("nan")), dict(blowup=-1.0), dict(max_steps=0),
+    dict(dt=float("inf")), dict(dt=0.0), dict(threshold=-1.0), dict(max_steps=0),
     dict(stages=0), dict(stages=1.5), dict(stages=True),
     # 10.5 fills raised TypeError inside relax_flow, True ran one step and
     # an interval of 2.5 sampled at steps 3, 5, 8, ...
@@ -1323,6 +1339,8 @@ def test_gridfield_validation():
         gf.SolverConfig(threshold=0.0)
     with pytest.raises(TypeError):  # the relaxation has one stencil order
         gf.SolverConfig(order=4)
+    with pytest.raises(TypeError):  # and one blow-up bound, gf.BLOWUP
+        gf.SolverConfig(blowup=1e3)
     with pytest.raises(ValueError, match="order"):
         gf.system_residual(
             gf.GridField(L=1.0, values=np.zeros((9, 9, 1))), order=3

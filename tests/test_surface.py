@@ -6,13 +6,17 @@ or the benchmark.  So must each member of a public class (the fields its
 body declares, as dataclass and NamedTuple fields, its properties and its
 public methods), read as an attribute outside the class.  A name or member
 only unit tests reach is dead weight: delete it and move its tests onto the
-route that does the work, or give it a reason in KEEP.
+route that does the work, or give it a reason in KEEP.  The same holds for
+options: an optional parameter of a public function or method, or a field
+with a default of a public class, must be set somewhere in the lab, or
+given a reason in KEEP_OPTIONS.
 """
 
 import argparse
 import ast
 import functools
 import importlib
+import math
 import re
 from pathlib import Path
 
@@ -20,6 +24,8 @@ from shrinkerlab import cli
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = sorted((ROOT / "src" / "shrinkerlab").glob("*.py"))
+# the rest of the lab: the acceptance suite and the benchmark
+OUTSIDE = [ROOT / "tests" / "test_acceptance.py"] + sorted((ROOT / "perfbench").glob("*.py"))
 MODULES = {path.stem for path in SRC}
 
 # reached by unit tests only, kept on purpose: top-level names, and
@@ -34,11 +40,28 @@ KEEP = {
                    "pairing, the boundary warning and the blocked bits",
     "RunReport.subcommand": "written into the report JSON by RunReport.as_dict",
     "RunReport.artifacts": "listed in the report JSON by RunReport.as_dict",
-    "SweepReport.worst_per_v": "the per-slice maxima, which the unit tests hold bit "
-                               "for bit to a loop over slices",
-    "SweepReport.empty_slices": "the count of slices with no point of Omega, which the "
-                                "unit tests hold to a loop over slices",
     "GroupBounds.slack": "the slacks group_bounds returns, kept above",
+}
+
+# set by unit tests only, kept on purpose: Function.option or Class.field
+KEEP_OPTIONS = {
+    "SolverConfig.dt": "an oversized step is how the tests reach DivergenceError, which "
+                       "ROADMAP direction 1 pins",
+    "system_residual.order": "the stencil order slope_field(order=4) takes in c11; "
+                             "ROADMAP direction 19 reads the residual at order 4",
+    "second_form_sq_field.order": "the stencil order slope_field(order=4) takes in c11, "
+                                  "which the three grid fields share",
+}
+
+# member names that more than one public class declares: the member check
+# matches by name, so it counts a read of one as a read of all
+SHARED_MEMBERS = {
+    "m": ["GridField", "OrientedFrame", "PointFrame"],
+    "n": ["GridField", "OrientedFrame", "PointFrame"],
+    "margin": ["CheckRecord", "GroupTotals"],
+    "residual": ["StabilityReport", "FirstVariationReport"],
+    "shape": ["GridField", "WeightedPatchMesh"],
+    "values": ["GridField", "HeightTarget", "WeightField", "GroupBounds"],
 }
 
 
@@ -83,10 +106,9 @@ def _unreached(attributes):
     """module.name of each unreached public definition or, with attributes,
     module.Class.member of each unreached member of a public class."""
     trees = {path: ast.parse(path.read_text()) for path in SRC}
-    outside = set(_names(ast.parse((ROOT / "tests" / "test_acceptance.py").read_text()),
-                         attributes=attributes))
-    for path in sorted((ROOT / "perfbench").glob("*.py")):
-        outside.update(_names(ast.parse(path.read_text()), hooks=True, attributes=attributes))
+    outside = {name for path in OUTSIDE for name in _names(
+        ast.parse(path.read_text()), hooks=path.parent.name == "perfbench",
+        attributes=attributes)}
     in_src = [name for tree in trees.values() for name in _names(tree, attributes=attributes)]
     unreached = []
     for path, tree in trees.items():
@@ -118,6 +140,105 @@ def test_every_kept_name_is_defined_and_still_unreached():
     # a kept name that is deleted or that the lab comes to reach leaves KEEP
     unreached = [name.partition(".")[2] for name in _unreached(False) + _unreached(True)]
     assert sorted(KEEP) == sorted(name for name in unreached if name in KEEP)
+
+
+def test_shared_member_names_are_pinned():
+    # a new name shared by two public classes is renamed, or listed above
+    shared = {}
+    for path in SRC:
+        for node in _public_definitions(ast.parse(path.read_text())):
+            if isinstance(node, ast.ClassDef):
+                for name in _members(node):
+                    shared.setdefault(name, []).append(node.name)
+    assert {k: v for k, v in shared.items() if len(v) > 1} == SHARED_MEMBERS
+
+
+def _options(definition, method=False):
+    """(name, position) of each optional parameter of a function, position
+    None for a keyword-only one, with a method's self or cls left out; or of
+    each field with a default of a class, at its place among the fields.  A
+    default_factory container is no option."""
+    if isinstance(definition, ast.ClassDef):
+        fields = [node for node in definition.body
+                  if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name)]
+        for k, node in enumerate(fields):
+            factory = isinstance(node.value, ast.Call) and any(
+                kw.arg == "default_factory" for kw in node.value.keywords)
+            if node.value is not None and not factory:
+                yield node.target.id, k
+        return
+    a = definition.args
+    positional = a.posonlyargs + a.args
+    if method:
+        positional = positional[1:]
+    yield from ((arg.arg, k) for k, arg in enumerate(positional)
+                if k >= len(positional) - len(a.defaults))
+    yield from ((arg.arg, None) for arg, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None)
+
+
+def _with_owners(node, owners=()):
+    """Every node of a tree, with the defs and classes that enclose it."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        owners += (node,)
+    yield node, owners
+    for child in ast.iter_child_nodes(node):
+        yield from _with_owners(child, owners)
+
+
+def _writes():
+    """(callee, names, positional, owners) of each write in the lab: a call
+    of callee with the keywords names (None for a **mapping splat) and
+    positional arguments (inf with a *splat); a dataclasses.replace keyword
+    or an attribute assignment is a write of that name by callee None."""
+    for path in SRC + OUTSIDE:
+        for node, owners in _with_owners(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                f = node.func
+                callee = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+                names = {kw.arg for kw in node.keywords}
+                if callee == "replace":
+                    yield None, names - {None}, 0, owners
+                starred = any(isinstance(a, ast.Starred) for a in node.args)
+                yield callee, names, math.inf if starred else len(node.args), owners
+            elif isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+                for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                    for n in ast.walk(target):
+                        if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Store):
+                            yield None, {n.attr}, 0, owners
+
+
+def _unset_options():
+    """Function.option, Class.method.option or Class.field of each option of
+    a public definition of src that the lab never sets outside that
+    definition.  Callees and fields are matched by name alone."""
+    definitions = []
+    for path in SRC:
+        for node in _public_definitions(ast.parse(path.read_text())):
+            definitions.append((node.name, node, False))
+            if isinstance(node, ast.ClassDef):
+                definitions += [(f"{node.name}.{m.name}", m, True) for m in node.body
+                                if isinstance(m, ast.FunctionDef) and not m.name.startswith("_")]
+    writes = list(_writes())
+    unset = []
+    for key, node, method in definitions:
+        # a field is also set by a write of its name alone; a parameter only by a call
+        named = (node.name, None) if isinstance(node, ast.ClassDef) else (node.name,)
+        for option, position in _options(node, method):
+            if not any(option in names or callee and (
+                           None in names or position is not None and position < positional)
+                       for callee, names, positional, owners in writes
+                       if callee in named and node not in owners):
+                unset.append(f"{key}.{option}")
+    return unset
+
+
+def test_every_option_is_set_by_the_lab():
+    assert [key for key in _unset_options() if key not in KEEP_OPTIONS] == []
+
+
+def test_every_kept_option_is_defined_and_still_unset():
+    # a kept option that is deleted or that the lab comes to set leaves KEEP_OPTIONS
+    assert sorted(KEEP_OPTIONS) == sorted(key for key in _unset_options() if key in KEEP_OPTIONS)
 
 
 def _per_value_math_loops(tree):

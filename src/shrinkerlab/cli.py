@@ -497,18 +497,17 @@ def _surface_batch(name, seed_seq, count):
 
 
 def _composition_targets(imm):
-    # reference the tangent plane at the chart center: it overlaps the
+    # (reference, pole) of composition_checks, the pole None off hypersurfaces.
+    # The reference is the tangent plane at the chart center: it overlaps the
     # tangents of every catalog surface (a fixed coordinate plane does
     # not — the cylinder's tangents all contain the axis direction)
     center = 0.5 * (imm.chart[:, 0] + imm.chart[:, 1])
     ref = immersion.gauss_map(immersion.point_frame(imm, center))
-    targets = [immersion.VTarget(ref), immersion.LogVTarget(ref)]
-    if imm.m == 1:
-        amb = imm.n + imm.m
-        a = np.zeros(amb)
-        a[0], a[-1] = 0.6, 0.8
-        targets.insert(0, immersion.HeightTarget(a))
-    return targets, ref
+    if imm.m != 1:
+        return ref, None
+    pole = np.zeros(imm.n + imm.m)
+    pole[0], pole[-1] = 0.6, 0.8
+    return ref, pole
 
 
 def _composition_worst(name, seed_seq, count):
@@ -521,7 +520,7 @@ def _composition_worst(name, seed_seq, count):
     """
     imm = immersion.catalog_immersion(name)
     rng = np.random.default_rng(seed_seq)
-    targets, ref = _composition_targets(imm)
+    ref, pole = _composition_targets(imm)
     probes = np.empty((0, imm.n))
     for _ in range(50):
         if len(probes) >= count:
@@ -533,7 +532,7 @@ def _composition_worst(name, seed_seq, count):
         raise RuntimeError(
             f"only {len(probes)}/{count} admissible composition probes on {name}"
         )
-    return float(np.max(np.abs(immersion.composition_checks(imm, probes, targets))))
+    return float(np.max(np.abs(immersion.composition_checks(imm, probes, ref, pole))))
 
 
 def cmd_verify_shrinkers(cfg, outdir) -> RunReport:
@@ -771,8 +770,9 @@ def _well_formed(payload):
 
 
 def _csv_text(x):
-    """x as one bundle CSV field: commas become ';' and line breaks spaces."""
-    return str(x).replace(",", ";").replace("\r", " ").replace("\n", " ")
+    """x as one bundle CSV field: commas become ';', double quotes single
+    ones and line breaks spaces."""
+    return str(x).replace(",", ";").replace('"', "'").replace("\r", " ").replace("\n", " ")
 
 
 def cmd_report(cfg, outdir) -> RunReport:

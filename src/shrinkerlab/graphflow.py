@@ -147,15 +147,10 @@ def _margin(order):
     return order // 2
 
 
-def _box(shape, order):
-    """Slices selecting the nodes where all order-wide stencils fit."""
-    g = _margin(order)
-    return tuple(slice(g, s - g) for s in shape)
-
-
 def interior(field: GridField, order=2):
     """Slices selecting the nodes where all order-wide stencils fit."""
-    return _box(field.shape, order)
+    g = _margin(order)
+    return tuple(slice(g, s - g) for s in field.shape)
 
 
 def _const(x):
@@ -202,7 +197,7 @@ def _plan(field: GridField, order):
     """The plan of the field's grid, built once per workspace or immersion."""
     g = _margin(order)
     L, grid, m, n = field.L, field.shape, field.m, field.n
-    box = _box(grid, order)
+    box = interior(field, order)
     h = [2.0 * L / (s - 1) for s in grid]
     strides = tuple(m * math.prod(grid[k + 1:]) for k in range(n))
     rows = (grid[0] - 2 * g,) + grid[1:]

@@ -5,19 +5,23 @@ the position map: orthonormal frames, the second fundamental form, the
 contraction residual H + X_normal/2 that vanishes exactly on self-shrinking
 surfaces of mean curvature flow, the Gaussian-weighted measure
 rho = exp(-|X|^2/4), the drift-Laplacian L = Laplace - (1/2)<X, grad .>, the
-tangent-plane (Gauss) map with its weighted tension field, weighted
-quadrature over patch meshes, the closed-surface stability identity, and a
-first-variation check for weighted map energies.  A small catalog of exact
-surfaces (planes, round spheres, shrinking cylinders, graphs) supplies
-analytic jets; position-only maps get theirs from high-order finite
-differences.  Every function the module evaluates (jets, positions, heights,
-maps) takes points over leading axes and is called once per batch, or a fixed
-number of times per block of _NODE_BLOCK nodes where a mesh is read.  Frames
-are one record, PointFrame, over leading axes, checked in blocks of points:
-point_frame, weighted_tension and composition_checks take parameters (..., n)
-with one kernel call per batch.  A patch mesh holds only its grid and is read
-one way, block by block: the stability identity and the first variation each
-fill their weighted integrands in one such read (_integrals).
+tangent-plane (Gauss) map with its weighted tension field, the chain rule
+for the paper's three target functions of that map (the height on the
+sphere, v and log v on the Grassmannian), weighted quadrature over patch
+meshes, the closed-surface stability identity, and a first-variation check
+for weighted map energies.  A small catalog of exact surfaces (planes, round
+spheres, shrinking cylinders, graphs) supplies analytic jets; position-only
+maps get theirs from high-order finite differences.  Every function the
+module evaluates (jets, positions, heights, maps) takes points over leading
+axes and is called once per batch, or a fixed number of times per block of
+_NODE_BLOCK nodes where a mesh is read.  Frames are one record, PointFrame,
+over leading axes, checked in blocks of points: point_frame,
+weighted_tension and composition_checks take parameters (..., n) with one
+kernel call per batch, and composition_checks builds its rows in one pass,
+from one overlap_values call on the stencil planes and one jordan_spectrum
+call on the centres.  A patch mesh holds only its grid and is read one way,
+block by block: the stability identity and the first variation each fill
+their weighted integrands in one such read (_integrals).
 """
 
 from __future__ import annotations
@@ -401,7 +405,7 @@ def _fd_jets(func, center, steps, second=True):
 
 
 # ---------------------------------------------------------------------------
-# target functions for composition checks
+# the composition formula on the paper's target functions
 
 
 def _signed_normal(tangent, normal):
@@ -425,98 +429,19 @@ def _normal_images(tangent, s, coeffs):
     return ((-s)[..., None, None] * coeffs) @ tangent
 
 
-class HeightTarget:
-    """F = 1 - <., a> on the unit sphere, composed with the normal map."""
-
-    def __init__(self, a):
-        self.a = np.asarray(a, dtype=float)
-
-    def values(self, frames, shared):
-        y = oriented_normal(frames)
-        return sphere.height_value(y / np.sqrt(sphere._dot(y, y))[..., None], self.a)
-
-    def centre_sum(self, pf, T, shared):
-        s, y = _signed_normal(pf.tangent, pf.normal)
-        images = _normal_images(pf.tangent, s, pf.h[..., 0, :, :])
-        hess = sphere.height_hessian(y[..., None, :], self.a, images, images).sum(axis=-1)
-        tension = _normal_images(pf.tangent, s, T)[..., 0, :]
-        return hess + sphere.height_differential(y, self.a, tension)
-
-
-class _OverlapTarget:
-    """Reciprocal-overlap functions of the tangent plane against a reference.
-
-    values reads v for every frame from one overlap_values call, and the
-    centre terms read one spectrum of every centre's plane.  Targets on the
-    same reference share both through the dict of composition_checks.
-    """
-
-    def __init__(self, reference: OrientedFrame):
-        self.reference = reference
-
-    def _shared(self, shared, name, compute):
-        """compute(), once per name and reference in the shared dict."""
-        key = (name, id(self.reference))
-        if key not in shared:
-            shared[key] = compute()
-        return shared[key]
-
-    def values(self, frames, shared):
-        return self._of_v(self._shared(shared, "v", lambda: grassmann.v_values(
-            grassmann.overlap_values(gauss_map(frames), self.reference))))
-
-    def centre_sum(self, pf, T, shared):
-        spec = self._shared(shared, "spec", lambda: grassmann.jordan_spectrum(
-            gauss_map(pf), self.reference))
-        # coefficients [j, alpha] of the plane-map images of the n frame rows
-        # and of the tension, image axis first, rewritten in the adapted
-        # frames at once
-        om = np.concatenate([np.moveaxis(pf.h, (-3, -2), (-1, 0)),
-                             np.swapaxes(T, -1, -2)[None]])
-        om = grassmann.express_in_adapted_frame(spec, om, pf.tangent, pf.normal).omega
-        images, tension = (TangentCoeffs(z, spec.tangent_frame) for z in (om[:-1], om[-1]))
-        return np.sum(self._hess(spec, images), axis=0) + self._d(spec, tension)
-
-
-class VTarget(_OverlapTarget):
-    """F = v, the product of principal-angle secants against the reference."""
-
-    @staticmethod
-    def _of_v(v):
-        return v
-
-    def _hess(self, spec, Z):
-        return grassmann.hess_v_form(spec, Z)
-
-    def _d(self, spec, Z):
-        return grassmann.v_values(spec.mu) * grassmann.dlogv_form(spec, Z)
-
-
-class LogVTarget(_OverlapTarget):
-    """F = log v against the reference plane."""
-
-    @staticmethod
-    def _of_v(v):
-        return np.log(v)
-
-    def _hess(self, spec, Z):
-        return grassmann.hess_logv_form(spec, Z)
-
-    def _d(self, spec, Z):
-        return grassmann.dlogv_form(spec, Z)
-
-
-def composition_checks(imm: ParametricImmersion, params, targets) -> np.ndarray:
-    """Chain-rule residuals of target functions F of the plane map gamma at
-    centres (..., n): one row per target over the leading axes.
+def composition_checks(imm: ParametricImmersion, params, reference: OrientedFrame,
+                       pole=None) -> np.ndarray:
+    """Chain-rule residuals of the paper's target functions F of the plane
+    map gamma at centres (..., n): the rows height (only with a pole), v and
+    log v over the leading axes.
 
     Each is L(F o gamma), by differences of the composed scalar, minus the
     closed-form Hessian sum over the plane-map images and dF paired with the
-    weighted tension; near zero on any immersion.  A target has two methods:
-    values(frames, shared), F at frames over their leading axes, and
-    centre_sum(pf, T, shared), the closed-form terms at centres with frames
-    pf and tension T; shared holds what targets on one reference have in
-    common.  One frame-kernel call covers the stencils of every centre.
+    weighted tension; near zero on any immersion.  F is the height
+    1 - <nu, pole> of the oriented unit normal on the sphere (hypersurfaces
+    only), and v and log v against the reference plane.  One frame-kernel
+    call covers the stencils of every centre, one overlap_values call gives
+    v on them and one jordan_spectrum call the spectra of the centres.
     """
     p = _params(imm, params)
     points, combine = _stencil(p, imm.fd_step)
@@ -525,14 +450,32 @@ def composition_checks(imm: ParametricImmersion, params, targets) -> np.ndarray:
     # rows 1 to 4n hold the first-order stencil, in its own order
     T = _tension(f, _stencil(p, imm.fd_step, second=False)[1])
     pf = f[0]
+    rows = []  # (F at the stencil points, closed-form terms at the centres)
+    if pole is not None:
+        y = oriented_normal(f)
+        s, yc = _signed_normal(pf.tangent, pf.normal)
+        images = _normal_images(pf.tangent, s, pf.h[..., 0, :, :])
+        tension = _normal_images(pf.tangent, s, T)[..., 0, :]
+        rows.append((sphere.height_value(y / np.sqrt(sphere._dot(y, y))[..., None], pole),
+                     sphere.height_hessian(yc[..., None, :], pole, images, images).sum(axis=-1)
+                     + sphere.height_differential(yc, pole, tension)))
+    v = grassmann.v_values(grassmann.overlap_values(gauss_map(f), reference))
+    spec = grassmann.jordan_spectrum(gauss_map(pf), reference)
+    # coefficients [j, alpha] of the plane-map images of the n frame rows and
+    # of the tension, image axis first, rewritten in the adapted frames at once
+    om = np.concatenate([np.moveaxis(pf.h, (-3, -2), (-1, 0)), np.swapaxes(T, -1, -2)[None]])
+    om = grassmann.express_in_adapted_frame(spec, om, pf.tangent, pf.normal).omega
+    images, tension = (TangentCoeffs(z, spec.tangent_frame) for z in (om[:-1], om[-1]))
+    dlogv = grassmann.dlogv_form(spec, tension)
+    rows.append((v, np.sum(grassmann.hess_v_form(spec, images), axis=0)
+                 + grassmann.v_values(spec.mu) * dlogv))
+    rows.append((np.log(v), np.sum(grassmann.hess_logv_form(spec, images), axis=0) + dlogv))
     out = []
-    shared = {}
-    for target in targets:
-        _, grad, hess = combine(target.values(f, shared))
+    for values, centre_sum in rows:
+        _, grad, hess = combine(values)
         # the derivative axes from first to last
         grad, hess = np.moveaxis(grad, 0, -1), np.moveaxis(hess, (0, 1), (-2, -1))
-        lhs = _drift_laplacian(x, dX, ddX, pf.S, grad, hess)
-        out.append(lhs - target.centre_sum(pf, T, shared))
+        out.append(_drift_laplacian(x, dX, ddX, pf.S, grad, hess) - centre_sum)
     return np.array(out)
 
 

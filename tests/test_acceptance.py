@@ -329,19 +329,10 @@ def test_c08_composition_formula():
             if abs(grassmann.w_product(OrientedFrame(pf.tangent), ref)) < 0.3:
                 continue
             kept += 1
-            if imm.m == 1:
-                worst["height"] = max(
-                    worst["height"],
-                    abs(immersion.composition_checks(imm, p, [immersion.HeightTarget(a)])[0]),
-                )
-            worst["v"] = max(
-                worst["v"],
-                abs(immersion.composition_checks(imm, p, [immersion.VTarget(ref)])[0]),
-            )
-            worst["logv"] = max(
-                worst["logv"],
-                abs(immersion.composition_checks(imm, p, [immersion.LogVTarget(ref)])[0]),
-            )
+            # the rows height (hypersurfaces only), v and log v of one call
+            rows = immersion.composition_checks(imm, p, ref, a if imm.m == 1 else None)
+            for name, row in zip(list(worst)[-len(rows):], rows):
+                worst[name] = max(worst[name], abs(row))
         assert kept == probes_per_surface
     peak = max(worst.values())
     ok = peak <= 1e-4

@@ -639,6 +639,21 @@ def test_report_csv_keeps_commas_and_line_breaks_in_their_column(tmp_path):
     assert rows[1][8] == "mandatory; x"
 
 
+def test_report_csv_keeps_double_quotes_in_their_column(tmp_path):
+    # a double quote would open a quoted field and swallow the row's rest
+    out = tmp_path / "out"
+    out.mkdir()
+    check = {**_RUN["checks"][0], "name": 'a"b', "kind": 'mandatory"'}
+    run = {**_RUN, "subcommand": '"verify', "status": 'PASS"', "checks": [check]}
+    (out / 'report_"a.json').write_text(json.dumps(run))
+    assert cli.main(["report", "--out", str(out)]) == 0
+    with open(out / "bundle.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert [len(row) for row in rows] == [9, 9]
+    assert rows[1][:4] == ["report_'a.json", "'verify", "PASS'", "a'b"]
+    assert rows[1][8] == "mandatory'"
+
+
 def test_report_svg_escapes_file_names_and_statuses(tmp_path):
     # a copied report named with "&" and a status holding "<" keep bundle.svg
     # well-formed, and the parsed text reads them back
@@ -1101,7 +1116,7 @@ def _ref_composition_worst(name, seed_seq, count):
     # composition_checks call per candidate
     imm = immersion.catalog_immersion(name)
     rng = np.random.default_rng(seed_seq)
-    targets, ref = cli._composition_targets(imm)
+    ref, pole = cli._composition_targets(imm)
     worst = 0.0
     kept = 0
     attempts = 0
@@ -1112,7 +1127,7 @@ def _ref_composition_worst(name, seed_seq, count):
         if abs(grassmann.w_product(grassmann.OrientedFrame(pf.tangent), ref)) < 0.3:
             continue
         kept += 1
-        for residual in immersion.composition_checks(imm, p, targets):
+        for residual in immersion.composition_checks(imm, p, ref, pole):
             worst = max(worst, abs(residual))
     assert kept == count
     return worst

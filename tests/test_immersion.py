@@ -718,8 +718,8 @@ def test_ambient_equivariance():
             - np.linalg.norm(im.shrinker_residual(pfm))
         ) <= 1e-9
         assert abs(pf.second_form_sq - pfm.second_form_sq) <= 1e-9
-        v0 = im.VTarget(P0).values(pf, {})
-        v1 = im.VTarget(P0_moved).values(pfm, {})
+        v0 = grassmann.v_values(grassmann.overlap_values(im.gauss_map(pf), P0))
+        v1 = grassmann.v_values(grassmann.overlap_values(im.gauss_map(pfm), P0_moved))
         assert abs(v0 - v1) <= 1e-9 * max(1.0, v0)
 
 
@@ -812,15 +812,49 @@ def _drift_laplacian(imm, p, df, ddf):
                                      np.asarray(ddf, dtype=float)))
 
 
-def _ref_composition(imm, p, target):
-    # one point_frame per stencil point and one drift Laplacian at the centre
+def _ref_composition(imm, p, reference, pole=None):
+    # the rows of composition_checks at one point, each F and its closed-form
+    # sum over the frame rows e_i straight from the sphere and grassmann
+    # forms: one point_frame per stencil point and per F, and one drift
+    # Laplacian at the centre
     pf = im.point_frame(imm, p)
-    _, df, ddf = _ref_fd_jets(
-        lambda q: target.values(im.point_frame(imm, q), {}), p, imm.fd_step
-    )
-    lhs = _drift_laplacian(imm, p, df, ddf)
     T = _ref_tension(imm, p)
-    return lhs - target.centre_sum(pf, T, {})
+    rows = []
+    if pole is not None:
+        def height(q):
+            y = im.oriented_normal(im.point_frame(imm, q))
+            return sphere.height_value(y / math.sqrt(y @ y), pole)
+
+        nu = im.oriented_normal(pf)
+        s = np.sign(np.linalg.det(np.concatenate([pf.tangent, pf.normal])))
+        # dnu(e_i) = -s h(e_i, e_j) e_j, and dnu(tau) alike
+        images = (-s * pf.h[0]) @ pf.tangent
+        tension = ((-s * T) @ pf.tangent)[0]
+        total = sum(sphere.height_hessian(nu, pole, u, u) for u in images)
+        rows.append((height, total + sphere.height_differential(nu, pole, tension)))
+
+    def v(q):
+        plane = im.gauss_map(im.point_frame(imm, q))
+        return grassmann.v_values(grassmann.overlap_values(plane, reference))
+
+    spec = grassmann.jordan_spectrum(im.gauss_map(pf), reference)
+
+    def adapted(omega):  # coefficients [j, alpha] in the adapted frame
+        om = grassmann.express_in_adapted_frame(spec, omega, pf.tangent, pf.normal).omega
+        return grassmann.TangentCoeffs(om, spec.tangent_frame)
+
+    images = [adapted(pf.h[:, i].T) for i in range(imm.n)]
+    tension = adapted(T.T)
+    dlogv = grassmann.dlogv_form(spec, tension)
+    rows.append((v, sum(grassmann.hess_v_form(spec, z) for z in images)
+                 + grassmann.v_values(spec.mu) * dlogv))
+    rows.append((lambda q: np.log(v(q)),
+                 sum(grassmann.hess_logv_form(spec, z) for z in images) + dlogv))
+    out = []
+    for F, centre_sum in rows:
+        _, df, ddf = _ref_fd_jets(F, p, imm.fd_step)
+        out.append(_drift_laplacian(imm, p, df, ddf) - centre_sum)
+    return out
 
 
 def _stencil_case(name):
@@ -836,15 +870,13 @@ def _stencil_case(name):
 
 
 def _composition_targets(imm):
-    # reference: the tangent plane at the chart centre, tilted a little
+    # (reference, pole): the tangent plane at the chart centre, tilted a
+    # little, and the last axis on hypersurfaces (None otherwise)
     amb = imm.n + imm.m
     center = im.point_frame(imm, imm.chart.mean(axis=1)).tangent
     tilt = np.random.default_rng(amb).uniform(-0.2, 0.2, (imm.n, amb))
     ref = OrientedFrame(np.linalg.qr((center + tilt).T)[0].T)
-    targets = [im.VTarget(ref), im.LogVTarget(ref)]
-    if imm.m == 1:
-        targets.insert(0, im.HeightTarget(np.eye(amb)[-1]))
-    return ref, targets
+    return ref, (np.eye(amb)[-1] if imm.m == 1 else None)
 
 
 _STENCIL_CASES = (
@@ -861,7 +893,7 @@ _STENCIL_CASES = (
 @pytest.mark.parametrize("name", _STENCIL_CASES)
 def test_batched_stencils_equal_pointwise_reference(name):
     imm = _stencil_case(name)
-    ref, targets = _composition_targets(imm)
+    ref, pole = _composition_targets(imm)
     rng = np.random.default_rng(11)
     draws = [_interior_probe(rng, imm) for _ in range(20)]
     # the overlap targets lose conditioning as the planes turn perpendicular
@@ -873,12 +905,12 @@ def test_batched_stencils_equal_pointwise_reference(name):
     for params in (batch, batch.reshape(2, 3, imm.n)):
         pf = im.point_frame(imm, params)
         T = im.weighted_tension(imm, params)
-        residuals = im.composition_checks(imm, params, targets)
-        assert residuals.shape == (len(targets),) + params.shape[:-1]
+        residuals = im.composition_checks(imm, params, ref, pole)
+        assert residuals.shape == (3 - (pole is None),) + params.shape[:-1]
         # unit points (..., amb) for the heights, stacked planes for w
         units = pf.normal[..., 0, :]
-        pole = np.eye(imm.n + imm.m)[-1]
-        heights = sphere.height_value(units, pole)
+        axis = np.eye(imm.n + imm.m)[-1]
+        heights = sphere.height_value(units, axis)
         w = grassmann.w_product(im.gauss_map(pf), ref)
         for idx in np.ndindex(params.shape[:-1]):
             one = im.point_frame(imm, params[idx])
@@ -886,28 +918,25 @@ def test_batched_stencils_equal_pointwise_reference(name):
                 assert np.array_equal(getattr(pf, field)[idx], getattr(one, field))
             assert np.array_equal(T[idx], im.weighted_tension(imm, params[idx]))
             assert np.array_equal(residuals[(slice(None),) + idx],
-                                  im.composition_checks(imm, params[idx], targets))
-            assert heights[idx] == sphere.height_value(units[idx], pole)
+                                  im.composition_checks(imm, params[idx], ref, pole))
+            assert heights[idx] == sphere.height_value(units[idx], axis)
             assert w[idx] == w_product(OrientedFrame(pf.tangent[idx]), ref)
     for p in probes[:3]:
         assert np.array_equal(im.weighted_tension(imm, p), _ref_tension(imm, p))
-        got = im.composition_checks(imm, p, targets)
-        assert len(got) == len(targets)
-        for g, target in zip(got, targets):
-            want = _ref_composition(imm, p, target)
-            assert g == want
-            assert im.composition_checks(imm, p, [target])[0] == want
+        got = im.composition_checks(imm, p, ref, pole)
+        assert got.tolist() == _ref_composition(imm, p, ref, pole)
+        # without a pole: the v and log v rows alone, with the same bits
+        assert im.composition_checks(imm, p, ref).tolist() == got.tolist()[-2:]
 
 
 def test_one_kernel_call_per_stencil(monkeypatch):
     imm = im.catalog_immersion("sphere:n=2,R=2")
-    _, targets = _composition_targets(imm)
-    assert len(targets) == 3
+    ref, pole = _composition_targets(imm)
     p = np.array([1.2, 0.4])
     calls = _count_calls(monkeypatch, im, "_frame_kernel")
     im.weighted_tension(imm, p)
     assert len(calls) == 1
-    im.composition_checks(imm, p, targets)
+    assert len(im.composition_checks(imm, p, ref, pole)) == 3
     assert len(calls) == 2
 
 
@@ -917,7 +946,7 @@ def test_one_point_frame_call_per_batch(monkeypatch, lead):
     # on the centres and their 4n first-order stencil points, and
     # composition_checks' on the second-order stencils of its centres
     imm = im.catalog_immersion("sphere:n=2,R=2")
-    _, targets = _composition_targets(imm)
+    ref, pole = _composition_targets(imm)
     p = np.array([1.2, 0.4]) + 0.05 * np.arange(math.prod(lead))[:, None]
     p = p.reshape(lead + (2,))
     shapes = []
@@ -927,7 +956,7 @@ def test_one_point_frame_call_per_batch(monkeypatch, lead):
     im.weighted_tension(imm, p)
     assert shapes == [(1 + 4 * 2,) + p.shape]
     shapes.clear()
-    im.composition_checks(imm, p, targets)
+    im.composition_checks(imm, p, ref, pole)
     assert shapes == [(1 + 4 * 2 + 16,) + p.shape]
 
 
@@ -938,30 +967,39 @@ def _count_calls(monkeypatch, module, name):
     return calls
 
 
-def test_one_spectrum_per_reference_per_composition_probe(monkeypatch):
-    # the v and log v targets share one reference, so one centre spectrum
-    # serves the centre terms of both
+@pytest.mark.parametrize("with_pole", [True, False])
+def test_one_overlap_and_one_spectrum_call_per_composition_call(monkeypatch, with_pole):
+    # one overlap_values call on the stencil planes gives v to the v and
+    # log v rows, and one centre spectrum serves the centre terms of both
     imm = im.catalog_immersion("sphere:n=2,R=2")
-    _, targets = _composition_targets(imm)
-    assert [type(t) for t in targets] == [im.HeightTarget, im.VTarget, im.LogVTarget]
-    calls = _count_calls(monkeypatch, grassmann, "jordan_spectrum")
-    im.composition_checks(imm, np.array([1.2, 0.4]), targets)
-    assert len(calls) == 1
+    ref, pole = _composition_targets(imm)
+    pole = pole if with_pole else None
+    overlaps = _count_calls(monkeypatch, grassmann, "overlap_values")
+    spectra = _count_calls(monkeypatch, grassmann, "jordan_spectrum")
+    im.composition_checks(imm, np.array([[1.2, 0.4], [1.1, 0.3]]), ref, pole)
+    assert (len(overlaps), len(spectra)) == (1, 1)
 
 
-def test_one_overlap_call_per_reference_per_composition_probe(monkeypatch):
-    # one overlap_values call on the stencil rows gives v to both targets;
-    # a second reference gets its own
+def test_calls_on_two_references_equal_separate_calls(monkeypatch):
+    # each call reads its own reference: nothing carries over between calls
     imm = im.catalog_immersion("sphere:n=2,R=2")
-    ref, targets = _composition_targets(imm)
+    ref, pole = _composition_targets(imm)
+    other = im.gauss_map(im.point_frame(imm, np.array([1.3, 0.2])))
     p = np.array([1.2, 0.4])
-    calls = _count_calls(monkeypatch, grassmann, "overlap_values")
-    im.composition_checks(imm, p, targets)
-    assert len(calls) == 1
-    other = OrientedFrame(ref.vectors.copy())
-    got = im.composition_checks(imm, p, targets + [im.VTarget(other)])
-    assert len(calls) == 3
-    assert got[-1] == got[1]
+    alone = [im.composition_checks(imm, p, r, pole).tolist() for r in (ref, other)]
+    overlaps = _count_calls(monkeypatch, grassmann, "overlap_values")
+    spectra = _count_calls(monkeypatch, grassmann, "jordan_spectrum")
+    assert [im.composition_checks(imm, p, r, pole).tolist() for r in (ref, other)] == alone
+    assert (len(overlaps), len(spectra)) == (2, 2)
+    assert alone[0][0] == alone[1][0]  # the height row does not read the reference
+    assert alone[0][1:] != alone[1][1:]
+
+
+def test_a_pole_needs_codimension_one():
+    imm = im.catalog_immersion("plane:n=2,m=2")
+    ref, _ = _composition_targets(imm)
+    with pytest.raises(ValueError, match="codimension one"):
+        im.composition_checks(imm, np.array([0.4, -0.9]), ref, np.eye(4)[-1])
 
 
 def test_overlap_scalars_equal_the_per_row_scalar():
@@ -970,12 +1008,10 @@ def test_overlap_scalars_equal_the_per_row_scalar():
     points, _ = im._stencil(np.array([1.2, 0.4]), imm.fd_step)
     f = im.point_frame(imm, points)
     pfs = [im.point_frame(imm, q) for q in points]
-    v = im.VTarget(ref).values(f, {})
-    logv = im.LogVTarget(ref).values(f, {})
-    assert v.shape == logv.shape == (len(points),)
-    assert v.tolist() == [im.VTarget(ref).values(pf, {}) for pf in pfs]
-    assert logv.tolist() == [math.log(x) for x in v.tolist()]
-    assert logv.tolist() == [im.LogVTarget(ref).values(pf, {}) for pf in pfs]
+    v = grassmann.v_values(grassmann.overlap_values(im.gauss_map(f), ref))
+    assert v.shape == (len(points),)
+    assert v.tolist() == [grassmann.v_values(grassmann.overlap_values(im.gauss_map(pf), ref))
+                          for pf in pfs]
 
 
 def test_stencil_frames_are_checked(monkeypatch):
@@ -994,22 +1030,18 @@ def test_stencil_frames_are_checked(monkeypatch):
     with pytest.raises(ValueError, match="mean curvature must be the trace of h"):
         im.weighted_tension(imm, p)
     with pytest.raises(ValueError, match="mean curvature must be the trace of h"):
-        im.composition_checks(imm, p, [im.HeightTarget(np.eye(3)[2])])
+        im.composition_checks(imm, p, *_composition_targets(imm))
 
 
-def test_composition_check_stencil_guard():
-    # the centre is inside the chart, the stencil's -2 step along t_0 is not
+def test_composition_check_stencil_guard(monkeypatch):
+    # the centre is inside the chart, the stencil's -2 step along t_0 is not:
+    # the chart check raises before any target function is evaluated
     imm = im.catalog_immersion("sphere:n=2,R=2")
-    evaluated = []
-
-    class Recording(im.HeightTarget):
-        def values(self, frames, shared):
-            evaluated.append("values")
-            return super().values(frames, shared)
-
+    ref, pole = _composition_targets(imm)
+    overlaps = _count_calls(monkeypatch, grassmann, "overlap_values")
     with pytest.raises(im.ChartError, match=r"parameter \[-0\.0061"):
-        im.composition_checks(imm, np.array([1e-4, 0.0]), [Recording(np.eye(3)[2])])
-    assert evaluated == []
+        im.composition_checks(imm, np.array([1e-4, 0.0]), ref, pole)
+    assert overlaps == []
 
 
 def test_drift_laplacian_flat_examples():
@@ -1073,9 +1105,7 @@ def test_composition_on_plane_is_exact():
     a = np.array([0.3, -0.5, 0.8]) / math.sqrt(0.98)
     P0 = OrientedFrame(np.eye(3)[:2])
     p = np.array([0.4, -0.9])
-    assert abs(im.composition_checks(imm, p, [im.HeightTarget(a)])[0]) <= 1e-8
-    assert abs(im.composition_checks(imm, p, [im.VTarget(P0)])[0]) <= 1e-8
-    assert abs(im.composition_checks(imm, p, [im.LogVTarget(P0)])[0]) <= 1e-8
+    assert np.max(np.abs(im.composition_checks(imm, p, P0, a))) <= 1e-8
 
 
 def test_composition_on_shrinker_sphere():
@@ -1085,7 +1115,9 @@ def test_composition_on_shrinker_sphere():
     rng = np.random.default_rng(8)
     for _ in range(5):
         p = _interior_probe(rng, imm)
-        assert abs(im.composition_checks(imm, p, [im.HeightTarget(a)])[0]) <= 1e-5
+        # the reference is the probe's own plane, so v and log v stay finite
+        ref = im.gauss_map(im.point_frame(imm, p))
+        assert abs(im.composition_checks(imm, p, ref, a)[0]) <= 1e-5
 
 
 def test_composition_on_generic_graphs():
@@ -1096,15 +1128,13 @@ def test_composition_on_generic_graphs():
     P0 = OrientedFrame(np.eye(3)[:2])
     for _ in range(5):
         p = _interior_probe(rng, g1)
-        for target in (im.HeightTarget(a), im.VTarget(P0), im.LogVTarget(P0)):
-            assert abs(im.composition_checks(g1, p, [target])[0]) <= 1e-4
+        assert np.max(np.abs(im.composition_checks(g1, p, P0, a))) <= 1e-4
 
     g2 = _graph_m2()
     P02 = OrientedFrame(np.eye(4)[:2])
     for _ in range(3):
         p = _interior_probe(rng, g2)
-        assert abs(im.composition_checks(g2, p, [im.VTarget(P02)])[0]) <= 1e-4
-        assert abs(im.composition_checks(g2, p, [im.LogVTarget(P02)])[0]) <= 1e-4
+        assert np.max(np.abs(im.composition_checks(g2, p, P02))) <= 1e-4
 
 
 def test_hypersurface_targets_reach_the_sphere_forms(monkeypatch):
@@ -1124,7 +1154,7 @@ def test_hypersurface_targets_reach_the_sphere_forms(monkeypatch):
     a = np.array([0.2, 0.4, 0.89])
     a /= np.linalg.norm(a)
     im.composition_checks(_graph_m1(), np.array([[0.3, -0.4], [0.5, 0.2]]),
-                          [im.HeightTarget(a)])
+                          OrientedFrame(np.eye(3)[:2]), a)
     # one call of each form per batch of centres
     assert calls == dict.fromkeys(names, 1)
     calls.update(dict.fromkeys(names, 0))

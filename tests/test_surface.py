@@ -61,7 +61,7 @@ SHARED_MEMBERS = {
     "margin": ["CheckRecord", "GroupTotals"],
     "residual": ["StabilityReport", "FirstVariationReport"],
     "shape": ["GridField", "WeightedPatchMesh"],
-    "values": ["GridField", "HeightTarget", "WeightField", "GroupBounds"],
+    "values": ["GridField", "WeightField", "GroupBounds"],
 }
 
 

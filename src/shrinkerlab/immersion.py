@@ -17,7 +17,11 @@ axes and is called once per batch, or a fixed number of times per block of
 _NODE_BLOCK nodes where a mesh is read.  Frames are one record, PointFrame,
 over leading axes, checked in blocks of points: point_frame,
 weighted_tension and composition_checks take parameters (..., n) with one
-kernel call per batch, and composition_checks builds its rows in one pass,
+kernel call per batch.  The kernel computes the metric's Cholesky factor
+and its inverse entry by entry over the leading axes, and the normal of a
+surface in R^3 as a cross product; other normals come from
+grassmann.complement.  Jets that are not finite fail before the kernel,
+naming their parameter.  composition_checks builds its rows in one pass,
 from one overlap_values call on the stencil planes and one jordan_spectrum
 call on the centres.  A patch mesh holds only its grid and is read one way,
 block by block: the stability identity and the first variation each fill
@@ -106,7 +110,12 @@ class ParametricImmersion:
         return cls(n, m, chart, jet, step)
 
     def jets(self, params):
-        """Jets at (B, n) parameters: (B, amb), (B, n, amb) and (B, n, n, amb)."""
+        """Jets at (B, n) parameters: (B, amb), (B, n, amb) and (B, n, n, amb).
+
+        Raises ChartError for a parameter outside the chart and ValueError
+        for jets of the wrong shapes or, naming the first such parameter,
+        jets that are not finite.
+        """
         p = np.asarray(params, dtype=float)
         if p.ndim != 2 or p.shape[1] != self.n:
             raise ValueError("parameter dimension mismatch")
@@ -125,6 +134,10 @@ class ParametricImmersion:
             raise ValueError(f"{contract}; the evaluator failed: {err}") from err
         if tuple(a.shape for a in jets) != want:
             raise ValueError(f"{contract}, got {tuple(a.shape for a in jets)}")
+        finite = np.logical_and.reduce([np.isfinite(a).all(axis=tuple(range(1, a.ndim)))
+                                        for a in jets])
+        if not finite.all():
+            raise ValueError(f"jets at parameter {p[np.argmin(finite)]} are not finite")
         return jets
 
 
@@ -213,26 +226,59 @@ def _degenerate_metric(g, params):
     return ValueError("degenerate induced metric")
 
 
+def _cholesky_inverse(g, params):
+    """(L, S) over the leading axes of g (..., n, n): L the Cholesky factor
+    of g and S = L^-1, both lower triangular, entry by entry.
+
+    L fills column by column; S's diagonal holds the reciprocal pivots and
+    its row i below the diagonal is -S_ii sum_k L_ik S_kj.  A pivot that is
+    not positive, NaN included, raises the error naming the first point
+    whose metric has no Cholesky factor.
+    """
+    n = g.shape[-1]
+    L, S = np.zeros_like(g), np.zeros_like(g)
+    for j in range(n):
+        pivot = g[..., j, j] - sum(L[..., j, k] ** 2 for k in range(j))
+        if not np.all(pivot > 0.0):
+            raise _degenerate_metric(g, params)
+        L[..., j, j] = np.sqrt(pivot)
+        S[..., j, j] = 1.0 / L[..., j, j]
+        for i in range(j + 1, n):
+            dot = sum(L[..., i, k] * L[..., j, k] for k in range(j))
+            L[..., i, j] = (g[..., i, j] - dot) / L[..., j, j]
+    for i in range(n):
+        for j in range(i):
+            S[..., i, j] = -S[..., i, i] * sum(L[..., i, k] * S[..., k, j] for k in range(j, i))
+    return L, S
+
+
 def _frame_kernel(x, dX, ddX, params):
     """Frames, curvature and Gaussian weight from jets over leading axes.
 
     x (..., amb), dX (..., n, amb) and ddX (..., n, n, amb) are the jets at
     params (..., n).  The tangent rows whiten dX by the Cholesky factor L of
-    g = dX dX^T, the normals complete a QR basis, and h[alpha, i, j] is ddX
-    paired with the normals in frame coordinates.  Returns L and the
-    PointFrame fields, unchecked: callers build the record once the jets
-    are no longer needed.
+    g = dX dX^T (_cholesky_inverse).  The normal of a surface in R^3 is the
+    normalized cross product of the tangent rows; other normals are
+    grassmann.complement's.  h[alpha, i, j] = S b_alpha S^T, with b_alpha
+    the pairing of ddX with normal alpha in the parameter basis.  Returns L
+    and the PointFrame fields, unchecked: callers build the record once the
+    jets are no longer needed.
     """
-    g = dX @ dX.swapaxes(-1, -2)
-    try:
-        L = np.linalg.cholesky(g)
-    except np.linalg.LinAlgError:
-        raise _degenerate_metric(g, params) from None
-    S = np.linalg.inv(L)
+    *lead, n, amb = dX.shape
+    # matmul reads a transposed stack in a slow strided loop; the products
+    # of contiguous copies are the same bits in about half the time
+    g = dX @ np.ascontiguousarray(dX.swapaxes(-1, -2))
+    L, S = _cholesky_inverse(g, params)
     tangent = S @ dX
-    normal = grassmann.complement(dX)
-    b = np.einsum("...ija,...ka->...kij", ddX, normal)  # in the param basis
-    h = np.einsum("...pi,...kij,...qj->...kpq", S, b, S)
+    if (n, amb) == (2, 3):
+        t0, t1 = tangent[..., 0, :], tangent[..., 1, :]
+        nu = t0[..., [1, 2, 0]] * t1[..., [2, 0, 1]] - t0[..., [2, 0, 1]] * t1[..., [1, 2, 0]]
+        normal = (nu / np.sqrt(np.sum(nu * nu, axis=-1, keepdims=True)))[..., None, :]
+    else:
+        normal = grassmann.complement(dX)
+    # b[..., alpha, :, :], ddX paired with normal alpha in the parameter basis
+    b = (normal @ ddX.reshape(*lead, n * n, amb).swapaxes(-1, -2)).reshape(*lead, amb - n, n, n)
+    h = S[..., None, :, :] @ b @ np.ascontiguousarray(S.swapaxes(-1, -2))[..., None, :, :]
     h = 0.5 * (h + h.swapaxes(-1, -2))
     mean = h.trace(axis1=-2, axis2=-1)
     rho = np.exp(-(x[..., None, :] @ x[..., :, None])[..., 0, 0] / 4.0)

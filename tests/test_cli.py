@@ -625,18 +625,19 @@ def test_out_flag_alone_places_the_run(tmp_path, monkeypatch):
 
 
 def test_report_csv_keeps_commas_and_line_breaks_in_their_column(tmp_path):
-    # every free-text field of a merged report stays one field of its row
+    # every free-text field of a merged report stays one field of its row,
+    # and reads back as written; a lone "\r" is quoted too
     out = tmp_path / "out"
     out.mkdir()
     check = {**_RUN["checks"][0], "name": "a,b", "kind": "mandatory,\nx"}
-    run = {**_RUN, "subcommand": "verify,targets", "status": "PASS,\r", "checks": [check]}
+    run = {**_RUN, "subcommand": "verify,targets", "status": "PASS\r", "checks": [check]}
     (out / "report_a,b.json").write_text(json.dumps(run))
     assert cli.main(["report", "--out", str(out)]) == 0
     with open(out / "bundle.csv", newline="") as fh:
         rows = list(csv.reader(fh))
     assert [len(row) for row in rows] == [9, 9]
-    assert rows[1][:4] == ["report_a;b.json", "verify;targets", "PASS; ", "a;b"]
-    assert rows[1][8] == "mandatory; x"
+    assert rows[1][:4] == ["report_a,b.json", "verify,targets", "PASS\r", "a,b"]
+    assert rows[1][8] == "mandatory,\nx"
 
 
 def test_report_csv_keeps_double_quotes_in_their_column(tmp_path):
@@ -650,8 +651,8 @@ def test_report_csv_keeps_double_quotes_in_their_column(tmp_path):
     with open(out / "bundle.csv", newline="") as fh:
         rows = list(csv.reader(fh))
     assert [len(row) for row in rows] == [9, 9]
-    assert rows[1][:4] == ["report_'a.json", "'verify", "PASS'", "a'b"]
-    assert rows[1][8] == "mandatory'"
+    assert rows[1][:4] == ['report_"a.json', '"verify', 'PASS"', 'a"b']
+    assert rows[1][8] == 'mandatory"'
 
 
 def test_report_svg_escapes_file_names_and_statuses(tmp_path):
@@ -986,12 +987,14 @@ def test_target_residuals_at_the_default_config_are_pinned(tmp_path, seed, diges
 
 
 @pytest.mark.parametrize("seed, digest", [
-    (0, "ade340697363d53aa522e5d12ac07df9b5491e90e31e7712ea010a1639c049a1"),
-    (61, "c6d35708f50f430f37acc742dc04e4c4039af823dbe218234cc2c5af88cf4376"),
+    (0, "80d7bbbfa90bd32b04a20c4d844e772ef095f5dcf05770113e73f6301d331c6f"),
+    (61, "865555fcd740057990deca34ef475fa2f7862b76e09f529f0de4d26b1104e712"),
 ], ids=["0", "61"])
 def test_shrinker_residuals_at_the_default_config_are_pinned(tmp_path, seed, digest):
     # sha256 of shrinker_residuals.csv with the surface names quoted; the
-    # rows are those the (residual, tension) row tuples wrote
+    # rows are those the (residual, tension) row tuples wrote, from frames
+    # whose metric factor and inverse are computed entry by entry and whose
+    # surface normals in R^3 are cross products
     assert cli.main(["verify-shrinkers", "--seed", str(seed), "--out", str(tmp_path)]) == 0
     got = hashlib.sha256((tmp_path / "shrinker_residuals.csv").read_bytes()).hexdigest()
     assert got == digest

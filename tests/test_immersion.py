@@ -180,6 +180,112 @@ def test_degenerate_metric_at_one_chart_point():
     assert _mesh_arrays(regular)[2].rho.shape == (4,)
 
 
+def _lapack_degenerate_message(dX, params):
+    # the error as a per-point LAPACK factorization names it: the first
+    # point whose metric has no Cholesky factor, with its condition estimate
+    for d, p in zip(dX, params):
+        try:
+            np.linalg.cholesky(d @ d.T)
+        except np.linalg.LinAlgError:
+            cond = np.linalg.cond(d @ d.T)
+            return f"degenerate induced metric at parameter {p} (condition estimate {cond:.3e})"
+    return None
+
+
+def test_rank_deficient_metric_names_the_point_lapack_names():
+    plane = im.catalog_immersion("plane:n=2,m=1")
+
+    def jet(q):
+        x, dX, ddX = plane._jet(q)
+        late = q[:, 0] > 0.95
+        dX[late, 1] = dX[late, 0]  # rank one
+        return x, dX, ddX
+
+    imm = im.ParametricImmersion(2, 1, plane.chart, jet)
+    params = np.random.default_rng(7).uniform(-1.0, 1.5, (3, 4, 2))
+    flat = params.reshape(-1, 2)
+    want = _lapack_degenerate_message(imm.jets(flat)[1], flat)
+    # the fifth point, [0.99267357 0.16983738], is the first of two rank-one ones
+    assert want.startswith(f"degenerate induced metric at parameter {flat[4]} (")
+    with pytest.raises(ValueError) as info:
+        im.point_frame(imm, params)
+    assert str(info.value) == want
+    # a NaN pivot raises too, and LAPACK, which factors NaN, names no point
+    x, dX, ddX = plane._jet(flat)
+    dX[5, 0, 0] = math.nan
+    with pytest.raises(ValueError, match=r"^degenerate induced metric$"):
+        im._frame_kernel(x, dX, ddX, flat)
+
+
+_NAN_JET_READS = {
+    "point_frame": lambda imm, p: im.point_frame(imm, p),
+    "weighted_tension": lambda imm, p: im.weighted_tension(imm, p),
+    "stability_identity_check": lambda imm, p: im.stability_identity_check(
+        im.patch_mesh(imm, (8, 8), closed=True), np.eye(3)[2]),
+}
+
+
+@pytest.mark.parametrize("read", sorted(_NAN_JET_READS))
+def test_non_finite_jets_name_their_first_parameter(read):
+    sphere_imm = im.catalog_immersion("sphere:n=2,R=2")
+
+    def jet(q):
+        x, dX, ddX = (np.array(a) for a in sphere_imm._jet(q))
+        late = q[:, 0] > 1.5
+        x[late], dX[late], ddX[late] = math.nan, math.nan, math.nan
+        return x, dX, ddX
+
+    imm = im.ParametricImmersion(2, 1, sphere_imm.chart, jet)
+    # the probes' centres come first; the mesh's first such node is (4, 0)
+    p = np.array([[1.0, 0.5], [1.6, 0.5], [1.7, -0.5]])
+    want = "[ 1.76714587 -2.74889357]" if read == "stability_identity_check" else "[1.6 0.5]"
+    with pytest.raises(ValueError, match=re.escape(f"jets at parameter {want} are not finite")):
+        _NAN_JET_READS[read](imm, p)
+
+
+def _lapack_frame_kernel(dX, ddX):
+    # L, S, tangent rows, normals and h from per-matrix LAPACK calls, the
+    # complete-QR complement and einsum contractions
+    L = np.linalg.cholesky(dX @ dX.swapaxes(-1, -2))
+    S = np.linalg.inv(L)
+    q = np.linalg.qr(dX.swapaxes(-1, -2), mode="complete")[0]
+    normal = q[..., dX.shape[-2]:].swapaxes(-1, -2)
+    b = np.einsum("...ija,...ka->...kij", ddX, normal)
+    h = np.einsum("...pi,...kij,...qj->...kpq", S, b, S)
+    return L, S, S @ dX, normal, 0.5 * (h + h.swapaxes(-1, -2))
+
+
+def _relative_gap(a, b):
+    return np.max(np.abs(a - b)) / np.max(np.abs(b))
+
+
+@pytest.mark.parametrize("n, m", [(1, 1), (2, 1), (2, 2), (3, 1), (3, 2)])
+def test_frame_kernel_equals_the_lapack_reference(n, m):
+    rng = np.random.default_rng(10 * n + m)
+    lead, amb = (5, 7), n + m
+    x = rng.normal(size=lead + (amb,))
+    dX = np.eye(n, amb) + 0.5 * rng.normal(size=lead + (n, amb))
+    ddX = rng.normal(size=lead + (n, n, amb))
+    ddX = ddX + ddX.swapaxes(-2, -3)
+    L, f = im._frame_kernel(x, dX, ddX, rng.normal(size=lead + (n,)))
+    ref_L, ref_S, ref_tangent, ref_normal, ref_h = _lapack_frame_kernel(dX, ddX)
+    for got, want in ((L, ref_L), (f["S"], ref_S), (f["tangent"], ref_tangent)):
+        assert _relative_gap(got, want) <= 1e-13
+    # the normals span the same complement, and a hypersurface's agree up to sign
+    N = f["normal"]
+    assert np.max(np.abs(N.swapaxes(-1, -2) @ N
+                         - ref_normal.swapaxes(-1, -2) @ ref_normal)) <= 1e-13
+    if m == 1:
+        sign = np.sign(np.sum(N * ref_normal, axis=(-2, -1)))
+        assert np.max(np.abs(N - sign[..., None, None] * ref_normal)) <= 1e-13
+    # |B|^2 and the mean-curvature vector do not depend on the normal basis
+    assert _relative_gap(im._second_form_sq(f["h"]), im._second_form_sq(ref_h)) <= 1e-12
+    H = f["mean"][..., None, :] @ N
+    ref_H = ref_h.trace(axis1=-2, axis2=-1)[..., None, :] @ ref_normal
+    assert _relative_gap(H, ref_H) <= 1e-12
+    im.PointFrame(**f)  # the kernel's fields pass the frame checks
+
+
 def test_batched_jets_check_the_chart_and_shape():
     imm = im.catalog_immersion("plane:n=2,m=1")
     params = np.array([[0.0, 0.0], [1.0, 3.5], [4.0, 0.0]])
